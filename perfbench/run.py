@@ -15,16 +15,21 @@ Workloads: corpus-report, scrambled-pages, kunneth-products, cup-ring (see
    values computed from the documents' normal forms (``checks.py``), later
    outputs must equal them.
 
-With ``--trace 0`` passes run untraced and the end-to-end metrics are
-reported.  Repeated timings are reported as their fastest repeat (set-up time
-as the median of its repeats): the program is deterministic, noise only adds
-time, and on a shared machine whose speed drifts the fastest repeat moves
-least from run to run (see the README).  With ``--trace 1`` untraced and
+Every time is scaled to a fixed machine speed: a fixed piece of interpreter
+work (``reference.py``) is timed around each group of operations, each
+stretch of a set-up and each child process, and a time is reported as it
+would read had that work taken ``reference.NOMINAL_NS``.  On a shared
+machine whose speed drifts, this cancels the drift, which moves the
+reference and the program alike (see the README).  Repeated timings are
+reported as medians.  With ``--trace 0`` passes run untraced and the
+end-to-end metrics are reported: each operation's median over the passes,
+set-up time as the median of its repeats.  With ``--trace 1`` untraced and
 traced passes alternate, and the per-layer self times and counts of the
-fastest traced pass are reported, with the tracing overhead; the spans go to
-``perfbench/out/trace-*.json``.  There, too, fresh child interpreters,
-started one at a time between passes, run the declared ``fcx`` entry point on
-a small document; the fastest is reported as ``cli.cold_ms``.
+median traced pass are reported, with the tracing overhead (median traced
+minus median untraced pass); the spans go to ``perfbench/out/trace-*.json``.
+There, too, fresh child interpreters, started one at a time between passes,
+run the declared ``fcx`` entry point on a small document; their median is
+reported as ``cli.cold_ms``.
 
 The last line of stdout is one JSON object: ``correct``, ``attempted``,
 ``failed`` and ``metrics`` (name -> value and unit).  Without fcx sources
@@ -47,13 +52,15 @@ import subprocess
 import sys
 import time
 from collections import defaultdict
-from typing import Any
+from typing import Any, NamedTuple
 
 import checks
+from reference import ScaledClock, scale, time_reference
 from spans import LAYERS, Layers, Tracer
 from workloads import WORKLOADS, Op, Workload
 
 SETUP_REPS = 3
+REF_EVERY_NS = 100_000_000  # operation time between two timings of the reference
 COLD_RUNS = 12
 CHILD_TIMEOUT_S = 60
 DEFAULT_SEED = 1
@@ -80,22 +87,38 @@ def _import_fcx() -> None:
 
 def setup(name: str, seed: int, traced: bool) -> tuple[Workload, list[float], dict]:
     """SETUP_REPS full set-ups; returns the last workload, every set-up time
-    and, when traced, the per-rep self times of synthesis and serialization."""
+    and, when traced, the per-rep self times of synthesis and serialization.
+
+    A set-up is timed with a ``ScaledClock``, so its time is at the reference
+    speed (``reference.py``).  Untraced, the clock laps at the workload's
+    synthesis and serialization calls; traced, those calls are spans instead,
+    and their self times are scaled by the clock's overall factor.
+    """
     times: list[float] = []
     layer_times: dict[str, list[float]] = defaultdict(list)
     for _ in range(SETUP_REPS):
         tracer = Tracer()
-        t0 = time.perf_counter()
+        clock = ScaledClock(REF_EVERY_NS)
         _import_fcx()
-        workload = WORKLOADS[name](seed, tracer.span if traced else _no_span)
-        times.append(time.perf_counter() - t0)
+        workload = WORKLOADS[name](seed, tracer.span if traced else _lap(clock))
+        times.append(clock.stop())
         if traced:
             totals: dict[str, int] = defaultdict(int)
             for span_name, ns in zip(tracer.names, tracer.self_times()):
                 totals[span_name] += ns
             for span_name in ("synth.build", "io.serialize"):
-                layer_times[span_name].append(totals[span_name] / 1e9)
+                layer_times[span_name].append(totals[span_name] * clock.factor / 1e9)
     return workload, times, layer_times
+
+
+def _lap(clock: ScaledClock):
+    """A span function for set-up that laps ``clock`` where a span would start."""
+
+    def span(name: str) -> contextlib.AbstractContextManager:
+        clock.lap()
+        return contextlib.nullcontext()
+
+    return span
 
 
 class Runner:
@@ -146,20 +169,54 @@ class Runner:
             self.failed += 1
         return ok, out, elapsed
 
-    def run_pass(self, tracer: Tracer | None = None) -> tuple[float, list[int], list]:
-        """One pass: (seconds, per-op ns, per-op output or None if failed).
+    def run_pass(self, tracer: Tracer | None = None) -> Pass:
+        """One pass over the operations.
 
         Each operation starts with the previous one's garbage collected, as
         a fresh ``fcx`` process would, and the collection is not timed; the
-        pass takes the sum of its operations' wall times.
+        pass takes the sum of its operations' times.  The reference is timed
+        before the first operation, after the last, and between operations
+        whenever ``REF_EVERY_NS`` of operation time have gone since it was
+        last timed; each operation's time is scaled by the mean of the two
+        reference timings around its group.
         """
-        times, outputs = [], []
+        times: list[float] = []
+        factors: list[float] = []
+        outputs = []
+        group: list[int] = []
+        before = since = 0
         for op in self.wl.ops:
             gc.collect()
+            if not times or since >= REF_EVERY_NS:
+                after = time_reference()
+                _rescale(times, factors, group, before, after)
+                before, group, since = after, [], 0
             ok, out, ns = self.run_op(op, tracer)
+            group.append(len(times))
+            since += ns
             times.append(ns)
+            factors.append(1.0)
             outputs.append(out if ok else None)
-        return sum(times) / 1e9, times, [_summary(o) for o in outputs]
+        gc.collect()
+        _rescale(times, factors, group, before, time_reference())
+        return Pass(sum(times) / 1e9, times, factors, [_summary(o) for o in outputs])
+
+
+class Pass(NamedTuple):
+    seconds: float  # the sum of the operations' times
+    times: list[float]  # per operation, ns at the reference speed
+    factors: list[float]  # per operation, the scale applied to its wall time
+    outputs: list  # per operation, its output in comparable form, None if it failed
+
+
+def _rescale(
+    times: list[float], factors: list[float], group: list[int], before_ns: int, after_ns: int
+) -> None:
+    if group:
+        factor = scale(before_ns, after_ns)
+        for i in group:
+            times[i] *= factor
+            factors[i] = factor
 
 
 def _summary(output: Any) -> Any:
@@ -190,7 +247,7 @@ def check_outputs(wl: Workload, outputs: list) -> list[str]:
 
 def same_outputs(wl: Workload, reference: list, outputs: list) -> list[str]:
     return [
-        f"{op.label}: output differs from the warm-up pass"
+        f"{op.label}: output differs from the first pass"
         for op, ref, out in zip(wl.ops, reference, outputs)
         if out is not None and ref is not None and out != ref
     ]
@@ -212,7 +269,8 @@ def _script_target() -> tuple[str, str]:
 
 class ColdStarts:
     """Fresh interpreters running the declared entry point on the workload's
-    small document, one at a time; their output must match in-process output."""
+    small document, one at a time; their output must match in-process output.
+    Each is timed at the reference speed, by the reference timed around it."""
 
     def __init__(self, runner: Runner) -> None:
         module, attr = _script_target()
@@ -226,12 +284,14 @@ class ColdStarts:
         self.times_ms: list[float] = []
 
     def run_one(self) -> None:
-        t0 = time.perf_counter()
+        before = time_reference()
+        t0 = time.perf_counter_ns()
         child = subprocess.run(
             self.argv, env=self.env, cwd=ROOT, capture_output=True, text=True,
             timeout=CHILD_TIMEOUT_S,
         )
-        self.times_ms.append((time.perf_counter() - t0) * 1e3)
+        elapsed = time.perf_counter_ns() - t0
+        self.times_ms.append(elapsed * scale(before, time_reference()) / 1e6)
         if child.returncode != 0 or child.stdout != self.expected:
             self.problems.append(
                 f"cold {self.op.label}: exit {child.returncode}, output "
@@ -240,23 +300,29 @@ class ColdStarts:
             )
 
 
-def _layer_metrics(tracer: Tracer, first: int) -> tuple[dict[str, float], list[str]]:
-    """Per-layer self times and counts of the spans from ``first`` on.
+def _layer_metrics(
+    tracer: Tracer, first: int, factors: list[float]
+) -> tuple[dict[str, float], list[str]]:
+    """Per-layer self times and counts of the spans from ``first`` on, one
+    pass whose operations' times were scaled by ``factors``.
 
-    Also checks that every operation's spans nest and that their self times
-    add up to the operation's traced wall time.
+    Self times are scaled by their operation's factor.  Also checks that
+    every operation's spans nest and that their wall self times add up to
+    the operation's traced wall time.
     """
     selfs = tracer.self_times(first)
     problems = tracer.nesting_problems(first)
     values: dict[str, float] = defaultdict(float)
     root_of: list[int] = []
     root_sum: dict[int, int] = defaultdict(int)
+    op_of_root: dict[int, int] = {}  # each operation has one root span, in order
     for pos, i in enumerate(range(first, len(tracer))):
         name, parent = tracer.names[i], tracer.parents[i]
         root = i if parent < first else root_of[parent - first]
+        op_of_root.setdefault(root, len(op_of_root))
         root_of.append(root)
         root_sum[root] += selfs[pos]
-        values[f"{name}_s"] += selfs[pos] / 1e9
+        values[f"{name}_s"] += selfs[pos] * factors[op_of_root[root]] / 1e9
         for key, n in (tracer.counts[i] or {}).items():
             values[f"{name}.{key}"] += n
     for root, total in root_sum.items():
@@ -308,37 +374,39 @@ def run(args: argparse.Namespace) -> dict:
         # Set-up objects live for the whole run: leave them out of collections.
         gc.collect()
         gc.freeze()
-        # The first pass is timed too: a slower first pass cannot lower a
-        # fastest-repeat figure.
         deadline = time.perf_counter() + args.seconds
-        wall, times, reference = runner.run_pass()
+        first_pass = runner.run_pass()
+        reference = first_pass.outputs
         problems = check_outputs(wl, reference)
 
         metrics: dict[str, tuple[float, str]] = {}
         if not traced:
-            pass_times, op_times = [wall], [times]
+            # The first pass, whose outputs were checked, is timed too: a slow
+            # first pass barely moves a median.  Of later passes only the times
+            # are kept, so that memory does not grow with the number of passes.
+            pass_seconds, op_times = [first_pass.seconds], [first_pass.times]
             while time.perf_counter() < deadline:
-                wall, times, outputs = runner.run_pass()
-                pass_times.append(wall)
-                op_times.append(times)
-                problems += same_outputs(wl, reference, outputs)
+                this_pass = runner.run_pass()
+                pass_seconds.append(this_pass.seconds)
+                op_times.append(this_pass.times)
+                problems += same_outputs(wl, reference, this_pass.outputs)
             peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-            # Each operation's fastest time, wherever in the run it fell.
-            fastest_op = [min(repeats) for repeats in zip(*op_times)]
+            # Each operation's median time at the reference speed.
+            op_median = [statistics.median(repeats) for repeats in zip(*op_times)]
             metrics = {
                 "setup_s": (statistics.median(setup_times), "s"),
-                "solve_s": (sum(fastest_op) / 1e9, "s"),
-                "op_p50_ms": (statistics.median(fastest_op) / 1e6, "ms"),
+                "solve_s": (sum(op_median) / 1e9, "s"),
+                "op_p50_ms": (statistics.median(op_median) / 1e6, "ms"),
                 "largest_op_s": (
-                    statistics.fmean(fastest_op[i] for i in wl.largest) / 1e9,
+                    statistics.fmean(op_median[i] for i in wl.largest) / 1e9,
                     "s",
                 ),
                 "peak_rss_mb": (peak_rss, "MiB"),
             }
             print(
-                f"perfbench: {args.workload} seed {args.seed}: {len(pass_times)} passes of "
-                f"{len(wl.ops)} operations; pass seconds "
-                + " ".join(f"{t:.3f}" for t in pass_times),
+                f"perfbench: {args.workload} seed {args.seed}: {len(pass_seconds)} passes "
+                f"of {len(wl.ops)} operations; pass seconds at the reference speed "
+                + " ".join(f"{t:.3f}" for t in pass_seconds),
                 file=sys.stderr,
             )
         else:
@@ -346,43 +414,47 @@ def run(args: argparse.Namespace) -> dict:
             layers = Layers(tracer)
             # Cold starts go between passes, spread over the whole run.
             cold = ColdStarts(runner)
-            cold_per_pass = math.ceil(COLD_RUNS * 2 * wall / args.seconds)
-            untraced, traced_walls = [wall], []
+            cold_per_pass = math.ceil(COLD_RUNS * 2 * first_pass.seconds / args.seconds)
+            untraced, traced_walls = [first_pass.seconds], []
             per_pass: list[dict[str, float]] = []
             while not traced_walls or time.perf_counter() < deadline:
                 if traced_walls:
-                    wall, _t, outputs = runner.run_pass()
-                    untraced.append(wall)
-                    problems += same_outputs(wl, reference, outputs)
+                    untraced_pass = runner.run_pass()
+                    untraced.append(untraced_pass.seconds)
+                    problems += same_outputs(wl, reference, untraced_pass.outputs)
                 first = len(tracer)
                 layers.install()
                 try:
-                    wall, _t, outputs = runner.run_pass(tracer)
+                    traced_pass = runner.run_pass(tracer)
                 finally:
                     layers.remove()
-                traced_walls.append(wall)
-                problems += same_outputs(wl, reference, outputs)
-                values, span_problems = _layer_metrics(tracer, first)
+                traced_walls.append(traced_pass.seconds)
+                problems += same_outputs(wl, reference, traced_pass.outputs)
+                values, span_problems = _layer_metrics(tracer, first, traced_pass.factors)
                 per_pass.append(values)
                 problems += span_problems
                 for _ in range(cold_per_pass):
                     cold.run_one()
-            # Per-layer figures of the fastest traced pass, so that they add
-            # up to that pass's operation times.
-            fastest = per_pass[traced_walls.index(min(traced_walls))]
+            # Per-layer figures of the median traced pass (the lower middle
+            # one), so that they add up to that pass's operation times.
+            order = sorted(range(len(traced_walls)), key=traced_walls.__getitem__)
+            middle = per_pass[order[(len(order) - 1) // 2]]
             for metric, layer in TIME_LAYERS.items():
-                metrics[metric] = (fastest[f"{layer}_s"], "s")
+                metrics[metric] = (middle[f"{layer}_s"], "s")
             for metric, (unit, key) in COUNTS.items():
-                metrics[metric] = (fastest[key], unit)
+                metrics[metric] = (middle[key], unit)
             for metric, layer in RATIOS.items():
-                calls = fastest[f"{layer}.calls"]
-                metrics[metric] = (fastest[f"{layer}.distinct"] / calls if calls else 1.0, "ratio")
+                calls = middle[f"{layer}.calls"]
+                metrics[metric] = (middle[f"{layer}.distinct"] / calls if calls else 1.0, "ratio")
             for layer in ("synth.build", "io.serialize"):
                 metrics[f"{layer}_s"] = (statistics.median(setup_layers[layer]), "s")
-            metrics["trace.overhead_s"] = (min(traced_walls) - min(untraced), "s")
+            metrics["trace.overhead_s"] = (
+                statistics.median(traced_walls) - statistics.median(untraced),
+                "s",
+            )
             while len(cold.times_ms) < COLD_RUNS:
                 cold.run_one()
-            metrics["cli.cold_ms"] = (min(cold.times_ms), "ms")
+            metrics["cli.cold_ms"] = (statistics.median(cold.times_ms), "ms")
             problems += cold.problems
             if layers.missing:
                 print(f"perfbench: bindings not found: {layers.missing}", file=sys.stderr)

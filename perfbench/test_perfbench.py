@@ -7,7 +7,8 @@ Run from the root of the repository:
 Each output check must pass on real fcx output and reject a corrupted copy
 (one flipped dimension, one wrong rank).  The engine, the subquotient oracle
 and the closed-form count of ``checks`` must agree on scrambled complexes of
-at least 100 generators, beyond the acceptance corpus' 12.
+at least 100 generators, beyond the acceptance corpus' 12.  Times scaled
+to the reference speed must not move when the machine slows uniformly.
 """
 
 from __future__ import annotations
@@ -18,11 +19,14 @@ import os
 import random
 import sys
 
+import types
+
 import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 import checks  # noqa: E402
+import reference  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 from fcx import cli, cup, engine  # noqa: E402
@@ -216,3 +220,24 @@ def test_traced_spans_nest_as_called_and_self_times_add_up(small, tmp_path):
     assert all(t >= 0 for t in tracer.self_times())
     entries = sum(c["entries"] for n, c in zip(names, tracer.counts) if n == "kunneth.tensor")
     assert entries > 0
+
+
+@pytest.mark.parametrize("slowdown", [1.0, 1.7])
+def test_scaled_time_cancels_a_uniform_slowdown(slowdown, monkeypatch):
+    now = [0]
+
+    def reference_run() -> int:
+        ns = round(reference.NOMINAL_NS * slowdown)
+        now[0] += ns
+        return ns
+
+    monkeypatch.setattr(reference, "time", types.SimpleNamespace(perf_counter_ns=lambda: now[0]))
+    monkeypatch.setattr(reference, "time_reference", reference_run)
+    clock = reference.ScaledClock(every_ns=reference.NOMINAL_NS)
+    now[0] += round(3 * reference.NOMINAL_NS * slowdown)  # work, then a lap
+    clock.lap()
+    now[0] += round(reference.NOMINAL_NS * slowdown // 2)  # too soon to lap
+    clock.lap()
+    now[0] += round(reference.NOMINAL_NS * slowdown // 2)
+    # 4 nominal units of work; the reference's own time is left out.
+    assert clock.stop() == pytest.approx(4 * reference.NOMINAL_NS / 1e9)
