@@ -23,6 +23,7 @@ from .model import (
     FcxError,
     FloerComplexData,
     ValidationReport,
+    jump0_columns,
     require_valid,
     z_graded_cohomology,
 )
@@ -268,10 +269,7 @@ def induced_on_cohomology(c: FloerComplexData, a: CupClass) -> CohomologyAction:
     acols = a.columns(c)
 
     # Boundary parts: image of the degree-preserving differential per degree.
-    cols0 = [0] * c.count
-    for e in c.delta:
-        if c.jump_index(e) == 0:
-            cols0[c.index_of(e.src)] ^= 1 << c.index_of(e.dst)
+    cols0 = jump0_columns(c)
     groups = c.degree_groups()
     blocks: list[tuple[int, Gf2Matrix]] = []
     for n, basis in sorted(reps.items()):

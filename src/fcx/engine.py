@@ -95,11 +95,7 @@ class CanonicalForm:
 
     def to_canonical(self, v: int) -> int:
         """Coordinates of an ambient vector in the canonical slot basis."""
-        return apply_columns(list(self.inverse), v)
-
-    def from_canonical(self, v: int) -> int:
-        """Ambient vector of a canonical-coordinate bitset."""
-        return apply_columns(list(self.change_of_basis), v)
+        return apply_columns(self.inverse, v)
 
 
 @dataclass(frozen=True)
@@ -251,11 +247,14 @@ def _reduce(c: FloerComplexData) -> CanonicalForm:
         basis[t] = reduced[s]
     for f in free:
         basis[f] = chain[f]
+    # Each slot is its generator plus earlier ones in ``order`` (a dipole
+    # target is its own low), so the inverse is a substitution in that order.
     try:
-        inverse = invert_columns(basis)
+        inverse = invert_columns(basis, order)
     except ValueError as exc:
         raise EngineConsistencyError(
-            "canonical change of basis is singular; this indicates a bug"
+            "canonical change of basis is not unitriangular in the processing "
+            "order; this indicates a bug"
         ) from exc
 
     # Self-check: the conjugated differential is exactly the dipole arrows.

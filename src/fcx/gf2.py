@@ -14,17 +14,15 @@ function, so concurrent use needs no synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Gf2Matrix",
     "Gf2Subspace",
-    "reduced_echelon",
     "kernel_basis",
     "image_basis",
     "subspace_sum",
     "subspace_intersection",
-    "quotient_dim",
     "bits",
     "rref_rows",
     "apply_columns",
@@ -112,16 +110,6 @@ class Gf2Matrix:
     def columns(self) -> list[int]:
         return [self.column(j) for j in range(self.n_cols)]
 
-    def transpose(self) -> "Gf2Matrix":
-        return Gf2Matrix(self.n_cols, self.n_rows, tuple(self.columns()))
-
-    def mat_vec(self, x: int) -> int:
-        """Matrix-vector product; ``x`` is a bitset over columns, result over rows."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= ((r & x).bit_count() & 1) << i
-        return out
-
     def mat_mul(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.n_cols != other.n_rows:
             raise ValueError("dimension mismatch in matrix product")
@@ -140,16 +128,6 @@ class Gf2Matrix:
         return all(r == 0 for r in self.rows)
 
 
-def reduced_echelon(m: Gf2Matrix) -> tuple[Gf2Matrix, tuple[int, ...]]:
-    """Unique reduced row-echelon form of ``m`` plus its ascending pivot columns.
-
-    Zero rows are retained at the bottom so the shape is preserved.
-    """
-    basis, pivots = rref_rows(m.rows)
-    padded = basis + (0,) * (m.n_rows - len(basis))
-    return Gf2Matrix(m.n_rows, m.n_cols, padded), pivots
-
-
 @dataclass(frozen=True)
 class Gf2Subspace:
     """A subspace of GF(2)^ambient_dim with its unique reduced-echelon basis."""
@@ -165,10 +143,6 @@ class Gf2Subspace:
     @staticmethod
     def zero(ambient_dim: int) -> "Gf2Subspace":
         return Gf2Subspace(ambient_dim, ())
-
-    @staticmethod
-    def full(ambient_dim: int) -> "Gf2Subspace":
-        return Gf2Subspace(ambient_dim, tuple(1 << i for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -190,7 +164,7 @@ class Gf2Subspace:
 
 
 def kernel_basis(m: Gf2Matrix) -> Gf2Subspace:
-    """Null space {x : m.mat_vec(x) = 0}; dim = n_cols - rank."""
+    """Null space {x : apply_columns(m.columns(), x) = 0}; dim = n_cols - rank."""
     basis, pivots = rref_rows(m.rows)
     pivot_set = set(pivots)
     vectors = []
@@ -235,16 +209,7 @@ def subspace_intersection(u: Gf2Subspace, v: Gf2Subspace) -> Gf2Subspace:
     return Gf2Subspace.from_vectors(n, inter)
 
 
-def quotient_dim(u: Gf2Subspace, v: Gf2Subspace) -> int:
-    """dim(u / v); requires v to be a subspace of u (checked)."""
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if not u.contains_space(v):
-        raise ValueError("quotient requires the denominator to lie inside the numerator")
-    return u.dim - v.dim
-
-
-def apply_columns(cols: list[int], v: int) -> int:
+def apply_columns(cols: Sequence[int], v: int) -> int:
     """Image of bitset vector ``v`` under the map with column bitsets ``cols``."""
     out = 0
     for b in bits(v):
@@ -252,27 +217,28 @@ def apply_columns(cols: list[int], v: int) -> int:
     return out
 
 
-def invert_columns(cols: list[int]) -> list[int]:
-    """Columns of the inverse of the square map given by column bitsets.
+def invert_columns(cols: Sequence[int], order: Sequence[int]) -> list[int]:
+    """Columns of the inverse of a map that is unitriangular in ``order``.
 
-    Raises ``ValueError`` if the map is singular.
+    ``order`` is a permutation of the slots, and column ``i`` must be
+    ``1 << i`` plus slots that come strictly earlier in ``order``.  Then
+    ``inv[i] = e_i + sum(inv[q] for q in column i minus e_i)`` is a
+    substitution in that order, one XOR per off-diagonal entry.  Raises
+    ``ValueError`` if ``order`` is not a permutation or a column's latest
+    entry in ``order`` is not its own slot.
     """
     n = len(cols)
-    # Row-reduce [M | I]; row r of M collects bit r of every column.
-    rows = []
-    for r in range(n):
-        row = 0
-        for j in range(n):
-            row |= ((cols[j] >> r) & 1) << j
-        rows.append(row | (1 << (n + r)))
-    reduced, pivots = rref_rows(rows)
-    if list(pivots) != list(range(n)):
-        raise ValueError("cannot invert a singular GF(2) matrix")
-    inv_rows = [row >> n for row in reduced]
-    inv_cols = []
-    for j in range(n):
-        col = 0
-        for r in range(n):
-            col |= ((inv_rows[r] >> j) & 1) << r
-        inv_cols.append(col)
-    return inv_cols
+    if sorted(order) != list(range(n)):
+        raise ValueError("order is not a permutation of the slots")
+    inv = [0] * n
+    done = 0  # bitset of slots already inverted
+    for i in order:
+        rest = cols[i] ^ (1 << i)
+        if not (cols[i] >> i) & 1 or rest & ~done:
+            raise ValueError(f"column {i} is not unitriangular in the given order")
+        v = 1 << i
+        for q in bits(rest):
+            v ^= inv[q]
+        inv[i] = v
+        done |= 1 << i
+    return inv

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .engine import PageTable, canonical_form, limit_and_filtration, pages
 from .model import (
@@ -93,9 +94,16 @@ class LaurentPoly:
         """Multiply by t**exponent."""
         return LaurentPoly(tuple((e + exponent, c) for e, c in self.coeffs))
 
-    def evaluate(self, t: int) -> int:
-        """Exact integer evaluation (t = -1 gives the Euler number)."""
-        return sum(c * t**e for e, c in self.coeffs)
+    def evaluate(self, t: int) -> int | Fraction:
+        """Exact evaluation (t = -1 gives the Euler number).
+
+        An ``int`` whenever the value is integral, as it always is for
+        t = 1 and t = -1; a ``Fraction`` otherwise.
+        """
+        if t in (1, -1):  # t**-e == t**e
+            return sum(c * t ** abs(e) for e, c in self.coeffs)
+        value = sum(c * Fraction(t) ** e for e, c in self.coeffs)
+        return value.numerator if value.denominator == 1 else value
 
     def serialize(self) -> str:
         """Space-separated ``exponent:coefficient`` pairs, ascending; '' if zero."""

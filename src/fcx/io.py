@@ -15,10 +15,11 @@ ignored; tokens are whitespace-separated):
     ring <a> <b> <c|0>            product table row (0 means zero product)
 
 Ids and class names match ``[A-Za-z0-9_*]+`` (the ``*`` admits tensor-product
-generator names like ``x*y``, so serialized products re-parse).  Decimals are
-plain base-10 with optional sign and fraction, no exponent.  Line order of
-``gen``/``d`` bodies is non-semantic: the loaded complex always carries the
-canonical internal ordering.
+generator names like ``x*y``, so serialized products re-parse).  Integers are
+ASCII digits with an optional sign.  Decimals are plain base-10 with optional
+sign and fraction, no exponent.  Line order of ``gen``/``d`` bodies is
+non-semantic: the loaded complex always carries the canonical internal
+ordering.
 
 The serializer is canonical: fixed header order, generators sorted by
 (degree, id), differential entries by (src, dst), cup data sorted by class
@@ -45,6 +46,7 @@ from .model import (
 __all__ = ["FcxParseError", "parse", "serialize", "format_decimal"]
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_*]+$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 _DECIMAL_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
 
 
@@ -58,10 +60,9 @@ class FcxParseError(FcxError):
 
 
 def _parse_int(line_no: int, token: str, what: str, minimum: int | None = None) -> int:
-    try:
-        value = int(token, 10)
-    except ValueError:
+    if not _INT_RE.fullmatch(token):  # int() alone also takes '1_0' and non-ASCII digits
         raise FcxParseError(line_no, f"{what} must be an integer, got '{token}'")
+    value = int(token)
     if minimum is not None and value < minimum:
         raise FcxParseError(line_no, f"{what} must be >= {minimum}, got {value}")
     return value

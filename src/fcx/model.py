@@ -413,6 +413,15 @@ def _expand(vec: int, indices: list[int]) -> int:
     return out
 
 
+def jump0_columns(c: FloerComplexData) -> list[int]:
+    """delta restricted to its jump-0 entries, as columns (see ``delta_columns``)."""
+    cols = [0] * c.count
+    for e in c.delta:
+        if c.jump_index(e) == 0:
+            cols[c.index_of(e.src)] ^= 1 << c.index_of(e.dst)
+    return cols
+
+
 def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
     """Cohomology of the degree-graded complex under the jump-0 part alone.
 
@@ -422,11 +431,7 @@ def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
     """
     require_valid(c)
     groups = c.degree_groups()
-    # Restrict columns to jump-0 entries.
-    cols0 = [0] * c.count
-    for e in c.delta:
-        if c.jump_index(e) == 0:
-            cols0[c.index_of(e.src)] ^= 1 << c.index_of(e.dst)
+    cols0 = jump0_columns(c)
     dims: list[tuple[int, int]] = []
     reps_out: list[tuple[int, tuple[int, ...]]] = []
     for n in sorted(groups):

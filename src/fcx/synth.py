@@ -25,6 +25,7 @@ from .model import (
     FloerComplexData,
     LiftedGenerator,
     MonotoneParams,
+    _expand,
     require_valid,
     validate,
 )
@@ -217,14 +218,21 @@ def random_filtered_automorphism(seed: int, c: FloerComplexData) -> FloerComplex
     return _scramble(random.Random(seed), c)
 
 
-def _random_invertible(rng: random.Random, n: int) -> list[int]:
-    """Columns of a uniformly drawn invertible n x n GF(2) matrix (rejection)."""
+def _random_invertible(rng: random.Random, n: int) -> tuple[list[int], list[int]]:
+    """Columns of a uniformly drawn invertible n x n GF(2) matrix (rejection),
+    and the columns of its inverse.
+
+    Rows ``col_j | e_(n+j)`` are [M^T | I].  M is invertible iff every pivot
+    of their reduced echelon form lies in the first block; that form is then
+    [I | (M^T)^-1], whose row r is column r of M^-1.
+    """
     if n == 0:
-        return []
+        return [], []
     while True:
         cols = [rng.getrandbits(n) for _ in range(n)]
-        if len(rref_rows(cols)[0]) == n:
-            return cols
+        reduced, pivots = rref_rows(col | 1 << (n + j) for j, col in enumerate(cols))
+        if pivots[n - 1] == n - 1:
+            return cols, [row >> n for row in reduced]
 
 
 def _scramble(rng: random.Random, c: FloerComplexData) -> FloerComplexData:
@@ -248,21 +256,22 @@ def _scramble(rng: random.Random, c: FloerComplexData) -> FloerComplexData:
 
     # Within-degree invertible mixing, block by block in ascending degree.
     mix_cols = [1 << i for i in range(n)]
+    mix_inv = [1 << i for i in range(n)]
     for deg in sorted(set(degrees)):
         block = [i for i in range(n) if degrees[i] == deg]
-        local = _random_invertible(rng, len(block))
+        local, local_inv = _random_invertible(rng, len(block))
         for pos, i in enumerate(block):
-            col = 0
-            for b in bits(local[pos]):
-                col |= 1 << block[b]
-            mix_cols[i] = col
+            mix_cols[i] = _expand(local[pos], block)
+            mix_inv[i] = _expand(local_inv[pos], block)
 
-    # T = up . mix  (columns of the composite change of basis).
+    # T = up . mix, so T^-1 = mix^-1 . up^-1; ``up`` is unitriangular in
+    # descending degree, which makes its inverse a substitution.
     t_cols = [apply_columns(up_cols, col) for col in mix_cols]
     try:
-        t_inv = invert_columns(t_cols)
-    except ValueError as exc:  # construction guarantees invertibility
+        up_inv = invert_columns(up_cols, sorted(range(n), key=lambda i: -degrees[i]))
+    except ValueError as exc:  # construction guarantees triangularity
         raise EngineConsistencyError(str(exc)) from exc
+    t_inv = [apply_columns(mix_inv, col) for col in up_inv]
 
     old_cols = c.delta_columns()
     new_delta: list[DifferentialEntry] = []

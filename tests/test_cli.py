@@ -66,6 +66,16 @@ def test_euler_is_zero_on_every_dipole_page(run, write_doc):
     assert set(out.splitlines()) == {"chi 0"}
 
 
+def test_euler_is_an_integer_on_negative_levels(run, write_doc):
+    doc = "fcx 1\nsigma 4\nlambda 0\ngen a -3\ngen b -7\ngen c 2\ngen x -5\ngen y 0\nd x y\n"
+    code, out, _ = run("euler", write_doc(doc), "--format", "tsv")
+    assert code == 0
+    assert out.splitlines() == ["chi\t1\t-1", "chi\t2\t-1", "chi\t3\t-1"]
+    code, out, _ = run("euler", write_doc(doc))
+    assert code == 0
+    assert set(out.splitlines()) == {"chi -1"}
+
+
 def test_euler_warns_for_odd_period(run, write_doc):
     doc = "fcx 1\nsigma 3\nlambda 0\ngen x 0\ngen y 4\nd x y\n"
     code, out, _ = run("euler", write_doc(doc), "--format", "tsv")
@@ -102,6 +112,14 @@ def test_parse_error_exits_two_with_line_number(run, write_doc):
     assert code == 2
     assert out == ""
     assert "fcx: line 3" in err
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff13"])
+def test_non_ascii_or_underscored_integer_exits_two(run, write_doc, token):
+    code, out, err = run("pages", write_doc(f"fcx 1\nsigma 4\nlambda 0\ngen x {token}\n"))
+    assert code == 2
+    assert out == ""
+    assert "fcx: line 4: lifted degree must be an integer" in err
 
 
 def test_missing_file_exits_two(run, tmp_path):

@@ -25,7 +25,12 @@ from fcx.model import (
     validate,
     z_graded_cohomology,
 )
-from fcx.synth import NormalFormSpec, build_from_normal_form, random_complex
+from fcx.synth import (
+    NormalFormSpec,
+    build_from_normal_form,
+    random_complex,
+    random_filtered_automorphism,
+)
 
 P4 = MonotoneParams(4, 0.5)
 P4_ALG = MonotoneParams(4, 0.0)
@@ -233,6 +238,20 @@ def test_conjugated_differential_is_exactly_the_dipoles():
             )
             expected = 1 << dipole_of[i] if i in dipole_of else 0
             assert image == expected
+
+
+@pytest.mark.parametrize("n, period, seed", [(100, 3, 1), (250, 4, 2), (400, 6, 3)])
+def test_stored_inverse_undoes_the_change_of_basis_on_scrambled_complexes(n, period, seed):
+    params = MonotoneParams(period, 0.5)
+    dipoles = tuple((d % 17 - 8, d % 4) for d in range(n // 3))
+    free = tuple(f % 17 - 8 for f in range(n - 2 * len(dipoles)))
+    base = build_from_normal_form(NormalFormSpec(params, free, dipoles))
+    c = random_filtered_automorphism(seed, base)
+    assert c.count == n
+    form = canonical_form(c)
+    for i, col in enumerate(form.change_of_basis):
+        assert apply_columns(form.inverse, col) == 1 << i
+        assert apply_columns(form.change_of_basis, form.inverse[i]) == 1 << i
 
 
 @given(seeds, periods)

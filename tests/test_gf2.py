@@ -11,8 +11,6 @@ from fcx.gf2 import (
     image_basis,
     invert_columns,
     kernel_basis,
-    quotient_dim,
-    reduced_echelon,
     rref_rows,
     subspace_intersection,
     subspace_sum,
@@ -77,7 +75,7 @@ def test_rank_nullity(m):
 @given(matrix_strategy())
 def test_kernel_vectors_map_to_zero(m):
     for v in space_members(kernel_basis(m)):
-        assert m.mat_vec(v) == 0
+        assert apply_columns(m.columns(), v) == 0
 
 
 @given(matrix_strategy())
@@ -86,17 +84,6 @@ def test_image_is_spanned_by_columns(m):
     assert img.dim == m.rank()
     for j in range(m.n_cols):
         assert img.contains(m.column(j))
-
-
-@given(matrix_strategy())
-def test_transpose_involution(m):
-    assert m.transpose().transpose() == m
-
-
-@given(matrix_strategy(), vectors)
-def test_mat_vec_matches_column_expansion(m, x):
-    x &= (1 << m.n_cols) - 1
-    assert m.mat_vec(x) == apply_columns(m.columns(), x)
 
 
 def test_mat_mul_shapes_and_identity():
@@ -126,36 +113,26 @@ def test_intersection_matches_brute_force(us, vs):
     assert space_members(subspace_intersection(u, v)) == expected
 
 
-@given(vector_lists, vector_lists)
-def test_quotient_dim_of_sum(us, vs):
-    u = Gf2Subspace.from_vectors(DIM, us)
-    v = Gf2Subspace.from_vectors(DIM, vs)
-    s = subspace_sum(u, v)
-    assert quotient_dim(s, v) == s.dim - v.dim
-
-
-def test_quotient_dim_rejects_non_subspace():
-    u = Gf2Subspace.from_vectors(2, [0b01])
-    v = Gf2Subspace.from_vectors(2, [0b10])
-    with pytest.raises(ValueError):
-        quotient_dim(u, v)
-
-
-def test_reduced_echelon_keeps_shape():
-    m = Gf2Matrix(3, 3, (0b111, 0b111, 0b001))
-    r, pivots = reduced_echelon(m)
-    assert r.n_rows == 3 and r.n_cols == 3
-    assert pivots == (0, 1)
-    assert r.rows == (0b001, 0b110, 0)
+def is_unitriangular(cols, order):
+    """Column i is e_i plus slots strictly earlier in ``order``."""
+    earlier = 0
+    for i in order:
+        if not (cols[i] >> i) & 1 or (cols[i] ^ (1 << i)) & ~earlier:
+            return False
+        earlier |= 1 << i
+    return True
 
 
 @given(st.lists(st.integers(0, 15), min_size=4, max_size=4))
 def test_invert_columns_roundtrip_or_singular(cols):
+    """In the natural order a 4x4 map inverts iff it is upper unitriangular;
+    every singular map is refused."""
     try:
-        inv = invert_columns(cols)
+        inv = invert_columns(cols, range(4))
     except ValueError:
-        assert Gf2Matrix(4, 4, tuple(cols)).transpose().rank() < 4
+        assert not is_unitriangular(cols, range(4))
         return
+    assert len(rref_rows(cols)[0]) == 4
     for j in range(4):
         assert apply_columns(cols, inv[j]) == 1 << j
         assert apply_columns(inv, cols[j]) == 1 << j
@@ -163,4 +140,52 @@ def test_invert_columns_roundtrip_or_singular(cols):
 
 def test_invert_columns_identity():
     ident = [1 << i for i in range(5)]
-    assert invert_columns(ident) == ident
+    assert invert_columns(ident, [3, 1, 4, 0, 2]) == ident
+
+
+@st.composite
+def unitriangular_maps(draw, max_n=10):
+    """(cols, order): a random order, each column its slot plus random earlier slots."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    cols = [0] * n
+    for pos, i in enumerate(order):
+        earlier = draw(st.lists(st.sampled_from(order[:pos]), max_size=pos)) if pos else []
+        cols[i] = 1 << i
+        for q in earlier:
+            cols[i] |= 1 << q
+    return cols, order
+
+
+@given(unitriangular_maps())
+def test_invert_columns_inverts_unitriangular_maps_both_ways(map_and_order):
+    cols, order = map_and_order
+    inv = invert_columns(cols, order)
+    assert is_unitriangular(inv, order)
+    for i in range(len(cols)):
+        assert apply_columns(cols, inv[i]) == 1 << i
+        assert apply_columns(inv, cols[i]) == 1 << i
+
+
+@given(unitriangular_maps(), st.data())
+def test_invert_columns_refuses_a_later_entry_or_a_missing_diagonal(map_and_order, data):
+    cols, order = map_and_order
+    n = len(cols)
+    pos = data.draw(st.integers(0, n - 1))
+    i = order[pos]
+    broken = list(cols)
+    if pos == n - 1 or data.draw(st.booleans()):
+        broken[i] ^= 1 << i  # drop the diagonal bit
+    else:
+        later = data.draw(st.sampled_from(order[pos + 1:]))
+        broken[i] |= 1 << later  # an entry later in the order than the slot
+    with pytest.raises(ValueError):
+        invert_columns(broken, order)
+
+
+def test_invert_columns_refuses_an_order_that_is_not_a_permutation():
+    ident = [1 << i for i in range(3)]
+    with pytest.raises(ValueError):
+        invert_columns(ident, [0, 1, 1])
+    with pytest.raises(ValueError):
+        invert_columns(ident, [0, 1])

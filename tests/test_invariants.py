@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,15 @@ def test_laurent_poly_canonical_form_and_algebra():
     assert p.shift(2).as_dict() == {4: 1, 1: 3}
     assert LaurentPoly.from_dict({0: 1, 5: 1}).evaluate(-1) == 0
     assert LaurentPoly.zero().is_zero
+
+
+def test_laurent_poly_evaluation_is_exact_on_negative_exponents():
+    p = LaurentPoly.from_dict({-3: 2, -1: 1, 2: 4})
+    for t, expected in ((-1, 1), (1, 7)):
+        value = p.evaluate(t)
+        assert type(value) is int and value == expected
+    assert p.evaluate(2) == Fraction(67, 4)
+    assert type(LaurentPoly.from_dict({-1: 2, 3: 1}).evaluate(2)) is int
 
 
 def test_laurent_poly_serialization():

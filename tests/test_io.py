@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,12 @@ from fcx.model import (
     MonotoneParams,
     validate,
 )
-from fcx.synth import NormalFormSpec, build_from_normal_form, random_complex
+from fcx.synth import (
+    NormalFormSpec,
+    build_from_normal_form,
+    random_complex,
+    random_filtered_automorphism,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 periods = st.sampled_from([3, 4, 6])
@@ -224,3 +231,53 @@ def test_roundtrip_preserves_synthesized_actions():
     assert all(g.action is not None for g in c.generators)
     again = parse(serialize(c))
     assert again == c
+
+
+def sha256_of(c: FloerComplexData) -> str:
+    return hashlib.sha256(serialize(c).encode()).hexdigest()
+
+
+# Digests of synthesized documents, recorded before the scrambler inverted its
+# two factors separately; a change to the random draws or to the conjugation
+# shows up here as a different document.
+SYNTH_DIGESTS = {
+    (0, 3): "bb43ad8831405ee8a7a9de7463bcfd48cb11584d9622adceb6b91ec237e6547a",
+    (1, 4): "9c64dc58c5e9ed8745f1fd39369fc13487821125e4de63219eac64eac2c9881e",
+    (7, 6): "f17ee879b45491a54a89f7647e27225119bce1a2b2ac0dbfe0087a852a36faba",
+    (42, 4): "51d5caf02d82619f75967a01ccb3c498002a98d0c2a49dc3e411df4d24c5bb2d",
+    (2024, 3): "bcb2cd4d2b09545dd1568b18cf230de257bbcaa2d5b1d9aa19b7f5d032b842c9",
+}
+
+
+@pytest.mark.parametrize("seed, period", sorted(SYNTH_DIGESTS))
+def test_random_complex_documents_are_pinned(seed, period):
+    c, _ = random_complex(seed, MonotoneParams(period, 0.5))
+    assert sha256_of(c) == SYNTH_DIGESTS[(seed, period)]
+
+
+def test_random_filtered_automorphism_document_is_pinned():
+    params = MonotoneParams(4, 0.0)
+    spec = NormalFormSpec(
+        params,
+        tuple(range(-30, 30)),
+        tuple(((n % 41) - 20, n % 3) for n in range(120)),
+    )
+    c = random_filtered_automorphism(5, build_from_normal_form(spec))
+    assert (c.count, len(c.delta)) == (300, 5130)
+    assert sha256_of(c) == (
+        "b30da711d3f72536999478356705cf546cc9c682d9f56cd74e96bf5c6d928277"
+    )
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff13", "1.0", "0x1", "-", "+"])
+def test_integers_must_be_ascii_digits(token):
+    text = f"fcx 1\nsigma 4\nlambda 0.5\ngen x {token}\n"
+    with pytest.raises(FcxParseError, match="line 4: .*must be an integer") as info:
+        parse(text)
+    assert info.value.line_no == 4
+
+
+def test_integer_header_fields_must_be_ascii_digits():
+    with pytest.raises(FcxParseError, match="line 2: ") as info:
+        parse("fcx 1\nsigma \uff14\nlambda 0.5\n")
+    assert info.value.line_no == 2
