@@ -42,7 +42,7 @@ from .model import (
     EngineConsistencyError,
     FloerComplexData,
     _local_matrix,
-    _expand,
+    expand_local,
     periodic_cohomology,
     require_valid,
 )
@@ -352,7 +352,7 @@ def _z_space(c: FloerComplexData, cols: list[int], n: int, j: int, k: int) -> Gf
     cutoff = n + k * c.params.maslov_period + 1
     dst = [i for i, g in enumerate(c.generators) if g.degree < cutoff]
     ker = kernel_basis(_local_matrix(cols, src, dst))
-    return Gf2Subspace.from_vectors(c.count, [_expand(v, src) for v in ker.basis])
+    return Gf2Subspace.from_vectors(c.count, [expand_local(v, src) for v in ker.basis])
 
 
 def _delta_span(c: FloerComplexData, cols: list[int], space: Gf2Subspace) -> Gf2Subspace:
@@ -426,7 +426,7 @@ def limit_and_filtration(c: FloerComplexData) -> LimitReport:
         nxt = [i for i, g in enumerate(c.generators) if c.params.residue(g.degree) == (j + 1) % period]
         img = Gf2Subspace.from_vectors(
             c.count,
-            [_expand(v, here) for v in image_basis(_local_matrix(cols, prev, here)).basis],
+            [expand_local(v, here) for v in image_basis(_local_matrix(cols, prev, here)).basis],
         )
         for n in range(lo, hi + period + 1):
             if c.params.residue(n) != j:
@@ -434,7 +434,7 @@ def limit_and_filtration(c: FloerComplexData) -> LimitReport:
             sub = [i for i in here if c.generators[i].degree >= n]
             ker = kernel_basis(_local_matrix(cols, sub, nxt))
             ker_amb = Gf2Subspace.from_vectors(
-                c.count, [_expand(v, sub) for v in ker.basis]
+                c.count, [expand_local(v, sub) for v in ker.basis]
             )
             d = subspace_sum(ker_amb, img).dim - img.dim
             if d:

@@ -100,9 +100,9 @@ class LaurentPoly:
         An ``int`` whenever the value is integral, as it always is for
         t = 1 and t = -1; a ``Fraction`` otherwise.
         """
-        if t in (1, -1):  # t**-e == t**e
-            return sum(c * t ** abs(e) for e, c in self.coeffs)
-        value = sum(c * Fraction(t) ** e for e, c in self.coeffs)
+        # t**low * (an integer polynomial): one Fraction power per call
+        low = min((e for e, _ in self.coeffs), default=0)
+        value = Fraction(t) ** low * sum(c * t ** (e - low) for e, c in self.coeffs)
         return value.numerator if value.denominator == 1 else value
 
     def serialize(self) -> str:

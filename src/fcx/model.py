@@ -41,6 +41,8 @@ __all__ = [
     "z_graded_cohomology",
     "periodic_cohomology",
     "degree_decompose",
+    "expand_local",
+    "jump0_columns",
 ]
 
 
@@ -405,7 +407,7 @@ def _local_matrix(
     return Gf2Matrix.from_entries(len(dst_indices), len(src_indices), entries)
 
 
-def _expand(vec: int, indices: list[int]) -> int:
+def expand_local(vec: int, indices: list[int]) -> int:
     """Lift a local bitset vector to ambient generator coordinates."""
     out = 0
     for b in bits(vec):
@@ -441,8 +443,8 @@ def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
         ker = kernel_local(cols0, here, above)
         img = image_local(cols0, below, here)
         reps = _quotient_representatives(
-            [_expand(v, here) for v in ker],
-            Gf2Subspace.from_vectors(c.count, [_expand(v, here) for v in img]),
+            [expand_local(v, here) for v in ker],
+            Gf2Subspace.from_vectors(c.count, [expand_local(v, here) for v in img]),
         )
         if reps:
             dims.append((n, len(reps)))
@@ -475,8 +477,8 @@ def periodic_cohomology(c: FloerComplexData) -> CohomologyTable:
         ker = kernel_local(cols, here, nxt)
         img = image_local(cols, prv, here)
         reps = _quotient_representatives(
-            [_expand(v, here) for v in ker],
-            Gf2Subspace.from_vectors(c.count, [_expand(v, here) for v in img]),
+            [expand_local(v, here) for v in ker],
+            Gf2Subspace.from_vectors(c.count, [expand_local(v, here) for v in img]),
         )
         if reps:
             dims.append((j, len(reps)))

@@ -25,7 +25,7 @@ from .model import (
     FloerComplexData,
     LiftedGenerator,
     MonotoneParams,
-    _expand,
+    expand_local,
     require_valid,
     validate,
 )
@@ -261,8 +261,8 @@ def _scramble(rng: random.Random, c: FloerComplexData) -> FloerComplexData:
         block = [i for i in range(n) if degrees[i] == deg]
         local, local_inv = _random_invertible(rng, len(block))
         for pos, i in enumerate(block):
-            mix_cols[i] = _expand(local[pos], block)
-            mix_inv[i] = _expand(local_inv[pos], block)
+            mix_cols[i] = expand_local(local[pos], block)
+            mix_inv[i] = expand_local(local_inv[pos], block)
 
     # T = up . mix, so T^-1 = mix^-1 . up^-1; ``up`` is unitriangular in
     # descending degree, which makes its inverse a substitution.
