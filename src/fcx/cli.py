@@ -15,6 +15,7 @@ environment variable sets the default seed of ``gen``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -364,20 +365,24 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    seed = args.seed
+    if seed is None:  # read when the command runs: the parser is built once
+        env_seed = os.environ.get("FCX_SEED")
+        seed = int(env_seed) if env_seed else 0
     params = MonotoneParams(
         maslov_period=args.sigma,
         monotonicity=args.lam,
         allow_small_period=args.allow_small_sigma,
     )
     scrambled, spec = random_complex(
-        args.seed, params, max_gens=args.gens, max_jump=args.max_jump
+        seed, params, max_gens=args.gens, max_jump=args.max_jump
     )
     text = serialize(scrambled)
     if args.spec:
         free = " ".join(str(n) for n in spec.free) or "-"
         dipoles = " ".join(f"{n}:{k}" for n, k in spec.dipoles) or "-"
         text += (
-            f"# prng {PRNG_NAME} seed {args.seed}\n"
+            f"# prng {PRNG_NAME} seed {seed}\n"
             f"# normal-form free: {free}\n"
             f"# normal-form dipoles: {dipoles}\n"
         )
@@ -421,6 +426,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -482,8 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-page", type=int, default=None, help="page to check (default 1)")
 
     p = add("gen")
-    env_seed = os.environ.get("FCX_SEED")
-    p.add_argument("--seed", type=int, default=int(env_seed) if env_seed else 0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--gens", type=int, default=12, help="maximum generator count")
     p.add_argument("--max-jump", type=int, default=2)
     p.add_argument("--sigma", type=int, default=4)

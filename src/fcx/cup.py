@@ -14,7 +14,7 @@ structure lives; the composite convention for a product a*b acting on x is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engine import PageTable, canonical_form, pages
 from .gf2 import Gf2Matrix, apply_columns, bits
@@ -61,7 +61,7 @@ class CupClass:
     def columns(self, c: FloerComplexData) -> list[int]:
         """Column bitsets over the canonical generator order (like the differential)."""
         cols = [0] * c.count
-        idx = {g.uid: i for i, g in enumerate(c.generators)}
+        idx = c.index_map()
         for src, dst in self.entries:
             s, t = idx.get(src), idx.get(dst)
             if s is not None and t is not None:
@@ -82,6 +82,9 @@ class RingTable:
 
     products: tuple[tuple[tuple[str, str], str | None], ...] = ()
     unit: str | None = None
+    _lookup: dict[tuple[str, str], str | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         normalized = tuple(
@@ -90,14 +93,12 @@ class RingTable:
             )
         )
         object.__setattr__(self, "products", normalized)
+        for pair, result in normalized:  # the first row of a repeated pair wins
+            self._lookup.setdefault(pair, result)
 
     def product(self, a: str, b: str) -> str | None:
         """Product of two class names; None means zero (absent pairs included)."""
-        key = (min(a, b), max(a, b))
-        for pair, result in self.products:
-            if pair == key:
-                return result
-        return None
+        return self._lookup.get((min(a, b), max(a, b)))
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def validate_cup(c: FloerComplexData, a: CupClass) -> ValidationReport:
     errors: list[str] = []
     if a.degree < 0:
         errors.append(f"class '{a.name}' has negative degree {a.degree}")
-    idx = {g.uid: i for i, g in enumerate(c.generators)}
+    idx = c.index_map()
     seen: set[tuple[str, str]] = set()
     for src, dst in a.entries:
         if src not in idx:

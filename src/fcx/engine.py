@@ -12,6 +12,13 @@ squares to zero, an index claimed as a pivot target always has a zero reduced
 column of its own, so sources, targets and free generators partition the
 basis (checked defensively at run time).
 
+The low is found without a scan.  Generators are stored sorted by
+(degree, id), so each degree is one contiguous block of indices: a column's
+lowest set bit lies in its minimal-degree block, and its low is the highest
+set bit inside that block.  With one precomputed mask per degree block the
+low costs a few bit operations, and no re-indexing of the generators (nor
+any change of coordinates) is needed.
+
 From the canonical form all spectral pages are read off by counting: a free
 generator survives every page, a dipole of jump index ``k`` keeps both
 endpoints alive on pages ``1..k`` (the page-``k`` differential sends source
@@ -31,7 +38,6 @@ from .gf2 import (
     Gf2Matrix,
     Gf2Subspace,
     apply_columns,
-    bits,
     image_basis,
     invert_columns,
     kernel_basis,
@@ -197,13 +203,21 @@ def _reduce(c: FloerComplexData) -> CanonicalForm:
     # Generators are canonically sorted ascending, so reversing degree blocks
     # while keeping in-block order is exactly sorting by (-degree, uid).
     order = sorted(range(n), key=lambda i: (-gens[i].degree, gens[i].uid))
-    rank = [0] * n
-    for pos, i in enumerate(order):
-        rank[i] = pos
+    # block[i]: the mask of every index sharing generator i's degree.
+    block = [0] * n
+    for members in c.degree_groups().values():
+        mask = (1 << (members[-1] + 1)) - (1 << members[0])
+        for i in members:
+            block[i] = mask
 
     def low(col: int) -> int:
-        """The entry latest in the processing order: minimal degree, then largest id."""
-        return max(bits(col), key=lambda b: rank[b])
+        """The entry latest in the processing order: minimal degree, then largest id.
+
+        Indices ascend with (degree, id), so the lowest set bit is in the
+        minimal-degree block, and the largest id there is the highest set
+        bit of ``col`` inside that block.
+        """
+        return (col & block[(col & -col).bit_length() - 1]).bit_length() - 1
 
     reduced: dict[int, int] = {}  # paired source -> reduced delta column
     chain: dict[int, int] = {}  # generator -> accumulated basis vector
@@ -222,10 +236,10 @@ def _reduce(c: FloerComplexData) -> CanonicalForm:
             col ^= reduced[own]
             v ^= chain[own]
         chain[g] = v
-        if col:
+        if col:  # the loop stopped at lo = low(col), which no column owns
             reduced[g] = col
-            owner[low(col)] = g
-            pairs.append((g, low(col)))
+            owner[lo] = g
+            pairs.append((g, lo))
         else:
             raw_zero.append(g)
 
@@ -288,8 +302,15 @@ def pages(c: FloerComplexData, upto: int | None = None) -> PageTable:
     Cell (k, n, j) collects the canonical slots alive on page k at lifted
     degree n: every free slot there, plus both endpoints of every dipole of
     jump index >= k.  The page-k differential is the 0/1 matrix of dipoles of
-    jump exactly k between the corresponding cells.
+    jump exactly k between the corresponding cells.  The default table is
+    computed once per instance.
     """
+    if upto is None:
+        return c.cached("pages", _pages)
+    return _pages(c, upto)
+
+
+def _pages(c: FloerComplexData, upto: int | None = None) -> PageTable:
     form = canonical_form(c)
     params = c.params
     gens = c.generators

@@ -103,25 +103,42 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     """
     header: dict[str, tuple[int, object]] = {}  # directive -> (line, value)
     gens: dict[str, tuple[int, LiftedGenerator]] = {}
-    deltas: dict[tuple[str, str], int] = {}
-    delta_order: list[DifferentialEntry] = []
+    deltas: dict[tuple[str, str], int] = {}  # (src, dst) -> line, in line order
+    valid_ids: set[str] = set()  # tokens that already passed the id check
     cups: dict[str, tuple[int, int]] = {}  # name -> (line, degree)
     cup_entries: dict[str, dict[tuple[str, str], int]] = {}
     ring_rows: dict[tuple[str, str], tuple[int, str | None]] = {}
-    pending_refs: list[tuple[int, str, str]] = []  # (line, kind, id) to resolve
-    saw_any_directive = False
+    # (line, kind, id) to resolve from 'c' and 'ring' lines; 'd' lines are
+    # resolved from ``deltas``.
+    pending_refs: list[tuple[int, str, str]] = []
     version_line: int | None = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
         directive = tokens[0]
 
-        if not saw_any_directive and directive != "fcx":
+        # Fast path for the bulk of a document: a well-formed 'd' line.
+        if directive == "d" and len(tokens) == 3 and version_line is not None:
+            _, src, dst = tokens
+            if src not in valid_ids:
+                valid_ids.add(_parse_id(line_no, src, "source id"))
+            if dst not in valid_ids:
+                valid_ids.add(_parse_id(line_no, dst, "target id"))
+            first_line = deltas.setdefault((src, dst), line_no)
+            if first_line != line_no:
+                raise FcxParseError(
+                    line_no,
+                    f"duplicate differential entry ({src} -> {dst}) "
+                    f"(first on line {first_line})",
+                )
+            continue
+
+        if version_line is None and directive != "fcx":
             raise FcxParseError(line_no, "first directive must be 'fcx 1'")
-        saw_any_directive = True
 
         if directive == "fcx":
             _require_arity(line_no, tokens, (1,))
@@ -161,20 +178,8 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
                 _parse_decimal(line_no, tokens[3], "action") if len(tokens) == 4 else None
             )
             gens[uid] = (line_no, LiftedGenerator(uid, degree, action))
-        elif directive == "d":
+        elif directive == "d":  # well-formed 'd' lines took the fast path
             _require_arity(line_no, tokens, (2,))
-            src = _parse_id(line_no, tokens[1], "source id")
-            dst = _parse_id(line_no, tokens[2], "target id")
-            if (src, dst) in deltas:
-                raise FcxParseError(
-                    line_no,
-                    f"duplicate differential entry ({src} -> {dst}) "
-                    f"(first on line {deltas[(src, dst)]})",
-                )
-            deltas[(src, dst)] = line_no
-            delta_order.append(DifferentialEntry(src, dst))
-            pending_refs.append((line_no, "generator", src))
-            pending_refs.append((line_no, "generator", dst))
         elif directive == "cup":
             _require_arity(line_no, tokens, (2,))
             name = _parse_id(line_no, tokens[1], "class name")
@@ -229,10 +234,20 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
         if required not in header:
             raise FcxParseError(None, f"missing required directive '{required}'")
 
-    for line_no, kind, name in pending_refs:
-        known = gens if kind == "generator" else cups
-        if name not in known:
-            raise FcxParseError(line_no, f"unknown {kind} '{name}'")
+    # The earliest unknown reference, in line order (src before dst).
+    unknown = [
+        (line_no, "generator", src if src not in gens else dst)
+        for (src, dst), line_no in deltas.items()
+        if src not in gens or dst not in gens
+    ][:1]
+    unknown += [
+        ref
+        for ref in pending_refs
+        if ref[2] not in (gens if ref[1] == "generator" else cups)
+    ][:1]
+    if unknown:
+        line_no, kind, name = min(unknown)
+        raise FcxParseError(line_no, f"unknown {kind} '{name}'")
 
     params = MonotoneParams(
         maslov_period=header["sigma"][1],  # type: ignore[arg-type]
@@ -257,7 +272,7 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     return FloerComplexData(
         params=params,
         generators=tuple(g for _line, g in gens.values()),
-        delta=tuple(delta_order),
+        delta=tuple(DifferentialEntry(src, dst) for src, dst in sorted(deltas)),
         cup_classes=cup_classes,
         ring=ring,
     )

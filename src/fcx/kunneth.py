@@ -96,6 +96,14 @@ def _require_matching(a: FloerComplexData, b: FloerComplexData) -> None:
         )
 
 
+def _targets_by_source(c: FloerComplexData) -> dict[str, list[str]]:
+    """Map source id -> target ids of its differential entries, in (src, dst) order."""
+    out: dict[str, list[str]] = {}
+    for e in c.delta:
+        out.setdefault(e.src, []).append(e.dst)
+    return out
+
+
 def tensor_product(a: FloerComplexData, b: FloerComplexData) -> TensorComplex:
     """Ordered tensor product over GF(2) with the Leibniz differential."""
     require_valid(a)
@@ -122,16 +130,16 @@ def tensor_product(a: FloerComplexData, b: FloerComplexData) -> TensorComplex:
             gens.append(LiftedGenerator(uid, ga.degree + gb.degree, None))
             provenance.append((uid, ga.uid, gb.uid))
 
+    targets_a = _targets_by_source(a)
+    targets_b = _targets_by_source(b)
     delta: list[DifferentialEntry] = []
     for ga in a.generators:
         for gb in b.generators:
             src = f"{ga.uid}*{gb.uid}"
-            for e in a.delta:
-                if e.src == ga.uid:
-                    delta.append(DifferentialEntry(src, f"{e.dst}*{gb.uid}"))
-            for e in b.delta:
-                if e.src == gb.uid:
-                    delta.append(DifferentialEntry(src, f"{ga.uid}*{e.dst}"))
+            for dst in targets_a.get(ga.uid, ()):
+                delta.append(DifferentialEntry(src, f"{dst}*{gb.uid}"))
+            for dst in targets_b.get(gb.uid, ()):
+                delta.append(DifferentialEntry(src, f"{ga.uid}*{dst}"))
 
     product = FloerComplexData(params, tuple(gens), tuple(delta))
     report = validate(product)

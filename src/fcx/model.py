@@ -16,9 +16,10 @@ single pass lists every violated invariant with the offending ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, TypeVar
 
-from .gf2 import Gf2Matrix, Gf2Subspace, bits, image_basis, kernel_basis
+from .gf2 import Gf2Matrix, Gf2Subspace, apply_columns, bits, image_basis, kernel_basis
 
 if TYPE_CHECKING:  # imported only for type checkers; avoids a runtime cycle
     from .cup import CupClass, RingTable
@@ -154,11 +155,11 @@ class ValidationReport:
 
 
 def _sorted_generators(gens: Iterable[LiftedGenerator]) -> tuple[LiftedGenerator, ...]:
-    return tuple(sorted(gens, key=lambda g: (g.degree, g.uid)))
+    return tuple(sorted(gens, key=attrgetter("degree", "uid")))
 
 
 def _sorted_delta(delta: Iterable[DifferentialEntry]) -> tuple[DifferentialEntry, ...]:
-    return tuple(sorted(delta, key=lambda e: (e.src, e.dst)))
+    return tuple(sorted(delta, key=attrgetter("src", "dst")))
 
 
 @dataclass(frozen=True)
@@ -170,9 +171,10 @@ class FloerComplexData:
     cup-class data parsed from the same document rides along untouched; the
     cup operations interpret it.
 
-    Derived data (index map, delta columns, validation report, canonical
-    form) is memoized per instance by ``cached``; it takes no part in
-    equality or hashing and is freed together with the complex.
+    Derived data (index map, delta and jump-0 columns, validation report,
+    degree-graded cohomology, canonical form, default page table) is
+    memoized per instance by ``cached``; it takes no part in equality or
+    hashing and is freed together with the complex.
     """
 
     params: MonotoneParams
@@ -206,8 +208,12 @@ class FloerComplexData:
     def count(self) -> int:
         return len(self.generators)
 
+    def index_map(self) -> Mapping[str, int]:
+        """Map uid -> generator index (the last one for a repeated uid)."""
+        return self.cached("index_map", _index_map)
+
     def index_of(self, uid: str) -> int:
-        return self.cached("index_map", _index_map)[uid]
+        return self.index_map()[uid]
 
     def degree_of(self, uid: str) -> int:
         return self.generators[self.index_of(uid)].degree
@@ -241,7 +247,7 @@ def _index_map(c: FloerComplexData) -> Mapping[str, int]:
 
 
 def _delta_columns(c: FloerComplexData) -> tuple[int, ...]:
-    idx = c.cached("index_map", _index_map)
+    idx = c.index_map()
     cols = [0] * c.count
     for e in c.delta:
         s = idx.get(e.src)
@@ -306,22 +312,27 @@ def _validate(c: FloerComplexData) -> ValidationReport:
                     f"window ({lo}, {hi})"
                 )
 
-    idx = c.cached("index_map", _index_map)
-    seen_pairs: set[tuple[str, str]] = set()
+    # Entries are sorted by (src, dst), so a repeated entry follows its first.
+    idx = c.index_map()
+    gens = c.generators
+    previous: tuple[str, str] | None = None
     for e in c.delta:
-        if e.src not in idx:
+        s = idx.get(e.src)
+        if s is None:
             errors.append(f"differential entry references unknown source '{e.src}'")
             continue
-        if e.dst not in idx:
+        t = idx.get(e.dst)
+        if t is None:
             errors.append(f"differential entry references unknown target '{e.dst}'")
             continue
-        if (e.src, e.dst) in seen_pairs:
+        pair = (e.src, e.dst)
+        if pair == previous:
             errors.append(f"duplicate differential entry ({e.src} -> {e.dst})")
             continue
-        seen_pairs.add((e.src, e.dst))
+        previous = pair
         if period < 1:
             continue
-        diff = c.degree_of(e.dst) - c.degree_of(e.src)
+        diff = gens[t].degree - gens[s].degree
         if diff < 1 or (diff - 1) % period != 0:
             errors.append(
                 f"entry ({e.src} -> {e.dst}) has degree jump {diff}, not of the "
@@ -329,8 +340,8 @@ def _validate(c: FloerComplexData) -> ValidationReport:
             )
             continue
         k = (diff - 1) // period
-        a_src = c.generators[idx[e.src]].action
-        a_dst = c.generators[idx[e.dst]].action
+        a_src = gens[s].action
+        a_dst = gens[t].action
         if a_src is not None and a_dst is not None and p.monotonicity > 0:
             # Window-confined lifts determine the action difference only up
             # to deck translates: it must be -monotonicity for even k and
@@ -349,16 +360,13 @@ def _validate(c: FloerComplexData) -> ValidationReport:
     # Differential squares to zero over GF(2) on the full complex.
     if not errors:
         cols = c.delta_columns()
-        for i in range(c.count):
-            acc = 0
-            for t in bits(cols[i]):
-                acc ^= cols[t]
+        for i, col in enumerate(cols):
+            acc = apply_columns(cols, col)
             if acc:
                 witness = next(bits(acc))
                 errors.append(
                     f"differential does not square to zero: starting at "
-                    f"'{c.generators[i].uid}' it reaches "
-                    f"'{c.generators[witness].uid}' twice"
+                    f"'{gens[i].uid}' it reaches '{gens[witness].uid}' twice"
                 )
     return ValidationReport(tuple(errors), tuple(warnings))
 
@@ -417,11 +425,15 @@ def expand_local(vec: int, indices: list[int]) -> int:
 
 def jump0_columns(c: FloerComplexData) -> list[int]:
     """delta restricted to its jump-0 entries, as columns (see ``delta_columns``)."""
+    return list(c.cached("jump0_columns", _jump0_columns))
+
+
+def _jump0_columns(c: FloerComplexData) -> tuple[int, ...]:
     cols = [0] * c.count
     for e in c.delta:
         if c.jump_index(e) == 0:
             cols[c.index_of(e.src)] ^= 1 << c.index_of(e.dst)
-    return cols
+    return tuple(cols)
 
 
 def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
@@ -429,8 +441,13 @@ def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
 
     The jump-0 component is the only part of the differential that preserves
     the integer grading shift by exactly 1; higher-jump entries are invisible
-    here and only act on later spectral pages.
+    here and only act on later spectral pages.  The table is computed once
+    per instance.
     """
+    return c.cached("z_graded_cohomology", _z_graded_cohomology)
+
+
+def _z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
     require_valid(c)
     groups = c.degree_groups()
     cols0 = jump0_columns(c)

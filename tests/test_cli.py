@@ -313,6 +313,20 @@ def test_gen_seed_from_environment(run, monkeypatch):
     assert from_env == explicit
 
 
+def test_gen_reads_the_seed_when_the_command_runs(run, monkeypatch):
+    monkeypatch.delenv("FCX_SEED", raising=False)
+    _, default, _ = run("gen")  # the process's parser exists from here on
+    _, seed_zero, _ = run("gen", "--seed", "0")
+    assert default == seed_zero
+    monkeypatch.setenv("FCX_SEED", "777")
+    _, from_env, _ = run("gen", "--spec")
+    _, explicit, _ = run("gen", "--seed", "777", "--spec")
+    assert from_env == explicit != seed_zero
+    assert "seed 777" in from_env
+    _, overridden, _ = run("gen", "--seed", "0")
+    assert overridden == seed_zero
+
+
 def test_report_sections_and_byte_stability(run, write_doc):
     path = write_doc(RING_TEXT)
     code, out1, _ = run("report", path, "--format", "tsv")

@@ -122,6 +122,15 @@ RING_A = RingTable(
 )
 
 
+def test_ring_table_product_lookup():
+    assert RING_A.product("a", "1") == RING_A.product("1", "a") == "a"
+    assert RING_A.product("a", "a") is None  # a stored zero product
+    assert RING_A.product("a", "b") is None  # an absent pair
+    twin = RingTable(products=tuple(reversed(RING_A.products)))
+    assert twin == RING_A and hash(twin) == hash(RING_A)
+    assert repr(twin) == repr(RING_A)
+
+
 def test_module_check_detects_nonzero_square():
     a = CupClass("a", 2, (("p", "q"), ("q", "r")))
     c = complex_of(P3, [("p", 0), ("q", 2), ("r", 4)], cups=(ident_class(FREE3), a))

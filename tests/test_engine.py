@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import weakref
 
 import pytest
@@ -22,6 +23,7 @@ from fcx.model import (
     FloerComplexData,
     LiftedGenerator,
     MonotoneParams,
+    jump0_columns,
     validate,
     z_graded_cohomology,
 )
@@ -95,10 +97,19 @@ def test_derived_data_is_memoized_on_the_instance_and_freed_with_it():
     assert canonical_form(c) is canonical_form(c)
     assert c == twin and hash(c) == hash(twin)  # the memo is not part of either
 
+    assert z_graded_cohomology(c) is z_graded_cohomology(c)
+    assert pages(c) is pages(c)
+    assert pages(c, upto=2) is not pages(c, upto=2)  # only the default table is kept
+    cols0 = jump0_columns(c)
+    assert cols0 == jump0_columns(c) and cols0 is not jump0_columns(c)
+    cols0[0] ^= 1  # a caller's copy; the memo is unaffected
+    assert cols0 != jump0_columns(c)
+
     ref = weakref.ref(c)
     assert validate(c).ok
     assert c.index_of(c.generators[-1].uid) == c.count - 1
     assert pages(c).collapse_page >= 1
+    assert z_graded_cohomology(c).kind == "z_graded"
     del c
     gc.collect()
     assert ref() is None
@@ -240,18 +251,43 @@ def test_conjugated_differential_is_exactly_the_dipoles():
             assert image == expected
 
 
-@pytest.mark.parametrize("n, period, seed", [(100, 3, 1), (250, 4, 2), (400, 6, 3)])
-def test_stored_inverse_undoes_the_change_of_basis_on_scrambled_complexes(n, period, seed):
+def scrambled(n: int, period: int, seed: int) -> FloerComplexData:
+    """n generators on 17 degrees (many ties): n // 3 dipoles of jumps 0..3, the
+    rest free, under a random filtered automorphism."""
     params = MonotoneParams(period, 0.5)
     dipoles = tuple((d % 17 - 8, d % 4) for d in range(n // 3))
     free = tuple(f % 17 - 8 for f in range(n - 2 * len(dipoles)))
     base = build_from_normal_form(NormalFormSpec(params, free, dipoles))
     c = random_filtered_automorphism(seed, base)
     assert c.count == n
-    form = canonical_form(c)
+    return c
+
+
+@pytest.mark.parametrize("n, period, seed", [(100, 3, 1), (250, 4, 2), (400, 6, 3)])
+def test_stored_inverse_undoes_the_change_of_basis_on_scrambled_complexes(n, period, seed):
+    form = canonical_form(scrambled(n, period, seed))
     for i, col in enumerate(form.change_of_basis):
         assert apply_columns(form.inverse, col) == 1 << i
         assert apply_columns(form.change_of_basis, form.inverse[i]) == 1 << i
+
+
+# Digests of the canonical form (dipoles, free slots, change of basis and its
+# inverse), recorded when the pivot was found by scanning every bit of a
+# column; the block-mask lookup must give the same form bit for bit.
+CANONICAL_DIGESTS = {
+    (250, 3, 1): "c470f47487b5f1b83206048e6022ce5f49d7abc6ca932733eb36be51cd5a8f02",
+    (500, 6, 2): "2eda54a545ac95f44acb4c5f923b21ea426c95f88e4f226b92084ed14f58d158",
+    (1000, 4, 3): "b6ea3a671069f2ad645756f51f6f034a2b3f800a3f73c10523c91daa8ea55033",
+}
+
+
+@pytest.mark.parametrize("n, period, seed", sorted(CANONICAL_DIGESTS))
+def test_canonical_forms_of_scrambled_complexes_are_pinned(n, period, seed):
+    f = canonical_form(scrambled(n, period, seed))
+    digest = hashlib.sha256(
+        repr((f.dipoles, f.free, f.change_of_basis, f.inverse)).encode()
+    ).hexdigest()
+    assert digest == CANONICAL_DIGESTS[(n, period, seed)]
 
 
 @given(seeds, periods)

@@ -281,3 +281,85 @@ def test_integer_header_fields_must_be_ascii_digits():
     with pytest.raises(FcxParseError, match="line 2: ") as info:
         parse("fcx 1\nsigma \uff14\nlambda 0.5\n")
     assert info.value.line_no == 2
+
+
+D_HEAD = "fcx 1\nsigma 4\nlambda 0.5\ngen a 0\ngen b 1\n"  # lines 1-5
+
+
+@pytest.mark.parametrize(
+    "body, line_no, message",
+    [
+        ("d a$ b\n", 6, "source id must match [A-Za-z0-9_*]+, got 'a$'"),
+        ("d a b$\n", 6, "target id must match [A-Za-z0-9_*]+, got 'b$'"),
+        ("d a b # first\nd b a\nd a b\n", 8,
+         "duplicate differential entry (a -> b) (first on line 6)"),
+        ("d a\n", 6, "directive 'd' takes 2 argument(s), got 1"),
+        ("d a b a\n", 6, "directive 'd' takes 2 argument(s), got 3"),
+        # ids that passed the check once are remembered; a bad partner is not
+        ("d a b\nd a c$\n", 7, "target id must match [A-Za-z0-9_*]+, got 'c$'"),
+        ("d a b\nd b$ b\n", 7, "source id must match [A-Za-z0-9_*]+, got 'b$'"),
+        ("d a b\nd a b\n", 7, "duplicate differential entry (a -> b) (first on line 6)"),
+    ],
+)
+def test_differential_line_diagnostics(body, line_no, message):
+    with pytest.raises(FcxParseError) as info:
+        parse(D_HEAD + body)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"line {line_no}: {message}"
+
+
+def test_differential_lines_before_the_version_line_are_refused():
+    with pytest.raises(FcxParseError) as info:
+        parse("d a b\nfcx 1\nsigma 4\nlambda 0.5\ngen a 0\ngen b 1\n")
+    assert str(info.value) == "line 1: first directive must be 'fcx 1'"
+
+
+def test_reused_ids_and_commented_differential_lines_parse():
+    c = parse(D_HEAD + "gen c 5\nd\ta  c # a comment\n  d b c\t\nd a b#\n")
+    assert [(e.src, e.dst) for e in c.delta] == [("a", "b"), ("a", "c"), ("b", "c")]
+
+
+CUP_HEAD = "fcx 1\nsigma 4\nlambda 0.5\ngen a 0\ngen b 1\ncup e 0\n"  # lines 1-6
+
+
+@pytest.mark.parametrize(
+    "body, line_no, message",
+    [
+        # a later 'd' line does not hide an earlier 'ring' or 'c' line
+        ("ring e zz e\nd a yy\n", 7, "unknown cup class 'zz'"),
+        ("c e a a\nc e a yy\nd yy a\n", 8, "unknown generator 'yy'"),
+        # ... nor the other way round
+        ("d a b\nd a yy\nring e zz e\nc q a a\n", 8, "unknown generator 'yy'"),
+        # entries are looked up in line order, not in (src, dst) order
+        ("d b yy\nd a zz\n", 7, "unknown generator 'yy'"),
+        # source before target, class before generators, product before factors
+        ("d xx yy\n", 7, "unknown generator 'xx'"),
+        ("c q xx a\n", 7, "unknown cup class 'q'"),
+        ("ring q e r\n", 7, "unknown cup class 'r'"),
+        # references may point forward
+        ("d a yy\ngen yy 5\nring e r e\ncup r 0\nc s a a\n", 11, "unknown cup class 's'"),
+    ],
+)
+def test_unknown_references_report_the_earliest_line(body, line_no, message):
+    with pytest.raises(FcxParseError) as info:
+        parse(CUP_HEAD + body)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"line {line_no}: {message}"
+
+
+@given(seeds, periods, st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_roundtrip_survives_line_order_whitespace_and_comments(seed, period, rnd):
+    c, _ = random_complex(seed, MonotoneParams(period, 0.5), max_jump=3)
+    first, *rest = serialize(c).splitlines()
+    rnd.shuffle(rest)  # every directive but the version line is order-free
+    lines = [first]
+    for line in rest:
+        if rnd.random() < 0.2:
+            lines.append(rnd.choice(["", "   ", "# note", "\t# d x y"]))
+        text = rnd.choice(["", " ", "\t"]) + rnd.choice([" ", "\t", " \t "]).join(line.split())
+        text += rnd.choice(["", " ", "#", " # d x y", "\t#gen q 0"])
+        lines.append(text)
+    messy = "\n".join(lines) + rnd.choice(["", "\n"])
+    assert parse(messy) == c
+    assert serialize(parse(messy)) == serialize(c)

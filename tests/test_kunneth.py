@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcx.engine import collapse_page, pages
 from fcx.invariants import euler_number
+from fcx.io import serialize
 from fcx.kunneth import kunneth_check, power_poincare_check, tensor_product
 from fcx.model import (
     DifferentialEntry,
@@ -18,7 +21,12 @@ from fcx.model import (
     SizeGuardError,
     validate,
 )
-from fcx.synth import NormalFormSpec, build_from_normal_form, random_complex
+from fcx.synth import (
+    NormalFormSpec,
+    build_from_normal_form,
+    random_complex,
+    random_filtered_automorphism,
+)
 
 P4 = MonotoneParams(4, 0.5)
 P4_ALG = MonotoneParams(4, 0.0)
@@ -197,3 +205,19 @@ def test_euler_multiplicativity_for_even_periods(seed_a, seed_b, period):
         chi_b = euler_number(tb, min(k, tb.collapse_page)).chi
         chi_p = euler_number(tp, min(k, tp.collapse_page)).chi
         assert chi_p == chi_a * chi_b
+
+
+def test_tensor_product_document_is_pinned():
+    # Digest recorded when each product entry was found by rescanning both
+    # factors' differentials; grouping them by source must not change it.
+    def scrambled(seed, n):
+        dipoles = tuple((d % 9 - 4, d % 3) for d in range(n // 3))
+        free = tuple(f % 9 - 4 for f in range(n - 2 * len(dipoles)))
+        spec = NormalFormSpec(P4, free, dipoles)
+        return random_filtered_automorphism(seed, build_from_normal_form(spec))
+
+    product = tensor_product(scrambled(7, 24), scrambled(8, 18)).complex
+    assert (product.count, len(product.delta)) == (432, 702)
+    assert hashlib.sha256(serialize(product).encode()).hexdigest() == (
+        "2217f7db3c749dff7c25956a0b1537218468e6807a131b40f5fbead1d1594080"
+    )
