@@ -14,7 +14,7 @@ structure lives; the composite convention for a product a*b acting on x is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import PageTable, canonical_form, pages
 from .gf2 import Gf2Matrix, apply_columns, bits
@@ -82,9 +82,6 @@ class RingTable:
 
     products: tuple[tuple[tuple[str, str], str | None], ...] = ()
     unit: str | None = None
-    _lookup: dict[tuple[str, str], str | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         normalized = tuple(
@@ -93,12 +90,14 @@ class RingTable:
             )
         )
         object.__setattr__(self, "products", normalized)
-        for pair, result in normalized:  # the first row of a repeated pair wins
-            self._lookup.setdefault(pair, result)
 
     def product(self, a: str, b: str) -> str | None:
         """Product of two class names; None means zero (absent pairs included)."""
-        return self._lookup.get((min(a, b), max(a, b)))
+        key = (min(a, b), max(a, b))
+        for pair, result in self.products:
+            if pair == key:
+                return result
+        return None
 
 
 @dataclass(frozen=True)

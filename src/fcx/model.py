@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .gf2 import Gf2Matrix, Gf2Subspace, apply_columns, bits, image_basis, kernel_basis
 
@@ -423,9 +423,12 @@ def expand_local(vec: int, indices: list[int]) -> int:
     return out
 
 
-def jump0_columns(c: FloerComplexData) -> list[int]:
-    """delta restricted to its jump-0 entries, as columns (see ``delta_columns``)."""
-    return list(c.cached("jump0_columns", _jump0_columns))
+def jump0_columns(c: FloerComplexData) -> Sequence[int]:
+    """delta restricted to its jump-0 entries, as columns (see ``delta_columns``).
+
+    The columns are computed once per instance and shared: do not modify them.
+    """
+    return c.cached("jump0_columns", _jump0_columns)
 
 
 def _jump0_columns(c: FloerComplexData) -> tuple[int, ...]:
