@@ -10,11 +10,23 @@ spectral page simultaneously.
 Ring verification happens on the degree-graded cohomology, where the module
 structure lives; the composite convention for a product a*b acting on x is
 "apply b first, then a".
+
+Per-class memo: for a class that is a member of ``c.cup_classes``, the
+validation report, the class columns, the induced cohomology action and the
+canonical image of each slot pushed through the class (shared by the
+induced maps of every page) are computed at most once and kept in the
+complex's memo (``FloerComplexData.cached``).  So the memo holds at most one
+record per document class and is freed with the complex.  Any other class
+is computed afresh on each call and not stored.  The checks still run on
+every call: an invalid class raises each time, and the page maps are
+checked against the page differential each time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, TypeVar
 
 from .engine import PageTable, canonical_form, pages
 from .gf2 import Gf2Matrix, apply_columns, bits
@@ -113,8 +125,12 @@ class CohomologyAction:
     degree: int
     blocks: tuple[tuple[int, Gf2Matrix], ...]
 
+    @cached_property
+    def _by_degree(self) -> dict[int, Gf2Matrix]:
+        return dict(self.blocks)
+
     def block(self, n: int) -> Gf2Matrix | None:
-        return dict(self.blocks).get(n)
+        return self._by_degree.get(n)
 
     @property
     def is_zero(self) -> bool:
@@ -166,36 +182,72 @@ class CuplengthReport:
     generator_bound_holds: bool
 
 
+_T = TypeVar("_T")
+
+
+def _derived(
+    c: FloerComplexData, a: CupClass, key: str, compute: Callable[[FloerComplexData, CupClass], _T]
+) -> _T:
+    """``compute(c, a)``, kept in the memo of ``c`` under ``key`` when ``a`` is
+    one of its document classes and computed afresh otherwise."""
+    try:
+        i = c.cup_classes.index(a)
+    except ValueError:
+        return compute(c, a)
+    memo = c.cached("cup_class_memos", _empty_memos)[i]
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = compute(c, a)
+        return value
+
+
+def _empty_memos(c: FloerComplexData) -> list[dict[str, Any]]:
+    return [{} for _ in c.cup_classes]
+
+
+def _columns(c: FloerComplexData, a: CupClass) -> tuple[int, ...]:
+    return _derived(c, a, "columns", lambda c, a: tuple(a.columns(c)))
+
+
 def validate_cup(c: FloerComplexData, a: CupClass) -> ValidationReport:
     """Check the degree pattern and chain-level commutation with the differential.
 
     Every failure carries a witness pair; warnings are currently unused.
     """
     require_valid(c)
+    return _derived(c, a, "validate", _validate_cup)
+
+
+def _validate_cup(c: FloerComplexData, a: CupClass) -> ValidationReport:
     errors: list[str] = []
     if a.degree < 0:
         errors.append(f"class '{a.name}' has negative degree {a.degree}")
     idx = c.index_map()
-    seen: set[tuple[str, str]] = set()
-    for src, dst in a.entries:
-        if src not in idx:
+    gens = c.generators
+    prev = None
+    for entry in a.entries:
+        src, dst = entry
+        s = idx.get(src)
+        if s is None:
             errors.append(f"class '{a.name}' references unknown generator '{src}'")
             continue
-        if dst not in idx:
+        t = idx.get(dst)
+        if t is None:
             errors.append(f"class '{a.name}' references unknown generator '{dst}'")
             continue
-        if (src, dst) in seen:
+        if entry == prev:  # entries are sorted, so a repeat follows its first
             errors.append(f"class '{a.name}' repeats the entry ({src} -> {dst})")
             continue
-        seen.add((src, dst))
-        diff = c.degree_of(dst) - c.degree_of(src)
+        prev = entry
+        diff = gens[t].degree - gens[s].degree
         if diff != a.degree:
             errors.append(
                 f"class '{a.name}' entry ({src} -> {dst}) changes degree by "
                 f"{diff}, expected {a.degree}"
             )
     if not errors:
-        acols = a.columns(c)
+        acols = _columns(c, a)
         dcols = c.delta_columns()
         for i, g in enumerate(c.generators):
             lhs = apply_columns(dcols, acols[i])  # delta . A
@@ -243,7 +295,11 @@ def _tagged_reduce(vectors: list[int], width: int) -> tuple[dict[int, int], list
 
 def _solve_in_basis(vectors: list[int], width: int, w: int) -> int | None:
     """Express w as a XOR of ``vectors``; returns the chooser bitmask or None."""
-    by_top, _ = _tagged_reduce(vectors, width)
+    return _solve_reduced(_tagged_reduce(vectors, width)[0], width, w)
+
+
+def _solve_reduced(by_top: dict[int, int], width: int, w: int) -> int | None:
+    """``_solve_in_basis`` against the echelon rows ``_tagged_reduce`` returned."""
     mask = (1 << width) - 1
     acc = w & mask
     chooser = 0
@@ -264,9 +320,13 @@ def induced_on_cohomology(c: FloerComplexData, a: CupClass) -> CohomologyAction:
     commutation makes this independent of the representative.
     """
     require_valid_cup(c, a)
+    return _derived(c, a, "cohomology", _induced_on_cohomology)
+
+
+def _induced_on_cohomology(c: FloerComplexData, a: CupClass) -> CohomologyAction:
     table = z_graded_cohomology(c)
     reps = {n: list(vs) for n, vs in table.representatives}
-    acols = a.columns(c)
+    acols = _columns(c, a)
 
     # Boundary parts: image of the degree-preserving differential per degree.
     cols0 = jump0_columns(c)
@@ -275,19 +335,17 @@ def induced_on_cohomology(c: FloerComplexData, a: CupClass) -> CohomologyAction:
     for n, basis in sorted(reps.items()):
         target = reps.get(n + a.degree, [])
         boundary = [cols0[i] for i in groups.get(n + a.degree - 1, []) if cols0[i]]
-        solve_basis = list(target) + boundary
+        by_top, _ = _tagged_reduce(target + boundary, c.count)
+        target_mask = (1 << len(target)) - 1
         entries: list[tuple[int, int]] = []
         for col_idx, r in enumerate(basis):
-            w = apply_columns(acols, r)
-            chooser = _solve_in_basis(solve_basis, c.count, w)
+            chooser = _solve_reduced(by_top, c.count, apply_columns(acols, r))
             if chooser is None:
                 raise EngineConsistencyError(
                     f"induced image of class '{a.name}' left the cohomology at "
                     f"degree {n + a.degree}; this indicates a bug"
                 )
-            for row_idx in range(len(target)):
-                if (chooser >> row_idx) & 1:
-                    entries.append((row_idx, col_idx))
+            entries.extend((row_idx, col_idx) for row_idx in bits(chooser & target_mask))
         blocks.append((n, Gf2Matrix.from_entries(len(target), len(basis), entries)))
     return CohomologyAction(a.name, a.degree, tuple(blocks))
 
@@ -309,7 +367,8 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
     k_eff = min(k, table.collapse_page)
     period = c.params.maslov_period
     p = a.degree
-    acols = a.columns(c)
+    acols = _columns(c, a)
+    images = _derived(c, a, "slot_images", lambda c, a: {})
     level = [g.degree for g in c.generators]
 
     alive: dict[tuple[int, int], list[int]] = {}
@@ -327,8 +386,11 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
         tpos = {s: r for r, s in enumerate(tslots)}
         entries: list[tuple[int, int]] = []
         for col_idx, s in enumerate(slots):
-            w = apply_columns(acols, form.change_of_basis[s])
-            coords = form.to_canonical(w)
+            coords = images.get(s)
+            if coords is None:
+                coords = images[s] = form.to_canonical(
+                    apply_columns(acols, form.change_of_basis[s])
+                )
             for b in bits(coords):
                 if level[b] < tn:
                     raise EngineConsistencyError(

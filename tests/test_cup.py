@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import hashlib
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcx.cli import main
 from fcx.cup import (
     CupClass,
     RingTable,
@@ -20,6 +26,8 @@ from fcx.cup import (
 )
 from fcx.engine import pages
 from fcx.gf2 import Gf2Matrix, apply_columns, bits, kernel_basis
+from fcx.io import parse, serialize
+from fcx.kunneth import tensor_product
 from fcx.model import (
     DifferentialEntry,
     FcxError,
@@ -27,7 +35,12 @@ from fcx.model import (
     LiftedGenerator,
     MonotoneParams,
 )
-from fcx.synth import random_complex
+from fcx.synth import (
+    NormalFormSpec,
+    build_from_normal_form,
+    random_complex,
+    random_filtered_automorphism,
+)
 
 P3 = MonotoneParams(3, 0.0)
 P4 = MonotoneParams(4, 0.0)
@@ -77,6 +90,27 @@ def test_validate_cup_rejects_degree_pattern_and_unknown_ids():
     assert not bad_deg.ok and "expected 1" in bad_deg.errors[0]
     unknown = validate_cup(FREE2, CupClass("bad", 2, (("u", "zz"),)))
     assert not unknown.ok and "unknown" in unknown.errors[0]
+
+
+def test_validate_cup_reports_every_entry_error_in_entry_order():
+    entries = (
+        ("zz", "p"), ("p", "q"), ("q", "zz"), ("p", "r"), ("p", "q"),
+        ("q", "r"), ("zz", "p"), ("zz", "zz"), ("q", "r"),
+    )
+    report = validate_cup(FREE3, CupClass("bad", 2, entries))
+    assert report.errors == (
+        "class 'bad' repeats the entry (p -> q)",
+        "class 'bad' entry (p -> r) changes degree by 4, expected 2",
+        "class 'bad' repeats the entry (q -> r)",
+        "class 'bad' references unknown generator 'zz'",
+        "class 'bad' references unknown generator 'zz'",
+        "class 'bad' references unknown generator 'zz'",
+        "class 'bad' references unknown generator 'zz'",
+    )
+    assert validate_cup(FREE3, CupClass("neg", -2, (("p", "q"),))).errors == (
+        "class 'neg' has negative degree -2",
+        "class 'neg' entry (p -> q) changes degree by 2, expected -2",
+    )
 
 
 def test_identity_class_induces_identity_on_every_cell():
@@ -334,3 +368,111 @@ def test_identity_action_on_random_complexes(seed, period):
     graded = graded_limit_action(c, one)
     for key, m in graded.items():
         assert m == Gf2Matrix.identity(m.n_rows)
+
+
+def shifted_product_document(seed=5, m=3, p=4):
+    """A small C tensor F document shaped like the benchmark's ``cup-ring``.
+
+    C is a scrambled complex (free generators and dipoles of jumps 0..3), F
+    is free on t0..tm at degrees 0, p, .., mp; the document carries the unit
+    class ``1``, the shift classes a1..am (a_i: g*t_j -> g*t_{j+i}) and the
+    table of the truncated polynomial ring GF(2)[a1]/(a1^(m+1)).
+    """
+    spec = NormalFormSpec(
+        MonotoneParams(3, 0.5),
+        free=(-2, 0, 3),
+        dipoles=((-3, 0), (-1, 1), (1, 2), (2, 3)),
+    )
+    c = random_filtered_automorphism(seed, build_from_normal_form(spec))
+    free = FloerComplexData(
+        c.params, tuple(LiftedGenerator(f"t{j}", j * p) for j in range(m + 1)), ()
+    )
+    product = tensor_product(c, free).complex
+    classes = [CupClass("1", 0, tuple((g.uid, g.uid) for g in product.generators))]
+    for i in range(1, m + 1):
+        entries = tuple(
+            (f"{g.uid}*t{j}", f"{g.uid}*t{j + i}")
+            for g in c.generators
+            for j in range(m + 1 - i)
+        )
+        classes.append(CupClass(f"a{i}", i * p, entries))
+    rows = [(("1", cls.name), cls.name) for cls in classes]
+    rows += [
+        ((f"a{i}", f"a{j}"), f"a{i + j}" if i + j <= m else None)
+        for i in range(1, m + 1)
+        for j in range(i, m + 1)
+    ]
+    return dataclasses.replace(product, cup_classes=tuple(classes), ring=RingTable(tuple(rows)))
+
+
+# sha256 of the outputs on ``shifted_product_document()``, recorded before the
+# cup module memoized its per-class data.
+PINNED_CUP_TSV = {
+    "cup": "06bdc3e460b7e01e7127f26bfe01ceafb89f9a4a202dd2094bf587f335e98662",
+    "ring": "286dd0402d64edb2dc8a0ce60f55a431629d242af14a9b02a4c3760d474b8efb",
+    "cuplength": "90ad57d33acaaab477cab0f2fa30fb9c60c13883058e920449eb7383116a7440",
+}
+PINNED_INDUCED_PAGES = "5f8aa1c57db8fdc2b41b666ed9ac0ff842372a93dfc4bbb2ef234e335a06a7d8"
+
+
+def test_shifted_product_outputs_are_pinned(tmp_path, capsys):
+    text = serialize(shifted_product_document())
+    path = tmp_path / "cup.fcx"
+    path.write_text(text, encoding="utf-8")
+    digests = {}
+    for command in PINNED_CUP_TSV:
+        code = main([command, str(path), "--format", "tsv"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        digests[command] = hashlib.sha256(captured.out.encode()).hexdigest()
+
+    c = parse(text)
+    collapse = pages(c).collapse_page
+    assert collapse >= 3 and len(c.cup_classes) == 4
+    lines = []
+    for cls in c.cup_classes:
+        for k in range(1, collapse + 2):
+            induced = induced_on_pages(c, cls, k)
+            for key, m in induced.maps:
+                lines.append(f"{cls.name} {k} {induced.page} {key} {m.n_rows} {m.n_cols} {m.rows}")
+    induced_digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digests == PINNED_CUP_TSV
+    assert induced_digest == PINNED_INDUCED_PAGES
+
+
+def test_document_class_data_is_memoized_on_the_complex_and_freed_with_it():
+    c = shifted_product_document()
+    for cls in c.cup_classes:
+        assert validate_cup(c, cls) is validate_cup(c, cls)
+        assert induced_on_cohomology(c, cls) is induced_on_cohomology(c, cls)
+        assert induced_on_pages(c, cls, 2) == induced_on_pages(c, cls, 2)
+
+    # A class that is not one of the document's is computed afresh and not kept.
+    a1 = c.cup_classes[1]
+    other = CupClass("b1", a1.degree, a1.entries)
+    assert other not in c.cup_classes
+    assert validate_cup(c, other) is not validate_cup(c, other)
+    action = induced_on_cohomology(c, other)
+    assert action is not induced_on_cohomology(c, other)
+    assert action.blocks == induced_on_cohomology(c, a1).blocks
+    kept = [weakref.ref(action), weakref.ref(other), weakref.ref(validate_cup(c, other))]
+    del action, other
+    gc.collect()
+    assert [ref() for ref in kept] == [None, None, None]
+
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None
+
+
+def test_invalid_document_class_raises_on_every_call():
+    bad = CupClass("q", 1, (("u", "v"),))
+    c = complex_of(P3, [("u", 0), ("v", 2)], cups=(bad,))
+    assert validate_cup(c, bad) is validate_cup(c, bad)
+    assert not validate_cup(c, bad).ok
+    for _ in range(2):
+        with pytest.raises(FcxError, match="cup class 'q' failed validation"):
+            induced_on_cohomology(c, bad)
+        with pytest.raises(FcxError, match="cup class 'q' failed validation"):
+            induced_on_pages(c, bad, 1)
