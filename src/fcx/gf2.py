@@ -212,8 +212,10 @@ def subspace_intersection(u: Gf2Subspace, v: Gf2Subspace) -> Gf2Subspace:
 def apply_columns(cols: Sequence[int], v: int) -> int:
     """Image of bitset vector ``v`` under the map with column bitsets ``cols``."""
     out = 0
-    for b in bits(v):
-        out ^= cols[b]
+    while v:
+        low = v & -v
+        out ^= cols[low.bit_length() - 1]
+        v ^= low
     return out
 
 

@@ -319,10 +319,7 @@ def collapse_bound_from_jumps(c: FloerComplexData) -> int:
     on some complexes (see collapse_page for the exact value).
     """
     require_valid(c)
-    best = 0
-    for e in c.delta:
-        best = max(best, c.jump_index(e))
-    return best + 1
+    return max((k for _, _, k in c.indexed_delta()), default=0) + 1
 
 
 def collapse_bound_from_energy(c: FloerComplexData, energy: float) -> EnergyBoundReport:
@@ -345,12 +342,11 @@ def collapse_bound_from_energy(c: FloerComplexData, energy: float) -> EnergyBoun
 
     infeasible: list[str] = []
     if all(g.action is not None for g in c.generators):
-        for e in c.delta:
-            k = c.jump_index(e)
+        for (src, dst), (_, _, k) in zip(c.delta, c.indexed_delta()):
             drop = k * sigma - p.monotonicity
             if drop >= energy - p.action_tolerance:
                 infeasible.append(
-                    f"entry ({e.src} -> {e.dst}) of jump index {k} implies an "
+                    f"entry ({src} -> {dst}) of jump index {k} implies an "
                     f"action drop {drop}, at or above the budget {energy}"
                 )
     return EnergyBoundReport(bound, tuple(infeasible))

@@ -103,8 +103,8 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     """
     header: dict[str, tuple[int, object]] = {}  # directive -> (line, value)
     gens: dict[str, tuple[int, LiftedGenerator]] = {}
-    deltas: dict[tuple[str, str], int] = {}  # (src, dst) -> line, in line order
-    valid_ids: set[str] = set()  # tokens that already passed the id check
+    deltas: dict[DifferentialEntry, int] = {}  # entry -> line, in line order
+    valid_ids: set[str] = set()  # ids on 'd' lines, each checked once
     cups: dict[str, tuple[int, int]] = {}  # name -> (line, degree)
     cup_entries: dict[str, dict[tuple[str, str], int]] = {}
     ring_rows: dict[tuple[str, str], tuple[int, str | None]] = {}
@@ -128,7 +128,7 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
                 valid_ids.add(_parse_id(line_no, src, "source id"))
             if dst not in valid_ids:
                 valid_ids.add(_parse_id(line_no, dst, "target id"))
-            first_line = deltas.setdefault((src, dst), line_no)
+            first_line = deltas.setdefault(DifferentialEntry(src, dst), line_no)
             if first_line != line_no:
                 raise FcxParseError(
                     line_no,
@@ -234,12 +234,15 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
         if required not in header:
             raise FcxParseError(None, f"missing required directive '{required}'")
 
-    # The earliest unknown reference, in line order (src before dst).
-    unknown = [
-        (line_no, "generator", src if src not in gens else dst)
-        for (src, dst), line_no in deltas.items()
-        if src not in gens or dst not in gens
-    ][:1]
+    # The earliest unknown reference, in line order (src before dst).  The
+    # 'd' entries need a scan only if some id on a 'd' line is undeclared.
+    unknown: list[tuple[int, str, str]] = []
+    if not valid_ids <= gens.keys():
+        unknown = [
+            (line_no, "generator", src if src not in gens else dst)
+            for (src, dst), line_no in deltas.items()
+            if src not in gens or dst not in gens
+        ][:1]
     unknown += [
         ref
         for ref in pending_refs
@@ -272,7 +275,7 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     return FloerComplexData(
         params=params,
         generators=tuple(g for _line, g in gens.values()),
-        delta=tuple(DifferentialEntry(src, dst) for src, dst in sorted(deltas)),
+        delta=tuple(deltas),  # sorted by FloerComplexData
         cup_classes=cup_classes,
         ring=ring,
     )
@@ -301,8 +304,8 @@ def serialize(c: FloerComplexData) -> str:
             lines.append(f"gen {g.uid} {g.degree}")
         else:
             lines.append(f"gen {g.uid} {g.degree} {format_decimal(g.action)}")
-    for e in c.delta:  # canonical (src, dst) order
-        lines.append(f"d {e.src} {e.dst}")
+    for src, dst in c.delta:  # canonical (src, dst) order
+        lines.append(f"d {src} {dst}")
     for cls in sorted(c.cup_classes, key=lambda cls: cls.name):
         lines.append(f"cup {cls.name} {cls.degree}")
         for src, dst in cls.entries:

@@ -89,7 +89,9 @@ def _require_matching(a: FloerComplexData, b: FloerComplexData) -> None:
             f"tensor factors must share the period: {pa.maslov_period} != "
             f"{pb.maslov_period}"
         )
-    if pa.monotonicity != pb.monotonicity:
+    # Equal up to float rounding: the tolerance of every action comparison.
+    tol = max(pa.action_tolerance, pb.action_tolerance)
+    if abs(pa.monotonicity - pb.monotonicity) > tol:
         raise FcxError(
             f"tensor factors must share the monotonicity constant: "
             f"{pa.monotonicity} != {pb.monotonicity}"
@@ -99,8 +101,8 @@ def _require_matching(a: FloerComplexData, b: FloerComplexData) -> None:
 def _targets_by_source(c: FloerComplexData) -> dict[str, list[str]]:
     """Map source id -> target ids of its differential entries, in (src, dst) order."""
     out: dict[str, list[str]] = {}
-    for e in c.delta:
-        out.setdefault(e.src, []).append(e.dst)
+    for src, dst in c.delta:
+        out.setdefault(src, []).append(dst)
     return out
 
 

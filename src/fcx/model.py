@@ -17,7 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+    TypeVar,
+)
 
 from .gf2 import Gf2Matrix, Gf2Subspace, apply_columns, bits, image_basis, kernel_basis
 
@@ -112,9 +122,12 @@ class LiftedGenerator:
     action: float | None = None
 
 
-@dataclass(frozen=True)
-class DifferentialEntry:
-    """One GF(2) entry of the differential: coefficient 1 from src to dst."""
+class DifferentialEntry(NamedTuple):
+    """One GF(2) entry of the differential: coefficient 1 from src to dst.
+
+    A named ``(src, dst)`` pair: it is immutable and hashable, and it
+    compares and sorts as the plain tuple, so by ``(src, dst)``.
+    """
 
     src: str
     dst: str
@@ -158,18 +171,14 @@ def _sorted_generators(gens: Iterable[LiftedGenerator]) -> tuple[LiftedGenerator
     return tuple(sorted(gens, key=attrgetter("degree", "uid")))
 
 
-def _sorted_delta(delta: Iterable[DifferentialEntry]) -> tuple[DifferentialEntry, ...]:
-    return tuple(sorted(delta, key=attrgetter("src", "dst")))
-
-
 @dataclass(frozen=True)
 class FloerComplexData:
     """A complete monotone complex; immutable, with canonical internal ordering.
 
     Generators are stored sorted by (degree, uid) and differential entries by
-    (src, dst), so structural equality is canonical-form equality.  Optional
-    cup-class data parsed from the same document rides along untouched; the
-    cup operations interpret it.
+    (src, dst), their native tuple order, so structural equality is
+    canonical-form equality.  Optional cup-class data parsed from the same
+    document rides along untouched; the cup operations interpret it.
 
     Derived data (index map, delta and jump-0 columns, validation report,
     degree-graded cohomology, canonical form, default page table) is
@@ -188,7 +197,7 @@ class FloerComplexData:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "generators", _sorted_generators(self.generators))
-        object.__setattr__(self, "delta", _sorted_delta(self.delta))
+        object.__setattr__(self, "delta", tuple(sorted(self.delta)))
         object.__setattr__(self, "cup_classes", tuple(self.cup_classes))
 
     def cached(self, key: str, compute: Callable[["FloerComplexData"], _T]) -> _T:
@@ -223,6 +232,20 @@ class FloerComplexData:
         diff = self.degree_of(entry.dst) - self.degree_of(entry.src)
         return (diff - 1) // self.params.maslov_period
 
+    def indexed_delta(self) -> Iterator[tuple[int, int, int]]:
+        """(source index, target index, jump index) of each entry, in delta order.
+
+        Each endpoint is looked up once; the jump index is that of
+        ``jump_index``, so only meaningful on validated complexes.
+        """
+        idx = self.index_map()
+        degrees = [g.degree for g in self.generators]
+        period = self.params.maslov_period
+        for src, dst in self.delta:
+            s = idx[src]
+            t = idx[dst]
+            yield s, t, (degrees[t] - degrees[s] - 1) // period
+
     def delta_columns(self) -> list[int]:
         """delta as columns: column i is the bitset of targets of generator i."""
         return list(self.cached("delta_columns", _delta_columns))
@@ -249,9 +272,9 @@ def _index_map(c: FloerComplexData) -> Mapping[str, int]:
 def _delta_columns(c: FloerComplexData) -> tuple[int, ...]:
     idx = c.index_map()
     cols = [0] * c.count
-    for e in c.delta:
-        s = idx.get(e.src)
-        t = idx.get(e.dst)
+    for src, dst in c.delta:
+        s = idx.get(src)
+        t = idx.get(dst)
         if s is not None and t is not None:
             cols[s] ^= 1 << t
     return tuple(cols)
@@ -315,27 +338,27 @@ def _validate(c: FloerComplexData) -> ValidationReport:
     # Entries are sorted by (src, dst), so a repeated entry follows its first.
     idx = c.index_map()
     gens = c.generators
-    previous: tuple[str, str] | None = None
+    previous: DifferentialEntry | None = None
     for e in c.delta:
-        s = idx.get(e.src)
+        src, dst = e
+        s = idx.get(src)
         if s is None:
-            errors.append(f"differential entry references unknown source '{e.src}'")
+            errors.append(f"differential entry references unknown source '{src}'")
             continue
-        t = idx.get(e.dst)
+        t = idx.get(dst)
         if t is None:
-            errors.append(f"differential entry references unknown target '{e.dst}'")
+            errors.append(f"differential entry references unknown target '{dst}'")
             continue
-        pair = (e.src, e.dst)
-        if pair == previous:
-            errors.append(f"duplicate differential entry ({e.src} -> {e.dst})")
+        if e == previous:
+            errors.append(f"duplicate differential entry ({src} -> {dst})")
             continue
-        previous = pair
+        previous = e
         if period < 1:
             continue
         diff = gens[t].degree - gens[s].degree
         if diff < 1 or (diff - 1) % period != 0:
             errors.append(
-                f"entry ({e.src} -> {e.dst}) has degree jump {diff}, not of the "
+                f"entry ({src} -> {dst}) has degree jump {diff}, not of the "
                 f"form k*{period}+1 with k >= 0"
             )
             continue
@@ -353,7 +376,7 @@ def _validate(c: FloerComplexData) -> ValidationReport:
             got = a_dst - a_src
             if abs(got - expected) > tol:
                 errors.append(
-                    f"entry ({e.src} -> {e.dst}) action difference {got} "
+                    f"entry ({src} -> {dst}) action difference {got} "
                     f"inconsistent with jump index {k} (expected {expected})"
                 )
 
@@ -433,9 +456,9 @@ def jump0_columns(c: FloerComplexData) -> Sequence[int]:
 
 def _jump0_columns(c: FloerComplexData) -> tuple[int, ...]:
     cols = [0] * c.count
-    for e in c.delta:
-        if c.jump_index(e) == 0:
-            cols[c.index_of(e.src)] ^= 1 << c.index_of(e.dst)
+    for s, t, k in c.indexed_delta():
+        if k == 0:
+            cols[s] ^= 1 << t
     return tuple(cols)
 
 
@@ -514,10 +537,8 @@ def degree_decompose(c: FloerComplexData) -> dict[int, Gf2Matrix]:
     """
     require_valid(c)
     parts: dict[int, list[tuple[int, int]]] = {}
-    for e in c.delta:
-        parts.setdefault(c.jump_index(e), []).append(
-            (c.index_of(e.dst), c.index_of(e.src))
-        )
+    for s, t, k in c.indexed_delta():
+        parts.setdefault(k, []).append((t, s))
     return {
         k: Gf2Matrix.from_entries(c.count, c.count, entries)
         for k, entries in sorted(parts.items())

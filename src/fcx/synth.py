@@ -274,14 +274,13 @@ def _scramble(rng: random.Random, c: FloerComplexData) -> FloerComplexData:
     t_inv = [apply_columns(mix_inv, col) for col in up_inv]
 
     old_cols = c.delta_columns()
+    uids = [g.uid for g in c.generators]
     new_delta: list[DifferentialEntry] = []
     for i in range(n):
         # column i of T^{-1} delta T
         image = apply_columns(t_inv, apply_columns(old_cols, t_cols[i]))
-        for t in bits(image):
-            new_delta.append(
-                DifferentialEntry(c.generators[i].uid, c.generators[t].uid)
-            )
+        src = uids[i]
+        new_delta.extend(DifferentialEntry(src, uids[t]) for t in bits(image))
     gens = tuple(LiftedGenerator(g.uid, g.degree, None) for g in c.generators)
     out = FloerComplexData(params, gens, tuple(new_delta))
     report = validate(out)

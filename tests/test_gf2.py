@@ -33,6 +33,14 @@ def test_bits_enumerates_set_positions():
     assert list(bits(0)) == []
 
 
+@given(st.lists(vectors, min_size=DIM, max_size=DIM), vectors)
+def test_apply_columns_xors_the_columns_of_the_set_bits(cols, v):
+    expected = 0
+    for b in bits(v):
+        expected ^= cols[b]
+    assert apply_columns(cols, v) == expected
+
+
 @given(vector_lists)
 def test_rref_rows_is_a_reduced_basis_of_the_row_span(rows):
     basis, pivots = rref_rows(rows)

@@ -41,6 +41,7 @@ def test_parse_dipole_document():
         ("y", 5, None),
     ]
     assert c.delta == (DifferentialEntry("x", "y"),)
+    assert type(c.delta[0]) is DifferentialEntry
     assert validate(c).ok
 
 
@@ -317,6 +318,7 @@ def test_differential_lines_before_the_version_line_are_refused():
 def test_reused_ids_and_commented_differential_lines_parse():
     c = parse(D_HEAD + "gen c 5\nd\ta  c # a comment\n  d b c\t\nd a b#\n")
     assert [(e.src, e.dst) for e in c.delta] == [("a", "b"), ("a", "c"), ("b", "c")]
+    assert all(type(e) is DifferentialEntry for e in c.delta)
 
 
 CUP_HEAD = "fcx 1\nsigma 4\nlambda 0.5\ngen a 0\ngen b 1\ncup e 0\n"  # lines 1-6
@@ -345,6 +347,27 @@ def test_unknown_references_report_the_earliest_line(body, line_no, message):
         parse(CUP_HEAD + body)
     assert info.value.line_no == line_no
     assert str(info.value) == f"line {line_no}: {message}"
+
+
+def test_differential_lines_may_name_generators_declared_later():
+    body = "".join(f"d x{i} y{i}\n" for i in range(5))
+    gens = "".join(f"gen x{i} 0\ngen y{i} 1\n" for i in range(5))
+    c = parse("fcx 1\nsigma 4\nlambda 0\n" + body + gens)
+    assert [(e.src, e.dst) for e in c.delta] == [(f"x{i}", f"y{i}") for i in range(5)]
+    assert validate(c).ok
+
+
+def test_unknown_reference_on_the_last_line_of_a_long_document():
+    n = 400
+    gens = "".join(f"gen x{i} 0\ngen y{i} 1\n" for i in range(n))
+    body = "".join(f"d x{i} y{j}\n" for i in range(n) for j in range(i, i + 3) if j < n)
+    head = "fcx 1\nsigma 4\nlambda 0\n" + gens + body
+    last = head.count("\n") + 1
+    parse(head)  # well-formed without the last line
+    with pytest.raises(FcxParseError) as info:
+        parse(head + "d x0 zz\n")
+    assert info.value.line_no == last
+    assert str(info.value) == f"line {last}: unknown generator 'zz'"
 
 
 @given(seeds, periods, st.randoms(use_true_random=False))

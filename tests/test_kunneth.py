@@ -92,6 +92,26 @@ def test_tensor_rejects_mismatched_parameters():
         tensor_product(DIPOLE, other_lambda)
 
 
+def test_tensor_accepts_monotonicity_equal_up_to_float_rounding():
+    assert 0.1 + 0.2 != 0.3
+    a = complex_of(MonotoneParams(4, 0.1 + 0.2), [("x", 0), ("y", 5)], [("x", "y")])
+    b = complex_of(MonotoneParams(4, 0.3), [("z", 2)])
+    t = tensor_product(a, b).complex
+    assert t.params.monotonicity == 0.1 + 0.2
+    assert [(e.src, e.dst) for e in t.delta] == [("x*z", "y*z")]
+    assert kunneth_check(b, a).passed
+
+
+def test_tensor_rejects_monotonicity_beyond_the_action_tolerance():
+    a = complex_of(MonotoneParams(4, 0.25), [("x", 0)])
+    b = complex_of(MonotoneParams(4, 0.2500001), [("z", 0)])
+    with pytest.raises(FcxError) as info:
+        tensor_product(a, b)
+    assert str(info.value) == (
+        "tensor factors must share the monotonicity constant: 0.25 != 0.2500001"
+    )
+
+
 def test_kunneth_free_times_free_passes():
     a = complex_of(P4_ALG, [("x", 2)])
     report = kunneth_check(a, a)

@@ -190,6 +190,38 @@ def test_jump_index_of_entries():
     assert c.jump_index(c.delta[0]) == 1
 
 
+@given(seeds, periods)
+@settings(max_examples=20, deadline=None)
+def test_indexed_delta_agrees_with_per_entry_lookups(seed, period):
+    c, _ = random_complex(seed, MonotoneParams(period, 0.5), max_jump=3)
+    assert list(c.indexed_delta()) == [
+        (c.index_of(e.src), c.index_of(e.dst), c.jump_index(e)) for e in c.delta
+    ]
+
+
+def test_differential_entry_is_a_named_pair():
+    e = DifferentialEntry("x", "y")
+    assert DifferentialEntry._fields == ("src", "dst")
+    assert (e.src, e.dst) == ("x", "y")
+    assert repr(e) == "DifferentialEntry(src='x', dst='y')"
+    with pytest.raises(AttributeError):
+        e.src = "z"  # type: ignore[misc]
+    assert {e: 1}[DifferentialEntry("x", "y")] == 1
+    assert e == ("x", "y") and hash(e) == hash(("x", "y"))
+    entries = [("b", "a"), ("a", "c"), ("a", "b"), ("ab", "a")]
+    assert sorted(DifferentialEntry(s, t) for s, t in entries) == sorted(entries)
+    assert sorted(entries) == [("a", "b"), ("a", "c"), ("ab", "a"), ("b", "a")]
+
+
+def test_complex_sorts_unsorted_entries_into_the_same_complex():
+    gens = [("a", 0), ("b", 1), ("c", 1), ("d", 2)]
+    delta = [("b", "d"), ("a", "c"), ("c", "d"), ("a", "b")]
+    unsorted = complex_of(P4_ALG, gens, delta)
+    assert unsorted == complex_of(P4_ALG, gens, sorted(delta))
+    assert unsorted.delta == tuple(sorted(unsorted.delta))
+    assert all(type(e) is DifferentialEntry for e in unsorted.delta)
+
+
 def test_z_graded_single_free_generator():
     c = complex_of(P4_ALG, [("x", 2)])
     table = z_graded_cohomology(c)
