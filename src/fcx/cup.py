@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Any, Callable, TypeVar
 
 from .engine import PageTable, canonical_form, pages
-from .gf2 import Gf2Matrix, apply_columns, bits
+from .gf2 import Gf2Matrix, apply_columns, bits, tagged_reduce
 from .model import (
     EngineConsistencyError,
     FcxError,
@@ -270,36 +270,18 @@ def require_valid_cup(c: FloerComplexData, a: CupClass) -> None:
         )
 
 
-def _tagged_reduce(vectors: list[int], width: int) -> tuple[dict[int, int], list[int]]:
-    """Echelonize tagged rows (vector | tag above ``width``), pivoting on the
-    top set bit of the value part.
-
-    Returns (pivot -> tagged row, tag parts of rows whose value vanished).
-    """
-    by_top: dict[int, int] = {}
-    mask = (1 << width) - 1
-    dependents: list[int] = []
-    for i, v in enumerate(vectors):
-        row = (v & mask) | (1 << (width + i))
-        while row & mask:
-            top = (row & mask).bit_length() - 1
-            other = by_top.get(top)
-            if other is None:
-                by_top[top] = row
-                break
-            row ^= other
-        else:
-            dependents.append(row >> width)
-    return by_top, dependents
+def _reduce_indexed(vectors: list[int], width: int) -> tuple[dict[int, int], list[int]]:
+    """``tagged_reduce`` with vector i tagged ``1 << i``."""
+    return tagged_reduce((v | 1 << (width + i) for i, v in enumerate(vectors)), width)
 
 
 def _solve_in_basis(vectors: list[int], width: int, w: int) -> int | None:
     """Express w as a XOR of ``vectors``; returns the chooser bitmask or None."""
-    return _solve_reduced(_tagged_reduce(vectors, width)[0], width, w)
+    return _solve_reduced(_reduce_indexed(vectors, width)[0], width, w)
 
 
 def _solve_reduced(by_top: dict[int, int], width: int, w: int) -> int | None:
-    """``_solve_in_basis`` against the echelon rows ``_tagged_reduce`` returned."""
+    """``_solve_in_basis`` against the echelon rows ``_reduce_indexed`` returned."""
     mask = (1 << width) - 1
     acc = w & mask
     chooser = 0
@@ -335,7 +317,7 @@ def _induced_on_cohomology(c: FloerComplexData, a: CupClass) -> CohomologyAction
     for n, basis in sorted(reps.items()):
         target = reps.get(n + a.degree, [])
         boundary = [cols0[i] for i in groups.get(n + a.degree - 1, []) if cols0[i]]
-        by_top, _ = _tagged_reduce(target + boundary, c.count)
+        by_top, _ = _reduce_indexed(target + boundary, c.count)
         target_mask = (1 << len(target)) - 1
         entries: list[tuple[int, int]] = []
         for col_idx, r in enumerate(basis):
@@ -581,7 +563,7 @@ def injectivity_check(c: FloerComplexData, ring: RingTable) -> InjectivityReport
         _total_endomorphism(induced_on_cohomology(c, classes[name]), layout, total)
         for name in names
     ]
-    _, dependents = _tagged_reduce(vectors, total * total)
+    _, dependents = _reduce_indexed(vectors, total * total)
     kernel = sorted(
         tuple(names[i] for i in bits(tags)) for tags in dependents if tags
     )

@@ -247,10 +247,11 @@ def _reduce(c: FloerComplexData) -> CanonicalForm:
     # target must itself have reduced to the zero column earlier.
     sources = set(reduced)
     targets = set(owner)
-    if sources & targets or not targets <= set(raw_zero):
+    twice = sorted((sources & targets) | (targets - set(raw_zero)))
+    if twice:
         raise EngineConsistencyError(
-            "canonical reduction assigned a generator two roles; "
-            "this indicates a bug in the reduction"
+            f"canonical reduction assigned generator '{gens[twice[0]].uid}' "
+            "two roles; this indicates a bug in the reduction"
         )
     free = tuple(sorted(i for i in raw_zero if i not in targets))
     dipoles = tuple(sorted(pairs))
@@ -275,16 +276,19 @@ def _reduce(c: FloerComplexData) -> CanonicalForm:
     for s, t in dipoles:
         if apply_columns(cols, basis[s]) != basis[t]:
             raise EngineConsistencyError(
-                "canonical form self-check failed on a dipole column"
+                "canonical form self-check failed on the dipole column of "
+                f"'{gens[s].uid}' (target '{gens[t].uid}')"
             )
         if apply_columns(cols, basis[t]) != 0:
             raise EngineConsistencyError(
-                "canonical form self-check failed: target slot is not closed"
+                f"canonical form self-check failed: target slot '{gens[t].uid}' "
+                "is not closed"
             )
     for f in free:
         if apply_columns(cols, basis[f]) != 0:
             raise EngineConsistencyError(
-                "canonical form self-check failed: free slot is not closed"
+                f"canonical form self-check failed: free slot '{gens[f].uid}' "
+                "is not closed"
             )
 
     return CanonicalForm(c, dipoles, free, tuple(basis), tuple(inverse))

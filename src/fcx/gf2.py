@@ -13,6 +13,7 @@ function, so concurrent use needs no synchronization.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -25,6 +26,7 @@ __all__ = [
     "subspace_intersection",
     "bits",
     "rref_rows",
+    "tagged_reduce",
     "apply_columns",
     "invert_columns",
 ]
@@ -59,12 +61,40 @@ def rref_rows(rows: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for i, b in enumerate(basis):
             if (b >> piv) & 1:
                 basis[i] = b ^ row
-        pos = 0
-        while pos < len(pivots) and pivots[pos] < piv:
-            pos += 1
+        pos = bisect_left(pivots, piv)
         pivots.insert(pos, piv)
         basis.insert(pos, row)
     return tuple(basis), tuple(pivots)
+
+
+def tagged_reduce(rows: Iterable[int], width: int) -> tuple[dict[int, int], list[int]]:
+    """Echelonize vectors while tracking which inputs each row sums.
+
+    Each row packs a vector (its bits below ``width``) with a tag (its bits
+    from ``width`` up), ``vector | tag << width``, so adding rows adds their
+    tags.  A row is reduced at the top set bit of its vector until that bit
+    is no earlier row's pivot, where the row is kept, or the vector
+    vanishes.  Returns ``(kept, dependents)``: the kept rows by pivot, and
+    the tags of the rows whose vector vanished, in input order.  With
+    distinct one-bit tags, ``dependents`` is a basis of the relations among
+    the vectors and the kept vectors are a basis of their span.
+    """
+    mask = (1 << width) - 1
+    kept: dict[int, int] = {}
+    dependents: list[int] = []
+    for row in rows:
+        v = row & mask
+        while v:
+            top = v.bit_length() - 1
+            other = kept.get(top)
+            if other is None:
+                kept[top] = row
+                break
+            row ^= other
+            v = row & mask
+        else:
+            dependents.append(row >> width)
+    return kept, dependents
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from typing import (
     TypeVar,
 )
 
-from .gf2 import Gf2Matrix, Gf2Subspace, apply_columns, bits, image_basis, kernel_basis
+from .gf2 import Gf2Matrix, Gf2Subspace, apply_columns, bits, rref_rows, tagged_reduce
 
 if TYPE_CHECKING:  # imported only for type checkers; avoids a runtime cycle
     from .cup import CupClass, RingTable
@@ -181,9 +181,9 @@ class FloerComplexData:
     document rides along untouched; the cup operations interpret it.
 
     Derived data (index map, delta and jump-0 columns, validation report,
-    degree-graded cohomology, canonical form, default page table) is
-    memoized per instance by ``cached``; it takes no part in equality or
-    hashing and is freed together with the complex.
+    degree-graded and periodic cohomology, canonical form, default page
+    table) is memoized per instance by ``cached``; it takes no part in
+    equality or hashing and is freed together with the complex.
     """
 
     params: MonotoneParams
@@ -255,13 +255,6 @@ class FloerComplexData:
         groups: dict[int, list[int]] = {}
         for i, g in enumerate(self.generators):
             groups.setdefault(g.degree, []).append(i)
-        return groups
-
-    def residue_groups(self) -> dict[int, list[int]]:
-        """Map residue -> ascending generator indices with that residue."""
-        groups: dict[int, list[int]] = {}
-        for i, g in enumerate(self.generators):
-            groups.setdefault(self.params.residue(g.degree), []).append(i)
         return groups
 
 
@@ -401,7 +394,7 @@ def require_valid(c: FloerComplexData) -> None:
 
 
 def _quotient_representatives(
-    numerator: list[int], denominator: Gf2Subspace
+    numerator: Sequence[int], denominator: Gf2Subspace
 ) -> list[int]:
     """Deterministic coset representatives of span(numerator)/denominator.
 
@@ -467,66 +460,68 @@ def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
 
     The jump-0 component is the only part of the differential that preserves
     the integer grading shift by exactly 1; higher-jump entries are invisible
-    here and only act on later spectral pages.  The table is computed once
-    per instance.
+    here and only act on later spectral pages.  Each degree's jump-0 columns
+    are eliminated once (see ``_graded_cohomology``).  The table is computed
+    once per instance.
     """
     return c.cached("z_graded_cohomology", _z_graded_cohomology)
 
 
 def _z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
     require_valid(c)
-    groups = c.degree_groups()
-    cols0 = jump0_columns(c)
-    dims: list[tuple[int, int]] = []
-    reps_out: list[tuple[int, tuple[int, ...]]] = []
-    for n in sorted(groups):
-        here = groups[n]
-        above = groups.get(n + 1, [])
-        below = groups.get(n - 1, [])
-        ker = kernel_local(cols0, here, above)
-        img = image_local(cols0, below, here)
-        reps = _quotient_representatives(
-            [expand_local(v, here) for v in ker],
-            Gf2Subspace.from_vectors(c.count, [expand_local(v, here) for v in img]),
-        )
-        if reps:
-            dims.append((n, len(reps)))
-            reps_out.append((n, tuple(reps)))
-    return CohomologyTable("z_graded", tuple(dims), tuple(reps_out))
-
-
-def kernel_local(cols: list[int], src: list[int], dst: list[int]) -> list[int]:
-    """Kernel basis (local coordinates over ``src``) of the restricted column map."""
-    return list(kernel_basis(_local_matrix(cols, src, dst)).basis)
-
-
-def image_local(cols: list[int], src: list[int], dst: list[int]) -> list[int]:
-    """Image basis (local coordinates over ``dst``) of the restricted column map."""
-    return list(image_basis(_local_matrix(cols, src, dst)).basis)
+    return _graded_cohomology(c, "z_graded", jump0_columns(c), lambda n: n)
 
 
 def periodic_cohomology(c: FloerComplexData) -> CohomologyTable:
-    """Cohomology of the residue-graded complex under the full differential."""
+    """Cohomology of the residue-graded complex under the full differential.
+
+    Each residue's columns are eliminated once (see ``_graded_cohomology``).
+    The table is computed once per instance.
+    """
+    return c.cached("periodic_cohomology", _periodic_cohomology)
+
+
+def _periodic_cohomology(c: FloerComplexData) -> CohomologyTable:
     require_valid(c)
-    period = c.params.maslov_period
-    groups = c.residue_groups()
-    cols = c.delta_columns()
+    return _graded_cohomology(c, "periodic", c.delta_columns(), c.params.residue)
+
+
+def _graded_cohomology(
+    c: FloerComplexData, kind: str, cols: Sequence[int], grade: Callable[[int], int]
+) -> CohomologyTable:
+    """Cohomology of the columns ``cols`` on the pieces ``grade(degree)``.
+
+    On a validated complex every entry raises the degree by k*period + 1, so
+    the column of a generator of degree n already lies in the piece
+    ``grade(n + 1)``: a jump-0 column of degree n lies in degree n + 1, a
+    residue-j column in residue j + 1.  So the columns need no restriction
+    to a target piece, and one tagged elimination of a piece's columns, in
+    ambient coordinates, gives both the piece's kernel (the tags of the
+    columns that vanish) and the image that the next piece divides by (the
+    surviving columns).  Both are put in reduced echelon form, which is
+    unique, so the representatives do not depend on the elimination order.
+    """
+    n = c.count
+    mask = (1 << n) - 1
+    pieces: dict[int, list[int]] = {}
+    for i, g in enumerate(c.generators):
+        pieces.setdefault(grade(g.degree), []).append(i)
+    kernels: dict[int, tuple[int, ...]] = {}
+    images: dict[int, list[int]] = {}
+    for key, members in pieces.items():
+        kept, dependents = tagged_reduce((cols[s] | 1 << (n + s) for s in members), n)
+        kernels[key] = rref_rows(dependents)[0]
+        images[grade(c.generators[members[0]].degree + 1)] = [row & mask for row in kept.values()]
     dims: list[tuple[int, int]] = []
     reps_out: list[tuple[int, tuple[int, ...]]] = []
-    for j in sorted(groups):
-        here = groups[j]
-        nxt = groups.get((j + 1) % period, [])
-        prv = groups.get((j - 1) % period, [])
-        ker = kernel_local(cols, here, nxt)
-        img = image_local(cols, prv, here)
+    for key in sorted(pieces):
         reps = _quotient_representatives(
-            [expand_local(v, here) for v in ker],
-            Gf2Subspace.from_vectors(c.count, [expand_local(v, here) for v in img]),
+            kernels[key], Gf2Subspace.from_vectors(n, images.get(key, ()))
         )
         if reps:
-            dims.append((j, len(reps)))
-            reps_out.append((j, tuple(reps)))
-    return CohomologyTable("periodic", tuple(dims), tuple(reps_out))
+            dims.append((key, len(reps)))
+            reps_out.append((key, tuple(reps)))
+    return CohomologyTable(kind, tuple(dims), tuple(reps_out))
 
 
 def degree_decompose(c: FloerComplexData) -> dict[int, Gf2Matrix]:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from fcx.model import FloerComplexData, MonotoneParams
+from fcx.synth import NormalFormSpec, build_from_normal_form, random_filtered_automorphism
+
 _acceptance_results: dict[str, str] = {}
 
 
@@ -23,3 +26,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for name in sorted(_acceptance_results):
         verdict = "PASS" if _acceptance_results[name] == "passed" else "FAIL"
         terminalreporter.write_line(f"{name}: {verdict}")
+
+
+def _scrambled(n: int, period: int, seed: int) -> FloerComplexData:
+    """n generators on 17 degrees (many ties): n // 3 dipoles of jumps 0..3, the
+    rest free, under a random filtered automorphism."""
+    params = MonotoneParams(period, 0.5)
+    dipoles = tuple((d % 17 - 8, d % 4) for d in range(n // 3))
+    free = tuple(f % 17 - 8 for f in range(n - 2 * len(dipoles)))
+    base = build_from_normal_form(NormalFormSpec(params, free, dipoles))
+    c = random_filtered_automorphism(seed, base)
+    assert c.count == n
+    return c
+
+
+@pytest.fixture(scope="session")
+def scrambled():
+    """The builder ``scrambled(n, period, seed)`` of large scrambled complexes."""
+    return _scrambled

@@ -348,6 +348,10 @@ def test_criterion_09_golden_fixtures_and_byte_stability(capsys):
         (("decompose", three, "--format", "tsv"), "three_gen.decompose.tsv"),
         (("kunneth", dipole, dipole, "--format", "tsv"), "dipole_squared.kunneth.tsv"),
     ]
+    for path, stem in ((dipole, "dipole"), (three, "three_gen")):
+        for command in ("report", "cohomology"):
+            for fmt, suffix in (("tsv", "tsv"), ("human", "human.txt")):
+                jobs.append(((command, path, "--format", fmt), f"{stem}.{command}.{suffix}"))
     for argv, golden_name in jobs:
         golden = (GOLDEN / golden_name).read_text(encoding="utf-8")
         first = run_cli(capsys, *argv)

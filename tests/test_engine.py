@@ -20,6 +20,7 @@ from fcx.engine import (
 from fcx.gf2 import apply_columns
 from fcx.model import (
     DifferentialEntry,
+    EngineConsistencyError,
     FloerComplexData,
     LiftedGenerator,
     MonotoneParams,
@@ -27,12 +28,7 @@ from fcx.model import (
     validate,
     z_graded_cohomology,
 )
-from fcx.synth import (
-    NormalFormSpec,
-    build_from_normal_form,
-    random_complex,
-    random_filtered_automorphism,
-)
+from fcx.synth import NormalFormSpec, build_from_normal_form, random_complex
 
 P4 = MonotoneParams(4, 0.5)
 P4_ALG = MonotoneParams(4, 0.0)
@@ -110,6 +106,43 @@ def test_derived_data_is_memoized_on_the_instance_and_freed_with_it():
     del c
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize(
+    "failing_call, witness",
+    [
+        (0, "dipole column of 'x' (target 'y')"),
+        (1, "target slot 'y' is not closed"),
+        (2, "free slot 'z' is not closed"),
+    ],
+)
+def test_canonical_form_self_check_names_its_witness(monkeypatch, failing_call, witness):
+    import fcx.engine
+
+    c = complex_of(P4_ALG, [("x", 0), ("y", 1), ("z", 3)], [("x", "y")])
+    validate(c)
+    calls = []
+
+    def corrupted(cols, v):
+        calls.append(v)
+        out = apply_columns(cols, v)
+        return out ^ 1 if len(calls) - 1 == failing_call else out
+
+    monkeypatch.setattr(fcx.engine, "apply_columns", corrupted)
+    with pytest.raises(EngineConsistencyError) as info:
+        canonical_form(c)
+    assert witness in str(info.value)
+
+
+def test_role_exclusivity_check_names_a_generator_with_two_roles(monkeypatch):
+    import fcx.engine
+
+    # d(a) = b and d(b) = c, so d^2 != 0; skip validation to reach the check.
+    c = complex_of(P4_ALG, [("a", 0), ("b", 1), ("c", 2)], [("a", "b"), ("b", "c")])
+    assert not validate(c).ok
+    monkeypatch.setattr(fcx.engine, "require_valid", lambda c: None)
+    with pytest.raises(EngineConsistencyError, match="generator 'b' two roles"):
+        canonical_form(c)
 
 
 def test_pages_single_dipole():
@@ -248,20 +281,10 @@ def test_conjugated_differential_is_exactly_the_dipoles():
             assert image == expected
 
 
-def scrambled(n: int, period: int, seed: int) -> FloerComplexData:
-    """n generators on 17 degrees (many ties): n // 3 dipoles of jumps 0..3, the
-    rest free, under a random filtered automorphism."""
-    params = MonotoneParams(period, 0.5)
-    dipoles = tuple((d % 17 - 8, d % 4) for d in range(n // 3))
-    free = tuple(f % 17 - 8 for f in range(n - 2 * len(dipoles)))
-    base = build_from_normal_form(NormalFormSpec(params, free, dipoles))
-    c = random_filtered_automorphism(seed, base)
-    assert c.count == n
-    return c
-
-
 @pytest.mark.parametrize("n, period, seed", [(100, 3, 1), (250, 4, 2), (400, 6, 3)])
-def test_stored_inverse_undoes_the_change_of_basis_on_scrambled_complexes(n, period, seed):
+def test_stored_inverse_undoes_the_change_of_basis_on_scrambled_complexes(
+    scrambled, n, period, seed
+):
     form = canonical_form(scrambled(n, period, seed))
     for i, col in enumerate(form.change_of_basis):
         assert apply_columns(form.inverse, col) == 1 << i
@@ -279,7 +302,7 @@ CANONICAL_DIGESTS = {
 
 
 @pytest.mark.parametrize("n, period, seed", sorted(CANONICAL_DIGESTS))
-def test_canonical_forms_of_scrambled_complexes_are_pinned(n, period, seed):
+def test_canonical_forms_of_scrambled_complexes_are_pinned(scrambled, n, period, seed):
     f = canonical_form(scrambled(n, period, seed))
     digest = hashlib.sha256(
         repr((f.dipoles, f.free, f.change_of_basis, f.inverse)).encode()

@@ -14,6 +14,7 @@ from fcx.gf2 import (
     rref_rows,
     subspace_intersection,
     subspace_sum,
+    tagged_reduce,
 )
 
 DIM = 6
@@ -39,6 +40,20 @@ def test_apply_columns_xors_the_columns_of_the_set_bits(cols, v):
     for b in bits(v):
         expected ^= cols[b]
     assert apply_columns(cols, v) == expected
+
+
+@given(vector_lists)
+def test_tagged_reduce_splits_vectors_into_span_and_relations(vs):
+    """Tags 1 << i: the relations are a kernel basis of the column map
+    ``vs`` and the kept vectors a basis of its image."""
+    kept, relations = tagged_reduce((v | 1 << (DIM + i) for i, v in enumerate(vs)), DIM)
+    mask = (1 << DIM) - 1
+    span = Gf2Subspace.from_vectors(DIM, vs)
+    assert Gf2Subspace.from_vectors(DIM, [r & mask for r in kept.values()]) == span
+    assert all(r & mask and (r & mask).bit_length() - 1 == top for top, r in kept.items())
+    assert len(relations) == len(vs) - span.dim
+    assert all(tag and apply_columns(vs, tag) == 0 for tag in relations)
+    assert len(rref_rows(relations)[0]) == len(relations)
 
 
 @given(vector_lists)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcx.engine import limit_and_filtration, pages
 from fcx.model import (
     DifferentialEntry,
     FloerComplexData,
@@ -341,3 +346,45 @@ def test_periodic_of_delta_free_complex_counts_generators(seed, period, n_free):
 def test_validation_report_is_cached_per_object():
     c = complex_of(P4_ALG, [("x", 0), ("y", 1)], [("x", "y")])
     assert validate(c) is validate(c)
+
+
+def test_periodic_cohomology_is_memoized_and_freed_with_the_complex():
+    c, _ = random_complex(5, MonotoneParams(4, 0.5), max_gens=12, max_jump=2)
+    table = periodic_cohomology(c)
+    assert periodic_cohomology(c) is table
+    assert limit_and_filtration(c).hf() == table.as_dict()
+    assert periodic_cohomology(c) is table
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None
+
+
+# sha256 over the reprs (dims and representatives) of both cohomologies of
+# every complex below, recorded with the earlier local-matrix implementation,
+# so the pin holds the two implementations to the same representatives.
+COHOMOLOGY_AT_SCALE_SHA256 = (
+    "3a2566ebbf3542df440dd0e93d890a70869f4bdcccbf4898f609a4a34831361a"
+)
+
+
+def test_cohomology_at_scale_is_pinned_and_matches_the_pages(scrambled):
+    digest = hashlib.sha256()
+    for seed in range(40):
+        params = MonotoneParams((3, 4, 6)[seed % 3], 0.5)
+        c, _ = random_complex(seed, params, max_gens=40, max_jump=3)
+        digest.update(repr(z_graded_cohomology(c)).encode())
+        digest.update(repr(periodic_cohomology(c)).encode())
+    for n, period, seed in ((120, 3, 1), (250, 4, 2), (400, 6, 3)):
+        c = scrambled(n, period, seed)
+        z = z_graded_cohomology(c)
+        hf = periodic_cohomology(c)
+        digest.update(repr(z).encode())
+        digest.update(repr(hf).encode())
+        table = pages(c)
+        assert z.as_dict() == {level: d for (level, _), d in table.page(1).items()}
+        stable: dict[int, int] = {}
+        for (_, j), d in table.page(table.collapse_page).items():
+            stable[j] = stable.get(j, 0) + d
+        assert hf.as_dict() == stable
+    assert digest.hexdigest() == COHOMOLOGY_AT_SCALE_SHA256, digest.hexdigest()
