@@ -25,6 +25,7 @@ from .cup import (
     validate_cup,
 )
 from .engine import (
+    Barcode,
     CanonicalForm,
     LimitReport,
     PageCell,
@@ -112,6 +113,7 @@ __all__ = [
     "Gf2Matrix",
     "Gf2Subspace",
     # engine
+    "Barcode",
     "CanonicalForm",
     "PageCell",
     "PageTable",

@@ -113,12 +113,13 @@ def _render_pages(
 ) -> tuple[list[str], bool]:
     table = pages(c, upto=upto)
     lines = []
-    for (k, n, j), cell in sorted(table.cells.items()):
-        lines.append(
-            f"page\t{k}\t{n}\t{j}\t{cell.dim}"
-            if fmt == "tsv"
-            else f"E^{k} (n={n}, j={j}) dim {cell.dim}"
-        )
+    for k in range(1, table.max_page + 1):
+        for (n, j), dim in sorted(table.page(k).items()):
+            lines.append(
+                f"page\t{k}\t{n}\t{j}\t{dim}"
+                if fmt == "tsv"
+                else f"E^{k} (n={n}, j={j}) dim {dim}"
+            )
     lines.append(
         f"collapse\t{table.collapse_page}"
         if fmt == "tsv"

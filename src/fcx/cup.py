@@ -351,7 +351,8 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
     p = a.degree
     acols = _columns(c, a)
     images = _derived(c, a, "slot_images", lambda c, a: {})
-    level = [g.degree for g in c.generators]
+    gens = c.generators
+    level = [g.degree for g in gens]
 
     alive: dict[tuple[int, int], list[int]] = {}
     alive_slots: set[int] = set()
@@ -376,8 +377,9 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
             for b in bits(coords):
                 if level[b] < tn:
                     raise EngineConsistencyError(
-                        "induced class image violated the filtration; "
-                        "this indicates a bug"
+                        f"induced image of class '{a.name}' violated the "
+                        f"filtration on page {k_eff}: slot '{gens[s].uid}' hit "
+                        f"'{gens[b].uid}' below level {tn}; this indicates a bug"
                     )
                 if level[b] != tn:
                     continue  # strictly deeper level: zero in this cell
@@ -385,8 +387,10 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
                     entries.append((tpos[b], col_idx))
                 elif b not in boundary_slots:
                     raise EngineConsistencyError(
-                        "induced class image hit a live slot outside the "
-                        "target cell; this indicates a bug"
+                        f"induced image of class '{a.name}' on page {k_eff}: "
+                        f"slot '{gens[s].uid}' hit the live slot "
+                        f"'{gens[b].uid}' outside the target cell "
+                        f"(n={tn}, j={tj}); this indicates a bug"
                     )
         maps.append(((n, j), Gf2Matrix.from_entries(len(tslots), len(slots), entries)))
 
@@ -414,9 +418,17 @@ def _check_page_commutation(table: PageTable, induced: InducedPageMaps, k: int) 
             else Gf2Matrix.zero(m_dst.n_rows, m_src.n_cols)
         )
         if lhs.rows != rhs.rows:
+            # witness: the first entry where the two composites differ
+            row, diff = next(
+                (r, x ^ y) for r, (x, y) in enumerate(zip(lhs.rows, rhs.rows)) if x != y
+            )
+            gens = table.complex.generators
+            src = table.cells[(k, n, j)].slots[(diff & -diff).bit_length() - 1]
+            hit = table.cells[(k, dn + p, (dj + p) % period)].slots[row]
             raise EngineConsistencyError(
                 f"induced maps of class '{induced.class_name}' do not commute "
-                f"with the page-{k} differential at (n={n}, j={j})"
+                f"with the page-{k} differential at (n={n}, j={j}): slot "
+                f"'{gens[src].uid}' reaches '{gens[hit].uid}' on one side only"
             )
 
 

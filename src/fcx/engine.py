@@ -19,10 +19,15 @@ set bit inside that block.  With one precomputed mask per degree block the
 low costs a few bit operations, and no re-indexing of the generators (nor
 any change of coordinates) is needed.
 
-From the canonical form all spectral pages are read off by counting: a free
-generator survives every page, a dipole of jump index ``k`` keeps both
-endpoints alive on pages ``1..k`` (the page-``k`` differential sends source
-slot to target slot) and dies entering page ``k+1``.
+From the canonical form all spectral pages are read off by counting.  Its
+barcode lists each dipole as (source level, target level, jump index) and
+each free generator by its level: a free generator survives every page, a
+dipole of jump index ``k`` keeps both endpoints alive on pages ``1..k`` (the
+page-``k`` differential sends source slot to target slot) and dies entering
+page ``k+1``.  A page table holds the barcode and, eagerly, each page's
+dimensions by level; page dimensions, polynomials and the collapse page read
+only those.  The cells (slots and representatives) and the differential
+matrices are built from the barcode the first time they are read.
 
 Two independent cross-check routes are provided and kept deliberately
 separate from the reduction: a literal subquotient evaluation of any page,
@@ -31,8 +36,10 @@ and the limit computed from the image filtration on ordinary cohomology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any, Callable, Mapping, TypeVar
 
 from .gf2 import (
     Gf2Matrix,
@@ -53,7 +60,10 @@ from .model import (
     require_valid,
 )
 
+_T = TypeVar("_T")
+
 __all__ = [
+    "Barcode",
     "CanonicalForm",
     "PageCell",
     "PageTable",
@@ -64,6 +74,26 @@ __all__ = [
     "subquotient_pages_oracle",
     "limit_and_filtration",
 ]
+
+
+@dataclass(frozen=True)
+class Barcode:
+    """The canonical form read as filtration levels.
+
+    ``dipoles`` holds one (source level, target level, jump index) triple per
+    dipole, in the order of ``CanonicalForm.dipoles``; ``free`` the level of
+    each free generator, in the order of ``CanonicalForm.free``.  Every page
+    dimension, page polynomial, the rank decomposition and the collapse page
+    are functions of it.
+    """
+
+    dipoles: tuple[tuple[int, int, int], ...]
+    free: tuple[int, ...]
+
+    @property
+    def collapse_page(self) -> int:
+        """First page equal to the limit: 1 + the maximal jump index (1 if none)."""
+        return 1 + max((jump for _, _, jump in self.dipoles), default=0)
 
 
 @dataclass(frozen=True)
@@ -103,6 +133,18 @@ class CanonicalForm:
         """Coordinates of an ambient vector in the canonical slot basis."""
         return apply_columns(self.inverse, v)
 
+    @cached_property
+    def barcode(self) -> Barcode:
+        """The dipoles and free generators by level, computed once per form."""
+        gens = self.complex.generators
+        return Barcode(
+            tuple(
+                (gens[s].degree, gens[t].degree, self.jump_of((s, t)))
+                for s, t in self.dipoles
+            ),
+            tuple(gens[f].degree for f in self.free),
+        )
+
 
 @dataclass(frozen=True)
 class PageCell:
@@ -120,27 +162,49 @@ class PageCell:
 
 @dataclass(frozen=True)
 class PageTable:
-    """All materialized spectral pages of a complex.
+    """Spectral pages 1..``max_page`` of a complex, read from its barcode.
 
-    ``cells`` maps (page, level, residue) to a nonzero cell; ``differentials``
-    maps a *source* cell key (k, n, j) to the page-k differential matrix into
-    the cell at (k, n + k*period + 1, (j + 1) % period) -- rows indexed by the
+    Eager: the barcode and, per page, the nonzero dimensions by level,
+    counted from it.  ``page``, ``dim``, the page polynomials and
+    ``collapse_page`` (the first page equal to the limit) read only those.
+
+    Built from the barcode on first access, then kept: ``cells`` maps
+    (page, level, residue) to a nonzero cell; ``differentials`` maps a
+    *source* cell key (k, n, j) to the page-k differential matrix into the
+    cell at (k, n + k*period + 1, (j + 1) % period) -- rows indexed by the
     target cell's slots, columns by the source cell's slots; only nonzero
-    matrices are stored.  Pages k = 1 .. ``max_page`` are materialized;
-    ``collapse_page`` is the first page equal to the limit.
+    matrices are stored.  Other derived data is memoized by ``cached``.
     """
 
     complex: FloerComplexData
     form: CanonicalForm
     collapse_page: int
     max_page: int
-    cells: Mapping[tuple[int, int, int], PageCell]
-    differentials: Mapping[tuple[int, int, int], Gf2Matrix]
+    barcode: Barcode
+    _dims: tuple[dict[tuple[int, int], int], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _memo: dict[str, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        dims = _page_dims(self.barcode, self.max_page, self.complex.params.residue)
+        object.__setattr__(self, "_dims", dims)
+
+    def cached(self, key: str, compute: Callable[["PageTable"], _T]) -> _T:
+        """``compute(self)``, evaluated at most once per table under ``key``."""
+        memo = self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = compute(self)
+            return value
 
     def dim(self, k: int, n: int) -> int:
-        j = self.complex.params.residue(n)
-        cell = self.cells.get((k, n, j))
-        return cell.dim if cell else 0
+        if not 1 <= k <= self.max_page:
+            return 0
+        return self._dims[k - 1].get((n, self.complex.params.residue(n)), 0)
 
     def page(self, k: int) -> dict[tuple[int, int], int]:
         """Nonzero dimensions of page k as {(level, residue): dim}."""
@@ -148,11 +212,81 @@ class PageTable:
             raise ValueError(
                 f"page {k} is not materialized (pages 1..{self.max_page} are)"
             )
-        return {(n, j): c.dim for (kk, n, j), c in self.cells.items() if kk == k}
+        return dict(self._dims[k - 1])
 
     def differential(self, k: int, n: int) -> Gf2Matrix | None:
         j = self.complex.params.residue(n)
         return self.differentials.get((k, n, j))
+
+    @cached_property
+    def cells(self) -> Mapping[tuple[int, int, int], PageCell]:
+        """Cell (k, n, j): the canonical slots alive on page k at level n --
+        every free slot there and both endpoints of every dipole of jump
+        index >= k -- with their canonical basis vectors as representatives."""
+        form = self.form
+        residue = self.complex.params.residue
+        basis = form.change_of_basis
+        cells: dict[tuple[int, int, int], PageCell] = {}
+        for k in range(1, self.max_page + 1):
+            slots_at: dict[int, list[int]] = {}
+            for f, n in zip(form.free, self.barcode.free):
+                slots_at.setdefault(n, []).append(f)
+            for (s, t), (ns, nt, jump) in zip(form.dipoles, self.barcode.dipoles):
+                if jump >= k:
+                    slots_at.setdefault(ns, []).append(s)
+                    slots_at.setdefault(nt, []).append(t)
+            for n, slots in slots_at.items():
+                slots.sort()
+                cells[(k, n, residue(n))] = PageCell(
+                    len(slots), tuple(slots), tuple(basis[i] for i in slots)
+                )
+        return cells
+
+    @cached_property
+    def differentials(self) -> Mapping[tuple[int, int, int], Gf2Matrix]:
+        """The page-k differential of each source cell: its dipoles of jump exactly k."""
+        params = self.complex.params
+        cells = self.cells
+        diffs: dict[tuple[int, int, int], Gf2Matrix] = {}
+        for k in range(1, self.max_page + 1):
+            arrows: dict[int, list[tuple[int, int]]] = {}
+            for pair, (ns, _nt, jump) in zip(self.form.dipoles, self.barcode.dipoles):
+                if jump == k:
+                    arrows.setdefault(ns, []).append(pair)
+            for n, pairs in arrows.items():
+                src_key = (k, n, params.residue(n))
+                dst_key = (k, n + k * params.maslov_period + 1, params.residue(n + 1))
+                src_pos = {i: p for p, i in enumerate(cells[src_key].slots)}
+                dst_pos = {i: p for p, i in enumerate(cells[dst_key].slots)}
+                entries = [(dst_pos[t], src_pos[s]) for s, t in pairs]
+                diffs[src_key] = Gf2Matrix.from_entries(
+                    cells[dst_key].dim, cells[src_key].dim, entries
+                )
+        return diffs
+
+
+def _page_dims(
+    barcode: Barcode, max_page: int, residue: Callable[[int], int]
+) -> tuple[dict[tuple[int, int], int], ...]:
+    """Nonzero dimensions of pages 1..max_page by (level, residue), counted
+    from the barcode.
+
+    A free generator lives on every page; a dipole of jump index J puts both
+    endpoints on pages 1..J.  Pages are counted from the last one down, each
+    adding the dipoles that die right after it.
+    """
+    dying_after: dict[int, list[tuple[int, int]]] = {}
+    for src, dst, jump in barcode.dipoles:
+        dying_after.setdefault(min(jump, max_page), []).extend(
+            ((src, residue(src)), (dst, residue(dst)))
+        )
+    alive = Counter((n, residue(n)) for n in barcode.free)
+    dims: list[dict[tuple[int, int], int]] = []
+    for k in range(max_page, 0, -1):
+        alive.update(dying_after.get(k, ()))
+        dims.append(dict(alive))
+    dims.reverse()
+    return tuple(dims)
 
 
 @dataclass(frozen=True)
@@ -296,18 +430,17 @@ def _reduce(c: FloerComplexData) -> CanonicalForm:
 
 def collapse_page(c: FloerComplexData) -> int:
     """First page equal to the limit: 1 + the maximal dipole jump index (1 if none)."""
-    form = canonical_form(c)
-    return 1 + max((form.jump_of(p) for p in form.dipoles), default=0)
+    return pages(c).collapse_page
 
 
 def pages(c: FloerComplexData, upto: int | None = None) -> PageTable:
-    """Materialize spectral pages 1..upto (default: collapse page + 1).
+    """Spectral pages 1..upto (default: collapse page + 1) from the barcode.
 
     Cell (k, n, j) collects the canonical slots alive on page k at lifted
     degree n: every free slot there, plus both endpoints of every dipole of
     jump index >= k.  The page-k differential is the 0/1 matrix of dipoles of
-    jump exactly k between the corresponding cells.  The default table is
-    computed once per instance.
+    jump exactly k between the corresponding cells.  The barcode is computed
+    once per complex, and so is the default table.
     """
     if upto is None:
         return c.cached("pages", _pages)
@@ -316,47 +449,10 @@ def pages(c: FloerComplexData, upto: int | None = None) -> PageTable:
 
 def _pages(c: FloerComplexData, upto: int | None = None) -> PageTable:
     form = canonical_form(c)
-    params = c.params
-    gens = c.generators
-    collapse = 1 + max((form.jump_of(p) for p in form.dipoles), default=0)
+    barcode = form.barcode
+    collapse = barcode.collapse_page
     max_page = collapse + 1 if upto is None else max(1, upto)
-
-    jump: dict[tuple[int, int], int] = {p: form.jump_of(p) for p in form.dipoles}
-    cells: dict[tuple[int, int, int], PageCell] = {}
-    diffs: dict[tuple[int, int, int], Gf2Matrix] = {}
-
-    for k in range(1, max_page + 1):
-        slots_at: dict[int, list[int]] = {}
-        for f in form.free:
-            slots_at.setdefault(gens[f].degree, []).append(f)
-        for (s, t), kk in jump.items():
-            if kk >= k:
-                slots_at.setdefault(gens[s].degree, []).append(s)
-                slots_at.setdefault(gens[t].degree, []).append(t)
-        for n, slots in slots_at.items():
-            slots.sort()
-            cells[(k, n, params.residue(n))] = PageCell(
-                len(slots),
-                tuple(slots),
-                tuple(form.change_of_basis[i] for i in slots),
-            )
-        # Page-k differential: dipoles of jump exactly k.
-        arrows: dict[int, list[tuple[int, int]]] = {}
-        for (s, t), kk in jump.items():
-            if kk == k:
-                arrows.setdefault(gens[s].degree, []).append((s, t))
-        for n, pairs in arrows.items():
-            src_key = (k, n, params.residue(n))
-            dst_key = (k, n + k * params.maslov_period + 1,
-                       params.residue(n + 1))
-            src_pos = {i: p for p, i in enumerate(cells[src_key].slots)}
-            dst_pos = {i: p for p, i in enumerate(cells[dst_key].slots)}
-            entries = [(dst_pos[t], src_pos[s]) for s, t in pairs]
-            diffs[src_key] = Gf2Matrix.from_entries(
-                cells[dst_key].dim, cells[src_key].dim, entries
-            )
-
-    return PageTable(c, form, collapse, max_page, cells, diffs)
+    return PageTable(c, form, collapse, max_page, barcode)
 
 
 def _filtration_indices(c: FloerComplexData, n: int, j: int | None = None) -> list[int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -183,16 +184,23 @@ class BettiReport:
 
 
 def poincare_laurent(table: PageTable, k: int) -> LaurentPoly:
-    """Poincare-Laurent polynomial of page k: sum over cells of dim * t^level."""
+    """Poincare-Laurent polynomial of page k: sum over levels of dim * t^level.
+
+    The polynomials of all pages are built once per table, from its page
+    dimensions.
+    """
     if not 1 <= k <= table.max_page:
         raise FcxError(
             f"page {k} is outside the materialized range 1..{table.max_page}"
         )
-    d: dict[int, int] = {}
-    for (kk, n, _j), cell in table.cells.items():
-        if kk == k:
-            d[n] = d.get(n, 0) + cell.dim
-    return LaurentPoly.from_dict(d)
+    return table.cached("poincare_laurent", _page_polynomials)[k - 1]
+
+
+def _page_polynomials(table: PageTable) -> tuple[LaurentPoly, ...]:
+    return tuple(
+        LaurentPoly.from_dict({n: d for (n, _j), d in table.page(k).items()})
+        for k in range(1, table.max_page + 1)
+    )
 
 
 def euler_number(table: PageTable, k: int) -> EulerReport:
@@ -216,37 +224,32 @@ def q_decomposition(c: FloerComplexData) -> DecompositionReport:
 
     qbar_i collects one t^(target level) per dipole of jump index i; the
     source contributes the matching t^(target level - i*period - 1) term,
-    which is exactly the (1 + t^(-i*period-1)) factor of the identity.  The
-    identity is re-verified here against independently computed page
-    polynomials; failure raises an internal-consistency error.
+    which is exactly the (1 + t^(-i*period-1)) factor of the identity.  Both
+    sides are read from the barcode, the page polynomials through the page
+    table's per-page dimensions; the identity is re-verified here, and a
+    failure raises an internal-consistency error.
     """
     require_valid(c)
-    form = canonical_form(c)
+    barcode = canonical_form(c).barcode
     table = pages(c)
     period = c.params.maslov_period
     k_max = table.collapse_page - 1
 
     qdicts: list[dict[int, int]] = [dict() for _ in range(k_max)]
-    for pair in form.dipoles:
-        i = form.jump_of(pair)
+    for _n_src, n_dst, i in barcode.dipoles:
         if i >= 1:
-            n_dst = c.generators[pair[1]].degree
             qdicts[i - 1][n_dst] = qdicts[i - 1].get(n_dst, 0) + 1
     qbars = tuple(LaurentPoly.from_dict(d) for d in qdicts)
+    hf_poly = LaurentPoly.from_dict(Counter(barcode.free))
 
-    hf_d: dict[int, int] = {}
-    for f in form.free:
-        n = c.generators[f].degree
-        hf_d[n] = hf_d.get(n, 0) + 1
-    hf_poly = LaurentPoly.from_dict(hf_d)
-
+    # tails[m]: the right-hand side for page l = k_max + 1 - m, summed from
+    # the top jump down, so each term is formed once
+    tails = [hf_poly]
+    for i in range(k_max, 0, -1):
+        factor = LaurentPoly(((0, 1), (-(i * period) - 1, 1)))
+        tails.append(tails[-1].add(factor.mul(qbars[i - 1])))
     for l in range(1, max(1, k_max) + 1):
-        expect = hf_poly
-        for i in range(l, k_max + 1):
-            factor = LaurentPoly.monomial(0).add(
-                LaurentPoly.monomial(-(i * period) - 1)
-            )
-            expect = expect.add(factor.mul(qbars[i - 1]))
+        expect = tails[k_max + 1 - l]
         got = poincare_laurent(table, l)
         if got != expect:
             raise EngineConsistencyError(

@@ -15,6 +15,7 @@ single pass lists every violated invariant with the offending ids.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import (
@@ -402,7 +403,7 @@ def _quotient_representatives(
     added a new coset; the result is reproducible bit for bit.
     """
     reps: list[int] = []
-    collected = list(denominator.basis)
+    collected = list(denominator.basis)  # reduced echelon: ascending pivots
     for v in numerator:
         w = v
         for b in collected:
@@ -411,9 +412,8 @@ def _quotient_representatives(
                 w ^= b
         if w:
             reps.append(w)
-            # keep 'collected' echelonized by inserting w at its pivot
-            collected.append(w)
-            collected.sort(key=lambda x: (x & -x).bit_length())
+            # keep 'collected' echelonized: w's pivot is new, insert it there
+            insort(collected, w, key=lambda x: (x & -x).bit_length())
     return reps
 
 

@@ -346,12 +346,22 @@ def test_criterion_09_golden_fixtures_and_byte_stability(capsys):
         (("poincare", three, "--format", "tsv"), "three_gen.poincare.tsv"),
         (("euler", three, "--format", "tsv"), "three_gen.euler.tsv"),
         (("decompose", three, "--format", "tsv"), "three_gen.decompose.tsv"),
+        (("decompose", dipole, "--format", "tsv"), "dipole.decompose.tsv"),
         (("kunneth", dipole, dipole, "--format", "tsv"), "dipole_squared.kunneth.tsv"),
     ]
     for path, stem in ((dipole, "dipole"), (three, "three_gen")):
         for command in ("report", "cohomology"):
             for fmt, suffix in (("tsv", "tsv"), ("human", "human.txt")):
                 jobs.append(((command, path, "--format", fmt), f"{stem}.{command}.{suffix}"))
+        for command in ("pages", "poincare", "euler", "decompose"):
+            jobs.append(((command, path, "--format", "human"), f"{stem}.{command}.human.txt"))
+        # one page only, and pages well past the collapse page
+        for command in ("pages", "poincare", "euler"):
+            for max_page in ("1", "6"):
+                jobs.append((
+                    (command, path, "--format", "tsv", "--max-page", max_page),
+                    f"{stem}.{command}.max{max_page}.tsv",
+                ))
     for argv, golden_name in jobs:
         golden = (GOLDEN / golden_name).read_text(encoding="utf-8")
         first = run_cli(capsys, *argv)

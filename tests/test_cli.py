@@ -426,3 +426,43 @@ def test_installed_entry_point_runs(tmp_path):
     bad.write_text(BAD_JUMP_TEXT, encoding="utf-8")
     proc = run_script("validate", str(bad))
     assert proc.returncode == 1, proc.stderr
+
+
+def test_report_and_pages_never_build_cells_or_differentials(run, write_doc, monkeypatch):
+    import fcx.cli
+    import fcx.invariants
+
+    tables = []
+    for module in (fcx.cli, fcx.invariants):
+        def recording(c, upto=None, _pages=module.pages):
+            tables.append(_pages(c, upto=upto))
+            return tables[-1]
+
+        monkeypatch.setattr(module, "pages", recording)
+    for text in (DIPOLE_TEXT, THREE_TEXT):
+        path = write_doc(text)
+        for argv in (("report",), ("pages",), ("pages", "--max-page", "6")):
+            for fmt in ("tsv", "human"):
+                assert run(argv[0], path, *argv[1:], "--format", fmt)[0] == 0
+    # per document and format: the report's pages, poincare, euler and
+    # decompose sections, then the two pages runs
+    assert len(tables) == 2 * 2 * (4 + 2)
+    for table in tables:
+        assert "cells" not in vars(table) and "differentials" not in vars(table)
+    table.differentials  # builds both on first read, then keeps them
+    assert "cells" in vars(table) and "differentials" in vars(table)
+
+
+def test_every_traced_layer_binding_exists(monkeypatch):
+    """The benchmark's tracer wraps these module attributes by name; a
+    renamed or dropped import would silently leave a layer untimed."""
+    import importlib
+
+    import fcx.cli  # noqa: F401
+    import fcx.cup  # noqa: F401
+    import fcx.invariants  # noqa: F401
+    import fcx.kunneth  # noqa: F401
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    assert spans.Layers(spans.Tracer()).missing == []

@@ -30,6 +30,7 @@ from fcx.io import parse, serialize
 from fcx.kunneth import tensor_product
 from fcx.model import (
     DifferentialEntry,
+    EngineConsistencyError,
     FcxError,
     FloerComplexData,
     LiftedGenerator,
@@ -476,3 +477,62 @@ def test_invalid_document_class_raises_on_every_call():
             induced_on_cohomology(c, bad)
         with pytest.raises(FcxError, match="cup class 'q' failed validation"):
             induced_on_pages(c, bad, 1)
+
+
+
+def _corrupt_class_images(monkeypatch, c, image_uid, flip):
+    """Flip the canonical coordinates ``flip`` of every class image whose
+    honest coordinates are the single slot ``image_uid``."""
+    import fcx.engine
+
+    original = fcx.engine.CanonicalForm.to_canonical
+    honest = 1 << c.index_of(image_uid)
+
+    def corrupted(form, v):
+        out = original(form, v)
+        return out ^ flip if out == honest else out
+
+    monkeypatch.setattr(fcx.engine.CanonicalForm, "to_canonical", corrupted)
+
+
+def _free_with_a_jump0_dipole():
+    """p, q, r free at levels 0, 2, 4; s -> t a jump-0 dipole at levels 2, 3;
+    the class 'a' sends p -> q -> r."""
+    a = CupClass("a", 2, (("p", "q"), ("q", "r")))
+    c = complex_of(
+        P3, [("p", 0), ("q", 2), ("r", 4), ("s", 2), ("t", 3)], [("s", "t")], cups=(a,)
+    )
+    assert validate_cup(c, a).ok
+    return c, a
+
+
+def test_induced_page_filtration_check_names_its_witness(monkeypatch):
+    c, a = _free_with_a_jump0_dipole()
+    _corrupt_class_images(monkeypatch, c, "r", 1 << c.index_of("p"))
+    with pytest.raises(EngineConsistencyError) as info:
+        induced_on_pages(c, a, 1)
+    message = str(info.value)
+    assert "class 'a'" in message and "page 1" in message
+    assert "slot 'q' hit 'p' below level 4" in message
+
+
+def test_induced_page_target_cell_check_names_its_witness(monkeypatch):
+    c, a = _free_with_a_jump0_dipole()
+    _corrupt_class_images(monkeypatch, c, "q", 1 << c.index_of("s"))
+    with pytest.raises(EngineConsistencyError) as info:
+        induced_on_pages(c, a, 1)
+    message = str(info.value)
+    assert "class 'a'" in message and "page 1" in message
+    assert "slot 'p' hit the live slot 's' outside the target cell (n=2, j=2)" in message
+
+
+def test_induced_page_commutation_check_names_its_witness(monkeypatch):
+    one = CupClass("1", 0, (("x", "x"), ("y", "y")))
+    c = complex_of(P4, [("x", 0), ("y", 5)], [("x", "y")], cups=(one,))
+    _corrupt_class_images(monkeypatch, c, "y", 1 << c.index_of("y"))
+    with pytest.raises(EngineConsistencyError) as info:
+        induced_on_pages(c, one, 1)
+    assert str(info.value) == (
+        "induced maps of class '1' do not commute with the page-1 differential "
+        "at (n=0, j=0): slot 'x' reaches 'y' on one side only"
+    )

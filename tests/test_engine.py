@@ -171,11 +171,12 @@ def test_pages_three_generator_example():
 
 
 def test_pages_rejects_out_of_range_page_index():
-    table = pages(THREE_GEN)
-    with pytest.raises(ValueError):
-        table.page(0)
-    with pytest.raises(ValueError):
-        table.page(table.max_page + 1)
+    for table in (pages(THREE_GEN), pages(THREE_GEN, upto=1), pages(THREE_GEN, upto=6)):
+        for k in (-1, 0, table.max_page + 1):
+            with pytest.raises(ValueError):
+                table.page(k)
+            assert table.dim(k, 4) == 0
+        assert table.dim(table.max_page, 4) == 1
 
 
 def test_pages_upto_controls_materialization():
@@ -382,3 +383,34 @@ def test_cells_respect_residue_of_level(seed, period):
     for (k, n, j), cell in pages(c).cells.items():
         assert n % period == j
         assert cell.dim == len(cell.slots) == len(cell.representatives) > 0
+
+
+def _table_digest(table) -> bytes:
+    """Every cell's (key, dim, slots, representatives) and every differential's
+    (key, n_rows, n_cols, rows), in the table's own order."""
+    out = hashlib.sha256()
+    for key, cell in table.cells.items():
+        out.update(repr((key, cell.dim, cell.slots, cell.representatives)).encode())
+    for key, mat in table.differentials.items():
+        out.update(repr((key, mat.n_rows, mat.n_cols, mat.rows)).encode())
+    return out.digest()
+
+
+# sha256 over ``_table_digest`` of the tables below, recorded when every
+# cell and differential was built eagerly with the table; the tables built on
+# demand from the barcode must give the same mappings bit for bit.
+PAGE_TABLES_SHA256 = (
+    "1bc545e5ce490ce648af0f27d2c98cba5b557caa5ce3b7b58c4a220412964e7a"
+)
+
+
+def test_cells_and_differentials_are_pinned(scrambled):
+    digest = hashlib.sha256()
+    for seed in range(40):
+        params = MonotoneParams((3, 4, 6)[seed % 3], 0.5)
+        c, _ = random_complex(seed, params, max_gens=40, max_jump=3)
+        digest.update(_table_digest(pages(c)))
+        digest.update(_table_digest(pages(c, upto=2)))
+    for n, period, seed in ((120, 3, 1), (250, 4, 2), (400, 6, 3)):
+        digest.update(_table_digest(pages(scrambled(n, period, seed))))
+    assert digest.hexdigest() == PAGE_TABLES_SHA256, digest.hexdigest()

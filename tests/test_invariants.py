@@ -21,6 +21,7 @@ from fcx.invariants import (
 )
 from fcx.model import (
     DifferentialEntry,
+    EngineConsistencyError,
     FcxError,
     FloerComplexData,
     LiftedGenerator,
@@ -107,9 +108,11 @@ def test_poincare_polynomials_of_small_complexes():
 
 
 def test_poincare_rejects_unmaterialized_page():
-    table = pages(DIPOLE)
-    with pytest.raises(FcxError):
-        poincare_laurent(table, table.max_page + 1)
+    for table in (pages(DIPOLE), pages(DIPOLE, upto=1), pages(DIPOLE, upto=6)):
+        for k in (-1, 0, table.max_page + 1):
+            with pytest.raises(FcxError):
+                poincare_laurent(table, k)
+        assert poincare_laurent(table, table.max_page).is_zero == (table.max_page > 1)
 
 
 def test_euler_numbers_of_small_complexes():
@@ -157,6 +160,30 @@ def test_q_decomposition_two_jump_levels():
     assert report.qbars[0].as_dict() == {5: 1}
     assert report.qbars[1].as_dict() == {10: 1}
     assert report.hf_poly.is_zero
+
+
+@pytest.mark.parametrize("bad_page, page_poly, decomposition", [
+    (1, "0:1 1:1 5:1 10:1 99:1", "0:1 1:1 5:1 10:1"),
+    (2, "1:1 10:1 99:1", "1:1 10:1"),
+])
+def test_q_decomposition_checks_the_identity_on_every_page(
+    monkeypatch, bad_page, page_poly, decomposition
+):
+    import fcx.invariants
+
+    c = build_from_normal_form(NormalFormSpec(P4_ALG, dipoles=((0, 1), (1, 2))))
+
+    def corrupted(table, k):
+        poly = poincare_laurent(table, k)
+        return poly.add(LaurentPoly.monomial(99)) if k == bad_page else poly
+
+    monkeypatch.setattr(fcx.invariants, "poincare_laurent", corrupted)
+    with pytest.raises(EngineConsistencyError) as info:
+        q_decomposition(c)
+    assert str(info.value) == (
+        f"rank decomposition identity failed at page {bad_page}: page polynomial "
+        f"{page_poly} != decomposition {decomposition}"
+    )
 
 
 def test_q_decomposition_grades_limit_by_filtration_level():
