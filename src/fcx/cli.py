@@ -2,10 +2,17 @@
 
 Subcommands: validate, cohomology, pages, poincare, euler, decompose,
 rebase, collapse-bound, betti, kunneth, power, cup, ring, cuplength, gen,
-report.  Every command reads FCX documents (see .io) and writes either a
-human-readable or a TSV rendering (``--format human|tsv``); output is
-deterministic and line-sorted, so two runs on the same input are
-byte-identical.
+report.  Every command reads FCX documents (see .io).  ``gen`` and
+``rebase`` write FCX documents; every other command writes a human-readable
+or a TSV rendering (``--format human|tsv``).  Output is deterministic and
+line-sorted, so two runs on the same input are byte-identical.
+
+A renderer computes a command's answer as format-free rows, each a tag
+followed by its fields (polynomials stay ``LaurentPoly`` objects), plus an ok
+flag; it never sees the format.  ``_lines`` is the one formatter: a TSV line
+is the tag and its fields joined by tabs, a human line comes from the
+``_HUMAN`` table keyed by tag (``tag field ...`` for a tag not listed there).
+One handler loads the documents, calls the command's renderer and prints.
 
 Exit codes: 0 success, 1 validation or check failure, 2 parse or usage
 error (including size-guard refusals).  The optional ``FCX_SEED``
@@ -18,6 +25,8 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from .cup import (
     cuplength_report,
@@ -26,7 +35,7 @@ from .cup import (
     module_check,
     validate_cup,
 )
-from .engine import collapse_page, pages
+from .engine import PageTable, collapse_page, pages
 from .invariants import (
     betti_compare,
     collapse_bound_from_energy,
@@ -41,7 +50,6 @@ from .kunneth import kunneth_check, power_poincare_check
 from .model import (
     FcxError,
     FloerComplexData,
-    InvalidComplexError,
     MonotoneParams,
     SizeGuardError,
     periodic_cohomology,
@@ -71,249 +79,286 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Section renderers: each returns (lines, ok).  ``report`` composes them.
+# Rows and the formatter
 # ---------------------------------------------------------------------------
 
 
-def _render_validate(c: FloerComplexData, fmt: str) -> tuple[list[str], bool]:
+@dataclass(frozen=True)
+class _Tag:
+    """A tag printed as ``text`` in TSV whose human line is ``_HUMAN[kind]``
+    of ``extra`` and the row's fields: for a row kind that shares its TSV tag
+    with another kind, or whose human line shows more than its fields."""
+
+    text: str
+    kind: str
+    extra: tuple[object, ...] = ()
+
+    def __str__(self) -> str:
+        return self.text
+
+
+_EULER_WARNING = _Tag("warning", "euler-warning")
+_POWER_POLY = _Tag("poly", "power-poly")
+
+# Human lines by tag; any other tag reads "tag field ...".  A row whose tag is
+# empty is a note shown only in human output.
+_HUMAN: dict[str, Callable[..., str]] = {
+    "": str,
+    "status": str,
+    "error": "error: {}".format,
+    "warning": "warning: {}".format,
+    "euler-warning": "# warning: {}".format,
+    "infeasible": "# infeasible: {}".format,
+    "mismatch": "mismatch: {}".format,
+    "fail": "fail: {}".format,
+    "cohomology": "I^{} {}".format,
+    "hf": "HF^{} {}".format,
+    "page": "E^{} (n={}, j={}) dim {}".format,
+    "chi": lambda k, chi: f"chi {chi}",
+    "poly": lambda k, p: f"P(E^{k}) = {p.display()}",
+    "power-poly": lambda k, p: f"P(E^{k} of power) = {p.display()}",
+    "factor-power": lambda s, k, p: f"P(E^{k} of factor)^{s} = {p.display()}",
+    "qbar": lambda i, q: f"Qbar_{i} = {q.display()}",
+    "hfpoly": lambda p: f"P(HF) = {p.display()}",
+    "cupmap": lambda name, n, m, rank: (
+        f"class {name} degree {m - n}: I^{n} -> I^{m} rank {rank}"
+    ),
+}
+
+
+def _human(row: tuple) -> str:
+    tag, *fields = row
+    if isinstance(tag, _Tag):
+        tag, fields = tag.kind, [*tag.extra, *fields]
+    line = _HUMAN.get(tag)
+    return " ".join(map(str, row)) if line is None else line(*fields)
+
+
+# The TSV line of a row of n elements: "%s\t...%s\n", one "%s" per element.
+_TSV_LINES = tuple("\t".join(["%s"] * n) + "\n" for n in range(8))
+
+
+def _lines(rows: list[tuple], fmt: str) -> str:
+    """The text of ``rows`` in ``fmt``: a TSV line is the tag and its fields
+    joined by tabs (a polynomial prints as its ``serialize`` form)."""
+    if fmt == "tsv":
+        return "".join([_TSV_LINES[len(row)] % row for row in rows if row[0]])
+    return "".join([_human(row) + "\n" for row in rows])
+
+
+# ---------------------------------------------------------------------------
+# Renderers: each returns (rows, ok).  ``report`` composes them.
+# ---------------------------------------------------------------------------
+
+
+def _render_validate(c: FloerComplexData) -> tuple[list[tuple], bool]:
     report = validate(c)
-    lines: list[str] = []
     ok = report.ok
-    for e in report.errors:
-        lines.append(f"error\t{e}" if fmt == "tsv" else f"error: {e}")
-    for w in report.warnings:
-        lines.append(f"warning\t{w}" if fmt == "tsv" else f"warning: {w}")
+    rows = [("error", e) for e in report.errors]
+    rows += [("warning", w) for w in report.warnings]
     if report.ok:
         for cls in sorted(c.cup_classes, key=lambda cls: cls.name):
             cup_report = validate_cup(c, cls)
-            for e in cup_report.errors:
-                lines.append(f"error\t{e}" if fmt == "tsv" else f"error: {e}")
+            rows += [("error", e) for e in cup_report.errors]
             ok = ok and cup_report.ok
-    lines.append(
-        ("status\tok" if ok else "status\tinvalid")
-        if fmt == "tsv"
-        else ("ok" if ok else "invalid")
-    )
-    return lines, ok
+    rows.append(("status", "ok" if ok else "invalid"))
+    return rows, ok
 
 
-def _render_cohomology(c: FloerComplexData, fmt: str) -> tuple[list[str], bool]:
-    z = z_graded_cohomology(c)
-    hf = periodic_cohomology(c)
-    lines = []
-    for n, d in sorted(z.dims):
-        lines.append(f"cohomology\t{n}\t{d}" if fmt == "tsv" else f"I^{n} {d}")
-    for j, d in sorted(hf.dims):
-        lines.append(f"hf\t{j}\t{d}" if fmt == "tsv" else f"HF^{j} {d}")
-    return lines, True
+def _render_cohomology(c: FloerComplexData) -> tuple[list[tuple], bool]:
+    rows = [("cohomology", n, d) for n, d in sorted(z_graded_cohomology(c).dims)]
+    rows += [("hf", j, d) for j, d in sorted(periodic_cohomology(c).dims)]
+    return rows, True
 
 
-def _render_pages(
-    c: FloerComplexData, fmt: str, upto: int | None
-) -> tuple[list[str], bool]:
-    table = pages(c, upto=upto)
-    lines = []
-    for k in range(1, table.max_page + 1):
-        for (n, j), dim in sorted(table.page(k).items()):
-            lines.append(
-                f"page\t{k}\t{n}\t{j}\t{dim}"
-                if fmt == "tsv"
-                else f"E^{k} (n={n}, j={j}) dim {dim}"
-            )
-    lines.append(
-        f"collapse\t{table.collapse_page}"
-        if fmt == "tsv"
-        else f"collapse {table.collapse_page}"
-    )
-    return lines, True
+def _render_pages(table: PageTable) -> tuple[list[tuple], bool]:
+    rows = [
+        ("page", k, n, j, dim)
+        for k in range(1, table.max_page + 1)
+        for (n, j), dim in sorted(table.page(k).items())
+    ]
+    rows.append(("collapse", table.collapse_page))
+    return rows, True
 
 
-def _render_poincare(
-    c: FloerComplexData, fmt: str, upto: int | None
-) -> tuple[list[str], bool]:
-    table = pages(c, upto=upto)
-    lines = []
-    for k in range(1, table.max_page + 1):
-        poly = poincare_laurent(table, k)
-        lines.append(
-            f"poly\t{k}\t{poly.serialize()}"
-            if fmt == "tsv"
-            else f"P(E^{k}) = {poly.display()}"
-        )
-    return lines, True
+def _render_poincare(table: PageTable) -> tuple[list[tuple], bool]:
+    rows = [("poly", k, poincare_laurent(table, k)) for k in range(1, table.max_page + 1)]
+    return rows, True
 
 
-def _render_euler(
-    c: FloerComplexData, fmt: str, upto: int | None
-) -> tuple[list[str], bool]:
-    table = pages(c, upto=upto)
-    lines = []
-    warnings: list[str] = []
+def _render_euler(table: PageTable) -> tuple[list[tuple], bool]:
+    rows: list[tuple] = []
+    warnings: dict[str, None] = {}  # first-seen order, no repeats
     for k in range(1, table.max_page + 1):
         report = euler_number(table, k)
-        lines.append(f"chi\t{k}\t{report.chi}" if fmt == "tsv" else f"chi {report.chi}")
-        for w in report.warnings:
-            if w not in warnings:
-                warnings.append(w)
-    for w in warnings:
-        lines.append(f"warning\t{w}" if fmt == "tsv" else f"# warning: {w}")
-    return lines, True
+        rows.append(("chi", k, report.chi))
+        warnings.update(dict.fromkeys(report.warnings))
+    rows += [(_EULER_WARNING, w) for w in warnings]
+    return rows, True
 
 
-def _render_decompose(c: FloerComplexData, fmt: str) -> tuple[list[str], bool]:
+def _render_decompose(c: FloerComplexData) -> tuple[list[tuple], bool]:
     report = q_decomposition(c)
-    lines = [f"kmax\t{report.k_max}" if fmt == "tsv" else f"kmax {report.k_max}"]
-    for i, q in enumerate(report.qbars, start=1):
-        lines.append(
-            f"qbar\t{i}\t{q.serialize()}" if fmt == "tsv" else f"Qbar_{i} = {q.display()}"
-        )
-    lines.append(
-        f"hfpoly\t{report.hf_poly.serialize()}"
-        if fmt == "tsv"
-        else f"P(HF) = {report.hf_poly.display()}"
-    )
-    return lines, True
+    rows: list[tuple] = [("kmax", report.k_max)]
+    rows += [("qbar", i, q) for i, q in enumerate(report.qbars, start=1)]
+    rows.append(("hfpoly", report.hf_poly))
+    return rows, True
 
 
 def _render_collapse_bound(
-    c: FloerComplexData, fmt: str, energy: float | None
-) -> tuple[list[str], bool]:
-    k_collapse = collapse_page(c)
-    bound_jumps = collapse_bound_from_jumps(c)
-    lines = [
-        f"collapse\t{k_collapse}" if fmt == "tsv" else f"collapse {k_collapse}",
-        f"bound-jumps\t{bound_jumps}" if fmt == "tsv" else f"bound-jumps {bound_jumps}",
+    c: FloerComplexData, energy: float | None
+) -> tuple[list[tuple], bool]:
+    rows: list[tuple] = [
+        ("collapse", collapse_page(c)),
+        ("bound-jumps", collapse_bound_from_jumps(c)),
     ]
     if energy is not None:
         report = collapse_bound_from_energy(c, energy)
-        lines.append(
-            f"bound-energy\t{report.bound}"
-            if fmt == "tsv"
-            else f"bound-energy {report.bound}"
-        )
-        for msg in report.infeasible_entries:
-            lines.append(f"infeasible\t{msg}" if fmt == "tsv" else f"# infeasible: {msg}")
-    return lines, True
+        rows.append(("bound-energy", report.bound))
+        rows += [("infeasible", msg) for msg in report.infeasible_entries]
+    return rows, True
 
 
 def _render_betti(
-    c: FloerComplexData, fmt: str, betti: tuple[int, ...], m: int | None
-) -> tuple[list[str], bool]:
+    c: FloerComplexData, betti: tuple[int, ...], m: int | None
+) -> tuple[list[tuple], bool]:
     if m is None:
         m = c.params.half_dim
     if m is None:
         raise FcxError("supply --m or an 'm' header line for the Betti comparison")
     report = betti_compare(c, betti, m)
-    ok = report.matches and report.floer_bound_holds
-    lines = []
-    for msg in report.mismatches:
-        lines.append(f"mismatch\t{msg}" if fmt == "tsv" else f"mismatch: {msg}")
-    rows = [
+    rows = [("mismatch", msg) for msg in report.mismatches]
+    rows += [
         ("match", "yes" if report.matches else "no"),
         ("floer-bound", "holds" if report.floer_bound_holds else "fails"),
-        ("generators", str(report.generator_count)),
-        ("betti-sum", str(report.betti_sum)),
+        ("generators", report.generator_count),
+        ("betti-sum", report.betti_sum),
     ]
-    for key, value in rows:
-        lines.append(f"{key}\t{value}" if fmt == "tsv" else f"{key} {value}")
-    return lines, ok
+    return rows, report.matches and report.floer_bound_holds
 
 
-def _render_cup(c: FloerComplexData, fmt: str) -> tuple[list[str], bool]:
+def _render_cup(c: FloerComplexData) -> tuple[list[tuple], bool]:
     if not c.cup_classes:
-        return (["no cup classes"] if fmt == "human" else [], True)
-    lines = []
+        return [("", "no cup classes")], True
+    rows: list[tuple] = []
     ok = True
     for cls in sorted(c.cup_classes, key=lambda cls: cls.name):
         report = validate_cup(c, cls)
         if not report.ok:
             ok = False
-            for e in report.errors:
-                lines.append(f"error\t{e}" if fmt == "tsv" else f"error: {e}")
+            rows += [("error", e) for e in report.errors]
             continue
-        action = induced_on_cohomology(c, cls)
-        for n, block in action.blocks:
-            lines.append(
-                f"cupmap\t{cls.name}\t{n}\t{n + cls.degree}\t{block.rank()}"
-                if fmt == "tsv"
-                else (
-                    f"class {cls.name} degree {cls.degree}: "
-                    f"I^{n} -> I^{n + cls.degree} rank {block.rank()}"
-                )
-            )
-    return lines, ok
+        for n, block in induced_on_cohomology(c, cls).blocks:
+            rows.append(("cupmap", cls.name, n, n + cls.degree, block.rank()))
+    return rows, ok
 
 
-def _render_ring(c: FloerComplexData, fmt: str) -> tuple[list[str], bool]:
+def _render_ring(c: FloerComplexData) -> tuple[list[tuple], bool]:
     if c.ring is None:
         raise FcxError("document carries no ring table ('ring' lines)")
     module = module_check(c, c.ring)
     inject = injectivity_check(c, c.ring)
-    ok = module.passed and inject.injective
-    lines = [
-        f"unit\t{module.unit}" if fmt == "tsv" else f"unit {module.unit}",
-        f"pairs\t{module.checked_pairs}" if fmt == "tsv" else f"pairs {module.checked_pairs}",
-    ]
-    for msg in module.failures:
-        lines.append(f"fail\t{msg}" if fmt == "tsv" else f"fail: {msg}")
-    lines.append(
-        f"module\t{'pass' if module.passed else 'fail'}"
-        if fmt == "tsv"
-        else f"module {'pass' if module.passed else 'fail'}"
-    )
-    lines.append(
-        f"injective\t{'yes' if inject.injective else 'no'}"
-        if fmt == "tsv"
-        else f"injective {'yes' if inject.injective else 'no'}"
-    )
-    for combo in inject.kernel_combinations:
-        joined = "+".join(combo)
-        lines.append(f"kernel\t{joined}" if fmt == "tsv" else f"kernel {joined}")
-    return lines, ok
+    rows: list[tuple] = [("unit", module.unit), ("pairs", module.checked_pairs)]
+    rows += [("fail", msg) for msg in module.failures]
+    rows.append(("module", "pass" if module.passed else "fail"))
+    rows.append(("injective", "yes" if inject.injective else "no"))
+    rows += [("kernel", "+".join(combo)) for combo in inject.kernel_combinations]
+    return rows, module.passed and inject.injective
 
 
-def _render_cuplength(c: FloerComplexData, fmt: str) -> tuple[list[str], bool]:
+def _render_cuplength(c: FloerComplexData) -> tuple[list[tuple], bool]:
     if c.ring is None:
         raise FcxError("document carries no ring table ('ring' lines)")
     report = cuplength_report(c, c.ring)
-    witness = " ".join(report.witness) if report.witness else "-"
-    rows = [
-        ("cuplength", str(report.cuplength)),
-        ("witness", witness),
-        ("generators", str(report.generator_count)),
+    return [
+        ("cuplength", report.cuplength),
+        ("witness", " ".join(report.witness) if report.witness else "-"),
+        ("generators", report.generator_count),
         ("bound", "holds" if report.generator_bound_holds else "fails"),
+    ], True
+
+
+def _render_kunneth(
+    a: FloerComplexData, b: FloerComplexData, upto: int | None
+) -> tuple[list[tuple], bool]:
+    report = kunneth_check(a, b, upto=upto)
+    table = pages(report.product.complex, upto=upto)
+    rows = _render_pages(table)[0] + _render_poincare(table)[0]
+    rows.append(("kunneth", "pass" if report.passed else "fail"))
+    rows += [("fail", msg) for msg in report.failures]
+    return rows, report.passed
+
+
+def _render_power(
+    a: FloerComplexData, s: int, max_page: int | None
+) -> tuple[list[tuple], bool]:
+    report = power_poincare_check(a, s, max_page if max_page is not None else 1)
+    return [
+        (_POWER_POLY, report.k, report.product_poly),
+        (_Tag("expected", "factor-power", (report.s,)), report.k, report.factor_poly_power),
+        ("power", "pass" if report.passed else "fail"),
+    ], report.passed
+
+
+def _render_report(c: FloerComplexData, upto: int | None) -> tuple[list[tuple], bool]:
+    rows, ok = _render_validate(c)
+    rows.insert(0, ("# validate",))
+    if not ok:
+        return rows, False
+    table = pages(c, upto=upto)
+    sections = [
+        ("cohomology", _render_cohomology(c)),
+        ("pages", _render_pages(table)),
+        ("poincare", _render_poincare(table)),
+        ("euler", _render_euler(table)),
+        ("decompose", _render_decompose(c)),
+        ("collapse-bound", _render_collapse_bound(c, None)),
     ]
-    lines = [f"{k}\t{v}" if fmt == "tsv" else f"{k} {v}" for k, v in rows]
-    return lines, True
+    if c.cup_classes:
+        sections.append(("cup", _render_cup(c)))
+    if c.ring is not None:
+        sections.append(("ring", _render_ring(c)))
+        sections.append(("cuplength", _render_cuplength(c)))
+    for name, (section, section_ok) in sections:
+        rows.append((f"# {name}",))
+        rows += section
+        ok = ok and section_ok
+    return rows, ok
 
 
 # ---------------------------------------------------------------------------
 # Command handlers
 # ---------------------------------------------------------------------------
 
+# Each rendering command's renderer, called with the parsed arguments and the
+# loaded documents.  Names such as ``pages`` are looked up when the command
+# runs, so a wrapper installed on ``fcx.cli`` sees every call.
+_RENDERERS: dict[str, Callable[..., tuple[list[tuple], bool]]] = {
+    "validate": lambda args, c: _render_validate(c),
+    "cohomology": lambda args, c: _render_cohomology(c),
+    "pages": lambda args, c: _render_pages(pages(c, upto=args.max_page)),
+    "poincare": lambda args, c: _render_poincare(pages(c, upto=args.max_page)),
+    "euler": lambda args, c: _render_euler(pages(c, upto=args.max_page)),
+    "decompose": lambda args, c: _render_decompose(c),
+    "collapse-bound": lambda args, c: _render_collapse_bound(c, args.energy),
+    "betti": lambda args, c: _render_betti(c, args.betti, args.m),
+    "cup": lambda args, c: _render_cup(c),
+    "ring": lambda args, c: _render_ring(c),
+    "cuplength": lambda args, c: _render_cuplength(c),
+    "kunneth": lambda args, a, b: _render_kunneth(a, b, args.max_page),
+    "power": lambda args, c: _render_power(c, args.s, args.max_page),
+    "report": lambda args, c: _render_report(c, args.max_page),
+}
 
-def _print(lines: list[str]) -> None:
-    for line in lines:
-        sys.stdout.write(line + "\n")
 
-
-def _cmd_simple(args: argparse.Namespace) -> int:
-    c = _load(args.file, args.allow_small_sigma)
-    renderers = {
-        "validate": lambda: _render_validate(c, args.format),
-        "cohomology": lambda: _render_cohomology(c, args.format),
-        "pages": lambda: _render_pages(c, args.format, args.max_page),
-        "poincare": lambda: _render_poincare(c, args.format, args.max_page),
-        "euler": lambda: _render_euler(c, args.format, args.max_page),
-        "decompose": lambda: _render_decompose(c, args.format),
-        "collapse-bound": lambda: _render_collapse_bound(c, args.format, args.energy),
-        "betti": lambda: _render_betti(c, args.format, args.betti, args.m),
-        "cup": lambda: _render_cup(c, args.format),
-        "ring": lambda: _render_ring(c, args.format),
-        "cuplength": lambda: _render_cuplength(c, args.format),
-    }
-    lines, ok = renderers[args.command]()
-    _print(lines)
+def _cmd_render(args: argparse.Namespace) -> int:
+    docs = [
+        _load(getattr(args, name), args.allow_small_sigma)
+        for name in ("file", "file_a", "file_b")
+        if name in args
+    ]
+    rows, ok = _RENDERERS[args.command](args, *docs)
+    sys.stdout.write(_lines(rows, args.format))
     return 0 if ok else 1
 
 
@@ -325,44 +370,6 @@ def _cmd_rebase(args: argparse.Namespace) -> int:
     moved = rebase(c, r_new)
     _emit(serialize(moved), args.output)
     return 0
-
-
-def _cmd_kunneth(args: argparse.Namespace) -> int:
-    a = _load(args.file_a, args.allow_small_sigma)
-    b = _load(args.file_b, args.allow_small_sigma)
-    report = kunneth_check(a, b, upto=args.max_page)
-    fmt = args.format
-    lines, _ = _render_pages(report.product.complex, fmt, args.max_page)
-    poly_lines, _ = _render_poincare(report.product.complex, fmt, args.max_page)
-    lines.extend(poly_lines)
-    verdict = "pass" if report.passed else "fail"
-    lines.append(f"kunneth\t{verdict}" if fmt == "tsv" else f"kunneth {verdict}")
-    for msg in report.failures:
-        lines.append(f"fail\t{msg}" if fmt == "tsv" else f"fail: {msg}")
-    _print(lines)
-    return 0 if report.passed else 1
-
-
-def _cmd_power(args: argparse.Namespace) -> int:
-    a = _load(args.file, args.allow_small_sigma)
-    k = args.max_page if args.max_page is not None else 1
-    report = power_poincare_check(a, args.s, k)
-    fmt = args.format
-    verdict = "pass" if report.passed else "fail"
-    if fmt == "tsv":
-        lines = [
-            f"poly\t{report.k}\t{report.product_poly.serialize()}",
-            f"expected\t{report.k}\t{report.factor_poly_power.serialize()}",
-            f"power\t{verdict}",
-        ]
-    else:
-        lines = [
-            f"P(E^{report.k} of power) = {report.product_poly.display()}",
-            f"P(E^{report.k} of factor)^{report.s} = {report.factor_poly_power.display()}",
-            f"power {verdict}",
-        ]
-    _print(lines)
-    return 0 if report.passed else 1
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -391,37 +398,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    c = _load(args.file, args.allow_small_sigma)
-    fmt = args.format
-    out: list[str] = ["# validate"]
-    v_lines, v_ok = _render_validate(c, fmt)
-    out.extend(v_lines)
-    if not v_ok:
-        _print(out)
-        return 1
-    ok = True
-    sections: list[tuple[str, tuple[list[str], bool]]] = [
-        ("cohomology", _render_cohomology(c, fmt)),
-        ("pages", _render_pages(c, fmt, args.max_page)),
-        ("poincare", _render_poincare(c, fmt, args.max_page)),
-        ("euler", _render_euler(c, fmt, args.max_page)),
-        ("decompose", _render_decompose(c, fmt)),
-        ("collapse-bound", _render_collapse_bound(c, fmt, None)),
-    ]
-    if c.cup_classes:
-        sections.append(("cup", _render_cup(c, fmt)))
-    if c.ring is not None:
-        sections.append(("ring", _render_ring(c, fmt)))
-        sections.append(("cuplength", _render_cuplength(c, fmt)))
-    for name, (lines, section_ok) in sections:
-        out.append(f"# {name}")
-        out.extend(lines)
-        ok = ok and section_ok
-    _print(out)
-    return 0 if ok else 1
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -429,11 +405,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 @functools.cache  # one parser per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument(
         "--format", choices=("human", "tsv"), default="human", help="output format"
     )
-    common.add_argument(
+    sigma = argparse.ArgumentParser(add_help=False)
+    sigma.add_argument(
         "--allow-small-sigma",
         action="store_true",
         help="admit period 1 or 2 (drawing a validation warning)",
@@ -445,8 +422,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **kwargs: object) -> argparse.ArgumentParser:
-        return sub.add_parser(name, parents=[common], **kwargs)  # type: ignore[arg-type]
+    def add(name: str, writes_fcx: bool = False) -> argparse.ArgumentParser:
+        # gen and rebase write FCX documents, so they take no --format
+        return sub.add_parser(name, parents=[sigma] if writes_fcx else [formats, sigma])
 
     for name in ("validate", "cohomology", "decompose", "cup", "ring", "cuplength"):
         p = add(name)
@@ -457,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file")
         p.add_argument("--max-page", type=int, default=None, help="materialize pages up to K")
 
-    p = add("rebase")
+    p = add("rebase", writes_fcx=True)
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--delta-r", type=float, help="shift the window base by this amount")
@@ -488,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True, type=int, help="tensor power exponent (2..4)")
     p.add_argument("--max-page", type=int, default=None, help="page to check (default 1)")
 
-    p = add("gen")
+    p = add("gen", writes_fcx=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--gens", type=int, default=12, help="maximum generator count")
     p.add_argument("--max-jump", type=int, default=2)
@@ -511,30 +489,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    handler = {"gen": _cmd_gen, "rebase": _cmd_rebase}.get(args.command, _cmd_render)
     try:
-        if args.command == "rebase":
-            return _cmd_rebase(args)
-        if args.command == "kunneth":
-            return _cmd_kunneth(args)
-        if args.command == "power":
-            return _cmd_power(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        return _cmd_simple(args)
-    except FcxParseError as exc:
-        print(f"fcx: {exc}", file=sys.stderr)
-        return 2
-    except SizeGuardError as exc:
-        print(f"fcx: {exc}", file=sys.stderr)
-        return 2
-    except InvalidComplexError as exc:
-        print(f"fcx: {exc}", file=sys.stderr)
-        return 1
+        return handler(args)
     except FcxError as exc:
         print(f"fcx: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (FcxParseError, SizeGuardError)) else 1
 
 
 def entrypoint() -> None:

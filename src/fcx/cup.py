@@ -401,7 +401,7 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
 
 def _check_page_commutation(table: PageTable, induced: InducedPageMaps, k: int) -> None:
     """Defensive exactness check: induced maps commute with the page differential."""
-    period = table.complex.params.maslov_period
+    period = table.params.maslov_period
     p = induced.degree
     m = induced.as_dict()
     for (kk, n, j), d in table.differentials.items():
@@ -422,7 +422,7 @@ def _check_page_commutation(table: PageTable, induced: InducedPageMaps, k: int) 
             row, diff = next(
                 (r, x ^ y) for r, (x, y) in enumerate(zip(lhs.rows, rhs.rows)) if x != y
             )
-            gens = table.complex.generators
+            gens = table.form.generators
             src = table.cells[(k, n, j)].slots[(diff & -diff).bit_length() - 1]
             hit = table.cells[(k, dn + p, (dj + p) % period)].slots[row]
             raise EngineConsistencyError(

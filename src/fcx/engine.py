@@ -54,6 +54,8 @@ from .gf2 import (
 from .model import (
     EngineConsistencyError,
     FloerComplexData,
+    LiftedGenerator,
+    MonotoneParams,
     _local_matrix,
     expand_local,
     periodic_cohomology,
@@ -105,10 +107,12 @@ class CanonicalForm:
     ``change_of_basis`` holds one ambient bitset column per generator index
     (the canonical basis vector for that slot); ``inverse`` its inverse.
     Conjugating the differential by the change of basis gives exactly the
-    dipole arrows and nothing else.
+    dipole arrows and nothing else.  It keeps the complex's generators and
+    params, not the complex, whose memo holds the form.
     """
 
-    complex: FloerComplexData
+    generators: tuple[LiftedGenerator, ...]
+    params: MonotoneParams
     dipoles: tuple[tuple[int, int], ...]
     free: tuple[int, ...]
     change_of_basis: tuple[int, ...]
@@ -116,18 +120,18 @@ class CanonicalForm:
 
     def jump_of(self, pair: tuple[int, int]) -> int:
         src, dst = pair
-        gens = self.complex.generators
-        return (gens[dst].degree - gens[src].degree - 1) // self.complex.params.maslov_period
+        gens = self.generators
+        return (gens[dst].degree - gens[src].degree - 1) // self.params.maslov_period
 
     def dipole_uids(self) -> tuple[tuple[str, str, int], ...]:
         """Dipoles as (source_id, target_id, jump_index), in canonical order."""
-        gens = self.complex.generators
+        gens = self.generators
         return tuple(
             (gens[s].uid, gens[t].uid, self.jump_of((s, t))) for s, t in self.dipoles
         )
 
     def free_uids(self) -> tuple[str, ...]:
-        return tuple(self.complex.generators[i].uid for i in self.free)
+        return tuple(self.generators[i].uid for i in self.free)
 
     def to_canonical(self, v: int) -> int:
         """Coordinates of an ambient vector in the canonical slot basis."""
@@ -136,7 +140,7 @@ class CanonicalForm:
     @cached_property
     def barcode(self) -> Barcode:
         """The dipoles and free generators by level, computed once per form."""
-        gens = self.complex.generators
+        gens = self.generators
         return Barcode(
             tuple(
                 (gens[s].degree, gens[t].degree, self.jump_of((s, t)))
@@ -173,10 +177,11 @@ class PageTable:
     *source* cell key (k, n, j) to the page-k differential matrix into the
     cell at (k, n + k*period + 1, (j + 1) % period) -- rows indexed by the
     target cell's slots, columns by the source cell's slots; only nonzero
-    matrices are stored.  Other derived data is memoized by ``cached``.
+    matrices are stored.  Other derived data is memoized by ``cached``.  The
+    table keeps the complex's params, not the complex, whose memo holds it.
     """
 
-    complex: FloerComplexData
+    params: MonotoneParams
     form: CanonicalForm
     collapse_page: int
     max_page: int
@@ -189,7 +194,7 @@ class PageTable:
     )
 
     def __post_init__(self) -> None:
-        dims = _page_dims(self.barcode, self.max_page, self.complex.params.residue)
+        dims = _page_dims(self.barcode, self.max_page, self.params.residue)
         object.__setattr__(self, "_dims", dims)
 
     def cached(self, key: str, compute: Callable[["PageTable"], _T]) -> _T:
@@ -204,7 +209,7 @@ class PageTable:
     def dim(self, k: int, n: int) -> int:
         if not 1 <= k <= self.max_page:
             return 0
-        return self._dims[k - 1].get((n, self.complex.params.residue(n)), 0)
+        return self._dims[k - 1].get((n, self.params.residue(n)), 0)
 
     def page(self, k: int) -> dict[tuple[int, int], int]:
         """Nonzero dimensions of page k as {(level, residue): dim}."""
@@ -215,7 +220,7 @@ class PageTable:
         return dict(self._dims[k - 1])
 
     def differential(self, k: int, n: int) -> Gf2Matrix | None:
-        j = self.complex.params.residue(n)
+        j = self.params.residue(n)
         return self.differentials.get((k, n, j))
 
     @cached_property
@@ -224,7 +229,7 @@ class PageTable:
         every free slot there and both endpoints of every dipole of jump
         index >= k -- with their canonical basis vectors as representatives."""
         form = self.form
-        residue = self.complex.params.residue
+        residue = self.params.residue
         basis = form.change_of_basis
         cells: dict[tuple[int, int, int], PageCell] = {}
         for k in range(1, self.max_page + 1):
@@ -245,7 +250,7 @@ class PageTable:
     @cached_property
     def differentials(self) -> Mapping[tuple[int, int, int], Gf2Matrix]:
         """The page-k differential of each source cell: its dipoles of jump exactly k."""
-        params = self.complex.params
+        params = self.params
         cells = self.cells
         diffs: dict[tuple[int, int, int], Gf2Matrix] = {}
         for k in range(1, self.max_page + 1):
@@ -425,7 +430,7 @@ def _reduce(c: FloerComplexData) -> CanonicalForm:
                 "is not closed"
             )
 
-    return CanonicalForm(c, dipoles, free, tuple(basis), tuple(inverse))
+    return CanonicalForm(c.generators, c.params, dipoles, free, tuple(basis), tuple(inverse))
 
 
 def collapse_page(c: FloerComplexData) -> int:
@@ -452,7 +457,7 @@ def _pages(c: FloerComplexData, upto: int | None = None) -> PageTable:
     barcode = form.barcode
     collapse = barcode.collapse_page
     max_page = collapse + 1 if upto is None else max(1, upto)
-    return PageTable(c, form, collapse, max_page, barcode)
+    return PageTable(c.params, form, collapse, max_page, barcode)
 
 
 def _filtration_indices(c: FloerComplexData, n: int, j: int | None = None) -> list[int]:

@@ -110,6 +110,8 @@ class LaurentPoly:
         """Space-separated ``exponent:coefficient`` pairs, ascending; '' if zero."""
         return " ".join(f"{e}:{c}" for e, c in self.coeffs)
 
+    __str__ = serialize  # the TSV form
+
     def display(self) -> str:
         """Human form: '0' when zero, else e.g. 't^-2 + 2*t^0 + t^5'."""
         if self.is_zero:
@@ -211,7 +213,7 @@ def euler_number(table: PageTable, k: int) -> EulerReport:
     """
     chi = poincare_laurent(table, k).evaluate(-1)
     warnings: tuple[str, ...] = ()
-    if table.complex.params.maslov_period % 2 == 1:
+    if table.params.maslov_period % 2 == 1:
         warnings = (
             "period is odd: the Euler number may depend on the page and is "
             "not guaranteed to equal the alternating sum of limit dimensions",

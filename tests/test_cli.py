@@ -283,6 +283,28 @@ def test_power_size_guard_exits_two(run, write_doc):
     assert err.startswith("fcx:")
 
 
+def test_engine_consistency_error_exits_one(run, write_doc, monkeypatch):
+    import fcx.cli
+    from fcx.model import EngineConsistencyError
+
+    def broken(c, upto=None):
+        raise EngineConsistencyError("page table self-check failed")
+
+    monkeypatch.setattr(fcx.cli, "pages", broken)
+    code, out, err = run("pages", write_doc(DIPOLE_TEXT), "--format", "tsv")
+    assert (code, out, err) == (1, "", "fcx: page table self-check failed\n")
+
+
+def test_gen_and_rebase_take_no_format(run, write_doc):
+    """Both write FCX documents, so --format is a usage error there."""
+    code, out, err = run("gen", "--format", "tsv")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --format tsv" in err
+    code, out, _ = run("rebase", write_doc(ACT_TEXT), "--delta-r", "2.0", "--format", "tsv")
+    assert code == 2 and out == ""
+    assert run("gen", "--allow-small-sigma", "--sigma", "2")[0] == 0
+
+
 def test_gen_is_deterministic_and_valid(run):
     code, out1, _ = run("gen", "--seed", "42", "--gens", "14", "--max-jump", "3")
     assert code == 0
@@ -444,9 +466,9 @@ def test_report_and_pages_never_build_cells_or_differentials(run, write_doc, mon
         for argv in (("report",), ("pages",), ("pages", "--max-page", "6")):
             for fmt in ("tsv", "human"):
                 assert run(argv[0], path, *argv[1:], "--format", fmt)[0] == 0
-    # per document and format: the report's pages, poincare, euler and
-    # decompose sections, then the two pages runs
-    assert len(tables) == 2 * 2 * (4 + 2)
+    # per document and format: the report's one table in fcx.cli and the one
+    # q_decomposition reads, then the two pages runs
+    assert len(tables) == 2 * 2 * (2 + 2)
     for table in tables:
         assert "cells" not in vars(table) and "differentials" not in vars(table)
     table.differentials  # builds both on first read, then keeps them

@@ -108,6 +108,25 @@ def test_derived_data_is_memoized_on_the_instance_and_freed_with_it():
     assert ref() is None
 
 
+def test_complex_is_freed_on_del_without_the_cycle_collector():
+    """The memoized form and tables hold the generators and params, not the
+    complex, so plain reference counting frees it."""
+    from fcx.invariants import q_decomposition
+
+    c = random_complex(3, P4, max_gens=10, max_jump=2)[0]
+    gc.disable()
+    try:
+        pages(c).page(1)
+        pages(c, upto=2).differentials
+        canonical_form(c).dipole_uids()
+        q_decomposition(c)
+        ref = weakref.ref(c)
+        del c
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize(
     "failing_call, witness",
     [
