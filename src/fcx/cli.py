@@ -15,14 +15,16 @@ is the tag and its fields joined by tabs, a human line comes from the
 One handler loads the documents, calls the command's renderer and prints.
 
 Exit codes: 0 success, 1 validation or check failure, 2 parse or usage
-error (including size-guard refusals).  The optional ``FCX_SEED``
-environment variable sets the default seed of ``gen``.
+error (including size-guard refusals and ``gen`` arguments out of range).
+The optional ``FCX_SEED`` environment variable sets the default seed of
+``gen``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -59,6 +61,10 @@ from .model import (
 from .synth import PRNG_NAME, random_complex
 
 __all__ = ["main", "entrypoint"]
+
+
+class _UsageError(FcxError):
+    """An argument outside the range its command accepts (exit code 2)."""
 
 
 def _load(path: str, allow_small_sigma: bool) -> FloerComplexData:
@@ -373,6 +379,19 @@ def _cmd_rebase(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.gens < 1:
+        raise _UsageError(f"argument --gens: must be at least 1, got {args.gens}")
+    if args.max_jump < 0:
+        raise _UsageError(f"argument --max-jump: must be at least 0, got {args.max_jump}")
+    if args.sigma < (1 if args.allow_small_sigma else 3):
+        raise _UsageError(
+            f"argument --sigma: must be at least 3 (1 with --allow-small-sigma), "
+            f"got {args.sigma}"
+        )
+    if not 0 <= args.lam < math.inf:
+        raise _UsageError(
+            f"argument --lambda: must be a finite number >= 0, got {args.lam}"
+        )
     seed = args.seed
     if seed is None:  # read when the command runs: the parser is built once
         env_seed = os.environ.get("FCX_SEED")
@@ -494,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except FcxError as exc:
         print(f"fcx: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (FcxParseError, SizeGuardError)) else 1
+        return 2 if isinstance(exc, (FcxParseError, SizeGuardError, _UsageError)) else 1
 
 
 def entrypoint() -> None:

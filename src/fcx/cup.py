@@ -9,7 +9,9 @@ spectral page simultaneously.
 
 Ring verification happens on the degree-graded cohomology, where the module
 structure lives; the composite convention for a product a*b acting on x is
-"apply b first, then a".
+"apply b first, then a".  The induced action there runs no elimination of its
+own: each pushed representative is decoded by ``CohomologyTable.coordinates``
+against the echelon that ``z_graded_cohomology`` built once per complex.
 
 Per-class memo: for a class that is a member of ``c.cup_classes``, the
 validation report, the class columns, the induced cohomology action and the
@@ -35,7 +37,6 @@ from .model import (
     FcxError,
     FloerComplexData,
     ValidationReport,
-    jump0_columns,
     require_valid,
     z_graded_cohomology,
 )
@@ -270,36 +271,12 @@ def require_valid_cup(c: FloerComplexData, a: CupClass) -> None:
         )
 
 
-def _reduce_indexed(vectors: list[int], width: int) -> tuple[dict[int, int], list[int]]:
-    """``tagged_reduce`` with vector i tagged ``1 << i``."""
-    return tagged_reduce((v | 1 << (width + i) for i, v in enumerate(vectors)), width)
-
-
-def _solve_in_basis(vectors: list[int], width: int, w: int) -> int | None:
-    """Express w as a XOR of ``vectors``; returns the chooser bitmask or None."""
-    return _solve_reduced(_reduce_indexed(vectors, width)[0], width, w)
-
-
-def _solve_reduced(by_top: dict[int, int], width: int, w: int) -> int | None:
-    """``_solve_in_basis`` against the echelon rows ``_reduce_indexed`` returned."""
-    mask = (1 << width) - 1
-    acc = w & mask
-    chooser = 0
-    while acc:
-        top = acc.bit_length() - 1
-        row = by_top.get(top)
-        if row is None:
-            return None
-        acc ^= row & mask
-        chooser ^= row >> width
-    return chooser
-
-
 def induced_on_cohomology(c: FloerComplexData, a: CupClass) -> CohomologyAction:
     """Matrices of the induced action on the degree-graded cohomology.
 
-    The class of a representative x maps to the class of A x; chain-level
-    commutation makes this independent of the representative.
+    The class of a representative x maps to the class of A x, read off by
+    ``CohomologyTable.coordinates``; chain-level commutation makes this
+    independent of the representative.
     """
     require_valid_cup(c, a)
     return _derived(c, a, "cohomology", _induced_on_cohomology)
@@ -307,28 +284,21 @@ def induced_on_cohomology(c: FloerComplexData, a: CupClass) -> CohomologyAction:
 
 def _induced_on_cohomology(c: FloerComplexData, a: CupClass) -> CohomologyAction:
     table = z_graded_cohomology(c)
-    reps = {n: list(vs) for n, vs in table.representatives}
+    dims = table.as_dict()
     acols = _columns(c, a)
-
-    # Boundary parts: image of the degree-preserving differential per degree.
-    cols0 = jump0_columns(c)
-    groups = c.degree_groups()
     blocks: list[tuple[int, Gf2Matrix]] = []
-    for n, basis in sorted(reps.items()):
-        target = reps.get(n + a.degree, [])
-        boundary = [cols0[i] for i in groups.get(n + a.degree - 1, []) if cols0[i]]
-        by_top, _ = _reduce_indexed(target + boundary, c.count)
-        target_mask = (1 << len(target)) - 1
+    for n, basis in table.representatives:
+        target = n + a.degree
         entries: list[tuple[int, int]] = []
         for col_idx, r in enumerate(basis):
-            chooser = _solve_reduced(by_top, c.count, apply_columns(acols, r))
-            if chooser is None:
+            coords = table.coordinates(target, apply_columns(acols, r))
+            if coords is None:
                 raise EngineConsistencyError(
                     f"induced image of class '{a.name}' left the cohomology at "
-                    f"degree {n + a.degree}; this indicates a bug"
+                    f"degree {target}; this indicates a bug"
                 )
-            entries.extend((row_idx, col_idx) for row_idx in bits(chooser & target_mask))
-        blocks.append((n, Gf2Matrix.from_entries(len(target), len(basis), entries)))
+            entries.extend((row_idx, col_idx) for row_idx in bits(coords))
+        blocks.append((n, Gf2Matrix.from_entries(dims.get(target, 0), len(basis), entries)))
     return CohomologyAction(a.name, a.degree, tuple(blocks))
 
 
@@ -575,7 +545,10 @@ def injectivity_check(c: FloerComplexData, ring: RingTable) -> InjectivityReport
         _total_endomorphism(induced_on_cohomology(c, classes[name]), layout, total)
         for name in names
     ]
-    _, dependents = _reduce_indexed(vectors, total * total)
+    width = total * total
+    _, dependents = tagged_reduce(
+        (v | 1 << (width + i) for i, v in enumerate(vectors)), width
+    )
     kernel = sorted(
         tuple(names[i] for i in bits(tags)) for tags in dependents if tags
     )

@@ -123,16 +123,6 @@ class CanonicalForm:
         gens = self.generators
         return (gens[dst].degree - gens[src].degree - 1) // self.params.maslov_period
 
-    def dipole_uids(self) -> tuple[tuple[str, str, int], ...]:
-        """Dipoles as (source_id, target_id, jump_index), in canonical order."""
-        gens = self.generators
-        return tuple(
-            (gens[s].uid, gens[t].uid, self.jump_of((s, t))) for s, t in self.dipoles
-        )
-
-    def free_uids(self) -> tuple[str, ...]:
-        return tuple(self.generators[i].uid for i in self.free)
-
     def to_canonical(self, v: int) -> int:
         """Coordinates of an ambient vector in the canonical slot basis."""
         return apply_columns(self.inverse, v)
@@ -168,9 +158,11 @@ class PageCell:
 class PageTable:
     """Spectral pages 1..``max_page`` of a complex, read from its barcode.
 
-    Eager: the barcode and, per page, the nonzero dimensions by level,
-    counted from it.  ``page``, ``dim``, the page polynomials and
-    ``collapse_page`` (the first page equal to the limit) read only those.
+    Eager: the barcode and, per page through ``min(max_page,
+    collapse_page)``, the nonzero dimensions by level, counted from it.
+    ``page``, ``dim``, the page polynomials and ``collapse_page`` (the first
+    page equal to the limit) read only those; a later page is the stable
+    page, so its reads are served by the last one kept.
 
     Built from the barcode on first access, then kept: ``cells`` maps
     (page, level, residue) to a nonzero cell; ``differentials`` maps a
@@ -194,8 +186,8 @@ class PageTable:
     )
 
     def __post_init__(self) -> None:
-        dims = _page_dims(self.barcode, self.max_page, self.params.residue)
-        object.__setattr__(self, "_dims", dims)
+        kept = min(self.max_page, self.collapse_page)
+        object.__setattr__(self, "_dims", _page_dims(self.barcode, kept, self.params.residue))
 
     def cached(self, key: str, compute: Callable[["PageTable"], _T]) -> _T:
         """``compute(self)``, evaluated at most once per table under ``key``."""
@@ -209,7 +201,7 @@ class PageTable:
     def dim(self, k: int, n: int) -> int:
         if not 1 <= k <= self.max_page:
             return 0
-        return self._dims[k - 1].get((n, self.params.residue(n)), 0)
+        return self._dims[min(k, len(self._dims)) - 1].get((n, self.params.residue(n)), 0)
 
     def page(self, k: int) -> dict[tuple[int, int], int]:
         """Nonzero dimensions of page k as {(level, residue): dim}."""
@@ -217,11 +209,7 @@ class PageTable:
             raise ValueError(
                 f"page {k} is not materialized (pages 1..{self.max_page} are)"
             )
-        return dict(self._dims[k - 1])
-
-    def differential(self, k: int, n: int) -> Gf2Matrix | None:
-        j = self.params.residue(n)
-        return self.differentials.get((k, n, j))
+        return dict(self._dims[min(k, len(self._dims)) - 1])
 
     @cached_property
     def cells(self) -> Mapping[tuple[int, int, int], PageCell]:

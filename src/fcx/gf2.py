@@ -127,9 +127,6 @@ class Gf2Matrix:
     def zero(n_rows: int, n_cols: int) -> "Gf2Matrix":
         return Gf2Matrix(n_rows, n_cols, (0,) * n_rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def column(self, j: int) -> int:
         """Column ``j`` as a bitset over row indices."""
         out = 0

@@ -122,19 +122,6 @@ class LaurentPoly:
             parts.append(f"{head}t^{e}")
         return " + ".join(parts)
 
-    @staticmethod
-    def parse(text: str) -> "LaurentPoly":
-        """Inverse of serialize; blank input is the zero polynomial."""
-        d: dict[int, int] = {}
-        for tok in text.split():
-            e_str, _, c_str = tok.partition(":")
-            try:
-                e, c = int(e_str), int(c_str)
-            except ValueError as exc:
-                raise FcxError(f"bad polynomial token {tok!r}") from exc
-            d[e] = d.get(e, 0) + c
-        return LaurentPoly.from_dict(d)
-
 
 @dataclass(frozen=True)
 class EulerReport:
@@ -188,20 +175,21 @@ class BettiReport:
 def poincare_laurent(table: PageTable, k: int) -> LaurentPoly:
     """Poincare-Laurent polynomial of page k: sum over levels of dim * t^level.
 
-    The polynomials of all pages are built once per table, from its page
-    dimensions.
+    The polynomials of pages 1..min(max_page, collapse page) are built once
+    per table, from its page dimensions; a later page is the stable page.
     """
     if not 1 <= k <= table.max_page:
         raise FcxError(
             f"page {k} is outside the materialized range 1..{table.max_page}"
         )
-    return table.cached("poincare_laurent", _page_polynomials)[k - 1]
+    polys = table.cached("poincare_laurent", _page_polynomials)
+    return polys[min(k, len(polys)) - 1]
 
 
 def _page_polynomials(table: PageTable) -> tuple[LaurentPoly, ...]:
     return tuple(
         LaurentPoly.from_dict({n: d for (n, _j), d in table.page(k).items()})
-        for k in range(1, table.max_page + 1)
+        for k in range(1, min(table.max_page, table.collapse_page) + 1)
     )
 
 
@@ -274,6 +262,8 @@ def rebase(c: FloerComplexData, r_new: float) -> FloerComplexData:
     which surfaces as a validation error on the rebased complex).
     """
     require_valid(c)
+    if not math.isfinite(r_new):
+        raise FcxError(f"window base must be a finite number, got {r_new}")
     p = c.params
     if p.monotonicity <= 0:
         raise FcxError("rebase requires a positive monotonicity constant")
@@ -340,8 +330,8 @@ def collapse_bound_from_energy(c: FloerComplexData, energy: float) -> EnergyBoun
     p = c.params
     if p.monotonicity <= 0:
         raise FcxError("the energy bound requires a positive monotonicity constant")
-    if not energy > 0:
-        raise FcxError("energy must be positive")
+    if not 0 < energy < math.inf:
+        raise FcxError(f"energy must be a positive finite number, got {energy}")
     sigma = p.action_period
     bound = math.floor(energy / sigma) + 1
 

@@ -11,11 +11,13 @@ invariants, products, cup actions) is built on.
 
 Validation is exhaustive and returns a report rather than failing fast, so a
 single pass lists every violated invariant with the offending ids.
+
+The two cohomologies eliminate each grading piece once and keep the echelon
+on the ``CohomologyTable``, whose ``coordinates`` decodes any cocycle.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import (
@@ -30,7 +32,7 @@ from typing import (
     TypeVar,
 )
 
-from .gf2 import Gf2Matrix, Gf2Subspace, apply_columns, bits, rref_rows, tagged_reduce
+from .gf2 import Gf2Matrix, apply_columns, bits, rref_rows, tagged_reduce
 
 if TYPE_CHECKING:  # imported only for type checkers; avoids a runtime cycle
     from .cup import CupClass, RingTable
@@ -136,16 +138,29 @@ class DifferentialEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class CohomologyTable:
-    """Dimensions (and optional representative bases) of a graded cohomology.
+    """Dimensions and representative bases of a graded cohomology.
 
     ``kind`` is ``"z_graded"`` (indexed by lifted degree) or ``"periodic"``
     (indexed by residue).  ``dims`` stores only the nonzero entries.
     Representatives are bitset vectors over the canonical generator order.
+
+    Per piece, the table also keeps the echelon its elimination built (the
+    image rows and the representatives, keyed by pivot) outside ``repr`` and
+    equality; ``coordinates`` decodes a cocycle against it.
     """
 
     kind: str
     dims: tuple[tuple[int, int], ...]
     representatives: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    _echelon: Mapping[int, Mapping[int, tuple[int, int]]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def coordinates(self, key: int, v: int) -> int | None:
+        """The class of the ambient vector ``v`` in piece ``key``: bit i is its
+        coefficient on representative i.  None if ``v`` is not a cocycle there."""
+        rest, tags = _clear_pivots(self._echelon.get(key, {}), v)
+        return None if rest else tags
 
     def dim(self, key: int) -> int:
         return dict(self.dims).get(key, 0)
@@ -394,27 +409,27 @@ def require_valid(c: FloerComplexData) -> None:
         raise InvalidComplexError(report)
 
 
-def _quotient_representatives(
-    numerator: Sequence[int], denominator: Gf2Subspace
-) -> list[int]:
-    """Deterministic coset representatives of span(numerator)/denominator.
+def _clear_pivots(rows: Mapping[int, tuple[int, int]], v: int) -> tuple[int, int]:
+    """Reduce ``v`` by ``rows`` until none of their pivot bits is left.
 
-    Each returned vector is the reduction of a numerator basis vector that
-    added a new coset; the result is reproducible bit for bit.
+    ``rows`` maps each row's pivot, the lowest set bit of its vector, to the
+    pair (vector, tag).  Returns the remainder and the XOR of the tags of the
+    rows added.  The remainder is the unique vector that differs from ``v``
+    by an element of the rows' span and has no pivot bit set, so it is 0 iff
+    ``v`` lies in that span.
     """
-    reps: list[int] = []
-    collected = list(denominator.basis)  # reduced echelon: ascending pivots
-    for v in numerator:
-        w = v
-        for b in collected:
-            piv = (b & -b).bit_length() - 1
-            if (w >> piv) & 1:
-                w ^= b
-        if w:
-            reps.append(w)
-            # keep 'collected' echelonized: w's pivot is new, insert it there
-            insort(collected, w, key=lambda x: (x & -x).bit_length())
-    return reps
+    tags = 0
+    pending = v  # the bits of v not yet examined
+    while pending:
+        low = pending & -pending
+        row = rows.get(low.bit_length() - 1)
+        if row is None:
+            pending ^= low
+        else:
+            v ^= row[0]
+            tags ^= row[1]
+            pending = v & -(low << 1)  # a row adds bits above its pivot only
+    return v, tags
 
 
 def _local_matrix(
@@ -500,6 +515,9 @@ def _graded_cohomology(
     columns that vanish) and the image that the next piece divides by (the
     surviving columns).  Both are put in reduced echelon form, which is
     unique, so the representatives do not depend on the elimination order.
+    A kernel vector's remainder by the image rows (untagged) and the
+    representatives so far, if nonzero, is the next representative; it joins
+    the rows tagged with its index, and the rows are kept on the table.
     """
     n = c.count
     mask = (1 << n) - 1
@@ -514,14 +532,21 @@ def _graded_cohomology(
         images[grade(c.generators[members[0]].degree + 1)] = [row & mask for row in kept.values()]
     dims: list[tuple[int, int]] = []
     reps_out: list[tuple[int, tuple[int, ...]]] = []
+    echelon: dict[int, dict[int, tuple[int, int]]] = {}
     for key in sorted(pieces):
-        reps = _quotient_representatives(
-            kernels[key], Gf2Subspace.from_vectors(n, images.get(key, ()))
-        )
+        basis, pivots = rref_rows(images.get(key, ()))
+        rows = {p: (b, 0) for p, b in zip(pivots, basis)}
+        reps: list[int] = []
+        for v in kernels[key]:
+            w, _ = _clear_pivots(rows, v)
+            if w:
+                rows[(w & -w).bit_length() - 1] = (w, 1 << len(reps))
+                reps.append(w)
+        echelon[key] = rows
         if reps:
             dims.append((key, len(reps)))
             reps_out.append((key, tuple(reps)))
-    return CohomologyTable(kind, tuple(dims), tuple(reps_out))
+    return CohomologyTable(kind, tuple(dims), tuple(reps_out), echelon)
 
 
 def degree_decompose(c: FloerComplexData) -> dict[int, Gf2Matrix]:

@@ -185,6 +185,23 @@ def test_collapse_bound_flags_infeasible_entries(run, write_doc):
     assert any(l.startswith("infeasible\t") for l in out.splitlines())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("collapse-bound", "--energy", "inf"),
+        ("collapse-bound", "--energy", "nan"),
+        ("rebase", "--delta-r", "nan"),
+        ("rebase", "--r-new", "inf"),
+        ("rebase", "--r-new=-inf"),
+    ],
+)
+def test_non_finite_numbers_are_refused_without_a_traceback(run, write_doc, argv):
+    command, *flags = argv
+    code, out, err = run(command, write_doc(ACT_TEXT), *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith("fcx: ") and "finite" in err and "Traceback" not in err
+
+
 def test_betti_comparison_exit_codes(run, write_doc):
     torus = "fcx 1\nsigma 4\nlambda 0\nm 2\ngen a -2\ngen b -1\ngen c -1\ngen e 0\n"
     code, out, _ = run("betti", write_doc(torus), "--betti", "1,2,1", "--format", "tsv")
@@ -303,6 +320,26 @@ def test_gen_and_rebase_take_no_format(run, write_doc):
     code, out, _ = run("rebase", write_doc(ACT_TEXT), "--delta-r", "2.0", "--format", "tsv")
     assert code == 2 and out == ""
     assert run("gen", "--allow-small-sigma", "--sigma", "2")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--gens", "0"),
+        ("--gens", "-1"),
+        ("--max-jump", "-1"),
+        ("--sigma", "0"),
+        ("--sigma", "0", "--allow-small-sigma"),
+        ("--sigma", "2"),
+        ("--lambda", "-1"),
+        ("--lambda", "inf"),
+        ("--lambda", "nan"),
+    ],
+)
+def test_gen_refuses_out_of_range_arguments_as_usage_errors(run, argv):
+    code, out, err = run("gen", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fcx: argument {argv[0]}: ") and "Traceback" not in err
 
 
 def test_gen_is_deterministic_and_valid(run):

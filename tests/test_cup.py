@@ -15,7 +15,6 @@ from fcx.cli import main
 from fcx.cup import (
     CupClass,
     RingTable,
-    _solve_in_basis,
     cuplength_report,
     induced_on_cohomology,
     induced_on_pages,
@@ -284,6 +283,32 @@ MIXED = complex_of(
 B4 = CupClass("B", 4, (("x", "w"),))
 
 
+def solve_in_span(vectors, w):
+    """A set of ``vectors`` (bit i for vectors[i]) whose XOR is ``w``, or None.
+
+    Plain elimination kept inside this file, so the route below shares no
+    solver with the module it checks.
+    """
+    rows = {}  # lowest set bit -> (vector, chooser)
+    for i, v in enumerate(vectors):
+        chooser = 1 << i
+        while v:
+            low = (v & -v).bit_length() - 1
+            if low not in rows:
+                rows[low] = (v, chooser)
+                break
+            v ^= rows[low][0]
+            chooser ^= rows[low][1]
+    chooser = 0
+    while w:
+        row = rows.get((w & -w).bit_length() - 1)
+        if row is None:
+            return None
+        w ^= row[0]
+        chooser ^= row[1]
+    return chooser
+
+
 def graded_limit_action(c, cls):
     """Independent route: act on stable representatives, then classify the
     image inside the associated graded of the periodic cohomology by solving
@@ -327,7 +352,7 @@ def graded_limit_action(c, cls):
         basis = treps + boundaries + cycles_at(tn + period, tj)
         columns = []
         for r in cell.representatives:
-            tags = _solve_in_basis(basis, c.count, apply_columns(a_cols, r))
+            tags = solve_in_span(basis, apply_columns(a_cols, r))
             assert tags is not None, "image escaped the graded filtration piece"
             columns.append(tags & ((1 << len(treps)) - 1))
         rows = [0] * len(treps)

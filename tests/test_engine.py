@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import time
 import weakref
 
 import pytest
@@ -63,8 +64,9 @@ MASKED_JUMP = complex_of(
 def test_canonical_form_minimal_dipole():
     c = complex_of(P4_ALG, [("x", 0), ("y", 1)], [("x", "y")])
     form = canonical_form(c)
-    assert form.dipole_uids() == (("x", "y", 0),)
-    assert form.free_uids() == ()
+    assert form.dipoles == ((c.index_of("x"), c.index_of("y")),)
+    assert form.barcode.dipoles == ((0, 1, 0),)
+    assert form.free == ()
 
 
 def test_canonical_form_tie_break_pairs_highest_filtration_source():
@@ -72,8 +74,9 @@ def test_canonical_form_tie_break_pairs_highest_filtration_source():
         P4_ALG, [("x", 0), ("xp", 4), ("y", 5)], [("x", "y"), ("xp", "y")]
     )
     form = canonical_form(c)
-    assert form.dipole_uids() == (("xp", "y", 0),)
-    assert form.free_uids() == ("x",)
+    assert form.dipoles == ((c.index_of("xp"), c.index_of("y")),)
+    assert form.barcode.dipoles == ((4, 5, 0),)
+    assert form.free == (c.index_of("x"),)
     # the surviving free vector is x + xp
     ix, ixp = c.index_of("x"), c.index_of("xp")
     assert form.change_of_basis[ix] == (1 << ix) | (1 << ixp)
@@ -83,7 +86,7 @@ def test_canonical_form_empty_delta():
     c = complex_of(P4_ALG, [("a", 0), ("b", 3), ("c", 7)])
     form = canonical_form(c)
     assert form.dipoles == ()
-    assert set(form.free_uids()) == {"a", "b", "c"}
+    assert form.free == tuple(sorted(c.index_of(u) for u in "abc"))
 
 
 def test_derived_data_is_memoized_on_the_instance_and_freed_with_it():
@@ -118,7 +121,7 @@ def test_complex_is_freed_on_del_without_the_cycle_collector():
     try:
         pages(c).page(1)
         pages(c, upto=2).differentials
-        canonical_form(c).dipole_uids()
+        canonical_form(c).barcode
         q_decomposition(c)
         ref = weakref.ref(c)
         del c
@@ -168,7 +171,7 @@ def test_pages_single_dipole():
     c = complex_of(P4_ALG, [("x", 0), ("y", 5)], [("x", "y")])
     table = pages(c)
     assert table.page(1) == {(0, 0): 1, (5, 1): 1}
-    assert table.differential(1, 0).rank() == 1
+    assert table.differentials[(1, 0, 0)].rank() == 1
     assert table.page(2) == {}
     assert table.collapse_page == 2
 
@@ -205,9 +208,28 @@ def test_pages_upto_controls_materialization():
     assert table.page(6) == {}
 
 
+def test_pages_past_the_collapse_page_are_served_by_the_stable_page():
+    """Dimensions and polynomials are kept through the collapse page only, so
+    a huge ``upto`` costs neither time nor memory."""
+    from fcx.invariants import poincare_laurent
+
+    start = time.perf_counter()
+    table = pages(THREE_GEN, upto=10**6)
+    assert time.perf_counter() - start < 0.5
+    stable = table.collapse_page
+    assert table.page(10**6) == table.page(stable) == {(4, 0): 1}
+    assert table.dim(10**6, 4) == 1
+    assert poincare_laurent(table, 10**6) == poincare_laurent(table, stable)
+    with pytest.raises(ValueError):
+        table.page(10**6 + 1)
+
+
 def test_masked_jump_collapse_exceeds_entry_jump_bound():
     form = canonical_form(MASKED_JUMP)
-    assert sorted(form.dipole_uids()) == [("x1", "b", 2), ("x2", "a", 0)]
+    uid = [g.uid for g in MASKED_JUMP.generators]
+    assert sorted(
+        (uid[s], uid[t], form.jump_of((s, t))) for s, t in form.dipoles
+    ) == [("x1", "b", 2), ("x2", "a", 0)]
     max_entry_jump = max(
         MASKED_JUMP.jump_index(e) for e in MASKED_JUMP.delta
     )
@@ -215,7 +237,7 @@ def test_masked_jump_collapse_exceeds_entry_jump_bound():
     assert collapse_page(MASKED_JUMP) == 3  # strictly above 1 + max entry jump
     table = pages(MASKED_JUMP)
     assert table.page(2) == {(0, 0): 1, (9, 1): 1}
-    assert table.differential(2, 0).rank() == 1
+    assert table.differentials[(2, 0, 0)].rank() == 1
     assert table.page(3) == {}
     # the independent subquotient route agrees with the reduction
     assert subquotient_pages_oracle(MASKED_JUMP, 2) == {(0, 0): 1, (9, 1): 1}
@@ -371,7 +393,7 @@ def test_rank_bookkeeping_between_consecutive_pages(seed, period):
     p = c.params.maslov_period
     for k in range(1, table.max_page):
         for (n, j), dim in table.page(k).items():
-            out = table.differential(k, n)
+            out = table.differentials.get((k, n, j))
             into = table.differentials.get((k, n - k * p - 1, (j - 1) % p))
             r_out = out.rank() if out else 0
             r_in = into.rank() if into else 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -74,17 +75,15 @@ def test_laurent_poly_evaluation_is_exact_on_negative_exponents():
 def test_laurent_poly_serialization():
     p = LaurentPoly.from_dict({-5: 1, 0: 2, 4: 1})
     assert p.serialize() == "-5:1 0:2 4:1"
-    assert LaurentPoly.parse("-5:1 0:2 4:1") == p
     assert LaurentPoly.zero().serialize() == ""
-    assert LaurentPoly.parse("") == LaurentPoly.zero()
     assert LaurentPoly.from_dict({-2: 1, 0: 2}).display() == "t^-2 + 2*t^0"
     assert LaurentPoly.zero().display() == "0"
 
 
 @given(poly_dicts)
-def test_laurent_poly_serialize_parse_roundtrip(d):
+def test_laurent_poly_serialize_lists_nonzero_terms_by_exponent(d):
     p = LaurentPoly.from_dict(d)
-    assert LaurentPoly.parse(p.serialize()) == p
+    assert p.serialize() == " ".join(f"{e}:{c}" for e, c in sorted(d.items()))
 
 
 @given(poly_dicts, poly_dicts)
@@ -273,6 +272,12 @@ def test_rebase_rejects_seam_and_missing_preconditions():
         rebase(algebraic, 0.5)
 
 
+@pytest.mark.parametrize("r_new", [math.inf, -math.inf, math.nan])
+def test_rebase_refuses_a_non_finite_window_base(r_new):
+    with pytest.raises(FcxError, match="finite"):
+        rebase(act_complex(), r_new)
+
+
 def test_collapse_bound_from_jumps_examples():
     assert collapse_bound_from_jumps(complex_of(P4_ALG, [("a", 0), ("b", 3)])) == 1
     assert collapse_bound_from_jumps(DIPOLE) == 2
@@ -324,6 +329,12 @@ def test_collapse_bound_from_energy_preconditions():
         collapse_bound_from_energy(DIPOLE, 1.0)
     with pytest.raises(FcxError, match="positive"):
         collapse_bound_from_energy(act_complex(), 0.0)
+
+
+@pytest.mark.parametrize("energy", [math.inf, -math.inf, math.nan])
+def test_collapse_bound_from_energy_refuses_non_finite_energy(energy):
+    with pytest.raises(FcxError, match="finite"):
+        collapse_bound_from_energy(act_complex(), energy)
 
 
 def test_betti_compare_point():

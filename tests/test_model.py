@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import random
 import weakref
 
 import pytest
@@ -18,6 +19,7 @@ from fcx.model import (
     LiftedGenerator,
     MonotoneParams,
     degree_decompose,
+    jump0_columns,
     periodic_cohomology,
     require_valid,
     validate,
@@ -272,7 +274,7 @@ def test_degree_decompose_examples():
     dip0 = complex_of(P4_ALG, [("x", 0), ("y", 1)], [("x", "y")])
     parts = degree_decompose(dip0)
     assert set(parts) == {0}
-    assert parts[0].entry(dip0.index_of("y"), dip0.index_of("x")) == 1
+    assert parts[0].rows[dip0.index_of("y")] >> dip0.index_of("x") & 1
     assert parts[0].rank() == 1
 
     dip1 = complex_of(P4_ALG, [("x", 0), ("y", 5)], [("x", "y")])
@@ -297,6 +299,61 @@ def test_degree_decompose_parts_sum_to_delta():
         for j in range(c.count):
             summed[j] ^= mat.column(j)
     assert summed == cols
+
+
+def assert_coordinates_decode(c, table, cols, grade, seed):
+    """``table.coordinates`` against the cohomology of the columns ``cols`` on
+    the pieces ``grade(degree)``: each representative decodes to its unit
+    vector, also after adding a random sum of the piece's image rows (the
+    columns that land in it); an image sum decodes to 0; a vector that is
+    not a cocycle of the piece decodes to None."""
+    rng = random.Random(seed)
+    piece = [grade(g.degree) for g in c.generators]
+    reps = dict(table.representatives)
+    for key in set(piece):
+        image = [
+            cols[s]
+            for s in range(c.count)
+            if cols[s] and grade(c.generators[s].degree + 1) == key
+        ]
+
+        def image_sum():
+            out = 0
+            for b in image:
+                if rng.random() < 0.5:
+                    out ^= b
+            return out
+
+        assert table.coordinates(key, image_sum()) == 0
+        basis = reps.get(key, ())
+        total = 0
+        for i, r in enumerate(basis):
+            assert table.coordinates(key, r) == 1 << i
+            assert table.coordinates(key, r ^ image_sum()) == 1 << i
+            total ^= r
+        assert table.coordinates(key, total ^ image_sum()) == (1 << len(basis)) - 1
+        for s in range(c.count):
+            if piece[s] != key or cols[s]:  # off the piece, or delta(e_s) != 0
+                assert table.coordinates(key, total ^ 1 << s) is None
+
+
+def assert_both_cohomologies_decode(c, seed):
+    assert_coordinates_decode(c, z_graded_cohomology(c), jump0_columns(c), lambda n: n, seed)
+    assert_coordinates_decode(
+        c, periodic_cohomology(c), c.delta_columns(), c.params.residue, seed
+    )
+
+
+@given(seeds, periods)
+@settings(max_examples=40, deadline=None)
+def test_cohomology_coordinates_decode_cocycles_on_random_complexes(seed, period):
+    c, _ = random_complex(seed, MonotoneParams(period, 0.5), max_gens=16, max_jump=3)
+    assert_both_cohomologies_decode(c, seed)
+
+
+def test_cohomology_coordinates_decode_cocycles_on_scrambled_complexes(scrambled):
+    for n, period, seed in ((120, 3, 1), (250, 4, 2)):
+        assert_both_cohomologies_decode(scrambled(n, period, seed), seed)
 
 
 @given(seeds, periods)
