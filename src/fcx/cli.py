@@ -358,6 +358,9 @@ _RENDERERS: dict[str, Callable[..., tuple[list[tuple], bool]]] = {
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    max_page = getattr(args, "max_page", None)
+    if max_page is not None and max_page < 1:
+        raise _UsageError(f"argument --max-page: must be at least 1, got {max_page}")
     docs = [
         _load(getattr(args, name), args.allow_small_sigma)
         for name in ("file", "file_a", "file_b")

@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Any, Callable, TypeVar
 
 from .engine import PageTable, canonical_form, pages
-from .gf2 import Gf2Matrix, apply_columns, bits, tagged_reduce
+from .gf2 import Gf2Matrix, apply_columns, bits, echelon
 from .model import (
     EngineConsistencyError,
     FcxError,
@@ -545,10 +545,7 @@ def injectivity_check(c: FloerComplexData, ring: RingTable) -> InjectivityReport
         _total_endomorphism(induced_on_cohomology(c, classes[name]), layout, total)
         for name in names
     ]
-    width = total * total
-    _, dependents = tagged_reduce(
-        (v | 1 << (width + i) for i, v in enumerate(vectors)), width
-    )
+    _, dependents = echelon((v, 1 << i) for i, v in enumerate(vectors))
     kernel = sorted(
         tuple(names[i] for i in bits(tags)) for tags in dependents if tags
     )

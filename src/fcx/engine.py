@@ -160,9 +160,9 @@ class PageTable:
 
     Eager: the barcode and, per page through ``min(max_page,
     collapse_page)``, the nonzero dimensions by level, counted from it.
-    ``page``, ``dim``, the page polynomials and ``collapse_page`` (the first
-    page equal to the limit) read only those; a later page is the stable
-    page, so its reads are served by the last one kept.
+    ``page``, the page polynomials and ``collapse_page`` (the first page
+    equal to the limit) read only those; a later page is the stable page,
+    so its reads are served by the last one kept.
 
     Built from the barcode on first access, then kept: ``cells`` maps
     (page, level, residue) to a nonzero cell; ``differentials`` maps a
@@ -197,11 +197,6 @@ class PageTable:
         except KeyError:
             value = memo[key] = compute(self)
             return value
-
-    def dim(self, k: int, n: int) -> int:
-        if not 1 <= k <= self.max_page:
-            return 0
-        return self._dims[min(k, len(self._dims)) - 1].get((n, self.params.residue(n)), 0)
 
     def page(self, k: int) -> dict[tuple[int, int], int]:
         """Nonzero dimensions of page k as {(level, residue): dim}."""
@@ -300,9 +295,6 @@ class LimitReport:
 
     def hf(self) -> dict[int, int]:
         return dict(self.hf_dims)
-
-    def filtration(self) -> dict[tuple[int, int], int]:
-        return dict(self.filtration_dims)
 
     def einf(self) -> dict[tuple[int, int], int]:
         return dict(self.einf_dims)

@@ -2,10 +2,15 @@
 
 Vectors are Python ints used as bitsets: bit ``i`` of a vector is its
 coordinate ``i``, and addition is XOR.  Matrices store one int per row, so a
-row operation is a single XOR on machine words.  Everything is deterministic:
-the reduced row-echelon form is unique, pivot columns are produced in
-ascending order, and subspaces are always kept in reduced echelon form so
-that two subspaces are equal iff their stored bases are identical.
+row operation is a single XOR on machine words.
+
+There are two echelon formats.  Where a canonical basis is the output, the
+reduced row-echelon form of ``rref_rows`` is used: it is unique, its pivot
+columns ascend, and subspaces are kept in it, so two subspaces are equal iff
+their stored bases are identical.  Everything else (rank, the relations
+among vectors, decoding a vector against a span) uses the pivot-keyed
+echelon of ``echelon``, a dict from each row's pivot, its lowest set bit, to
+a (vector, tag) row, which ``clear_pivots`` reduces against.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Gf2Matrix",
@@ -26,7 +31,8 @@ __all__ = [
     "subspace_intersection",
     "bits",
     "rref_rows",
-    "tagged_reduce",
+    "echelon",
+    "clear_pivots",
     "apply_columns",
     "invert_columns",
 ]
@@ -67,34 +73,56 @@ def rref_rows(rows: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(basis), tuple(pivots)
 
 
-def tagged_reduce(rows: Iterable[int], width: int) -> tuple[dict[int, int], list[int]]:
+def echelon(pairs: Iterable[tuple[int, int]]) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """Echelonize vectors while tracking which inputs each row sums.
 
-    Each row packs a vector (its bits below ``width``) with a tag (its bits
-    from ``width`` up), ``vector | tag << width``, so adding rows adds their
-    tags.  A row is reduced at the top set bit of its vector until that bit
-    is no earlier row's pivot, where the row is kept, or the vector
-    vanishes.  Returns ``(kept, dependents)``: the kept rows by pivot, and
-    the tags of the rows whose vector vanished, in input order.  With
-    distinct one-bit tags, ``dependents`` is a basis of the relations among
-    the vectors and the kept vectors are a basis of their span.
+    Each input is a pair (vector, tag); adding two rows adds their tags.  A
+    vector is reduced at its lowest set bit until that bit is no earlier
+    row's pivot, where the row is kept, or the vector vanishes.  Returns
+    ``(rows, dependents)``: the kept rows as pivot -> (vector, tag), each
+    keyed by its lowest set bit, and the tags of the inputs whose vector
+    vanished, in input order.  With distinct one-bit tags, ``dependents`` is
+    a basis of the relations among the vectors and the kept vectors are a
+    basis of their span.
     """
-    mask = (1 << width) - 1
-    kept: dict[int, int] = {}
+    rows: dict[int, tuple[int, int]] = {}
     dependents: list[int] = []
-    for row in rows:
-        v = row & mask
+    for v, tag in pairs:
         while v:
-            top = v.bit_length() - 1
-            other = kept.get(top)
-            if other is None:
-                kept[top] = row
+            piv = (v & -v).bit_length() - 1
+            row = rows.get(piv)
+            if row is None:
+                rows[piv] = (v, tag)
                 break
-            row ^= other
-            v = row & mask
+            v ^= row[0]
+            tag ^= row[1]
         else:
-            dependents.append(row >> width)
-    return kept, dependents
+            dependents.append(tag)
+    return rows, dependents
+
+
+def clear_pivots(rows: Mapping[int, tuple[int, int]], v: int) -> tuple[int, int]:
+    """Reduce ``v`` by an ``echelon`` until none of its pivot bits is left.
+
+    ``rows`` maps each row's pivot, the lowest set bit of its vector, to the
+    pair (vector, tag).  Returns the remainder and the XOR of the tags of the
+    rows added.  The remainder is the unique vector that differs from ``v``
+    by an element of the rows' span and has no pivot bit set, so it is 0 iff
+    ``v`` lies in that span, and any echelon of the same span (its RREF
+    too) leaves the same remainder.
+    """
+    tags = 0
+    pending = v  # the bits of v not yet examined
+    while pending:
+        low = pending & -pending
+        row = rows.get(low.bit_length() - 1)
+        if row is None:
+            pending ^= low
+        else:
+            v ^= row[0]
+            tags ^= row[1]
+            pending = v & -(low << 1)  # a row adds bits above its pivot only
+    return v, tags
 
 
 @dataclass(frozen=True)
@@ -149,7 +177,7 @@ class Gf2Matrix:
         return Gf2Matrix(self.n_rows, other.n_cols, tuple(out_rows))
 
     def rank(self) -> int:
-        return len(rref_rows(self.rows)[0])
+        return len(echelon((r, 0) for r in self.rows)[0])
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.rows)

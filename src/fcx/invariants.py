@@ -13,7 +13,6 @@ import dataclasses
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .engine import PageTable, canonical_form, limit_and_filtration, pages
 from .model import (
@@ -67,10 +66,6 @@ class LaurentPoly:
     def monomial(exponent: int, coefficient: int = 1) -> "LaurentPoly":
         return LaurentPoly(((exponent, coefficient),))
 
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly(())
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.coeffs)
 
@@ -94,17 +89,6 @@ class LaurentPoly:
     def shift(self, exponent: int) -> "LaurentPoly":
         """Multiply by t**exponent."""
         return LaurentPoly(tuple((e + exponent, c) for e, c in self.coeffs))
-
-    def evaluate(self, t: int) -> int | Fraction:
-        """Exact evaluation (t = -1 gives the Euler number).
-
-        An ``int`` whenever the value is integral, as it always is for
-        t = 1 and t = -1; a ``Fraction`` otherwise.
-        """
-        # t**low * (an integer polynomial): one Fraction power per call
-        low = min((e for e, _ in self.coeffs), default=0)
-        value = Fraction(t) ** low * sum(c * t ** (e - low) for e, c in self.coeffs)
-        return value.numerator if value.denominator == 1 else value
 
     def serialize(self) -> str:
         """Space-separated ``exponent:coefficient`` pairs, ascending; '' if zero."""
@@ -194,12 +178,13 @@ def _page_polynomials(table: PageTable) -> tuple[LaurentPoly, ...]:
 
 
 def euler_number(table: PageTable, k: int) -> EulerReport:
-    """Euler number chi(page k) = P(page k, -1), exact integer arithmetic.
+    """Euler number chi(page k) = P(page k, -1): the dimensions of page k,
+    summed with the sign (-1)^level.
 
     For odd periods the page-independence of chi is not guaranteed (the
     endpoint degrees of a dipole can share parity), so a warning is attached.
     """
-    chi = poincare_laurent(table, k).evaluate(-1)
+    chi = sum(-c if e % 2 else c for e, c in poincare_laurent(table, k).coeffs)
     warnings: tuple[str, ...] = ()
     if table.params.maslov_period % 2 == 1:
         warnings = (

@@ -12,8 +12,10 @@ invariants, products, cup actions) is built on.
 Validation is exhaustive and returns a report rather than failing fast, so a
 single pass lists every violated invariant with the offending ids.
 
-The two cohomologies eliminate each grading piece once and keep the echelon
-on the ``CohomologyTable``, whose ``coordinates`` decodes any cocycle.
+The two cohomologies eliminate each grading piece once with ``gf2.echelon``.
+The rows it keeps are the next piece's image; the image rows and the
+representatives stay on the ``CohomologyTable`` as one pivot-keyed echelon,
+against which ``coordinates`` decodes any cocycle.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import (
     TypeVar,
 )
 
-from .gf2 import Gf2Matrix, apply_columns, bits, rref_rows, tagged_reduce
+from .gf2 import Gf2Matrix, apply_columns, bits, clear_pivots, echelon, rref_rows
 
 if TYPE_CHECKING:  # imported only for type checkers; avoids a runtime cycle
     from .cup import CupClass, RingTable
@@ -159,18 +161,11 @@ class CohomologyTable:
     def coordinates(self, key: int, v: int) -> int | None:
         """The class of the ambient vector ``v`` in piece ``key``: bit i is its
         coefficient on representative i.  None if ``v`` is not a cocycle there."""
-        rest, tags = _clear_pivots(self._echelon.get(key, {}), v)
+        rest, tags = clear_pivots(self._echelon.get(key, {}), v)
         return None if rest else tags
-
-    def dim(self, key: int) -> int:
-        return dict(self.dims).get(key, 0)
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.dims)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(d for _, d in self.dims)
 
 
 @dataclass(frozen=True)
@@ -237,22 +232,12 @@ class FloerComplexData:
         """Map uid -> generator index (the last one for a repeated uid)."""
         return self.cached("index_map", _index_map)
 
-    def index_of(self, uid: str) -> int:
-        return self.index_map()[uid]
-
-    def degree_of(self, uid: str) -> int:
-        return self.generators[self.index_of(uid)].degree
-
-    def jump_index(self, entry: DifferentialEntry) -> int:
-        """Jump index k of an entry; only meaningful on validated complexes."""
-        diff = self.degree_of(entry.dst) - self.degree_of(entry.src)
-        return (diff - 1) // self.params.maslov_period
-
     def indexed_delta(self) -> Iterator[tuple[int, int, int]]:
         """(source index, target index, jump index) of each entry, in delta order.
 
-        Each endpoint is looked up once; the jump index is that of
-        ``jump_index``, so only meaningful on validated complexes.
+        Each endpoint is looked up once.  The jump index k solves
+        deg(dst) - deg(src) = k*period + 1, so it is only meaningful on
+        validated complexes.
         """
         idx = self.index_map()
         degrees = [g.degree for g in self.generators]
@@ -409,29 +394,6 @@ def require_valid(c: FloerComplexData) -> None:
         raise InvalidComplexError(report)
 
 
-def _clear_pivots(rows: Mapping[int, tuple[int, int]], v: int) -> tuple[int, int]:
-    """Reduce ``v`` by ``rows`` until none of their pivot bits is left.
-
-    ``rows`` maps each row's pivot, the lowest set bit of its vector, to the
-    pair (vector, tag).  Returns the remainder and the XOR of the tags of the
-    rows added.  The remainder is the unique vector that differs from ``v``
-    by an element of the rows' span and has no pivot bit set, so it is 0 iff
-    ``v`` lies in that span.
-    """
-    tags = 0
-    pending = v  # the bits of v not yet examined
-    while pending:
-        low = pending & -pending
-        row = rows.get(low.bit_length() - 1)
-        if row is None:
-            pending ^= low
-        else:
-            v ^= row[0]
-            tags ^= row[1]
-            pending = v & -(low << 1)  # a row adds bits above its pivot only
-    return v, tags
-
-
 def _local_matrix(
     cols: list[int], src_indices: list[int], dst_indices: list[int]
 ) -> Gf2Matrix:
@@ -510,43 +472,42 @@ def _graded_cohomology(
     the column of a generator of degree n already lies in the piece
     ``grade(n + 1)``: a jump-0 column of degree n lies in degree n + 1, a
     residue-j column in residue j + 1.  So the columns need no restriction
-    to a target piece, and one tagged elimination of a piece's columns, in
-    ambient coordinates, gives both the piece's kernel (the tags of the
-    columns that vanish) and the image that the next piece divides by (the
-    surviving columns).  Both are put in reduced echelon form, which is
-    unique, so the representatives do not depend on the elimination order.
-    A kernel vector's remainder by the image rows (untagged) and the
+    to a target piece, and one ``echelon`` of a piece's columns, in ambient
+    coordinates and each tagged with its generator, gives both the piece's
+    kernel (the tags of the columns that vanish) and the image that the next
+    piece divides by (the kept rows, their tags set to 0).  The kernel is put
+    in reduced echelon form, which is unique, so the representatives do not
+    depend on the elimination order; the image needs no such form, because
+    every echelon of a span leaves the same remainders (see
+    ``clear_pivots``).  A kernel vector's remainder by the image rows and the
     representatives so far, if nonzero, is the next representative; it joins
     the rows tagged with its index, and the rows are kept on the table.
     """
-    n = c.count
-    mask = (1 << n) - 1
     pieces: dict[int, list[int]] = {}
     for i, g in enumerate(c.generators):
         pieces.setdefault(grade(g.degree), []).append(i)
     kernels: dict[int, tuple[int, ...]] = {}
-    images: dict[int, list[int]] = {}
+    images: dict[int, dict[int, tuple[int, int]]] = {}
     for key, members in pieces.items():
-        kept, dependents = tagged_reduce((cols[s] | 1 << (n + s) for s in members), n)
+        kept, dependents = echelon((cols[s], 1 << s) for s in members)
         kernels[key] = rref_rows(dependents)[0]
-        images[grade(c.generators[members[0]].degree + 1)] = [row & mask for row in kept.values()]
+        images[grade(c.generators[members[0]].degree + 1)] = {
+            p: (v, 0) for p, (v, _) in kept.items()
+        }
     dims: list[tuple[int, int]] = []
     reps_out: list[tuple[int, tuple[int, ...]]] = []
-    echelon: dict[int, dict[int, tuple[int, int]]] = {}
     for key in sorted(pieces):
-        basis, pivots = rref_rows(images.get(key, ()))
-        rows = {p: (b, 0) for p, b in zip(pivots, basis)}
+        rows = images.setdefault(key, {})
         reps: list[int] = []
         for v in kernels[key]:
-            w, _ = _clear_pivots(rows, v)
+            w, _ = clear_pivots(rows, v)
             if w:
                 rows[(w & -w).bit_length() - 1] = (w, 1 << len(reps))
                 reps.append(w)
-        echelon[key] = rows
         if reps:
             dims.append((key, len(reps)))
             reps_out.append((key, tuple(reps)))
-    return CohomologyTable(kind, tuple(dims), tuple(reps_out), echelon)
+    return CohomologyTable(kind, tuple(dims), tuple(reps_out), images)
 
 
 def degree_decompose(c: FloerComplexData) -> dict[int, Gf2Matrix]:

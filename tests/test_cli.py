@@ -342,6 +342,19 @@ def test_gen_refuses_out_of_range_arguments_as_usage_errors(run, argv):
     assert err.startswith(f"fcx: argument {argv[0]}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("page", [0, -3])
+@pytest.mark.parametrize(
+    "command", ["pages", "poincare", "euler", "kunneth", "power", "report"]
+)
+def test_max_page_below_one_is_a_usage_error(run, write_doc, command, page):
+    path = write_doc(DIPOLE_TEXT)
+    files = (path, path) if command == "kunneth" else (path,)
+    extra = ("--s", "2") if command == "power" else ()
+    code, out, err = run(command, *files, *extra, "--max-page", str(page))
+    assert (code, out) == (2, "")
+    assert err == f"fcx: argument --max-page: must be at least 1, got {page}\n"
+
+
 def test_gen_is_deterministic_and_valid(run):
     code, out1, _ = run("gen", "--seed", "42", "--gens", "14", "--max-jump", "3")
     assert code == 0

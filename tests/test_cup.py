@@ -511,7 +511,7 @@ def _corrupt_class_images(monkeypatch, c, image_uid, flip):
     import fcx.engine
 
     original = fcx.engine.CanonicalForm.to_canonical
-    honest = 1 << c.index_of(image_uid)
+    honest = 1 << c.index_map()[image_uid]
 
     def corrupted(form, v):
         out = original(form, v)
@@ -533,7 +533,7 @@ def _free_with_a_jump0_dipole():
 
 def test_induced_page_filtration_check_names_its_witness(monkeypatch):
     c, a = _free_with_a_jump0_dipole()
-    _corrupt_class_images(monkeypatch, c, "r", 1 << c.index_of("p"))
+    _corrupt_class_images(monkeypatch, c, "r", 1 << c.index_map()["p"])
     with pytest.raises(EngineConsistencyError) as info:
         induced_on_pages(c, a, 1)
     message = str(info.value)
@@ -543,7 +543,7 @@ def test_induced_page_filtration_check_names_its_witness(monkeypatch):
 
 def test_induced_page_target_cell_check_names_its_witness(monkeypatch):
     c, a = _free_with_a_jump0_dipole()
-    _corrupt_class_images(monkeypatch, c, "q", 1 << c.index_of("s"))
+    _corrupt_class_images(monkeypatch, c, "q", 1 << c.index_map()["s"])
     with pytest.raises(EngineConsistencyError) as info:
         induced_on_pages(c, a, 1)
     message = str(info.value)
@@ -554,7 +554,7 @@ def test_induced_page_target_cell_check_names_its_witness(monkeypatch):
 def test_induced_page_commutation_check_names_its_witness(monkeypatch):
     one = CupClass("1", 0, (("x", "x"), ("y", "y")))
     c = complex_of(P4, [("x", 0), ("y", 5)], [("x", "y")], cups=(one,))
-    _corrupt_class_images(monkeypatch, c, "y", 1 << c.index_of("y"))
+    _corrupt_class_images(monkeypatch, c, "y", 1 << c.index_map()["y"])
     with pytest.raises(EngineConsistencyError) as info:
         induced_on_pages(c, one, 1)
     assert str(info.value) == (

@@ -8,13 +8,14 @@ from fcx.gf2 import (
     Gf2Subspace,
     apply_columns,
     bits,
+    clear_pivots,
+    echelon,
     image_basis,
     invert_columns,
     kernel_basis,
     rref_rows,
     subspace_intersection,
     subspace_sum,
-    tagged_reduce,
 )
 
 DIM = 6
@@ -43,17 +44,37 @@ def test_apply_columns_xors_the_columns_of_the_set_bits(cols, v):
 
 
 @given(vector_lists)
-def test_tagged_reduce_splits_vectors_into_span_and_relations(vs):
-    """Tags 1 << i: the relations are a kernel basis of the column map
-    ``vs`` and the kept vectors a basis of its image."""
-    kept, relations = tagged_reduce((v | 1 << (DIM + i) for i, v in enumerate(vs)), DIM)
-    mask = (1 << DIM) - 1
+def test_echelon_rows_are_keyed_by_lowest_bit_and_span_the_inputs(vs):
+    rows, _ = echelon((v, 0) for v in vs)
+    for piv, (v, _) in rows.items():
+        assert (v >> piv) & 1 and v & ((1 << piv) - 1) == 0
     span = Gf2Subspace.from_vectors(DIM, vs)
-    assert Gf2Subspace.from_vectors(DIM, [r & mask for r in kept.values()]) == span
-    assert all(r & mask and (r & mask).bit_length() - 1 == top for top, r in kept.items())
-    assert len(relations) == len(vs) - span.dim
-    assert all(tag and apply_columns(vs, tag) == 0 for tag in relations)
-    assert len(rref_rows(relations)[0]) == len(relations)
+    assert Gf2Subspace.from_vectors(DIM, [v for v, _ in rows.values()]) == span
+    assert len(rows) == span.dim
+
+
+@given(vector_lists)
+def test_echelon_dependent_tags_are_relations_on_earlier_kept_inputs(vs):
+    """Tags 1 << i: the tag of dependent input i is bit i plus bits of kept
+    inputs before i, and it maps to 0 under the column map ``vs``."""
+    _, relations = echelon((v, 1 << i) for i, v in enumerate(vs))
+    dependent = [
+        i for i, v in enumerate(vs) if Gf2Subspace.from_vectors(DIM, vs[:i]).contains(v)
+    ]
+    kept = sum(1 << i for i in range(len(vs)) if i not in dependent)
+    assert [tag.bit_length() - 1 for tag in relations] == dependent
+    for i, tag in zip(dependent, relations):
+        assert (tag ^ 1 << i) & ~(kept & ((1 << i) - 1)) == 0
+        assert apply_columns(vs, tag) == 0
+
+
+@given(vector_lists, vectors)
+def test_clear_pivots_by_an_echelon_matches_clear_pivots_by_the_rref(vs, v):
+    rows, _ = echelon((w, 0) for w in vs)
+    basis, pivots = rref_rows(vs)
+    rref = {p: (b, 0) for p, b in zip(pivots, basis)}
+    assert clear_pivots(rows, v) == clear_pivots(rref, v)
+    assert (clear_pivots(rows, v)[0] == 0) == Gf2Subspace(DIM, basis).contains(v)
 
 
 @given(vector_lists)

@@ -50,7 +50,8 @@ def test_build_single_dipole_jump_one():
     assert sorted(g.degree for g in c.generators) == [0, 5]
     assert len(c.delta) == 1
     e = c.delta[0]
-    assert c.degree_of(e.src) == 0 and c.degree_of(e.dst) == 5
+    degree = {g.uid: g.degree for g in c.generators}
+    assert degree[e.src] == 0 and degree[e.dst] == 5
     assert all(g.action is not None for g in c.generators)
 
 
