@@ -71,7 +71,6 @@ from .model import (
     MonotoneParams,
     SizeGuardError,
     ValidationReport,
-    degree_decompose,
     periodic_cohomology,
     require_valid,
     validate,
@@ -108,7 +107,6 @@ __all__ = [
     "require_valid",
     "z_graded_cohomology",
     "periodic_cohomology",
-    "degree_decompose",
     # linear algebra
     "Gf2Matrix",
     "Gf2Subspace",

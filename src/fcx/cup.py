@@ -133,10 +133,6 @@ class CohomologyAction:
     def block(self, n: int) -> Gf2Matrix | None:
         return self._by_degree.get(n)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(m.is_zero() for _, m in self.blocks)
-
 
 @dataclass(frozen=True)
 class InducedPageMaps:

@@ -14,14 +14,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .engine import PageTable, canonical_form, limit_and_filtration, pages
+from .engine import PageTable, canonical_form, pages
 from .model import (
     EngineConsistencyError,
     FcxError,
     FloerComplexData,
     LiftedGenerator,
     require_valid,
-    validate,
     z_graded_cohomology,
 )
 
@@ -201,8 +200,8 @@ def q_decomposition(c: FloerComplexData) -> DecompositionReport:
     source contributes the matching t^(target level - i*period - 1) term,
     which is exactly the (1 + t^(-i*period-1)) factor of the identity.  Both
     sides are read from the barcode, the page polynomials through the page
-    table's per-page dimensions; the identity is re-verified here, and a
-    failure raises an internal-consistency error.
+    table's per-page dimensions; the identity is re-verified here on integer
+    level counts, and a failure raises an internal-consistency error.
     """
     require_valid(c)
     barcode = canonical_form(c).barcode
@@ -210,29 +209,31 @@ def q_decomposition(c: FloerComplexData) -> DecompositionReport:
     period = c.params.maslov_period
     k_max = table.collapse_page - 1
 
-    qdicts: list[dict[int, int]] = [dict() for _ in range(k_max)]
+    qcounts = [Counter() for _ in range(k_max)]
     for _n_src, n_dst, i in barcode.dipoles:
         if i >= 1:
-            qdicts[i - 1][n_dst] = qdicts[i - 1].get(n_dst, 0) + 1
-    qbars = tuple(LaurentPoly.from_dict(d) for d in qdicts)
-    hf_poly = LaurentPoly.from_dict(Counter(barcode.free))
+            qcounts[i - 1][n_dst] += 1
+    free = Counter(barcode.free)
 
-    # tails[m]: the right-hand side for page l = k_max + 1 - m, summed from
-    # the top jump down, so each term is formed once
-    tails = [hf_poly]
+    # tails[m]: the right-hand side's level counts for page l = k_max + 1 - m,
+    # summed from the top jump down, so each term is added once
+    tails = [free]
     for i in range(k_max, 0, -1):
-        factor = LaurentPoly(((0, 1), (-(i * period) - 1, 1)))
-        tails.append(tails[-1].add(factor.mul(qbars[i - 1])))
+        level = tails[-1].copy()
+        level.update(qcounts[i - 1])
+        level.update({n - i * period - 1: m for n, m in qcounts[i - 1].items()})
+        tails.append(level)
     for l in range(1, max(1, k_max) + 1):
-        expect = tails[k_max + 1 - l]
         got = poincare_laurent(table, l)
-        if got != expect:
+        expect = tails[k_max + 1 - l]
+        if got.as_dict() != expect:
             raise EngineConsistencyError(
                 f"rank decomposition identity failed at page {l}: "
                 f"page polynomial {got.serialize() or '0'} != "
-                f"decomposition {expect.serialize() or '0'}"
+                f"decomposition {LaurentPoly.from_dict(expect).serialize() or '0'}"
             )
-    return DecompositionReport(k_max, qbars, hf_poly)
+    qbars = tuple(LaurentPoly.from_dict(q) for q in qcounts)
+    return DecompositionReport(k_max, qbars, LaurentPoly.from_dict(free))
 
 
 def rebase(c: FloerComplexData, r_new: float) -> FloerComplexData:

@@ -10,7 +10,10 @@ degree is what every downstream computation (spectral pages, polynomial
 invariants, products, cup actions) is built on.
 
 Validation is exhaustive and returns a report rather than failing fast, so a
-single pass lists every violated invariant with the offending ids.
+single pass lists every violated invariant with the offending ids.  That
+pass is also the one place where entry ids are resolved to generator
+indices: it yields the delta columns and the jump-0 columns alongside the
+report.
 
 The two cohomologies eliminate each grading piece once with ``gf2.echelon``.
 The rows it keeps are the next piece's image; the image rows and the
@@ -56,7 +59,6 @@ __all__ = [
     "require_valid",
     "z_graded_cohomology",
     "periodic_cohomology",
-    "degree_decompose",
     "expand_local",
     "jump0_columns",
 ]
@@ -191,10 +193,11 @@ class FloerComplexData:
     canonical-form equality.  Optional cup-class data parsed from the same
     document rides along untouched; the cup operations interpret it.
 
-    Derived data (index map, delta and jump-0 columns, validation report,
-    degree-graded and periodic cohomology, canonical form, default page
-    table) is memoized per instance by ``cached``; it takes no part in
-    equality or hashing and is freed together with the complex.
+    Derived data (index map, validation report with the delta and jump-0
+    columns its one pass over the entries builds, degree-graded and
+    periodic cohomology, canonical form, default page table) is memoized per
+    instance by ``cached``; it takes no part in equality or hashing and is
+    freed together with the complex.
     """
 
     params: MonotoneParams
@@ -248,8 +251,12 @@ class FloerComplexData:
             yield s, t, (degrees[t] - degrees[s] - 1) // period
 
     def delta_columns(self) -> list[int]:
-        """delta as columns: column i is the bitset of targets of generator i."""
-        return list(self.cached("delta_columns", _delta_columns))
+        """delta as columns: column i is the bitset of targets of generator i.
+
+        Built by the validation pass from every entry whose two ids resolve,
+        valid or not, so a repeated entry cancels.  Returns a fresh list.
+        """
+        return list(self.cached("validate", _validate)[1])
 
     def degree_groups(self) -> dict[int, list[int]]:
         """Map degree -> ascending generator indices at that degree."""
@@ -263,27 +270,19 @@ def _index_map(c: FloerComplexData) -> Mapping[str, int]:
     return {g.uid: i for i, g in enumerate(c.generators)}
 
 
-def _delta_columns(c: FloerComplexData) -> tuple[int, ...]:
-    idx = c.index_map()
-    cols = [0] * c.count
-    for src, dst in c.delta:
-        s = idx.get(src)
-        t = idx.get(dst)
-        if s is not None and t is not None:
-            cols[s] ^= 1 << t
-    return tuple(cols)
-
-
 def validate(c: FloerComplexData) -> ValidationReport:
     """Check every structural invariant; returns a complete report.
 
     Errors make the complex unusable downstream; warnings do not.  The
-    report is computed once per instance.
+    report is computed once per instance, by the same pass over the entries
+    that builds the delta and jump-0 columns.
     """
-    return c.cached("validate", _validate)
+    return c.cached("validate", _validate)[0]
 
 
-def _validate(c: FloerComplexData) -> ValidationReport:
+def _validate(
+    c: FloerComplexData,
+) -> tuple[ValidationReport, tuple[int, ...], tuple[int, ...]]:
     errors: list[str] = []
     warnings: list[str] = []
     p = c.params
@@ -330,8 +329,13 @@ def _validate(c: FloerComplexData) -> ValidationReport:
                 )
 
     # Entries are sorted by (src, dst), so a repeated entry follows its first.
+    # Every entry whose ids resolve enters the delta columns, so a repeated
+    # one cancels; only an entry that passes the degree check with k == 0
+    # enters the jump-0 columns.
     idx = c.index_map()
     gens = c.generators
+    cols = [0] * c.count
+    cols0 = [0] * c.count
     previous: DifferentialEntry | None = None
     for e in c.delta:
         src, dst = e
@@ -343,6 +347,7 @@ def _validate(c: FloerComplexData) -> ValidationReport:
         if t is None:
             errors.append(f"differential entry references unknown target '{dst}'")
             continue
+        cols[s] ^= 1 << t
         if e == previous:
             errors.append(f"duplicate differential entry ({src} -> {dst})")
             continue
@@ -357,6 +362,8 @@ def _validate(c: FloerComplexData) -> ValidationReport:
             )
             continue
         k = (diff - 1) // period
+        if k == 0:
+            cols0[s] ^= 1 << t
         a_src = gens[s].action
         a_dst = gens[t].action
         if a_src is not None and a_dst is not None and p.monotonicity > 0:
@@ -376,7 +383,6 @@ def _validate(c: FloerComplexData) -> ValidationReport:
 
     # Differential squares to zero over GF(2) on the full complex.
     if not errors:
-        cols = c.delta_columns()
         for i, col in enumerate(cols):
             acc = apply_columns(cols, col)
             if acc:
@@ -385,7 +391,7 @@ def _validate(c: FloerComplexData) -> ValidationReport:
                     f"differential does not square to zero: starting at "
                     f"'{gens[i].uid}' it reaches '{gens[witness].uid}' twice"
                 )
-    return ValidationReport(tuple(errors), tuple(warnings))
+    return ValidationReport(tuple(errors), tuple(warnings)), tuple(cols), tuple(cols0)
 
 
 def require_valid(c: FloerComplexData) -> None:
@@ -419,17 +425,11 @@ def expand_local(vec: int, indices: list[int]) -> int:
 def jump0_columns(c: FloerComplexData) -> Sequence[int]:
     """delta restricted to its jump-0 entries, as columns (see ``delta_columns``).
 
-    The columns are computed once per instance and shared: do not modify them.
+    Requires a valid complex.  The columns come from the validation pass,
+    once per instance, and are shared: do not modify them.
     """
-    return c.cached("jump0_columns", _jump0_columns)
-
-
-def _jump0_columns(c: FloerComplexData) -> tuple[int, ...]:
-    cols = [0] * c.count
-    for s, t, k in c.indexed_delta():
-        if k == 0:
-            cols[s] ^= 1 << t
-    return tuple(cols)
+    require_valid(c)
+    return c.cached("validate", _validate)[2]
 
 
 def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
@@ -508,19 +508,3 @@ def _graded_cohomology(
             dims.append((key, len(reps)))
             reps_out.append((key, tuple(reps)))
     return CohomologyTable(kind, tuple(dims), tuple(reps_out), images)
-
-
-def degree_decompose(c: FloerComplexData) -> dict[int, Gf2Matrix]:
-    """Split the differential by jump index: k -> the square matrix of jump-k entries.
-
-    Matrices are count x count over the canonical generator order (rows are
-    targets, columns are sources); their XOR-sum is the full differential.
-    """
-    require_valid(c)
-    parts: dict[int, list[tuple[int, int]]] = {}
-    for s, t, k in c.indexed_delta():
-        parts.setdefault(k, []).append((t, s))
-    return {
-        k: Gf2Matrix.from_entries(c.count, c.count, entries)
-        for k, entries in sorted(parts.items())
-    }

@@ -18,7 +18,6 @@ from fcx.model import (
     InvalidComplexError,
     LiftedGenerator,
     MonotoneParams,
-    degree_decompose,
     jump0_columns,
     periodic_cohomology,
     require_valid,
@@ -209,6 +208,60 @@ def test_indexed_delta_agrees_with_per_entry_lookups(seed, period):
     ]
 
 
+def xor_of_resolved_entries(c):
+    """delta as columns by a plain XOR over the entries whose ids both resolve."""
+    idx = c.index_map()
+    cols = [0] * c.count
+    for src, dst in c.delta:
+        if src in idx and dst in idx:
+            cols[idx[src]] ^= 1 << idx[dst]
+    return cols
+
+
+def test_delta_columns_of_invalid_complexes_xor_the_resolved_entries():
+    xy = [("x", 0), ("y", 1)]
+    cases = {
+        "unknown source": complex_of(P4_ALG, xy, [("ghost", "y"), ("x", "y")]),
+        "unknown target": complex_of(P4_ALG, xy, [("x", "ghost"), ("x", "y")]),
+        "repeated entry": complex_of(
+            P4_ALG, xy + [("z", 1)], [("x", "y"), ("x", "y"), ("x", "z")]
+        ),
+        "bad degree jump": complex_of(
+            P4_ALG, [("x", 0), ("y", 3), ("z", 1)], [("x", "y"), ("x", "z")]
+        ),
+        "period 0": complex_of(MonotoneParams(0, 0.0), xy, [("x", "y")]),
+        "duplicate id": complex_of(P4_ALG, xy + [("x", 0)], [("x", "y")]),
+    }
+    for name, c in cases.items():
+        assert not validate(c).ok, name
+        cols = c.delta_columns()
+        assert type(cols) is list, name
+        assert cols == xor_of_resolved_entries(c), name
+    assert cases["repeated entry"].delta_columns() == [0b100, 0, 0]
+    assert cases["bad degree jump"].delta_columns() == [0b110, 0, 0]
+
+
+@given(seeds, periods)
+@settings(max_examples=40, deadline=None)
+def test_jump0_columns_are_the_jump_zero_entries(seed, period):
+    c, _ = random_complex(seed, MonotoneParams(period, 0.5), max_jump=3)
+    expected = [0] * c.count
+    for s, t, k in c.indexed_delta():
+        if k == 0:
+            expected[s] ^= 1 << t
+    assert list(jump0_columns(c)) == expected
+    assert c.delta_columns() == xor_of_resolved_entries(c)
+
+
+def test_jump0_columns_requires_a_valid_complex():
+    unknown = complex_of(P4_ALG, [("x", 0), ("y", 1)], [("x", "zz")])
+    bad_jump = complex_of(P4_ALG, [("x", 0), ("y", 2)], [("x", "y")])
+    for c in (unknown, bad_jump):
+        with pytest.raises(InvalidComplexError) as exc:
+            jump0_columns(c)
+        assert exc.value.report is validate(c)
+
+
 def test_differential_entry_is_a_named_pair():
     e = DifferentialEntry("x", "y")
     assert DifferentialEntry._fields == ("src", "dst")
@@ -270,37 +323,6 @@ def test_periodic_survivor_in_three_generator_complex():
     # the surviving class is representable by the generator untouched by delta
     (rep,) = dict(table.representatives)[0]
     assert rep in (1 << c.index_map()["xp"], (1 << c.index_map()["xp"]) ^ (1 << c.index_map()["x"]))
-
-
-def test_degree_decompose_examples():
-    dip0 = complex_of(P4_ALG, [("x", 0), ("y", 1)], [("x", "y")])
-    parts = degree_decompose(dip0)
-    assert set(parts) == {0}
-    assert parts[0].rows[dip0.index_map()["y"]] >> dip0.index_map()["x"] & 1
-    assert parts[0].rank() == 1
-
-    dip1 = complex_of(P4_ALG, [("x", 0), ("y", 5)], [("x", "y")])
-    parts1 = degree_decompose(dip1)
-    assert set(parts1) == {1}
-    assert parts1[1].rank() == 1
-
-    mixed = complex_of(
-        P4_ALG,
-        [("a", 0), ("b", 1), ("u", 2), ("v", 11)],
-        [("a", "b"), ("u", "v")],
-    )
-    assert set(degree_decompose(mixed)) == {0, 2}
-
-
-def test_degree_decompose_parts_sum_to_delta():
-    c, _ = random_complex(7, MonotoneParams(4, 0.5))
-    parts = degree_decompose(c)
-    cols = c.delta_columns()
-    summed = [0] * c.count
-    for mat in parts.values():
-        for j in range(c.count):
-            summed[j] ^= mat.column(j)
-    assert summed == cols
 
 
 def assert_coordinates_decode(c, table, cols, grade, seed):

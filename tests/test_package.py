@@ -1,9 +1,12 @@
-"""Package-level checks: every exported name resolves."""
+"""Package-level checks: every exported name resolves, and no module imports
+a name it never uses."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +20,47 @@ def test_every_name_in_all_resolves(name):
     module = importlib.import_module(name)
     assert module.__all__, f"{name} exports nothing"
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def _unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each imported binding that the module never reads.
+
+    A name is read if it appears as a name anywhere, inside a string
+    annotation (how ``TYPE_CHECKING`` imports are used) or in ``__all__``.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+        annotation = None
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        for part in ast.walk(annotation) if annotation else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                inner = ast.parse(part.value, mode="eval")
+                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package = Path(fcx.__file__).parent
+    unused = {
+        path.name: _unused_imports(path.read_text())
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: found for name, found in unused.items() if found} == {}
