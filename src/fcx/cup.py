@@ -14,14 +14,16 @@ own: each pushed representative is decoded by ``CohomologyTable.coordinates``
 against the echelon that ``z_graded_cohomology`` built once per complex.
 
 Per-class memo: for a class that is a member of ``c.cup_classes``, the
-validation report, the class columns, the induced cohomology action and the
-canonical image of each slot pushed through the class (shared by the
-induced maps of every page) are computed at most once and kept in the
-complex's memo (``FloerComplexData.cached``).  So the memo holds at most one
-record per document class and is freed with the complex.  Any other class
-is computed afresh on each call and not stored.  The checks still run on
-every call: an invalid class raises each time, and the page maps are
-checked against the page differential each time.
+validation report with the class columns its one pass over the entries
+builds (the only place class entry ids are resolved), the induced
+cohomology action and the canonical image of each slot pushed through the
+class (shared by the induced maps of every page) are computed at most once
+and kept in the complex's memo (``FloerComplexData.cached``).  So the memo
+holds at most one record per document class and is freed with the complex.
+Any other class is validated, and so resolved, once per call and not
+stored.  The checks still run on every call: an invalid class raises each
+time, and the page maps are checked against the page differential each
+time.
 """
 
 from __future__ import annotations
@@ -70,16 +72,6 @@ class CupClass:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
-
-    def columns(self, c: FloerComplexData) -> list[int]:
-        """Column bitsets over the canonical generator order (like the differential)."""
-        cols = [0] * c.count
-        idx = c.index_map()
-        for src, dst in self.entries:
-            s, t = idx.get(src), idx.get(dst)
-            if s is not None and t is not None:
-                cols[s] ^= 1 << t
-        return cols
 
 
 @dataclass(frozen=True)
@@ -203,25 +195,24 @@ def _empty_memos(c: FloerComplexData) -> list[dict[str, Any]]:
     return [{} for _ in c.cup_classes]
 
 
-def _columns(c: FloerComplexData, a: CupClass) -> tuple[int, ...]:
-    return _derived(c, a, "columns", lambda c, a: tuple(a.columns(c)))
-
-
 def validate_cup(c: FloerComplexData, a: CupClass) -> ValidationReport:
     """Check the degree pattern and chain-level commutation with the differential.
 
-    Every failure carries a witness pair; warnings are currently unused.
+    Every failure carries a witness pair; warnings are currently unused.  The
+    same pass builds the class columns that ``require_valid_cup`` returns.
     """
     require_valid(c)
-    return _derived(c, a, "validate", _validate_cup)
+    return _derived(c, a, "validate", _validate_cup)[0]
 
 
-def _validate_cup(c: FloerComplexData, a: CupClass) -> ValidationReport:
+def _validate_cup(c: FloerComplexData, a: CupClass) -> tuple[ValidationReport, tuple[int, ...]]:
     errors: list[str] = []
     if a.degree < 0:
         errors.append(f"class '{a.name}' has negative degree {a.degree}")
+    # every entry whose ids resolve enters the columns, as in model._validate
     idx = c.index_map()
     gens = c.generators
+    acols = [0] * c.count
     prev = None
     for entry in a.entries:
         src, dst = entry
@@ -233,6 +224,7 @@ def _validate_cup(c: FloerComplexData, a: CupClass) -> ValidationReport:
         if t is None:
             errors.append(f"class '{a.name}' references unknown generator '{dst}'")
             continue
+        acols[s] ^= 1 << t
         if entry == prev:  # entries are sorted, so a repeat follows its first
             errors.append(f"class '{a.name}' repeats the entry ({src} -> {dst})")
             continue
@@ -244,7 +236,6 @@ def _validate_cup(c: FloerComplexData, a: CupClass) -> ValidationReport:
                 f"{diff}, expected {a.degree}"
             )
     if not errors:
-        acols = _columns(c, a)
         dcols = c.delta_columns()
         for i, g in enumerate(c.generators):
             lhs = apply_columns(dcols, acols[i])  # delta . A
@@ -256,15 +247,19 @@ def _validate_cup(c: FloerComplexData, a: CupClass) -> ValidationReport:
                     f"witness pair ({g.uid} -> {c.generators[witness].uid})"
                 )
                 break
-    return ValidationReport(tuple(errors), ())
+    return ValidationReport(tuple(errors), ()), tuple(acols)
 
 
-def require_valid_cup(c: FloerComplexData, a: CupClass) -> None:
-    report = validate_cup(c, a)
+def require_valid_cup(c: FloerComplexData, a: CupClass) -> tuple[int, ...]:
+    """The class as column bitsets over the canonical generator order (like
+    the differential), built by its validation; raises if it is invalid."""
+    require_valid(c)
+    report, acols = _derived(c, a, "validate", _validate_cup)
     if not report.ok:
         raise FcxError(
             f"cup class '{a.name}' failed validation: " + "; ".join(report.errors)
         )
+    return acols
 
 
 def induced_on_cohomology(c: FloerComplexData, a: CupClass) -> CohomologyAction:
@@ -274,14 +269,15 @@ def induced_on_cohomology(c: FloerComplexData, a: CupClass) -> CohomologyAction:
     ``CohomologyTable.coordinates``; chain-level commutation makes this
     independent of the representative.
     """
-    require_valid_cup(c, a)
-    return _derived(c, a, "cohomology", _induced_on_cohomology)
+    acols = require_valid_cup(c, a)
+    return _derived(c, a, "cohomology", lambda c, a: _induced_on_cohomology(c, a, acols))
 
 
-def _induced_on_cohomology(c: FloerComplexData, a: CupClass) -> CohomologyAction:
+def _induced_on_cohomology(
+    c: FloerComplexData, a: CupClass, acols: tuple[int, ...]
+) -> CohomologyAction:
     table = z_graded_cohomology(c)
     dims = table.as_dict()
-    acols = _columns(c, a)
     blocks: list[tuple[int, Gf2Matrix]] = []
     for n, basis in table.representatives:
         target = n + a.degree
@@ -307,7 +303,7 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
     beyond the collapse page are served by the stable page.  Exact
     commutation with the page differential is checked defensively.
     """
-    require_valid_cup(c, a)
+    acols = require_valid_cup(c, a)
     if k < 1:
         raise FcxError(f"pages are indexed from 1, got {k}")
     form = canonical_form(c)
@@ -315,7 +311,6 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
     k_eff = min(k, table.collapse_page)
     period = c.params.maslov_period
     p = a.degree
-    acols = _columns(c, a)
     images = _derived(c, a, "slot_images", lambda c, a: {})
     gens = c.generators
     level = [g.degree for g in gens]

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .engine import PageTable, canonical_form, pages
+from .gf2 import bits
 from .model import (
     EngineConsistencyError,
     FcxError,
@@ -294,13 +295,17 @@ def collapse_bound_from_jumps(c: FloerComplexData) -> int:
     """Upper-bound estimate for the collapse page from raw entry jumps.
 
     Returns 1 + the maximal jump index over the differential entries as
-    given (1 for an empty differential).  This reads the entries in the
-    input basis; the canonical form can pair generators farther apart than
-    any single entry, so the estimate can undershoot the true collapse page
-    on some complexes (see collapse_page for the exact value).
+    given (1 for an empty differential).  Generators are sorted by degree,
+    so the top bit of a delta column is its farthest target.  The entries
+    are in the input basis; the canonical form can pair generators farther
+    apart than any single entry, so the estimate can undershoot the true
+    collapse page on some complexes (see collapse_page for the exact value).
     """
     require_valid(c)
-    return max((k for _, _, k in c.indexed_delta()), default=0) + 1
+    deg = [g.degree for g in c.generators]
+    cols = enumerate(c.delta_columns())
+    span = max((deg[col.bit_length() - 1] - deg[s] for s, col in cols if col), default=1)
+    return (span - 1) // c.params.maslov_period + 1
 
 
 def collapse_bound_from_energy(c: FloerComplexData, energy: float) -> EnergyBoundReport:
@@ -308,9 +313,10 @@ def collapse_bound_from_energy(c: FloerComplexData, energy: float) -> EnergyBoun
 
     When every generator carries an action, each entry of jump index k
     implies a trajectory action drop of k*action_period - monotonicity;
-    entries whose implied drop reaches the budget are reported as evidence
-    the supplied budget is infeasible for this complex.  No inference in the
-    reverse direction (from the collapse page back to an energy) is made.
+    entries whose implied drop reaches the budget are reported, by (src,
+    dst), as evidence the supplied budget is infeasible for this complex.
+    No inference in the reverse direction (from the collapse page back to an
+    energy) is made.
     """
     require_valid(c)
     p = c.params
@@ -321,16 +327,20 @@ def collapse_bound_from_energy(c: FloerComplexData, energy: float) -> EnergyBoun
     sigma = p.action_period
     bound = math.floor(energy / sigma) + 1
 
-    infeasible: list[str] = []
-    if all(g.action is not None for g in c.generators):
-        for (src, dst), (_, _, k) in zip(c.delta, c.indexed_delta()):
-            drop = k * sigma - p.monotonicity
-            if drop >= energy - p.action_tolerance:
-                infeasible.append(
-                    f"entry ({src} -> {dst}) of jump index {k} implies an "
-                    f"action drop {drop}, at or above the budget {energy}"
-                )
-    return EnergyBoundReport(bound, tuple(infeasible))
+    infeasible: list[tuple[str, str, int]] = []
+    gens = c.generators
+    if all(g.action is not None for g in gens):
+        for s, col in enumerate(c.delta_columns()):
+            for t in bits(col):
+                k = (gens[t].degree - gens[s].degree - 1) // p.maslov_period
+                if k * sigma - p.monotonicity >= energy - p.action_tolerance:
+                    infeasible.append((gens[s].uid, gens[t].uid, k))
+    messages = tuple(
+        f"entry ({src} -> {dst}) of jump index {k} implies an action drop "
+        f"{k * sigma - p.monotonicity}, at or above the budget {energy}"
+        for src, dst, k in sorted(infeasible)
+    )
+    return EnergyBoundReport(bound, messages)
 
 
 def betti_compare(

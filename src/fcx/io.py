@@ -104,7 +104,7 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     header: dict[str, tuple[int, object]] = {}  # directive -> (line, value)
     gens: dict[str, tuple[int, LiftedGenerator]] = {}
     deltas: dict[DifferentialEntry, int] = {}  # entry -> line, in line order
-    valid_ids: set[str] = set()  # ids on 'd' lines, each checked once
+    valid_ids: set[str] = set()  # ids on 'd' and 'c' lines, each checked once
     cups: dict[str, tuple[int, int]] = {}  # name -> (line, degree)
     cup_entries: dict[str, dict[tuple[str, str], int]] = {}
     ring_rows: dict[tuple[str, str], tuple[int, str | None]] = {}
@@ -194,8 +194,11 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
         elif directive == "c":
             _require_arity(line_no, tokens, (3,))
             name = _parse_id(line_no, tokens[1], "class name")
-            src = _parse_id(line_no, tokens[2], "source id")
-            dst = _parse_id(line_no, tokens[3], "target id")
+            src, dst = tokens[2:]
+            if src not in valid_ids:
+                valid_ids.add(_parse_id(line_no, src, "source id"))
+            if dst not in valid_ids:
+                valid_ids.add(_parse_id(line_no, dst, "target id"))
             entries = cup_entries.setdefault(name, {})
             if (src, dst) in entries:
                 raise FcxParseError(
@@ -235,7 +238,7 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
             raise FcxParseError(None, f"missing required directive '{required}'")
 
     # The earliest unknown reference, in line order (src before dst).  The
-    # 'd' entries need a scan only if some id on a 'd' line is undeclared.
+    # 'd' entries need a scan only if a 'd' or 'c' line has an undeclared id.
     unknown: list[tuple[int, str, str]] = []
     if not valid_ids <= gens.keys():
         unknown = [

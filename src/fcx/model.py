@@ -11,9 +11,11 @@ invariants, products, cup actions) is built on.
 
 Validation is exhaustive and returns a report rather than failing fast, so a
 single pass lists every violated invariant with the offending ids.  That
-pass is also the one place where entry ids are resolved to generator
-indices: it yields the delta columns and the jump-0 columns alongside the
-report.
+pass is also the one place where differential entry ids are resolved to
+generator indices: it yields the delta columns and the jump-0 columns
+alongside the report, and everything downstream (cohomology, pages, the jump
+and energy bounds) reads those columns.  Cup-class entries are resolved
+likewise, once, by the cup-class validation.
 
 The two cohomologies eliminate each grading piece once with ``gf2.echelon``.
 The rows it keeps are the next piece's image; the image rows and the
@@ -30,7 +32,6 @@ from typing import (
     Any,
     Callable,
     Iterable,
-    Iterator,
     Mapping,
     NamedTuple,
     Sequence,
@@ -197,7 +198,9 @@ class FloerComplexData:
     columns its one pass over the entries builds, degree-graded and
     periodic cohomology, canonical form, default page table) is memoized per
     instance by ``cached``; it takes no part in equality or hashing and is
-    freed together with the complex.
+    freed together with the complex.  Only the two validators, of the
+    differential and of a cup class, read the index map; all other code
+    reads the columns they build.
     """
 
     params: MonotoneParams
@@ -234,21 +237,6 @@ class FloerComplexData:
     def index_map(self) -> Mapping[str, int]:
         """Map uid -> generator index (the last one for a repeated uid)."""
         return self.cached("index_map", _index_map)
-
-    def indexed_delta(self) -> Iterator[tuple[int, int, int]]:
-        """(source index, target index, jump index) of each entry, in delta order.
-
-        Each endpoint is looked up once.  The jump index k solves
-        deg(dst) - deg(src) = k*period + 1, so it is only meaningful on
-        validated complexes.
-        """
-        idx = self.index_map()
-        degrees = [g.degree for g in self.generators]
-        period = self.params.maslov_period
-        for src, dst in self.delta:
-            s = idx[src]
-            t = idx[dst]
-            yield s, t, (degrees[t] - degrees[s] - 1) // period
 
     def delta_columns(self) -> list[int]:
         """delta as columns: column i is the bitset of targets of generator i.

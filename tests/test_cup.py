@@ -20,6 +20,7 @@ from fcx.cup import (
     induced_on_pages,
     injectivity_check,
     module_check,
+    require_valid_cup,
     resolve_unit,
     validate_cup,
 )
@@ -57,6 +58,17 @@ def complex_of(params, gens, delta=(), cups=(), ring=None):
         cup_classes=cups,
         ring=ring,
     )
+
+
+def class_columns(c, cls):
+    """The class as columns, by a plain XOR over its entries whose ids both
+    resolve, with this test's own uid -> index map."""
+    idx = {g.uid: i for i, g in enumerate(c.generators)}
+    cols = [0] * c.count
+    for src, dst in cls.entries:
+        if src in idx and dst in idx:
+            cols[idx[src]] ^= 1 << idx[dst]
+    return cols
 
 
 def ident_class(c, name="1"):
@@ -317,7 +329,7 @@ def graded_limit_action(c, cls):
     stable = table.collapse_page
     period = c.params.maslov_period
     cols = c.delta_columns()
-    a_cols = cls.columns(c)
+    a_cols = class_columns(c, cls)
     boundaries = [v for v in (apply_columns(cols, 1 << i) for i in range(c.count)) if v]
 
     def cycles_at(level, residue):
@@ -496,11 +508,51 @@ def test_invalid_document_class_raises_on_every_call():
     c = complex_of(P3, [("u", 0), ("v", 2)], cups=(bad,))
     assert validate_cup(c, bad) is validate_cup(c, bad)
     assert not validate_cup(c, bad).ok
-    for _ in range(2):
-        with pytest.raises(FcxError, match="cup class 'q' failed validation"):
-            induced_on_cohomology(c, bad)
-        with pytest.raises(FcxError, match="cup class 'q' failed validation"):
-            induced_on_pages(c, bad, 1)
+    other = CupClass("r", 1, (("u", "v"),))  # not a document class
+    for cls in (bad, other):
+        for _ in range(2):
+            with pytest.raises(FcxError, match=f"cup class '{cls.name}' failed validation"):
+                induced_on_cohomology(c, cls)
+            with pytest.raises(FcxError, match=f"cup class '{cls.name}' failed validation"):
+                induced_on_pages(c, cls, 1)
+            with pytest.raises(FcxError, match=f"cup class '{cls.name}' failed validation"):
+                require_valid_cup(c, cls)
+
+
+def test_valid_class_columns_are_the_xor_of_its_resolved_entries():
+    c = shifted_product_document()
+    a1 = c.cup_classes[1]
+    other = CupClass("b1", a1.degree, a1.entries)
+    for cls in (a1, other, c.cup_classes[0]):
+        cols = require_valid_cup(c, cls)
+        assert list(cols) == class_columns(c, cls), cls.name
+        assert cols == require_valid_cup(c, cls)
+    assert require_valid_cup(c, a1) is require_valid_cup(c, a1)
+
+
+def test_a_non_document_class_adds_nothing_to_the_memo():
+    c = shifted_product_document()
+    a1 = c.cup_classes[1]
+    for k in (1, 2):
+        induced_on_pages(c, a1, k)
+    module_check(c, c.ring)
+
+    def snapshot():
+        memos = c._memo.get("cup_class_memos", [])
+        return set(c._memo), [dict(m) for m in memos]
+
+    before = snapshot()
+    other = CupClass("b1", a1.degree, a1.entries)
+    assert validate_cup(c, other).ok
+    induced_on_cohomology(c, other)
+    for k in (1, 2):
+        induced_on_pages(c, other, k)
+    after = snapshot()
+    assert after[0] == before[0]
+    assert [m.keys() for m in after[1]] == [m.keys() for m in before[1]]
+    assert all(
+        a[key] is b[key] for a, b in zip(after[1], before[1]) for key in a
+    )
 
 
 

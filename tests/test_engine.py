@@ -228,7 +228,11 @@ def test_masked_jump_collapse_exceeds_entry_jump_bound():
     assert sorted(
         (uid[s], uid[t], form.jump_of((s, t))) for s, t in form.dipoles
     ) == [("x1", "b", 2), ("x2", "a", 0)]
-    max_entry_jump = max(k for _, _, k in MASKED_JUMP.indexed_delta())
+    degree = {g.uid: g.degree for g in MASKED_JUMP.generators}
+    max_entry_jump = max(
+        (degree[t] - degree[s] - 1) // MASKED_JUMP.params.maslov_period
+        for s, t in MASKED_JUMP.delta
+    )
     assert max_entry_jump == 1
     assert collapse_page(MASKED_JUMP) == 3  # strictly above 1 + max entry jump
     table = pages(MASKED_JUMP)

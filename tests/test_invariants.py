@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -45,6 +46,14 @@ def complex_of(params, gens, delta=()):
     return FloerComplexData(
         params, lifted, tuple(DifferentialEntry(s, t) for s, t in delta)
     )
+
+
+def entry_jumps(c):
+    """(src, dst, jump index) of each entry, in delta order, by a uid -> degree
+    lookup per entry."""
+    degree = {g.uid: g.degree for g in c.generators}
+    period = c.params.maslov_period
+    return [(s, t, (degree[t] - degree[s] - 1) // period) for s, t in c.delta]
 
 
 DIPOLE = complex_of(P4_ALG, [("x", 0), ("y", 5)], [("x", "y")])
@@ -240,7 +249,7 @@ def test_rebase_crossing_one_action_moves_one_lift():
     e = out.delta[0]
     degree = {g.uid: g.degree for g in out.generators}
     assert degree[e.dst] - degree[e.src] == 9
-    assert list(out.indexed_delta()) == [(0, 1, 2)]
+    assert entry_jumps(out) == [("x", "y", 2)]
     assert poincare_laurent(pages(out), 1).as_dict() == {-4: 1, 5: 1}
 
 
@@ -287,6 +296,44 @@ def test_collapse_bound_from_jumps_can_undershoot_the_true_collapse():
     )
     assert collapse_bound_from_jumps(masked) == 2
     assert collapse_page(masked) == 3
+
+
+@given(seeds, periods)
+@settings(max_examples=40, deadline=None)
+def test_collapse_bound_from_jumps_is_one_plus_the_largest_entry_jump(seed, period):
+    c, _ = random_complex(seed, MonotoneParams(period, 0.5), max_jump=3)
+    expected = 1 + max((k for _, _, k in entry_jumps(c)), default=0)
+    assert collapse_bound_from_jumps(c) == expected
+    empty = dataclasses.replace(c, delta=())
+    assert collapse_bound_from_jumps(empty) == 1
+
+
+def test_collapse_bound_from_energy_lists_the_entries_over_budget():
+    p = P4  # a jump-0 entry implies a drop of -0.5, a jump-1 entry 1.5
+    normal_forms = [
+        build_from_normal_form(NormalFormSpec(p, free=(2,), dipoles=dipoles))
+        for dipoles in (((0, 0), (4, 1)), ((-3, 1), (0, 0), (1, 1), (4, 0), (5, 1)))
+    ]
+    # uid order differs from generator order, for sources and for targets
+    crossed = complex_of(
+        p,
+        [("z", 0, 0.25), ("c", 1, 0.3), ("b", 5, 1.75), ("y", 6, 1.8), ("a", 13, 1.75)],
+        [("z", "b"), ("z", "a"), ("c", "y")],
+    )
+    counts = set()
+    for c in normal_forms + [crossed]:
+        assert all(g.action is not None for g in c.generators)
+        for energy in (0.25, 1.5, 3.0):
+            expected = [
+                f"entry ({s} -> {t}) of jump index {k} implies an action drop "
+                f"{k * p.action_period - p.monotonicity}, at or above the budget {energy}"
+                for s, t, k in entry_jumps(c)
+                if k * p.action_period - p.monotonicity >= energy - p.action_tolerance
+            ]
+            report = collapse_bound_from_energy(c, energy)
+            assert report.infeasible_entries == tuple(expected)
+            counts.add(len(expected))
+    assert counts == {0, 1, 3}
 
 
 def test_collapse_bound_from_energy_thresholds():

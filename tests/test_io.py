@@ -327,6 +327,30 @@ CUP_HEAD = "fcx 1\nsigma 4\nlambda 0.5\ngen a 0\ngen b 1\ncup e 0\n"  # lines 1-
 @pytest.mark.parametrize(
     "body, line_no, message",
     [
+        ("c e a$ b\n", 7, "source id must match [A-Za-z0-9_*]+, got 'a$'"),
+        ("c e a b$\n", 7, "target id must match [A-Za-z0-9_*]+, got 'b$'"),
+        ("c e$ a$ b$\n", 7, "class name must match [A-Za-z0-9_*]+, got 'e$'"),
+        ("c e a b # first\nc e b a\nc e a b\n", 9,
+         "duplicate entry (a -> b) for class 'e' (first on line 7)"),
+        ("c e a\n", 7, "directive 'c' takes 3 argument(s), got 2"),
+        # ids that passed the check once, on a 'd' or 'c' line, are
+        # remembered; a bad id raises where it first occurs
+        ("d a b\nc e a b$\n", 8, "target id must match [A-Za-z0-9_*]+, got 'b$'"),
+        ("c e a b\nd a b$\n", 8, "target id must match [A-Za-z0-9_*]+, got 'b$'"),
+        ("c e a b\nc e b$ a\nd b$ a\n", 8, "source id must match [A-Za-z0-9_*]+, got 'b$'"),
+        ("d a b\nc e b a\nc e a zz\n", 9, "unknown generator 'zz'"),
+    ],
+)
+def test_cup_entry_line_diagnostics(body, line_no, message):
+    with pytest.raises(FcxParseError) as info:
+        parse(CUP_HEAD + body)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize(
+    "body, line_no, message",
+    [
         # a later 'd' line does not hide an earlier 'ring' or 'c' line
         ("ring e zz e\nd a yy\n", 7, "unknown cup class 'zz'"),
         ("c e a a\nc e a yy\nd yy a\n", 8, "unknown generator 'yy'"),

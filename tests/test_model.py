@@ -191,23 +191,6 @@ def test_require_valid_raises_with_report():
     assert not exc.value.report.ok
 
 
-def test_jump_index_of_entries():
-    c = complex_of(P4_ALG, [("x", 0), ("y", 5)], [("x", "y")])
-    assert list(c.indexed_delta()) == [(0, 1, 1)]
-
-
-@given(seeds, periods)
-@settings(max_examples=20, deadline=None)
-def test_indexed_delta_agrees_with_per_entry_lookups(seed, period):
-    c, _ = random_complex(seed, MonotoneParams(period, 0.5), max_jump=3)
-    idx = c.index_map()
-    degree = {g.uid: g.degree for g in c.generators}
-    assert list(c.indexed_delta()) == [
-        (idx[src], idx[dst], (degree[dst] - degree[src] - 1) // period)
-        for src, dst in c.delta
-    ]
-
-
 def xor_of_resolved_entries(c):
     """delta as columns by a plain XOR over the entries whose ids both resolve."""
     idx = c.index_map()
@@ -245,10 +228,12 @@ def test_delta_columns_of_invalid_complexes_xor_the_resolved_entries():
 @settings(max_examples=40, deadline=None)
 def test_jump0_columns_are_the_jump_zero_entries(seed, period):
     c, _ = random_complex(seed, MonotoneParams(period, 0.5), max_jump=3)
+    idx = {g.uid: i for i, g in enumerate(c.generators)}
+    degree = {g.uid: g.degree for g in c.generators}
     expected = [0] * c.count
-    for s, t, k in c.indexed_delta():
-        if k == 0:
-            expected[s] ^= 1 << t
+    for src, dst in c.delta:
+        if (degree[dst] - degree[src] - 1) // period == 0:
+            expected[idx[src]] ^= 1 << idx[dst]
     assert list(jump0_columns(c)) == expected
     assert c.delta_columns() == xor_of_resolved_entries(c)
 

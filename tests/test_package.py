@@ -1,5 +1,5 @@
-"""Package-level checks: every exported name resolves, and no module imports
-a name it never uses."""
+"""Package-level checks: every exported name resolves, no module imports a
+name it never uses, and only the validators resolve entry ids."""
 
 from __future__ import annotations
 
@@ -64,3 +64,34 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py"
     }
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _index_map_callers(source: str) -> set[str]:
+    """Qualified names of the functions whose own body calls ``.index_map()``."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "index_map"
+            ):
+                found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_only_the_validators_resolve_entry_ids():
+    package = Path(fcx.__file__).parent
+    callers = {
+        f"{path.stem}.{name}"
+        for path in sorted(package.glob("*.py"))
+        for name in _index_map_callers(path.read_text())
+    }
+    assert callers == {"model._validate", "cup._validate_cup"}
