@@ -64,24 +64,28 @@ __all__ = ["main", "entrypoint"]
 
 
 class _UsageError(FcxError):
-    """An argument outside the range its command accepts (exit code 2)."""
+    """An argument the command cannot use (exit code 2)."""
 
 
 def _load(path: str, allow_small_sigma: bool) -> FloerComplexData:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise FcxParseError(None, f"cannot read '{path}': {exc.strerror}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise FcxParseError(None, f"cannot read '{path}': {reason}") from exc
     return parse(text, allow_small_sigma=allow_small_sigma)
 
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write '{out_path}': {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ Everything here rests on one canonical-form computation: a change of basis
 that turns the differential into a disjoint union of elementary "dipoles"
 (one source generator mapping to one target generator) plus untouched free
 generators.  The algorithm is a column reduction over the processing order
-"descending degree, then ascending id": each column is reduced against
-previously claimed pivot columns at its *low* entry (the latest entry in the
-processing order, i.e. the one of minimal degree, largest id on ties), and a
-nonzero reduced column claims its low as a pivot.  Because the differential
-squares to zero, an index claimed as a pivot target always has a zero reduced
-column of its own, so sources, targets and free generators partition the
-basis (checked defensively at run time).
+"descending degree, then ascending id", run on ``gf2.echelon`` with the
+*low* entry as pivot (the latest entry in the processing order, i.e. the one
+of minimal degree, largest id on ties): each column is reduced against
+previously kept columns at its low, and a nonzero reduced column keeps its
+low as a pivot.  Because the differential squares to zero, an index kept as
+a pivot target always has a zero reduced column of its own, so sources,
+targets and free generators partition the basis (checked defensively at run
+time).
 
 The low is found without a scan.  Generators are stored sorted by
 (degree, id), so each degree is one contiguous block of indices: a column's
@@ -45,6 +46,7 @@ from .gf2 import (
     Gf2Matrix,
     Gf2Subspace,
     apply_columns,
+    echelon,
     image_basis,
     invert_columns,
     kernel_basis,
@@ -306,7 +308,8 @@ def canonical_form(c: FloerComplexData) -> CanonicalForm:
     The change of basis is filtration- and residue-compatible: each canonical
     basis vector equals its slot's generator plus generators of the same
     residue that come strictly earlier in the processing order (same degree
-    with smaller id, or strictly higher degree).  The form is computed once
+    with smaller id, or strictly higher degree).  ``gf2.echelon`` reduces the
+    columns in that order at their low entries.  The form is computed once
     per instance.
     """
     return c.cached("canonical_form", _reduce)
@@ -319,12 +322,12 @@ def _reduce(c: FloerComplexData) -> CanonicalForm:
     cols = c.delta_columns()
 
     # Processing order: descending degree, ascending id inside a degree.
-    # Generators are canonically sorted ascending, so reversing degree blocks
-    # while keeping in-block order is exactly sorting by (-degree, uid).
-    order = sorted(range(n), key=lambda i: (-gens[i].degree, gens[i].uid))
-    # block[i]: the mask of every index sharing generator i's degree.
+    # Generators are sorted by (degree, id), so each degree group is one
+    # ascending block of indices, and its mask is block[i] for each member i.
+    groups = c.degree_groups()
+    order = [i for degree in sorted(groups, reverse=True) for i in groups[degree]]
     block = [0] * n
-    for members in c.degree_groups().values():
+    for members in groups.values():
         mask = (1 << (members[-1] + 1)) - (1 << members[0])
         for i in members:
             block[i] = mask
@@ -338,49 +341,28 @@ def _reduce(c: FloerComplexData) -> CanonicalForm:
         """
         return (col & block[(col & -col).bit_length() - 1]).bit_length() - 1
 
-    reduced: dict[int, int] = {}  # paired source -> reduced delta column
-    chain: dict[int, int] = {}  # generator -> accumulated basis vector
-    owner: dict[int, int] = {}  # pivot target -> owning source
-    pairs: list[tuple[int, int]] = []
-    raw_zero: list[int] = []
-
-    for g in order:
-        col = cols[g]
-        v = 1 << g
-        while col:
-            lo = low(col)
-            own = owner.get(lo)
-            if own is None:
-                break
-            col ^= reduced[own]
-            v ^= chain[own]
-        chain[g] = v
-        if col:  # the loop stopped at lo = low(col), which no column owns
-            reduced[g] = col
-            owner[lo] = g
-            pairs.append((g, lo))
-        else:
-            raw_zero.append(g)
+    # Tag 1 << g accumulates g's chain: g plus the earlier generators whose
+    # reduced columns were added to its column.  Its low is therefore g.
+    rows, dependents = echelon(((cols[g], 1 << g) for g in order), low)
+    zero = {low(chain): chain for chain in dependents}
 
     # Role exclusivity: the differential squares to zero, so a claimed pivot
     # target must itself have reduced to the zero column earlier.
-    sources = set(reduced)
-    targets = set(owner)
-    twice = sorted((sources & targets) | (targets - set(raw_zero)))
+    twice = sorted(rows.keys() - zero.keys())
     if twice:
         raise EngineConsistencyError(
             f"canonical reduction assigned generator '{gens[twice[0]].uid}' "
             "two roles; this indicates a bug in the reduction"
         )
-    free = tuple(sorted(i for i in raw_zero if i not in targets))
-    dipoles = tuple(sorted(pairs))
 
+    # Each kept row t -> (reduced column, chain) is the dipole (low(chain), t).
+    dipoles = tuple(sorted((low(chain), t) for t, (_, chain) in rows.items()))
+    free = tuple(sorted(zero.keys() - rows.keys()))
     basis = [0] * n
     for s, t in dipoles:
-        basis[s] = chain[s]
-        basis[t] = reduced[s]
+        basis[t], basis[s] = rows[t]
     for f in free:
-        basis[f] = chain[f]
+        basis[f] = zero[f]
     # Each slot is its generator plus earlier ones in ``order`` (a dipole
     # target is its own low), so the inverse is a substitution in that order.
     try:

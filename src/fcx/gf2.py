@@ -8,9 +8,10 @@ There are two echelon formats.  Where a canonical basis is the output, the
 reduced row-echelon form of ``rref_rows`` is used: it is unique, its pivot
 columns ascend, and subspaces are kept in it, so two subspaces are equal iff
 their stored bases are identical.  Everything else (rank, the relations
-among vectors, decoding a vector against a span) uses the pivot-keyed
-echelon of ``echelon``, a dict from each row's pivot, its lowest set bit, to
-a (vector, tag) row, which ``clear_pivots`` reduces against.
+among vectors, decoding a vector against a span, the engine's dipole
+reduction) uses the pivot-keyed echelon of ``echelon``, a dict from each
+row's pivot (by default its lowest set bit, which ``clear_pivots`` needs)
+to a (vector, tag) row.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Gf2Matrix",
@@ -73,23 +74,30 @@ def rref_rows(rows: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(basis), tuple(pivots)
 
 
-def echelon(pairs: Iterable[tuple[int, int]]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+def _lowest_bit(v: int) -> int:
+    return (v & -v).bit_length() - 1
+
+
+def echelon(
+    pairs: Iterable[tuple[int, int]], pivot: Callable[[int], int] = _lowest_bit
+) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """Echelonize vectors while tracking which inputs each row sums.
 
-    Each input is a pair (vector, tag); adding two rows adds their tags.  A
-    vector is reduced at its lowest set bit until that bit is no earlier
-    row's pivot, where the row is kept, or the vector vanishes.  Returns
-    ``(rows, dependents)``: the kept rows as pivot -> (vector, tag), each
-    keyed by its lowest set bit, and the tags of the inputs whose vector
-    vanished, in input order.  With distinct one-bit tags, ``dependents`` is
-    a basis of the relations among the vectors and the kept vectors are a
-    basis of their span.
+    Each input is a pair (vector, tag); adding two rows adds their tags.
+    ``pivot(v)`` is the set bit of ``v`` that comes last in one fixed order
+    of the bit positions (by default the lowest set bit), so adding a row at
+    its pivot only sets earlier bits.  A vector is reduced at its pivot until
+    that is no earlier row's pivot, where the row is kept, or the vector
+    vanishes.  Returns ``(rows, dependents)``: the kept rows as pivot ->
+    (vector, tag), and the tags of the inputs whose vector vanished, in input
+    order.  With distinct one-bit tags, ``dependents`` is a basis of the
+    relations among the vectors and the kept vectors are a basis of their span.
     """
     rows: dict[int, tuple[int, int]] = {}
     dependents: list[int] = []
     for v, tag in pairs:
         while v:
-            piv = (v & -v).bit_length() - 1
+            piv = pivot(v)
             row = rows.get(piv)
             if row is None:
                 rows[piv] = (v, tag)
@@ -104,12 +112,13 @@ def echelon(pairs: Iterable[tuple[int, int]]) -> tuple[dict[int, tuple[int, int]
 def clear_pivots(rows: Mapping[int, tuple[int, int]], v: int) -> tuple[int, int]:
     """Reduce ``v`` by an ``echelon`` until none of its pivot bits is left.
 
-    ``rows`` maps each row's pivot, the lowest set bit of its vector, to the
-    pair (vector, tag).  Returns the remainder and the XOR of the tags of the
-    rows added.  The remainder is the unique vector that differs from ``v``
-    by an element of the rows' span and has no pivot bit set, so it is 0 iff
-    ``v`` lies in that span, and any echelon of the same span (its RREF
-    too) leaves the same remainder.
+    ``rows`` is an ``echelon`` with the default pivot: it maps each row's
+    pivot, the lowest set bit of its vector, to the pair (vector, tag).
+    Returns the remainder and the XOR of the tags of the rows added.  The
+    remainder is the unique vector that differs from ``v`` by an element of
+    the rows' span and has no pivot bit set, so it is 0 iff ``v`` lies in
+    that span, and any echelon of the same span (its RREF too) leaves the
+    same remainder.
     """
     tags = 0
     pending = v  # the bits of v not yet examined

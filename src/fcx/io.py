@@ -17,9 +17,9 @@ ignored; tokens are whitespace-separated):
 Ids and class names match ``[A-Za-z0-9_*]+`` (the ``*`` admits tensor-product
 generator names like ``x*y``, so serialized products re-parse).  Integers are
 ASCII digits with an optional sign.  Decimals are plain base-10 with optional
-sign and fraction, no exponent.  Line order of ``gen``/``d`` bodies is
-non-semantic: the loaded complex always carries the canonical internal
-ordering.
+sign and fraction, no exponent, and finite.  Line order of ``gen``/``d``
+bodies is non-semantic: the loaded complex always carries the canonical
+internal ordering.
 
 The serializer is canonical: fixed header order, generators sorted by
 (degree, id), differential entries by (src, dst), cup data sorted by class
@@ -32,6 +32,7 @@ unique degree-0 identity class).
 
 from __future__ import annotations
 
+import math
 import re
 
 from .cup import CupClass, RingTable
@@ -73,7 +74,10 @@ def _parse_decimal(line_no: int, token: str, what: str) -> float:
         raise FcxParseError(
             line_no, f"{what} must be a plain decimal number, got '{token}'"
         )
-    return float(token)
+    value = float(token)
+    if not math.isfinite(value):
+        raise FcxParseError(line_no, f"{what} must be a finite number")
+    return value
 
 
 def _parse_id(line_no: int, token: str, what: str) -> str:

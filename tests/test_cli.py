@@ -128,6 +128,26 @@ def test_missing_file_exits_two(run, tmp_path):
     assert "cannot read" in err
 
 
+def test_a_document_that_is_not_utf8_exits_two(run, tmp_path):
+    path = tmp_path / "latin1.fcx"
+    path.write_bytes(b"fcx 1\nsigma 4\nlambda 0.5\ngen a\xff 0\n")
+    code, out, err = run("pages", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fcx: cannot read '{path}': ")
+
+
+@pytest.mark.parametrize("target", ["missing/x.fcx", "."])
+@pytest.mark.parametrize(
+    "command", [("gen",), ("rebase", None, "--delta-r", "2.0")], ids=["gen", "rebase"]
+)
+def test_an_output_path_that_cannot_be_written_exits_two(run, write_doc, tmp_path, command, target):
+    out_path = str(tmp_path / target)
+    argv = [write_doc(ACT_TEXT) if arg is None else arg for arg in command]
+    code, out, err = run(*argv, "-o", out_path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fcx: cannot write '{out_path}': ")
+
+
 def test_invalid_complex_exits_one_for_computation_commands(run, write_doc):
     code, _, err = run("pages", write_doc(BAD_JUMP_TEXT))
     assert code == 1

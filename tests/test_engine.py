@@ -19,6 +19,7 @@ from fcx.engine import (
     subquotient_pages_oracle,
 )
 from fcx.gf2 import apply_columns
+from fcx.kunneth import tensor_product
 from fcx.model import (
     DifferentialEntry,
     EngineConsistencyError,
@@ -333,23 +334,43 @@ def test_stored_inverse_undoes_the_change_of_basis_on_scrambled_complexes(
         assert apply_columns(form.change_of_basis, form.inverse[i]) == 1 << i
 
 
-# Digests of the canonical form (dipoles, free slots, change of basis and its
-# inverse), recorded when the pivot was found by scanning every bit of a
-# column; the block-mask lookup must give the same form bit for bit.
+# Digests of the canonical forms (dipoles, free slots, change of basis and its
+# inverse) of each case's complexes, hashed in turn.  The three scrambled
+# complexes were recorded when the pivot was found by scanning every bit of a
+# column, the random draws and the tensor products (sparse columns, many of
+# them zero) when the reduction ran its own elimination loop; the reduction
+# must give the same forms bit for bit.
 CANONICAL_DIGESTS = {
-    (250, 3, 1): "c470f47487b5f1b83206048e6022ce5f49d7abc6ca932733eb36be51cd5a8f02",
-    (500, 6, 2): "2eda54a545ac95f44acb4c5f923b21ea426c95f88e4f226b92084ed14f58d158",
-    (1000, 4, 3): "b6ea3a671069f2ad645756f51f6f034a2b3f800a3f73c10523c91daa8ea55033",
+    "250-3-1": "c470f47487b5f1b83206048e6022ce5f49d7abc6ca932733eb36be51cd5a8f02",
+    "500-6-2": "2eda54a545ac95f44acb4c5f923b21ea426c95f88e4f226b92084ed14f58d158",
+    "1000-4-3": "b6ea3a671069f2ad645756f51f6f034a2b3f800a3f73c10523c91daa8ea55033",
+    "random-200": "a724fb371b2f3c90ee73eaeb2492aebc6f6aa436d0c7ef743afea71ee0c899cf",
+    "products": "9ab05e1740799e0796d252960ccee60bcde397e6c1b0966a89a0c9b14f638d46",
 }
 
 
-@pytest.mark.parametrize("n, period, seed", sorted(CANONICAL_DIGESTS))
-def test_canonical_forms_of_scrambled_complexes_are_pinned(scrambled, n, period, seed):
-    f = canonical_form(scrambled(n, period, seed))
-    digest = hashlib.sha256(
-        repr((f.dipoles, f.free, f.change_of_basis, f.inverse)).encode()
-    ).hexdigest()
-    assert digest == CANONICAL_DIGESTS[(n, period, seed)]
+def _pinned_complexes(scrambled, case):
+    if case == "random-200":  # periods 3..6, up to 65 generators
+        return [
+            random_complex(seed, MonotoneParams(3 + seed % 4, 0.5), 12 + seed % 54)[0]
+            for seed in range(200)
+        ]
+    if case == "products":
+        return [
+            tensor_product(scrambled(na, period, seed), scrambled(nb, period, seed + 1)).complex
+            for seed, (na, nb, period) in enumerate(((12, 12, 3), (24, 20, 6), (40, 30, 4)))
+        ]
+    n, period, seed = map(int, case.split("-"))
+    return [scrambled(n, period, seed)]
+
+
+@pytest.mark.parametrize("case", sorted(CANONICAL_DIGESTS))
+def test_canonical_forms_of_scrambled_complexes_are_pinned(scrambled, case):
+    digest = hashlib.sha256()
+    for c in _pinned_complexes(scrambled, case):
+        f = canonical_form(c)
+        digest.update(repr((f.dipoles, f.free, f.change_of_basis, f.inverse)).encode())
+    assert digest.hexdigest() == CANONICAL_DIGESTS[case]
 
 
 @given(seeds, periods)

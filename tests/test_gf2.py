@@ -43,21 +43,29 @@ def test_apply_columns_xors_the_columns_of_the_set_bits(cols, v):
     assert apply_columns(cols, v) == expected
 
 
-@given(vector_lists)
-def test_echelon_rows_are_keyed_by_lowest_bit_and_span_the_inputs(vs):
-    rows, _ = echelon((v, 0) for v in vs)
+# ``echelon``'s keyword arguments: the default pivot, the lowest set bit, and
+# the other end of the bit order.
+PIVOTS = {"lowest": {}, "highest": {"pivot": lambda v: v.bit_length() - 1}}
+
+
+@pytest.mark.parametrize("pivot", sorted(PIVOTS))
+@given(vs=vector_lists)
+def test_echelon_rows_are_keyed_by_their_pivot_and_span_the_inputs(pivot, vs):
+    rows, _ = echelon(((v, 0) for v in vs), **PIVOTS[pivot])
     for piv, (v, _) in rows.items():
-        assert (v >> piv) & 1 and v & ((1 << piv) - 1) == 0
+        earlier = v & ((1 << piv) - 1) if pivot == "lowest" else v >> (piv + 1)
+        assert (v >> piv) & 1 and earlier == 0
     span = Gf2Subspace.from_vectors(DIM, vs)
     assert Gf2Subspace.from_vectors(DIM, [v for v, _ in rows.values()]) == span
     assert len(rows) == span.dim
 
 
-@given(vector_lists)
-def test_echelon_dependent_tags_are_relations_on_earlier_kept_inputs(vs):
+@pytest.mark.parametrize("pivot", sorted(PIVOTS))
+@given(vs=vector_lists)
+def test_echelon_dependent_tags_are_relations_on_earlier_kept_inputs(pivot, vs):
     """Tags 1 << i: the tag of dependent input i is bit i plus bits of kept
     inputs before i, and it maps to 0 under the column map ``vs``."""
-    _, relations = echelon((v, 1 << i) for i, v in enumerate(vs))
+    _, relations = echelon(((v, 1 << i) for i, v in enumerate(vs)), **PIVOTS[pivot])
     dependent = [
         i for i, v in enumerate(vs) if Gf2Subspace.from_vectors(DIM, vs[:i]).contains(v)
     ]

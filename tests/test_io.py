@@ -101,6 +101,20 @@ def test_parse_token_shape_diagnostics():
         parse("fcx 1\nsigma 4\nlambda 0.5\ngen x-y 0\n")
 
 
+@pytest.mark.parametrize(
+    "what, line_no, lines",
+    [
+        ("lambda", 3, ["lambda 1" + "0" * 400]),
+        ("r", 4, ["lambda 0.5", "r -1" + "0" * 400]),
+        ("action", 4, ["lambda 0.5", "gen x 0 1" + "0" * 400 + ".5"]),
+    ],
+)
+def test_decimals_must_be_finite(what, line_no, lines):
+    with pytest.raises(FcxParseError) as info:
+        parse("\n".join(["fcx 1", "sigma 4", *lines]) + "\n")
+    assert str(info.value).startswith(f"line {line_no}: {what} must be a finite number")
+
+
 def test_parse_dangling_references():
     with pytest.raises(FcxParseError, match="unknown generator 'y'"):
         parse("fcx 1\nsigma 4\nlambda 0.5\ngen x 0\nd x y\n")

@@ -1,5 +1,6 @@
 """Package-level checks: every exported name resolves, no module imports a
-name it never uses, and only the validators resolve entry ids."""
+name it never uses, only the validators resolve entry ids, and only ``gf2``
+runs a GF(2) elimination loop."""
 
 from __future__ import annotations
 
@@ -66,8 +67,9 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
-def _index_map_callers(source: str) -> set[str]:
-    """Qualified names of the functions whose own body calls ``.index_map()``."""
+def _functions_with(hit) -> set[str]:
+    """``module.qualified.name`` of each ``src/fcx`` function whose own body
+    (outside the functions and classes nested in it) has a node ``hit`` accepts."""
     found: set[str] = set()
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
@@ -75,23 +77,31 @@ def _index_map_callers(source: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "index_map"
-            ):
-                found.add(".".join(scope) or "<module>")
+            if hit(child):
+                found.add(".".join(scope))
             visit(child, scope)
 
-    visit(ast.parse(source), ())
+    for path in sorted(Path(fcx.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem,))
     return found
 
 
 def test_only_the_validators_resolve_entry_ids():
-    package = Path(fcx.__file__).parent
-    callers = {
-        f"{path.stem}.{name}"
-        for path in sorted(package.glob("*.py"))
-        for name in _index_map_callers(path.read_text())
-    }
-    assert callers == {"model._validate", "cup._validate_cup"}
+    def calls_index_map(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "index_map"
+        )
+
+    assert _functions_with(calls_index_map) == {"model._validate", "cup._validate_cup"}
+
+
+def test_only_gf2_runs_an_elimination_loop():
+    def xor_loop(node: ast.AST) -> bool:
+        return isinstance(node, ast.While) and any(
+            isinstance(inner, ast.AugAssign) and isinstance(inner.op, ast.BitXor)
+            for inner in ast.walk(node)
+        )
+
+    assert {name for name in _functions_with(xor_loop) if not name.startswith("gf2.")} == set()
