@@ -71,7 +71,6 @@ from .model import (
     MonotoneParams,
     SizeGuardError,
     ValidationReport,
-    periodic_cohomology,
     require_valid,
     validate,
     z_graded_cohomology,
@@ -106,7 +105,6 @@ __all__ = [
     "validate",
     "require_valid",
     "z_graded_cohomology",
-    "periodic_cohomology",
     # linear algebra
     "Gf2Matrix",
     "Gf2Subspace",

@@ -5,7 +5,8 @@ rebase, collapse-bound, betti, kunneth, power, cup, ring, cuplength, gen,
 report.  Every command reads FCX documents (see .io).  ``gen`` and
 ``rebase`` write FCX documents; every other command writes a human-readable
 or a TSV rendering (``--format human|tsv``).  Output is deterministic and
-line-sorted, so two runs on the same input are byte-identical.
+line-sorted, so two runs on the same input are byte-identical.  Every
+dimension printed, cohomology and HF included, is counted from the barcode.
 
 A renderer computes a command's answer as format-free rows, each a tag
 followed by its fields (polynomials stay ``LaurentPoly`` objects), plus an ok
@@ -54,9 +55,7 @@ from .model import (
     FloerComplexData,
     MonotoneParams,
     SizeGuardError,
-    periodic_cohomology,
     validate,
-    z_graded_cohomology,
 )
 from .synth import PRNG_NAME, random_complex
 
@@ -175,9 +174,10 @@ def _render_validate(c: FloerComplexData) -> tuple[list[tuple], bool]:
     return rows, ok
 
 
-def _render_cohomology(c: FloerComplexData) -> tuple[list[tuple], bool]:
-    rows = [("cohomology", n, d) for n, d in sorted(z_graded_cohomology(c).dims)]
-    rows += [("hf", j, d) for j, d in sorted(periodic_cohomology(c).dims)]
+def _render_cohomology(table: PageTable) -> tuple[list[tuple], bool]:
+    z, hf = table.barcode.cohomology_dims(table.params.maslov_period)
+    rows = [("cohomology", n, d) for n, d in sorted(z.items())]
+    rows += [("hf", j, d) for j, d in sorted(hf.items())]
     return rows, True
 
 
@@ -317,7 +317,7 @@ def _render_report(c: FloerComplexData, upto: int | None) -> tuple[list[tuple], 
         return rows, False
     table = pages(c, upto=upto)
     sections = [
-        ("cohomology", _render_cohomology(c)),
+        ("cohomology", _render_cohomology(table)),
         ("pages", _render_pages(table)),
         ("poincare", _render_poincare(table)),
         ("euler", _render_euler(table)),
@@ -345,7 +345,7 @@ def _render_report(c: FloerComplexData, upto: int | None) -> tuple[list[tuple], 
 # runs, so a wrapper installed on ``fcx.cli`` sees every call.
 _RENDERERS: dict[str, Callable[..., tuple[list[tuple], bool]]] = {
     "validate": lambda args, c: _render_validate(c),
-    "cohomology": lambda args, c: _render_cohomology(c),
+    "cohomology": lambda args, c: _render_cohomology(pages(c)),
     "pages": lambda args, c: _render_pages(pages(c, upto=args.max_page)),
     "poincare": lambda args, c: _render_poincare(pages(c, upto=args.max_page)),
     "euler": lambda args, c: _render_euler(pages(c, upto=args.max_page)),

@@ -285,9 +285,11 @@ def _induced_on_cohomology(
         for col_idx, r in enumerate(basis):
             coords = table.coordinates(target, apply_columns(acols, r))
             if coords is None:
+                ids = "+".join(c.generators[i].uid for i in bits(r))
                 raise EngineConsistencyError(
                     f"induced image of class '{a.name}' left the cohomology at "
-                    f"degree {target}; this indicates a bug"
+                    f"degree {target}: the image of the degree-{n} representative "
+                    f"{ids} is not a cocycle there; this indicates a bug"
                 )
             entries.extend((row_idx, col_idx) for row_idx in bits(coords))
         blocks.append((n, Gf2Matrix.from_entries(dims.get(target, 0), len(basis), entries)))
@@ -450,7 +452,8 @@ def _total_endomorphism(
         if tgt is None:
             if not block.is_zero():
                 raise EngineConsistencyError(
-                    "nonzero induced block into a zero cohomology degree"
+                    f"induced block of class '{action.class_name}' from degree {n} "
+                    f"into the zero cohomology degree {n + action.degree} is nonzero"
                 )
             continue
         off_dst, _ = tgt

@@ -25,14 +25,16 @@ barcode lists each dipole as (source level, target level, jump index) and
 each free generator by its level: a free generator survives every page, a
 dipole of jump index ``k`` keeps both endpoints alive on pages ``1..k`` (the
 page-``k`` differential sends source slot to target slot) and dies entering
-page ``k+1``.  A page table holds the barcode and, eagerly, each page's
-dimensions by level; page dimensions, polynomials and the collapse page read
-only those.  The cells (slots and representatives) and the differential
-matrices are built from the barcode the first time they are read.
+page ``k+1``.  A page table holds the canonical form and, eagerly, each
+page's dimensions by level; page dimensions, polynomials and the collapse
+page read only those.  The cells (slots and representatives) and the
+differential matrices are built from the barcode the first time they are
+read.  The barcode also counts the dimensions of both cohomologies.
 
 Two independent cross-check routes are provided and kept deliberately
-separate from the reduction: a literal subquotient evaluation of any page,
-and the limit computed from the image filtration on ordinary cohomology.
+separate from the reduction and its kernel, ``gf2.echelon``: a literal
+subquotient evaluation of any page, and the limit and HF computed from the
+image filtration on ordinary cohomology.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from typing import Any, Callable, Mapping, TypeVar
 from .gf2 import (
     Gf2Matrix,
     Gf2Subspace,
+    NotUnitriangularError,
     apply_columns,
     echelon,
     image_basis,
@@ -60,7 +63,6 @@ from .model import (
     MonotoneParams,
     _local_matrix,
     expand_local,
-    periodic_cohomology,
     require_valid,
 )
 
@@ -94,10 +96,18 @@ class Barcode:
     dipoles: tuple[tuple[int, int, int], ...]
     free: tuple[int, ...]
 
-    @property
+    @cached_property
     def collapse_page(self) -> int:
         """First page equal to the limit: 1 + the maximal jump index (1 if none)."""
         return 1 + max((jump for _, _, jump in self.dipoles), default=0)
+
+    def cohomology_dims(self, period: int) -> tuple[dict[int, int], dict[int, int]]:
+        """Nonzero dims of the degree-graded cohomology by level (page 1: the
+        free levels and both ends of each dipole of jump index >= 1) and of
+        HF by residue mod ``period`` (the limit: the free levels)."""
+        z = Counter(self.free)
+        z.update(n for src, dst, jump in self.dipoles if jump for n in (src, dst))
+        return z, Counter(n % period for n in self.free)
 
 
 @dataclass(frozen=True)
@@ -160,11 +170,12 @@ class PageCell:
 class PageTable:
     """Spectral pages 1..``max_page`` of a complex, read from its barcode.
 
-    Eager: the barcode and, per page through ``min(max_page,
-    collapse_page)``, the nonzero dimensions by level, counted from it.
-    ``page``, the page polynomials and ``collapse_page`` (the first page
-    equal to the limit) read only those; a later page is the stable page,
-    so its reads are served by the last one kept.
+    It keeps the canonical form and ``max_page``; ``params``, ``barcode``
+    and ``collapse_page`` (the first page equal to the limit) are the
+    form's.  Eager: per page through ``min(max_page, collapse_page)``, the
+    nonzero dimensions by level, counted from the barcode.  ``page`` and the
+    page polynomials read only those; a later page is the stable page, so
+    its reads are served by the last one kept.
 
     Built from the barcode on first access, then kept: ``cells`` maps
     (page, level, residue) to a nonzero cell; ``differentials`` maps a
@@ -172,14 +183,11 @@ class PageTable:
     cell at (k, n + k*period + 1, (j + 1) % period) -- rows indexed by the
     target cell's slots, columns by the source cell's slots; only nonzero
     matrices are stored.  Other derived data is memoized by ``cached``.  The
-    table keeps the complex's params, not the complex, whose memo holds it.
+    table keeps the form, not the complex, whose memo holds it.
     """
 
-    params: MonotoneParams
     form: CanonicalForm
-    collapse_page: int
     max_page: int
-    barcode: Barcode
     _dims: tuple[dict[tuple[int, int], int], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -190,6 +198,18 @@ class PageTable:
     def __post_init__(self) -> None:
         kept = min(self.max_page, self.collapse_page)
         object.__setattr__(self, "_dims", _page_dims(self.barcode, kept, self.params.residue))
+
+    @property
+    def params(self) -> MonotoneParams:
+        return self.form.params
+
+    @property
+    def barcode(self) -> Barcode:
+        return self.form.barcode
+
+    @property
+    def collapse_page(self) -> int:
+        return self.form.barcode.collapse_page
 
     def cached(self, key: str, compute: Callable[["PageTable"], _T]) -> _T:
         """``compute(self)``, evaluated at most once per table under ``key``."""
@@ -283,9 +303,10 @@ def _page_dims(
 class LimitReport:
     """Limit data computed from ordinary cohomology and its image filtration.
 
-    ``hf_dims`` maps residue -> dim of the periodic cohomology;
-    ``filtration_dims`` maps (level, residue) -> dim of the image of the
-    level-n subcomplex's cohomology classes (nonzero entries only, levels
+    ``hf_dims`` maps residue j -> dim of the periodic cohomology HF^j, the
+    filtration dimension at the lowest level of residue j (nonzero entries
+    only); ``filtration_dims`` maps (level, residue) -> dim of the image of
+    the level-n subcomplex's cohomology classes (nonzero entries only, levels
     within the generator degree range extended one period below);
     ``einf_dims`` maps (level, residue) -> the filtration quotient dimension,
     which equals the stable page of the spectral sequence.
@@ -367,10 +388,10 @@ def _reduce(c: FloerComplexData) -> CanonicalForm:
     # target is its own low), so the inverse is a substitution in that order.
     try:
         inverse = invert_columns(basis, order)
-    except ValueError as exc:
+    except NotUnitriangularError as exc:
         raise EngineConsistencyError(
             "canonical change of basis is not unitriangular in the processing "
-            "order; this indicates a bug"
+            f"order at the slot of '{gens[exc.column].uid}'; this indicates a bug"
         ) from exc
 
     # Self-check: the conjugated differential is exactly the dipole arrows.
@@ -416,25 +437,15 @@ def pages(c: FloerComplexData, upto: int | None = None) -> PageTable:
 
 def _pages(c: FloerComplexData, upto: int | None = None) -> PageTable:
     form = canonical_form(c)
-    barcode = form.barcode
-    collapse = barcode.collapse_page
-    max_page = collapse + 1 if upto is None else max(1, upto)
-    return PageTable(c.params, form, collapse, max_page, barcode)
-
-
-def _filtration_indices(c: FloerComplexData, n: int, j: int | None = None) -> list[int]:
-    """Ascending indices of generators of degree >= n (and residue j if given)."""
-    return [
-        i
-        for i, g in enumerate(c.generators)
-        if g.degree >= n and (j is None or c.params.residue(g.degree) == j)
-    ]
+    max_page = form.barcode.collapse_page + 1 if upto is None else max(1, upto)
+    return PageTable(form, max_page)
 
 
 def _z_space(c: FloerComplexData, cols: list[int], n: int, j: int, k: int) -> Gf2Subspace:
     """The subspace of residue-j vectors at filtration level >= n whose
     differential lands at level >= n + k*period + 1 (ambient coordinates)."""
-    src = _filtration_indices(c, n, j)
+    residue = c.params.residue
+    src = [i for i, g in enumerate(c.generators) if g.degree >= n and residue(g.degree) == j]
     if not src:
         return Gf2Subspace.zero(c.count)
     cutoff = n + k * c.params.maslov_period + 1
@@ -480,8 +491,8 @@ def subquotient_pages_oracle(c: FloerComplexData, k: int) -> dict[tuple[int, int
         dim = z_top.dim - denom.dim
         if not z_top.contains_space(denom):
             raise EngineConsistencyError(
-                "subquotient denominator escaped its numerator; "
-                "this indicates a bug in the oracle"
+                f"subquotient denominator escaped its numerator on page {k} "
+                f"at (n={n}, j={j}); this indicates a bug in the oracle"
             )
         if dim:
             out[(n, j)] = dim
@@ -489,29 +500,29 @@ def subquotient_pages_oracle(c: FloerComplexData, k: int) -> dict[tuple[int, int
 
 
 def limit_and_filtration(c: FloerComplexData) -> LimitReport:
-    """Limit page from the image filtration on ordinary periodic cohomology.
+    """Limit page and HF from the image filtration on ordinary periodic cohomology.
 
     The level-n filtration of the residue-j cohomology is the image of the
     classes representable at filtration level >= n; the limit-page dimension
-    at (n, j) is the drop between level n and level n + period.  This route
-    never touches the canonical reduction.
+    at (n, j) is the drop between level n and level n + period, and HF^j is
+    the whole filtration, the level of residue j lowest in the degree range.
+    This route never touches the canonical reduction or ``gf2.echelon``.
     """
     require_valid(c)
     period = c.params.maslov_period
     cols = c.delta_columns()
-    hf = periodic_cohomology(c)
 
     degrees = [g.degree for g in c.generators]
     if not degrees:
-        return LimitReport(tuple(hf.dims), (), ())
+        return LimitReport((), (), ())
     lo, hi = min(degrees), max(degrees)
+    by_residue = [[i for i, n in enumerate(degrees) if n % period == j] for j in range(period)]
 
     # dim F_n HF^j = dim((ker delta cap F_n cap C_j) + im_j) - dim(im_j)
     filt: dict[tuple[int, int], int] = {}
     for j in range(period):
-        here = [i for i, g in enumerate(c.generators) if c.params.residue(g.degree) == j]
-        prev = [i for i, g in enumerate(c.generators) if c.params.residue(g.degree) == (j - 1) % period]
-        nxt = [i for i, g in enumerate(c.generators) if c.params.residue(g.degree) == (j + 1) % period]
+        here, prev = by_residue[j], by_residue[j - 1]
+        nxt = by_residue[(j + 1) % period]
         img = Gf2Subspace.from_vectors(
             c.count,
             [expand_local(v, here) for v in image_basis(_local_matrix(cols, prev, here)).basis],
@@ -533,9 +544,12 @@ def limit_and_filtration(c: FloerComplexData) -> LimitReport:
         drop = d - filt.get((n + period, j), 0)
         if drop:
             einf[(n, j)] = drop
+    # HF^j is the filtration at the lowest level of residue j: every
+    # residue-j generator lies at or above it.
+    hf = ((j, filt.get((lo + (j - lo) % period, j), 0)) for j in range(period))
 
     return LimitReport(
-        tuple(hf.dims),
+        tuple((j, d) for j, d in hf if d),
         tuple(sorted(filt.items())),
         tuple(sorted(einf.items())),
     )

@@ -36,6 +36,7 @@ __all__ = [
     "clear_pivots",
     "apply_columns",
     "invert_columns",
+    "NotUnitriangularError",
 ]
 
 
@@ -283,6 +284,14 @@ def apply_columns(cols: Sequence[int], v: int) -> int:
     return out
 
 
+class NotUnitriangularError(ValueError):
+    """``invert_columns`` met a column that is not unitriangular in the order."""
+
+    def __init__(self, column: int) -> None:
+        super().__init__(f"column {column} is not unitriangular in the given order")
+        self.column = column
+
+
 def invert_columns(cols: Sequence[int], order: Sequence[int]) -> list[int]:
     """Columns of the inverse of a map that is unitriangular in ``order``.
 
@@ -290,8 +299,9 @@ def invert_columns(cols: Sequence[int], order: Sequence[int]) -> list[int]:
     ``1 << i`` plus slots that come strictly earlier in ``order``.  Then
     ``inv[i] = e_i + sum(inv[q] for q in column i minus e_i)`` is a
     substitution in that order, one XOR per off-diagonal entry.  Raises
-    ``ValueError`` if ``order`` is not a permutation or a column's latest
-    entry in ``order`` is not its own slot.
+    ``ValueError`` if ``order`` is not a permutation, and its subclass
+    ``NotUnitriangularError``, naming the column, if a column's latest entry
+    in ``order`` is not its own slot.
     """
     n = len(cols)
     if sorted(order) != list(range(n)):
@@ -301,7 +311,7 @@ def invert_columns(cols: Sequence[int], order: Sequence[int]) -> list[int]:
     for i in order:
         rest = cols[i] ^ (1 << i)
         if not (cols[i] >> i) & 1 or rest & ~done:
-            raise ValueError(f"column {i} is not unitriangular in the given order")
+            raise NotUnitriangularError(i)
         v = 1 << i
         for q in bits(rest):
             v ^= inv[q]

@@ -22,7 +22,6 @@ from .model import (
     FloerComplexData,
     LiftedGenerator,
     require_valid,
-    z_graded_cohomology,
 )
 
 __all__ = [
@@ -348,6 +347,8 @@ def betti_compare(
 ) -> BettiReport:
     """Compare degree-graded cohomology with a Betti vector b_0..b_m.
 
+    The cohomology dimensions are page 1, counted from the barcode.
+
     The sharp regime predicts dim I_n = b_(n+m) for every n (zero outside
     -m..0); independently, the generator count is tested against the sum of
     the Betti numbers.
@@ -362,8 +363,7 @@ def betti_compare(
             f"half-dimension mismatch: complex declares {c.params.half_dim}, "
             f"comparison uses {m}"
         )
-    table = z_graded_cohomology(c)
-    dims = table.as_dict()
+    dims = canonical_form(c).barcode.cohomology_dims(c.params.maslov_period)[0]
     mismatches: list[str] = []
     lows = [n for n in dims]
     candidates = sorted(set(range(-m, 1)) | set(lows))

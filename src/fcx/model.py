@@ -17,10 +17,12 @@ alongside the report, and everything downstream (cohomology, pages, the jump
 and energy bounds) reads those columns.  Cup-class entries are resolved
 likewise, once, by the cup-class validation.
 
-The two cohomologies eliminate each grading piece once with ``gf2.echelon``.
-The rows it keeps are the next piece's image; the image rows and the
-representatives stay on the ``CohomologyTable`` as one pivot-keyed echelon,
-against which ``coordinates`` decodes any cocycle.
+The degree-graded cohomology eliminates each degree once with
+``gf2.echelon``.  The rows it keeps are the next degree's image; the image
+rows and the representatives stay on the ``CohomologyTable`` as one
+pivot-keyed echelon, against which the cup actions decode any cocycle.  The
+dimensions of both cohomologies, degree-graded and periodic (HF), are counted
+from the barcode (``engine.Barcode.cohomology_dims``).
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ __all__ = [
     "validate",
     "require_valid",
     "z_graded_cohomology",
-    "periodic_cohomology",
     "expand_local",
     "jump0_columns",
 ]
@@ -143,18 +144,17 @@ class DifferentialEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class CohomologyTable:
-    """Dimensions and representative bases of a graded cohomology.
+    """Dimensions and representative bases of the degree-graded cohomology.
 
-    ``kind`` is ``"z_graded"`` (indexed by lifted degree) or ``"periodic"``
-    (indexed by residue).  ``dims`` stores only the nonzero entries.
-    Representatives are bitset vectors over the canonical generator order.
+    ``dims`` maps lifted degree to dimension and stores only the nonzero
+    entries.  Representatives are bitset vectors over the canonical generator
+    order.
 
-    Per piece, the table also keeps the echelon its elimination built (the
+    Per degree, the table also keeps the echelon its elimination built (the
     image rows and the representatives, keyed by pivot) outside ``repr`` and
     equality; ``coordinates`` decodes a cocycle against it.
     """
 
-    kind: str
     dims: tuple[tuple[int, int], ...]
     representatives: tuple[tuple[int, tuple[int, ...]], ...] = ()
     _echelon: Mapping[int, Mapping[int, tuple[int, int]]] = field(
@@ -195,8 +195,8 @@ class FloerComplexData:
     document rides along untouched; the cup operations interpret it.
 
     Derived data (index map, validation report with the delta and jump-0
-    columns its one pass over the entries builds, degree-graded and
-    periodic cohomology, canonical form, default page table) is memoized per
+    columns its one pass over the entries builds, degree-graded
+    cohomology, canonical form, default page table) is memoized per
     instance by ``cached``; it takes no part in equality or hashing and is
     freed together with the complex.  Only the two validators, of the
     differential and of a cup class, read the index map; all other code
@@ -427,72 +427,43 @@ def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
     the integer grading shift by exactly 1; higher-jump entries are invisible
     here and only act on later spectral pages.  Each degree's jump-0 columns
     are eliminated once (see ``_graded_cohomology``).  The table is computed
-    once per instance.
+    once per instance, for its representatives and ``coordinates``; its
+    dimensions are page 1, which ``Barcode.cohomology_dims`` counts.
     """
-    return c.cached("z_graded_cohomology", _z_graded_cohomology)
+    return c.cached("z_graded_cohomology", _graded_cohomology)
 
 
-def _z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
-    require_valid(c)
-    return _graded_cohomology(c, "z_graded", jump0_columns(c), lambda n: n)
+def _graded_cohomology(c: FloerComplexData) -> CohomologyTable:
+    """Cohomology of the jump-0 columns, one degree at a time, ascending.
 
-
-def periodic_cohomology(c: FloerComplexData) -> CohomologyTable:
-    """Cohomology of the residue-graded complex under the full differential.
-
-    Each residue's columns are eliminated once (see ``_graded_cohomology``).
-    The table is computed once per instance.
+    A jump-0 column of a generator of degree n lies in degree n + 1, so the
+    columns need no restriction to a target degree, and one ``echelon`` of a
+    degree's columns, in ambient coordinates and each tagged with its
+    generator, gives both the degree's kernel (the tags of the columns that
+    vanish) and the image that degree n + 1 divides by (the kept rows, their
+    tags set to 0).  The kernel is put in reduced echelon form, which is
+    unique, so the representatives do not depend on the elimination order;
+    the image needs no such form, because every echelon of a span leaves the
+    same remainders (see ``clear_pivots``).  A kernel vector's remainder by
+    the image rows and the representatives so far, if nonzero, is the next
+    representative; it joins the rows tagged with its index, and the rows are
+    kept on the table.
     """
-    return c.cached("periodic_cohomology", _periodic_cohomology)
-
-
-def _periodic_cohomology(c: FloerComplexData) -> CohomologyTable:
-    require_valid(c)
-    return _graded_cohomology(c, "periodic", c.delta_columns(), c.params.residue)
-
-
-def _graded_cohomology(
-    c: FloerComplexData, kind: str, cols: Sequence[int], grade: Callable[[int], int]
-) -> CohomologyTable:
-    """Cohomology of the columns ``cols`` on the pieces ``grade(degree)``.
-
-    On a validated complex every entry raises the degree by k*period + 1, so
-    the column of a generator of degree n already lies in the piece
-    ``grade(n + 1)``: a jump-0 column of degree n lies in degree n + 1, a
-    residue-j column in residue j + 1.  So the columns need no restriction
-    to a target piece, and one ``echelon`` of a piece's columns, in ambient
-    coordinates and each tagged with its generator, gives both the piece's
-    kernel (the tags of the columns that vanish) and the image that the next
-    piece divides by (the kept rows, their tags set to 0).  The kernel is put
-    in reduced echelon form, which is unique, so the representatives do not
-    depend on the elimination order; the image needs no such form, because
-    every echelon of a span leaves the same remainders (see
-    ``clear_pivots``).  A kernel vector's remainder by the image rows and the
-    representatives so far, if nonzero, is the next representative; it joins
-    the rows tagged with its index, and the rows are kept on the table.
-    """
-    pieces: dict[int, list[int]] = {}
-    for i, g in enumerate(c.generators):
-        pieces.setdefault(grade(g.degree), []).append(i)
-    kernels: dict[int, tuple[int, ...]] = {}
+    cols = jump0_columns(c)
     images: dict[int, dict[int, tuple[int, int]]] = {}
-    for key, members in pieces.items():
-        kept, dependents = echelon((cols[s], 1 << s) for s in members)
-        kernels[key] = rref_rows(dependents)[0]
-        images[grade(c.generators[members[0]].degree + 1)] = {
-            p: (v, 0) for p, (v, _) in kept.items()
-        }
     dims: list[tuple[int, int]] = []
     reps_out: list[tuple[int, tuple[int, ...]]] = []
-    for key in sorted(pieces):
-        rows = images.setdefault(key, {})
+    for degree, members in c.degree_groups().items():
+        kept, dependents = echelon((cols[s], 1 << s) for s in members)
+        images[degree + 1] = {p: (v, 0) for p, (v, _) in kept.items()}
+        rows = images.setdefault(degree, {})
         reps: list[int] = []
-        for v in kernels[key]:
+        for v in rref_rows(dependents)[0]:
             w, _ = clear_pivots(rows, v)
             if w:
                 rows[(w & -w).bit_length() - 1] = (w, 1 << len(reps))
                 reps.append(w)
         if reps:
-            dims.append((key, len(reps)))
-            reps_out.append((key, tuple(reps)))
-    return CohomologyTable(kind, tuple(dims), tuple(reps_out), images)
+            dims.append((degree, len(reps)))
+            reps_out.append((degree, tuple(reps)))
+    return CohomologyTable(tuple(dims), tuple(reps_out), images)

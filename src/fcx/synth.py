@@ -91,24 +91,27 @@ def build_from_normal_form(spec: NormalFormSpec) -> FloerComplexData:
     When the monotonicity constant is positive and every dipole jump index is
     0 or 1, consistent actions are synthesized on a dyadic grid (source chosen
     inside the window so the target action ``source - monotonicity +
-    jump*action_period`` is also inside); otherwise actions are omitted for
-    the run and the case is logged.
+    jump*action_period`` is also inside); otherwise, or when a jump-0 source
+    has no room (period 1), actions are omitted for the run and logged.
     """
     p = spec.params
     period = p.maslov_period
     sigma = p.action_period
     lam = p.monotonicity
 
+    # A jump-0 source lies in (base + lam, base + sigma), empty unless sigma > lam.
     synth_actions = (
         lam > 0
         and all(k in (0, 1) for _, k in spec.dipoles)
+        and (sigma > lam or all(k for _, k in spec.dipoles))
         and len(spec.free) < _GRID - 1
         and len(spec.dipoles) < _GRID - 1
     )
     if lam > 0 and not synth_actions:
         _log.info(
-            "normal form has a dipole of jump index >= 2 (or is too large for "
-            "the action grid); actions omitted for this run"
+            "normal form has a dipole of jump index >= 2, a jump-0 dipole with "
+            "no room in the action window, or is too large for the action "
+            "grid; actions omitted for this run"
         )
 
     gens: list[LiftedGenerator] = []

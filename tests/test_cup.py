@@ -582,6 +582,47 @@ def _free_with_a_jump0_dipole():
     return c, a
 
 
+def test_induced_cohomology_check_names_the_representative(monkeypatch):
+    import fcx.cup
+
+    c, a = _free_with_a_jump0_dipole()
+    q, s = c.index_map()["q"], c.index_map()["s"]
+
+    def corrupted(cols, v):  # the image q of p picks up s, which is no cocycle
+        out = apply_columns(cols, v)
+        return out ^ 1 << s if out == 1 << q else out
+
+    monkeypatch.setattr(fcx.cup, "apply_columns", corrupted)
+    with pytest.raises(EngineConsistencyError) as info:
+        induced_on_cohomology(c, a)
+    assert str(info.value) == (
+        "induced image of class 'a' left the cohomology at degree 2: the image "
+        "of the degree-0 representative p is not a cocycle there; this "
+        "indicates a bug"
+    )
+
+
+def test_total_endomorphism_check_names_the_class_and_degrees(monkeypatch):
+    import fcx.cup
+
+    c = complex_of(P3, [("u", 0), ("v", 2)], cups=(ident_class(FREE2), Q2))
+    honest = fcx.cup.induced_on_cohomology
+
+    def corrupted(c, a):  # q also sends degree 2 into degree 4, which is zero
+        action = honest(c, a)
+        if a.name != "q":
+            return action
+        return dataclasses.replace(action, blocks=((2, Gf2Matrix.identity(1)),))
+
+    monkeypatch.setattr(fcx.cup, "induced_on_cohomology", corrupted)
+    with pytest.raises(EngineConsistencyError) as info:
+        injectivity_check(c, RingTable())
+    assert str(info.value) == (
+        "induced block of class 'q' from degree 2 into the zero cohomology "
+        "degree 4 is nonzero"
+    )
+
+
 def test_induced_page_filtration_check_names_its_witness(monkeypatch):
     c, a = _free_with_a_jump0_dipole()
     _corrupt_class_images(monkeypatch, c, "r", 1 << c.index_map()["p"])

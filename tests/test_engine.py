@@ -106,7 +106,6 @@ def test_derived_data_is_memoized_on_the_instance_and_freed_with_it():
     assert validate(c).ok
     assert c.index_map()[c.generators[-1].uid] == c.count - 1
     assert pages(c).collapse_page >= 1
-    assert z_graded_cohomology(c).kind == "z_graded"
     del c
     gc.collect()
     assert ref() is None
@@ -166,6 +165,35 @@ def test_role_exclusivity_check_names_a_generator_with_two_roles(monkeypatch):
     monkeypatch.setattr(fcx.engine, "require_valid", lambda c: None)
     with pytest.raises(EngineConsistencyError, match="generator 'b' two roles"):
         canonical_form(c)
+
+
+def test_unitriangular_check_names_the_generator_of_its_slot(monkeypatch):
+    import fcx.engine
+
+    c = complex_of(P4_ALG, [("x", 0), ("y", 1), ("z", 3)], [("x", "y")])
+    y = c.index_map()["y"]
+
+    def corrupted(cols, order):
+        cols = list(cols)
+        cols[y] ^= 1 << y  # the slot of y loses its own generator
+        return fcx.gf2.invert_columns(cols, order)
+
+    monkeypatch.setattr(fcx.engine, "invert_columns", corrupted)
+    with pytest.raises(EngineConsistencyError) as info:
+        canonical_form(c)
+    assert "not unitriangular in the processing order at the slot of 'y'" in str(info.value)
+
+
+def test_subquotient_oracle_names_the_page_and_cell_of_an_escaped_denominator(monkeypatch):
+    import fcx.engine
+    from fcx.gf2 import Gf2Subspace
+
+    c = complex_of(P4_ALG, [("x", 0), ("y", 5)], [("x", "y")])
+    everything = Gf2Subspace.from_vectors(c.count, [1 << i for i in range(c.count)])
+    monkeypatch.setattr(fcx.engine, "_delta_span", lambda c, cols, space: everything)
+    with pytest.raises(EngineConsistencyError) as info:
+        subquotient_pages_oracle(c, 1)
+    assert "escaped its numerator on page 1 at (n=0, j=0)" in str(info.value)
 
 
 def test_pages_single_dipole():

@@ -1,17 +1,20 @@
-"""Unit tests for the complex data model, validation, and base cohomologies."""
+"""Unit tests for the complex data model, validation, and base cohomologies.
+
+The degree-graded cohomology is eliminated by ``z_graded_cohomology``; the
+periodic cohomology HF has dimensions only, counted from the barcode and
+computed independently from the image filtration by ``limit_and_filtration``.
+"""
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import random
-import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcx.engine import limit_and_filtration, pages
+from fcx.engine import canonical_form, limit_and_filtration, pages
 from fcx.model import (
     DifferentialEntry,
     FloerComplexData,
@@ -19,7 +22,6 @@ from fcx.model import (
     LiftedGenerator,
     MonotoneParams,
     jump0_columns,
-    periodic_cohomology,
     require_valid,
     validate,
     z_graded_cohomology,
@@ -274,7 +276,6 @@ def test_z_graded_single_free_generator():
     c = complex_of(P4_ALG, [("x", 2)])
     table = z_graded_cohomology(c)
     assert table.as_dict() == {2: 1}
-    assert table.kind == "z_graded"
 
 
 def test_z_graded_acyclic_dipole():
@@ -291,39 +292,49 @@ def test_z_graded_ignores_higher_jump_entries():
     assert reps[5] == (1 << c.index_map()["y"],)
 
 
+def barcode_dims(c):
+    """(degree-graded dims by level, HF dims by residue) counted from the barcode."""
+    return canonical_form(c).barcode.cohomology_dims(c.params.maslov_period)
+
+
+def hf_dims(c):
+    """HF by residue from the barcode, checked against the image filtration."""
+    hf = barcode_dims(c)[1]
+    assert hf == limit_and_filtration(c).hf()
+    return hf
+
+
 def test_periodic_single_free_generator():
     c = complex_of(P4_ALG, [("x", 2)])
-    assert periodic_cohomology(c).as_dict() == {2: 1}
+    assert hf_dims(c) == {2: 1}
 
 
 def test_periodic_sees_higher_jump_entries():
     c = complex_of(P4_ALG, [("x", 0), ("y", 5)], [("x", "y")])
-    assert periodic_cohomology(c).as_dict() == {}
+    assert hf_dims(c) == {}
 
 
 def test_periodic_survivor_in_three_generator_complex():
     c = complex_of(P4_ALG, [("x", 0), ("xp", 4), ("y", 5)], [("x", "y")])
-    table = periodic_cohomology(c)
-    assert table.as_dict() == {0: 1}
-    # the surviving class is representable by the generator untouched by delta
-    (rep,) = dict(table.representatives)[0]
-    assert rep in (1 << c.index_map()["xp"], (1 << c.index_map()["xp"]) ^ (1 << c.index_map()["x"]))
+    assert hf_dims(c) == {0: 1}
 
 
-def assert_coordinates_decode(c, table, cols, grade, seed):
-    """``table.coordinates`` against the cohomology of the columns ``cols`` on
-    the pieces ``grade(degree)``: each representative decodes to its unit
-    vector, also after adding a random sum of the piece's image rows (the
-    columns that land in it); an image sum decodes to 0; a vector that is
-    not a cocycle of the piece decodes to None."""
+def assert_coordinates_decode(c, seed):
+    """``coordinates`` of the degree-graded cohomology: each representative
+    decodes to its unit vector, also after adding a random sum of the
+    degree's image rows (the jump-0 columns that land in it); an image sum
+    decodes to 0; a vector that is not a cocycle of the degree decodes to
+    None."""
     rng = random.Random(seed)
-    piece = [grade(g.degree) for g in c.generators]
+    table = z_graded_cohomology(c)
+    cols = jump0_columns(c)
+    piece = [g.degree for g in c.generators]
     reps = dict(table.representatives)
     for key in set(piece):
         image = [
             cols[s]
             for s in range(c.count)
-            if cols[s] and grade(c.generators[s].degree + 1) == key
+            if cols[s] and c.generators[s].degree + 1 == key
         ]
 
         def image_sum():
@@ -346,23 +357,16 @@ def assert_coordinates_decode(c, table, cols, grade, seed):
                 assert table.coordinates(key, total ^ 1 << s) is None
 
 
-def assert_both_cohomologies_decode(c, seed):
-    assert_coordinates_decode(c, z_graded_cohomology(c), jump0_columns(c), lambda n: n, seed)
-    assert_coordinates_decode(
-        c, periodic_cohomology(c), c.delta_columns(), c.params.residue, seed
-    )
-
-
 @given(seeds, periods)
 @settings(max_examples=40, deadline=None)
 def test_cohomology_coordinates_decode_cocycles_on_random_complexes(seed, period):
     c, _ = random_complex(seed, MonotoneParams(period, 0.5), max_gens=16, max_jump=3)
-    assert_both_cohomologies_decode(c, seed)
+    assert_coordinates_decode(c, seed)
 
 
 def test_cohomology_coordinates_decode_cocycles_on_scrambled_complexes(scrambled):
     for n, period, seed in ((120, 3, 1), (250, 4, 2)):
-        assert_both_cohomologies_decode(scrambled(n, period, seed), seed)
+        assert_coordinates_decode(scrambled(n, period, seed), seed)
 
 
 @given(seeds, periods)
@@ -370,8 +374,7 @@ def test_cohomology_coordinates_decode_cocycles_on_scrambled_complexes(scrambled
 def test_z_graded_dominates_periodic(seed, period):
     c, _ = random_complex(seed, MonotoneParams(period, 0.5))
     z = z_graded_cohomology(c)
-    hf = periodic_cohomology(c)
-    assert sum(z.as_dict().values()) >= sum(hf.as_dict().values())
+    assert sum(z.as_dict().values()) >= sum(hf_dims(c).values())
 
 
 @given(seeds, periods)
@@ -391,7 +394,7 @@ def test_periodic_total_matches_rank_count(seed, period):
     from fcx.gf2 import Gf2Subspace
 
     rank = Gf2Subspace.from_vectors(c.count, c.delta_columns()).dim
-    assert sum(periodic_cohomology(c).as_dict().values()) == c.count - 2 * rank
+    assert sum(hf_dims(c).values()) == c.count - 2 * rank
 
 
 @given(seeds, periods, st.integers(min_value=1, max_value=6))
@@ -406,7 +409,7 @@ def test_periodic_of_delta_free_complex_counts_generators(seed, period, n_free):
     expected: dict[int, int] = {}
     for n in free:
         expected[n % period] = expected.get(n % period, 0) + 1
-    assert periodic_cohomology(c).as_dict() == expected
+    assert hf_dims(c) == expected
 
 
 def test_validation_report_is_cached_per_object():
@@ -414,23 +417,30 @@ def test_validation_report_is_cached_per_object():
     assert validate(c) is validate(c)
 
 
-def test_periodic_cohomology_is_memoized_and_freed_with_the_complex():
-    c, _ = random_complex(5, MonotoneParams(4, 0.5), max_gens=12, max_jump=2)
-    table = periodic_cohomology(c)
-    assert periodic_cohomology(c) is table
-    assert limit_and_filtration(c).hf() == table.as_dict()
-    assert periodic_cohomology(c) is table
-    ref = weakref.ref(c)
-    del c
-    gc.collect()
-    assert ref() is None
+def test_barcode_counts_both_cohomologies(scrambled):
+    """The barcode's page-1 count is the eliminated degree-graded cohomology,
+    and its free count by residue is the HF of the image filtration: on 240
+    random complexes at periods 1-6 (1-2 in algebraic mode under the
+    small-period override) and on the scrambled fixtures."""
+    cases = []
+    for seed in range(240):
+        period = 1 + seed % 6
+        small = period < 3
+        params = MonotoneParams(period, 0.0 if small else 0.5, allow_small_period=small)
+        cases.append(random_complex(seed, params, max_gens=6 + seed % 25, max_jump=3)[0])
+    cases += [scrambled(*args) for args in ((120, 3, 1), (250, 4, 2), (400, 6, 3))]
+    for c in cases:
+        z, hf = barcode_dims(c)
+        assert z == z_graded_cohomology(c).as_dict()
+        assert hf == limit_and_filtration(c).hf()
 
 
-# sha256 over the reprs (dims and representatives) of both cohomologies of
-# every complex below, recorded with the earlier local-matrix implementation,
-# so the pin holds the two implementations to the same representatives.
+# sha256 over repr((dims, representatives)) of the degree-graded cohomology
+# of every complex below.  Re-expressed for that cohomology alone when the
+# periodic one became dimensions only, and recorded with the implementation
+# of that time; the earlier local-matrix one gave the same representatives.
 COHOMOLOGY_AT_SCALE_SHA256 = (
-    "3a2566ebbf3542df440dd0e93d890a70869f4bdcccbf4898f609a4a34831361a"
+    "131d2491331b887955f6ff32321834b0f44f9702047acd00149a424fa418c9c9"
 )
 
 
@@ -439,18 +449,13 @@ def test_cohomology_at_scale_is_pinned_and_matches_the_pages(scrambled):
     for seed in range(40):
         params = MonotoneParams((3, 4, 6)[seed % 3], 0.5)
         c, _ = random_complex(seed, params, max_gens=40, max_jump=3)
-        digest.update(repr(z_graded_cohomology(c)).encode())
-        digest.update(repr(periodic_cohomology(c)).encode())
+        z = z_graded_cohomology(c)
+        digest.update(repr((z.dims, z.representatives)).encode())
     for n, period, seed in ((120, 3, 1), (250, 4, 2), (400, 6, 3)):
         c = scrambled(n, period, seed)
         z = z_graded_cohomology(c)
-        hf = periodic_cohomology(c)
-        digest.update(repr(z).encode())
-        digest.update(repr(hf).encode())
+        digest.update(repr((z.dims, z.representatives)).encode())
         table = pages(c)
         assert z.as_dict() == {level: d for (level, _), d in table.page(1).items()}
-        stable: dict[int, int] = {}
-        for (_, j), d in table.page(table.collapse_page).items():
-            stable[j] = stable.get(j, 0) + d
-        assert hf.as_dict() == stable
+        assert barcode_dims(c)[1] == limit_and_filtration(c).hf()
     assert digest.hexdigest() == COHOMOLOGY_AT_SCALE_SHA256, digest.hexdigest()

@@ -1,6 +1,7 @@
 """Package-level checks: every exported name resolves, no module imports a
-name it never uses, only the validators resolve entry ids, and only ``gf2``
-runs a GF(2) elimination loop."""
+name it never uses, only the validators resolve entry ids, only ``gf2``
+runs a GF(2) elimination loop, and the independent oracles reach none of the
+engine's computations."""
 
 from __future__ import annotations
 
@@ -105,3 +106,84 @@ def test_only_gf2_runs_an_elimination_loop():
         )
 
     assert {name for name in _functions_with(xor_loop) if not name.startswith("gf2.")} == set()
+
+
+def _reference_graph() -> dict[str, set[str]]:
+    """``module.name`` (or ``module.Class.name``) of each ``src/fcx`` function
+    -> the package functions its body refers to.
+
+    A bare name refers to the function it is bound to in its module (a def
+    there, or a relative import), and a class name to the class's
+    initializers.  An attribute refers to every method or property of that
+    name in the package, since the receiver's type is unknown; so the graph
+    over-approximates and may not miss a reference.
+    """
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(Path(fcx.__file__).parent.glob("*.py"))
+    }
+    bodies: dict[str, ast.AST] = {}
+    members: dict[str, set[str]] = {}  # class or method name -> functions
+    namespaces: dict[str, dict[str, str]] = {}
+    for module, tree in trees.items():
+        names = namespaces[module] = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names[node.name] = f"{module}.{node.name}"
+            if isinstance(node, ast.FunctionDef):
+                bodies[names[node.name]] = node
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        key = f"{module}.{node.name}.{item.name}"
+                        bodies[key] = item
+                        members.setdefault(item.name, set()).add(key)
+                        if item.name in ("__init__", "__post_init__"):
+                            members.setdefault(names[node.name], set()).add(key)
+    graph: dict[str, set[str]] = {}
+    for key, function in bodies.items():
+        names = namespaces[key.split(".")[0]]
+        out = graph[key] = set()
+        for node in (n for stmt in function.body for n in ast.walk(stmt)):
+            if isinstance(node, ast.Name) and node.id in names:
+                target = names[node.id]
+                out |= {target} if target in bodies else members.get(target, set())
+            elif isinstance(node, ast.Attribute):
+                out |= members.get(node.attr, set())
+    return graph
+
+
+ORACLES = (
+    "engine.subquotient_pages_oracle",
+    "engine.limit_and_filtration",
+    "synth.normal_form_pages_oracle",
+)
+ENGINE_COMPUTATIONS = {
+    "gf2.echelon",
+    "gf2.clear_pivots",
+    "engine.canonical_form",
+    "model.z_graded_cohomology",
+    "engine.pages",
+}
+
+
+def test_the_oracles_reach_none_of_the_engine_computations():
+    """The oracles judge the engine, so they must share none of its kernel,
+    its reduction, its cohomology elimination or its page tables, however
+    many calls away."""
+    graph = _reference_graph()
+    reached: dict[str, list[str]] = {}
+    for oracle in ORACLES:
+        path = {oracle: oracle}  # function -> a chain of references to it
+        todo = [oracle]
+        while todo:
+            caller = todo.pop()
+            for callee in sorted(graph[caller]):
+                if callee not in path:
+                    path[callee] = f"{path[caller]} -> {callee}"
+                    todo.append(callee)
+        reached[oracle] = sorted(path[f] for f in ENGINE_COMPUTATIONS & path.keys())
+    assert reached == {oracle: [] for oracle in ORACLES}
