@@ -209,7 +209,7 @@ def _validate_cup(c: FloerComplexData, a: CupClass) -> tuple[ValidationReport, t
     errors: list[str] = []
     if a.degree < 0:
         errors.append(f"class '{a.name}' has negative degree {a.degree}")
-    # every entry whose ids resolve enters the columns, as in model._validate
+    # every entry whose ids resolve enters the columns, as in model._resolve
     idx = c.index_map()
     gens = c.generators
     acols = [0] * c.count

@@ -279,10 +279,10 @@ def rebase(c: FloerComplexData, r_new: float) -> FloerComplexData:
                 g.action - q * sigma,
             )
         )
-    out = FloerComplexData(
+    out = FloerComplexData.from_columns(
         dataclasses.replace(p, window_base=r_new),
-        tuple(new_gens),
-        c.delta,
+        new_gens,
+        c.delta_columns(),
         c.cup_classes,
         c.ring,
     )

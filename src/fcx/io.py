@@ -21,6 +21,14 @@ sign and fraction, no exponent, and finite.  Line order of ``gen``/``d``
 bodies is non-semantic: the loaded complex always carries the canonical
 internal ordering.
 
+The parser resolves the ids of each ``d`` line to generator indices as it
+reads, against declaration order, and sets the entry's bit in the source's
+column; a repeated entry is a bit already set.  A ``d`` line that names a
+generator declared later waits until the end of the document.  The columns
+are then put in canonical order, which costs nothing for a serialized
+document, and the complex keeps them (``FloerComplexData.from_columns``): no
+``(src, dst)`` entry is built unless something reads ``delta``.
+
 The serializer is canonical: fixed header order, generators sorted by
 (degree, id), differential entries by (src, dst), cup data sorted by class
 name, actions printed with 12 significant digits.  ``parse(serialize(c))``
@@ -37,7 +45,6 @@ import re
 
 from .cup import CupClass, RingTable
 from .model import (
-    DifferentialEntry,
     FcxError,
     FloerComplexData,
     LiftedGenerator,
@@ -106,18 +113,24 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     lines), missing required header fields, or dangling references.
     """
     header: dict[str, tuple[int, object]] = {}  # directive -> (line, value)
-    gens: dict[str, tuple[int, LiftedGenerator]] = {}
-    deltas: dict[DifferentialEntry, int] = {}  # entry -> line, in line order
-    valid_ids: set[str] = set()  # ids on 'd' and 'c' lines, each checked once
+    index: dict[str, int] = {}  # generator id -> declaration index
+    gens: list[LiftedGenerator] = []  # in declaration order
+    gen_lines: list[int] = []
+    cols: list[int] = []  # cols[s]: bitset of the targets of gens[s]
+    # 'd' lines naming a generator not declared yet: (src, dst) -> line, in
+    # line order; resolved into ``cols`` at the end.
+    pending: dict[tuple[str, str], int] = {}
+    valid_ids: set[str] = set()  # ids on 'c' lines, each checked once
     cups: dict[str, tuple[int, int]] = {}  # name -> (line, degree)
     cup_entries: dict[str, dict[tuple[str, str], int]] = {}
     ring_rows: dict[tuple[str, str], tuple[int, str | None]] = {}
     # (line, kind, id) to resolve from 'c' and 'ring' lines; 'd' lines are
-    # resolved from ``deltas``.
+    # resolved as they are read, or from ``pending``.
     pending_refs: list[tuple[int, str, str]] = []
     version_line: int | None = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
         tokens = raw.split()
@@ -125,14 +138,27 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
             continue
         directive = tokens[0]
 
-        # Fast path for the bulk of a document: a well-formed 'd' line.
+        # Fast path for the bulk of a document: a well-formed 'd' line whose
+        # ids are declared.  Its entry is one bit of a column, so a repeat
+        # is a set bit.
         if directive == "d" and len(tokens) == 3 and version_line is not None:
             _, src, dst = tokens
-            if src not in valid_ids:
-                valid_ids.add(_parse_id(line_no, src, "source id"))
-            if dst not in valid_ids:
-                valid_ids.add(_parse_id(line_no, dst, "target id"))
-            first_line = deltas.setdefault(DifferentialEntry(src, dst), line_no)
+            s = index.get(src)
+            t = index.get(dst)
+            if s is None or t is None:
+                # A declared id matched the id pattern on its 'gen' line.
+                if s is None:
+                    _parse_id(line_no, src, "source id")
+                if t is None:
+                    _parse_id(line_no, dst, "target id")
+                first_line = pending.setdefault((src, dst), line_no)
+            elif cols[s] >> t & 1:
+                first_line = _first_d_line(lines, src, dst)
+            elif pending and (src, dst) in pending:
+                first_line = pending[(src, dst)]
+            else:
+                cols[s] |= 1 << t
+                continue
             if first_line != line_no:
                 raise FcxParseError(
                     line_no,
@@ -172,16 +198,20 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
         elif directive == "gen":
             _require_arity(line_no, tokens, (2, 3))
             uid = _parse_id(line_no, tokens[1], "generator id")
-            if uid in gens:
+            if uid in index:
                 raise FcxParseError(
                     line_no,
-                    f"duplicate generator '{uid}' (first declared on line {gens[uid][0]})",
+                    f"duplicate generator '{uid}' (first declared on line "
+                    f"{gen_lines[index[uid]]})",
                 )
             degree = _parse_int(line_no, tokens[2], "lifted degree")
             action = (
                 _parse_decimal(line_no, tokens[3], "action") if len(tokens) == 4 else None
             )
-            gens[uid] = (line_no, LiftedGenerator(uid, degree, action))
+            index[uid] = len(gens)
+            gens.append(LiftedGenerator(uid, degree, action))
+            gen_lines.append(line_no)
+            cols.append(0)
         elif directive == "d":  # well-formed 'd' lines took the fast path
             _require_arity(line_no, tokens, (2,))
         elif directive == "cup":
@@ -241,23 +271,22 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
         if required not in header:
             raise FcxParseError(None, f"missing required directive '{required}'")
 
-    # The earliest unknown reference, in line order (src before dst).  The
-    # 'd' entries need a scan only if a 'd' or 'c' line has an undeclared id.
-    unknown: list[tuple[int, str, str]] = []
-    if not valid_ids <= gens.keys():
-        unknown = [
-            (line_no, "generator", src if src not in gens else dst)
-            for (src, dst), line_no in deltas.items()
-            if src not in gens or dst not in gens
-        ][:1]
+    # The earliest unknown reference, in line order (src before dst).
+    unknown = [
+        (line_no, "generator", src if src not in index else dst)
+        for (src, dst), line_no in pending.items()
+        if src not in index or dst not in index
+    ][:1]
     unknown += [
         ref
         for ref in pending_refs
-        if ref[2] not in (gens if ref[1] == "generator" else cups)
+        if ref[2] not in (index if ref[1] == "generator" else cups)
     ][:1]
     if unknown:
         line_no, kind, name = min(unknown)
         raise FcxParseError(line_no, f"unknown {kind} '{name}'")
+    for src, dst in pending:
+        cols[index[src]] |= 1 << index[dst]
 
     params = MonotoneParams(
         maslov_period=header["sigma"][1],  # type: ignore[arg-type]
@@ -279,12 +308,17 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
         if ring_rows
         else None
     )
-    return FloerComplexData(
-        params=params,
-        generators=tuple(g for _line, g in gens.values()),
-        delta=tuple(deltas),  # sorted by FloerComplexData
-        cup_classes=cup_classes,
-        ring=ring,
+    # Put in canonical order by ``from_columns``; a serialized document is
+    # in that order already.
+    return FloerComplexData.from_columns(params, gens, cols, cup_classes, ring)
+
+
+def _first_d_line(lines: list[str], src: str, dst: str) -> int:
+    """The 1-based number of the first 'd' line of the entry (src, dst)."""
+    return next(
+        line_no
+        for line_no, raw in enumerate(lines, start=1)
+        if raw.split("#", 1)[0].split() == ["d", src, dst]
     )
 
 

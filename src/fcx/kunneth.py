@@ -16,9 +16,9 @@ import dataclasses
 from dataclasses import dataclass
 
 from .engine import PageTable, pages
+from .gf2 import bits
 from .invariants import LaurentPoly, poincare_laurent
 from .model import (
-    DifferentialEntry,
     FcxError,
     FloerComplexData,
     LiftedGenerator,
@@ -98,14 +98,6 @@ def _require_matching(a: FloerComplexData, b: FloerComplexData) -> None:
         )
 
 
-def _targets_by_source(c: FloerComplexData) -> dict[str, list[str]]:
-    """Map source id -> target ids of its differential entries, in (src, dst) order."""
-    out: dict[str, list[str]] = {}
-    for src, dst in c.delta:
-        out.setdefault(src, []).append(dst)
-    return out
-
-
 def tensor_product(a: FloerComplexData, b: FloerComplexData) -> TensorComplex:
     """Ordered tensor product over GF(2) with the Leibniz differential."""
     require_valid(a)
@@ -132,18 +124,18 @@ def tensor_product(a: FloerComplexData, b: FloerComplexData) -> TensorComplex:
             gens.append(LiftedGenerator(uid, ga.degree + gb.degree, None))
             provenance.append((uid, ga.uid, gb.uid))
 
-    targets_a = _targets_by_source(a)
-    targets_b = _targets_by_source(b)
-    delta: list[DifferentialEntry] = []
-    for ga in a.generators:
-        for gb in b.generators:
-            src = f"{ga.uid}*{gb.uid}"
-            for dst in targets_a.get(ga.uid, ()):
-                delta.append(DifferentialEntry(src, f"{dst}*{gb.uid}"))
-            for dst in targets_b.get(gb.uid, ()):
-                delta.append(DifferentialEntry(src, f"{ga.uid}*{dst}"))
-
-    product = FloerComplexData(params, tuple(gens), tuple(delta))
+    # Generator (i, j) has index i*nb + j here, so d(a_i * b_j) = da_i * b_j
+    # + a_i * db_j is the column ``spread[i] << j | cols_b[j] << i*nb``:
+    # ``spread[i]`` moves each target t of a_i to bit t*nb.
+    nb = b.count
+    cols_b = b.delta_columns()
+    spread = [sum(1 << (t * nb) for t in bits(col)) for col in a.delta_columns()]
+    cols = [
+        (spread[i] << j) | (cols_b[j] << (i * nb))
+        for i in range(a.count)
+        for j in range(nb)
+    ]
+    product = FloerComplexData.from_columns(params, gens, cols)
     report = validate(product)
     if not report.ok:
         raise EngineConsistencyError(

@@ -9,13 +9,22 @@ whose entries raise the lifted degree by ``k * period + 1`` for some
 degree is what every downstream computation (spectral pages, polynomial
 invariants, products, cup actions) is built on.
 
+The differential is stored as index columns: column i is the bitset of the
+targets of generator i.  The parser fills them as it reads (``fcx.io``), and
+the synthesizer and the tensor product hand theirs over
+(``FloerComplexData.from_columns``); the ``delta`` entries are then a view,
+built only when something reads them.  A complex built from ``(src, dst)``
+entries has its ids resolved to indices once, by validation.
+
 Validation is exhaustive and returns a report rather than failing fast, so a
-single pass lists every violated invariant with the offending ids.  That
-pass is also the one place where differential entry ids are resolved to
-generator indices: it yields the delta columns and the jump-0 columns
-alongside the report, and everything downstream (cohomology, pages, the jump
-and energy bounds) reads those columns.  Cup-class entries are resolved
-likewise, once, by the cup-class validation.
+single pass lists every violated invariant with the offending ids.  It checks
+the degree jumps column by column, against one mask per degree of the
+admissible targets, and reads the jump-0 columns off the same masks;
+everything downstream (cohomology, pages, the jump and energy bounds) reads
+those columns.  Only a complex with a bad entry or with actions is walked
+entry by entry, to word the errors in ``(src, dst)`` order and to check the
+action differences.  Cup-class entries are resolved once, by the cup-class
+validation.
 
 The degree-graded cohomology eliminates each degree once with
 ``gf2.echelon``.  The rows it keeps are the next degree's image; the image
@@ -185,6 +194,49 @@ def _sorted_generators(gens: Iterable[LiftedGenerator]) -> tuple[LiftedGenerator
     return tuple(sorted(gens, key=attrgetter("degree", "uid")))
 
 
+def _permuted(cols: Sequence[int], order: list[int]) -> tuple[int, ...]:
+    """The columns over the generator order ``order`` (new index -> old)."""
+    if order == list(range(len(order))):
+        return tuple(cols)
+    pos = [0] * len(order)
+    for new, old in enumerate(order):
+        pos[old] = new
+    out = [0] * len(order)
+    for old, col in enumerate(cols):
+        if col:
+            v = 0
+            for t in bits(col):
+                v |= 1 << pos[t]
+            out[pos[old]] = v
+    return tuple(out)
+
+
+class _DeltaView:
+    """The ``delta`` field of a complex built from columns.
+
+    A non-data descriptor: the entries a complex was built from sit in the
+    instance dict and shadow it.  Without them, the first read builds the
+    sorted entries from the columns and stores them there.  Reading it on the
+    class raises ``AttributeError``, so ``delta`` stays a required field.
+    """
+
+    def __get__(self, c: "FloerComplexData | None", owner: type | None = None) -> Any:
+        if c is None:
+            raise AttributeError("delta")
+        cols = c._columns
+        assert cols is not None  # a complex built from entries keeps them
+        uids = [g.uid for g in c.generators]
+        entries = tuple(
+            sorted(
+                DifferentialEntry(uids[s], uids[t])
+                for s, col in enumerate(cols)
+                for t in bits(col)
+            )
+        )
+        object.__setattr__(c, "delta", entries)
+        return entries
+
+
 @dataclass(frozen=True)
 class FloerComplexData:
     """A complete monotone complex; immutable, with canonical internal ordering.
@@ -194,28 +246,61 @@ class FloerComplexData:
     canonical-form equality.  Optional cup-class data parsed from the same
     document rides along untouched; the cup operations interpret it.
 
+    A complex built by ``from_columns`` keeps the differential as index
+    columns over the canonical order, and ``delta`` is a view of them: the
+    sorted entries are built on its first read and kept.  Equality, hashing,
+    ``repr`` and ``dataclasses.replace`` read ``delta``, so they build the
+    view and treat both kinds of complex alike.
+
     Derived data (index map, validation report with the delta and jump-0
-    columns its one pass over the entries builds, degree-graded
-    cohomology, canonical form, default page table) is memoized per
-    instance by ``cached``; it takes no part in equality or hashing and is
-    freed together with the complex.  Only the two validators, of the
-    differential and of a cup class, read the index map; all other code
-    reads the columns they build.
+    columns, degree-graded cohomology, canonical form, default page table)
+    is memoized per instance by ``cached``; it takes no part in equality or
+    hashing and is freed together with the complex.  Only the two
+    validators, of the differential and of a cup class, read the index map;
+    all other code reads the columns.
     """
 
     params: MonotoneParams
     generators: tuple[LiftedGenerator, ...]
-    delta: tuple[DifferentialEntry, ...]
+    delta: tuple[DifferentialEntry, ...] = _DeltaView()  # type: ignore[assignment]
     cup_classes: tuple["CupClass", ...] = ()
     ring: "RingTable | None" = None
     _memo: dict[str, Any] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    # The columns of a complex built by ``from_columns``, else None.
+    _columns: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "generators", _sorted_generators(self.generators))
         object.__setattr__(self, "delta", tuple(sorted(self.delta)))
         object.__setattr__(self, "cup_classes", tuple(self.cup_classes))
+
+    @classmethod
+    def from_columns(
+        cls,
+        params: MonotoneParams,
+        generators: Sequence[LiftedGenerator],
+        columns: Sequence[int],
+        cup_classes: Sequence["CupClass"] = (),
+        ring: "RingTable | None" = None,
+    ) -> "FloerComplexData":
+        """The complex whose generator i, in the order given, has the targets
+        in the bitset ``columns[i]``; equal to the one built from its entries.
+
+        The generators are put in canonical order and the columns permuted
+        along, unless the order given is canonical already.
+        """
+        if len(columns) != len(generators):
+            raise ValueError(f"{len(columns)} columns for {len(generators)} generators")
+        keys = [(g.degree, g.uid) for g in generators]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        c = cls(params, tuple(generators[i] for i in order), (), cup_classes, ring)
+        object.__setattr__(c, "_columns", _permuted(columns, order))
+        object.__delattr__(c, "delta")  # from now on the view of the columns
+        return c
 
     def cached(self, key: str, compute: Callable[["FloerComplexData"], _T]) -> _T:
         """``compute(self)``, evaluated at most once per instance under ``key``.
@@ -241,10 +326,14 @@ class FloerComplexData:
     def delta_columns(self) -> list[int]:
         """delta as columns: column i is the bitset of targets of generator i.
 
-        Built by the validation pass from every entry whose two ids resolve,
-        valid or not, so a repeated entry cancels.  Returns a fresh list.
+        For a complex built from entries, the validation pass resolves every
+        entry whose two ids resolve, valid or not, so a repeated entry
+        cancels.  Returns a fresh list.
         """
-        return list(self.cached("validate", _validate)[1])
+        cols = self._columns
+        if cols is None:
+            cols = self.cached("validate", _validate)[1]
+        return list(cols)
 
     def degree_groups(self) -> dict[int, list[int]]:
         """Map degree -> ascending generator indices at that degree."""
@@ -262,8 +351,9 @@ def validate(c: FloerComplexData) -> ValidationReport:
     """Check every structural invariant; returns a complete report.
 
     Errors make the complex unusable downstream; warnings do not.  The
-    report is computed once per instance, by the same pass over the entries
-    that builds the delta and jump-0 columns.
+    report is computed once per instance, by the same pass that resolves the
+    entries of a complex built from entries and reads the jump-0 columns
+    off the degree masks.
     """
     return c.cached("validate", _validate)[0]
 
@@ -316,16 +406,94 @@ def _validate(
                     f"window ({lo}, {hi})"
                 )
 
-    # Entries are sorted by (src, dst), so a repeated entry follows its first.
-    # Every entry whose ids resolve enters the delta columns, so a repeated
-    # one cancels; only an entry that passes the degree check with k == 0
-    # enters the jump-0 columns.
-    idx = c.index_map()
     gens = c.generators
-    cols = [0] * c.count
-    cols0 = [0] * c.count
+    cols = c._columns
+    clean = True  # every entry resolves, none repeats
+    if cols is None:
+        cols, clean = _resolve(c.delta, c.index_map(), c.count)
+    if period >= 1:
+        cols0, bad = _jump_masks(gens, cols, period)
+    else:
+        cols0, bad = (0,) * c.count, False
+    if not clean or bad or (any_action and p.monotonicity > 0):
+        errors += _entry_errors(c, c.index_map())
+
+    # Differential squares to zero over GF(2) on the full complex.
+    if not errors:
+        for i, col in enumerate(cols):
+            acc = apply_columns(cols, col)
+            if acc:
+                witness = next(bits(acc))
+                errors.append(
+                    f"differential does not square to zero: starting at "
+                    f"'{gens[i].uid}' it reaches '{gens[witness].uid}' twice"
+                )
+    return ValidationReport(tuple(errors), tuple(warnings)), tuple(cols), cols0
+
+
+def _resolve(
+    entries: Sequence[DifferentialEntry], idx: Mapping[str, int], count: int
+) -> tuple[list[int], bool]:
+    """The columns of every entry whose two ids resolve (a repeated entry
+    cancels), and whether all of them resolve and none repeats."""
+    cols = [0] * count
+    clean = True
+    previous = None
+    for e in entries:  # sorted, so a repeated entry follows its first
+        s = idx.get(e[0])
+        t = idx.get(e[1])
+        if s is None or t is None:
+            clean = False
+            continue
+        cols[s] ^= 1 << t
+        if e == previous:
+            clean = False
+        previous = e
+    return cols, clean
+
+
+def _jump_masks(
+    gens: Sequence[LiftedGenerator], cols: Sequence[int], period: int
+) -> tuple[tuple[int, ...], bool]:
+    """The jump-0 columns, and whether some entry has a degree jump that is
+    not of the form k * period + 1 with k >= 0.
+
+    A generator of degree n may reach the degrees n + 1 + k * period; one
+    mask per degree holds those targets, and the generators of degree n + 1
+    are the jump-0 block.  Generators are sorted by degree.
+    """
+    degrees = [g.degree for g in gens]
+    level: dict[int, int] = {}  # degree -> its generators, in ascending degree
+    for i, n in enumerate(degrees):
+        level[n] = level.get(n, 0) | 1 << i
+    # Sweep the degrees downwards; ``above[r]`` holds the generators of
+    # residue r above the current degree n, so ``above[(n + 1) % period]``
+    # are the targets n may reach.
+    above: dict[int, int] = {}
+    disallowed: dict[int, int] = {}
+    for n in reversed(level):
+        disallowed[n] = ~above.get((n + 1) % period, 0)
+        above[n % period] = above.get(n % period, 0) | level[n]
+    bad = 0
+    cols0 = [0] * len(cols)
+    for s, col in enumerate(cols):
+        if col:
+            n = degrees[s]
+            bad |= col & disallowed[n]
+            cols0[s] = col & level.get(n + 1, 0)
+    return tuple(cols0), bad != 0
+
+
+def _entry_errors(c: FloerComplexData, idx: Mapping[str, int]) -> list[str]:
+    """The errors of the entries one by one, in (src, dst) order: unknown
+    ids, repeats, degree jumps and action differences."""
+    errors: list[str] = []
+    p = c.params
+    period = p.maslov_period
+    tol = p.action_tolerance
+    gens = c.generators
     previous: DifferentialEntry | None = None
-    for e in c.delta:
+    for e in c.delta:  # sorted, so a repeated entry follows its first
         src, dst = e
         s = idx.get(src)
         if s is None:
@@ -335,7 +503,6 @@ def _validate(
         if t is None:
             errors.append(f"differential entry references unknown target '{dst}'")
             continue
-        cols[s] ^= 1 << t
         if e == previous:
             errors.append(f"duplicate differential entry ({src} -> {dst})")
             continue
@@ -350,8 +517,6 @@ def _validate(
             )
             continue
         k = (diff - 1) // period
-        if k == 0:
-            cols0[s] ^= 1 << t
         a_src = gens[s].action
         a_dst = gens[t].action
         if a_src is not None and a_dst is not None and p.monotonicity > 0:
@@ -368,18 +533,7 @@ def _validate(
                     f"entry ({src} -> {dst}) action difference {got} "
                     f"inconsistent with jump index {k} (expected {expected})"
                 )
-
-    # Differential squares to zero over GF(2) on the full complex.
-    if not errors:
-        for i, col in enumerate(cols):
-            acc = apply_columns(cols, col)
-            if acc:
-                witness = next(bits(acc))
-                errors.append(
-                    f"differential does not square to zero: starting at "
-                    f"'{gens[i].uid}' it reaches '{gens[witness].uid}' twice"
-                )
-    return ValidationReport(tuple(errors), tuple(warnings)), tuple(cols), tuple(cols0)
+    return errors
 
 
 def require_valid(c: FloerComplexData) -> None:

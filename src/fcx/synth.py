@@ -18,9 +18,8 @@ import logging
 import random
 from dataclasses import dataclass
 
-from .gf2 import apply_columns, bits, invert_columns, rref_rows
+from .gf2 import apply_columns, invert_columns, rref_rows
 from .model import (
-    DifferentialEntry,
     EngineConsistencyError,
     FloerComplexData,
     LiftedGenerator,
@@ -115,10 +114,11 @@ def build_from_normal_form(spec: NormalFormSpec) -> FloerComplexData:
         )
 
     gens: list[LiftedGenerator] = []
-    delta: list[DifferentialEntry] = []
+    cols: list[int] = []
     for i, n in enumerate(spec.free):
         action = p.window_base + sigma * (i + 1) / _GRID if synth_actions else None
         gens.append(LiftedGenerator(f"f{i}", n, action))
+        cols.append(0)
     for i, (n_src, k) in enumerate(spec.dipoles):
         n_dst = n_src + k * period + 1
         a_src: float | None = None
@@ -133,8 +133,8 @@ def build_from_normal_form(spec: NormalFormSpec) -> FloerComplexData:
                 a_dst = a_src - lam + sigma
         gens.append(LiftedGenerator(f"x{i}", n_src, a_src))
         gens.append(LiftedGenerator(f"y{i}", n_dst, a_dst))
-        delta.append(DifferentialEntry(f"x{i}", f"y{i}"))
-    c = FloerComplexData(p, tuple(gens), tuple(delta))
+        cols += [1 << (len(cols) + 1), 0]  # x_i -> y_i, the next generator
+    c = FloerComplexData.from_columns(p, gens, cols)
     report = validate(c)
     if not report.ok:
         raise EngineConsistencyError(
@@ -277,15 +277,10 @@ def _scramble(rng: random.Random, c: FloerComplexData) -> FloerComplexData:
     t_inv = [apply_columns(mix_inv, col) for col in up_inv]
 
     old_cols = c.delta_columns()
-    uids = [g.uid for g in c.generators]
-    new_delta: list[DifferentialEntry] = []
-    for i in range(n):
-        # column i of T^{-1} delta T
-        image = apply_columns(t_inv, apply_columns(old_cols, t_cols[i]))
-        src = uids[i]
-        new_delta.extend(DifferentialEntry(src, uids[t]) for t in bits(image))
-    gens = tuple(LiftedGenerator(g.uid, g.degree, None) for g in c.generators)
-    out = FloerComplexData(params, gens, tuple(new_delta))
+    # column i of T^{-1} delta T
+    new_cols = [apply_columns(t_inv, apply_columns(old_cols, t)) for t in t_cols]
+    gens = [LiftedGenerator(g.uid, g.degree, None) for g in c.generators]
+    out = FloerComplexData.from_columns(params, gens, new_cols)
     report = validate(out)
     if not report.ok:
         raise EngineConsistencyError(

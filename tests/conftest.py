@@ -28,14 +28,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"{name}: {verdict}")
 
 
-def _scrambled(n: int, period: int, seed: int) -> FloerComplexData:
-    """n generators on 17 degrees (many ties): n // 3 dipoles of jumps 0..3, the
-    rest free, under a random filtered automorphism."""
+def _scrambled_spec(n: int, period: int) -> NormalFormSpec:
+    """n generators on 17 degrees (many ties): n // 3 dipoles of jumps 0..3,
+    the rest free."""
     params = MonotoneParams(period, 0.5)
     dipoles = tuple((d % 17 - 8, d % 4) for d in range(n // 3))
     free = tuple(f % 17 - 8 for f in range(n - 2 * len(dipoles)))
-    base = build_from_normal_form(NormalFormSpec(params, free, dipoles))
-    c = random_filtered_automorphism(seed, base)
+    return NormalFormSpec(params, free, dipoles)
+
+
+def _scrambled(n: int, period: int, seed: int) -> FloerComplexData:
+    """The normal form ``_scrambled_spec(n, period)`` under a random filtered
+    automorphism."""
+    c = random_filtered_automorphism(seed, build_from_normal_form(_scrambled_spec(n, period)))
     assert c.count == n
     return c
 
@@ -44,3 +49,9 @@ def _scrambled(n: int, period: int, seed: int) -> FloerComplexData:
 def scrambled():
     """The builder ``scrambled(n, period, seed)`` of large scrambled complexes."""
     return _scrambled
+
+
+@pytest.fixture(scope="session")
+def scrambled_spec():
+    """The builder ``scrambled_spec(n, period)`` of their normal forms."""
+    return _scrambled_spec

@@ -554,6 +554,37 @@ def test_report_and_pages_never_build_cells_or_differentials(run, write_doc, mon
     assert "cells" in vars(table) and "differentials" in vars(table)
 
 
+
+def test_pages_cohomology_and_report_build_no_differential_entries(
+    run, write_doc, monkeypatch, scrambled
+):
+    """A parsed document keeps its differential as columns: these commands
+    never build the ``delta`` view or a single ``DifferentialEntry``.  (A
+    document with actions is walked entry by entry, to check them.)"""
+    import fcx.model
+    from fcx.model import DifferentialEntry
+
+    built = []
+
+    def view(descriptor, c, owner=None):
+        built.append("delta view")
+        raise AssertionError("the delta view was built")
+
+    def entry(cls, src, dst):
+        built.append((src, dst))
+        return tuple.__new__(cls, (src, dst))
+
+    docs = [write_doc(RING_TEXT, "ring.fcx"), write_doc(THREE_TEXT, "three.fcx")]
+    docs.append(write_doc(serialize(scrambled(250, 4, 7)), "scrambled.fcx"))
+    monkeypatch.setattr(fcx.model._DeltaView, "__get__", view)
+    monkeypatch.setattr(DifferentialEntry, "__new__", entry)
+    for path in docs:
+        for command in ("pages", "cohomology", "report"):
+            for fmt in ("tsv", "human"):
+                assert run(command, path, "--format", fmt)[0] == 0, (command, path)
+    assert built == []
+    assert DifferentialEntry("x", "y") == ("x", "y") and built == [("x", "y")]
+
 def test_report_cohomology_and_betti_run_no_cohomology_elimination(run, monkeypatch):
     """Every dimension these commands print is counted from the barcode: with
     the degree-graded elimination broken they still match their goldens.

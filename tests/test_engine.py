@@ -30,7 +30,12 @@ from fcx.model import (
     validate,
     z_graded_cohomology,
 )
-from fcx.synth import NormalFormSpec, build_from_normal_form, random_complex
+from fcx.synth import (
+    NormalFormSpec,
+    build_from_normal_form,
+    normal_form_pages_oracle,
+    random_complex,
+)
 
 P4 = MonotoneParams(4, 0.5)
 P4_ALG = MonotoneParams(4, 0.0)
@@ -400,6 +405,31 @@ def test_canonical_forms_of_scrambled_complexes_are_pinned(scrambled, case):
         digest.update(repr((f.dipoles, f.free, f.change_of_basis, f.inverse)).encode())
     assert digest.hexdigest() == CANONICAL_DIGESTS[case]
 
+
+@pytest.mark.parametrize("n, period, seed", [(250, 3, 4), (400, 4, 5)])
+def test_oracle_triple_agrees_with_the_engine_at_scale(
+    scrambled, scrambled_spec, n, period, seed
+):
+    """The three oracles judge the engine beyond the acceptance size: every
+    page through collapse + 1 from the normal form's count, every page
+    through collapse from the subquotient route, and the stable page and HF
+    from the image filtration."""
+    c = scrambled(n, period, seed)
+    spec = scrambled_spec(n, period)
+    table = pages(c)
+    oracle = normal_form_pages_oracle(spec)
+    assert table.collapse_page == oracle.collapse_page
+    for k in range(1, table.collapse_page + 2):
+        dims = table.page(min(k, table.collapse_page))
+        assert dims == oracle.page(k), f"page {k}"
+        if k <= table.collapse_page:
+            assert dims == subquotient_pages_oracle(c, k), f"page {k}"
+    limit = limit_and_filtration(c)
+    assert limit.einf() == oracle.page(oracle.collapse_page)
+    free_by_residue: dict[int, int] = {}
+    for level in spec.free:
+        free_by_residue[level % period] = free_by_residue.get(level % period, 0) + 1
+    assert limit.hf() == free_by_residue
 
 @given(seeds, periods)
 @settings(max_examples=40, deadline=None)

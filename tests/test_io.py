@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -394,6 +396,95 @@ def test_differential_lines_may_name_generators_declared_later():
     assert [(e.src, e.dst) for e in c.delta] == [(f"x{i}", f"y{i}") for i in range(5)]
     assert validate(c).ok
 
+
+
+def _resolved_one_entry_at_a_time(text):
+    """The document's generators in canonical order and its delta columns,
+    resolving each 'd' line's ids on its own."""
+    gens, entries = [], []
+    for line in text.splitlines():
+        tokens = line.split("#", 1)[0].split()
+        if tokens[:1] == ["gen"]:
+            gens.append(LiftedGenerator(tokens[1], int(tokens[2])))
+        elif tokens[:1] == ["d"]:
+            entries.append(DifferentialEntry(tokens[1], tokens[2]))
+    gens.sort(key=lambda g: (g.degree, g.uid))
+    idx = {g.uid: i for i, g in enumerate(gens)}
+    cols = [0] * len(gens)
+    for src, dst in entries:
+        cols[idx[src]] ^= 1 << idx[dst]
+    return gens, entries, cols
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # 'd' lines before the 'gen' lines they name
+        "d b c\nd a b\nd a b2\nd b2 c\ngen a 0\ngen b 1\ngen b2 1\ngen c 2\n",
+        # 'gen' lines out of canonical order: z, b, a at degrees 0, 1, 1
+        "gen z 0\ngen c 2\ngen b 1\ngen a 1\nd z a\nd z b\nd a c\nd b c\n",
+        # both, with comments, and the first 'd' line naming both kinds
+        "gen q 1 # out of order\nd p q\nd q r\ngen p 0\n# gen x 9\nd p s\n"
+        "gen s 1\nd s r\ngen r 2\n",
+    ],
+)
+def test_out_of_order_documents_resolve_like_their_entries(body):
+    text = "fcx 1\nsigma 4\nlambda 0\n" + body
+    c = parse(text)
+    gens, entries, cols = _resolved_one_entry_at_a_time(text)
+    assert list(c.generators) == gens
+    assert c.delta_columns() == cols
+    built = FloerComplexData(MonotoneParams(4, 0.0), tuple(gens), tuple(entries))
+    assert c == built and hash(c) == hash(built)
+    assert repr(c) == repr(built)
+    assert validate(c).ok
+
+
+def test_shuffled_large_document_resolves_like_its_entries():
+    spec = NormalFormSpec(
+        MonotoneParams(4, 0.0), (0, 1, 2) * 30, tuple((d % 9, d % 3) for d in range(60))
+    )
+    c = random_filtered_automorphism(5, build_from_normal_form(spec))
+    lines = serialize(c).splitlines()
+    head, body = lines[:4], lines[4:]
+    random.Random(1).shuffle(body)
+    text = "\n".join(head + body) + "\n"
+    parsed = parse(text)
+    gens, _entries, cols = _resolved_one_entry_at_a_time(text)
+    assert list(parsed.generators) == gens == list(c.generators)
+    assert parsed.delta_columns() == cols == c.delta_columns()
+    assert parsed == c and hash(parsed) == hash(c)
+    copy = dataclasses.replace(parsed, ring=None)  # reads the delta view
+    assert copy == c and copy.delta_columns() == cols
+
+
+@pytest.mark.parametrize(
+    "body, line_no, message",
+    [
+        # the first copy waited for its 'gen' line, the second resolves
+        ("d a c\ngen c 2\nd a c\n", 8,
+         "duplicate differential entry (a -> c) (first on line 6)"),
+        # both copies wait
+        ("d c a\nd b c # again\nd c a\ngen c 2\n", 8,
+         "duplicate differential entry (c -> a) (first on line 6)"),
+        # both resolve, with a waiting entry in between
+        ("d a b\nd a c\nd a b\ngen c 2\n", 8,
+         "duplicate differential entry (a -> b) (first on line 6)"),
+        # a repeat is found where it occurs, before any unknown reference
+        ("d a zz\nd b a\nd a zz\n", 8,
+         "duplicate differential entry (a -> zz) (first on line 6)"),
+        # forward references resolve; the earliest unknown one is reported
+        ("d a yy\nd zz b\ngen yy 3\n", 7, "unknown generator 'zz'"),
+        ("d xx yy\ngen xx 0\nd a b\n", 6, "unknown generator 'yy'"),
+        ("d yy a\nd b qq\nd a b\ngen yy 4\nd qq a\n", 7, "unknown generator 'qq'"),
+        ("d yy a\ngen yy 4\nd yy b\nd b qq\nd qq a\n", 9, "unknown generator 'qq'"),
+    ],
+)
+def test_forward_references_and_repeats_are_diagnosed_in_line_order(body, line_no, message):
+    with pytest.raises(FcxParseError) as info:
+        parse(D_HEAD + body)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"line {line_no}: {message}"
 
 def test_unknown_reference_on_the_last_line_of_a_long_document():
     n = 400

@@ -459,3 +459,123 @@ def test_cohomology_at_scale_is_pinned_and_matches_the_pages(scrambled):
         assert z.as_dict() == {level: d for (level, _), d in table.page(1).items()}
         assert barcode_dims(c)[1] == limit_and_filtration(c).hf()
     assert digest.hexdigest() == COHOMOLOGY_AT_SCALE_SHA256, digest.hexdigest()
+
+
+def _mutated_complexes(count: int):
+    """Seeded complexes built directly from entries, most of them invalid.
+
+    Half are drawn raw: a few generators (an id may repeat, actions may sit
+    outside the window), periods 0-6 with and without the small-period
+    override, and entries that may name unknown ids, repeat or jump badly.
+    The other half take a valid complex (with synthesized actions when the
+    normal form allows them) and break one thing: an extra entry, a repeated
+    or an unknown one, a dropped entry (d^2 may stop vanishing), a moved
+    degree or a shifted action.
+    """
+    rng = random.Random(17)
+    pool = "abcdefg"
+    for i in range(count):
+        if i % 2 == 0:
+            period = rng.choice([0, 1, 2, 3, 3, 4, 4, 6])
+            params = MonotoneParams(
+                period, rng.choice([0.0, 0.5]), allow_small_period=rng.random() < 0.5
+            )
+            actions = [None, None, 0.25, 0.5, 1.5, 2.5]
+            gens = [
+                (rng.choice(pool), rng.randint(-3, 6), rng.choice(actions))
+                for _ in range(rng.randint(1, 7))
+            ]
+            names = [g[0] for g in gens] + ["ghost"]
+            delta = [
+                (rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 9))
+            ]
+            if delta and rng.random() < 0.3:
+                delta.append(rng.choice(delta))
+            yield complex_of(params, gens, delta)
+            continue
+        params = MonotoneParams(rng.choice([3, 4, 6]), 0.5)
+        if rng.random() < 0.5:
+            spec = NormalFormSpec(
+                params,
+                tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 3))),
+                tuple((rng.randint(-4, 4), rng.randint(0, 1)) for _ in range(rng.randint(1, 4))),
+            )
+            c = build_from_normal_form(spec)
+        else:
+            c = random_complex(rng.getrandbits(32), params, max_gens=10, max_jump=3)[0]
+        gens = [(g.uid, g.degree, g.action) for g in c.generators]
+        delta = list(c.delta)
+        uids = [g[0] for g in gens]
+        pairs = [  # the entries of a valid jump
+            (s, t)
+            for s, ds, _ in gens
+            for t, dt, _ in gens
+            if dt > ds and (dt - ds - 1) % params.maslov_period == 0
+        ]
+        kind = rng.randrange(7)
+        if kind == 0 and pairs:
+            delta.append(rng.choice(pairs))
+        elif kind == 6:  # two composable entries: d^2 seldom vanishes
+            chains = [(s, t, u) for s, t in pairs for t2, u in pairs if t2 == t]
+            if chains:
+                s, t, u = rng.choice(chains)
+                delta += [e for e in ((s, t), (t, u)) if e not in delta]
+        elif kind == 1 and delta:
+            delta.append(rng.choice(delta))
+        elif kind == 2:
+            delta.append(rng.choice([(rng.choice(uids), "zz"), ("ghost", rng.choice(uids))]))
+        elif kind == 3 and delta:
+            delta.remove(rng.choice(delta))
+        elif kind == 4:
+            j = rng.randrange(len(gens))
+            shift = rng.choice([-1, 1, params.maslov_period])
+            gens[j] = (gens[j][0], gens[j][1] + shift, gens[j][2])
+        else:
+            j = rng.randrange(len(gens))
+            action = gens[j][2]
+            gens[j] = (gens[j][0], gens[j][1], None if action is None else action + 0.25)
+        yield complex_of(params, gens, delta)
+
+
+# sha256 over repr((errors, warnings)) of ``validate`` on every complex of
+# ``_mutated_complexes(400)``, then on each one's serialized document after
+# a parse (or the parse error's text), then on ``tests/golden/bad_jump.fcx``.
+# Recorded when validation still resolved every entry one at a time.
+VALIDATION_REPORTS_SHA256 = (
+    "c5fff5a58e7f66f84ff35ee561bfe0eed22c5fc6d35042607af57c8a65e01a54"
+)
+
+
+def test_validation_reports_are_pinned():
+    from pathlib import Path
+
+    from fcx.io import FcxParseError, parse, serialize
+
+    digest = hashlib.sha256()
+    phrases = (
+        "unknown source",
+        "unknown target",
+        "duplicate differential entry",
+        "has degree jump",
+        "inconsistent with jump index",
+        "does not square to zero",
+        "outside the open",
+        "duplicate generator id",
+    )
+    seen = set()
+    for c in _mutated_complexes(400):
+        report = validate(c)
+        digest.update(repr((report.errors, report.warnings)).encode())
+        seen.update(p for p in phrases for e in report.errors if p in e)
+        try:
+            parsed = parse(serialize(c), allow_small_sigma=c.params.allow_small_period)
+        except FcxParseError as exc:
+            digest.update(str(exc).encode())
+            continue
+        report = validate(parsed)
+        digest.update(repr((report.errors, report.warnings)).encode())
+    golden = Path(__file__).parent / "golden" / "bad_jump.fcx"
+    report = validate(parse(golden.read_text()))
+    digest.update(repr((report.errors, report.warnings)).encode())
+    assert seen == set(phrases)
+    assert digest.hexdigest() == VALIDATION_REPORTS_SHA256, digest.hexdigest()

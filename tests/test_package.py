@@ -1,7 +1,7 @@
 """Package-level checks: every exported name resolves, no module imports a
-name it never uses, only the validators resolve entry ids, only ``gf2``
-runs a GF(2) elimination loop, and the independent oracles reach none of the
-engine's computations."""
+name it never uses, only the parser and the validators resolve entry ids,
+only ``gf2`` runs a GF(2) elimination loop, and the independent oracles reach
+none of the engine's computations."""
 
 from __future__ import annotations
 
@@ -88,14 +88,29 @@ def _functions_with(hit) -> set[str]:
 
 
 def test_only_the_validators_resolve_entry_ids():
-    def calls_index_map(node: ast.AST) -> bool:
+    """Ids become generator indices in three places: the parser, as it reads
+    a document (its own map ``index``, in declaration order), the validation
+    of a complex built from entries, and the validation of a cup class (both
+    through ``index_map()``)."""
+
+    def resolves_ids(node: ast.AST) -> bool:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            return node.func.attr == "index_map" or (
+                node.func.attr == "get" and isinstance(owner, ast.Name) and owner.id == "index"
+            )
         return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "index_map"
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "index"
         )
 
-    assert _functions_with(calls_index_map) == {"model._validate", "cup._validate_cup"}
+    assert _functions_with(resolves_ids) == {
+        "io.parse",
+        "model._validate",
+        "cup._validate_cup",
+    }
 
 
 def test_only_gf2_runs_an_elimination_loop():
