@@ -196,8 +196,6 @@ def _sorted_generators(gens: Iterable[LiftedGenerator]) -> tuple[LiftedGenerator
 
 def _permuted(cols: Sequence[int], order: list[int]) -> tuple[int, ...]:
     """The columns over the generator order ``order`` (new index -> old)."""
-    if order == list(range(len(order))):
-        return tuple(cols)
     pos = [0] * len(order)
     for new, old in enumerate(order):
         pos[old] = new
@@ -295,10 +293,13 @@ class FloerComplexData:
         """
         if len(columns) != len(generators):
             raise ValueError(f"{len(columns)} columns for {len(generators)} generators")
-        keys = [(g.degree, g.uid) for g in generators]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        c = cls(params, tuple(generators[i] for i in order), (), cup_classes, ring)
-        object.__setattr__(c, "_columns", _permuted(columns, order))
+        generators = tuple(generators)
+        c = cls(params, generators, (), cup_classes, ring)
+        cols = tuple(columns)
+        if c.generators != generators:  # the stable sort moved some
+            keys = [(g.degree, g.uid) for g in generators]
+            cols = _permuted(cols, sorted(range(len(keys)), key=keys.__getitem__))
+        object.__setattr__(c, "_columns", cols)
         object.__delattr__(c, "delta")  # from now on the view of the columns
         return c
 

@@ -397,7 +397,6 @@ def test_differential_lines_may_name_generators_declared_later():
     assert validate(c).ok
 
 
-
 def _resolved_one_entry_at_a_time(text):
     """The document's generators in canonical order and its delta columns,
     resolving each 'd' line's ids on its own."""
@@ -465,7 +464,7 @@ def test_shuffled_large_document_resolves_like_its_entries():
         ("d a c\ngen c 2\nd a c\n", 8,
          "duplicate differential entry (a -> c) (first on line 6)"),
         # both copies wait
-        ("d c a\nd b c # again\nd c a\ngen c 2\n", 8,
+        ("d c a\nd b c\nd c a # again\ngen c 2\n", 8,
          "duplicate differential entry (c -> a) (first on line 6)"),
         # both resolve, with a waiting entry in between
         ("d a b\nd a c\nd a b\ngen c 2\n", 8,
@@ -485,6 +484,7 @@ def test_forward_references_and_repeats_are_diagnosed_in_line_order(body, line_n
         parse(D_HEAD + body)
     assert info.value.line_no == line_no
     assert str(info.value) == f"line {line_no}: {message}"
+
 
 def test_unknown_reference_on_the_last_line_of_a_long_document():
     n = 400

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcx.engine import canonical_form, limit_and_filtration, pages
+from fcx.io import FcxParseError, parse, serialize
 from fcx.model import (
     DifferentialEntry,
     FloerComplexData,
@@ -468,9 +470,9 @@ def _mutated_complexes(count: int):
     outside the window), periods 0-6 with and without the small-period
     override, and entries that may name unknown ids, repeat or jump badly.
     The other half take a valid complex (with synthesized actions when the
-    normal form allows them) and break one thing: an extra entry, a repeated
-    or an unknown one, a dropped entry (d^2 may stop vanishing), a moved
-    degree or a shifted action.
+    normal form allows them) and break one thing: an extra entry of a valid
+    jump, a repeated or an unknown entry, a dropped entry, two composable
+    entries (d^2 seldom vanishes then), a moved degree or a shifted action.
     """
     rng = random.Random(17)
     pool = "abcdefg"
@@ -547,10 +549,6 @@ VALIDATION_REPORTS_SHA256 = (
 
 
 def test_validation_reports_are_pinned():
-    from pathlib import Path
-
-    from fcx.io import FcxParseError, parse, serialize
-
     digest = hashlib.sha256()
     phrases = (
         "unknown source",
