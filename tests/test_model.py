@@ -274,6 +274,19 @@ def test_complex_sorts_unsorted_entries_into_the_same_complex():
     assert all(type(e) is DifferentialEntry for e in unsorted.delta)
 
 
+def test_complex_from_columns_equals_the_complex_from_its_entries():
+    gens = [LiftedGenerator(u, n) for u, n in [("d", 2), ("a", 0), ("c", 1), ("b", 1)]]
+    cols = [0, 0b1100, 0b0001, 0b0001]  # a -> c, b and c, b -> d, in the order given
+    c = FloerComplexData.from_columns(P4_ALG, gens, cols)
+    entries = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+    built = complex_of(P4_ALG, [(g.uid, g.degree) for g in gens], entries)
+    assert [g.uid for g in c.generators] == ["a", "b", "c", "d"]
+    assert c.delta_columns() == [0b0110, 0b1000, 0b1000, 0]
+    assert "delta" not in vars(c) and validate(c).ok and "delta" not in vars(c)
+    assert c == built and hash(c) == hash(built) and c.delta is c.delta
+    with pytest.raises(ValueError):
+        FloerComplexData.from_columns(P4_ALG, gens, cols[:3])
+
 def test_z_graded_single_free_generator():
     c = complex_of(P4_ALG, [("x", 2)])
     table = z_graded_cohomology(c)
