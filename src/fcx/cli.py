@@ -51,6 +51,7 @@ from .invariants import (
 from .io import FcxParseError, parse, serialize
 from .kunneth import kunneth_check, power_poincare_check
 from .model import (
+    GEN_MAX_GENERATORS,
     FcxError,
     FloerComplexData,
     MonotoneParams,
@@ -388,6 +389,11 @@ def _cmd_rebase(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.gens < 1:
         raise _UsageError(f"argument --gens: must be at least 1, got {args.gens}")
+    if args.gens > GEN_MAX_GENERATORS:
+        raise SizeGuardError(
+            f"gen size guard: --gens {args.gens} exceeds the bound of "
+            f"{GEN_MAX_GENERATORS} generators"
+        )
     if args.max_jump < 0:
         raise _UsageError(f"argument --max-jump: must be at least 0, got {args.max_jump}")
     if args.sigma < (1 if args.allow_small_sigma else 3):

@@ -27,7 +27,9 @@ column; a repeated entry is a bit already set.  A ``d`` line that names a
 generator declared later waits until the end of the document.  The columns
 are then put in canonical order, which costs nothing for a serialized
 document, and the complex keeps them (``FloerComplexData.from_columns``): no
-``(src, dst)`` entry is built unless something reads ``delta``.
+``(src, dst)`` entry is built unless something reads ``delta``.  The
+serializer reads the columns too: it collects the target ids per source id
+and sorts both, which is the order of the sorted entries.
 
 The serializer is canonical: fixed header order, generators sorted by
 (degree, id), differential entries by (src, dst), cup data sorted by class
@@ -42,8 +44,10 @@ from __future__ import annotations
 
 import math
 import re
+from typing import Iterable
 
 from .cup import CupClass, RingTable
+from .gf2 import bits
 from .model import (
     FcxError,
     FloerComplexData,
@@ -332,6 +336,27 @@ def format_decimal(x: float) -> str:
     return s
 
 
+def _delta_pairs(c: FloerComplexData) -> Iterable[tuple[str, str]]:
+    """The differential's (source id, target id) pairs in ``sorted(c.delta)``
+    order.
+
+    A complex built from entries gives its entries.  A complex with columns
+    gives them without building the ``delta`` view: the target ids are
+    collected per source id, and the sources and each target list sorted as
+    strings, so a repeated id merges its generators' targets exactly as the
+    sorted entries interleave them.
+    """
+    cols = c._columns
+    if cols is None:
+        return c.delta
+    uids = [g.uid for g in c.generators]
+    targets: dict[str, list[str]] = {}
+    for s, col in enumerate(cols):
+        if col:
+            targets.setdefault(uids[s], []).extend([uids[t] for t in bits(col)])
+    return ((src, dst) for src in sorted(targets) for dst in sorted(targets[src]))
+
+
 def serialize(c: FloerComplexData) -> str:
     """Canonical FCX text for a complex; see the module docstring for the contract."""
     lines = ["fcx 1"]
@@ -345,7 +370,7 @@ def serialize(c: FloerComplexData) -> str:
             lines.append(f"gen {g.uid} {g.degree}")
         else:
             lines.append(f"gen {g.uid} {g.degree} {format_decimal(g.action)}")
-    for src, dst in c.delta:  # canonical (src, dst) order
+    for src, dst in _delta_pairs(c):  # canonical (src, dst) order
         lines.append(f"d {src} {dst}")
     for cls in sorted(c.cup_classes, key=lambda cls: cls.name):
         lines.append(f"cup {cls.name} {cls.degree}")

@@ -21,9 +21,10 @@ single pass lists every violated invariant with the offending ids.  It checks
 the degree jumps column by column, against one mask per degree of the
 admissible targets, and reads the jump-0 columns off the same masks;
 everything downstream (cohomology, pages, the jump and energy bounds) reads
-those columns.  Only a complex with a bad entry or with actions is walked
-entry by entry, to word the errors in ``(src, dst)`` order and to check the
-action differences.  Cup-class entries are resolved once, by the cup-class
+those columns.  The action differences are checked per column too.  Only a
+complex with a bad entry or a bad action difference (or with actions and a
+repeated generator id) is walked entry by entry, to word the errors in
+``(src, dst)`` order.  Cup-class entries are resolved once, by the cup-class
 validation.
 
 The degree-graded cohomology eliminates each degree once with
@@ -61,6 +62,7 @@ __all__ = [
     "InvalidComplexError",
     "EngineConsistencyError",
     "SizeGuardError",
+    "GEN_MAX_GENERATORS",
     "MonotoneParams",
     "LiftedGenerator",
     "DifferentialEntry",
@@ -93,6 +95,12 @@ class EngineConsistencyError(FcxError):
 
 class SizeGuardError(FcxError):
     """A size guard on a combinatorially explosive operation was exceeded."""
+
+
+# The most generators ``fcx gen`` may be asked for.  Scrambling n generators
+# draws about n**2 / (2 * period) numbers and conjugates n dense columns;
+# 5000 takes a few seconds.
+GEN_MAX_GENERATORS = 5000
 
 
 @dataclass(frozen=True)
@@ -416,7 +424,10 @@ def _validate(
         cols0, bad = _jump_masks(gens, cols, period)
     else:
         cols0, bad = (0,) * c.count, False
-    if not clean or bad or (any_action and p.monotonicity > 0):
+    walk = not clean or bad
+    if not walk and any_action and p.monotonicity > 0:
+        walk = period < 1 or len(seen) < c.count or _action_mismatch(gens, cols, p)
+    if walk:
         errors += _entry_errors(c, c.index_map())
 
     # Differential squares to zero over GF(2) on the full complex.
@@ -485,6 +496,38 @@ def _jump_masks(
     return tuple(cols0), bad != 0
 
 
+def _action_difference(p: MonotoneParams, k: int) -> float:
+    """The action difference of an entry of jump index k.
+
+    Window-confined lifts determine it only up to deck translates: it is
+    -monotonicity for even k and action_period - monotonicity for odd k (the
+    unique in-window representatives of k*sigma - lambda modulo 2*sigma).
+    """
+    return -p.monotonicity if k % 2 == 0 else p.action_period - p.monotonicity
+
+
+def _action_mismatch(
+    gens: Sequence[LiftedGenerator], cols: Sequence[int], p: MonotoneParams
+) -> bool:
+    """Whether some entry's action difference disagrees with its jump index,
+    checked column by column as ``_entry_errors`` checks it entry by entry.
+    Every degree jump is of the form k * period + 1 with k >= 0."""
+    period = p.maslov_period
+    tol = p.action_tolerance
+    for s, col in enumerate(cols):
+        a_src = gens[s].action
+        if not col or a_src is None:
+            continue
+        n = gens[s].degree
+        for t in bits(col):
+            a_dst = gens[t].action
+            if a_dst is not None:
+                k = (gens[t].degree - n - 1) // period
+                if abs(a_dst - a_src - _action_difference(p, k)) > tol:
+                    return True
+    return False
+
+
 def _entry_errors(c: FloerComplexData, idx: Mapping[str, int]) -> list[str]:
     """The errors of the entries one by one, in (src, dst) order: unknown
     ids, repeats, degree jumps and action differences."""
@@ -521,13 +564,7 @@ def _entry_errors(c: FloerComplexData, idx: Mapping[str, int]) -> list[str]:
         a_src = gens[s].action
         a_dst = gens[t].action
         if a_src is not None and a_dst is not None and p.monotonicity > 0:
-            # Window-confined lifts determine the action difference only up
-            # to deck translates: it must be -monotonicity for even k and
-            # action_period - monotonicity for odd k (the unique in-window
-            # representatives of k*sigma - lambda modulo 2*sigma).
-            expected = (
-                -p.monotonicity if k % 2 == 0 else p.action_period - p.monotonicity
-            )
+            expected = _action_difference(p, k)
             got = a_dst - a_src
             if abs(got - expected) > tol:
                 errors.append(

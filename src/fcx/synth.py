@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .gf2 import apply_columns, invert_columns, rref_rows
@@ -216,6 +217,12 @@ def random_filtered_automorphism(seed: int, c: FloerComplexData) -> FloerComplex
     mixing inside every single degree.  Actions are dropped (algebraic mode).
     Every page dimension, differential rank, collapse page and polynomial of
     the output equals the input's.
+
+    The draws are fixed, so a seed gives the same output from release to
+    release: for each generator in canonical order, ``random()`` is called
+    once per same-residue generator of strictly higher degree, in ascending
+    index, and a value below 0.35 adds it; then each degree, ascending, draws
+    its mixing with ``getrandbits``.
     """
     require_valid(c)
     return _scramble(random.Random(seed), c)
@@ -242,19 +249,20 @@ def _scramble(rng: random.Random, c: FloerComplexData) -> FloerComplexData:
     n = c.count
     params = c.params
     degrees = [g.degree for g in c.generators]
-    residues = [params.residue(d) for d in degrees]
 
-    # Upward part: identity plus random same-residue strictly-higher-degree tails.
+    # Upward part: identity plus random same-residue strictly-higher-degree
+    # tails.  Generators ascend in degree, so the candidates of i are a
+    # suffix of its residue's indices; one draw each, in ascending index.
+    by_residue: dict[int, list[int]] = {}
+    for i, d in enumerate(degrees):
+        by_residue.setdefault(params.residue(d), []).append(i)
     up_cols = []
-    for i in range(n):
+    for i, d in enumerate(degrees):
+        members = by_residue[params.residue(d)]
         col = 1 << i
-        for h in range(n):
-            if (
-                degrees[h] > degrees[i]
-                and residues[h] == residues[i]
-                and rng.random() < 0.35
-            ):
-                col ^= 1 << h
+        for h in members[bisect_right(members, d, key=degrees.__getitem__) :]:
+            if rng.random() < 0.35:
+                col |= 1 << h
         up_cols.append(col)
 
     # Within-degree invertible mixing, block by block in ascending degree.
@@ -277,8 +285,11 @@ def _scramble(rng: random.Random, c: FloerComplexData) -> FloerComplexData:
     t_inv = [apply_columns(mix_inv, col) for col in up_inv]
 
     old_cols = c.delta_columns()
-    # column i of T^{-1} delta T
-    new_cols = [apply_columns(t_inv, apply_columns(old_cols, t)) for t in t_cols]
+    sources = sum(1 << i for i, col in enumerate(old_cols) if col)
+    # column i of T^{-1} delta T; delta is applied to t's nonzero columns only
+    new_cols = [
+        apply_columns(t_inv, apply_columns(old_cols, t & sources)) for t in t_cols
+    ]
     gens = [LiftedGenerator(g.uid, g.degree, None) for g in c.generators]
     out = FloerComplexData.from_columns(params, gens, new_cols)
     report = validate(out)

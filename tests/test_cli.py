@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,7 +14,8 @@ import fcx
 from fcx.cli import main
 from fcx.invariants import rebase
 from fcx.io import parse, serialize
-from fcx.model import validate
+from fcx.model import GEN_MAX_GENERATORS, validate
+from fcx.synth import random_complex
 
 DIPOLE_TEXT = "fcx 1\nsigma 4\nlambda 0.5\ngen x 0\ngen y 5\nd x y\n"
 THREE_TEXT = "fcx 1\nsigma 4\nlambda 0.5\ngen x 0\ngen x2 4\ngen y 5\nd x y\n"
@@ -363,6 +365,36 @@ def test_gen_refuses_out_of_range_arguments_as_usage_errors(run, argv):
     assert err.startswith(f"fcx: argument {argv[0]}: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("gens", [GEN_MAX_GENERATORS + 1, 100_000_000])
+def test_gen_refuses_more_generators_than_its_bound(run, monkeypatch, gens):
+    import fcx.cli
+
+    def draw(*args, **kwargs):
+        raise AssertionError("gen drew a complex")
+
+    monkeypatch.setattr(fcx.cli, "random_complex", draw)
+    code, out, err = run("gen", "--gens", str(gens))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"fcx: gen size guard: --gens {gens} exceeds the bound of "
+        f"{GEN_MAX_GENERATORS} generators\n"
+    )
+
+
+def test_gen_accepts_its_bound(run, monkeypatch):
+    import fcx.cli
+
+    asked = []
+
+    def draw(seed, params, max_gens, max_jump):
+        asked.append(max_gens)
+        return random_complex(seed, params, max_gens=12, max_jump=max_jump)
+
+    monkeypatch.setattr(fcx.cli, "random_complex", draw)
+    assert run("gen", "--gens", str(GEN_MAX_GENERATORS))[0] == 0
+    assert asked == [GEN_MAX_GENERATORS]
+
+
 @pytest.mark.parametrize("page", [0, -3])
 @pytest.mark.parametrize(
     "command", ["pages", "poincare", "euler", "kunneth", "power", "report"]
@@ -426,6 +458,50 @@ def test_gen_reads_the_seed_when_the_command_runs(run, monkeypatch):
     assert "seed 777" in from_env
     _, overridden, _ = run("gen", "--seed", "0")
     assert overridden == seed_zero
+
+
+# sha256 of ``fcx gen`` stdout for --gens, --sigma and --seed, and of
+# ``fcx rebase tests/golden/actions.fcx --delta-r 2.0``.  Recorded while the
+# scrambler still drew over every generator pair and the serializer read the
+# ``delta`` entries: the document bytes, not only their canonical forms.
+GEN_DOCUMENT_SHA256 = {
+    (40, 3, 3): "9a655c38e27d48a530d127213d87253a0aa5545be4c437139971a8e3cf1e39c1",
+    (40, 3, 11): "f422a4aa0228e16b9f6e9425476ce377334377e2c56133c99c6c5b7e7d007aae",
+    (40, 4, 3): "ce11c466f56db398611afeca26f59baa85679cdf5fc24475c44da694d2d5eddf",
+    (40, 4, 11): "c8e8aa71053bb8188256718f47d03fff5284207135e08c15b3cf0bb44edf94ae",
+    (40, 6, 3): "60cbd5140f28fd0aa4fb48ebd170eb4b1d7f3877adb777a73ab60e33f71f7c7b",
+    (40, 6, 11): "3aed8d011d5fb655c135c33bbfd71564ef681c0479a670161ddeca4593adf40b",
+    (400, 3, 3): "ab804ef104f77dd952befbf2cd21a8de150e662d98fde4d3325a9568a883efe2",
+    (400, 3, 11): "a107c31e7185970ae1712a32fd20951e74f637f6f9d66b23813f5c199c1b5ab4",
+    (400, 4, 3): "d6136e1e8413e16d64a60a6e0a6cf756794ab447fbbaa71361c9e4394adefa77",
+    (400, 4, 11): "26cf215e9799df9fdb5c94807f487c8ba664728ec835ab7c2db88faa989f8d9c",
+    (400, 6, 3): "c723137f7ce1ddb335bdca116cdb3aa7c2345ae154acb09b17de9fecb22ee75c",
+    (400, 6, 11): "273f17c1feb8f3415c094179ac4addf84b48f928fe9451e2f6f807613ba35dc8",
+    (1500, 3, 3): "fa2bfd4b1631fdc29e2185275b1b1ab8bc6690664520b459c267a484f3f18adb",
+    (1500, 3, 11): "bea8a9d2cdb23a704035f3f8aaf6b302e7dadbdc447842d37f148b72a4e00c97",
+    (1500, 4, 3): "d4c974c276c8c6ee0f5817358c1f0cea65df37c23b3249f7ab7fdd9828f7785d",
+    (1500, 4, 11): "60d8068e77ca3c93cf32f6b11979d49b4fc19570b1ae189ac0bd934ba5c7ae04",
+    (1500, 6, 3): "8451c2ab8b1ecd9bd1ab116fe62bb915defdf1a3a595ad264f55d7e21b622361",
+    (1500, 6, 11): "fd22cdf8be19be3627cdeb1795dcd63659f6ae2082c08932a20c19b10b3eee82",
+}
+REBASE_DOCUMENT_SHA256 = "6212039ae66c289924c2215776cabd70e17105db0c63a6ec64b4a5471de5db5b"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("gens, sigma, seed", sorted(GEN_DOCUMENT_SHA256))
+def test_gen_documents_are_pinned(run, gens, sigma, seed):
+    code, out, _ = run("gen", "--gens", str(gens), "--sigma", str(sigma), "--seed", str(seed))
+    assert code == 0
+    assert _sha256(out) == GEN_DOCUMENT_SHA256[(gens, sigma, seed)]
+
+
+def test_rebase_document_is_pinned(run):
+    path = Path(__file__).parent / "golden" / "actions.fcx"
+    code, out, _ = run("rebase", str(path), "--delta-r", "2.0")
+    assert code == 0 and _sha256(out) == REBASE_DOCUMENT_SHA256
 
 
 def test_report_sections_and_byte_stability(run, write_doc):
@@ -555,12 +631,10 @@ def test_report_and_pages_never_build_cells_or_differentials(run, write_doc, mon
 
 
 
-def test_pages_cohomology_and_report_build_no_differential_entries(
-    run, write_doc, monkeypatch, scrambled
-):
-    """A parsed document keeps its differential as columns: these commands
-    never build the ``delta`` view or a single ``DifferentialEntry``.  (A
-    document with actions is walked entry by entry, to check them.)"""
+@pytest.fixture
+def no_entries(monkeypatch):
+    """Fail on the ``delta`` view being built, and record every
+    ``DifferentialEntry`` built; returns the record."""
     import fcx.model
     from fcx.model import DifferentialEntry
 
@@ -574,16 +648,45 @@ def test_pages_cohomology_and_report_build_no_differential_entries(
         built.append((src, dst))
         return tuple.__new__(cls, (src, dst))
 
-    docs = [write_doc(RING_TEXT, "ring.fcx"), write_doc(THREE_TEXT, "three.fcx")]
-    docs.append(write_doc(serialize(scrambled(250, 4, 7)), "scrambled.fcx"))
     monkeypatch.setattr(fcx.model._DeltaView, "__get__", view)
     monkeypatch.setattr(DifferentialEntry, "__new__", entry)
+    return built
+
+
+def test_pages_cohomology_and_report_build_no_differential_entries(
+    run, write_doc, no_entries, scrambled
+):
+    """A parsed document keeps its differential as columns: these commands
+    never build the ``delta`` view or a single ``DifferentialEntry``.  (A
+    document whose actions disagree with its jumps is walked entry by entry,
+    to word the errors.)"""
+    from fcx.model import DifferentialEntry
+
+    docs = [write_doc(RING_TEXT, "ring.fcx"), write_doc(THREE_TEXT, "three.fcx")]
+    docs.append(write_doc(serialize(scrambled(250, 4, 7)), "scrambled.fcx"))
+    docs.append(write_doc(ACT_TEXT, "actions.fcx"))
     for path in docs:
         for command in ("pages", "cohomology", "report"):
             for fmt in ("tsv", "human"):
                 assert run(command, path, "--format", fmt)[0] == 0, (command, path)
-    assert built == []
-    assert DifferentialEntry("x", "y") == ("x", "y") and built == [("x", "y")]
+    assert no_entries == []
+    assert DifferentialEntry("x", "y") == ("x", "y") and no_entries == [("x", "y")]
+
+
+def test_gen_and_serialize_build_no_differential_entries(run, no_entries, scrambled):
+    """``fcx gen`` (synthesis, with actions on its normal form, and the
+    serializer) and ``serialize`` of a parsed document read columns only."""
+    texts = [RING_TEXT, THREE_TEXT, DIPOLE_TEXT, serialize(scrambled(250, 4, 7))]
+    assert no_entries == []
+    for text in texts:
+        canonical = serialize(parse(text))
+        assert serialize(parse(canonical)) == canonical
+    assert canonical == texts[-1]
+    for seed in range(20):
+        for argv in ((), ("--gens", "40", "--max-jump", "1"), ("--sigma", "3")):
+            code, out, _ = run("gen", "--seed", str(seed), *argv)
+            assert code == 0 and out.startswith("fcx 1\n")
+    assert no_entries == []
 
 def test_report_cohomology_and_betti_run_no_cohomology_elimination(run, monkeypatch):
     """Every dimension these commands print is counted from the barcode: with

@@ -5,13 +5,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcx.cup import CupClass, RingTable
+from fcx.invariants import rebase
 from fcx.io import FcxParseError, format_decimal, parse, serialize
+from fcx.kunneth import tensor_product
 from fcx.model import (
     DifferentialEntry,
     FloerComplexData,
@@ -515,3 +518,79 @@ def test_roundtrip_survives_line_order_whitespace_and_comments(seed, period, rnd
     messy = "\n".join(lines) + rnd.choice(["", "\n"])
     assert parse(messy) == c
     assert serialize(parse(messy)) == serialize(c)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _entry_twin(c: FloerComplexData) -> FloerComplexData:
+    """The complex built from ``c``'s entries (reads ``c.delta``)."""
+    return FloerComplexData(c.params, c.generators, c.delta, c.cup_classes, c.ring)
+
+
+def _column_built_complexes():
+    """(label, complex) pairs built from columns, none of whose ``delta``
+    views was read."""
+    for path in sorted(GOLDEN.glob("*.fcx")):
+        yield path.name, parse(path.read_text(encoding="utf-8"), allow_small_sigma=True)
+    shuffled = serialize(random_complex(3, MonotoneParams(4, 0.5), max_gens=30)[0])
+    first, *rest = shuffled.splitlines()
+    random.Random(1).shuffle(rest)
+    yield "shuffled", parse("\n".join([first] + rest) + "\n")
+    for seed, period in sorted(SYNTH_DIGESTS):
+        yield f"random {seed}", random_complex(seed, MonotoneParams(period, 0.5))[0]
+    spec = NormalFormSpec(
+        MonotoneParams(4, 0.0),
+        tuple(range(-30, 30)),
+        tuple(((n % 41) - 20, n % 3) for n in range(120)),
+    )
+    a = random_filtered_automorphism(5, build_from_normal_form(spec))
+    b, _ = random_complex(11, MonotoneParams(4, 0.5), max_gens=20)
+    yield "scrambled", a
+    yield "tensor", tensor_product(b, random_complex(12, MonotoneParams(4, 0.5))[0]).complex
+    with_actions = build_from_normal_form(
+        NormalFormSpec(MonotoneParams(3, 0.5), (0, 4), ((0, 0), (1, 1), (-2, 1)))
+    )
+    yield "rebased", rebase(with_actions, 1.25)
+    yield "rebased golden", rebase(parse((GOLDEN / "actions.fcx").read_text()), 2.75)
+
+
+def test_serialize_from_columns_equals_serialize_of_the_entry_twin():
+    """The serializer reads the columns without building the ``delta`` view,
+    and writes the bytes of the complex built from the same entries."""
+    labels = []
+    for label, c in _column_built_complexes():
+        assert c._columns is not None and "delta" not in vars(c), label
+        text = serialize(c)
+        assert "delta" not in vars(c), label
+        assert text == serialize(_entry_twin(c)), label
+        assert "delta" in vars(c) and serialize(c) == text, label  # view read
+        labels.append(label)
+    assert len(labels) == 18
+
+
+def test_serialize_from_columns_merges_the_targets_of_a_repeated_id():
+    # Two generators named 's': in generator order their targets read
+    # b, y, d, y, c, y, while the sorted entries read b, c, d, y, y, y.
+    gens = [
+        LiftedGenerator("s", 0),
+        LiftedGenerator("b", 1),
+        LiftedGenerator("y", 1),
+        LiftedGenerator("s", 4),
+        LiftedGenerator("c", 5),
+        LiftedGenerator("d", 5),
+        LiftedGenerator("y", 5),
+    ]
+    cols = [0b1100110, 0, 0, 0b1010000, 0, 0, 0]
+    c = FloerComplexData.from_columns(MonotoneParams(4, 0.0), gens, cols)
+    text = serialize(c)
+    assert "delta" not in vars(c)
+    assert [line for line in text.splitlines() if line.startswith("d ")] == [
+        "d s b",
+        "d s c",
+        "d s d",
+        "d s y",
+        "d s y",
+        "d s y",
+    ]
+    assert text == serialize(_entry_twin(c))

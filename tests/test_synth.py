@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fcx.synth
 from fcx.engine import collapse_page, pages
 from fcx.model import MonotoneParams, validate
 from fcx.synth import (
@@ -182,3 +184,50 @@ def test_random_normal_form_respects_bounds(seed, period):
     assert all(0 <= k <= 3 for _, k in spec.dipoles)
     assert all(-5 <= n <= 5 for n in spec.free)
     assert all(-5 <= n <= 5 for n, _ in spec.dipoles)
+
+
+class _CountingRandom(random.Random):
+    """Records every value ``random()`` returns."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = []
+
+    def random(self):
+        value = super().random()
+        self.draws.append(value)
+        return value
+
+
+@pytest.mark.parametrize("period", [3, 4, 6])
+def test_scramble_draws_once_per_candidate_pair_in_ascending_index(
+    monkeypatch, scrambled_spec, period
+):
+    """``random()`` is called once per (generator, same-residue generator of
+    strictly higher degree) pair, in ascending index, and a draw below 0.35
+    puts the pair's entry into the upward change of basis."""
+    c = build_from_normal_form(scrambled_spec(90, period))
+    gens = c.generators
+    pairs = [
+        (i, h)
+        for i in range(c.count)
+        for h in range(c.count)
+        if gens[h].degree > gens[i].degree
+        and gens[h].degree % period == gens[i].degree % period
+    ]
+    upward = []
+    invert = fcx.synth.invert_columns
+
+    def spy(cols, order):
+        upward.append(list(cols))
+        return invert(cols, order)
+
+    monkeypatch.setattr(fcx.synth, "invert_columns", spy)
+    rng = _CountingRandom(5)
+    fcx.synth._scramble(rng, c)
+    assert len(rng.draws) == len(pairs) > 400
+    expected = [1 << i for i in range(c.count)]
+    for (i, h), value in zip(pairs, rng.draws):
+        if value < 0.35:
+            expected[i] |= 1 << h
+    assert upward == [expected]
