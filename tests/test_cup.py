@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import random
 import weakref
 
 import pytest
@@ -26,7 +27,7 @@ from fcx.cup import (
 )
 from fcx.engine import pages
 from fcx.gf2 import Gf2Matrix, apply_columns, bits, kernel_basis
-from fcx.io import parse, serialize
+from fcx.io import FcxParseError, parse, serialize
 from fcx.kunneth import tensor_product
 from fcx.model import (
     DifferentialEntry,
@@ -475,6 +476,189 @@ def test_shifted_product_outputs_are_pinned(tmp_path, capsys):
     induced_digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digests == PINNED_CUP_TSV
     assert induced_digest == PINNED_INDUCED_PAGES
+
+
+def _mutated_cup_documents():
+    """``shifted_product_document``s whose classes are broken in every way
+    ``validate_cup`` reports: an unknown id, a repeated entry, an entry of
+    the wrong degree, a negative degree, a dropped or an added entry (which
+    breaks the commutation), or left intact."""
+    rng = random.Random(19)
+    for i in range(36):
+        doc = shifted_product_document(seed=i, m=1 + i % 3, p=3 + i % 4)
+        uids = [g.uid for g in doc.generators]
+        level = {g.uid: g.degree for g in doc.generators}
+        classes = list(doc.cup_classes)
+        for _ in range(1 + i % 3):
+            j = rng.randrange(len(classes))
+            cls = classes[j]
+            entries = list(cls.entries)
+            degree = cls.degree
+            kind = rng.randrange(7)
+            if kind == 1:
+                u = rng.choice(uids)
+                entries.append(rng.choice([(u, "zz"), ("ghost", u)]))
+            elif kind == 2 and entries:
+                entries.append(rng.choice(entries))
+            elif kind == 3:
+                pairs = [(s, t) for s in uids for t in uids if level[t] - level[s] != degree]
+                entries += rng.sample(pairs, 1 + rng.randrange(3))
+            elif kind == 4:
+                degree = -1 - degree
+            elif kind == 5 and entries:
+                entries.remove(rng.choice(entries))
+            elif kind == 6:
+                pairs = [
+                    (s, t)
+                    for s in uids
+                    for t in uids
+                    if level[t] - level[s] == degree and (s, t) not in entries
+                ]
+                if pairs:
+                    entries.append(rng.choice(pairs))
+            classes[j] = CupClass(cls.name, degree, tuple(entries))
+        yield dataclasses.replace(doc, cup_classes=tuple(classes))
+
+
+def _entry_built(c):
+    """``c`` rebuilt from its entries, each class too (reads every view)."""
+    classes = tuple(CupClass(a.name, a.degree, a.entries) for a in c.cup_classes)
+    return FloerComplexData(c.params, c.generators, c.delta, classes, c.ring)
+
+
+# sha256 over repr((errors, warnings)) of ``validate_cup`` on every class of
+# ``_mutated_cup_documents()``; then, after a parse of each one's serialized
+# document (or the parse error's text), on every class of the parsed
+# complex and of its entry-built twin.  Recorded while every class was
+# validated entry by entry.
+CUP_VALIDATION_REPORTS_SHA256 = (
+    "a6616a2f5b4ffa472d021147fb75739240c87a69015bb9f66140dd6bf9893588"
+)
+
+
+def test_cup_validation_reports_are_pinned():
+    digest = hashlib.sha256()
+    phrases = (
+        "references unknown generator",
+        "repeats the entry",
+        "changes degree by",
+        "has negative degree",
+        "does not commute",
+    )
+    seen = set()
+    parsed_reports = 0
+    for c in _mutated_cup_documents():
+        for cls in c.cup_classes:
+            report = validate_cup(c, cls)
+            digest.update(repr((report.errors, report.warnings)).encode())
+            seen.update(p for p in phrases for e in report.errors if p in e)
+        try:
+            parsed = parse(serialize(c))
+        except FcxParseError as exc:
+            digest.update(str(exc).encode())
+            continue
+        for complex_ in (parsed, _entry_built(parsed)):
+            for cls in complex_.cup_classes:
+                report = validate_cup(complex_, cls)
+                digest.update(repr((report.errors, report.warnings)).encode())
+                parsed_reports += not report.ok
+    assert seen == set(phrases) and parsed_reports >= 10
+    assert digest.hexdigest() == CUP_VALIDATION_REPORTS_SHA256, digest.hexdigest()
+
+
+def _cup_cli_documents():
+    """(label, text) of ``shifted_product_document``-shaped documents, a
+    line-shuffled one, one with its 'c' lines before its 'gen' lines, and
+    one with broken classes.  Each 'cup' line precedes its class's 'c' lines."""
+    for seed, m, p in ((5, 3, 4), (7, 2, 5), (11, 4, 3)):
+        yield f"product {seed}", serialize(shifted_product_document(seed, m, p))
+    first, *rest = serialize(shifted_product_document(13, 3, 4)).splitlines()
+    random.Random(3).shuffle(rest)
+    for line in [x for x in rest if x.startswith("cup ")]:
+        k = rest.index(line)
+        name = line.split()[1]
+        first_c = next(i for i, x in enumerate(rest) if x.split()[:2] == ["c", name])
+        if first_c < k:
+            rest.insert(first_c, rest.pop(k))
+    yield "shuffled", "\n".join([first] + rest) + "\n"
+    lines = serialize(shifted_product_document(17, 2, 3)).splitlines()
+    by_kind = {}
+    for line in lines[4:]:
+        by_kind.setdefault(line.split()[0], []).append(line)
+    order = ("cup", "c", "gen", "d", "ring")
+    yield "c before gen", "\n".join(lines[:4] + [x for k in order for x in by_kind[k]]) + "\n"
+    doc = shifted_product_document(5, 3, 4)
+    unit, a1, a2, a3 = doc.cup_classes
+    broken = (
+        unit,
+        CupClass("a1", a1.degree, a1.entries[1:]),
+        CupClass("a2", a2.degree, a2.entries + ((a1.entries[0][0], a3.entries[0][1]),)),
+        a3,
+    )
+    yield "broken", serialize(dataclasses.replace(doc, cup_classes=broken))
+
+
+# sha256 over (command, exit code, stdout, stderr) of ``fcx <command> --format
+# tsv`` on each of ``_cup_cli_documents()``, recorded while every class was
+# validated entry by entry.
+CUP_CLI_SHA256 = {
+    "product 5": "ff4cfab4845325d45db8e49ea592659ac8cbbbf3e81c9a623ec3cfc9f627c9ee",
+    "product 7": "ba57a0de6235c78ddfbfd6d91791637753f8b8ccab992a66fb9347c164d0fd9e",
+    "product 11": "02b9cd2663e758ffa442de19ef53faed26a68f59bb747f7364df419ae0aa0928",
+    "shuffled": "b80cf82d6819517b083fa0a2671c5443487dc6ae4777d559db59a2990babeb0f",
+    "c before gen": "1022dfe8cec3a4d13017ea0b57a93aecbec4f1f9505b53a1b33b3bc8a8746fb9",
+    "broken": "b3333a17329a37cf4c967b306be4312b3a64dfcca0591af0633513a46db96fc3",
+}
+
+
+def test_cup_commands_on_product_documents_are_pinned(tmp_path, capsys):
+    digests = {}
+    for label, text in _cup_cli_documents():
+        path = tmp_path / "doc.fcx"
+        path.write_text(text, encoding="utf-8")
+        digest = hashlib.sha256()
+        for command in ("cup", "ring", "cuplength", "validate", "report"):
+            code = main([command, str(path), "--format", "tsv"])
+            captured = capsys.readouterr()
+            digest.update(f"{command}\n{code}\n{captured.out}\n{captured.err}\n".encode())
+        digests[label] = digest.hexdigest()
+    assert digests == CUP_CLI_SHA256
+
+
+def _cup_document_with_actions():
+    """A normal form with actions, carrying a unit class, a degree-3 class
+    and a ring table; rebasing it by 0.7 reorders its generators."""
+    c = build_from_normal_form(
+        NormalFormSpec(
+            MonotoneParams(3, 0.5),
+            (0, 2, 4, 5),
+            ((-1, 0), (1, 1), (2, 0), (0, 1), (3, 1)),
+        )
+    )
+    uids = [g.uid for g in c.generators]
+    level = {g.uid: g.degree for g in c.generators}
+    h = tuple((s, t) for s in uids for t in uids if level[t] - level[s] == 3)
+    classes = (ident_class(c), CupClass("h", 3, h), CupClass("z", 0, h[:2]))
+    ring = RingTable(((("1", "1"), "1"), (("1", "h"), "h"), (("h", "h"), None)))
+    return dataclasses.replace(c, cup_classes=classes, ring=ring)
+
+
+# sha256 of ``fcx rebase --delta-r 0.7`` on ``_cup_document_with_actions()``,
+# recorded while the rebased classes were written from their entries.
+REBASE_CUP_DOCUMENT_SHA256 = (
+    "e6ad88d1361aa15ae1162973c67aabf2d15e07bbfc94e2eef45128efd9a39db1"
+)
+
+
+def test_rebase_of_a_cup_document_is_pinned(tmp_path, capsys):
+    c = _cup_document_with_actions()
+    path = tmp_path / "doc.fcx"
+    path.write_text(serialize(c), encoding="utf-8")
+    assert main(["rebase", str(path), "--delta-r", "0.7"]) == 0
+    out = capsys.readouterr().out
+    moved = parse(out)
+    assert [g.uid for g in moved.generators] != [g.uid for g in c.generators]
+    assert hashlib.sha256(out.encode()).hexdigest() == REBASE_CUP_DOCUMENT_SHA256
 
 
 def test_document_class_data_is_memoized_on_the_complex_and_freed_with_it():
