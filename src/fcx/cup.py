@@ -13,32 +13,47 @@ structure lives; the composite convention for a product a*b acting on x is
 own: each pushed representative is decoded by ``CohomologyTable.coordinates``
 against the echelon that ``z_graded_cohomology`` built once per complex.
 
-Per-class memo: for a class that is a member of ``c.cup_classes``, the
-validation report with the class columns its one pass over the entries
-builds (the only place class entry ids are resolved), the induced
-cohomology action and the canonical image of each slot pushed through the
-class (shared by the induced maps of every page) are computed at most once
-and kept in the complex's memo (``FloerComplexData.cached``).  So the memo
-holds at most one record per document class and is freed with the complex.
-Any other class is validated, and so resolved, once per call and not
-stored.  The checks still run on every call: an invalid class raises each
-time, and the page maps are checked against the page differential each
-time.
+A class is stored like the differential.  The parser fills one index column
+per generator of each class (``fcx.io``), and ``CupClass.from_columns``
+keeps them with the generator ids they index; ``FloerComplexData.from_columns``
+puts them in the complex's canonical order along with its own columns.  The
+sorted ``entries`` of such a class are a view, built only when something
+reads them.  A class built from ``(src, dst)`` entries (the API) has its
+ids resolved to indices by its validation, the only place class entry ids
+are resolved.
+
+Validation of a class with columns over the complex's generator order checks
+the degree pattern column by column, against one target-degree mask per
+generator degree, and the commutation in one ``gf2.commutator_witness``
+call; only a class with an entry of the wrong degree is walked entry by
+entry, to word the errors in ``(src, dst)`` order.
+
+Per-class memo: for a class that is a member of ``c.cup_classes`` (found by
+identity first, so no other class's entries are read), the validation
+report with the class columns, the induced cohomology action and the
+canonical image of each slot pushed through the class (shared by the
+induced maps of every page) are computed at most once and kept in the
+complex's memo (``FloerComplexData.cached``).  So the memo holds at most one
+record per document class and is freed with the complex.  Any other class
+is validated once per call and not stored.  The checks still run on every
+call: an invalid class raises each time, and the page maps are checked
+against the page differential each time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from .engine import PageTable, canonical_form, pages
-from .gf2 import Gf2Matrix, apply_columns, bits, echelon
+from .gf2 import Gf2Matrix, apply_columns, bits, commutator_witness, echelon
 from .model import (
     EngineConsistencyError,
     FcxError,
     FloerComplexData,
     ValidationReport,
+    _permuted,
     require_valid,
     z_graded_cohomology,
 )
@@ -62,16 +77,75 @@ __all__ = [
 ]
 
 
+class _EntriesView:
+    """The ``entries`` field of a class built from columns.
+
+    A non-data descriptor, like the ``delta`` view of a complex: the entries
+    a class was built from sit in the instance dict and shadow it.  Without
+    them, the first read builds the sorted entries from the columns and
+    stores them there.  Read on the class, it gives the field's default.
+    """
+
+    def __get__(self, a: "CupClass | None", owner: type | None = None) -> Any:
+        if a is None:
+            return ()
+        uids, cols = a._uids, a._columns
+        assert uids is not None and cols is not None  # entries are kept otherwise
+        entries = tuple(
+            sorted((uids[s], uids[t]) for s, col in enumerate(cols) for t in bits(col))
+        )
+        object.__setattr__(a, "entries", entries)
+        return entries
+
+
 @dataclass(frozen=True)
 class CupClass:
-    """A named degree-p endomorphism datum: entries (src, dst) with coefficient 1."""
+    """A named degree-p endomorphism datum: entries (src, dst) with coefficient 1.
+
+    A class built by ``from_columns`` keeps index columns with the ids they
+    index, and ``entries`` is a view of them.  Equality, hashing and
+    ``repr`` read ``entries``, so they build the view and treat both kinds
+    of class alike.
+    """
 
     name: str
     degree: int
-    entries: tuple[tuple[str, str], ...] = ()
+    entries: tuple[tuple[str, str], ...] = _EntriesView()  # type: ignore[assignment]
+    # The columns of a class built by ``from_columns``, and the generator id
+    # of each index, else None.
+    _columns: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _uids: tuple[str, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+
+    @classmethod
+    def from_columns(
+        cls, name: str, degree: int, uids: Sequence[str], columns: Sequence[int]
+    ) -> "CupClass":
+        """The class with an entry (uids[s], uids[t]) for each bit t of
+        ``columns[s]``; equal to the one built from those entries."""
+        if len(columns) != len(uids):
+            raise ValueError(f"{len(columns)} columns for {len(uids)} generator ids")
+        a = cls(name, degree)
+        object.__setattr__(a, "_columns", tuple(columns))
+        object.__setattr__(a, "_uids", tuple(uids))
+        object.__delattr__(a, "entries")  # from now on the view of the columns
+        return a
+
+    def _reindexed(self, uids: tuple[str, ...], order: list[int]) -> "CupClass":
+        """This class over the generator ids ``uids`` taken in ``order`` (new
+        index -> old), when its columns are over ``uids``; otherwise the
+        class itself."""
+        if self._columns is None or self._uids != uids:
+            return self
+        return CupClass.from_columns(
+            self.name, self.degree, [uids[i] for i in order], _permuted(self._columns, order)
+        )
 
 
 @dataclass(frozen=True)
@@ -179,10 +253,14 @@ def _derived(
 ) -> _T:
     """``compute(c, a)``, kept in the memo of ``c`` under ``key`` when ``a`` is
     one of its document classes and computed afresh otherwise."""
-    try:
-        i = c.cup_classes.index(a)
-    except ValueError:
-        return compute(c, a)
+    classes = c.cup_classes
+    # by identity first: ``index`` compares by ``==``, which reads entries
+    i = next((i for i, b in enumerate(classes) if b is a), None)
+    if i is None:
+        try:
+            i = classes.index(a)
+        except ValueError:
+            return compute(c, a)
     memo = c.cached("cup_class_memos", _empty_memos)[i]
     try:
         return memo[key]
@@ -207,47 +285,80 @@ def validate_cup(c: FloerComplexData, a: CupClass) -> ValidationReport:
 
 def _validate_cup(c: FloerComplexData, a: CupClass) -> tuple[ValidationReport, tuple[int, ...]]:
     errors: list[str] = []
-    if a.degree < 0:
-        errors.append(f"class '{a.name}' has negative degree {a.degree}")
-    # every entry whose ids resolve enters the columns, as in model._resolve
-    idx = c.index_map()
     gens = c.generators
-    acols = [0] * c.count
-    prev = None
-    for entry in a.entries:
-        src, dst = entry
-        s = idx.get(src)
-        if s is None:
-            errors.append(f"class '{a.name}' references unknown generator '{src}'")
-            continue
-        t = idx.get(dst)
-        if t is None:
-            errors.append(f"class '{a.name}' references unknown generator '{dst}'")
-            continue
-        acols[s] ^= 1 << t
-        if entry == prev:  # entries are sorted, so a repeat follows its first
-            errors.append(f"class '{a.name}' repeats the entry ({src} -> {dst})")
-            continue
-        prev = entry
-        diff = gens[t].degree - gens[s].degree
-        if diff != a.degree:
-            errors.append(
-                f"class '{a.name}' entry ({src} -> {dst}) changes degree by "
-                f"{diff}, expected {a.degree}"
-            )
-    if not errors:
-        dcols = c.delta_columns()
-        for i, g in enumerate(c.generators):
-            lhs = apply_columns(dcols, acols[i])  # delta . A
-            rhs = apply_columns(acols, dcols[i])  # A . delta
-            if lhs != rhs:
-                witness = next(bits(lhs ^ rhs))
+    acols = _class_columns(c, a)
+    if acols is None or a.degree < 0 or _off_degree(c, acols, a.degree):
+        if a.degree < 0:
+            errors.append(f"class '{a.name}' has negative degree {a.degree}")
+        # every entry whose ids resolve enters the columns, as in model._resolve
+        idx = c.index_map()
+        resolved = [0] * c.count
+        prev = None
+        for entry in a.entries:
+            src, dst = entry
+            s = idx.get(src)
+            if s is None:
+                errors.append(f"class '{a.name}' references unknown generator '{src}'")
+                continue
+            t = idx.get(dst)
+            if t is None:
+                errors.append(f"class '{a.name}' references unknown generator '{dst}'")
+                continue
+            resolved[s] ^= 1 << t
+            if entry == prev:  # entries are sorted, so a repeat follows its first
+                errors.append(f"class '{a.name}' repeats the entry ({src} -> {dst})")
+                continue
+            prev = entry
+            diff = gens[t].degree - gens[s].degree
+            if diff != a.degree:
                 errors.append(
-                    f"class '{a.name}' does not commute with the differential: "
-                    f"witness pair ({g.uid} -> {c.generators[witness].uid})"
+                    f"class '{a.name}' entry ({src} -> {dst}) changes degree by "
+                    f"{diff}, expected {a.degree}"
                 )
-                break
-    return ValidationReport(tuple(errors), ()), tuple(acols)
+        acols = tuple(resolved)
+    if not errors:
+        # delta . A against A . delta, column by column
+        witness = commutator_witness(acols, c.delta_columns())
+        if witness is not None:
+            i, diff = witness
+            errors.append(
+                f"class '{a.name}' does not commute with the differential: "
+                f"witness pair ({gens[i].uid} -> {gens[next(bits(diff))].uid})"
+            )
+    return ValidationReport(tuple(errors), ()), acols
+
+
+def _class_columns(c: FloerComplexData, a: CupClass) -> tuple[int, ...] | None:
+    """The columns of a class built from columns over the generator order
+    of ``c``; None for any other class."""
+    cols = a._columns
+    if cols is None or a._uids != c.cached("uids", _uids):
+        return None
+    return cols
+
+
+def _uids(c: FloerComplexData) -> tuple[str, ...]:
+    return tuple(g.uid for g in c.generators)
+
+
+def _off_degree(c: FloerComplexData, acols: Sequence[int], p: int) -> bool:
+    """Whether some column has a target whose degree is not its source's
+    plus ``p``, checked against one target mask per generator degree."""
+    groups = c.cached("degree_masks", _degree_masks)
+    for n, (members, _) in groups.items():
+        outside = ~groups.get(n + p, (0, 0))[1]
+        for s in members:
+            if acols[s] & outside:
+                return True
+    return False
+
+
+def _degree_masks(c: FloerComplexData) -> dict[int, tuple[list[int], int]]:
+    """Map degree -> (its generator indices, their bitset)."""
+    return {
+        n: (members, sum(1 << s for s in members))
+        for n, members in c.degree_groups().items()
+    }
 
 
 def require_valid_cup(c: FloerComplexData, a: CupClass) -> tuple[int, ...]:
@@ -405,11 +516,8 @@ def resolve_unit(c: FloerComplexData, ring: RingTable) -> str:
         return ring.unit
     if "1" in classes:
         return "1"
-    identity_entries = tuple(sorted((g.uid, g.uid) for g in c.generators))
     candidates = [
-        cls.name
-        for cls in c.cup_classes
-        if cls.degree == 0 and cls.entries == identity_entries
+        cls.name for cls in c.cup_classes if cls.degree == 0 and _is_identity(c, cls)
     ]
     if len(candidates) == 1:
         return candidates[0]
@@ -417,6 +525,15 @@ def resolve_unit(c: FloerComplexData, ring: RingTable) -> str:
         "cannot resolve a unit class: declare one explicitly, name it '1', "
         "or provide exactly one degree-0 identity class"
     )
+
+
+def _is_identity(c: FloerComplexData, a: CupClass) -> bool:
+    """Whether the matrix of ``a`` is the identity on the generators of ``c``,
+    read off its columns when it has them over the order of ``c``."""
+    cols = _class_columns(c, a)
+    if cols is not None:
+        return all(col == 1 << i for i, col in enumerate(cols))
+    return a.entries == tuple(sorted((g.uid, g.uid) for g in c.generators))
 
 
 def _ring_classes(c: FloerComplexData, ring: RingTable) -> dict[str, CupClass]:

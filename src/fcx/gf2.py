@@ -35,6 +35,7 @@ __all__ = [
     "echelon",
     "clear_pivots",
     "apply_columns",
+    "commutator_witness",
     "invert_columns",
     "NotUnitriangularError",
 ]
@@ -282,6 +283,29 @@ def apply_columns(cols: Sequence[int], v: int) -> int:
         out ^= cols[low.bit_length() - 1]
         v ^= low
     return out
+
+
+def commutator_witness(a: Sequence[int], d: Sequence[int]) -> tuple[int, int] | None:
+    """The first column where two maps with column bitsets ``a`` and ``d`` do
+    not commute, as ``(i, (d . a)[i] ^ (a . d)[i])``; None if they commute.
+
+    Both composites are applied column by column in one loop, as
+    ``apply_columns`` would, without a call per column.
+    """
+    for i, (ai, di) in enumerate(zip(a, d)):
+        lhs = 0  # d . a, column i
+        while ai:
+            low = ai & -ai
+            lhs ^= d[low.bit_length() - 1]
+            ai ^= low
+        rhs = 0  # a . d, column i
+        while di:
+            low = di & -di
+            rhs ^= a[low.bit_length() - 1]
+            di ^= low
+        if lhs != rhs:
+            return i, lhs ^ rhs
+    return None
 
 
 class NotUnitriangularError(ValueError):

@@ -11,25 +11,29 @@ ignored; tokens are whitespace-separated):
     gen <id> <int> [<decimal>]    generator: id, lifted degree, optional action
     d <src-id> <dst-id>           differential entry with coefficient 1
     cup <name> <nonnegint>        declare a cup class and its degree
-    c <name> <src-id> <dst-id>    one GF(2) entry of a declared cup class
+    c <name> <src-id> <dst-id>    one GF(2) entry of a cup class
     ring <a> <b> <c|0>            product table row (0 means zero product)
 
 Ids and class names match ``[A-Za-z0-9_*]+`` (the ``*`` admits tensor-product
 generator names like ``x*y``, so serialized products re-parse).  Integers are
 ASCII digits with an optional sign.  Decimals are plain base-10 with optional
-sign and fraction, no exponent, and finite.  Line order of ``gen``/``d``
-bodies is non-semantic: the loaded complex always carries the canonical
-internal ordering.
+sign and fraction, no exponent, and finite.  Line order after the version
+line is non-semantic: a ``d``, ``c`` or ``ring`` line may name a generator
+or class declared further down (a ``c`` line may precede its class's
+``cup`` line), and the loaded complex always carries the canonical internal
+ordering.
 
 The parser resolves the ids of each ``d`` line to generator indices as it
 reads, against declaration order, and sets the entry's bit in the source's
-column; a repeated entry is a bit already set.  A ``d`` line that names a
-generator declared later waits until the end of the document.  The columns
-are then put in canonical order, which costs nothing for a serialized
-document, and the complex keeps them (``FloerComplexData.from_columns``): no
-``(src, dst)`` entry is built unless something reads ``delta``.  The
-serializer reads the columns too: it collects the target ids per source id
-and sorts both, which is the order of the sorted entries.
+column; a repeated entry is a bit already set.  A ``c`` line does the same
+in a column of its class.  A ``d`` or ``c`` line that names a generator
+declared later waits until the end of the document.  The columns, the
+classes' too, are then put in canonical order, which costs nothing for a
+serialized document, and the complex and its classes keep them
+(``FloerComplexData.from_columns``, ``CupClass.from_columns``): no
+``(src, dst)`` entry is built unless something reads ``delta`` or a class's
+``entries``.  The serializer reads the columns too: it collects the target
+ids per source id and sorts both, which is the order of the sorted entries.
 
 The serializer is canonical: fixed header order, generators sorted by
 (degree, id), differential entries by (src, dst), cup data sorted by class
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .cup import CupClass, RingTable
 from .gf2 import bits
@@ -124,12 +128,16 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     # 'd' lines naming a generator not declared yet: (src, dst) -> line, in
     # line order; resolved into ``cols`` at the end.
     pending: dict[tuple[str, str], int] = {}
-    valid_ids: set[str] = set()  # ids on 'c' lines, each checked once
     cups: dict[str, tuple[int, int]] = {}  # name -> (line, degree)
-    cup_entries: dict[str, dict[tuple[str, str], int]] = {}
+    # class name -> {s: bitset of the targets of gens[s] in the class}, from
+    # the class's first 'c' line on, which may precede its 'cup' line
+    class_cols: dict[str, dict[int, int]] = {}
+    # 'c' lines naming a generator not declared yet, like ``pending``
+    class_pending: dict[tuple[str, str, str], int] = {}
     ring_rows: dict[tuple[str, str], tuple[int, str | None]] = {}
-    # (line, kind, id) to resolve from 'c' and 'ring' lines; 'd' lines are
-    # resolved as they are read, or from ``pending``.
+    # (line, kind, id) to resolve from 'c' and 'ring' lines: a class on the
+    # first 'c' line naming it, every id on a 'ring' line; the generators
+    # of 'd' and 'c' lines are resolved as they are read, or at the end.
     pending_refs: list[tuple[int, str, str]] = []
     version_line: int | None = None
 
@@ -157,7 +165,7 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
                     _parse_id(line_no, dst, "target id")
                 first_line = pending.setdefault((src, dst), line_no)
             elif cols[s] >> t & 1:
-                first_line = _first_d_line(lines, src, dst)
+                first_line = _first_line(lines, tokens)
             elif pending and (src, dst) in pending:
                 first_line = pending[(src, dst)]
             else:
@@ -167,6 +175,39 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
                 raise FcxParseError(
                     line_no,
                     f"duplicate differential entry ({src} -> {dst}) "
+                    f"(first on line {first_line})",
+                )
+            continue
+
+        # The same for a well-formed 'c' line: one bit of a column of its class.
+        if directive == "c" and len(tokens) == 4 and version_line is not None:
+            _, name, src, dst = tokens
+            ccols = class_cols.get(name)
+            if ccols is None:
+                _parse_id(line_no, name, "class name")
+                ccols = class_cols[name] = {}
+                pending_refs.append((line_no, "cup class", name))
+            s = index.get(src)
+            t = index.get(dst)
+            if s is None or t is None:
+                if s is None:
+                    _parse_id(line_no, src, "source id")
+                if t is None:
+                    _parse_id(line_no, dst, "target id")
+                first_line = class_pending.setdefault((name, src, dst), line_no)
+            else:
+                col = ccols.get(s, 0)
+                if col >> t & 1:
+                    first_line = _first_line(lines, tokens)
+                elif class_pending and (name, src, dst) in class_pending:
+                    first_line = class_pending[(name, src, dst)]
+                else:
+                    ccols[s] = col | 1 << t
+                    continue
+            if first_line != line_no:
+                raise FcxParseError(
+                    line_no,
+                    f"duplicate entry ({src} -> {dst}) for class '{name}' "
                     f"(first on line {first_line})",
                 )
             continue
@@ -216,8 +257,8 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
             gens.append(LiftedGenerator(uid, degree, action))
             gen_lines.append(line_no)
             cols.append(0)
-        elif directive == "d":  # well-formed 'd' lines took the fast path
-            _require_arity(line_no, tokens, (2,))
+        elif directive in ("d", "c"):  # well-formed ones took the fast paths
+            _require_arity(line_no, tokens, (2,) if directive == "d" else (3,))
         elif directive == "cup":
             _require_arity(line_no, tokens, (2,))
             name = _parse_id(line_no, tokens[1], "class name")
@@ -228,26 +269,6 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
                 )
             degree = _parse_int(line_no, tokens[2], "class degree", minimum=0)
             cups[name] = (line_no, degree)
-            cup_entries[name] = {}
-        elif directive == "c":
-            _require_arity(line_no, tokens, (3,))
-            name = _parse_id(line_no, tokens[1], "class name")
-            src, dst = tokens[2:]
-            if src not in valid_ids:
-                valid_ids.add(_parse_id(line_no, src, "source id"))
-            if dst not in valid_ids:
-                valid_ids.add(_parse_id(line_no, dst, "target id"))
-            entries = cup_entries.setdefault(name, {})
-            if (src, dst) in entries:
-                raise FcxParseError(
-                    line_no,
-                    f"duplicate entry ({src} -> {dst}) for class '{name}' "
-                    f"(first on line {entries[(src, dst)]})",
-                )
-            entries[(src, dst)] = line_no
-            pending_refs.append((line_no, "cup class", name))
-            pending_refs.append((line_no, "generator", src))
-            pending_refs.append((line_no, "generator", dst))
         elif directive == "ring":
             _require_arity(line_no, tokens, (3,))
             a = _parse_id(line_no, tokens[1], "class name")
@@ -275,10 +296,16 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
         if required not in header:
             raise FcxParseError(None, f"missing required directive '{required}'")
 
-    # The earliest unknown reference, in line order (src before dst).
+    # The earliest unknown reference, in line order (a class before its
+    # generators, src before dst).
     unknown = [
         (line_no, "generator", src if src not in index else dst)
         for (src, dst), line_no in pending.items()
+        if src not in index or dst not in index
+    ][:1]
+    unknown += [
+        (line_no, "generator", src if src not in index else dst)
+        for (_name, src, dst), line_no in class_pending.items()
         if src not in index or dst not in index
     ][:1]
     unknown += [
@@ -291,6 +318,10 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
         raise FcxParseError(line_no, f"unknown {kind} '{name}'")
     for src, dst in pending:
         cols[index[src]] |= 1 << index[dst]
+    for name, src, dst in class_pending:
+        ccols = class_cols[name]
+        s = index[src]
+        ccols[s] = ccols.get(s, 0) | 1 << index[dst]
 
     params = MonotoneParams(
         maslov_period=header["sigma"][1],  # type: ignore[arg-type]
@@ -299,10 +330,13 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
         half_dim=header["m"][1] if "m" in header else None,  # type: ignore[arg-type]
         allow_small_period=allow_small_sigma,
     )
-    cup_classes = tuple(
-        CupClass(name, degree, tuple(cup_entries.get(name, {})))
-        for name, (_line, degree) in sorted(cups.items())
-    )
+    uids = tuple(g.uid for g in gens)
+    cup_classes = []
+    for name, (_line, degree) in sorted(cups.items()):
+        ccols = [0] * len(gens)
+        for s, col in class_cols.get(name, {}).items():
+            ccols[s] = col
+        cup_classes.append(CupClass.from_columns(name, degree, uids, ccols))
     ring = (
         RingTable(
             products=tuple(
@@ -312,17 +346,17 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
         if ring_rows
         else None
     )
-    # Put in canonical order by ``from_columns``; a serialized document is
-    # in that order already.
+    # Put in canonical order by ``from_columns``, the classes too; a
+    # serialized document is in that order already.
     return FloerComplexData.from_columns(params, gens, cols, cup_classes, ring)
 
 
-def _first_d_line(lines: list[str], src: str, dst: str) -> int:
-    """The 1-based number of the first 'd' line of the entry (src, dst)."""
+def _first_line(lines: list[str], tokens: list[str]) -> int:
+    """The 1-based number of the first line whose tokens are ``tokens``."""
     return next(
         line_no
         for line_no, raw in enumerate(lines, start=1)
-        if raw.split("#", 1)[0].split() == ["d", src, dst]
+        if raw.split("#", 1)[0].split() == tokens
     )
 
 
@@ -336,20 +370,14 @@ def format_decimal(x: float) -> str:
     return s
 
 
-def _delta_pairs(c: FloerComplexData) -> Iterable[tuple[str, str]]:
-    """The differential's (source id, target id) pairs in ``sorted(c.delta)``
-    order.
+def _column_pairs(uids: Sequence[str], cols: Sequence[int]) -> Iterable[tuple[str, str]]:
+    """The (source id, target id) pairs of index columns over ``uids``, in
+    sorted order, built without sorting the pairs themselves.
 
-    A complex built from entries gives its entries.  A complex with columns
-    gives them without building the ``delta`` view: the target ids are
-    collected per source id, and the sources and each target list sorted as
-    strings, so a repeated id merges its generators' targets exactly as the
-    sorted entries interleave them.
+    The target ids are collected per source id, and the sources and each
+    target list sorted as strings, so a repeated id merges its generators'
+    targets exactly as the sorted entries interleave them.
     """
-    cols = c._columns
-    if cols is None:
-        return c.delta
-    uids = [g.uid for g in c.generators]
     targets: dict[str, list[str]] = {}
     for s, col in enumerate(cols):
         if col:
@@ -370,11 +398,20 @@ def serialize(c: FloerComplexData) -> str:
             lines.append(f"gen {g.uid} {g.degree}")
         else:
             lines.append(f"gen {g.uid} {g.degree} {format_decimal(g.action)}")
-    for src, dst in _delta_pairs(c):  # canonical (src, dst) order
+    # canonical (src, dst) order: the entries, or the same read off columns
+    if c._columns is None:
+        pairs: Iterable[tuple[str, str]] = c.delta
+    else:
+        pairs = _column_pairs([g.uid for g in c.generators], c._columns)
+    for src, dst in pairs:
         lines.append(f"d {src} {dst}")
     for cls in sorted(c.cup_classes, key=lambda cls: cls.name):
         lines.append(f"cup {cls.name} {cls.degree}")
-        for src, dst in cls.entries:
+        if cls._columns is None:
+            pairs = cls.entries
+        else:
+            pairs = _column_pairs(cls._uids, cls._columns)  # type: ignore[arg-type]
+        for src, dst in pairs:
             lines.append(f"c {cls.name} {src} {dst}")
     if c.ring is not None:
         for (a, b), result in c.ring.products:

@@ -24,8 +24,9 @@ everything downstream (cohomology, pages, the jump and energy bounds) reads
 those columns.  The action differences are checked per column too.  Only a
 complex with a bad entry or a bad action difference (or with actions and a
 repeated generator id) is walked entry by entry, to word the errors in
-``(src, dst)`` order.  Cup-class entries are resolved once, by the cup-class
-validation.
+``(src, dst)`` order.  Cup classes are stored the same way (``fcx.cup``):
+the parser fills their columns, and ``from_columns`` permutes them along
+with the differential's.
 
 The degree-graded cohomology eliminates each degree once with
 ``gf2.echelon``.  The rows it keeps are the next degree's image; the image
@@ -250,20 +251,21 @@ class FloerComplexData:
     Generators are stored sorted by (degree, uid) and differential entries by
     (src, dst), their native tuple order, so structural equality is
     canonical-form equality.  Optional cup-class data parsed from the same
-    document rides along untouched; the cup operations interpret it.
+    document rides along; the cup operations interpret it.
 
     A complex built by ``from_columns`` keeps the differential as index
     columns over the canonical order, and ``delta`` is a view of them: the
     sorted entries are built on its first read and kept.  Equality, hashing,
     ``repr`` and ``dataclasses.replace`` read ``delta``, so they build the
-    view and treat both kinds of complex alike.
+    view and treat both kinds of complex alike.  Its parsed cup classes keep
+    columns over the same order, with ``entries`` a view in the same way.
 
     Derived data (index map, validation report with the delta and jump-0
     columns, degree-graded cohomology, canonical form, default page table)
     is memoized per instance by ``cached``; it takes no part in equality or
     hashing and is freed together with the complex.  Only the two
-    validators, of the differential and of a cup class, read the index map;
-    all other code reads the columns.
+    validators, of the differential and of a cup class, read the index map,
+    and only for data built from entries; all other code reads the columns.
     """
 
     params: MonotoneParams
@@ -297,7 +299,9 @@ class FloerComplexData:
         in the bitset ``columns[i]``; equal to the one built from its entries.
 
         The generators are put in canonical order and the columns permuted
-        along, unless the order given is canonical already.
+        along, unless the order given is canonical already.  A cup class
+        built from columns over the ids of the generators given, in that
+        order (``CupClass.from_columns``), has its columns permuted along too.
         """
         if len(columns) != len(generators):
             raise ValueError(f"{len(columns)} columns for {len(generators)} generators")
@@ -306,7 +310,12 @@ class FloerComplexData:
         cols = tuple(columns)
         if c.generators != generators:  # the stable sort moved some
             keys = [(g.degree, g.uid) for g in generators]
-            cols = _permuted(cols, sorted(range(len(keys)), key=keys.__getitem__))
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            cols = _permuted(cols, order)
+            if c.cup_classes:
+                uids = tuple(g.uid for g in generators)
+                classes = tuple(a._reindexed(uids, order) for a in c.cup_classes)
+                object.__setattr__(c, "cup_classes", classes)
         object.__setattr__(c, "_columns", cols)
         object.__delattr__(c, "delta")  # from now on the view of the columns
         return c

@@ -1,4 +1,5 @@
-"""Print one pass/fail line per acceptance criterion at the end of a run."""
+"""Shared fixtures, and one pass/fail line per acceptance criterion at the
+end of a run."""
 
 from __future__ import annotations
 
@@ -55,3 +56,43 @@ def scrambled():
 def scrambled_spec():
     """The builder ``scrambled_spec(n, period)`` of their normal forms."""
     return _scrambled_spec
+
+
+@pytest.fixture
+def no_entries(monkeypatch):
+    """Fail on the ``delta`` view being built, and record every
+    ``DifferentialEntry`` built; returns the record."""
+    import fcx.model
+    from fcx.model import DifferentialEntry
+
+    built = []
+
+    def view(descriptor, c, owner=None):
+        built.append("delta view")
+        raise AssertionError("the delta view was built")
+
+    def entry(cls, src, dst):
+        built.append((src, dst))
+        return tuple.__new__(cls, (src, dst))
+
+    monkeypatch.setattr(fcx.model._DeltaView, "__get__", view)
+    monkeypatch.setattr(DifferentialEntry, "__new__", entry)
+    return built
+
+
+@pytest.fixture
+def no_class_entries(monkeypatch):
+    """Fail on the ``entries`` view of a cup class being built; returns the
+    names of the classes whose view something tried to build."""
+    import fcx.cup
+
+    built = []
+
+    def view(descriptor, a, owner=None):
+        if a is None:
+            return ()
+        built.append(a.name)
+        raise AssertionError(f"the entries view of class '{a.name}' was built")
+
+    monkeypatch.setattr(fcx.cup._EntriesView, "__get__", view)
+    return built

@@ -630,29 +630,6 @@ def test_report_and_pages_never_build_cells_or_differentials(run, write_doc, mon
     assert "cells" in vars(table) and "differentials" in vars(table)
 
 
-
-@pytest.fixture
-def no_entries(monkeypatch):
-    """Fail on the ``delta`` view being built, and record every
-    ``DifferentialEntry`` built; returns the record."""
-    import fcx.model
-    from fcx.model import DifferentialEntry
-
-    built = []
-
-    def view(descriptor, c, owner=None):
-        built.append("delta view")
-        raise AssertionError("the delta view was built")
-
-    def entry(cls, src, dst):
-        built.append((src, dst))
-        return tuple.__new__(cls, (src, dst))
-
-    monkeypatch.setattr(fcx.model._DeltaView, "__get__", view)
-    monkeypatch.setattr(DifferentialEntry, "__new__", entry)
-    return built
-
-
 def test_pages_cohomology_and_report_build_no_differential_entries(
     run, write_doc, no_entries, scrambled
 ):

@@ -26,6 +26,7 @@ from fcx.cup import (
     validate_cup,
 )
 from fcx.engine import pages
+from fcx.invariants import rebase
 from fcx.gf2 import Gf2Matrix, apply_columns, bits, kernel_basis
 from fcx.io import FcxParseError, parse, serialize
 from fcx.kunneth import tensor_product
@@ -70,6 +71,14 @@ def class_columns(c, cls):
         if src in idx and dst in idx:
             cols[idx[src]] ^= 1 << idx[dst]
     return cols
+
+
+def class_entries(c, cls):
+    """The entries of a class with columns, read off them by hand."""
+    uids = [g.uid for g in c.generators]
+    return tuple(
+        (uids[s], uids[t]) for s, col in enumerate(cls._columns) for t in bits(col)
+    )
 
 
 def ident_class(c, name="1"):
@@ -659,6 +668,100 @@ def test_rebase_of_a_cup_document_is_pinned(tmp_path, capsys):
     moved = parse(out)
     assert [g.uid for g in moved.generators] != [g.uid for g in c.generators]
     assert hashlib.sha256(out.encode()).hexdigest() == REBASE_CUP_DOCUMENT_SHA256
+
+
+@pytest.fixture(scope="module")
+def cup_cli_documents():
+    return list(_cup_cli_documents())
+
+
+def test_cup_commands_and_induced_maps_build_no_class_entries(
+    cup_cli_documents, tmp_path, capsys, no_entries, no_class_entries
+):
+    """A parsed document keeps its classes as columns: the cup commands,
+    the induced page maps and the serializer never build a class's
+    ``entries`` view (nor the ``delta`` view).  (A class with an entry of
+    the wrong degree is walked entry by entry, to word the errors.)"""
+    path = tmp_path / "doc.fcx"
+    for label, text in cup_cli_documents:
+        if label == "broken":
+            continue
+        path.write_text(text, encoding="utf-8")
+        for command in ("cup", "ring", "cuplength", "validate", "report"):
+            for fmt in ("tsv", "human"):
+                assert main([command, str(path), "--format", fmt]) == 0, (label, command)
+                capsys.readouterr()
+        c = parse(text)
+        for cls in c.cup_classes:
+            for k in range(1, pages(c).collapse_page + 2):
+                induced_on_pages(c, cls, k)
+        canonical = serialize(c)
+        assert serialize(parse(canonical)) == canonical
+        if label.startswith("product"):
+            assert canonical == text
+    assert no_class_entries == [] and no_entries == []
+
+
+def test_a_class_from_columns_equals_its_entry_twin():
+    c = parse(serialize(shifted_product_document(7, 2, 5)))
+    for cls in c.cup_classes:
+        assert cls._columns is not None and "entries" not in vars(cls)
+        twin = CupClass(cls.name, cls.degree, class_entries(c, cls))
+        assert cls == twin and hash(cls) == hash(twin) and repr(cls) == repr(twin)
+        assert vars(cls)["entries"] is cls.entries  # built once, then kept
+    again = CupClass.from_columns("a", 2, ("x", "y", "z"), (0b110, 0, 0b1))
+    assert again.entries == (("x", "y"), ("x", "z"), ("z", "x"))
+
+
+def test_a_class_over_another_generator_order_is_validated_from_its_entries():
+    """A parsed class handed to a complex whose generators are in another
+    order gives the report and columns of its entry-built twin there."""
+    c = parse(serialize(shifted_product_document(7, 2, 5)))
+    gens = c.generators + (LiftedGenerator("a0", -20), LiftedGenerator("zz", 30))
+    other = FloerComplexData(c.params, gens, c.delta, c.cup_classes, c.ring)
+    assert [g.uid for g in other.generators] != [g.uid for g in c.generators]
+    for cls in other.cup_classes:
+        twin = CupClass(cls.name, cls.degree, cls.entries)
+        twin_c = FloerComplexData(c.params, gens, c.delta, (twin,))
+        assert validate_cup(other, cls) == validate_cup(twin_c, twin)
+        assert list(require_valid_cup(other, cls)) == class_columns(other, twin)
+
+
+def test_rebase_puts_the_class_columns_in_the_new_order():
+    c = parse(serialize(_cup_document_with_actions()))
+    moved = rebase(c, 0.7)
+    uids = tuple(g.uid for g in moved.generators)
+    assert uids != tuple(g.uid for g in c.generators)
+    twins = []
+    for before, after in zip(c.cup_classes, moved.cup_classes):
+        assert after._uids == uids
+        entries = class_entries(moved, after)
+        assert sorted(entries) == sorted(class_entries(c, before))
+        twins.append(CupClass(after.name, after.degree, entries))
+    text = serialize(moved)
+    assert all("entries" not in vars(a) for a in moved.cup_classes)
+    twin_c = FloerComplexData(
+        moved.params, moved.generators, moved.delta, tuple(twins), moved.ring
+    )
+    assert text == serialize(twin_c)
+    for cls, twin in zip(moved.cup_classes, twins):
+        assert validate_cup(moved, cls) == validate_cup(twin_c, twin)
+
+
+def test_resolve_unit_reads_the_columns_of_an_unnamed_identity_class(no_class_entries):
+    head = "fcx 1\nsigma 3\nlambda 0\ngen u 0\ngen v 2\ngen w 2\n"
+    ident = "cup e 0\nc e u u\nc e v v\nc e w w\n"
+    near = "cup n 0\nc n u u\nc n v v\nc n w w\nc n v w\n"  # one entry too many
+    short = "cup s 0\nc s u u\nc s w w\n"  # one entry too few
+    shifted = "cup t 2\nc t u v\nc t u w\n"
+    c = parse(head + near + ident + short + shifted)
+    assert resolve_unit(c, RingTable()) == "e"
+    for body in (near + short + shifted, near, short):
+        with pytest.raises(FcxError, match="cannot resolve a unit class"):
+            resolve_unit(parse(head + body), RingTable())
+    assert no_class_entries == []
+    twins = tuple(CupClass(a.name, a.degree, class_entries(c, a)) for a in c.cup_classes)
+    assert resolve_unit(dataclasses.replace(c, cup_classes=twins), RingTable()) == "e"
 
 
 def test_document_class_data_is_memoized_on_the_complex_and_freed_with_it():

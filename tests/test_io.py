@@ -145,6 +145,39 @@ def test_parse_cup_and_ring_bodies():
     assert products[("1", "q")] == "q"
 
 
+def test_cup_entries_may_precede_their_cup_line():
+    text = (
+        "fcx 1\nsigma 4\nlambda 0\ngen a 0\ngen b 0\n"
+        "c e a b\nc e b a\ncup e 0\nc e a a\n"
+    )
+    c = parse(text)
+    (e,) = c.cup_classes
+    assert (e.name, e.degree) == ("e", 0)
+    assert e.entries == (("a", "a"), ("a", "b"), ("b", "a"))
+    out = serialize(c)
+    assert out.splitlines()[-4:] == ["cup e 0", "c e a a", "c e a b", "c e b a"]
+    assert parse(out) == c and serialize(parse(out)) == out
+
+
+@pytest.mark.parametrize(
+    "body, line_no, first",
+    [
+        # both copies resolve as they are read, on either side of 'cup'
+        ("gen a 0\ngen b 0\nc e a b\ncup e 0\nc e a b\n", 8, 6),
+        # the first copy waits for its 'gen' line
+        ("gen a 0\nc e a b\ngen b 0\ncup e 0\nc e a b\n", 8, 5),
+        # both wait
+        ("c e a b\ncup e 0\nc e a b\ngen a 0\ngen b 0\n", 6, 4),
+    ],
+)
+def test_a_duplicate_cup_entry_across_its_cup_line_cites_its_first_line(body, line_no, first):
+    with pytest.raises(FcxParseError) as info:
+        parse("fcx 1\nsigma 4\nlambda 0\n" + body)
+    assert str(info.value) == (
+        f"line {line_no}: duplicate entry (a -> b) for class 'e' (first on line {first})"
+    )
+
+
 def test_parse_duplicate_ring_row_is_order_insensitive():
     text = (
         "fcx 1\nsigma 3\nlambda 0\ngen u 0\n"

@@ -89,9 +89,10 @@ def _functions_with(hit) -> set[str]:
 
 def test_only_the_validators_resolve_entry_ids():
     """Ids become generator indices in three places: the parser, as it reads
-    a document (its own map ``index``, in declaration order), the validation
-    of a complex built from entries, and the validation of a cup class (both
-    through ``index_map()``)."""
+    a document (its own map ``index``, in declaration order, for both
+    ``d`` and ``c`` lines), the validation of a complex built from entries,
+    and the validation of a cup class built from entries (both through
+    ``index_map()``)."""
 
     def resolves_ids(node: ast.AST) -> bool:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
