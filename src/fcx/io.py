@@ -330,7 +330,7 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
         half_dim=header["m"][1] if "m" in header else None,  # type: ignore[arg-type]
         allow_small_period=allow_small_sigma,
     )
-    uids = tuple(g.uid for g in gens)
+    uids = tuple(g.uid for g in gens) if cups else ()
     cup_classes = []
     for name, (_line, degree) in sorted(cups.items()):
         ccols = [0] * len(gens)

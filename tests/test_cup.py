@@ -26,8 +26,8 @@ from fcx.cup import (
     validate_cup,
 )
 from fcx.engine import pages
-from fcx.invariants import rebase
 from fcx.gf2 import Gf2Matrix, apply_columns, bits, kernel_basis
+from fcx.invariants import rebase
 from fcx.io import FcxParseError, parse, serialize
 from fcx.kunneth import tensor_product
 from fcx.model import (
