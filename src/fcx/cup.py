@@ -53,6 +53,7 @@ from .model import (
     FcxError,
     FloerComplexData,
     ValidationReport,
+    _column_pairs,
     _permuted,
     require_valid,
     z_graded_cohomology,
@@ -91,9 +92,7 @@ class _EntriesView:
             return ()
         uids, cols = a._uids, a._columns
         assert uids is not None and cols is not None  # entries are kept otherwise
-        entries = tuple(
-            sorted((uids[s], uids[t]) for s, col in enumerate(cols) for t in bits(col))
-        )
+        entries = tuple(_column_pairs(uids, cols))
         object.__setattr__(a, "entries", entries)
         return entries
 

@@ -48,15 +48,15 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .cup import CupClass, RingTable
-from .gf2 import bits
 from .model import (
     FcxError,
     FloerComplexData,
     LiftedGenerator,
     MonotoneParams,
+    _column_pairs,
 )
 
 __all__ = ["FcxParseError", "parse", "serialize", "format_decimal"]
@@ -368,21 +368,6 @@ def format_decimal(x: float) -> str:
     if s in ("-0", ""):
         s = "0"
     return s
-
-
-def _column_pairs(uids: Sequence[str], cols: Sequence[int]) -> Iterable[tuple[str, str]]:
-    """The (source id, target id) pairs of index columns over ``uids``, in
-    sorted order, built without sorting the pairs themselves.
-
-    The target ids are collected per source id, and the sources and each
-    target list sorted as strings, so a repeated id merges its generators'
-    targets exactly as the sorted entries interleave them.
-    """
-    targets: dict[str, list[str]] = {}
-    for s, col in enumerate(cols):
-        if col:
-            targets.setdefault(uids[s], []).extend([uids[t] for t in bits(col)])
-    return ((src, dst) for src in sorted(targets) for dst in sorted(targets[src]))
 
 
 def serialize(c: FloerComplexData) -> str:

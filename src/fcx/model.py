@@ -218,6 +218,21 @@ def _permuted(cols: Sequence[int], order: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _column_pairs(uids: Sequence[str], cols: Sequence[int]) -> Iterable[tuple[str, str]]:
+    """The (source id, target id) pairs of index columns over ``uids``, in
+    sorted order, built without sorting the pairs themselves.
+
+    The target ids are collected per source id, and the sources and each
+    target list sorted as strings, so a repeated id merges its generators'
+    targets exactly as the sorted entries interleave them.
+    """
+    targets: dict[str, list[str]] = {}
+    for s, col in enumerate(cols):
+        if col:
+            targets.setdefault(uids[s], []).extend([uids[t] for t in bits(col)])
+    return ((src, dst) for src in sorted(targets) for dst in sorted(targets[src]))
+
+
 class _DeltaView:
     """The ``delta`` field of a complex built from columns.
 
