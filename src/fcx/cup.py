@@ -22,32 +22,42 @@ reads them.  A class built from ``(src, dst)`` entries (the API) has its
 ids resolved to indices by its validation, the only place class entry ids
 are resolved.
 
-Validation of a class with columns over the complex's generator order checks
-the degree pattern column by column, against one target-degree mask per
-generator degree, and the commutation in one ``gf2.commutator_witness``
-call; only a class with an entry of the wrong degree is walked entry by
-entry, to word the errors in ``(src, dst)`` order.
+Validation checks the degree pattern of a class with columns over the
+complex's generator order column by column, against one target-degree mask
+per generator degree; only a class built from entries or with an entry of
+the wrong degree is walked entry by entry, to word the errors in
+``(src, dst)`` order.  The classes whose pattern holds are then checked for
+commutation together: ``gf2.commutator_witnesses`` stacks their columns and
+walks the differential once for all of them.
 
 Per-class memo: for a class that is a member of ``c.cup_classes`` (found by
 identity first, so no other class's entries are read), the validation
 report with the class columns, the induced cohomology action and the
-canonical image of each slot pushed through the class (shared by the
-induced maps of every page) are computed at most once and kept in the
-complex's memo (``FloerComplexData.cached``).  So the memo holds at most one
-record per document class and is freed with the complex.  Any other class
-is validated once per call and not stored.  The checks still run on every
-call: an invalid class raises each time, and the page maps are checked
-against the page differential each time.
+graded images of the class are computed at most once and kept in the
+complex's memo (``FloerComplexData.cached``).  The first validation of a
+document class validates every document class at once and keeps each
+report.  The graded images are the canonical coordinates of each page-1
+slot's representative pushed through the class, cut to the slot's level
+plus the class degree and checked against the filtration when they are
+built; each page reads its maps off them through two masks, its alive
+slots and the sources of its dead dipoles, kept in the page table's memo
+(``PageTable.cached``).  So the memo holds at most one record per document
+class and is freed with the complex.  Any other class is validated alone
+on each call and not stored.  The checks still run on every call: an
+invalid class raises each time, so do images that break the filtration
+(a failed build is not kept), and the page maps are checked against the
+page differential each time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, NamedTuple, Sequence, TypeVar
 
-from .engine import PageTable, canonical_form, pages
-from .gf2 import Gf2Matrix, apply_columns, bits, commutator_witness, echelon
+from .engine import CanonicalForm, PageTable, canonical_form, pages
+from .gf2 import Gf2Matrix, apply_columns, bits, commutator_witnesses, echelon
 from .model import (
     EngineConsistencyError,
     FcxError,
@@ -247,11 +257,8 @@ class CuplengthReport:
 _T = TypeVar("_T")
 
 
-def _derived(
-    c: FloerComplexData, a: CupClass, key: str, compute: Callable[[FloerComplexData, CupClass], _T]
-) -> _T:
-    """``compute(c, a)``, kept in the memo of ``c`` under ``key`` when ``a`` is
-    one of its document classes and computed afresh otherwise."""
+def _class_memo(c: FloerComplexData, a: CupClass) -> dict[str, Any] | None:
+    """The memo of ``a`` in ``c`` when it is one of its document classes."""
     classes = c.cup_classes
     # by identity first: ``index`` compares by ``==``, which reads entries
     i = next((i for i, b in enumerate(classes) if b is a), None)
@@ -259,8 +266,18 @@ def _derived(
         try:
             i = classes.index(a)
         except ValueError:
-            return compute(c, a)
-    memo = c.cached("cup_class_memos", _empty_memos)[i]
+            return None
+    return c.cached("cup_class_memos", _empty_memos)[i]
+
+
+def _derived(
+    c: FloerComplexData, a: CupClass, key: str, compute: Callable[[FloerComplexData, CupClass], _T]
+) -> _T:
+    """``compute(c, a)``, kept in the memo of ``c`` under ``key`` when ``a`` is
+    one of its document classes and computed afresh otherwise."""
+    memo = _class_memo(c, a)
+    if memo is None:
+        return compute(c, a)
     try:
         return memo[key]
     except KeyError:
@@ -272,6 +289,20 @@ def _empty_memos(c: FloerComplexData) -> list[dict[str, Any]]:
     return [{} for _ in c.cup_classes]
 
 
+def _validated(c: FloerComplexData, a: CupClass) -> tuple[ValidationReport, tuple[int, ...]]:
+    """The report and columns of ``a``.  The first call on a document class
+    validates every document class and keeps each result in its memo; any
+    other class is validated alone."""
+    memo = _class_memo(c, a)
+    if memo is None:
+        return _validate_cup(c, (a,))[0]
+    if "validate" not in memo:
+        memos = c.cached("cup_class_memos", _empty_memos)
+        for m, result in zip(memos, _validate_cup(c, c.cup_classes)):
+            m["validate"] = result
+    return memo["validate"]
+
+
 def validate_cup(c: FloerComplexData, a: CupClass) -> ValidationReport:
     """Check the degree pattern and chain-level commutation with the differential.
 
@@ -279,52 +310,60 @@ def validate_cup(c: FloerComplexData, a: CupClass) -> ValidationReport:
     same pass builds the class columns that ``require_valid_cup`` returns.
     """
     require_valid(c)
-    return _derived(c, a, "validate", _validate_cup)[0]
+    return _validated(c, a)[0]
 
 
-def _validate_cup(c: FloerComplexData, a: CupClass) -> tuple[ValidationReport, tuple[int, ...]]:
-    errors: list[str] = []
+def _validate_cup(
+    c: FloerComplexData, classes: Sequence[CupClass]
+) -> list[tuple[ValidationReport, tuple[int, ...]]]:
+    """The report and columns of each class; the classes whose degree
+    pattern holds are checked for commutation in one walk of the differential."""
+    checked: list[tuple[list[str], tuple[int, ...]]] = []
     gens = c.generators
-    acols = _class_columns(c, a)
-    if acols is None or a.degree < 0 or _off_degree(c, acols, a.degree):
-        if a.degree < 0:
-            errors.append(f"class '{a.name}' has negative degree {a.degree}")
-        # every entry whose ids resolve enters the columns, as in model._resolve
-        idx = c.index_map()
-        resolved = [0] * c.count
-        prev = None
-        for entry in a.entries:
-            src, dst = entry
-            s = idx.get(src)
-            if s is None:
-                errors.append(f"class '{a.name}' references unknown generator '{src}'")
-                continue
-            t = idx.get(dst)
-            if t is None:
-                errors.append(f"class '{a.name}' references unknown generator '{dst}'")
-                continue
-            resolved[s] ^= 1 << t
-            if entry == prev:  # entries are sorted, so a repeat follows its first
-                errors.append(f"class '{a.name}' repeats the entry ({src} -> {dst})")
-                continue
-            prev = entry
-            diff = gens[t].degree - gens[s].degree
-            if diff != a.degree:
-                errors.append(
-                    f"class '{a.name}' entry ({src} -> {dst}) changes degree by "
-                    f"{diff}, expected {a.degree}"
-                )
-        acols = tuple(resolved)
-    if not errors:
-        # delta . A against A . delta, column by column
-        witness = commutator_witness(acols, c.delta_columns())
+    for a in classes:
+        errors: list[str] = []
+        acols = _class_columns(c, a)
+        if acols is None or a.degree < 0 or _off_degree(c, acols, a.degree):
+            if a.degree < 0:
+                errors.append(f"class '{a.name}' has negative degree {a.degree}")
+            # every entry whose ids resolve enters the columns, as in model._resolve
+            idx = c.index_map()
+            resolved = [0] * c.count
+            prev = None
+            for entry in a.entries:
+                src, dst = entry
+                s = idx.get(src)
+                if s is None:
+                    errors.append(f"class '{a.name}' references unknown generator '{src}'")
+                    continue
+                t = idx.get(dst)
+                if t is None:
+                    errors.append(f"class '{a.name}' references unknown generator '{dst}'")
+                    continue
+                resolved[s] ^= 1 << t
+                if entry == prev:  # entries are sorted, so a repeat follows its first
+                    errors.append(f"class '{a.name}' repeats the entry ({src} -> {dst})")
+                    continue
+                prev = entry
+                diff = gens[t].degree - gens[s].degree
+                if diff != a.degree:
+                    errors.append(
+                        f"class '{a.name}' entry ({src} -> {dst}) changes degree by "
+                        f"{diff}, expected {a.degree}"
+                    )
+            acols = tuple(resolved)
+        checked.append((errors, acols))
+    # delta . A against A . delta, column by column
+    clean = [(a, errors, acols) for a, (errors, acols) in zip(classes, checked) if not errors]
+    witnesses = commutator_witnesses([acols for _, _, acols in clean], c.delta_columns())
+    for (a, errors, _), witness in zip(clean, witnesses):
         if witness is not None:
             i, diff = witness
             errors.append(
                 f"class '{a.name}' does not commute with the differential: "
                 f"witness pair ({gens[i].uid} -> {gens[next(bits(diff))].uid})"
             )
-    return ValidationReport(tuple(errors), ()), acols
+    return [(ValidationReport(tuple(errors), ()), acols) for errors, acols in checked]
 
 
 def _class_columns(c: FloerComplexData, a: CupClass) -> tuple[int, ...] | None:
@@ -364,7 +403,7 @@ def require_valid_cup(c: FloerComplexData, a: CupClass) -> tuple[int, ...]:
     """The class as column bitsets over the canonical generator order (like
     the differential), built by its validation; raises if it is invalid."""
     require_valid(c)
-    report, acols = _derived(c, a, "validate", _validate_cup)
+    report, acols = _validated(c, a)
     if not report.ok:
         raise FcxError(
             f"cup class '{a.name}' failed validation: " + "; ".join(report.errors)
@@ -412,8 +451,10 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
     For each populated source cell the representatives are pushed through
     the class matrix and re-expressed in canonical coordinates; the
     coefficients on the target cell's alive slots give the matrix.  Pages
-    beyond the collapse page are served by the stable page.  Exact
-    commutation with the page differential is checked defensively.
+    beyond the collapse page are served by the stable page.  The pushed
+    representatives are shared by every page (``_graded_images``), and a
+    page reads them through its ``_PageLayout``.  Exact commutation with
+    the page differential is checked defensively.
     """
     acols = require_valid_cup(c, a)
     if k < 1:
@@ -423,53 +464,109 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
     k_eff = min(k, table.collapse_page)
     period = c.params.maslov_period
     p = a.degree
-    images = _derived(c, a, "slot_images", lambda c, a: {})
+    layouts = table.cached("cup_page_layouts", _page_layouts)
+    images = _derived(
+        c, a, "slot_images", lambda c, a: _graded_images(c, a, acols, form, layouts[0], k_eff)
+    )
+    cells, row, alive, dead_sources = layouts[k_eff - 1]
     gens = c.generators
-    level = [g.degree for g in gens]
-
-    alive: dict[tuple[int, int], list[int]] = {}
-    alive_slots: set[int] = set()
-    for (kk, n, j), cell in table.cells.items():
-        if kk == k_eff:
-            alive[(n, j)] = list(cell.slots)
-            alive_slots.update(cell.slots)
-    boundary_slots = {t for _s, t in form.dipoles if t not in alive_slots}
 
     maps: list[tuple[tuple[int, int], Gf2Matrix]] = []
-    for (n, j), slots in sorted(alive.items()):
+    for (n, j), slots in cells.items():
         tn, tj = n + p, (j + p) % period
-        tslots = alive.get((tn, tj), [])
-        tpos = {s: r for r, s in enumerate(tslots)}
-        entries: list[tuple[int, int]] = []
+        tslots = cells.get((tn, tj), ())
+        rows = [0] * len(tslots)
         for col_idx, s in enumerate(slots):
-            coords = images.get(s)
-            if coords is None:
-                coords = images[s] = form.to_canonical(
-                    apply_columns(acols, form.change_of_basis[s])
+            image = images[s]
+            stray = image & dead_sources
+            if stray:
+                raise EngineConsistencyError(
+                    f"induced image of class '{a.name}' on page {k_eff}: "
+                    f"slot '{gens[s].uid}' hit the live slot "
+                    f"'{gens[next(bits(stray))].uid}' outside the target cell "
+                    f"(n={tn}, j={tj}); this indicates a bug"
                 )
-            for b in bits(coords):
-                if level[b] < tn:
-                    raise EngineConsistencyError(
-                        f"induced image of class '{a.name}' violated the "
-                        f"filtration on page {k_eff}: slot '{gens[s].uid}' hit "
-                        f"'{gens[b].uid}' below level {tn}; this indicates a bug"
-                    )
-                if level[b] != tn:
-                    continue  # strictly deeper level: zero in this cell
-                if b in tpos:
-                    entries.append((tpos[b], col_idx))
-                elif b not in boundary_slots:
-                    raise EngineConsistencyError(
-                        f"induced image of class '{a.name}' on page {k_eff}: "
-                        f"slot '{gens[s].uid}' hit the live slot "
-                        f"'{gens[b].uid}' outside the target cell "
-                        f"(n={tn}, j={tj}); this indicates a bug"
-                    )
-        maps.append(((n, j), Gf2Matrix.from_entries(len(tslots), len(slots), entries)))
+            hit = image & alive
+            if hit:
+                for b in bits(hit):
+                    rows[row[b]] |= 1 << col_idx
+        maps.append(((n, j), Gf2Matrix(len(tslots), len(slots), tuple(rows))))
 
     out = InducedPageMaps(a.name, p, k_eff, tuple(maps))
     _check_page_commutation(table, out, k_eff)
     return out
+
+
+def _graded_images(
+    c: FloerComplexData,
+    a: CupClass,
+    acols: tuple[int, ...],
+    form: CanonicalForm,
+    page1: _PageLayout,
+    k: int,
+) -> dict[int, int]:
+    """Map each slot alive on page 1 (every later page's slots are among
+    them) to the canonical coordinates of its representative pushed through
+    the class, cut to the level of the slot plus the class degree.
+
+    Raises if an image reaches below that level, naming page ``k``, the page
+    asked for: the change of basis is filtered, so it cannot.
+    """
+    gens = c.generators
+    levels = [g.degree for g in gens]  # ascending: generators are sorted by degree
+    masks = c.cached("degree_masks", _degree_masks)
+    images: dict[int, int] = {}
+    for (n, _j), slots in page1.cells.items():
+        tn = n + a.degree
+        under = (1 << bisect_left(levels, tn)) - 1  # the generators below level tn
+        at = masks.get(tn, (None, 0))[1]
+        for s in slots:
+            coords = form.to_canonical(apply_columns(acols, form.change_of_basis[s]))
+            low = coords & under
+            if low:
+                raise EngineConsistencyError(
+                    f"induced image of class '{a.name}' violated the "
+                    f"filtration on page {k}: slot '{gens[s].uid}' hit "
+                    f"'{gens[next(bits(low))].uid}' below level {tn}; this "
+                    "indicates a bug"
+                )
+            images[s] = coords & at
+    return images
+
+
+class _PageLayout(NamedTuple):
+    """One page's cells as the induced maps read them.
+
+    ``cells`` maps each populated (level, residue), in ascending order, to
+    its alive slots; ``row`` each alive slot to its position in its cell;
+    ``alive`` is the bitset of the alive slots and ``dead_sources`` that of
+    the sources of dipoles dead on the page.  An image's dead dipole targets
+    are boundaries and read as zero.
+    """
+
+    cells: dict[tuple[int, int], tuple[int, ...]]
+    row: dict[int, int]
+    alive: int
+    dead_sources: int
+
+
+def _page_layouts(table: PageTable) -> list[_PageLayout]:
+    """The layout of each page 1..``table.max_page``."""
+    by_page: list[dict[tuple[int, int], tuple[int, ...]]] = [
+        {} for _ in range(table.max_page)
+    ]
+    for (k, n, j), cell in sorted(table.cells.items()):
+        by_page[k - 1][(n, j)] = cell.slots
+    layouts = []
+    for k, cells in enumerate(by_page, 1):
+        row = {s: r for slots in cells.values() for r, s in enumerate(slots)}
+        dead = sum(
+            1 << s
+            for (s, _t), (_ns, _nt, jump) in zip(table.form.dipoles, table.barcode.dipoles)
+            if jump < k
+        )
+        layouts.append(_PageLayout(cells, row, sum(1 << s for s in row), dead))
+    return layouts
 
 
 def _check_page_commutation(table: PageTable, induced: InducedPageMaps, k: int) -> None:
@@ -558,10 +655,12 @@ def _total_endomorphism(
 ) -> int:
     """Flatten a graded action into one bitset over a total x total matrix.
 
-    ``layout`` maps degree -> (offset, dim) inside the total cohomology; bit
-    (row_total * total + col_total) encodes a unit entry.
+    ``layout`` maps degree -> (offset, dim) inside the total cohomology.  Each
+    total row is built first, then the rows, each padded to whole bytes, are
+    laid end to end: an injective linear flattening, so the relations among
+    flattened actions are those among the actions.
     """
-    out = 0
+    rows = [0] * total
     for n, block in action.blocks:
         off_src, _ = layout[n]
         tgt = layout.get(n + action.degree)
@@ -573,10 +672,10 @@ def _total_endomorphism(
                 )
             continue
         off_dst, _ = tgt
-        for r in range(block.n_rows):
-            for b in bits(block.rows[r]):
-                out |= 1 << ((off_dst + r) * total + (off_src + b))
-    return out
+        for r, row in enumerate(block.rows, off_dst):
+            rows[r] |= row << off_src
+    width = (total + 7) // 8
+    return int.from_bytes(b"".join(row.to_bytes(width, "little") for row in rows), "little")
 
 
 def module_check(c: FloerComplexData, ring: RingTable) -> ModuleReport:

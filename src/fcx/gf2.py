@@ -35,7 +35,7 @@ __all__ = [
     "echelon",
     "clear_pivots",
     "apply_columns",
-    "commutator_witness",
+    "commutator_witnesses",
     "invert_columns",
     "NotUnitriangularError",
 ]
@@ -138,7 +138,12 @@ def clear_pivots(rows: Mapping[int, tuple[int, int]], v: int) -> tuple[int, int]
 
 @dataclass(frozen=True)
 class Gf2Matrix:
-    """A rows x cols matrix over GF(2); ``rows[i]`` has bit ``j`` set iff entry (i, j) is 1."""
+    """A rows x cols matrix over GF(2); ``rows[i]`` has bit ``j`` set iff entry (i, j) is 1.
+
+    Every matrix built, ``mat_mul`` products included, is checked: ``n_rows``
+    rows, none negative, none with a bit at ``n_cols`` or beyond.  The check
+    reads only the smallest and the largest row.
+    """
 
     n_rows: int
     n_cols: int
@@ -147,8 +152,9 @@ class Gf2Matrix:
     def __post_init__(self) -> None:
         if len(self.rows) != self.n_rows:
             raise ValueError("row count mismatch")
-        mask = (1 << self.n_cols) - 1
-        if any(r & ~mask for r in self.rows):
+        rows = self.rows
+        # a row with a bit at n_cols or beyond is at least 1 << n_cols
+        if rows and (min(rows) < 0 or max(rows) >> self.n_cols):
             raise ValueError("row has bits beyond n_cols")
 
     @staticmethod
@@ -285,27 +291,52 @@ def apply_columns(cols: Sequence[int], v: int) -> int:
     return out
 
 
-def commutator_witness(a: Sequence[int], d: Sequence[int]) -> tuple[int, int] | None:
-    """The first column where two maps with column bitsets ``a`` and ``d`` do
-    not commute, as ``(i, (d . a)[i] ^ (a . d)[i])``; None if they commute.
+def commutator_witnesses(
+    maps: Sequence[Sequence[int]], d: Sequence[int]
+) -> list[tuple[int, int] | None]:
+    """For each map in ``maps`` (column bitsets, like ``d``), the first column
+    where it does not commute with ``d``, as ``(i, (d . a)[i] ^ (a . d)[i])``;
+    None where they commute.
 
-    Both composites are applied column by column in one loop, as
-    ``apply_columns`` would, without a call per column.
+    The maps are stacked side by side, map ``c`` in bits ``c*n .. c*n+n-1``
+    of ``K[t] = sum of a_c[t] << c*n``, so one walk of the bits of each
+    column of ``d`` forms column ``i`` of every ``a . d`` at once.  Each
+    ``d . a`` column is formed from the map's own bits and shifted into
+    place, so ``d`` is never copied.
     """
-    for i, (ai, di) in enumerate(zip(a, d)):
-        lhs = 0  # d . a, column i
-        while ai:
-            low = ai & -ai
-            lhs ^= d[low.bit_length() - 1]
-            ai ^= low
-        rhs = 0  # a . d, column i
+    n = len(d)
+    out: list[tuple[int, int] | None] = [None] * len(maps)
+    if not maps:
+        return out
+    stacked = list(maps[-1])
+    for a in reversed(maps[:-1]):
+        stacked = [(s << n) | col for s, col in zip(stacked, a)]
+    pending = len(maps)
+    for i, (di, acols) in enumerate(zip(d, zip(*maps))):
+        rhs = 0  # a . d, column i, every map
         while di:
             low = di & -di
-            rhs ^= a[low.bit_length() - 1]
+            rhs ^= stacked[low.bit_length() - 1]
             di ^= low
+        lhs = 0  # d . a, column i, every map
+        for ai in reversed(acols):
+            acc = 0
+            while ai:
+                low = ai & -ai
+                acc ^= d[low.bit_length() - 1]
+                ai ^= low
+            lhs = (lhs << n) | acc
         if lhs != rhs:
-            return i, lhs ^ rhs
-    return None
+            diff = lhs ^ rhs
+            mask = (1 << n) - 1
+            for c in range(len(maps)):
+                block = (diff >> (c * n)) & mask
+                if block and out[c] is None:
+                    out[c] = (i, block)
+                    pending -= 1
+            if not pending:
+                break
+    return out
 
 
 class NotUnitriangularError(ValueError):

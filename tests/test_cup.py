@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import hashlib
+import io
 import random
 import weakref
 
@@ -417,20 +419,22 @@ def test_identity_action_on_random_complexes(seed, period):
         assert m == Gf2Matrix.identity(m.n_rows)
 
 
-def shifted_product_document(seed=5, m=3, p=4):
-    """A small C tensor F document shaped like the benchmark's ``cup-ring``.
+def shifted_product_document(seed=5, m=3, p=4, c=None):
+    """A C tensor F document shaped like the benchmark's ``cup-ring``.
 
-    C is a scrambled complex (free generators and dipoles of jumps 0..3), F
-    is free on t0..tm at degrees 0, p, .., mp; the document carries the unit
-    class ``1``, the shift classes a1..am (a_i: g*t_j -> g*t_{j+i}) and the
-    table of the truncated polynomial ring GF(2)[a1]/(a1^(m+1)).
+    C is ``c`` or else a small scrambled complex (free generators and dipoles
+    of jumps 0..3), F is free on t0..tm at degrees 0, p, .., mp; the
+    document carries the unit class ``1``, the shift classes a1..am (a_i:
+    g*t_j -> g*t_{j+i}) and the table of the truncated polynomial ring
+    GF(2)[a1]/(a1^(m+1)).
     """
-    spec = NormalFormSpec(
-        MonotoneParams(3, 0.5),
-        free=(-2, 0, 3),
-        dipoles=((-3, 0), (-1, 1), (1, 2), (2, 3)),
-    )
-    c = random_filtered_automorphism(seed, build_from_normal_form(spec))
+    if c is None:
+        spec = NormalFormSpec(
+            MonotoneParams(3, 0.5),
+            free=(-2, 0, 3),
+            dipoles=((-3, 0), (-1, 1), (1, 2), (2, 3)),
+        )
+        c = random_filtered_automorphism(seed, build_from_normal_form(spec))
     free = FloerComplexData(
         c.params, tuple(LiftedGenerator(f"t{j}", j * p) for j in range(m + 1)), ()
     )
@@ -940,3 +944,147 @@ def test_induced_page_commutation_check_names_its_witness(monkeypatch):
         "induced maps of class '1' do not commute with the page-1 differential "
         "at (n=0, j=0): slot 'x' reaches 'y' on one side only"
     )
+
+
+def _pages_in_order(c, order):
+    """{(class, page): induced maps} of every class of ``c``, the pages of
+    each class taken in ``order``."""
+    return {(a.name, k): induced_on_pages(c, a, k) for a in c.cup_classes for k in order}
+
+
+def test_page_maps_do_not_depend_on_the_order_the_pages_are_asked_in(scrambled):
+    small, scrambled_base = shifted_product_document(3, 3, 4), scrambled(36, 4, 2)
+    for doc in (small, shifted_product_document(c=scrambled_base)):
+        text = serialize(doc)
+        last = pages(parse(text)).collapse_page + 1
+        ascending = _pages_in_order(parse(text), range(1, last + 1))
+        assert len({m.page for m in ascending.values()}) >= 3
+        assert _pages_in_order(parse(text), [last, 1] + list(range(2, last))) == ascending
+        assert _pages_in_order(parse(text), range(last, 0, -1)) == ascending
+
+
+def test_a_filtration_violation_raises_on_every_call(monkeypatch):
+    c, a = _free_with_a_jump0_dipole()
+    _corrupt_class_images(monkeypatch, c, "r", 1 << c.index_map()["p"])
+    assert pages(c).collapse_page == 1
+    for k in (1, 2, 1):  # page 2 is served by the stable page 1
+        with pytest.raises(EngineConsistencyError, match="filtration on page 1: slot 'q'"):
+            induced_on_pages(c, a, k)
+    assert "slot_images" not in c._memo["cup_class_memos"][0]
+
+
+def _broken_class_documents():
+    """Parsed ``shifted_product_document``s with extra classes: copies of
+    the shift classes (from columns) with an entry added at a random
+    column, a copy of a1 built from entries with one entry dropped, and a
+    copy of a2 (from columns) with an entry of the wrong degree."""
+    rng = random.Random(29)
+    for seed in range(8):
+        c = parse(serialize(shifted_product_document(seed, 2 + seed % 2, 3 + seed % 3)))
+        uids = [g.uid for g in c.generators]
+        level = [g.degree for g in c.generators]
+        classes = list(c.cup_classes)
+        d = c.delta_columns()
+        for a in c.cup_classes[1:]:
+            while True:  # an added entry of the right degree that breaks the commutation
+                cols = list(a._columns)
+                s = rng.randrange(len(cols))
+                ends = [t for t in range(len(cols)) if level[t] - level[s] == a.degree]
+                if not ends:
+                    continue
+                cols[s] ^= 1 << rng.choice(ends)
+                if any(apply_columns(d, x) != apply_columns(cols, y) for x, y in zip(cols, d)):
+                    break
+            classes.append(CupClass.from_columns(f"b{a.name}", a.degree, uids, cols))
+        a1, a2 = c.cup_classes[1:3]
+        entries = list(a1.entries)
+        del entries[rng.randrange(len(entries))]
+        classes.append(CupClass("x", a1.degree, tuple(entries)))
+        cols = list(a2._columns)
+        s = rng.randrange(len(cols))
+        off = [t for t in range(len(cols)) if level[t] - level[s] != a2.degree]
+        cols[s] ^= 1 << rng.choice(off)
+        classes.append(CupClass.from_columns("w", a2.degree, uids, cols))
+        yield dataclasses.replace(c, cup_classes=tuple(classes))
+
+
+def test_batched_validation_gives_each_class_its_one_class_report():
+    """All classes of a document are validated together; each report is the
+    one the class gets alone, whichever class is asked for first."""
+    witnesses = set()
+    for c in _broken_class_documents():
+        alone = [validate_cup(dataclasses.replace(c, cup_classes=(a,)), a) for a in c.cup_classes]
+        witnesses.update(e for r in alone for e in r.errors if "witness pair" in e)
+        assert sum(not r.ok for r in alone) >= 3
+        for first in range(len(c.cup_classes)):
+            fresh = dataclasses.replace(c)
+            classes = fresh.cup_classes
+            reports = {first: validate_cup(fresh, classes[first])}
+            reports.update((i, validate_cup(fresh, a)) for i, a in enumerate(classes))
+            assert [reports[i] for i in range(len(classes))] == alone
+            for a, report in zip(classes, alone):
+                if report.ok:
+                    assert list(require_valid_cup(fresh, a)) == class_columns(fresh, a)
+    assert len(witnesses) >= 20
+    assert len({w.split("(")[1].split(" ")[0] for w in witnesses}) >= 10  # witness columns
+
+
+def _dependent_classes_document():
+    """``shifted_product_document(7, 2, 5)`` with a copy ``b`` of a1 and a
+    degree-0 class ``z`` with no entries: a1+b and z act as zero."""
+    doc = shifted_product_document(7, 2, 5)
+    a1 = doc.cup_classes[1]
+    extra = (CupClass("b", a1.degree, a1.entries), CupClass("z", 0, ()))
+    return dataclasses.replace(doc, cup_classes=doc.cup_classes + extra)
+
+
+def test_injectivity_reports_the_dependent_combinations(tmp_path, capsys):
+    path = tmp_path / "doc.fcx"
+    path.write_text(serialize(_dependent_classes_document()), encoding="utf-8")
+    assert main(["ring", str(path), "--format", "tsv"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("kernel")] == [
+        "kernel\ta1+b",
+        "kernel\tz",
+    ]
+
+
+def _cup_outputs_digests(base, tmp_path):
+    """sha256 of ``fcx cup``/``fcx ring`` (tsv) on the C tensor F document of
+    ``base`` and on ``_dependent_classes_document()``, and of the induced
+    maps of every class of the first on pages 1..collapse+1."""
+    path = tmp_path / "doc.fcx"
+    digests = {}
+    documents = {"product": shifted_product_document(c=base)}
+    documents["dependent"] = _dependent_classes_document()
+    for label, doc in documents.items():
+        path.write_text(serialize(doc), encoding="utf-8")
+        for command in ("cup", "ring"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command, str(path), "--format", "tsv"])
+            text = f"{code}\n{out.getvalue()}"
+            digests[f"{command} {label}"] = hashlib.sha256(text.encode()).hexdigest()
+    c = parse(serialize(documents["product"]))
+    lines = [
+        f"{name} {k} {induced.page} {key} {m.n_rows} {m.n_cols} {m.rows}"
+        for (name, k), induced in _pages_in_order(c, range(1, pages(c).collapse_page + 2)).items()
+        for key, m in induced.maps
+    ]
+    digests["induced product"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return digests
+
+
+# ``_cup_outputs_digests(scrambled(60, 4, 3))``, recorded before the classes
+# of a document were validated together and their images shared by the pages.
+CUP_OUTPUTS_SHA256 = {
+    "cup product": "1259f848140da70a276de47afcc480661142865a9691729eb0100bee0accb824",
+    "ring product": "1f69f1c518ff6eff60c66f176f559c083cc57a38bb3225d898a2aae45309f943",
+    "cup dependent": "a19e8062ba7e613a48cdbf190b1b5e96e9153136d5242eab5bc6b17ac801966b",
+    "ring dependent": "2a3cfd8121917e96a28adb10d01a8c63a7f0b7f6c58cfa2b3a5fd60f49a2cf96",
+    "induced product": "07f6d5632df7629b00b135b0571980f92046b3a80efed19ccccc3fbc812dd1ef",
+}
+
+
+def test_cup_ring_and_induced_maps_of_a_product_document_are_pinned(scrambled, tmp_path):
+    assert _cup_outputs_digests(scrambled(60, 4, 3), tmp_path) == CUP_OUTPUTS_SHA256

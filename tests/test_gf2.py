@@ -9,6 +9,7 @@ from fcx.gf2 import (
     apply_columns,
     bits,
     clear_pivots,
+    commutator_witnesses,
     echelon,
     image_basis,
     invert_columns,
@@ -138,6 +139,23 @@ def test_image_is_spanned_by_columns(m):
         assert img.contains(m.column(j))
 
 
+@pytest.mark.parametrize(
+    "n_cols, rows",
+    [(3, (0b001, -1)), (3, (-4, 0b010)), (3, (0b1000, 0)), (3, (0b011, 0b1101)), (0, (1,))],
+)
+def test_a_matrix_refuses_a_negative_row_or_a_bit_at_n_cols(n_cols, rows):
+    with pytest.raises(ValueError, match="beyond n_cols"):
+        Gf2Matrix(len(rows), n_cols, rows)
+
+
+def test_a_matrix_takes_rows_up_to_its_last_column():
+    assert Gf2Matrix(2, 3, (0b111, 0)).rows == (0b111, 0)
+    assert Gf2Matrix(0, 0, ()).rows == ()
+    assert Gf2Matrix(1, 0, (0,)).rows == (0,)
+    with pytest.raises(ValueError, match="row count"):
+        Gf2Matrix(2, 3, (0,))
+
+
 def test_mat_mul_shapes_and_identity():
     m = Gf2Matrix.from_entries(2, 3, [(0, 0), (1, 2)])
     assert Gf2Matrix.identity(2).mat_mul(m) == m
@@ -241,3 +259,42 @@ def test_invert_columns_refuses_an_order_that_is_not_a_permutation():
         invert_columns(ident, [0, 1, 1])
     with pytest.raises(ValueError):
         invert_columns(ident, [0, 1])
+
+
+def _first_witness(a, d):
+    """The first column where ``a`` and ``d`` do not commute, one map at a time."""
+    for i in range(len(d)):
+        diff = apply_columns(d, a[i]) ^ apply_columns(a, d[i])
+        if diff:
+            return i, diff
+    return None
+
+
+square_maps = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+        st.lists(
+            st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n), max_size=4
+        ),
+    )
+)
+
+
+@given(square_maps)
+def test_commutator_witnesses_of_stacked_maps_match_one_map_at_a_time(d_and_maps):
+    d, maps = d_and_maps
+    assert commutator_witnesses(maps, d) == [_first_witness(a, d) for a in maps]
+
+
+def test_commutator_witnesses_finds_each_maps_own_first_column():
+    d = [0b10, 0, 0b1000, 0]  # 0 -> 1 and 2 -> 3
+    ident = [1 << i for i in range(4)]
+    to2 = [0b100, 0, 0, 0]  # 0 -> 2: d . a reaches 3 from column 0
+    from1 = [0, 0b100, 0, 0]  # 1 -> 2: a . d reaches 2 from column 0
+    swap = [0b100, 0b1000, 0b1, 0b10]  # 0 <-> 2 and 1 <-> 3: commutes
+    from3 = [0, 0, 0, 0b10]  # 3 -> 1: a . d reaches 1 from column 2
+    maps = [ident, to2, from1, swap, from3]
+    expected = [None, (0, 0b1000), (0, 0b100), None, (2, 0b10)]
+    assert [_first_witness(a, d) for a in maps] == expected
+    assert commutator_witnesses(maps, d) == expected
+    assert commutator_witnesses([], d) == []
