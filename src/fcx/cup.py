@@ -13,27 +13,27 @@ structure lives; the composite convention for a product a*b acting on x is
 own: each pushed representative is decoded by ``CohomologyTable.coordinates``
 against the echelon that ``z_graded_cohomology`` built once per complex.
 
-A class is stored like the differential.  The parser fills one index column
-per generator of each class (``fcx.io``), and ``CupClass.from_columns``
-keeps them with the generator ids they index; ``FloerComplexData.from_columns``
-puts them in the complex's canonical order along with its own columns.  The
-sorted ``entries`` of such a class are a view, built only when something
-reads them.  A class built from ``(src, dst)`` entries (the API) has its
-ids resolved to indices by its validation, the only place class entry ids
-are resolved.
+A class is stored like the differential, as index columns, over the
+generator ids it was built with: a parsed class over the document's
+generators (``fcx.io``), a class built from ``(src, dst)`` entries over the
+sorted ids they name, resolved once, at construction, and kept beside the
+columns only when one repeats.  The sorted ``entries`` are derived when
+something reads them.  Equality and hashing compare the columns over the
+sorted ids a class names, so a parsed class equals its entry-built twin.
 
-Validation checks the degree pattern of a class with columns over the
-complex's generator order column by column, against one target-degree mask
-per generator degree; only a class built from entries or with an entry of
-the wrong degree is walked entry by entry, to word the errors in
-``(src, dst)`` order.  The classes whose pattern holds are then checked for
-commutation together: ``gf2.commutator_witnesses`` stacks their columns and
-walks the differential once for all of them.
+Validation moves a class's columns onto the complex's generator order when
+they are over another (``_class_columns``), and checks the degree pattern
+column by column, against one target-degree mask per generator degree; only
+a class with an unknown id, a repeated entry or an entry of the wrong degree
+is walked entry by entry, to word the errors in ``(src, dst)`` order.  The
+classes whose pattern holds are then checked for commutation together:
+``gf2.commutator_witnesses`` stacks their columns and walks the
+differential once for all of them.
 
 Per-class memo: for a class that is a member of ``c.cup_classes`` (found by
-identity first, so no other class's entries are read), the validation
-report with the class columns, the induced cohomology action and the
-graded images of the class are computed at most once and kept in the
+identity first, so no canonical form of another class is computed), the
+validation report with the class columns, the induced cohomology action and
+the graded images of the class are computed at most once and kept in the
 complex's memo (``FloerComplexData.cached``).  The first validation of a
 document class validates every document class at once and keeps each
 report.  The graded images are the canonical coordinates of each page-1
@@ -54,7 +54,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, NamedTuple, Sequence, TypeVar
+from itertools import chain
+from typing import Any, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .engine import CanonicalForm, PageTable, canonical_form, pages
 from .gf2 import Gf2Matrix, apply_columns, bits, commutator_witnesses, echelon
@@ -63,8 +64,11 @@ from .model import (
     FcxError,
     FloerComplexData,
     ValidationReport,
-    _column_pairs,
-    _permuted,
+    _entry_columns,
+    _moved,
+    _positions,
+    _sorted_entries,
+    _sorted_pairs,
     require_valid,
     z_graded_cohomology,
 )
@@ -88,49 +92,41 @@ __all__ = [
 ]
 
 
-class _EntriesView:
-    """The ``entries`` field of a class built from columns.
-
-    A non-data descriptor, like the ``delta`` view of a complex: the entries
-    a class was built from sit in the instance dict and shadow it.  Without
-    them, the first read builds the sorted entries from the columns and
-    stores them there.  Read on the class, it gives the field's default.
-    """
-
-    def __get__(self, a: "CupClass | None", owner: type | None = None) -> Any:
-        if a is None:
-            return ()
-        uids, cols = a._uids, a._columns
-        assert uids is not None and cols is not None  # entries are kept otherwise
-        entries = tuple(_column_pairs(uids, cols))
-        object.__setattr__(a, "entries", entries)
-        return entries
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CupClass:
     """A named degree-p endomorphism datum: entries (src, dst) with coefficient 1.
 
-    A class built by ``from_columns`` keeps index columns with the ids they
-    index, and ``entries`` is a view of them.  Equality, hashing and
-    ``repr`` read ``entries``, so they build the view and treat both kinds
-    of class alike.
+    Stored as index columns: column s is the bitset of the targets of
+    ``_uids[s]`` (see the module docstring).  ``entries`` is built on first
+    read and kept; equality and hashing compare ``_key``, never ``entries``.
     """
 
     name: str
     degree: int
-    entries: tuple[tuple[str, str], ...] = _EntriesView()  # type: ignore[assignment]
-    # The columns of a class built by ``from_columns``, and the generator id
-    # of each index, else None.
-    _columns: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _uids: tuple[str, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _uids: tuple[str, ...] = field(repr=False)
+    _columns: tuple[int, ...] = field(repr=False)
+    # The sorted entries, kept only when one of them repeats.
+    _raw: tuple[tuple[str, str], ...] | None = field(repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+    def __init__(
+        self,
+        name: str,
+        degree: int,
+        entries: Iterable[tuple[str, str]] | None = None,
+        *,
+        _uids: Sequence[str] = (),
+        _columns: Sequence[int] | None = None,
+        _raw: tuple[tuple[str, str], ...] | None = None,
+    ) -> None:
+        """``_columns`` are over the ids ``_uids``, which do not repeat;
+        ``entries``, when given, take their place."""
+        if entries is not None or _columns is None:
+            entries = tuple(entries or ())
+            _uids = sorted({uid for entry in entries for uid in entry})
+            _columns, _raw = _entry_columns(_uids, entries)
+        self.__dict__.update(
+            name=name, degree=degree, _uids=tuple(_uids), _columns=tuple(_columns), _raw=_raw
+        )
 
     @classmethod
     def from_columns(
@@ -140,21 +136,40 @@ class CupClass:
         ``columns[s]``; equal to the one built from those entries."""
         if len(columns) != len(uids):
             raise ValueError(f"{len(columns)} columns for {len(uids)} generator ids")
-        a = cls(name, degree)
-        object.__setattr__(a, "_columns", tuple(columns))
-        object.__setattr__(a, "_uids", tuple(uids))
-        object.__delattr__(a, "entries")  # from now on the view of the columns
-        return a
+        if len(set(uids)) < len(uids):  # the entries of a repeated id merge by id
+            return cls(name, degree, _sorted_pairs(uids, columns, None))
+        return cls(name, degree, _uids=uids, _columns=columns)
 
-    def _reindexed(self, uids: tuple[str, ...], order: list[int]) -> "CupClass":
-        """This class over the generator ids ``uids`` taken in ``order`` (new
-        index -> old), when its columns are over ``uids``; otherwise the
-        class itself."""
-        if self._columns is None or self._uids != uids:
-            return self
-        return CupClass.from_columns(
-            self.name, self.degree, [uids[i] for i in order], _permuted(self._columns, order)
-        )
+    @cached_property
+    def entries(self) -> tuple[tuple[str, str], ...]:
+        """The entries of the class, sorted by (src, dst)."""
+        return _sorted_entries(self._pairs())
+
+    def _pairs(self) -> Iterable[tuple[str, str]]:
+        """The sorted (src, dst) pairs of the class, read off its stored form."""
+        return _sorted_pairs(self._uids, self._columns, self._raw)
+
+    @cached_property
+    def _key(self) -> tuple[Any, ...]:
+        """The kept entries, else the columns over the sorted ids the class
+        names: equal for two classes exactly when their entries are."""
+        if self._raw is not None:
+            return self._raw
+        used = 0
+        for s, col in enumerate(self._columns):
+            if col:
+                used |= col | 1 << s
+        ids = sorted(self._uids[i] for i in bits(used))
+        pos = _positions(ids, self._uids)  # None only at an id no entry names
+        return tuple(ids), _moved(self._columns, pos, len(ids))  # type: ignore[arg-type]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CupClass):
+            return NotImplemented
+        return (self.name, self.degree, self._key) == (other.name, other.degree, other._key)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.degree, self._key))
 
 
 @dataclass(frozen=True)
@@ -260,7 +275,8 @@ _T = TypeVar("_T")
 def _class_memo(c: FloerComplexData, a: CupClass) -> dict[str, Any] | None:
     """The memo of ``a`` in ``c`` when it is one of its document classes."""
     classes = c.cup_classes
-    # by identity first: ``index`` compares by ``==``, which reads entries
+    # by identity first: ``index`` compares by ``==``, which computes the
+    # canonical form of each class it compares
     i = next((i for i, b in enumerate(classes) if b is a), None)
     if i is None:
         try:
@@ -322,25 +338,21 @@ def _validate_cup(
     gens = c.generators
     for a in classes:
         errors: list[str] = []
-        acols = _class_columns(c, a)
-        if acols is None or a.degree < 0 or _off_degree(c, acols, a.degree):
+        acols, whole = _class_columns(c, a)
+        if not whole or a.degree < 0 or _off_degree(c, acols, a.degree):
             if a.degree < 0:
                 errors.append(f"class '{a.name}' has negative degree {a.degree}")
-            # every entry whose ids resolve enters the columns, as in model._resolve
-            idx = c.index_map()
-            resolved = [0] * c.count
+            entries = a.entries
             prev = None
-            for entry in a.entries:
+            pos = iter(_positions(c.cached("uids", _uids), chain.from_iterable(entries)))
+            for entry, s, t in zip(entries, pos, pos):
                 src, dst = entry
-                s = idx.get(src)
                 if s is None:
                     errors.append(f"class '{a.name}' references unknown generator '{src}'")
                     continue
-                t = idx.get(dst)
                 if t is None:
                     errors.append(f"class '{a.name}' references unknown generator '{dst}'")
                     continue
-                resolved[s] ^= 1 << t
                 if entry == prev:  # entries are sorted, so a repeat follows its first
                     errors.append(f"class '{a.name}' repeats the entry ({src} -> {dst})")
                     continue
@@ -351,7 +363,6 @@ def _validate_cup(
                         f"class '{a.name}' entry ({src} -> {dst}) changes degree by "
                         f"{diff}, expected {a.degree}"
                     )
-            acols = tuple(resolved)
         checked.append((errors, acols))
     # delta . A against A . delta, column by column
     clean = [(a, errors, acols) for a, (errors, acols) in zip(classes, checked) if not errors]
@@ -366,13 +377,19 @@ def _validate_cup(
     return [(ValidationReport(tuple(errors), ()), acols) for errors, acols in checked]
 
 
-def _class_columns(c: FloerComplexData, a: CupClass) -> tuple[int, ...] | None:
-    """The columns of a class built from columns over the generator order
-    of ``c``; None for any other class."""
-    cols = a._columns
-    if cols is None or a._uids != c.cached("uids", _uids):
-        return None
-    return cols
+def _class_columns(c: FloerComplexData, a: CupClass) -> tuple[tuple[int, ...], bool]:
+    """The columns of ``a`` over the generator order of ``c``, and whether
+    they hold all of its entries: each id is a generator of ``c`` and no
+    entry repeats.  The entries at any other id are left out, and a repeated
+    entry cancels."""
+    uids = c.cached("uids", _uids)
+    if a._uids == uids:
+        return a._columns, a._raw is None
+    n = c.count
+    pos = [n if i is None else i for i in _positions(uids, a._uids)]
+    cut = (1 << n) - 1  # index n holds the entries at an unknown id
+    cols = tuple(col & cut for col in _moved(a._columns, pos, n + 1)[:n])
+    return cols, n not in pos and a._raw is None
 
 
 def _uids(c: FloerComplexData) -> tuple[str, ...]:
@@ -430,7 +447,7 @@ def _induced_on_cohomology(
     blocks: list[tuple[int, Gf2Matrix]] = []
     for n, basis in table.representatives:
         target = n + a.degree
-        entries: list[tuple[int, int]] = []
+        rows = [0] * dims.get(target, 0)
         for col_idx, r in enumerate(basis):
             coords = table.coordinates(target, apply_columns(acols, r))
             if coords is None:
@@ -440,8 +457,9 @@ def _induced_on_cohomology(
                     f"degree {target}: the image of the degree-{n} representative "
                     f"{ids} is not a cocycle there; this indicates a bug"
                 )
-            entries.extend((row_idx, col_idx) for row_idx in bits(coords))
-        blocks.append((n, Gf2Matrix.from_entries(dims.get(target, 0), len(basis), entries)))
+            for row_idx in bits(coords):
+                rows[row_idx] |= 1 << col_idx
+        blocks.append((n, Gf2Matrix(len(rows), len(basis), tuple(rows))))
     return CohomologyAction(a.name, a.degree, tuple(blocks))
 
 
@@ -624,12 +642,9 @@ def resolve_unit(c: FloerComplexData, ring: RingTable) -> str:
 
 
 def _is_identity(c: FloerComplexData, a: CupClass) -> bool:
-    """Whether the matrix of ``a`` is the identity on the generators of ``c``,
-    read off its columns when it has them over the order of ``c``."""
-    cols = _class_columns(c, a)
-    if cols is not None:
-        return all(col == 1 << i for i, col in enumerate(cols))
-    return a.entries == tuple(sorted((g.uid, g.uid) for g in c.generators))
+    """Whether the matrix of ``a`` is the identity on the generators of ``c``."""
+    cols, whole = _class_columns(c, a)
+    return whole and all(col == 1 << i for i, col in enumerate(cols))
 
 
 def _ring_classes(c: FloerComplexData, ring: RingTable) -> dict[str, CupClass]:

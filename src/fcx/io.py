@@ -27,12 +27,12 @@ The parser resolves the ids of each ``d`` line to generator indices as it
 reads, against declaration order, and sets the entry's bit in the source's
 column; a repeated entry is a bit already set.  A ``c`` line does the same
 in a column of its class.  A ``d`` or ``c`` line that names a generator
-declared later waits until the end of the document.  The columns, the
-classes' too, are then put in canonical order, which costs nothing for a
-serialized document, and the complex and its classes keep them
-(``FloerComplexData.from_columns``, ``CupClass.from_columns``): no
-``(src, dst)`` entry is built unless something reads ``delta`` or a class's
-``entries``.  The serializer reads the columns too: it collects the target
+declared later waits until the end of the document.  The complex and its
+classes keep the columns, the only stored form of either
+(``FloerComplexData.from_columns``, which puts the differential's in
+canonical order, and ``CupClass.from_columns``): no ``(src, dst)`` entry is
+built unless something reads ``delta`` or a class's ``entries``.  The
+serializer reads the stored form too (``_pairs``): it collects the target
 ids per source id and sorts both, which is the order of the sorted entries.
 
 The serializer is canonical: fixed header order, generators sorted by
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable
 
 from .cup import CupClass, RingTable
 from .model import (
@@ -56,7 +55,6 @@ from .model import (
     FloerComplexData,
     LiftedGenerator,
     MonotoneParams,
-    _column_pairs,
 )
 
 __all__ = ["FcxParseError", "parse", "serialize", "format_decimal"]
@@ -346,8 +344,8 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
         if ring_rows
         else None
     )
-    # Put in canonical order by ``from_columns``, the classes too; a
-    # serialized document is in that order already.
+    # Put in canonical order by ``from_columns``; a serialized document is
+    # in that order already.
     return FloerComplexData.from_columns(params, gens, cols, cup_classes, ring)
 
 
@@ -383,20 +381,12 @@ def serialize(c: FloerComplexData) -> str:
             lines.append(f"gen {g.uid} {g.degree}")
         else:
             lines.append(f"gen {g.uid} {g.degree} {format_decimal(g.action)}")
-    # canonical (src, dst) order: the entries, or the same read off columns
-    if c._columns is None:
-        pairs: Iterable[tuple[str, str]] = c.delta
-    else:
-        pairs = _column_pairs([g.uid for g in c.generators], c._columns)
-    for src, dst in pairs:
+    # canonical (src, dst) order, read off the stored form
+    for src, dst in c._pairs():
         lines.append(f"d {src} {dst}")
     for cls in sorted(c.cup_classes, key=lambda cls: cls.name):
         lines.append(f"cup {cls.name} {cls.degree}")
-        if cls._columns is None:
-            pairs = cls.entries
-        else:
-            pairs = _column_pairs(cls._uids, cls._columns)  # type: ignore[arg-type]
-        for src, dst in pairs:
+        for src, dst in cls._pairs():
             lines.append(f"c {cls.name} {src} {dst}")
     if c.ring is not None:
         for (a, b), result in c.ring.products:

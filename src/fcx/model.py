@@ -9,12 +9,14 @@ whose entries raise the lifted degree by ``k * period + 1`` for some
 degree is what every downstream computation (spectral pages, polynomial
 invariants, products, cup actions) is built on.
 
-The differential is stored as index columns: column i is the bitset of the
-targets of generator i.  The parser fills them as it reads (``fcx.io``), and
-the synthesizer and the tensor product hand theirs over
-(``FloerComplexData.from_columns``); the ``delta`` entries are then a view,
-built only when something reads them.  A complex built from ``(src, dst)``
-entries has its ids resolved to indices once, by validation.
+The differential is stored in one form: index columns over the canonical
+generator order, column i the bitset of the targets of generator i.  The
+parser fills them as it reads (``fcx.io``), and the synthesizer and the
+tensor product hand theirs over (``FloerComplexData.from_columns``).  A
+complex (or cup class) built from ``(src, dst)`` entries resolves them to
+columns once, at construction, and keeps the sorted entries too only when
+they do not resolve cleanly, so that validation can word the errors.  The
+``delta`` entries are derived from the columns when something reads them.
 
 Validation is exhaustive and returns a report rather than failing fast, so a
 single pass lists every violated invariant with the offending ids.  It checks
@@ -22,11 +24,9 @@ the degree jumps column by column, against one mask per degree of the
 admissible targets, and reads the jump-0 columns off the same masks;
 everything downstream (cohomology, pages, the jump and energy bounds) reads
 those columns.  The action differences are checked per column too.  Only a
-complex with a bad entry or a bad action difference (or with actions and a
-repeated generator id) is walked entry by entry, to word the errors in
-``(src, dst)`` order.  Cup classes are stored the same way (``fcx.cup``):
-the parser fills their columns, and ``from_columns`` permutes them along
-with the differential's.
+complex with kept entries, a bad degree jump or a bad action difference (or
+with actions and a repeated generator id) is walked entry by entry, to word
+the errors in ``(src, dst)`` order.
 
 The degree-graded cohomology eliminates each degree once with
 ``gf2.echelon``.  The rows it keeps are the next degree's image; the image
@@ -39,6 +39,8 @@ from the barcode (``engine.Barcode.cohomology_dims``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
@@ -150,7 +152,8 @@ class LiftedGenerator:
 
 
 class DifferentialEntry(NamedTuple):
-    """One GF(2) entry of the differential: coefficient 1 from src to dst.
+    """One GF(2) entry of the differential (or of a cup class): coefficient 1
+    from src to dst.
 
     A named ``(src, dst)`` pair: it is immutable and hashable, and it
     compares and sorts as the plain tuple, so by ``(src, dst)``.
@@ -199,33 +202,60 @@ class ValidationReport:
         return not self.errors
 
 
-def _sorted_generators(gens: Iterable[LiftedGenerator]) -> tuple[LiftedGenerator, ...]:
-    return tuple(sorted(gens, key=attrgetter("degree", "uid")))
+def _positions(uids: Sequence[str], ids: Iterable[str]) -> list[int | None]:
+    """The index in ``uids`` of each id (the last one for a repeated uid), or
+    None for an id that is not among them: outside the parser, the one place
+    ids become indices."""
+    index = {uid: i for i, uid in enumerate(uids)}
+    return [index.get(x) for x in ids]
 
 
-def _permuted(cols: Sequence[int], order: list[int]) -> tuple[int, ...]:
-    """The columns over the generator order ``order`` (new index -> old)."""
-    pos = [0] * len(order)
-    for new, old in enumerate(order):
-        pos[old] = new
-    out = [0] * len(order)
-    for old, col in enumerate(cols):
+def _entry_columns(
+    uids: Sequence[str], entries: Iterable[tuple[str, str]]
+) -> tuple[tuple[int, ...], tuple[tuple[str, str], ...] | None]:
+    """The columns over ``uids`` of the entries whose two ids resolve (a
+    repeated entry cancels), and the sorted entries themselves when they do
+    not resolve cleanly: an unknown id, a repeated entry or a repeated uid."""
+    entries = tuple(sorted(entries))
+    cols = [0] * len(uids)
+    clean = len(set(uids)) == len(uids)
+    previous = None
+    pos = iter(_positions(uids, chain.from_iterable(entries)))
+    for e, s, t in zip(entries, pos, pos):  # sorted, so a repeat follows its first
+        if s is None or t is None:
+            clean = False
+            continue
+        cols[s] ^= 1 << t
+        clean = clean and e != previous
+        previous = e
+    return tuple(cols), None if clean else entries
+
+
+def _moved(cols: Sequence[int], pos: Sequence[int], n: int) -> tuple[int, ...]:
+    """The columns over n indices with each index i moved to ``pos[i]``."""
+    out = [0] * n
+    for s, col in enumerate(cols):
         if col:
             v = 0
             for t in bits(col):
                 v |= 1 << pos[t]
-            out[pos[old]] = v
+            out[pos[s]] = v
     return tuple(out)
 
 
-def _column_pairs(uids: Sequence[str], cols: Sequence[int]) -> Iterable[tuple[str, str]]:
-    """The (source id, target id) pairs of index columns over ``uids``, in
-    sorted order, built without sorting the pairs themselves.
+def _sorted_pairs(
+    uids: Sequence[str], cols: Sequence[int], raw: Iterable[tuple[str, str]] | None
+) -> Iterable[tuple[str, str]]:
+    """The sorted (src, dst) pairs of stored data: its kept entries, else the
+    pairs of its index columns over ``uids``, built without sorting the
+    pairs themselves.
 
     The target ids are collected per source id, and the sources and each
     target list sorted as strings, so a repeated id merges its generators'
     targets exactly as the sorted entries interleave them.
     """
+    if raw is not None:
+        return raw
     targets: dict[str, list[str]] = {}
     for s, col in enumerate(cols):
         if col:
@@ -233,73 +263,74 @@ def _column_pairs(uids: Sequence[str], cols: Sequence[int]) -> Iterable[tuple[st
     return ((src, dst) for src in sorted(targets) for dst in sorted(targets[src]))
 
 
-class _DeltaView:
-    """The ``delta`` field of a complex built from columns.
-
-    A non-data descriptor: the entries a complex was built from sit in the
-    instance dict and shadow it.  Without them, the first read builds the
-    sorted entries from the columns and stores them there.  Reading it on the
-    class raises ``AttributeError``, so ``delta`` stays a required field.
-    """
-
-    def __get__(self, c: "FloerComplexData | None", owner: type | None = None) -> Any:
-        if c is None:
-            raise AttributeError("delta")
-        cols = c._columns
-        assert cols is not None  # a complex built from entries keeps them
-        uids = [g.uid for g in c.generators]
-        entries = tuple(
-            sorted(
-                DifferentialEntry(uids[s], uids[t])
-                for s, col in enumerate(cols)
-                for t in bits(col)
-            )
-        )
-        object.__setattr__(c, "delta", entries)
-        return entries
+def _sorted_entries(pairs: Iterable[tuple[str, str]]) -> tuple[DifferentialEntry, ...]:
+    """The entries of sorted (src, dst) pairs: the one place that builds the
+    ``delta`` of a complex and the ``entries`` of a cup class."""
+    return tuple(DifferentialEntry(src, dst) for src, dst in pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FloerComplexData:
     """A complete monotone complex; immutable, with canonical internal ordering.
 
-    Generators are stored sorted by (degree, uid) and differential entries by
-    (src, dst), their native tuple order, so structural equality is
-    canonical-form equality.  Optional cup-class data parsed from the same
-    document rides along; the cup operations interpret it.
+    Generators are stored sorted by (degree, uid), and the differential as
+    index columns over that order, so structural equality is canonical-form
+    equality.  Optional cup-class data parsed from the same document rides
+    along; the cup operations interpret it.
 
-    A complex built by ``from_columns`` keeps the differential as index
-    columns over the canonical order, and ``delta`` is a view of them: the
-    sorted entries are built on its first read and kept.  Equality, hashing,
-    ``repr`` and ``dataclasses.replace`` read ``delta``, so they build the
-    view and treat both kinds of complex alike.  Its parsed cup classes keep
-    columns over the same order, with ``entries`` a view in the same way.
+    ``FloerComplexData(params, generators, delta, ...)`` resolves the
+    ``(src, dst)`` entries ``delta`` to columns; it keeps them, sorted,
+    only when they do not resolve cleanly (``_entry_columns``).  Equality,
+    hashing and ``dataclasses.replace`` read the columns (and any kept
+    entries), never ``delta``: ``replace`` carries the columns across by
+    index unless it is given ``delta``, so replacing the generators alone
+    keeps each column at its index.  ``delta`` is the sorted entries, built
+    on first read and kept.
 
-    Derived data (index map, validation report with the delta and jump-0
-    columns, degree-graded cohomology, canonical form, default page table)
-    is memoized per instance by ``cached``; it takes no part in equality or
-    hashing and is freed together with the complex.  Only the two
-    validators, of the differential and of a cup class, read the index map,
-    and only for data built from entries; all other code reads the columns.
+    Derived data (index map, validation report with the jump-0 columns,
+    degree-graded cohomology, canonical form, default page table) is
+    memoized per instance by ``cached``; it takes no part in equality or
+    hashing and is freed together with the complex.
     """
 
     params: MonotoneParams
     generators: tuple[LiftedGenerator, ...]
-    delta: tuple[DifferentialEntry, ...] = _DeltaView()  # type: ignore[assignment]
-    cup_classes: tuple["CupClass", ...] = ()
-    ring: "RingTable | None" = None
-    _memo: dict[str, Any] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # The columns of a complex built by ``from_columns``, else None.
-    _columns: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    cup_classes: tuple["CupClass", ...]
+    ring: "RingTable | None"
+    _columns: tuple[int, ...]
+    # The sorted entries, kept only when they do not resolve cleanly.
+    _raw: tuple[tuple[str, str], ...] | None
+    _memo: dict[str, Any] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", _sorted_generators(self.generators))
-        object.__setattr__(self, "delta", tuple(sorted(self.delta)))
-        object.__setattr__(self, "cup_classes", tuple(self.cup_classes))
+    def __init__(
+        self,
+        params: MonotoneParams,
+        generators: Iterable[LiftedGenerator],
+        delta: Iterable[tuple[str, str]] | None = None,
+        cup_classes: Iterable["CupClass"] = (),
+        ring: "RingTable | None" = None,
+        *,
+        _columns: Sequence[int] | None = None,
+        _raw: tuple[tuple[str, str], ...] | None = None,
+    ) -> None:
+        """``_columns`` are over the generators in the order given; ``delta``,
+        when given, takes their place."""
+        gens = tuple(generators)
+        ordered = tuple(sorted(gens, key=attrgetter("degree", "uid")))
+        if delta is not None or _columns is None:
+            _columns, _raw = _entry_columns([g.uid for g in ordered], delta or ())
+        elif len(_columns) != len(gens):
+            raise ValueError(f"{len(_columns)} columns for {len(gens)} generators")
+        elif ordered != gens:  # the stable sort moved some
+            keys = [(g.degree, g.uid) for g in gens]
+            pos = [0] * len(keys)  # old index -> new
+            for new, old in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+                pos[old] = new
+            _columns = _moved(_columns, pos, len(keys))
+        self.__dict__.update(
+            params=params, generators=ordered, cup_classes=tuple(cup_classes), ring=ring,
+            _columns=tuple(_columns), _raw=_raw, _memo={},
+        )
 
     @classmethod
     def from_columns(
@@ -313,27 +344,20 @@ class FloerComplexData:
         """The complex whose generator i, in the order given, has the targets
         in the bitset ``columns[i]``; equal to the one built from its entries.
 
-        The generators are put in canonical order and the columns permuted
-        along, unless the order given is canonical already.  A cup class
-        built from columns over the ids of the generators given, in that
-        order (``CupClass.from_columns``), has its columns permuted along too.
+        The generators are put in canonical order and the columns moved
+        along, unless the order given is canonical already.
         """
-        if len(columns) != len(generators):
-            raise ValueError(f"{len(columns)} columns for {len(generators)} generators")
-        generators = tuple(generators)
-        c = cls(params, generators, (), cup_classes, ring)
-        cols = tuple(columns)
-        if c.generators != generators:  # the stable sort moved some
-            keys = [(g.degree, g.uid) for g in generators]
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            cols = _permuted(cols, order)
-            if c.cup_classes:
-                uids = tuple(g.uid for g in generators)
-                classes = tuple(a._reindexed(uids, order) for a in c.cup_classes)
-                object.__setattr__(c, "cup_classes", classes)
-        object.__setattr__(c, "_columns", cols)
-        object.__delattr__(c, "delta")  # from now on the view of the columns
-        return c
+        return cls(params, generators, None, cup_classes, ring, _columns=columns)
+
+    @cached_property
+    def delta(self) -> tuple[DifferentialEntry, ...]:
+        """The differential entries, sorted by (src, dst)."""
+        return _sorted_entries(self._pairs())
+
+    def _pairs(self) -> Iterable[tuple[str, str]]:
+        """The sorted (src, dst) pairs of the differential, read off its
+        stored form."""
+        return _sorted_pairs([g.uid for g in self.generators], self._columns, self._raw)
 
     def cached(self, key: str, compute: Callable[["FloerComplexData"], _T]) -> _T:
         """``compute(self)``, evaluated at most once per instance under ``key``.
@@ -359,14 +383,10 @@ class FloerComplexData:
     def delta_columns(self) -> list[int]:
         """delta as columns: column i is the bitset of targets of generator i.
 
-        For a complex built from entries, the validation pass resolves every
-        entry whose two ids resolve, valid or not, so a repeated entry
-        cancels.  Returns a fresh list.
+        For entries that did not resolve cleanly, every entry whose two ids
+        resolve is in, so a repeated entry cancels.  Returns a fresh list.
         """
-        cols = self._columns
-        if cols is None:
-            cols = self.cached("validate", _validate)[1]
-        return list(cols)
+        return list(self._columns)
 
     def degree_groups(self) -> dict[int, list[int]]:
         """Map degree -> ascending generator indices at that degree."""
@@ -384,16 +404,13 @@ def validate(c: FloerComplexData) -> ValidationReport:
     """Check every structural invariant; returns a complete report.
 
     Errors make the complex unusable downstream; warnings do not.  The
-    report is computed once per instance, by the same pass that resolves the
-    entries of a complex built from entries and reads the jump-0 columns
-    off the degree masks.
+    report is computed once per instance, by the same pass that reads the
+    jump-0 columns off the degree masks.
     """
     return c.cached("validate", _validate)[0]
 
 
-def _validate(
-    c: FloerComplexData,
-) -> tuple[ValidationReport, tuple[int, ...], tuple[int, ...]]:
+def _validate(c: FloerComplexData) -> tuple[ValidationReport, tuple[int, ...]]:
     errors: list[str] = []
     warnings: list[str] = []
     p = c.params
@@ -441,18 +458,15 @@ def _validate(
 
     gens = c.generators
     cols = c._columns
-    clean = True  # every entry resolves, none repeats
-    if cols is None:
-        cols, clean = _resolve(c.delta, c.index_map(), c.count)
     if period >= 1:
         cols0, bad = _jump_masks(gens, cols, period)
     else:
         cols0, bad = (0,) * c.count, False
-    walk = not clean or bad
+    walk = c._raw is not None or bad
     if not walk and any_action and p.monotonicity > 0:
         walk = period < 1 or len(seen) < c.count or _action_mismatch(gens, cols, p)
     if walk:
-        errors += _entry_errors(c, c.index_map())
+        errors += _entry_errors(c)
 
     # Differential squares to zero over GF(2) on the full complex.
     if not errors:
@@ -464,28 +478,7 @@ def _validate(
                     f"differential does not square to zero: starting at "
                     f"'{gens[i].uid}' it reaches '{gens[witness].uid}' twice"
                 )
-    return ValidationReport(tuple(errors), tuple(warnings)), tuple(cols), cols0
-
-
-def _resolve(
-    entries: Sequence[DifferentialEntry], idx: Mapping[str, int], count: int
-) -> tuple[list[int], bool]:
-    """The columns of every entry whose two ids resolve (a repeated entry
-    cancels), and whether all of them resolve and none repeats."""
-    cols = [0] * count
-    clean = True
-    previous = None
-    for e in entries:  # sorted, so a repeated entry follows its first
-        s = idx.get(e[0])
-        t = idx.get(e[1])
-        if s is None or t is None:
-            clean = False
-            continue
-        cols[s] ^= 1 << t
-        if e == previous:
-            clean = False
-        previous = e
-    return cols, clean
+    return ValidationReport(tuple(errors), tuple(warnings)), cols0
 
 
 def _jump_masks(
@@ -552,7 +545,7 @@ def _action_mismatch(
     return False
 
 
-def _entry_errors(c: FloerComplexData, idx: Mapping[str, int]) -> list[str]:
+def _entry_errors(c: FloerComplexData) -> list[str]:
     """The errors of the entries one by one, in (src, dst) order: unknown
     ids, repeats, degree jumps and action differences."""
     errors: list[str] = []
@@ -560,14 +553,14 @@ def _entry_errors(c: FloerComplexData, idx: Mapping[str, int]) -> list[str]:
     period = p.maslov_period
     tol = p.action_tolerance
     gens = c.generators
+    entries = c.delta
     previous: DifferentialEntry | None = None
-    for e in c.delta:  # sorted, so a repeated entry follows its first
+    pos = iter(_positions([g.uid for g in gens], chain.from_iterable(entries)))
+    for e, s, t in zip(entries, pos, pos):  # sorted, so a repeat follows its first
         src, dst = e
-        s = idx.get(src)
         if s is None:
             errors.append(f"differential entry references unknown source '{src}'")
             continue
-        t = idx.get(dst)
         if t is None:
             errors.append(f"differential entry references unknown target '{dst}'")
             continue
@@ -633,7 +626,7 @@ def jump0_columns(c: FloerComplexData) -> Sequence[int]:
     once per instance, and are shared: do not modify them.
     """
     require_valid(c)
-    return c.cached("validate", _validate)[2]
+    return c.cached("validate", _validate)[1]
 
 
 def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:

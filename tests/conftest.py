@@ -60,39 +60,37 @@ def scrambled_spec():
 
 @pytest.fixture
 def no_entries(monkeypatch):
-    """Fail on the ``delta`` view being built, and record every
+    """Fail on the sorted entries of a complex being built, and record every
     ``DifferentialEntry`` built; returns the record."""
     import fcx.model
     from fcx.model import DifferentialEntry
 
     built = []
 
-    def view(descriptor, c, owner=None):
-        built.append("delta view")
-        raise AssertionError("the delta view was built")
+    def sorted_entries(pairs):
+        built.append("delta")
+        raise AssertionError("the sorted entries of a complex were built")
 
     def entry(cls, src, dst):
         built.append((src, dst))
         return tuple.__new__(cls, (src, dst))
 
-    monkeypatch.setattr(fcx.model._DeltaView, "__get__", view)
+    monkeypatch.setattr(fcx.model, "_sorted_entries", sorted_entries)
     monkeypatch.setattr(DifferentialEntry, "__new__", entry)
     return built
 
 
 @pytest.fixture
 def no_class_entries(monkeypatch):
-    """Fail on the ``entries`` view of a cup class being built; returns the
-    names of the classes whose view something tried to build."""
+    """Fail on the sorted entries of a cup class being built; returns the
+    pairs of each class whose entries something tried to build."""
     import fcx.cup
 
     built = []
 
-    def view(descriptor, a, owner=None):
-        if a is None:
-            return ()
-        built.append(a.name)
-        raise AssertionError(f"the entries view of class '{a.name}' was built")
+    def sorted_entries(pairs):
+        built.append(pairs)
+        raise AssertionError("the sorted entries of a cup class were built")
 
-    monkeypatch.setattr(fcx.cup._EntriesView, "__get__", view)
+    monkeypatch.setattr(fcx.cup, "_sorted_entries", sorted_entries)
     return built

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -633,10 +634,10 @@ def test_report_and_pages_never_build_cells_or_differentials(run, write_doc, mon
 def test_pages_cohomology_and_report_build_no_differential_entries(
     run, write_doc, no_entries, scrambled
 ):
-    """A parsed document keeps its differential as columns: these commands
-    never build the ``delta`` view or a single ``DifferentialEntry``.  (A
-    document whose actions disagree with its jumps is walked entry by entry,
-    to word the errors.)"""
+    """A parsed document keeps its differential as columns: these commands,
+    equality, hashing and ``dataclasses.replace`` never build the sorted
+    entries or a single ``DifferentialEntry``.  (A document whose actions
+    disagree with its jumps is walked entry by entry, to word the errors.)"""
     from fcx.model import DifferentialEntry
 
     docs = [write_doc(RING_TEXT, "ring.fcx"), write_doc(THREE_TEXT, "three.fcx")]
@@ -646,6 +647,15 @@ def test_pages_cohomology_and_report_build_no_differential_entries(
         for command in ("pages", "cohomology", "report"):
             for fmt in ("tsv", "human"):
                 assert run(command, path, "--format", fmt)[0] == 0, (command, path)
+        text = Path(path).read_text(encoding="utf-8")
+        c, again = parse(text), parse(text)
+        assert c == again and hash(c) == hash(again)
+        copy = dataclasses.replace(c, ring=None)
+        assert copy.delta_columns() == c.delta_columns()
+        assert dataclasses.replace(copy, ring=c.ring) == c
+        fewer = dataclasses.replace(c, cup_classes=c.cup_classes[1:])
+        assert hash(dataclasses.replace(fewer, cup_classes=again.cup_classes)) == hash(c)
+        assert (fewer == c) == (not c.cup_classes)
     assert no_entries == []
     assert DifferentialEntry("x", "y") == ("x", "y") and no_entries == [("x", "y")]
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from fcx.cli import main
 from fcx.cup import (
     CupClass,
+    _class_columns,
     RingTable,
     cuplength_report,
     induced_on_cohomology,
@@ -75,9 +76,9 @@ def class_columns(c, cls):
     return cols
 
 
-def class_entries(c, cls):
-    """The entries of a class with columns, read off them by hand."""
-    uids = [g.uid for g in c.generators]
+def class_entries(cls):
+    """The entries of a class, read off its columns by hand."""
+    uids = cls._uids
     return tuple(
         (uids[s], uids[t]) for s, col in enumerate(cls._columns) for t in bits(col)
     )
@@ -683,9 +684,10 @@ def test_cup_commands_and_induced_maps_build_no_class_entries(
     cup_cli_documents, tmp_path, capsys, no_entries, no_class_entries
 ):
     """A parsed document keeps its classes as columns: the cup commands,
-    the induced page maps and the serializer never build a class's
-    ``entries`` view (nor the ``delta`` view).  (A class with an entry of
-    the wrong degree is walked entry by entry, to word the errors.)"""
+    the induced page maps, the serializer, equality, hashing and
+    ``dataclasses.replace`` never build a class's sorted entries (nor the
+    differential's).  (A class with an entry of the wrong degree is walked
+    entry by entry, to word the errors.)"""
     path = tmp_path / "doc.fcx"
     for label, text in cup_cli_documents:
         if label == "broken":
@@ -703,18 +705,68 @@ def test_cup_commands_and_induced_maps_build_no_class_entries(
         assert serialize(parse(canonical)) == canonical
         if label.startswith("product"):
             assert canonical == text
+        again = parse(text)
+        assert c == again and hash(c) == hash(again)
+        for cls, twin in zip(c.cup_classes, again.cup_classes):
+            assert cls == twin and hash(cls) == hash(twin)
+        copy = dataclasses.replace(c, ring=None)
+        assert copy.delta_columns() == c.delta_columns() and copy != c
+        assert dataclasses.replace(copy, ring=c.ring) == c
+        fewer = dataclasses.replace(c, cup_classes=c.cup_classes[1:])
+        assert fewer != c and fewer.cup_classes == again.cup_classes[1:]
+        assert hash(dataclasses.replace(fewer, cup_classes=c.cup_classes)) == hash(c)
     assert no_class_entries == [] and no_entries == []
 
 
 def test_a_class_from_columns_equals_its_entry_twin():
     c = parse(serialize(shifted_product_document(7, 2, 5)))
+    twins = []
     for cls in c.cup_classes:
-        assert cls._columns is not None and "entries" not in vars(cls)
-        twin = CupClass(cls.name, cls.degree, class_entries(c, cls))
-        assert cls == twin and hash(cls) == hash(twin) and repr(cls) == repr(twin)
-        assert vars(cls)["entries"] is cls.entries  # built once, then kept
+        entries = class_entries(cls)
+        twin = CupClass(cls.name, cls.degree, entries)
+        shuffled = CupClass(cls.name, cls.degree, random.Random(1).sample(entries, len(entries)))
+        for other in (twin, shuffled):
+            assert cls == other and hash(cls) == hash(other) and repr(cls) == repr(other)
+        assert "entries" not in vars(cls)  # equality and hashing read the columns
+        read = cls.entries
+        assert vars(cls)["entries"] is read and cls.entries is read  # built once, then kept
+        twins.append(shuffled)
+    assert serialize(dataclasses.replace(c, cup_classes=tuple(twins))) == serialize(c)
     again = CupClass.from_columns("a", 2, ("x", "y", "z"), (0b110, 0, 0b1))
     assert again.entries == (("x", "y"), ("x", "z"), ("z", "x"))
+
+    # Entries that do not resolve cleanly are kept: two copies built from
+    # them are equal, and validation words their errors as it did.
+    free3 = complex_of(P3, [("p", 0), ("q", 2), ("r", 4)])
+    dirty = {
+        "repeated entry": (
+            CupClass("r", 2, (("p", "q"), ("q", "r"), ("p", "q"))),
+            CupClass("r", 2, (("p", "q"), ("p", "q"), ("q", "r"))),
+            ("class 'r' repeats the entry (p -> q)",),
+        ),
+        "unknown id": (
+            CupClass("u", 2, (("q", "zz"), ("p", "q"))),
+            CupClass("u", 2, (("p", "q"), ("q", "zz"))),
+            ("class 'u' references unknown generator 'zz'",),
+        ),
+        "repeated generator id": (
+            CupClass.from_columns("g", 2, ("p", "q", "p"), (0b010, 0, 0b010)),
+            CupClass("g", 2, (("p", "q"), ("p", "q"))),
+            ("class 'g' repeats the entry (p -> q)",),
+        ),
+    }
+    for label, (first, second, errors) in dirty.items():
+        assert first == second and hash(first) == hash(second), label
+        assert first.entries == second.entries, label
+        for cls in (first, second):
+            assert validate_cup(free3, cls).errors == errors, label
+            doc = dataclasses.replace(free3, cup_classes=(cls,))
+            assert validate_cup(doc, cls).errors == errors, label
+        assert serialize(dataclasses.replace(free3, cup_classes=(first,))) == serialize(
+            dataclasses.replace(free3, cup_classes=(second,))
+        ), label
+    clean = CupClass("r", 2, (("q", "r"), ("p", "q")))
+    assert clean != dirty["repeated entry"][0] and validate_cup(free3, clean).ok
 
 
 def test_a_class_over_another_generator_order_is_validated_from_its_entries():
@@ -738,9 +790,8 @@ def test_rebase_puts_the_class_columns_in_the_new_order():
     assert uids != tuple(g.uid for g in c.generators)
     twins = []
     for before, after in zip(c.cup_classes, moved.cup_classes):
-        assert after._uids == uids
-        entries = class_entries(moved, after)
-        assert sorted(entries) == sorted(class_entries(c, before))
+        entries = class_entries(after)
+        assert sorted(entries) == sorted(class_entries(before))
         twins.append(CupClass(after.name, after.degree, entries))
     text = serialize(moved)
     assert all("entries" not in vars(a) for a in moved.cup_classes)
@@ -750,6 +801,8 @@ def test_rebase_puts_the_class_columns_in_the_new_order():
     assert text == serialize(twin_c)
     for cls, twin in zip(moved.cup_classes, twins):
         assert validate_cup(moved, cls) == validate_cup(twin_c, twin)
+        # validation reads the columns in the new generator order
+        assert list(_class_columns(moved, cls)[0]) == class_columns(moved, twin)
 
 
 def test_resolve_unit_reads_the_columns_of_an_unnamed_identity_class(no_class_entries):
@@ -764,7 +817,7 @@ def test_resolve_unit_reads_the_columns_of_an_unnamed_identity_class(no_class_en
         with pytest.raises(FcxError, match="cannot resolve a unit class"):
             resolve_unit(parse(head + body), RingTable())
     assert no_class_entries == []
-    twins = tuple(CupClass(a.name, a.degree, class_entries(c, a)) for a in c.cup_classes)
+    twins = tuple(CupClass(a.name, a.degree, class_entries(a)) for a in c.cup_classes)
     assert resolve_unit(dataclasses.replace(c, cup_classes=twins), RingTable()) == "e"
 
 

@@ -434,8 +434,9 @@ def test_differential_lines_may_name_generators_declared_later():
 
 
 def _resolved_one_entry_at_a_time(text):
-    """The document's generators in canonical order and its delta columns,
-    resolving each 'd' line's ids on its own."""
+    """The document's generators in canonical order, its entries and its
+    delta columns, resolving each 'd' line's ids on its own (an entry with
+    an unknown id left out, the last generator taken for a repeated id)."""
     gens, entries = [], []
     for line in text.splitlines():
         tokens = line.split("#", 1)[0].split()
@@ -447,8 +448,20 @@ def _resolved_one_entry_at_a_time(text):
     idx = {g.uid: i for i, g in enumerate(gens)}
     cols = [0] * len(gens)
     for src, dst in entries:
-        cols[idx[src]] ^= 1 << idx[dst]
+        if src in idx and dst in idx:
+            cols[idx[src]] ^= 1 << idx[dst]
     return gens, entries, cols
+
+
+# Entries that do not resolve cleanly, with the errors ``validate`` words for
+# them: the parser refuses them, a complex built from them keeps them.
+UNRESOLVED_BODIES = {
+    "gen a 0\ngen b 1\nd a b\nd a b\n": ("duplicate differential entry (a -> b)",),
+    "gen a 0\ngen b 1\nd a b\nd a zz\n": (
+        "differential entry references unknown target 'zz'",
+    ),
+    "gen a 0\ngen b 1\ngen a 0\nd a b\n": ("duplicate generator id 'a'",),
+}
 
 
 @pytest.mark.parametrize(
@@ -461,17 +474,31 @@ def _resolved_one_entry_at_a_time(text):
         # both, with comments, and the first 'd' line naming both kinds
         "gen q 1 # out of order\nd p q\nd q r\ngen p 0\n# gen x 9\nd p s\n"
         "gen s 1\nd s r\ngen r 2\n",
+        # entries in shuffled order
+        "gen a 0\ngen b 1\ngen c 1\ngen d 2\nd c d\nd a c\nd b d\nd a b\n",
+        *UNRESOLVED_BODIES,
     ],
 )
 def test_out_of_order_documents_resolve_like_their_entries(body):
     text = "fcx 1\nsigma 4\nlambda 0\n" + body
-    c = parse(text)
     gens, entries, cols = _resolved_one_entry_at_a_time(text)
+    built = FloerComplexData(MonotoneParams(4, 0.0), tuple(gens), tuple(entries))
+    assert built.delta_columns() == cols
+    if body in UNRESOLVED_BODIES:
+        with pytest.raises(FcxParseError):
+            parse(text)
+        again = FloerComplexData(MonotoneParams(4, 0.0), gens[::-1], entries[::-1])
+        assert again == built and hash(again) == hash(built)
+        assert again.delta == built.delta == tuple(sorted(entries))
+        assert serialize(again) == serialize(built)
+        assert validate(built).errors == UNRESOLVED_BODIES[body]
+        return
+    c = parse(text)
     assert list(c.generators) == gens
     assert c.delta_columns() == cols
-    built = FloerComplexData(MonotoneParams(4, 0.0), tuple(gens), tuple(entries))
     assert c == built and hash(c) == hash(built)
     assert repr(c) == repr(built)
+    assert serialize(c) == serialize(built)
     assert validate(c).ok
 
 
@@ -489,7 +516,7 @@ def test_shuffled_large_document_resolves_like_its_entries():
     assert list(parsed.generators) == gens == list(c.generators)
     assert parsed.delta_columns() == cols == c.delta_columns()
     assert parsed == c and hash(parsed) == hash(c)
-    copy = dataclasses.replace(parsed, ring=None)  # reads the delta view
+    copy = dataclasses.replace(parsed, ring=None)  # carries the columns across
     assert copy == c and copy.delta_columns() == cols
 
 

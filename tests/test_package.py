@@ -88,11 +88,12 @@ def _functions_with(hit) -> set[str]:
 
 
 def test_only_the_validators_resolve_entry_ids():
-    """Ids become generator indices in three places: the parser, as it reads
+    """Ids become generator indices in two places: the parser, as it reads
     a document (its own map ``index``, in declaration order, for both
-    ``d`` and ``c`` lines), the validation of a complex built from entries,
-    and the validation of a cup class built from entries (both through
-    ``index_map()``)."""
+    ``d`` and ``c`` lines), and ``model._positions``, through which a
+    complex or cup class built from entries resolves them once, at
+    construction, a cup class is moved onto the generators of a complex,
+    and validation words the errors of entries that do not resolve."""
 
     def resolves_ids(node: ast.AST) -> bool:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -109,8 +110,7 @@ def test_only_the_validators_resolve_entry_ids():
 
     assert _functions_with(resolves_ids) == {
         "io.parse",
-        "model._validate",
-        "cup._validate_cup",
+        "model._positions",
     }
 
 
