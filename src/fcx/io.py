@@ -23,12 +23,16 @@ or class declared further down (a ``c`` line may precede its class's
 ``cup`` line), and the loaded complex always carries the canonical internal
 ordering.
 
-The parser resolves the ids of each ``d`` line to generator indices as it
-reads, against declaration order, and sets the entry's bit in the source's
-column; a repeated entry is a bit already set.  A ``c`` line does the same
-in a column of its class.  A ``d`` or ``c`` line that names a generator
-declared later waits until the end of the document.  The complex and its
-classes keep the columns, the only stored form of either
+Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``; no other character ends a
+line, so line numbers are the ones an editor shows.
+
+A ``d`` line is an entry of the differential and a ``c`` line an entry of
+its class, and both take one path: the parser resolves the entry's ids to
+generator indices as it reads, against declaration order, and sets the
+entry's bit in the source's column of its owner (the differential, or the
+class); a repeated entry is a bit already set.  An entry that names a
+generator declared later waits until the end of the document.  The complex
+and its classes keep the columns, the only stored form of either
 (``FloerComplexData.from_columns``, which puts the differential's in
 canonical order, and ``CupClass.from_columns``): no ``(src, dst)`` entry is
 built unless something reads ``delta`` or a class's ``entries``.  The
@@ -123,23 +127,25 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     gens: list[LiftedGenerator] = []  # in declaration order
     gen_lines: list[int] = []
     cols: list[int] = []  # cols[s]: bitset of the targets of gens[s]
-    # 'd' lines naming a generator not declared yet: (src, dst) -> line, in
-    # line order; resolved into ``cols`` at the end.
-    pending: dict[tuple[str, str], int] = {}
+    # owner -> its columns, one per generator declared so far: the
+    # differential under None, each cup class from its first 'c' line on
+    # (which may precede its 'cup' line)
+    columns: dict[str | None, list[int]] = {None: cols}
+    # 'd' and 'c' lines naming a generator not declared yet:
+    # (owner, src, dst) -> line, in line order; resolved at the end.
+    pending: dict[tuple[str | None, str, str], int] = {}
     cups: dict[str, tuple[int, int]] = {}  # name -> (line, degree)
-    # class name -> {s: bitset of the targets of gens[s] in the class}, from
-    # the class's first 'c' line on, which may precede its 'cup' line
-    class_cols: dict[str, dict[int, int]] = {}
-    # 'c' lines naming a generator not declared yet, like ``pending``
-    class_pending: dict[tuple[str, str, str], int] = {}
     ring_rows: dict[tuple[str, str], tuple[int, str | None]] = {}
-    # (line, kind, id) to resolve from 'c' and 'ring' lines: a class on the
-    # first 'c' line naming it, every id on a 'ring' line; the generators
-    # of 'd' and 'c' lines are resolved as they are read, or at the end.
-    pending_refs: list[tuple[int, str, str]] = []
+    # (line, class name) to resolve against the 'cup' lines: a class on the
+    # first 'c' line naming it, every class on a 'ring' line.
+    pending_refs: list[tuple[int, str]] = []
     version_line: int | None = None
 
-    lines = text.splitlines()
+    # Lines break at '\n', '\r\n' or a lone '\r' only; any other line
+    # boundary of ``str.splitlines`` ('\f', '\x85', ...) is whitespace.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     for line_no, raw in enumerate(lines, start=1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
@@ -148,11 +154,23 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
             continue
         directive = tokens[0]
 
-        # Fast path for the bulk of a document: a well-formed 'd' line whose
-        # ids are declared.  Its entry is one bit of a column, so a repeat
-        # is a set bit.
+        # Fast path for the bulk of a document: a well-formed 'd' or 'c'
+        # line.  Its entry is one bit of a column of its owner, so a repeat
+        # is a set bit; an entry naming a generator not declared yet waits.
         if directive == "d" and len(tokens) == 3 and version_line is not None:
             _, src, dst = tokens
+            owner = None
+            owner_cols = cols
+        elif directive == "c" and len(tokens) == 4 and version_line is not None:
+            _, owner, src, dst = tokens
+            owner_cols = columns.get(owner)
+            if owner_cols is None:
+                _parse_id(line_no, owner, "class name")
+                owner_cols = columns[owner] = [0] * len(gens)
+                pending_refs.append((line_no, owner))
+        else:
+            owner_cols = None
+        if owner_cols is not None:
             s = index.get(src)
             t = index.get(dst)
             if s is None or t is None:
@@ -161,52 +179,22 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
                     _parse_id(line_no, src, "source id")
                 if t is None:
                     _parse_id(line_no, dst, "target id")
-                first_line = pending.setdefault((src, dst), line_no)
-            elif cols[s] >> t & 1:
+                first_line = pending.setdefault((owner, src, dst), line_no)
+            elif owner_cols[s] >> t & 1:
                 first_line = _first_line(lines, tokens)
-            elif pending and (src, dst) in pending:
-                first_line = pending[(src, dst)]
+            elif pending and (owner, src, dst) in pending:
+                first_line = pending[(owner, src, dst)]
             else:
-                cols[s] |= 1 << t
+                owner_cols[s] |= 1 << t
                 continue
             if first_line != line_no:
-                raise FcxParseError(
-                    line_no,
-                    f"duplicate differential entry ({src} -> {dst}) "
-                    f"(first on line {first_line})",
+                entry = (
+                    f"differential entry ({src} -> {dst})"
+                    if owner is None
+                    else f"entry ({src} -> {dst}) for class '{owner}'"
                 )
-            continue
-
-        # The same for a well-formed 'c' line: one bit of a column of its class.
-        if directive == "c" and len(tokens) == 4 and version_line is not None:
-            _, name, src, dst = tokens
-            ccols = class_cols.get(name)
-            if ccols is None:
-                _parse_id(line_no, name, "class name")
-                ccols = class_cols[name] = {}
-                pending_refs.append((line_no, "cup class", name))
-            s = index.get(src)
-            t = index.get(dst)
-            if s is None or t is None:
-                if s is None:
-                    _parse_id(line_no, src, "source id")
-                if t is None:
-                    _parse_id(line_no, dst, "target id")
-                first_line = class_pending.setdefault((name, src, dst), line_no)
-            else:
-                col = ccols.get(s, 0)
-                if col >> t & 1:
-                    first_line = _first_line(lines, tokens)
-                elif class_pending and (name, src, dst) in class_pending:
-                    first_line = class_pending[(name, src, dst)]
-                else:
-                    ccols[s] = col | 1 << t
-                    continue
-            if first_line != line_no:
                 raise FcxParseError(
-                    line_no,
-                    f"duplicate entry ({src} -> {dst}) for class '{name}' "
-                    f"(first on line {first_line})",
+                    line_no, f"duplicate {entry} (first on line {first_line})"
                 )
             continue
 
@@ -254,8 +242,9 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
             index[uid] = len(gens)
             gens.append(LiftedGenerator(uid, degree, action))
             gen_lines.append(line_no)
-            cols.append(0)
-        elif directive in ("d", "c"):  # well-formed ones took the fast paths
+            for owner_cols in columns.values():
+                owner_cols.append(0)
+        elif directive in ("d", "c"):  # well-formed ones took the fast path
             _require_arity(line_no, tokens, (2,) if directive == "d" else (3,))
         elif directive == "cup":
             _require_arity(line_no, tokens, (2,))
@@ -274,7 +263,7 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
             result = tokens[3]
             if result != "0":
                 result = _parse_id(line_no, tokens[3], "product class name")
-                pending_refs.append((line_no, "cup class", result))
+                pending_refs.append((line_no, result))
             key = (min(a, b), max(a, b))
             if key in ring_rows:
                 raise FcxParseError(
@@ -283,8 +272,8 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
                     f"(first on line {ring_rows[key][0]})",
                 )
             ring_rows[key] = (line_no, None if result == "0" else result)
-            pending_refs.append((line_no, "cup class", a))
-            pending_refs.append((line_no, "cup class", b))
+            pending_refs.append((line_no, a))
+            pending_refs.append((line_no, b))
         else:
             raise FcxParseError(line_no, f"unknown directive '{directive}'")
 
@@ -298,28 +287,17 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     # generators, src before dst).
     unknown = [
         (line_no, "generator", src if src not in index else dst)
-        for (src, dst), line_no in pending.items()
+        for (_owner, src, dst), line_no in pending.items()
         if src not in index or dst not in index
     ][:1]
     unknown += [
-        (line_no, "generator", src if src not in index else dst)
-        for (_name, src, dst), line_no in class_pending.items()
-        if src not in index or dst not in index
-    ][:1]
-    unknown += [
-        ref
-        for ref in pending_refs
-        if ref[2] not in (index if ref[1] == "generator" else cups)
+        (line_no, "cup class", name) for line_no, name in pending_refs if name not in cups
     ][:1]
     if unknown:
         line_no, kind, name = min(unknown)
         raise FcxParseError(line_no, f"unknown {kind} '{name}'")
-    for src, dst in pending:
-        cols[index[src]] |= 1 << index[dst]
-    for name, src, dst in class_pending:
-        ccols = class_cols[name]
-        s = index[src]
-        ccols[s] = ccols.get(s, 0) | 1 << index[dst]
+    for owner, src, dst in pending:
+        columns[owner][index[src]] |= 1 << index[dst]
 
     params = MonotoneParams(
         maslov_period=header["sigma"][1],  # type: ignore[arg-type]
@@ -329,12 +307,10 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
         allow_small_period=allow_small_sigma,
     )
     uids = tuple(g.uid for g in gens) if cups else ()
-    cup_classes = []
-    for name, (_line, degree) in sorted(cups.items()):
-        ccols = [0] * len(gens)
-        for s, col in class_cols.get(name, {}).items():
-            ccols[s] = col
-        cup_classes.append(CupClass.from_columns(name, degree, uids, ccols))
+    cup_classes = [
+        CupClass.from_columns(name, degree, uids, columns.get(name) or [0] * len(gens))
+        for name, (_line, degree) in sorted(cups.items())
+    ]
     ring = (
         RingTable(
             products=tuple(

@@ -287,7 +287,7 @@ class FloerComplexData:
     keeps each column at its index.  ``delta`` is the sorted entries, built
     on first read and kept.
 
-    Derived data (index map, validation report with the jump-0 columns,
+    Derived data (validation report with the jump-0 columns,
     degree-graded cohomology, canonical form, default page table) is
     memoized per instance by ``cached``; it takes no part in equality or
     hashing and is freed together with the complex.
@@ -376,10 +376,6 @@ class FloerComplexData:
     def count(self) -> int:
         return len(self.generators)
 
-    def index_map(self) -> Mapping[str, int]:
-        """Map uid -> generator index (the last one for a repeated uid)."""
-        return self.cached("index_map", _index_map)
-
     def delta_columns(self) -> list[int]:
         """delta as columns: column i is the bitset of targets of generator i.
 
@@ -394,10 +390,6 @@ class FloerComplexData:
         for i, g in enumerate(self.generators):
             groups.setdefault(g.degree, []).append(i)
         return groups
-
-
-def _index_map(c: FloerComplexData) -> Mapping[str, int]:
-    return {g.uid: i for i, g in enumerate(c.generators)}
 
 
 def validate(c: FloerComplexData) -> ValidationReport:

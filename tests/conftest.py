@@ -29,6 +29,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"{name}: {verdict}")
 
 
+def index_map(c: FloerComplexData) -> dict[str, int]:
+    """uid -> index of each generator of ``c``, in its canonical order."""
+    return {g.uid: i for i, g in enumerate(c.generators)}
+
+
 def _scrambled_spec(n: int, period: int) -> NormalFormSpec:
     """n generators on 17 degrees (many ties): n // 3 dipoles of jumps 0..3,
     the rest free."""

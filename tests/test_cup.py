@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import index_map
 from fcx.cli import main
 from fcx.cup import (
     CupClass,
@@ -906,7 +907,7 @@ def _corrupt_class_images(monkeypatch, c, image_uid, flip):
     import fcx.engine
 
     original = fcx.engine.CanonicalForm.to_canonical
-    honest = 1 << c.index_map()[image_uid]
+    honest = 1 << index_map(c)[image_uid]
 
     def corrupted(form, v):
         out = original(form, v)
@@ -930,7 +931,7 @@ def test_induced_cohomology_check_names_the_representative(monkeypatch):
     import fcx.cup
 
     c, a = _free_with_a_jump0_dipole()
-    q, s = c.index_map()["q"], c.index_map()["s"]
+    q, s = index_map(c)["q"], index_map(c)["s"]
 
     def corrupted(cols, v):  # the image q of p picks up s, which is no cocycle
         out = apply_columns(cols, v)
@@ -969,7 +970,7 @@ def test_total_endomorphism_check_names_the_class_and_degrees(monkeypatch):
 
 def test_induced_page_filtration_check_names_its_witness(monkeypatch):
     c, a = _free_with_a_jump0_dipole()
-    _corrupt_class_images(monkeypatch, c, "r", 1 << c.index_map()["p"])
+    _corrupt_class_images(monkeypatch, c, "r", 1 << index_map(c)["p"])
     with pytest.raises(EngineConsistencyError) as info:
         induced_on_pages(c, a, 1)
     message = str(info.value)
@@ -979,7 +980,7 @@ def test_induced_page_filtration_check_names_its_witness(monkeypatch):
 
 def test_induced_page_target_cell_check_names_its_witness(monkeypatch):
     c, a = _free_with_a_jump0_dipole()
-    _corrupt_class_images(monkeypatch, c, "q", 1 << c.index_map()["s"])
+    _corrupt_class_images(monkeypatch, c, "q", 1 << index_map(c)["s"])
     with pytest.raises(EngineConsistencyError) as info:
         induced_on_pages(c, a, 1)
     message = str(info.value)
@@ -990,7 +991,7 @@ def test_induced_page_target_cell_check_names_its_witness(monkeypatch):
 def test_induced_page_commutation_check_names_its_witness(monkeypatch):
     one = CupClass("1", 0, (("x", "x"), ("y", "y")))
     c = complex_of(P4, [("x", 0), ("y", 5)], [("x", "y")], cups=(one,))
-    _corrupt_class_images(monkeypatch, c, "y", 1 << c.index_map()["y"])
+    _corrupt_class_images(monkeypatch, c, "y", 1 << index_map(c)["y"])
     with pytest.raises(EngineConsistencyError) as info:
         induced_on_pages(c, one, 1)
     assert str(info.value) == (
@@ -1018,7 +1019,7 @@ def test_page_maps_do_not_depend_on_the_order_the_pages_are_asked_in(scrambled):
 
 def test_a_filtration_violation_raises_on_every_call(monkeypatch):
     c, a = _free_with_a_jump0_dipole()
-    _corrupt_class_images(monkeypatch, c, "r", 1 << c.index_map()["p"])
+    _corrupt_class_images(monkeypatch, c, "r", 1 << index_map(c)["p"])
     assert pages(c).collapse_page == 1
     for k in (1, 2, 1):  # page 2 is served by the stable page 1
         with pytest.raises(EngineConsistencyError, match="filtration on page 1: slot 'q'"):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import index_map
 from fcx.engine import (
     canonical_form,
     collapse_page,
@@ -70,7 +71,7 @@ MASKED_JUMP = complex_of(
 def test_canonical_form_minimal_dipole():
     c = complex_of(P4_ALG, [("x", 0), ("y", 1)], [("x", "y")])
     form = canonical_form(c)
-    assert form.dipoles == ((c.index_map()["x"], c.index_map()["y"]),)
+    assert form.dipoles == ((index_map(c)["x"], index_map(c)["y"]),)
     assert form.barcode.dipoles == ((0, 1, 0),)
     assert form.free == ()
 
@@ -80,11 +81,11 @@ def test_canonical_form_tie_break_pairs_highest_filtration_source():
         P4_ALG, [("x", 0), ("xp", 4), ("y", 5)], [("x", "y"), ("xp", "y")]
     )
     form = canonical_form(c)
-    assert form.dipoles == ((c.index_map()["xp"], c.index_map()["y"]),)
+    assert form.dipoles == ((index_map(c)["xp"], index_map(c)["y"]),)
     assert form.barcode.dipoles == ((4, 5, 0),)
-    assert form.free == (c.index_map()["x"],)
+    assert form.free == (index_map(c)["x"],)
     # the surviving free vector is x + xp
-    ix, ixp = c.index_map()["x"], c.index_map()["xp"]
+    ix, ixp = index_map(c)["x"], index_map(c)["xp"]
     assert form.change_of_basis[ix] == (1 << ix) | (1 << ixp)
 
 
@@ -92,7 +93,7 @@ def test_canonical_form_empty_delta():
     c = complex_of(P4_ALG, [("a", 0), ("b", 3), ("c", 7)])
     form = canonical_form(c)
     assert form.dipoles == ()
-    assert form.free == tuple(sorted(c.index_map()[u] for u in "abc"))
+    assert form.free == tuple(sorted(index_map(c)[u] for u in "abc"))
 
 
 def test_derived_data_is_memoized_on_the_instance_and_freed_with_it():
@@ -109,7 +110,7 @@ def test_derived_data_is_memoized_on_the_instance_and_freed_with_it():
 
     ref = weakref.ref(c)
     assert validate(c).ok
-    assert c.index_map()[c.generators[-1].uid] == c.count - 1
+    assert index_map(c)[c.generators[-1].uid] == c.count - 1
     assert pages(c).collapse_page >= 1
     del c
     gc.collect()
@@ -176,7 +177,7 @@ def test_unitriangular_check_names_the_generator_of_its_slot(monkeypatch):
     import fcx.engine
 
     c = complex_of(P4_ALG, [("x", 0), ("y", 1), ("z", 3)], [("x", "y")])
-    y = c.index_map()["y"]
+    y = index_map(c)["y"]
 
     def corrupted(cols, order):
         cols = list(cols)

@@ -520,33 +520,82 @@ def test_shuffled_large_document_resolves_like_its_entries():
     assert copy == c and copy.delta_columns() == cols
 
 
-@pytest.mark.parametrize(
-    "body, line_no, message",
-    [
-        # the first copy waited for its 'gen' line, the second resolves
-        ("d a c\ngen c 2\nd a c\n", 8,
-         "duplicate differential entry (a -> c) (first on line 6)"),
-        # both copies wait
-        ("d c a\nd b c\nd c a # again\ngen c 2\n", 8,
-         "duplicate differential entry (c -> a) (first on line 6)"),
-        # both resolve, with a waiting entry in between
-        ("d a b\nd a c\nd a b\ngen c 2\n", 8,
-         "duplicate differential entry (a -> b) (first on line 6)"),
-        # a repeat is found where it occurs, before any unknown reference
-        ("d a zz\nd b a\nd a zz\n", 8,
-         "duplicate differential entry (a -> zz) (first on line 6)"),
-        # forward references resolve; the earliest unknown one is reported
-        ("d a yy\nd zz b\ngen yy 3\n", 7, "unknown generator 'zz'"),
-        ("d xx yy\ngen xx 0\nd a b\n", 6, "unknown generator 'yy'"),
-        ("d yy a\nd b qq\nd a b\ngen yy 4\nd qq a\n", 7, "unknown generator 'qq'"),
-        ("d yy a\ngen yy 4\nd yy b\nd b qq\nd qq a\n", 9, "unknown generator 'qq'"),
-    ],
-)
+LINE_ORDER_CASES = [
+    # the first copy waited for its 'gen' line, the second resolves
+    ("d a c\ngen c 2\nd a c\n", 8,
+     "duplicate differential entry (a -> c) (first on line 6)"),
+    # both copies wait
+    ("d c a\nd b c\nd c a # again\ngen c 2\n", 8,
+     "duplicate differential entry (c -> a) (first on line 6)"),
+    # both resolve, with a waiting entry in between
+    ("d a b\nd a c\nd a b\ngen c 2\n", 8,
+     "duplicate differential entry (a -> b) (first on line 6)"),
+    # a repeat is found where it occurs, before any unknown reference
+    ("d a zz\nd b a\nd a zz\n", 8,
+     "duplicate differential entry (a -> zz) (first on line 6)"),
+    # forward references resolve; the earliest unknown one is reported
+    ("d a yy\nd zz b\ngen yy 3\n", 7, "unknown generator 'zz'"),
+    ("d xx yy\ngen xx 0\nd a b\n", 6, "unknown generator 'yy'"),
+    ("d yy a\nd b qq\nd a b\ngen yy 4\nd qq a\n", 7, "unknown generator 'qq'"),
+    ("d yy a\ngen yy 4\nd yy b\nd b qq\nd qq a\n", 9, "unknown generator 'qq'"),
+]
+
+
+@pytest.mark.parametrize("body, line_no, message", LINE_ORDER_CASES)
 def test_forward_references_and_repeats_are_diagnosed_in_line_order(body, line_no, message):
     with pytest.raises(FcxParseError) as info:
         parse(D_HEAD + body)
     assert info.value.line_no == line_no
     assert str(info.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize("body, line_no, message", LINE_ORDER_CASES)
+def test_class_entries_are_diagnosed_in_line_order_like_differential_ones(
+    body, line_no, message
+):
+    """The same table as ``c e`` lines: the same lines are cited, with the
+    class's wording for a repeat."""
+    lines = ["c e " + line[2:] if line.startswith("d ") else line for line in body.splitlines()]
+    body = "\n".join(lines + ["cup e 1"]) + "\n"
+    message = message.replace("differential entry", "entry").replace(
+        " (first", " for class 'e' (first"
+    )
+    with pytest.raises(FcxParseError) as info:
+        parse(D_HEAD + body)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"line {line_no}: {message}"
+
+
+SHARED_ENTRY_LINES = ["d a b", "c p a b", "c q a b"]
+
+
+@pytest.mark.parametrize("gens_first", [True, False])
+def test_one_pair_is_an_entry_of_each_owner_and_a_repeat_cites_its_own(gens_first):
+    """``(a -> b)`` in the differential and in two classes: three entries,
+    none a repeat of another; with the generators declared after the entry
+    lines, all three wait for them under their own owner."""
+    gens = ["gen a 0", "gen b 1"]
+    body = gens + SHARED_ENTRY_LINES if gens_first else SHARED_ENTRY_LINES + gens
+    lines = ["fcx 1", "sigma 4", "lambda 0.5"] + body + ["cup p 1", "cup q 1"]
+    c = parse("\n".join(lines) + "\n")
+    assert [tuple(e) for e in c.delta] == [("a", "b")]
+    assert {cls.name: cls.entries for cls in c.cup_classes} == {
+        "p": (("a", "b"),), "q": (("a", "b"),)
+    }
+    for entry in SHARED_ENTRY_LINES:
+        first = lines.index(entry) + 1
+        owner = entry.split()[1] if entry.startswith("c ") else None
+        wording = (
+            "duplicate differential entry (a -> b)"
+            if owner is None
+            else f"duplicate entry (a -> b) for class '{owner}'"
+        )
+        with pytest.raises(FcxParseError) as info:
+            parse("\n".join(lines + [entry]) + "\n")
+        assert info.value.line_no == len(lines) + 1
+        assert str(info.value) == (
+            f"line {len(lines) + 1}: {wording} (first on line {first})"
+        )
 
 
 def test_unknown_reference_on_the_last_line_of_a_long_document():
@@ -560,6 +609,31 @@ def test_unknown_reference_on_the_last_line_of_a_long_document():
         parse(head + "d x0 zz\n")
     assert info.value.line_no == last
     assert str(info.value) == f"line {last}: unknown generator 'zz'"
+
+
+CUP_DOCUMENT = (
+    "fcx 1\nsigma 3\nlambda 0\n# two classes\ngen u 0\ngen v 2\n\n"
+    "d u v\ncup q 2\nc q u v\ncup 1 0\nc 1 u u\nc 1 v v\nring 1 q q\n"
+)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_documents_parse_like_newline_ones(newline):
+    assert parse(CUP_DOCUMENT.replace("\n", newline)) == parse(CUP_DOCUMENT)
+    bad = CUP_DOCUMENT + "d u zz\n"  # line 15
+    with pytest.raises(FcxParseError, match="^line 15: unknown generator 'zz'$"):
+        parse(bad.replace("\n", newline))
+
+
+@pytest.mark.parametrize("char", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_only_newlines_end_a_line(char):
+    """``str.splitlines`` also breaks at these; the parser reads them as
+    whitespace inside their line, so later lines keep their numbers."""
+    text = f"fcx 1\nsigma 4\nlambda 0.5\ngen a 0 {char}\ngen b{char}1\nd a b\nd a zz\n"
+    with pytest.raises(FcxParseError) as info:
+        parse(text)
+    assert str(info.value) == "line 7: unknown generator 'zz'"
+    assert parse(text.replace("d a zz\n", "")) == parse(D_HEAD + "d a b\n")
 
 
 @given(seeds, periods, st.randoms(use_true_random=False))

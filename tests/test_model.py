@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import index_map
 from fcx.engine import canonical_form, limit_and_filtration, pages
 from fcx.io import FcxParseError, parse, serialize
 from fcx.model import (
@@ -66,7 +67,7 @@ def test_canonical_ordering_of_generators_and_delta():
     )
     assert [g.uid for g in c.generators] == ["z", "a", "b"]
     assert [(e.src, e.dst) for e in c.delta] == [("a", "b"), ("z", "b")]
-    assert c.index_map()["z"] == 0 and c.generators[c.index_map()["b"]].degree == 5
+    assert index_map(c)["z"] == 0 and c.generators[index_map(c)["b"]].degree == 5
 
 
 def test_validate_minimal_dipole_is_valid():
@@ -197,7 +198,7 @@ def test_require_valid_raises_with_report():
 
 def xor_of_resolved_entries(c):
     """delta as columns by a plain XOR over the entries whose ids both resolve."""
-    idx = c.index_map()
+    idx = index_map(c)
     cols = [0] * c.count
     for src, dst in c.delta:
         if src in idx and dst in idx:
@@ -303,8 +304,8 @@ def test_z_graded_ignores_higher_jump_entries():
     table = z_graded_cohomology(c)
     assert table.as_dict() == {0: 1, 5: 1}
     reps = dict(table.representatives)
-    assert reps[0] == (1 << c.index_map()["x"],)
-    assert reps[5] == (1 << c.index_map()["y"],)
+    assert reps[0] == (1 << index_map(c)["x"],)
+    assert reps[5] == (1 << index_map(c)["y"],)
 
 
 def barcode_dims(c):

@@ -1,7 +1,8 @@
 """Package-level checks: every exported name resolves, no module imports a
-name it never uses, only the parser and the validators resolve entry ids,
-only ``gf2`` runs a GF(2) elimination loop, and the independent oracles reach
-none of the engine's computations."""
+name it never uses, every function has a caller or is exported, only the
+parser and the validators resolve entry ids, only ``gf2`` runs a GF(2)
+elimination loop, and the independent oracles reach none of the engine's
+computations."""
 
 from __future__ import annotations
 
@@ -68,6 +69,14 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
+def _trees() -> dict[str, ast.Module]:
+    """module name -> the syntax tree of each ``src/fcx`` module."""
+    return {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(Path(fcx.__file__).parent.glob("*.py"))
+    }
+
+
 def _functions_with(hit) -> set[str]:
     """``module.qualified.name`` of each ``src/fcx`` function whose own body
     (outside the functions and classes nested in it) has a node ``hit`` accepts."""
@@ -82,9 +91,41 @@ def _functions_with(hit) -> set[str]:
                 found.add(".".join(scope))
             visit(child, scope)
 
-    for path in sorted(Path(fcx.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), (path.stem,))
+    for module, tree in _trees().items():
+        visit(tree, (module,))
     return found
+
+
+# Kept with no caller in the package: acceptance criterion 05's rebase shift
+# law (``test_criterion_05_rebase_shift_law``) calls it.
+KEPT_WITHOUT_CALLER = {"invariants.LaurentPoly.shift"}
+
+
+def test_every_function_has_a_caller_or_is_exported():
+    """Any API with no caller is deleted: each ``src/fcx`` function or
+    method (but the dunder ones) is referred to by name somewhere in the
+    package, as a name or an attribute, or is listed in an ``__all__``."""
+    trees = _trees()
+    known = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    known.update(n for name in MODULES for n in importlib.import_module(name).__all__)
+    defined: dict[str, str] = {}  # module.name or module.Class.name -> name
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined[f"{module}.{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        defined[f"{module}.{node.name}.{item.name}"] = item.name
+    uncalled = {key for key, name in defined.items() if name not in known}
+    assert uncalled == KEPT_WITHOUT_CALLER
 
 
 def test_only_the_validators_resolve_entry_ids():
@@ -134,10 +175,7 @@ def _reference_graph() -> dict[str, set[str]]:
     name in the package, since the receiver's type is unknown; so the graph
     over-approximates and may not miss a reference.
     """
-    trees = {
-        path.stem: ast.parse(path.read_text())
-        for path in sorted(Path(fcx.__file__).parent.glob("*.py"))
-    }
+    trees = _trees()
     bodies: dict[str, ast.AST] = {}
     members: dict[str, set[str]] = {}  # class or method name -> functions
     namespaces: dict[str, dict[str, str]] = {}
