@@ -69,7 +69,7 @@ class _UsageError(FcxError):
 
 def _load(path: str, allow_small_sigma: bool) -> FloerComplexData:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops a byte-order mark
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
@@ -182,25 +182,31 @@ def _render_cohomology(table: PageTable) -> tuple[list[tuple], bool]:
     return rows, True
 
 
-def _render_pages(table: PageTable) -> tuple[list[tuple], bool]:
+def _page_range(table: PageTable, last: int | None) -> range:
+    """Pages 1..``last``, the ``--max-page`` argument (default: the table's
+    ``max_page``, the collapse page + 1)."""
+    return range(1, (last or table.max_page) + 1)
+
+
+def _render_pages(table: PageTable, last: int | None) -> tuple[list[tuple], bool]:
     rows = [
         ("page", k, n, j, dim)
-        for k in range(1, table.max_page + 1)
+        for k in _page_range(table, last)
         for (n, j), dim in sorted(table.page(k).items())
     ]
     rows.append(("collapse", table.collapse_page))
     return rows, True
 
 
-def _render_poincare(table: PageTable) -> tuple[list[tuple], bool]:
-    rows = [("poly", k, poincare_laurent(table, k)) for k in range(1, table.max_page + 1)]
+def _render_poincare(table: PageTable, last: int | None) -> tuple[list[tuple], bool]:
+    rows = [("poly", k, poincare_laurent(table, k)) for k in _page_range(table, last)]
     return rows, True
 
 
-def _render_euler(table: PageTable) -> tuple[list[tuple], bool]:
+def _render_euler(table: PageTable, last: int | None) -> tuple[list[tuple], bool]:
     rows: list[tuple] = []
     warnings: dict[str, None] = {}  # first-seen order, no repeats
-    for k in range(1, table.max_page + 1):
+    for k in _page_range(table, last):
         report = euler_number(table, k)
         rows.append(("chi", k, report.chi))
         warnings.update(dict.fromkeys(report.warnings))
@@ -290,11 +296,11 @@ def _render_cuplength(c: FloerComplexData) -> tuple[list[tuple], bool]:
 
 
 def _render_kunneth(
-    a: FloerComplexData, b: FloerComplexData, upto: int | None
+    a: FloerComplexData, b: FloerComplexData, last: int | None
 ) -> tuple[list[tuple], bool]:
-    report = kunneth_check(a, b, upto=upto)
-    table = pages(report.product.complex, upto=upto)
-    rows = _render_pages(table)[0] + _render_poincare(table)[0]
+    report = kunneth_check(a, b, upto=last)
+    table = pages(report.product.complex)
+    rows = _render_pages(table, last)[0] + _render_poincare(table, last)[0]
     rows.append(("kunneth", "pass" if report.passed else "fail"))
     rows += [("fail", msg) for msg in report.failures]
     return rows, report.passed
@@ -311,17 +317,17 @@ def _render_power(
     ], report.passed
 
 
-def _render_report(c: FloerComplexData, upto: int | None) -> tuple[list[tuple], bool]:
+def _render_report(c: FloerComplexData, last: int | None) -> tuple[list[tuple], bool]:
     rows, ok = _render_validate(c)
     rows.insert(0, ("# validate",))
     if not ok:
         return rows, False
-    table = pages(c, upto=upto)
+    table = pages(c)
     sections = [
         ("cohomology", _render_cohomology(table)),
-        ("pages", _render_pages(table)),
-        ("poincare", _render_poincare(table)),
-        ("euler", _render_euler(table)),
+        ("pages", _render_pages(table, last)),
+        ("poincare", _render_poincare(table, last)),
+        ("euler", _render_euler(table, last)),
         ("decompose", _render_decompose(c)),
         ("collapse-bound", _render_collapse_bound(c, None)),
     ]
@@ -347,9 +353,9 @@ def _render_report(c: FloerComplexData, upto: int | None) -> tuple[list[tuple], 
 _RENDERERS: dict[str, Callable[..., tuple[list[tuple], bool]]] = {
     "validate": lambda args, c: _render_validate(c),
     "cohomology": lambda args, c: _render_cohomology(pages(c)),
-    "pages": lambda args, c: _render_pages(pages(c, upto=args.max_page)),
-    "poincare": lambda args, c: _render_poincare(pages(c, upto=args.max_page)),
-    "euler": lambda args, c: _render_euler(pages(c, upto=args.max_page)),
+    "pages": lambda args, c: _render_pages(pages(c), args.max_page),
+    "poincare": lambda args, c: _render_poincare(pages(c), args.max_page),
+    "euler": lambda args, c: _render_euler(pages(c), args.max_page),
     "decompose": lambda args, c: _render_decompose(c),
     "collapse-bound": lambda args, c: _render_collapse_bound(c, args.energy),
     "betti": lambda args, c: _render_betti(c, args.betti, args.m),
@@ -465,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("pages", "poincare", "euler"):
         p = add(name)
         p.add_argument("file")
-        p.add_argument("--max-page", type=int, default=None, help="materialize pages up to K")
+        p.add_argument("--max-page", type=int, default=None, help="print pages 1..K")
 
     p = add("rebase", writes_fcx=True)
     p.add_argument("file")

@@ -51,7 +51,6 @@ page differential each time.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -399,21 +398,13 @@ def _uids(c: FloerComplexData) -> tuple[str, ...]:
 def _off_degree(c: FloerComplexData, acols: Sequence[int], p: int) -> bool:
     """Whether some column has a target whose degree is not its source's
     plus ``p``, checked against one target mask per generator degree."""
-    groups = c.cached("degree_masks", _degree_masks)
-    for n, (members, _) in groups.items():
-        outside = ~groups.get(n + p, (0, 0))[1]
+    blocks = c.degree_blocks()
+    for n, (members, _) in blocks.items():
+        outside = ~blocks.get(n + p, (None, 0))[1]
         for s in members:
             if acols[s] & outside:
                 return True
     return False
-
-
-def _degree_masks(c: FloerComplexData) -> dict[int, tuple[list[int], int]]:
-    """Map degree -> (its generator indices, their bitset)."""
-    return {
-        n: (members, sum(1 << s for s in members))
-        for n, members in c.degree_groups().items()
-    }
 
 
 def require_valid_cup(c: FloerComplexData, a: CupClass) -> tuple[int, ...]:
@@ -531,22 +522,20 @@ def _graded_images(
     asked for: the change of basis is filtered, so it cannot.
     """
     gens = c.generators
-    levels = [g.degree for g in gens]  # ascending: generators are sorted by degree
-    masks = c.cached("degree_masks", _degree_masks)
+    blocks = c.degree_blocks()
     images: dict[int, int] = {}
     for (n, _j), slots in page1.cells.items():
         tn = n + a.degree
-        under = (1 << bisect_left(levels, tn)) - 1  # the generators below level tn
-        at = masks.get(tn, (None, 0))[1]
+        at = blocks.get(tn, (None, 0))[1]
         for s in slots:
             coords = form.to_canonical(apply_columns(acols, form.change_of_basis[s]))
-            low = coords & under
-            if low:
+            # Generators ascend with degree: the lowest set bit is the lowest level.
+            low = (coords & -coords).bit_length() - 1
+            if low >= 0 and gens[low].degree < tn:
                 raise EngineConsistencyError(
                     f"induced image of class '{a.name}' violated the "
                     f"filtration on page {k}: slot '{gens[s].uid}' hit "
-                    f"'{gens[next(bits(low))].uid}' below level {tn}; this "
-                    "indicates a bug"
+                    f"'{gens[low].uid}' below level {tn}; this indicates a bug"
                 )
             images[s] = coords & at
     return images
@@ -569,12 +558,13 @@ class _PageLayout(NamedTuple):
 
 
 def _page_layouts(table: PageTable) -> list[_PageLayout]:
-    """The layout of each page 1..``table.max_page``."""
-    by_page: list[dict[tuple[int, int], tuple[int, ...]]] = [
-        {} for _ in range(table.max_page)
-    ]
+    """The layout of each page 1..collapse page, the pages ``induced_on_pages``
+    reads (a later page is the stable page)."""
+    collapse = table.collapse_page
+    by_page: list[dict[tuple[int, int], tuple[int, ...]]] = [{} for _ in range(collapse)]
     for (k, n, j), cell in sorted(table.cells.items()):
-        by_page[k - 1][(n, j)] = cell.slots
+        if k <= collapse:
+            by_page[k - 1][(n, j)] = cell.slots
     layouts = []
     for k, cells in enumerate(by_page, 1):
         row = {s: r for slots in cells.values() for r, s in enumerate(slots)}

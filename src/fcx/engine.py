@@ -168,26 +168,26 @@ class PageCell:
 
 @dataclass(frozen=True)
 class PageTable:
-    """Spectral pages 1..``max_page`` of a complex, read from its barcode.
+    """Every spectral page of a complex, read from its barcode.
 
-    It keeps the canonical form and ``max_page``; ``params``, ``barcode``
-    and ``collapse_page`` (the first page equal to the limit) are the
-    form's.  Eager: per page through ``min(max_page, collapse_page)``, the
-    nonzero dimensions by level, counted from the barcode.  ``page`` and the
-    page polynomials read only those; a later page is the stable page, so
-    its reads are served by the last one kept.
+    It keeps the canonical form alone; ``params``, ``barcode`` and
+    ``collapse_page`` (the first page equal to the limit) are the form's.
+    Every page k >= 1 exists: a page past the collapse page is the stable
+    page, and ``page`` serves it so.  Eager: per page through the collapse
+    page, the nonzero dimensions by level, counted from the barcode;
+    ``page`` and the page polynomials read only those.
 
-    Built from the barcode on first access, then kept: ``cells`` maps
-    (page, level, residue) to a nonzero cell; ``differentials`` maps a
-    *source* cell key (k, n, j) to the page-k differential matrix into the
-    cell at (k, n + k*period + 1, (j + 1) % period) -- rows indexed by the
-    target cell's slots, columns by the source cell's slots; only nonzero
-    matrices are stored.  Other derived data is memoized by ``cached``.  The
-    table keeps the form, not the complex, whose memo holds it.
+    Built from the barcode on first access, then kept, for pages
+    1..``max_page`` (the collapse page + 1): ``cells`` maps (page, level,
+    residue) to a nonzero cell; ``differentials`` maps a *source* cell key
+    (k, n, j) to the page-k differential matrix into the cell at
+    (k, n + k*period + 1, (j + 1) % period) -- rows indexed by the target
+    cell's slots, columns by the source cell's slots; only nonzero matrices
+    are stored.  Other derived data is memoized by ``cached``.  The table
+    keeps the form, not the complex, whose memo holds it.
     """
 
     form: CanonicalForm
-    max_page: int
     _dims: tuple[dict[tuple[int, int], int], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -196,8 +196,7 @@ class PageTable:
     )
 
     def __post_init__(self) -> None:
-        kept = min(self.max_page, self.collapse_page)
-        object.__setattr__(self, "_dims", _page_dims(self.barcode, kept, self.params.residue))
+        object.__setattr__(self, "_dims", _page_dims(self.barcode, self.params.residue))
 
     @property
     def params(self) -> MonotoneParams:
@@ -211,6 +210,12 @@ class PageTable:
     def collapse_page(self) -> int:
         return self.form.barcode.collapse_page
 
+    @property
+    def max_page(self) -> int:
+        """The collapse page + 1: the last page ``cells`` and ``differentials``
+        hold, and the last one the pages commands print by default."""
+        return self.collapse_page + 1
+
     def cached(self, key: str, compute: Callable[["PageTable"], _T]) -> _T:
         """``compute(self)``, evaluated at most once per table under ``key``."""
         memo = self._memo
@@ -221,11 +226,10 @@ class PageTable:
             return value
 
     def page(self, k: int) -> dict[tuple[int, int], int]:
-        """Nonzero dimensions of page k as {(level, residue): dim}."""
-        if not 1 <= k <= self.max_page:
-            raise ValueError(
-                f"page {k} is not materialized (pages 1..{self.max_page} are)"
-            )
+        """Nonzero dimensions of page k as {(level, residue): dim}; any page
+        past the collapse page is the stable page."""
+        if k < 1:
+            raise ValueError(f"pages are indexed from 1, got {k}")
         return dict(self._dims[min(k, len(self._dims)) - 1])
 
     @cached_property
@@ -276,10 +280,10 @@ class PageTable:
 
 
 def _page_dims(
-    barcode: Barcode, max_page: int, residue: Callable[[int], int]
+    barcode: Barcode, residue: Callable[[int], int]
 ) -> tuple[dict[tuple[int, int], int], ...]:
-    """Nonzero dimensions of pages 1..max_page by (level, residue), counted
-    from the barcode.
+    """Nonzero dimensions of pages 1..collapse page by (level, residue),
+    counted from the barcode.
 
     A free generator lives on every page; a dipole of jump index J puts both
     endpoints on pages 1..J.  Pages are counted from the last one down, each
@@ -287,12 +291,12 @@ def _page_dims(
     """
     dying_after: dict[int, list[tuple[int, int]]] = {}
     for src, dst, jump in barcode.dipoles:
-        dying_after.setdefault(min(jump, max_page), []).extend(
+        dying_after.setdefault(jump, []).extend(
             ((src, residue(src)), (dst, residue(dst)))
         )
     alive = Counter((n, residue(n)) for n in barcode.free)
     dims: list[dict[tuple[int, int], int]] = []
-    for k in range(max_page, 0, -1):
+    for k in range(barcode.collapse_page, 0, -1):
         alive.update(dying_after.get(k, ()))
         dims.append(dict(alive))
     dims.reverse()
@@ -343,13 +347,12 @@ def _reduce(c: FloerComplexData) -> CanonicalForm:
     cols = c.delta_columns()
 
     # Processing order: descending degree, ascending id inside a degree.
-    # Generators are sorted by (degree, id), so each degree group is one
-    # ascending block of indices, and its mask is block[i] for each member i.
-    groups = c.degree_groups()
-    order = [i for degree in sorted(groups, reverse=True) for i in groups[degree]]
+    # Generators are sorted by (degree, id), so each degree is one ascending
+    # block of indices, and its mask is block[i] for each member i.
+    blocks = c.degree_blocks()
+    order = [i for degree in reversed(blocks) for i in blocks[degree][0]]
     block = [0] * n
-    for members in groups.values():
-        mask = (1 << (members[-1] + 1)) - (1 << members[0])
+    for members, mask in blocks.values():
         for i in members:
             block[i] = mask
 
@@ -421,24 +424,16 @@ def collapse_page(c: FloerComplexData) -> int:
     return pages(c).collapse_page
 
 
-def pages(c: FloerComplexData, upto: int | None = None) -> PageTable:
-    """Spectral pages 1..upto (default: collapse page + 1) from the barcode.
+def pages(c: FloerComplexData) -> PageTable:
+    """Every spectral page of ``c``, from the barcode.
 
     Cell (k, n, j) collects the canonical slots alive on page k at lifted
     degree n: every free slot there, plus both endpoints of every dipole of
     jump index >= k.  The page-k differential is the 0/1 matrix of dipoles of
-    jump exactly k between the corresponding cells.  The barcode is computed
-    once per complex, and so is the default table.
+    jump exactly k between the corresponding cells.  The table is computed
+    once per complex.
     """
-    if upto is None:
-        return c.cached("pages", _pages)
-    return _pages(c, upto)
-
-
-def _pages(c: FloerComplexData, upto: int | None = None) -> PageTable:
-    form = canonical_form(c)
-    max_page = form.barcode.collapse_page + 1 if upto is None else max(1, upto)
-    return PageTable(form, max_page)
+    return c.cached("pages", lambda c: PageTable(canonical_form(c)))
 
 
 def _z_space(c: FloerComplexData, cols: list[int], n: int, j: int, k: int) -> Gf2Subspace:

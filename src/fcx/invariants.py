@@ -122,7 +122,7 @@ class DecompositionReport:
     degree, the rank of the page-i differential; ``hf_poly`` grades the
     surviving limit classes by their filtration level.  The defining identity
     P(page l) = sum_{i >= l} (1 + t^(-i*period-1)) * qbar_i + hf_poly
-    holds exactly for every materialized l between 1 and k_max and is
+    holds exactly for every l between 1 and k_max and is
     verified at construction time.
     """
 
@@ -158,13 +158,11 @@ class BettiReport:
 def poincare_laurent(table: PageTable, k: int) -> LaurentPoly:
     """Poincare-Laurent polynomial of page k: sum over levels of dim * t^level.
 
-    The polynomials of pages 1..min(max_page, collapse page) are built once
-    per table, from its page dimensions; a later page is the stable page.
+    The polynomials of pages 1..collapse page are built once per table, from
+    its page dimensions; a later page is the stable page.
     """
-    if not 1 <= k <= table.max_page:
-        raise FcxError(
-            f"page {k} is outside the materialized range 1..{table.max_page}"
-        )
+    if k < 1:
+        raise FcxError(f"pages are indexed from 1, got {k}")
     polys = table.cached("poincare_laurent", _page_polynomials)
     return polys[min(k, len(polys)) - 1]
 
@@ -172,7 +170,7 @@ def poincare_laurent(table: PageTable, k: int) -> LaurentPoly:
 def _page_polynomials(table: PageTable) -> tuple[LaurentPoly, ...]:
     return tuple(
         LaurentPoly.from_dict({n: d for (n, _j), d in table.page(k).items()})
-        for k in range(1, min(table.max_page, table.collapse_page) + 1)
+        for k in range(1, table.collapse_page + 1)
     )
 
 

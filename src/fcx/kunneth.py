@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .engine import PageTable, pages
+from .engine import pages
 from .gf2 import bits
 from .invariants import LaurentPoly, poincare_laurent
 from .model import (
@@ -144,11 +144,6 @@ def tensor_product(a: FloerComplexData, b: FloerComplexData) -> TensorComplex:
     return TensorComplex(product, tuple(provenance))
 
 
-def _dims_at(table: PageTable, k: int) -> dict[tuple[int, int], int]:
-    """Page-k dims, reading the stable page for k beyond the collapse page."""
-    return table.page(min(k, table.collapse_page))
-
-
 def kunneth_check(
     a: FloerComplexData, b: FloerComplexData, upto: int | None = None
 ) -> KunnethReport:
@@ -171,9 +166,7 @@ def kunneth_check(
     cells: list[tuple[int, int, int, int, int]] = []
     failures: list[str] = []
     for k in range(1, k_top + 1):
-        da = _dims_at(ta, k)
-        db = _dims_at(tb, k)
-        dp = _dims_at(tp, k)
+        da, db, dp = ta.page(k), tb.page(k), tp.page(k)
         expected: dict[tuple[int, int], int] = {}
         for (n1, j1), d1 in da.items():
             for (n2, j2), d2 in db.items():
@@ -211,10 +204,8 @@ def power_poincare_check(a: FloerComplexData, s: int, k: int) -> PowerReport:
     for _ in range(s - 1):
         power = tensor_product(power, a).complex
 
-    tp = pages(power)
-    ta = pages(a)
-    lhs = poincare_laurent(tp, min(k, tp.collapse_page))
-    base = poincare_laurent(ta, min(k, ta.collapse_page))
+    lhs = poincare_laurent(pages(power), k)
+    base = poincare_laurent(pages(a), k)
     rhs = LaurentPoly.monomial(0)
     for _ in range(s):
         rhs = rhs.mul(base)

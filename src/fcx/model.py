@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
 from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
@@ -287,8 +287,8 @@ class FloerComplexData:
     keeps each column at its index.  ``delta`` is the sorted entries, built
     on first read and kept.
 
-    Derived data (validation report with the jump-0 columns,
-    degree-graded cohomology, canonical form, default page table) is
+    Derived data (degree blocks, validation report with the jump-0
+    columns, degree-graded cohomology, canonical form, page table) is
     memoized per instance by ``cached``; it takes no part in equality or
     hashing and is freed together with the complex.
     """
@@ -384,12 +384,22 @@ class FloerComplexData:
         """
         return list(self._columns)
 
-    def degree_groups(self) -> dict[int, list[int]]:
-        """Map degree -> ascending generator indices at that degree."""
-        groups: dict[int, list[int]] = {}
-        for i, g in enumerate(self.generators):
-            groups.setdefault(g.degree, []).append(i)
-        return groups
+    def degree_blocks(self) -> dict[int, tuple[range, int]]:
+        """Map degree -> (its generator indices, their bitset), in ascending
+        degree.  Generators are sorted by (degree, id), so each degree is one
+        contiguous block of indices.  Computed once per instance and shared:
+        do not modify it."""
+        return self.cached("degree_blocks", _degree_blocks)
+
+
+def _degree_blocks(c: FloerComplexData) -> dict[int, tuple[range, int]]:
+    blocks: dict[int, tuple[range, int]] = {}
+    lo = 0
+    for n, group in groupby(g.degree for g in c.generators):
+        hi = lo + sum(1 for _ in group)
+        blocks[n] = (range(lo, hi), (1 << hi) - (1 << lo))
+        lo = hi
+    return blocks
 
 
 def validate(c: FloerComplexData) -> ValidationReport:
@@ -451,7 +461,7 @@ def _validate(c: FloerComplexData) -> tuple[ValidationReport, tuple[int, ...]]:
     gens = c.generators
     cols = c._columns
     if period >= 1:
-        cols0, bad = _jump_masks(gens, cols, period)
+        cols0, bad = _jump_masks(c.degree_blocks(), cols, period)
     else:
         cols0, bad = (0,) * c.count, False
     walk = c._raw is not None or bad
@@ -474,34 +484,31 @@ def _validate(c: FloerComplexData) -> tuple[ValidationReport, tuple[int, ...]]:
 
 
 def _jump_masks(
-    gens: Sequence[LiftedGenerator], cols: Sequence[int], period: int
+    blocks: Mapping[int, tuple[range, int]], cols: Sequence[int], period: int
 ) -> tuple[tuple[int, ...], bool]:
     """The jump-0 columns, and whether some entry has a degree jump that is
     not of the form k * period + 1 with k >= 0.
 
     A generator of degree n may reach the degrees n + 1 + k * period; one
-    mask per degree holds those targets, and the generators of degree n + 1
-    are the jump-0 block.  Generators are sorted by degree.
+    mask per degree holds those targets, and the block of degree n + 1 is
+    the jump-0 one.  ``blocks`` is ``degree_blocks``, in ascending degree.
     """
-    degrees = [g.degree for g in gens]
-    level: dict[int, int] = {}  # degree -> its generators, in ascending degree
-    for i, n in enumerate(degrees):
-        level[n] = level.get(n, 0) | 1 << i
     # Sweep the degrees downwards; ``above[r]`` holds the generators of
     # residue r above the current degree n, so ``above[(n + 1) % period]``
     # are the targets n may reach.
     above: dict[int, int] = {}
-    disallowed: dict[int, int] = {}
-    for n in reversed(level):
-        disallowed[n] = ~above.get((n + 1) % period, 0)
-        above[n % period] = above.get(n % period, 0) | level[n]
     bad = 0
     cols0 = [0] * len(cols)
-    for s, col in enumerate(cols):
-        if col:
-            n = degrees[s]
-            bad |= col & disallowed[n]
-            cols0[s] = col & level.get(n + 1, 0)
+    for n in reversed(blocks):
+        members, mask = blocks[n]
+        disallowed = ~above.get((n + 1) % period, 0)
+        jump0 = blocks.get(n + 1, (None, 0))[1]
+        for s in members:
+            col = cols[s]
+            if col:
+                bad |= col & disallowed
+                cols0[s] = col & jump0
+        above[n % period] = above.get(n % period, 0) | mask
     return tuple(cols0), bad != 0
 
 
@@ -654,7 +661,7 @@ def _graded_cohomology(c: FloerComplexData) -> CohomologyTable:
     images: dict[int, dict[int, tuple[int, int]]] = {}
     dims: list[tuple[int, int]] = []
     reps_out: list[tuple[int, tuple[int, ...]]] = []
-    for degree, members in c.degree_groups().items():
+    for degree, (members, _) in c.degree_blocks().items():
         kept, dependents = echelon((cols[s], 1 << s) for s in members)
         images[degree + 1] = {p: (v, 0) for p, (v, _) in kept.items()}
         rows = images.setdefault(degree, {})

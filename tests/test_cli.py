@@ -14,7 +14,7 @@ import pytest
 import fcx
 from fcx.cli import main
 from fcx.invariants import rebase
-from fcx.io import parse, serialize
+from fcx.io import FcxParseError, parse, serialize
 from fcx.model import GEN_MAX_GENERATORS, validate
 from fcx.synth import random_complex
 
@@ -138,6 +138,21 @@ def test_a_document_that_is_not_utf8_exits_two(run, tmp_path):
     code, out, err = run("pages", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"fcx: cannot read '{path}': ")
+
+
+def test_a_byte_order_mark_is_read_as_the_same_document(run, tmp_path):
+    """A UTF-8 byte-order mark, as some editors write one, is not part of the
+    document: the command prints and exits as it does without it.  ``parse``
+    itself still refuses text that starts with the mark."""
+    text = "fcx 1\nsigma 4\nlambda 0.5\ngen a 0\n"
+    plain, marked = tmp_path / "plain.fcx", tmp_path / "marked.fcx"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    expected = run("report", str(plain))
+    assert expected[0] == 0
+    assert run("report", str(marked)) == expected
+    with pytest.raises(FcxParseError, match="line 1: first directive must be 'fcx 1'"):
+        parse("\ufeff" + text)
 
 
 @pytest.mark.parametrize("target", ["missing/x.fcx", "."])
@@ -328,7 +343,7 @@ def test_engine_consistency_error_exits_one(run, write_doc, monkeypatch):
     import fcx.cli
     from fcx.model import EngineConsistencyError
 
-    def broken(c, upto=None):
+    def broken(c):
         raise EngineConsistencyError("page table self-check failed")
 
     monkeypatch.setattr(fcx.cli, "pages", broken)
@@ -612,8 +627,8 @@ def test_report_and_pages_never_build_cells_or_differentials(run, write_doc, mon
 
     tables = []
     for module in (fcx.cli, fcx.invariants):
-        def recording(c, upto=None, _pages=module.pages):
-            tables.append(_pages(c, upto=upto))
+        def recording(c, _pages=module.pages):
+            tables.append(_pages(c))
             return tables[-1]
 
         monkeypatch.setattr(module, "pages", recording)

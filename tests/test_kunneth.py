@@ -221,9 +221,7 @@ def test_euler_multiplicativity_for_even_periods(seed_a, seed_b, period):
     product = tensor_product(a, b).complex
     ta, tb, tp = pages(a), pages(b), pages(product)
     for k in (1, tp.collapse_page):
-        chi_a = euler_number(ta, min(k, ta.collapse_page)).chi
-        chi_b = euler_number(tb, min(k, tb.collapse_page)).chi
-        chi_p = euler_number(tp, min(k, tp.collapse_page)).chi
+        chi_a, chi_b, chi_p = (euler_number(t, k).chi for t in (ta, tb, tp))
         assert chi_p == chi_a * chi_b
 
 

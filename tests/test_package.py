@@ -1,8 +1,8 @@
 """Package-level checks: every exported name resolves, no module imports a
 name it never uses, every function has a caller or is exported, only the
 parser and the validators resolve entry ids, only ``gf2`` runs a GF(2)
-elimination loop, and the independent oracles reach none of the engine's
-computations."""
+elimination loop, only the engine clamps a page to the collapse page, and
+the independent oracles reach none of the engine's computations."""
 
 from __future__ import annotations
 
@@ -163,6 +163,29 @@ def test_only_gf2_runs_an_elimination_loop():
         )
 
     assert {name for name in _functions_with(xor_loop) if not name.startswith("gf2.")} == set()
+
+
+def test_only_the_engine_clamps_a_page_to_the_collapse_page():
+    """Every page k >= 1 exists, and ``PageTable`` alone serves a page past
+    the collapse page as the stable page: no function outside ``engine``
+    reads ``collapse_page`` inside a ``min(...)``.  ``cup.induced_on_pages``
+    clamps only to report the page its maps are read on (``k_eff``)."""
+
+    def reads_collapse_page(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "collapse_page") or (
+            isinstance(node, ast.Name) and node.id == "collapse_page"
+        )
+
+    def clamps(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "min"
+            and any(reads_collapse_page(inner) for inner in ast.walk(node))
+        )
+
+    clamping = {name for name in _functions_with(clamps) if not name.startswith("engine.")}
+    assert clamping == {"cup.induced_on_pages"}
 
 
 def _reference_graph() -> dict[str, set[str]]:

@@ -113,7 +113,7 @@ def test_dipole_free_complexes_have_constant_pages(seed, period):
     params = MonotoneParams(period, 0.5)
     free = tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 6)))
     c = build_from_normal_form(NormalFormSpec(params, free=free))
-    table = pages(c, upto=4)
+    table = pages(c)
     assert table.page(1) == table.page(2) == table.page(3) == table.page(4)
     assert collapse_page(c) == 1
 
