@@ -30,9 +30,13 @@ A ``d`` line is an entry of the differential and a ``c`` line an entry of
 its class, and both take one path: the parser resolves the entry's ids to
 generator indices as it reads, against declaration order, and sets the
 entry's bit in the source's column of its owner (the differential, or the
-class); a repeated entry is a bit already set.  An entry that names a
-generator declared later waits until the end of the document.  The complex
-and its classes keep the columns, the only stored form of either
+class).  An entry that names a generator declared later waits until the end
+of the document.  Repeats are counted, not looked up: a repeated entry sets
+no new bit, so after the last line (or at the first other fault) the set
+bits and the waiting entries number fewer than the entry lines read.  Only
+then does a scan of those lines find the first repeat, so the earliest fault
+in line order is still the one raised.  The complex and its classes keep
+the columns, the only stored form of either
 (``FloerComplexData.from_columns``, which puts the differential's in
 canonical order, and ``CupClass.from_columns``): no ``(src, dst)`` entry is
 built unless something reads ``delta`` or a class's ``entries``.  The
@@ -132,7 +136,7 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     # (which may precede its 'cup' line)
     columns: dict[str | None, list[int]] = {None: cols}
     # 'd' and 'c' lines naming a generator not declared yet:
-    # (owner, src, dst) -> line, in line order; resolved at the end.
+    # (owner, src, dst) -> line, in line order; resolved after the last line.
     pending: dict[tuple[str | None, str, str], int] = {}
     cups: dict[str, tuple[int, int]] = {}  # name -> (line, degree)
     ring_rows: dict[tuple[str, str], tuple[int, str | None]] = {}
@@ -146,136 +150,157 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
-    for line_no, raw in enumerate(lines, start=1):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        tokens = raw.split()
-        if not tokens:
-            continue
-        directive = tokens[0]
+    other = 0  # lines read that are not 'd' or 'c' entry lines
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            # Fast path for the bulk of a document: a 'd' line, or a 'c' line
+            # of a class already seen, whose ids are both declared.  Its
+            # entry is one bit of a column of its owner.  An id never holds
+            # '#', so the line has no comment; and no id is declared before
+            # the version line.  Repeats are found once, after the loop.
+            tokens = raw.split()
+            try:
+                if len(tokens) == 3:
+                    if tokens[0] == "d":
+                        cols[index[tokens[1]]] |= 1 << index[tokens[2]]
+                        continue
+                elif len(tokens) == 4 and tokens[0] == "c":
+                    columns[tokens[1]][index[tokens[2]]] |= 1 << index[tokens[3]]
+                    continue
+            except KeyError:
+                pass
 
-        # Fast path for the bulk of a document: a well-formed 'd' or 'c'
-        # line.  Its entry is one bit of a column of its owner, so a repeat
-        # is a set bit; an entry naming a generator not declared yet waits.
-        if directive == "d" and len(tokens) == 3 and version_line is not None:
-            _, src, dst = tokens
-            owner = None
-            owner_cols = cols
-        elif directive == "c" and len(tokens) == 4 and version_line is not None:
-            _, owner, src, dst = tokens
-            owner_cols = columns.get(owner)
-            if owner_cols is None:
-                _parse_id(line_no, owner, "class name")
-                owner_cols = columns[owner] = [0] * len(gens)
-                pending_refs.append((line_no, owner))
-        else:
-            owner_cols = None
-        if owner_cols is not None:
-            s = index.get(src)
-            t = index.get(dst)
-            if s is None or t is None:
-                # A declared id matched the id pattern on its 'gen' line.
-                if s is None:
-                    _parse_id(line_no, src, "source id")
-                if t is None:
-                    _parse_id(line_no, dst, "target id")
-                first_line = pending.setdefault((owner, src, dst), line_no)
-            elif owner_cols[s] >> t & 1:
-                first_line = _first_line(lines, tokens)
-            elif pending and (owner, src, dst) in pending:
-                first_line = pending[(owner, src, dst)]
-            else:
-                owner_cols[s] |= 1 << t
+            other += 1
+            if "#" in raw:
+                tokens = raw.split("#", 1)[0].split()
+            if not tokens:
                 continue
-            if first_line != line_no:
-                entry = (
-                    f"differential entry ({src} -> {dst})"
-                    if owner is None
-                    else f"entry ({src} -> {dst}) for class '{owner}'"
-                )
-                raise FcxParseError(
-                    line_no, f"duplicate {entry} (first on line {first_line})"
-                )
-            continue
+            directive = tokens[0]
+            if version_line is None and directive != "fcx":
+                raise FcxParseError(line_no, "first directive must be 'fcx 1'")
 
-        if version_line is None and directive != "fcx":
-            raise FcxParseError(line_no, "first directive must be 'fcx 1'")
-
-        if directive == "fcx":
-            _require_arity(line_no, tokens, (1,))
-            if version_line is not None:
-                raise FcxParseError(
-                    line_no, f"duplicate 'fcx' line (first on line {version_line})"
+            if directive == "fcx":
+                _require_arity(line_no, tokens, (1,))
+                if version_line is not None:
+                    raise FcxParseError(
+                        line_no, f"duplicate 'fcx' line (first on line {version_line})"
+                    )
+                if tokens[1] != "1":
+                    raise FcxParseError(
+                        line_no, f"unsupported format version '{tokens[1]}' (expected 1)"
+                    )
+                version_line = line_no
+            elif directive in ("sigma", "lambda", "r", "m"):
+                _require_arity(line_no, tokens, (1,))
+                if directive in header:
+                    raise FcxParseError(
+                        line_no,
+                        f"duplicate '{directive}' line (first on line {header[directive][0]})",
+                    )
+                if directive == "sigma":
+                    value: object = _parse_int(line_no, tokens[1], "sigma", minimum=1)
+                elif directive == "m":
+                    value = _parse_int(line_no, tokens[1], "m", minimum=0)
+                else:
+                    value = _parse_decimal(line_no, tokens[1], directive)
+                header[directive] = (line_no, value)
+            elif directive == "gen":
+                _require_arity(line_no, tokens, (2, 3))
+                uid = _parse_id(line_no, tokens[1], "generator id")
+                if uid in index:
+                    raise FcxParseError(
+                        line_no,
+                        f"duplicate generator '{uid}' (first declared on line "
+                        f"{gen_lines[index[uid]]})",
+                    )
+                degree = _parse_int(line_no, tokens[2], "lifted degree")
+                action = (
+                    _parse_decimal(line_no, tokens[3], "action") if len(tokens) == 4 else None
                 )
-            if tokens[1] != "1":
-                raise FcxParseError(
-                    line_no, f"unsupported format version '{tokens[1]}' (expected 1)"
-                )
-            version_line = line_no
-        elif directive in ("sigma", "lambda", "r", "m"):
-            _require_arity(line_no, tokens, (1,))
-            if directive in header:
-                raise FcxParseError(
-                    line_no,
-                    f"duplicate '{directive}' line (first on line {header[directive][0]})",
-                )
-            if directive == "sigma":
-                value: object = _parse_int(line_no, tokens[1], "sigma", minimum=1)
-            elif directive == "m":
-                value = _parse_int(line_no, tokens[1], "m", minimum=0)
+                index[uid] = len(gens)
+                gens.append(LiftedGenerator(uid, degree, action))
+                gen_lines.append(line_no)
+                for owner_cols in columns.values():
+                    owner_cols.append(0)
+            elif directive == "d" or directive == "c":
+                # The entry lines off the fast path: a comment, a class's
+                # first 'c' line, an id not declared yet, or a fault.
+                if directive == "d":
+                    _require_arity(line_no, tokens, (2,))
+                    _, src, dst = tokens
+                    owner = None
+                else:
+                    _require_arity(line_no, tokens, (3,))
+                    _, owner, src, dst = tokens
+                    if owner not in columns:
+                        _parse_id(line_no, owner, "class name")
+                        columns[owner] = [0] * len(gens)
+                        pending_refs.append((line_no, owner))
+                s = index.get(src)
+                t = index.get(dst)
+                if s is None or t is None:
+                    # A declared id matched the id pattern on its 'gen' line.
+                    if s is None:
+                        _parse_id(line_no, src, "source id")
+                    if t is None:
+                        _parse_id(line_no, dst, "target id")
+                    # an entry naming a generator not declared yet waits
+                    pending.setdefault((owner, src, dst), line_no)
+                else:
+                    columns[owner][s] |= 1 << t
+                other -= 1
+            elif directive == "cup":
+                _require_arity(line_no, tokens, (2,))
+                name = _parse_id(line_no, tokens[1], "class name")
+                if name in cups:
+                    raise FcxParseError(
+                        line_no,
+                        f"duplicate cup class '{name}' (first declared on line {cups[name][0]})",
+                    )
+                degree = _parse_int(line_no, tokens[2], "class degree", minimum=0)
+                cups[name] = (line_no, degree)
+            elif directive == "ring":
+                _require_arity(line_no, tokens, (3,))
+                a = _parse_id(line_no, tokens[1], "class name")
+                b = _parse_id(line_no, tokens[2], "class name")
+                result = tokens[3]
+                if result != "0":
+                    result = _parse_id(line_no, tokens[3], "product class name")
+                    pending_refs.append((line_no, result))
+                key = (min(a, b), max(a, b))
+                if key in ring_rows:
+                    raise FcxParseError(
+                        line_no,
+                        f"duplicate ring row for ({key[0]}, {key[1]}) "
+                        f"(first on line {ring_rows[key][0]})",
+                    )
+                ring_rows[key] = (line_no, None if result == "0" else result)
+                pending_refs.append((line_no, a))
+                pending_refs.append((line_no, b))
             else:
-                value = _parse_decimal(line_no, tokens[1], directive)
-            header[directive] = (line_no, value)
-        elif directive == "gen":
-            _require_arity(line_no, tokens, (2, 3))
-            uid = _parse_id(line_no, tokens[1], "generator id")
-            if uid in index:
-                raise FcxParseError(
-                    line_no,
-                    f"duplicate generator '{uid}' (first declared on line "
-                    f"{gen_lines[index[uid]]})",
-                )
-            degree = _parse_int(line_no, tokens[2], "lifted degree")
-            action = (
-                _parse_decimal(line_no, tokens[3], "action") if len(tokens) == 4 else None
-            )
-            index[uid] = len(gens)
-            gens.append(LiftedGenerator(uid, degree, action))
-            gen_lines.append(line_no)
-            for owner_cols in columns.values():
-                owner_cols.append(0)
-        elif directive in ("d", "c"):  # well-formed ones took the fast path
-            _require_arity(line_no, tokens, (2,) if directive == "d" else (3,))
-        elif directive == "cup":
-            _require_arity(line_no, tokens, (2,))
-            name = _parse_id(line_no, tokens[1], "class name")
-            if name in cups:
-                raise FcxParseError(
-                    line_no,
-                    f"duplicate cup class '{name}' (first declared on line {cups[name][0]})",
-                )
-            degree = _parse_int(line_no, tokens[2], "class degree", minimum=0)
-            cups[name] = (line_no, degree)
-        elif directive == "ring":
-            _require_arity(line_no, tokens, (3,))
-            a = _parse_id(line_no, tokens[1], "class name")
-            b = _parse_id(line_no, tokens[2], "class name")
-            result = tokens[3]
-            if result != "0":
-                result = _parse_id(line_no, tokens[3], "product class name")
-                pending_refs.append((line_no, result))
-            key = (min(a, b), max(a, b))
-            if key in ring_rows:
-                raise FcxParseError(
-                    line_no,
-                    f"duplicate ring row for ({key[0]}, {key[1]}) "
-                    f"(first on line {ring_rows[key][0]})",
-                )
-            ring_rows[key] = (line_no, None if result == "0" else result)
-            pending_refs.append((line_no, a))
-            pending_refs.append((line_no, b))
+                raise FcxParseError(line_no, f"unknown directive '{directive}'")
+    except FcxParseError as error:
+        fault = error  # raised after any repeat on the lines before it
+    else:
+        fault = None
+
+    # Resolve the waiting entries whose ids are declared now.  A repeated
+    # entry sets no new bit and adds no waiting key, so without one the set
+    # bits and the entries still waiting number exactly the entry lines read.
+    waiting = 0
+    for owner, src, dst in pending:
+        s = index.get(src)
+        t = index.get(dst)
+        if s is None or t is None:
+            waiting += 1
         else:
-            raise FcxParseError(line_no, f"unknown directive '{directive}'")
+            columns[owner][s] |= 1 << t
+    bits = sum(sum(map(int.bit_count, owner_cols)) for owner_cols in columns.values())
+    if bits + waiting != line_no - other:
+        # the faulty line repeats no entry: its twin would have faulted first
+        raise _first_repeat(lines[:line_no])
+    if fault is not None:
+        raise fault
 
     if version_line is None:
         raise FcxParseError(None, "missing required directive 'fcx 1'")
@@ -296,8 +321,6 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     if unknown:
         line_no, kind, name = min(unknown)
         raise FcxParseError(line_no, f"unknown {kind} '{name}'")
-    for owner, src, dst in pending:
-        columns[owner][index[src]] |= 1 << index[dst]
 
     params = MonotoneParams(
         maslov_period=header["sigma"][1],  # type: ignore[arg-type]
@@ -325,13 +348,22 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     return FloerComplexData.from_columns(params, gens, cols, cup_classes, ring)
 
 
-def _first_line(lines: list[str], tokens: list[str]) -> int:
-    """The 1-based number of the first line whose tokens are ``tokens``."""
-    return next(
-        line_no
-        for line_no, raw in enumerate(lines, start=1)
-        if raw.split("#", 1)[0].split() == tokens
-    )
+def _first_repeat(lines: list[str]) -> FcxParseError:
+    """The error for the first entry line of ``lines`` that repeats an
+    earlier one (there is one)."""
+    seen: dict[tuple[str, ...], int] = {}
+    for line_no, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens[:1] == ["d"] and len(tokens) == 3 or tokens[:1] == ["c"] and len(tokens) == 4:
+            first = seen.setdefault(tuple(tokens), line_no)
+            if first != line_no:
+                entry = (
+                    f"differential entry ({tokens[1]} -> {tokens[2]})"
+                    if tokens[0] == "d"
+                    else f"entry ({tokens[2]} -> {tokens[3]}) for class '{tokens[1]}'"
+                )
+                return FcxParseError(line_no, f"duplicate {entry} (first on line {first})")
+    raise AssertionError("no repeated entry line")
 
 
 def format_decimal(x: float) -> str:

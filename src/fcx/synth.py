@@ -81,6 +81,11 @@ class OraclePages:
         return dict(self.dims)
 
     def page(self, k: int) -> dict[tuple[int, int], int]:
+        """Nonzero dimensions of page k; any page past collapse + 1, the last
+        page counted, is that stable page."""
+        if k < 1:
+            raise ValueError(f"pages are indexed from 1, got {k}")
+        k = min(k, self.collapse_page + 1)
         return {(n, j): d for (kk, n, j), d in self.dims if kk == k}
 
 

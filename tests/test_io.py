@@ -598,6 +598,134 @@ def test_one_pair_is_an_entry_of_each_owner_and_a_repeat_cites_its_own(gens_firs
         )
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        # a repeat, then an unknown directive: the repeat is the earlier fault
+        (D_HEAD + "d a b\nd a b\nfrob 1\n", 7,
+         "duplicate differential entry (a -> b) (first on line 6)"),
+        # an unknown directive, then a repeat
+        (D_HEAD + "d a b\nfrob 1\nd a b\n", 7, "unknown directive 'frob'"),
+        # a repeat before the end-of-document check for the headers
+        ("fcx 1\nlambda 0.5\ngen a 0\ngen b 1\nd a b\n\nd a b # again\n", 7,
+         "duplicate differential entry (a -> b) (first on line 5)"),
+        # a repeat after an entry that waits for its generator forever
+        (D_HEAD + "d a zz\nd b a\nd b a\n", 8,
+         "duplicate differential entry (b -> a) (first on line 7)"),
+        # a class entry repeated, then a bad 'gen' line
+        (CUP_HEAD + "c e a b\nc e a b\ngen q$ 0\n", 8,
+         "duplicate entry (a -> b) for class 'e' (first on line 7)"),
+        # the same, the first copy waiting for its generator
+        (CUP_HEAD + "c e a q\ngen q 2\n# note\nc e a q\ngen q$ 0\n", 10,
+         "duplicate entry (a -> q) for class 'e' (first on line 7)"),
+    ],
+)
+def test_a_repeat_and_another_fault_cite_the_earlier_line(text, line_no, message):
+    """Repeats are found after the last line read, yet a repeat before
+    another fault is still the one cited, as is a fault before a repeat."""
+    with pytest.raises(FcxParseError) as info:
+        parse(text)
+    assert info.value.line_no == line_no
+    assert str(info.value) == f"line {line_no}: {message}"
+
+
+# Lines that are faults wherever they stand after the version line.
+FAULT_LINES = {
+    "frob 1": "unknown directive 'frob'",
+    "gen q$ 0": "generator id must match [A-Za-z0-9_*]+, got 'q$'",
+    "d x0": "directive 'd' takes 2 argument(s), got 1",
+    "c e x0 x1 x2": "directive 'c' takes 3 argument(s), got 4",
+    "d x$ x0": "source id must match [A-Za-z0-9_*]+, got 'x$'",
+    "cup e$ 0": "class name must match [A-Za-z0-9_*]+, got 'e$'",
+    "ring e": "directive 'ring' takes 3 argument(s), got 1",
+}
+
+
+def test_a_copied_entry_and_a_fault_are_diagnosed_in_line_order():
+    """One entry line copied and one fault line inserted at random places
+    after the version line: the error cites whichever comes first."""
+    rnd = random.Random(24)
+    documents = []
+    for seed in range(8):
+        c, _ = random_complex(seed, MonotoneParams(4, 0.5), max_gens=20)
+        lines = serialize(c).splitlines()
+        # the entries again as the class 'e', so that 'c' lines are copied too
+        lines += ["cup e 0"] + ["c e" + line[1:] for line in lines if line.startswith("d ")]
+        documents.append(lines)
+    cases = 0
+    for lines in documents * 80:
+        entries = [i for i, line in enumerate(lines) if line[:2] in ("d ", "c ")]
+        if not entries:
+            continue
+        original = rnd.choice(entries)
+        fault = rnd.choice(sorted(FAULT_LINES))
+        body = [(line, i == original) for i, line in enumerate(lines)]
+        body.insert(rnd.randrange(1, len(body) + 1), (lines[original] + " # copy", True))
+        body.insert(rnd.randrange(1, len(body) + 1), (fault, False))
+        text = "\n".join(line for line, _ in body) + "\n"
+        first, repeat = [n for n, (_, copy) in enumerate(body, start=1) if copy]
+        fault_no = [line for line, _ in body].index(fault) + 1
+        tokens = lines[original].split()
+        if tokens[0] == "d":
+            entry = f"differential entry ({tokens[1]} -> {tokens[2]})"
+        else:
+            entry = f"entry ({tokens[2]} -> {tokens[3]}) for class 'e'"
+        expected = (
+            f"line {repeat}: duplicate {entry} (first on line {first})"
+            if repeat < fault_no
+            else f"line {fault_no}: {FAULT_LINES[fault]}"
+        )
+        with pytest.raises(FcxParseError) as info:
+            parse(text)
+        assert str(info.value) == expected, text
+        cases += 1
+    assert cases >= 500
+
+
+def test_entry_lines_off_the_fast_path_parse_like_the_plain_ones():
+    """An id never holds '#': a comment glued to the last id is stripped,
+    one glued to the first leaves too few tokens.  Ids may be named 'd' and
+    'c', and '\\f' and '\\v' separate tokens like a space."""
+    assert parse(D_HEAD + "d a b#x\n") == parse(D_HEAD + "d a b\n")
+    with pytest.raises(FcxParseError) as info:
+        parse(D_HEAD + "d a#x b\n")
+    assert str(info.value) == "line 6: directive 'd' takes 2 argument(s), got 1"
+    named = "fcx 1\nsigma 4\nlambda 0.5\ngen c 0\ngen d 1\ncup c 0\n"
+    c = parse(named + "d d c\nc c d c\nc c c d\n")
+    assert [tuple(e) for e in c.delta] == [("d", "c")]
+    assert [tuple(e) for e in c.cup_classes[0].entries] == [("c", "d"), ("d", "c")]
+    with pytest.raises(FcxParseError) as info:
+        parse(named + "d d c\nc c d c\nc c d c\n")
+    assert str(info.value) == "line 9: duplicate entry (d -> c) for class 'c' (first on line 8)"
+    spaced = "d\fa\vb\nc\ve\fa \vb\n"
+    assert parse(CUP_HEAD + spaced) == parse(CUP_HEAD + "d a b\nc e a b\n")
+    with pytest.raises(FcxParseError) as info:
+        parse(CUP_HEAD + spaced + "d\va\fb\n")
+    assert str(info.value) == "line 9: duplicate differential entry (a -> b) (first on line 7)"
+
+
+def test_well_formed_documents_never_reach_the_repeat_locator(monkeypatch, scrambled):
+    """The line scan that words a repeat runs only when the document holds
+    one: never on the golden fixtures, a shuffled document with forward
+    references and comments, or a 1000-generator scrambled document."""
+    import fcx.io
+
+    def locator(lines):
+        raise AssertionError("the repeat locator ran")
+
+    monkeypatch.setattr(fcx.io, "_first_repeat", locator)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.fcx"))]
+    assert len(texts) == 8
+    first, *rest = serialize(random_complex(3, MonotoneParams(4, 0.5), max_gens=30)[0]).splitlines()
+    random.Random(1).shuffle(rest)
+    texts.append("\n".join([first, "# shuffled"] + [line + " # x" for line in rest]))
+    texts.append(serialize(scrambled(1000, 4, 1)))
+    for text in texts:
+        parse(text, allow_small_sigma=True)
+    with pytest.raises(AssertionError, match="the repeat locator ran"):
+        parse(D_HEAD + "d a b\nd a b\n")
+
+
 def test_unknown_reference_on_the_last_line_of_a_long_document():
     n = 400
     gens = "".join(f"gen x{i} 0\ngen y{i} 1\n" for i in range(n))

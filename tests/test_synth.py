@@ -89,6 +89,17 @@ def test_oracle_dipole_jump_one():
     assert oracle.page(3) == {}
 
 
+def test_oracle_serves_the_stable_page_past_the_last_page_counted():
+    oracle = normal_form_pages_oracle(NormalFormSpec(P4, free=(2,), dipoles=((0, 2),)))
+    assert oracle.collapse_page == 3
+    stable = {(2, 2): 1}
+    assert oracle.page(2) == {(0, 0): 1, (9, 1): 1, (2, 2): 1}
+    assert oracle.page(3) == oracle.page(4) == oracle.page(10**6) == stable
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="pages are indexed from 1"):
+            oracle.page(k)
+
+
 def test_oracle_dipole_jump_zero():
     oracle = normal_form_pages_oracle(NormalFormSpec(P4, dipoles=((0, 0),)))
     assert oracle.collapse_page == 1
