@@ -10,12 +10,10 @@ plain input data; no geometry is computed here.
 
 from .cup import (
     CohomologyAction,
-    CupClass,
     CuplengthReport,
     InducedPageMaps,
     InjectivityReport,
     ModuleReport,
-    RingTable,
     cuplength_report,
     induced_on_cohomology,
     induced_on_pages,
@@ -62,6 +60,7 @@ from .kunneth import (
 )
 from .model import (
     CohomologyTable,
+    CupClass,
     DifferentialEntry,
     EngineConsistencyError,
     FcxError,
@@ -69,6 +68,7 @@ from .model import (
     InvalidComplexError,
     LiftedGenerator,
     MonotoneParams,
+    RingTable,
     SizeGuardError,
     ValidationReport,
     require_valid,

@@ -5,21 +5,15 @@ between generators whose lifted degrees differ by exactly p) that commutes
 with the full differential.  Commutation with the full differential is
 deliberately required at chain level: it is a single check that makes the
 induced maps well defined on the degree-graded cohomology and on every
-spectral page simultaneously.
+spectral page simultaneously.  ``CupClass`` and ``RingTable`` are data of
+``fcx.model``, which describes how a class is stored; they are re-exported
+here.
 
 Ring verification happens on the degree-graded cohomology, where the module
 structure lives; the composite convention for a product a*b acting on x is
 "apply b first, then a".  The induced action there runs no elimination of its
 own: each pushed representative is decoded by ``CohomologyTable.coordinates``
 against the echelon that ``z_graded_cohomology`` built once per complex.
-
-A class is stored like the differential, as index columns, over the
-generator ids it was built with: a parsed class over the document's
-generators (``fcx.io``), a class built from ``(src, dst)`` entries over the
-sorted ids they name, resolved once, at construction, and kept beside the
-columns only when one repeats.  The sorted ``entries`` are derived when
-something reads them.  Equality and hashing compare the columns over the
-sorted ids a class names, so a parsed class equals its entry-built twin.
 
 Validation moves a class's columns onto the complex's generator order when
 they are over another (``_class_columns``), and checks the degree pattern
@@ -30,44 +24,38 @@ classes whose pattern holds are then checked for commutation together:
 ``gf2.commutator_witnesses`` stacks their columns and walks the
 differential once for all of them.
 
-Per-class memo: for a class that is a member of ``c.cup_classes`` (found by
-identity first, so no canonical form of another class is computed), the
-validation report with the class columns, the induced cohomology action and
-the graded images of the class are computed at most once and kept in the
-complex's memo (``FloerComplexData.cached``).  The first validation of a
-document class validates every document class at once and keeps each
-report.  The graded images are the canonical coordinates of each page-1
-slot's representative pushed through the class, cut to the slot's level
-plus the class degree and checked against the filtration when they are
-built; each page reads its maps off them through two masks, its alive
-slots and the sources of its dead dipoles, kept in the page table's memo
-(``PageTable.cached``).  So the memo holds at most one record per document
-class and is freed with the complex.  Any other class is validated alone
-on each call and not stored.  The checks still run on every call: an
-invalid class raises each time, so do images that break the filtration
-(a failed build is not kept), and the page maps are checked against the
-page differential each time.
+Memo: for a class of ``c.cup_classes`` (found by identity first, then by
+``==``), the validation report with the class columns, the induced
+cohomology action and the graded images are kept in the complex's memo
+(``FloerComplexData.cached``) under the class's index, and freed with it;
+the first validation of a document class validates them all.  The graded
+images are the canonical coordinates of each page-1 slot's representative
+pushed through the class, cut to the slot's level plus the class degree and
+checked against the filtration as they are built; each page reads its maps
+off them through its alive slots and the sources of its dead dipoles
+(``PageTable.cached``).  Any other class is computed afresh on each call.
+The checks run on every call: an invalid class raises each time, so does a
+failed image build (it is not kept), and the page maps are checked against
+the page differential each time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Any, Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .engine import CanonicalForm, PageTable, canonical_form, pages
 from .gf2 import Gf2Matrix, apply_columns, bits, commutator_witnesses, echelon
 from .model import (
+    CupClass,
     EngineConsistencyError,
     FcxError,
     FloerComplexData,
+    RingTable,
     ValidationReport,
-    _entry_columns,
-    _moved,
-    _positions,
-    _sorted_entries,
-    _sorted_pairs,
+    _class_columns,
+    _resolved,
     require_valid,
     z_graded_cohomology,
 )
@@ -89,117 +77,6 @@ __all__ = [
     "injectivity_check",
     "cuplength_report",
 ]
-
-
-@dataclass(frozen=True, init=False, eq=False)
-class CupClass:
-    """A named degree-p endomorphism datum: entries (src, dst) with coefficient 1.
-
-    Stored as index columns: column s is the bitset of the targets of
-    ``_uids[s]`` (see the module docstring).  ``entries`` is built on first
-    read and kept; equality and hashing compare ``_key``, never ``entries``.
-    """
-
-    name: str
-    degree: int
-    _uids: tuple[str, ...] = field(repr=False)
-    _columns: tuple[int, ...] = field(repr=False)
-    # The sorted entries, kept only when one of them repeats.
-    _raw: tuple[tuple[str, str], ...] | None = field(repr=False)
-
-    def __init__(
-        self,
-        name: str,
-        degree: int,
-        entries: Iterable[tuple[str, str]] | None = None,
-        *,
-        _uids: Sequence[str] = (),
-        _columns: Sequence[int] | None = None,
-        _raw: tuple[tuple[str, str], ...] | None = None,
-    ) -> None:
-        """``_columns`` are over the ids ``_uids``, which do not repeat;
-        ``entries``, when given, take their place."""
-        if entries is not None or _columns is None:
-            entries = tuple(entries or ())
-            _uids = sorted({uid for entry in entries for uid in entry})
-            _columns, _raw = _entry_columns(_uids, entries)
-        self.__dict__.update(
-            name=name, degree=degree, _uids=tuple(_uids), _columns=tuple(_columns), _raw=_raw
-        )
-
-    @classmethod
-    def from_columns(
-        cls, name: str, degree: int, uids: Sequence[str], columns: Sequence[int]
-    ) -> "CupClass":
-        """The class with an entry (uids[s], uids[t]) for each bit t of
-        ``columns[s]``; equal to the one built from those entries."""
-        if len(columns) != len(uids):
-            raise ValueError(f"{len(columns)} columns for {len(uids)} generator ids")
-        if len(set(uids)) < len(uids):  # the entries of a repeated id merge by id
-            return cls(name, degree, _sorted_pairs(uids, columns, None))
-        return cls(name, degree, _uids=uids, _columns=columns)
-
-    @cached_property
-    def entries(self) -> tuple[tuple[str, str], ...]:
-        """The entries of the class, sorted by (src, dst)."""
-        return _sorted_entries(self._pairs())
-
-    def _pairs(self) -> Iterable[tuple[str, str]]:
-        """The sorted (src, dst) pairs of the class, read off its stored form."""
-        return _sorted_pairs(self._uids, self._columns, self._raw)
-
-    @cached_property
-    def _key(self) -> tuple[Any, ...]:
-        """The kept entries, else the columns over the sorted ids the class
-        names: equal for two classes exactly when their entries are."""
-        if self._raw is not None:
-            return self._raw
-        used = 0
-        for s, col in enumerate(self._columns):
-            if col:
-                used |= col | 1 << s
-        ids = sorted(self._uids[i] for i in bits(used))
-        pos = _positions(ids, self._uids)  # None only at an id no entry names
-        return tuple(ids), _moved(self._columns, pos, len(ids))  # type: ignore[arg-type]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CupClass):
-            return NotImplemented
-        return (self.name, self.degree, self._key) == (other.name, other.degree, other._key)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.degree, self._key))
-
-
-@dataclass(frozen=True)
-class RingTable:
-    """Commutative product table over class names.
-
-    ``products`` maps unordered pairs (stored sorted) to the product class
-    name, or None for a zero product.  Pairs absent from the table multiply
-    to zero.  ``unit`` optionally names the identity class; when absent it is
-    resolved as the class named "1", else the unique degree-0 class whose
-    matrix is the identity.
-    """
-
-    products: tuple[tuple[tuple[str, str], str | None], ...] = ()
-    unit: str | None = None
-
-    def __post_init__(self) -> None:
-        normalized = tuple(
-            sorted(
-                ((min(pair), max(pair)), result) for pair, result in self.products
-            )
-        )
-        object.__setattr__(self, "products", normalized)
-
-    def product(self, a: str, b: str) -> str | None:
-        """Product of two class names; None means zero (absent pairs included)."""
-        key = (min(a, b), max(a, b))
-        for pair, result in self.products:
-            if pair == key:
-                return result
-        return None
 
 
 @dataclass(frozen=True)
@@ -271,51 +148,32 @@ class CuplengthReport:
 _T = TypeVar("_T")
 
 
-def _class_memo(c: FloerComplexData, a: CupClass) -> dict[str, Any] | None:
-    """The memo of ``a`` in ``c`` when it is one of its document classes."""
+def _document_index(c: FloerComplexData, a: CupClass) -> int | None:
+    """The index of ``a`` among the document classes of ``c``, or None."""
     classes = c.cup_classes
     # by identity first: ``index`` compares by ``==``, which computes the
     # canonical form of each class it compares
     i = next((i for i, b in enumerate(classes) if b is a), None)
-    if i is None:
-        try:
-            i = classes.index(a)
-        except ValueError:
-            return None
-    return c.cached("cup_class_memos", _empty_memos)[i]
+    return classes.index(a) if i is None and a in classes else i
 
 
 def _derived(
     c: FloerComplexData, a: CupClass, key: str, compute: Callable[[FloerComplexData, CupClass], _T]
 ) -> _T:
-    """``compute(c, a)``, kept in the memo of ``c`` under ``key`` when ``a`` is
-    one of its document classes and computed afresh otherwise."""
-    memo = _class_memo(c, a)
-    if memo is None:
-        return compute(c, a)
-    try:
-        return memo[key]
-    except KeyError:
-        value = memo[key] = compute(c, a)
-        return value
-
-
-def _empty_memos(c: FloerComplexData) -> list[dict[str, Any]]:
-    return [{} for _ in c.cup_classes]
+    """``compute(c, a)``, kept in the memo of ``c`` under ``(key, index)`` when
+    ``a`` is one of its document classes and computed afresh otherwise."""
+    i = _document_index(c, a)
+    return compute(c, a) if i is None else c.cached((key, i), lambda c: compute(c, a))
 
 
 def _validated(c: FloerComplexData, a: CupClass) -> tuple[ValidationReport, tuple[int, ...]]:
     """The report and columns of ``a``.  The first call on a document class
-    validates every document class and keeps each result in its memo; any
-    other class is validated alone."""
-    memo = _class_memo(c, a)
-    if memo is None:
+    validates every document class and keeps the results; any other class
+    is validated alone."""
+    i = _document_index(c, a)
+    if i is None:
         return _validate_cup(c, (a,))[0]
-    if "validate" not in memo:
-        memos = c.cached("cup_class_memos", _empty_memos)
-        for m, result in zip(memos, _validate_cup(c, c.cup_classes)):
-            m["validate"] = result
-    return memo["validate"]
+    return c.cached("cup_validate", lambda c: _validate_cup(c, c.cup_classes))[i]
 
 
 def validate_cup(c: FloerComplexData, a: CupClass) -> ValidationReport:
@@ -341,21 +199,16 @@ def _validate_cup(
         if not whole or a.degree < 0 or _off_degree(c, acols, a.degree):
             if a.degree < 0:
                 errors.append(f"class '{a.name}' has negative degree {a.degree}")
-            entries = a.entries
-            prev = None
-            pos = iter(_positions(c.cached("uids", _uids), chain.from_iterable(entries)))
-            for entry, s, t in zip(entries, pos, pos):
-                src, dst = entry
+            for (src, dst), s, t, repeat in _resolved(c.uids, a.entries):
                 if s is None:
                     errors.append(f"class '{a.name}' references unknown generator '{src}'")
                     continue
                 if t is None:
                     errors.append(f"class '{a.name}' references unknown generator '{dst}'")
                     continue
-                if entry == prev:  # entries are sorted, so a repeat follows its first
+                if repeat:
                     errors.append(f"class '{a.name}' repeats the entry ({src} -> {dst})")
                     continue
-                prev = entry
                 diff = gens[t].degree - gens[s].degree
                 if diff != a.degree:
                     errors.append(
@@ -374,25 +227,6 @@ def _validate_cup(
                 f"witness pair ({gens[i].uid} -> {gens[next(bits(diff))].uid})"
             )
     return [(ValidationReport(tuple(errors), ()), acols) for errors, acols in checked]
-
-
-def _class_columns(c: FloerComplexData, a: CupClass) -> tuple[tuple[int, ...], bool]:
-    """The columns of ``a`` over the generator order of ``c``, and whether
-    they hold all of its entries: each id is a generator of ``c`` and no
-    entry repeats.  The entries at any other id are left out, and a repeated
-    entry cancels."""
-    uids = c.cached("uids", _uids)
-    if a._uids == uids:
-        return a._columns, a._raw is None
-    n = c.count
-    pos = [n if i is None else i for i in _positions(uids, a._uids)]
-    cut = (1 << n) - 1  # index n holds the entries at an unknown id
-    cols = tuple(col & cut for col in _moved(a._columns, pos, n + 1)[:n])
-    return cols, n not in pos and a._raw is None
-
-
-def _uids(c: FloerComplexData) -> tuple[str, ...]:
-    return tuple(g.uid for g in c.generators)
 
 
 def _off_degree(c: FloerComplexData, acols: Sequence[int], p: int) -> bool:
@@ -565,15 +399,12 @@ def _page_layouts(table: PageTable) -> list[_PageLayout]:
     for (k, n, j), cell in sorted(table.cells.items()):
         if k <= collapse:
             by_page[k - 1][(n, j)] = cell.slots
+    sources = sum(1 << s for s, _t in table.form.dipoles)
     layouts = []
-    for k, cells in enumerate(by_page, 1):
+    for cells in by_page:
         row = {s: r for slots in cells.values() for r, s in enumerate(slots)}
-        dead = sum(
-            1 << s
-            for (s, _t), (_ns, _nt, jump) in zip(table.form.dipoles, table.barcode.dipoles)
-            if jump < k
-        )
-        layouts.append(_PageLayout(cells, row, sum(1 << s for s in row), dead))
+        alive = sum(1 << s for s in row)
+        layouts.append(_PageLayout(cells, row, alive, sources & ~alive))
     return layouts
 
 

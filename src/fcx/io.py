@@ -57,12 +57,13 @@ from __future__ import annotations
 import math
 import re
 
-from .cup import CupClass, RingTable
 from .model import (
+    CupClass,
     FcxError,
     FloerComplexData,
     LiftedGenerator,
     MonotoneParams,
+    RingTable,
 )
 
 __all__ = ["FcxParseError", "parse", "serialize", "format_decimal"]

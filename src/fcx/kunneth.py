@@ -123,6 +123,17 @@ def tensor_product(a: FloerComplexData, b: FloerComplexData) -> TensorComplex:
             uid = f"{ga.uid}*{gb.uid}"
             gens.append(LiftedGenerator(uid, ga.degree + gb.degree, None))
             provenance.append((uid, ga.uid, gb.uid))
+    # Ids may hold ``*``: ``p`` with ``q*r`` and ``p*q`` with ``r`` both give
+    # ``p*q*r``.  Two ids can collide so only if each factor has an id with a ``*``.
+    if any("*" in g.uid for g in a.generators) and any("*" in g.uid for g in b.generators):
+        pairs: dict[str, tuple[str, str]] = {}
+        for uid, x, y in provenance:
+            first = pairs.setdefault(uid, (x, y))
+            if first != (x, y):
+                raise FcxError(
+                    f"tensor product id '{uid}' joins two factor pairs: "
+                    f"'{first[0]}' * '{first[1]}' and '{x}' * '{y}'"
+                )
 
     # Generator (i, j) has index i*nb + j here, so d(a_i * b_j) = da_i * b_j
     # + a_i * db_j is the column ``spread[i] << j | cols_b[j] << i*nb``:

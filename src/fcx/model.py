@@ -9,14 +9,19 @@ whose entries raise the lifted degree by ``k * period + 1`` for some
 degree is what every downstream computation (spectral pages, polynomial
 invariants, products, cup actions) is built on.
 
-The differential is stored in one form: index columns over the canonical
-generator order, column i the bitset of the targets of generator i.  The
-parser fills them as it reads (``fcx.io``), and the synthesizer and the
-tensor product hand theirs over (``FloerComplexData.from_columns``).  A
-complex (or cup class) built from ``(src, dst)`` entries resolves them to
-columns once, at construction, and keeps the sorted entries too only when
-they do not resolve cleanly, so that validation can word the errors.  The
-``delta`` entries are derived from the columns when something reads them.
+The differential and each cup class are stored in one form, index columns:
+column i is the bitset of the targets of id i.  The differential's columns
+are over the canonical generator order; a class's are over the ids it was
+built with, a parsed class's over the document's generators.  The parser
+fills them as it reads (``fcx.io``), and the synthesizer and the tensor
+product hand theirs over (``from_columns``).  Built from ``(src, dst)``
+entries, a complex or a class resolves them to columns once, at
+construction, and keeps the sorted entries too only when they do not
+resolve cleanly; ``_resolved`` walks those to word the errors.  ``delta``
+and a class's ``entries`` are derived from the columns when something reads
+them.  Equality and hashing read the columns: a class compares its columns
+over the sorted ids it names, so a parsed class equals its entry-built twin.
+``_class_columns`` moves a class onto the generator order of a complex.
 
 Validation is exhaustive and returns a report rather than failing fast, so a
 single pass lists every violated invariant with the offending ids.  It checks
@@ -43,10 +48,11 @@ from functools import cached_property
 from itertools import chain, groupby
 from operator import attrgetter
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
+    Hashable,
     Iterable,
+    Iterator,
     Mapping,
     NamedTuple,
     Sequence,
@@ -54,9 +60,6 @@ from typing import (
 )
 
 from .gf2 import Gf2Matrix, apply_columns, bits, clear_pivots, echelon, rref_rows
-
-if TYPE_CHECKING:  # imported only for type checkers; avoids a runtime cycle
-    from .cup import CupClass, RingTable
 
 _T = TypeVar("_T")
 
@@ -69,6 +72,8 @@ __all__ = [
     "MonotoneParams",
     "LiftedGenerator",
     "DifferentialEntry",
+    "CupClass",
+    "RingTable",
     "FloerComplexData",
     "ValidationReport",
     "CohomologyTable",
@@ -87,7 +92,7 @@ class FcxError(Exception):
 class InvalidComplexError(FcxError):
     """Raised when an operation requires a valid complex but validation failed."""
 
-    def __init__(self, report: "ValidationReport") -> None:
+    def __init__(self, report: ValidationReport) -> None:
         super().__init__("invalid complex: " + "; ".join(report.errors))
         self.report = report
 
@@ -210,6 +215,19 @@ def _positions(uids: Sequence[str], ids: Iterable[str]) -> list[int | None]:
     return [index.get(x) for x in ids]
 
 
+def _resolved(
+    uids: Sequence[str], entries: Sequence[tuple[str, str]]
+) -> Iterator[tuple[tuple[str, str], int | None, int | None, bool]]:
+    """Each of the sorted ``entries`` with the indices in ``uids`` of its
+    source and target (see ``_positions``) and whether it repeats an entry
+    before it."""
+    previous = None
+    pos = iter(_positions(uids, chain.from_iterable(entries)))
+    for e, s, t in zip(entries, pos, pos):  # sorted, so a repeat follows its first
+        yield e, s, t, e == previous
+        previous = e
+
+
 def _entry_columns(
     uids: Sequence[str], entries: Iterable[tuple[str, str]]
 ) -> tuple[tuple[int, ...], tuple[tuple[str, str], ...] | None]:
@@ -219,15 +237,12 @@ def _entry_columns(
     entries = tuple(sorted(entries))
     cols = [0] * len(uids)
     clean = len(set(uids)) == len(uids)
-    previous = None
-    pos = iter(_positions(uids, chain.from_iterable(entries)))
-    for e, s, t in zip(entries, pos, pos):  # sorted, so a repeat follows its first
+    for _, s, t, repeat in _resolved(uids, entries):
         if s is None or t is None:
             clean = False
-            continue
-        cols[s] ^= 1 << t
-        clean = clean and e != previous
-        previous = e
+        else:
+            cols[s] ^= 1 << t
+            clean = clean and not repeat
     return tuple(cols), None if clean else entries
 
 
@@ -269,6 +284,117 @@ def _sorted_entries(pairs: Iterable[tuple[str, str]]) -> tuple[DifferentialEntry
     return tuple(DifferentialEntry(src, dst) for src, dst in pairs)
 
 
+@dataclass(frozen=True, init=False, eq=False)
+class CupClass:
+    """A named degree-p endomorphism datum: entries (src, dst) with coefficient 1.
+
+    Stored as index columns: column s is the bitset of the targets of
+    ``_uids[s]`` (see the module docstring).  ``entries`` is built on first
+    read and kept; equality and hashing compare ``_key``, never ``entries``.
+    """
+
+    name: str
+    degree: int
+    _uids: tuple[str, ...] = field(repr=False)
+    _columns: tuple[int, ...] = field(repr=False)
+    # The sorted entries, kept only when one of them repeats.
+    _raw: tuple[tuple[str, str], ...] | None = field(repr=False)
+
+    def __init__(
+        self,
+        name: str,
+        degree: int,
+        entries: Iterable[tuple[str, str]] | None = None,
+        *,
+        _uids: Sequence[str] = (),
+        _columns: Sequence[int] | None = None,
+        _raw: tuple[tuple[str, str], ...] | None = None,
+    ) -> None:
+        """``_columns`` are over the ids ``_uids``, which do not repeat;
+        ``entries``, when given, take their place."""
+        if entries is not None or _columns is None:
+            entries = tuple(entries or ())
+            _uids = sorted({uid for entry in entries for uid in entry})
+            _columns, _raw = _entry_columns(_uids, entries)
+        self.__dict__.update(
+            name=name, degree=degree, _uids=tuple(_uids), _columns=tuple(_columns), _raw=_raw
+        )
+
+    @classmethod
+    def from_columns(
+        cls, name: str, degree: int, uids: Sequence[str], columns: Sequence[int]
+    ) -> CupClass:
+        """The class with an entry (uids[s], uids[t]) for each bit t of
+        ``columns[s]``; equal to the one built from those entries."""
+        if len(columns) != len(uids):
+            raise ValueError(f"{len(columns)} columns for {len(uids)} generator ids")
+        if len(set(uids)) < len(uids):  # the entries of a repeated id merge by id
+            return cls(name, degree, _sorted_pairs(uids, columns, None))
+        return cls(name, degree, _uids=uids, _columns=columns)
+
+    @cached_property
+    def entries(self) -> tuple[tuple[str, str], ...]:
+        """The entries of the class, sorted by (src, dst)."""
+        return _sorted_entries(self._pairs())
+
+    def _pairs(self) -> Iterable[tuple[str, str]]:
+        """The sorted (src, dst) pairs of the class, read off its stored form."""
+        return _sorted_pairs(self._uids, self._columns, self._raw)
+
+    @cached_property
+    def _key(self) -> tuple[Any, ...]:
+        """The kept entries, else the columns over the sorted ids the class
+        names: equal for two classes exactly when their entries are."""
+        if self._raw is not None:
+            return self._raw
+        used = 0
+        for s, col in enumerate(self._columns):
+            if col:
+                used |= col | 1 << s
+        ids = sorted(self._uids[i] for i in bits(used))
+        pos = _positions(ids, self._uids)  # None only at an id no entry names
+        return tuple(ids), _moved(self._columns, pos, len(ids))  # type: ignore[arg-type]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CupClass):
+            return NotImplemented
+        return (self.name, self.degree, self._key) == (other.name, other.degree, other._key)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.degree, self._key))
+
+
+@dataclass(frozen=True)
+class RingTable:
+    """Commutative product table over class names.
+
+    ``products`` maps unordered pairs (stored sorted) to the product class
+    name, or None for a zero product.  Pairs absent from the table multiply
+    to zero.  ``unit`` optionally names the identity class; when absent it is
+    resolved as the class named "1", else the unique degree-0 class whose
+    matrix is the identity.
+    """
+
+    products: tuple[tuple[tuple[str, str], str | None], ...] = ()
+    unit: str | None = None
+
+    def __post_init__(self) -> None:
+        normalized = tuple(
+            sorted(
+                ((min(pair), max(pair)), result) for pair, result in self.products
+            )
+        )
+        object.__setattr__(self, "products", normalized)
+
+    def product(self, a: str, b: str) -> str | None:
+        """Product of two class names; None means zero (absent pairs included)."""
+        key = (min(a, b), max(a, b))
+        for pair, result in self.products:
+            if pair == key:
+                return result
+        return None
+
+
 @dataclass(frozen=True, init=False)
 class FloerComplexData:
     """A complete monotone complex; immutable, with canonical internal ordering.
@@ -288,27 +414,28 @@ class FloerComplexData:
     on first read and kept.
 
     Derived data (degree blocks, validation report with the jump-0
-    columns, degree-graded cohomology, canonical form, page table) is
-    memoized per instance by ``cached``; it takes no part in equality or
-    hashing and is freed together with the complex.
+    columns, degree-graded cohomology, canonical form, page table, the cup
+    data of each document class) is memoized per instance by ``cached``; it
+    takes no part in equality or hashing and is freed together with the
+    complex.
     """
 
     params: MonotoneParams
     generators: tuple[LiftedGenerator, ...]
-    cup_classes: tuple["CupClass", ...]
-    ring: "RingTable | None"
+    cup_classes: tuple[CupClass, ...]
+    ring: RingTable | None
     _columns: tuple[int, ...]
     # The sorted entries, kept only when they do not resolve cleanly.
     _raw: tuple[tuple[str, str], ...] | None
-    _memo: dict[str, Any] = field(init=False, repr=False, compare=False)
+    _memo: dict[Hashable, Any] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
         params: MonotoneParams,
         generators: Iterable[LiftedGenerator],
         delta: Iterable[tuple[str, str]] | None = None,
-        cup_classes: Iterable["CupClass"] = (),
-        ring: "RingTable | None" = None,
+        cup_classes: Iterable[CupClass] = (),
+        ring: RingTable | None = None,
         *,
         _columns: Sequence[int] | None = None,
         _raw: tuple[tuple[str, str], ...] | None = None,
@@ -338,9 +465,9 @@ class FloerComplexData:
         params: MonotoneParams,
         generators: Sequence[LiftedGenerator],
         columns: Sequence[int],
-        cup_classes: Sequence["CupClass"] = (),
-        ring: "RingTable | None" = None,
-    ) -> "FloerComplexData":
+        cup_classes: Sequence[CupClass] = (),
+        ring: RingTable | None = None,
+    ) -> FloerComplexData:
         """The complex whose generator i, in the order given, has the targets
         in the bitset ``columns[i]``; equal to the one built from its entries.
 
@@ -357,9 +484,14 @@ class FloerComplexData:
     def _pairs(self) -> Iterable[tuple[str, str]]:
         """The sorted (src, dst) pairs of the differential, read off its
         stored form."""
-        return _sorted_pairs([g.uid for g in self.generators], self._columns, self._raw)
+        return _sorted_pairs(self.uids, self._columns, self._raw)
 
-    def cached(self, key: str, compute: Callable[["FloerComplexData"], _T]) -> _T:
+    @cached_property
+    def uids(self) -> tuple[str, ...]:
+        """The generator ids, in the canonical generator order."""
+        return tuple(g.uid for g in self.generators)
+
+    def cached(self, key: Hashable, compute: Callable[[FloerComplexData], _T]) -> _T:
         """``compute(self)``, evaluated at most once per instance under ``key``.
 
         The fields are frozen, so anything computed from them alone stays
@@ -390,6 +522,20 @@ class FloerComplexData:
         contiguous block of indices.  Computed once per instance and shared:
         do not modify it."""
         return self.cached("degree_blocks", _degree_blocks)
+
+
+def _class_columns(c: FloerComplexData, a: CupClass) -> tuple[tuple[int, ...], bool]:
+    """The columns of ``a`` over the generator order of ``c``, and whether
+    they hold all of its entries: each id is a generator of ``c`` and no
+    entry repeats.  The entries at any other id are left out, and a repeated
+    entry cancels."""
+    if a._uids == c.uids:
+        return a._columns, a._raw is None
+    n = c.count
+    pos = [n if i is None else i for i in _positions(c.uids, a._uids)]
+    cut = (1 << n) - 1  # index n holds the entries at an unknown id
+    cols = tuple(col & cut for col in _moved(a._columns, pos, n + 1)[:n])
+    return cols, n not in pos and a._raw is None
 
 
 def _degree_blocks(c: FloerComplexData) -> dict[int, tuple[range, int]]:
@@ -552,21 +698,16 @@ def _entry_errors(c: FloerComplexData) -> list[str]:
     period = p.maslov_period
     tol = p.action_tolerance
     gens = c.generators
-    entries = c.delta
-    previous: DifferentialEntry | None = None
-    pos = iter(_positions([g.uid for g in gens], chain.from_iterable(entries)))
-    for e, s, t in zip(entries, pos, pos):  # sorted, so a repeat follows its first
-        src, dst = e
+    for (src, dst), s, t, repeat in _resolved(c.uids, c.delta):
         if s is None:
             errors.append(f"differential entry references unknown source '{src}'")
             continue
         if t is None:
             errors.append(f"differential entry references unknown target '{dst}'")
             continue
-        if e == previous:
+        if repeat:
             errors.append(f"duplicate differential entry ({src} -> {dst})")
             continue
-        previous = e
         if period < 1:
             continue
         diff = gens[t].degree - gens[s].degree

@@ -51,6 +51,10 @@ _log = logging.getLogger(__name__)
 # are bit-exact.
 _GRID = 128
 
+# Drawn degrees (of free generators and dipole sources) lie in
+# [-DEGREE_SPAN, DEGREE_SPAN].
+DEGREE_SPAN = 8
+
 
 @dataclass(frozen=True)
 class NormalFormSpec:
@@ -181,15 +185,14 @@ def random_normal_form(
     params: MonotoneParams,
     max_gens: int = 12,
     max_jump: int = 2,
-    degree_span: int = 8,
 ) -> NormalFormSpec:
     """Draw a normal form within the size bounds (at least one generator)."""
     max_dipoles = max_gens // 2
     n_dipoles = rng.randint(0, max_dipoles)
     n_free = rng.randint(0 if n_dipoles else 1, max_gens - 2 * n_dipoles)
-    free = tuple(rng.randint(-degree_span, degree_span) for _ in range(n_free))
+    free = tuple(rng.randint(-DEGREE_SPAN, DEGREE_SPAN) for _ in range(n_free))
     dipoles = tuple(
-        (rng.randint(-degree_span, degree_span), rng.randint(0, max_jump))
+        (rng.randint(-DEGREE_SPAN, DEGREE_SPAN), rng.randint(0, max_jump))
         for _ in range(n_dipoles)
     )
     return NormalFormSpec(params, free, dipoles)
@@ -200,7 +203,6 @@ def random_complex(
     params: MonotoneParams,
     max_gens: int = 12,
     max_jump: int = 2,
-    degree_span: int = 8,
 ) -> tuple[FloerComplexData, NormalFormSpec]:
     """Deterministically draw a normal form, build it, scramble it.
 
@@ -209,7 +211,7 @@ def random_complex(
     bit-identical.
     """
     rng = random.Random(seed)
-    spec = random_normal_form(rng, params, max_gens, max_jump, degree_span)
+    spec = random_normal_form(rng, params, max_gens, max_jump)
     base = build_from_normal_form(spec)
     return _scramble(rng, base), spec
 

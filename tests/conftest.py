@@ -65,37 +65,36 @@ def scrambled_spec():
 
 @pytest.fixture
 def no_entries(monkeypatch):
-    """Fail on the sorted entries of a complex being built, and record every
+    """Fail on the ``delta`` of a complex being read, and record every
     ``DifferentialEntry`` built; returns the record."""
-    import fcx.model
-    from fcx.model import DifferentialEntry
+    from fcx.model import DifferentialEntry, FloerComplexData
 
     built = []
 
-    def sorted_entries(pairs):
+    def delta(c):
         built.append("delta")
-        raise AssertionError("the sorted entries of a complex were built")
+        raise AssertionError("the sorted entries of a complex were read")
 
     def entry(cls, src, dst):
         built.append((src, dst))
         return tuple.__new__(cls, (src, dst))
 
-    monkeypatch.setattr(fcx.model, "_sorted_entries", sorted_entries)
+    monkeypatch.setattr(FloerComplexData, "delta", property(delta))
     monkeypatch.setattr(DifferentialEntry, "__new__", entry)
     return built
 
 
 @pytest.fixture
 def no_class_entries(monkeypatch):
-    """Fail on the sorted entries of a cup class being built; returns the
-    pairs of each class whose entries something tried to build."""
-    import fcx.cup
+    """Fail on the ``entries`` of a cup class being read; returns the name
+    of each class whose entries something tried to read."""
+    from fcx.model import CupClass
 
     built = []
 
-    def sorted_entries(pairs):
-        built.append(pairs)
-        raise AssertionError("the sorted entries of a cup class were built")
+    def entries(cls):
+        built.append(cls.name)
+        raise AssertionError("the sorted entries of a cup class were read")
 
-    monkeypatch.setattr(fcx.cup, "_sorted_entries", sorted_entries)
+    monkeypatch.setattr(CupClass, "entries", property(entries))
     return built

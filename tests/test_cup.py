@@ -18,7 +18,6 @@ from conftest import index_map
 from fcx.cli import main
 from fcx.cup import (
     CupClass,
-    _class_columns,
     RingTable,
     cuplength_report,
     induced_on_cohomology,
@@ -41,6 +40,7 @@ from fcx.model import (
     FloerComplexData,
     LiftedGenerator,
     MonotoneParams,
+    _class_columns,
 )
 from fcx.synth import (
     NormalFormSpec,
@@ -882,22 +882,15 @@ def test_a_non_document_class_adds_nothing_to_the_memo():
         induced_on_pages(c, a1, k)
     module_check(c, c.ring)
 
-    def snapshot():
-        memos = c._memo.get("cup_class_memos", [])
-        return set(c._memo), [dict(m) for m in memos]
-
-    before = snapshot()
+    before = dict(c._memo)
+    assert {"cup_validate", ("cohomology", 1), ("slot_images", 1)} <= before.keys()
     other = CupClass("b1", a1.degree, a1.entries)
     assert validate_cup(c, other).ok
     induced_on_cohomology(c, other)
     for k in (1, 2):
         induced_on_pages(c, other, k)
-    after = snapshot()
-    assert after[0] == before[0]
-    assert [m.keys() for m in after[1]] == [m.keys() for m in before[1]]
-    assert all(
-        a[key] is b[key] for a, b in zip(after[1], before[1]) for key in a
-    )
+    assert c._memo.keys() == before.keys()
+    assert all(c._memo[key] is value for key, value in before.items())
 
 
 
@@ -1024,7 +1017,14 @@ def test_a_filtration_violation_raises_on_every_call(monkeypatch):
     for k in (1, 2, 1):  # page 2 is served by the stable page 1
         with pytest.raises(EngineConsistencyError, match="filtration on page 1: slot 'q'"):
             induced_on_pages(c, a, k)
-    assert "slot_images" not in c._memo["cup_class_memos"][0]
+
+    def kept_images():
+        return [key for key in c._memo if isinstance(key, tuple) and key[0] == "slot_images"]
+
+    assert kept_images() == []
+    monkeypatch.undo()  # the honest images are kept
+    induced_on_pages(c, a, 1)
+    assert kept_images() == [("slot_images", 0)]
 
 
 def _broken_class_documents():

@@ -14,6 +14,7 @@ from fcx.io import serialize
 from fcx.kunneth import kunneth_check, power_poincare_check, tensor_product
 from fcx.model import (
     DifferentialEntry,
+    EngineConsistencyError,
     FcxError,
     FloerComplexData,
     LiftedGenerator,
@@ -238,4 +239,29 @@ def test_tensor_product_document_is_pinned():
     assert (product.count, len(product.delta)) == (432, 702)
     assert hashlib.sha256(serialize(product).encode()).hexdigest() == (
         "2217f7db3c749dff7c25956a0b1537218468e6807a131b40f5fbead1d1594080"
+    )
+
+
+def test_factor_ids_whose_products_collide_are_refused_as_input_errors():
+    """Ids may hold ``*``, so two valid factors can join to one product id
+    twice; that is a fault of the input, not of the engine."""
+    a = complex_of(P4_ALG, [("p", 0), ("p*q", 1)])
+    b = complex_of(P4_ALG, [("q*r", 0), ("r", 1)])
+    with pytest.raises(FcxError) as info:
+        tensor_product(a, b)
+    assert not isinstance(info.value, EngineConsistencyError)
+    assert str(info.value) == (
+        "tensor product id 'p*q*r' joins two factor pairs: 'p' * 'q*r' and 'p*q' * 'r'"
+    )
+    with pytest.raises(FcxError, match="'p\\*q\\*r' joins two factor pairs"):
+        kunneth_check(a, b)
+
+
+def test_a_power_whose_ids_collide_is_refused_as_an_input_error():
+    c = complex_of(P4_ALG, [("x", 0), ("x*x", 2)])
+    with pytest.raises(FcxError) as info:
+        power_poincare_check(c, 2, 1)
+    assert not isinstance(info.value, EngineConsistencyError)
+    assert str(info.value) == (
+        "tensor product id 'x*x*x' joins two factor pairs: 'x' * 'x*x' and 'x*x' * 'x'"
     )

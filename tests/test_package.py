@@ -1,8 +1,9 @@
 """Package-level checks: every exported name resolves, no module imports a
-name it never uses, every function has a caller or is exported, only the
-parser and the validators resolve entry ids, only ``gf2`` runs a GF(2)
-elimination loop, only the engine clamps a page to the collapse page, and
-the independent oracles reach none of the engine's computations."""
+name it never uses, every function has a caller or is exported, each module
+imports only from the layers below it, only the parser and the validators
+resolve entry ids, only ``gf2`` runs a GF(2) elimination loop, only the
+engine clamps a page to the collapse page, and the independent oracles
+reach none of the engine's computations."""
 
 from __future__ import annotations
 
@@ -25,11 +26,19 @@ def test_every_name_in_all_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def test_the_cup_class_and_ring_table_are_defined_once():
+    """``fcx.model`` owns them; ``fcx.cup`` and the package re-export them."""
+    import fcx.cup
+    import fcx.model
+
+    assert fcx.cup.CupClass is fcx.model.CupClass is fcx.CupClass
+    assert fcx.cup.RingTable is fcx.model.RingTable is fcx.RingTable
+
+
 def _unused_imports(source: str) -> list[tuple[int, str]]:
     """(line, name) of each imported binding that the module never reads.
 
-    A name is read if it appears as a name anywhere, inside a string
-    annotation (how ``TYPE_CHECKING`` imports are used) or in ``__all__``.
+    A name is read if it appears as a name anywhere or in ``__all__``.
     """
     tree = ast.parse(source)
     imported: dict[str, int] = {}
@@ -47,15 +56,6 @@ def _unused_imports(source: str) -> list[tuple[int, str]]:
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             used.update(ast.literal_eval(node.value))
-        annotation = None
-        if isinstance(node, (ast.arg, ast.AnnAssign)):
-            annotation = node.annotation
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotation = node.returns
-        for part in ast.walk(annotation) if annotation else ():
-            if isinstance(part, ast.Constant) and isinstance(part.value, str):
-                inner = ast.parse(part.value, mode="eval")
-                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
@@ -96,36 +96,76 @@ def _functions_with(hit) -> set[str]:
     return found
 
 
-# Kept with no caller in the package: acceptance criterion 05's rebase shift
-# law (``test_criterion_05_rebase_shift_law``) calls it.
-KEPT_WITHOUT_CALLER = {"invariants.LaurentPoly.shift"}
+# Kept with no caller in the package, read by the acceptance criteria and
+# the tests: ``LaurentPoly.shift`` by criterion 05's rebase shift law,
+# ``LaurentPoly.add`` by criterion 04's decomposition identity,
+# ``LimitReport.hf`` by criteria 02 and 04, and ``LimitReport.einf`` by the
+# limit checks of ``tests/test_engine.py``.
+KEPT_WITHOUT_CALLER = {
+    "invariants.LaurentPoly.shift",
+    "invariants.LaurentPoly.add",
+    "engine.LimitReport.hf",
+    "engine.LimitReport.einf",
+}
 
 
 def test_every_function_has_a_caller_or_is_exported():
-    """Any API with no caller is deleted: each ``src/fcx`` function or
-    method (but the dunder ones) is referred to by name somewhere in the
-    package, as a name or an attribute, or is listed in an ``__all__``."""
+    """Any API with no caller is deleted: each ``src/fcx`` module function is
+    referred to by its bare name somewhere in the package or is listed in an
+    ``__all__``, and each method (but the dunder ones) is read as an
+    attribute somewhere in the package.  A local variable or a nested
+    function of the same name does not count as a caller of a method, nor
+    an attribute of the same name as a caller of a module function."""
     trees = _trees()
-    known = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
-    known.update(n for name in MODULES for n in importlib.import_module(name).__all__)
-    defined: dict[str, str] = {}  # module.name or module.Class.name -> name
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    names.update(n for name in MODULES for n in importlib.import_module(name).__all__)
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    uncalled: set[str] = set()
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined[f"{module}.{node.name}"] = node.name
+                if node.name not in names:
+                    uncalled.add(f"{module}.{node.name}")
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                        item.name.startswith("__") and item.name.endswith("__")
+                    if (
+                        isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))
+                        and item.name not in attributes
                     ):
-                        defined[f"{module}.{node.name}.{item.name}"] = item.name
-    uncalled = {key for key, name in defined.items() if name not in known}
+                        uncalled.add(f"{module}.{node.name}.{item.name}")
     assert uncalled == KEPT_WITHOUT_CALLER
+
+
+# The modules each ``src/fcx`` module may import from, relatively; ``cli``
+# and ``__init__`` may import any.
+LAYERS = {
+    "gf2": set(),
+    "model": {"gf2"},
+    "io": {"model"},
+    "engine": {"gf2", "model"},
+    "synth": {"gf2", "model"},
+    "invariants": {"engine", "gf2", "model"},
+    "cup": {"engine", "gf2", "model"},
+    "kunneth": {"engine", "gf2", "invariants", "model"},
+}
+
+
+def test_each_module_imports_only_from_the_layers_below_it():
+    imports = {
+        module: {
+            node.module or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+        }
+        for module, tree in _trees().items()
+        if module not in ("cli", "__init__")
+    }
+    assert imports.keys() == LAYERS.keys()
+    outside = {m: sorted(found - LAYERS[m]) for m, found in imports.items()}
+    assert {m: found for m, found in outside.items() if found} == {}
 
 
 def test_only_the_validators_resolve_entry_ids():

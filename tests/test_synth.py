@@ -12,6 +12,7 @@ import fcx.synth
 from fcx.engine import collapse_page, pages
 from fcx.model import MonotoneParams, validate
 from fcx.synth import (
+    DEGREE_SPAN,
     NormalFormSpec,
     build_from_normal_form,
     normal_form_pages_oracle,
@@ -138,10 +139,10 @@ def test_random_complex_is_deterministic():
 
 def test_random_complex_respects_size_bounds():
     for seed in range(30):
-        c, spec = random_complex(seed, P4, max_gens=8, max_jump=1, degree_span=3)
+        c, spec = random_complex(seed, P4, max_gens=8, max_jump=1)
         assert 1 <= c.count <= 8
         assert all(k <= 1 for _, k in spec.dipoles)
-        assert all(-3 <= n <= 3 for n in spec.free)
+        assert all(-DEGREE_SPAN <= n <= DEGREE_SPAN for n in spec.free)
 
 
 def test_automorphism_is_identity_when_no_mixing_is_possible():
@@ -187,14 +188,12 @@ def test_automorphism_preserves_all_page_dims(seed):
 @settings(max_examples=40, deadline=None)
 def test_random_normal_form_respects_bounds(seed, period):
     rng = random.Random(seed)
-    spec = random_normal_form(
-        rng, MonotoneParams(period, 0.5), max_gens=10, max_jump=3, degree_span=5
-    )
+    spec = random_normal_form(rng, MonotoneParams(period, 0.5), max_gens=10, max_jump=3)
     n_gens = len(spec.free) + 2 * len(spec.dipoles)
     assert 1 <= n_gens <= 10
     assert all(0 <= k <= 3 for _, k in spec.dipoles)
-    assert all(-5 <= n <= 5 for n in spec.free)
-    assert all(-5 <= n <= 5 for n, _ in spec.dipoles)
+    assert all(-DEGREE_SPAN <= n <= DEGREE_SPAN for n in spec.free)
+    assert all(-DEGREE_SPAN <= n <= DEGREE_SPAN for n, _ in spec.dipoles)
 
 
 class _CountingRandom(random.Random):
