@@ -10,8 +10,16 @@ of minimal degree, largest id on ties): each column is reduced against
 previously kept columns at its low, and a nonzero reduced column keeps its
 low as a pivot.  Because the differential squares to zero, an index kept as
 a pivot target always has a zero reduced column of its own, so sources,
-targets and free generators partition the basis (checked defensively at run
-time).
+targets and free generators partition the basis.
+
+The reduction needs only the structural checks of validation, not its
+delta^2 walk: its own checks prove delta^2 = 0.  They check that the roles
+partition the basis, that the change of basis B is unitriangular (hence
+invertible) and that delta B is B times the dipole map D, whose square is 0;
+so delta^2 = B D^2 B^-1 = 0.  The proof is recorded on the complex, and a
+later ``validate`` returns its report without the walk.  If a check fails,
+the walk runs and names the witness of delta^2 != 0; only if it finds none
+is the failure a bug in the engine.
 
 The low is found without a scan.  Generators are stored sorted by
 (degree, id), so each degree is one contiguous block of indices: a column's
@@ -63,6 +71,8 @@ from .model import (
     MonotoneParams,
     _local_matrix,
     expand_local,
+    record_square_zero,
+    require_structure,
     require_valid,
 )
 
@@ -119,8 +129,9 @@ class CanonicalForm:
     ``change_of_basis`` holds one ambient bitset column per generator index
     (the canonical basis vector for that slot); ``inverse`` its inverse.
     Conjugating the differential by the change of basis gives exactly the
-    dipole arrows and nothing else.  It keeps the complex's generators and
-    params, not the complex, whose memo holds the form.
+    dipole arrows and nothing else, which the reduction checks; that check
+    proves delta^2 = 0.  It keeps the complex's generators and params, not
+    the complex, whose memo holds the form.
     """
 
     generators: tuple[LiftedGenerator, ...]
@@ -341,7 +352,30 @@ def canonical_form(c: FloerComplexData) -> CanonicalForm:
 
 
 def _reduce(c: FloerComplexData) -> CanonicalForm:
+    """The canonical form of a complex that passes the structural checks.
+
+    The three checks of ``_dipole_form`` prove delta^2 = 0, which is then
+    recorded on ``c``.  If one fails, ``require_valid`` runs the delta^2
+    walk and raises with its witness; if the walk finds none, the check's
+    ``EngineConsistencyError`` stands.
+    """
+    require_structure(c)
+    try:
+        form = _dipole_form(c)
+    except EngineConsistencyError as exc:
+        failure = exc
+    else:
+        record_square_zero(c)
+        return form
+    # Outside the handler, so that the walk's error is not chained to the check's.
     require_valid(c)
+    raise failure
+
+
+def _dipole_form(c: FloerComplexData) -> CanonicalForm:
+    """Reduce the columns and check the result: role exclusivity, the
+    unitriangularity of the change of basis and the self-check, which
+    together prove delta^2 = 0 (see the module docstring)."""
     n = c.count
     gens = c.generators
     cols = c.delta_columns()
@@ -370,8 +404,8 @@ def _reduce(c: FloerComplexData) -> CanonicalForm:
     rows, dependents = echelon(((cols[g], 1 << g) for g in order), low)
     zero = {low(chain): chain for chain in dependents}
 
-    # Role exclusivity: the differential squares to zero, so a claimed pivot
-    # target must itself have reduced to the zero column earlier.
+    # Role exclusivity: with delta^2 = 0, a claimed pivot target must itself
+    # have reduced to the zero column earlier.
     twice = sorted(rows.keys() - zero.keys())
     if twice:
         raise EngineConsistencyError(

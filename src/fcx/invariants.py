@@ -201,7 +201,6 @@ def q_decomposition(c: FloerComplexData) -> DecompositionReport:
     table's per-page dimensions; the identity is re-verified here on integer
     level counts, and a failure raises an internal-consistency error.
     """
-    require_valid(c)
     barcode = canonical_form(c).barcode
     table = pages(c)
     period = c.params.maslov_period
@@ -351,7 +350,7 @@ def betti_compare(
     -m..0); independently, the generator count is tested against the sum of
     the Betti numbers.
     """
-    require_valid(c)
+    form = canonical_form(c)
     if len(betti) != m + 1:
         raise FcxError(
             f"expected {m + 1} Betti numbers b_0..b_{m}, got {len(betti)}"
@@ -361,7 +360,7 @@ def betti_compare(
             f"half-dimension mismatch: complex declares {c.params.half_dim}, "
             f"comparison uses {m}"
         )
-    dims = canonical_form(c).barcode.cohomology_dims(c.params.maslov_period)[0]
+    dims = form.barcode.cohomology_dims(c.params.maslov_period)[0]
     mismatches: list[str] = []
     lows = [n for n in dims]
     candidates = sorted(set(range(-m, 1)) | set(lows))

@@ -31,7 +31,10 @@ everything downstream (cohomology, pages, the jump and energy bounds) reads
 those columns.  The action differences are checked per column too.  Only a
 complex with kept entries, a bad degree jump or a bad action difference (or
 with actions and a repeated generator id) is walked entry by entry, to word
-the errors in ``(src, dst)`` order.
+the errors in ``(src, dst)`` order.  These structural checks and the walk
+that checks delta^2 = 0 are kept apart: the canonical reduction
+(``fcx.engine``) needs the first alone and proves delta^2 = 0 itself, which
+spares the walk (``record_square_zero``).
 
 The degree-graded cohomology eliminates each degree once with
 ``gf2.echelon``.  The rows it keeps are the next degree's image; the image
@@ -79,6 +82,8 @@ __all__ = [
     "CohomologyTable",
     "validate",
     "require_valid",
+    "require_structure",
+    "record_square_zero",
     "z_graded_cohomology",
     "expand_local",
     "jump0_columns",
@@ -549,16 +554,34 @@ def _degree_blocks(c: FloerComplexData) -> dict[int, tuple[range, int]]:
 
 
 def validate(c: FloerComplexData) -> ValidationReport:
-    """Check every structural invariant; returns a complete report.
+    """Check every invariant; returns a complete report, once per instance.
 
     Errors make the complex unusable downstream; warnings do not.  The
-    report is computed once per instance, by the same pass that reads the
-    jump-0 columns off the degree masks.
+    report joins two parts, each computed at most once per instance: the
+    structural checks (``_structure``), and then, if those pass, the walk
+    that applies delta to every column to find a witness of delta^2 != 0
+    (``_square_errors``).  The walk is skipped when the canonical reduction
+    has already proved delta^2 = 0 (``record_square_zero``): the report is
+    the same either way.
     """
-    return c.cached("validate", _validate)[0]
+    return c.cached("validate", _validate)
 
 
-def _validate(c: FloerComplexData) -> tuple[ValidationReport, tuple[int, ...]]:
+def _validate(c: FloerComplexData) -> ValidationReport:
+    report = _structure(c)[0]
+    if not report.ok:
+        return report
+    errors = c.cached("square", _square_errors)
+    return ValidationReport(report.errors + errors, report.warnings) if errors else report
+
+
+def _structure(c: FloerComplexData) -> tuple[ValidationReport, tuple[int, ...]]:
+    """The report of every check but delta^2 = 0, and the jump-0 columns,
+    read off the degree masks in the same pass; once per instance."""
+    return c.cached("structure", _check_structure)
+
+
+def _check_structure(c: FloerComplexData) -> tuple[ValidationReport, tuple[int, ...]]:
     errors: list[str] = []
     warnings: list[str] = []
     p = c.params
@@ -615,18 +638,29 @@ def _validate(c: FloerComplexData) -> tuple[ValidationReport, tuple[int, ...]]:
         walk = period < 1 or len(seen) < c.count or _action_mismatch(gens, cols, p)
     if walk:
         errors += _entry_errors(c)
-
-    # Differential squares to zero over GF(2) on the full complex.
-    if not errors:
-        for i, col in enumerate(cols):
-            acc = apply_columns(cols, col)
-            if acc:
-                witness = next(bits(acc))
-                errors.append(
-                    f"differential does not square to zero: starting at "
-                    f"'{gens[i].uid}' it reaches '{gens[witness].uid}' twice"
-                )
     return ValidationReport(tuple(errors), tuple(warnings)), cols0
+
+
+def _square_errors(c: FloerComplexData) -> tuple[str, ...]:
+    """One error per column whose image under delta twice is not zero over
+    GF(2), naming the first generator it reaches."""
+    gens = c.generators
+    cols = c._columns
+    errors = []
+    for i, col in enumerate(cols):
+        acc = apply_columns(cols, col)
+        if acc:
+            errors.append(
+                f"differential does not square to zero: starting at "
+                f"'{gens[i].uid}' it reaches '{gens[next(bits(acc))].uid}' twice"
+            )
+    return tuple(errors)
+
+
+def record_square_zero(c: FloerComplexData) -> None:
+    """Record that delta^2 = 0 holds on ``c``, proved by the canonical
+    reduction, so that ``validate`` does not walk the columns for it."""
+    c.cached("square", lambda c: ())
 
 
 def _jump_masks(
@@ -732,7 +766,17 @@ def _entry_errors(c: FloerComplexData) -> list[str]:
 
 
 def require_valid(c: FloerComplexData) -> None:
+    """Raise ``InvalidComplexError`` unless ``validate`` finds no error."""
     report = validate(c)
+    if not report.ok:
+        raise InvalidComplexError(report)
+
+
+def require_structure(c: FloerComplexData) -> None:
+    """Raise ``InvalidComplexError`` unless every check but delta^2 = 0
+    passes.  A complex that fails one is refused with the report of
+    ``validate``, which then holds these errors alone."""
+    report = _structure(c)[0]
     if not report.ok:
         raise InvalidComplexError(report)
 
@@ -762,11 +806,13 @@ def expand_local(vec: int, indices: list[int]) -> int:
 def jump0_columns(c: FloerComplexData) -> Sequence[int]:
     """delta restricted to its jump-0 entries, as columns (see ``delta_columns``).
 
-    Requires a valid complex.  The columns come from the validation pass,
-    once per instance, and are shared: do not modify them.
+    Requires a valid complex: ``require_valid`` runs the delta^2 walk unless
+    a reduction of ``c`` has proved delta^2 = 0.  The columns come from the
+    structural pass of validation, once per instance, and are shared: do not
+    modify them.
     """
     require_valid(c)
-    return c.cached("validate", _validate)[1]
+    return _structure(c)[1]
 
 
 def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:

@@ -173,6 +173,76 @@ def test_invalid_complex_exits_one_for_computation_commands(run, write_doc):
     assert "jump" in err
 
 
+# delta^2 != 0 on two documents that pass every other check.  The reduction
+# meets a generator with two roles (b) on the first, and a target slot that
+# is not closed (q) on the second.
+SQUARE_TEXTS = {
+    "two-roles": "fcx 1\nsigma 4\nlambda 0\ngen a 0\ngen b 1\ngen c 2\nd a b\nd b c\n",
+    "open-target": (
+        "fcx 1\nsigma 4\nlambda 0\ngen a 0\ngen b 1\ngen p 1\ngen q 1\ngen c 2\n"
+        "d a b\nd a q\nd b c\n"
+    ),
+}
+SQUARE_ERROR = "differential does not square to zero: starting at 'a' it reaches 'c' twice"
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_TEXTS))
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (("validate", "BAD"), f"error: {SQUARE_ERROR}\ninvalid\n"),
+        (("validate", "BAD", "--format", "tsv"), f"error\t{SQUARE_ERROR}\nstatus\tinvalid\n"),
+        (("report", "BAD"), f"# validate\nerror: {SQUARE_ERROR}\ninvalid\n"),
+        (
+            ("report", "BAD", "--format", "tsv"),
+            f"# validate\nerror\t{SQUARE_ERROR}\nstatus\tinvalid\n",
+        ),
+        (("pages", "BAD"), ""),
+        (("pages", "BAD", "--format", "tsv"), ""),
+        (("decompose", "BAD"), ""),
+        (("cohomology", "BAD"), ""),
+        (("poincare", "BAD"), ""),
+        (("collapse-bound", "BAD"), ""),
+        (("betti", "BAD", "--betti", "1,1", "--m", "1"), ""),
+        (("power", "BAD", "--s", "2"), ""),
+        (("kunneth", "BAD", "OK"), ""),
+        (("kunneth", "OK", "BAD"), ""),
+    ],
+)
+def test_a_nonzero_delta_square_gives_the_walks_error_through_every_command(
+    run, write_doc, name, argv, out
+):
+    """The error a document with delta^2 != 0 draws, however far a command
+    gets before it is found: a report's rows from ``validate``, else the
+    walk's witness on stderr, and exit code 1."""
+    paths = {"BAD": write_doc(SQUARE_TEXTS[name], "square.fcx"), "OK": write_doc(DIPOLE_TEXT)}
+    err = "" if out else f"fcx: invalid complex: {SQUARE_ERROR}\n"
+    assert run(*(paths.get(arg, arg) for arg in argv)) == (1, out, err)
+
+
+def test_the_engine_commands_never_walk_delta_for_a_zero_square(
+    run, write_doc, scrambled, monkeypatch
+):
+    """The reduction proves delta^2 = 0, so these commands never walk delta
+    for it."""
+    import fcx.model
+
+    path = write_doc(serialize(scrambled(1000, 4, 3)))
+    walked = []
+    monkeypatch.setattr(fcx.model, "_square_errors", lambda c: walked.append(c.count))
+    for argv in (
+        ("pages", "--format", "tsv"),
+        ("pages",),
+        ("cohomology",),
+        ("decompose",),
+        ("collapse-bound",),
+    ):
+        assert run(argv[0], path, *argv[1:])[0] == 0, argv
+    code, out, _ = run("betti", path, "--betti", "1,1", "--m", "1")
+    assert code == 1 and "match no" in out
+    assert walked == []
+
+
 def test_unknown_flag_and_subcommand_exit_two(run, write_doc, capsys):
     path = write_doc(DIPOLE_TEXT)
     assert run("pages", path, "--wat")[0] == 2

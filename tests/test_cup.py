@@ -468,6 +468,34 @@ PINNED_CUP_TSV = {
 PINNED_INDUCED_PAGES = "5f8aa1c57db8fdc2b41b666ed9ac0ff842372a93dfc4bbb2ef234e335a06a7d8"
 
 
+def test_the_inverse_is_built_once_per_form(tmp_path, capsys, monkeypatch):
+    """The reduction builds the inverse with the form, once per document:
+    the cup commands, which reach no reduction, build none; a report builds
+    one; and the induced maps on every page of every class read the one of
+    the document's form."""
+    import fcx.engine
+
+    built = []
+    invert = fcx.engine.invert_columns
+    monkeypatch.setattr(
+        fcx.engine, "invert_columns", lambda cols, order: built.append(len(cols)) or invert(cols, order)
+    )
+    text = serialize(shifted_product_document())
+    path = tmp_path / "cup.fcx"
+    path.write_text(text, encoding="utf-8")
+    c = parse(text)
+    for command, count in (("cup", 0), ("ring", 0), ("cuplength", 0), ("report", 1)):
+        assert main([command, str(path), "--format", "tsv"]) == 0
+        assert built == [c.count] * count, command
+        built.clear()
+    capsys.readouterr()
+
+    for cls in c.cup_classes:
+        for k in range(1, pages(c).max_page + 1):
+            induced_on_pages(c, cls, k)
+    assert built == [c.count]
+
+
 def test_shifted_product_outputs_are_pinned(tmp_path, capsys):
     text = serialize(shifted_product_document())
     path = tmp_path / "cup.fcx"

@@ -25,6 +25,7 @@ from fcx.model import (
     DifferentialEntry,
     EngineConsistencyError,
     FloerComplexData,
+    InvalidComplexError,
     LiftedGenerator,
     MonotoneParams,
     jump0_columns,
@@ -187,6 +188,74 @@ def test_unitriangular_check_names_the_generator_of_its_slot(monkeypatch):
     with pytest.raises(EngineConsistencyError) as info:
         canonical_form(c)
     assert "not unitriangular in the processing order at the slot of 'y'" in str(info.value)
+
+
+# delta^2 != 0 on two complexes that pass every other check: the reduction
+# meets a generator with two roles (b) on the first, and a target slot that
+# is not closed (q) on the second.
+SQUARE_CASES = {
+    "two-roles": (
+        [("a", 0), ("b", 1), ("c", 2)],
+        [("a", "b"), ("b", "c")],
+        "canonical reduction assigned generator 'b' two roles",
+    ),
+    "open-target": (
+        [("a", 0), ("b", 1), ("p", 1), ("q", 1), ("c", 2)],
+        [("a", "b"), ("a", "q"), ("b", "c")],
+        "canonical form self-check failed: target slot 'q' is not closed",
+    ),
+}
+SQUARE_WITNESS = "differential does not square to zero: starting at 'a' it reaches 'c' twice"
+
+
+@pytest.mark.parametrize("case", sorted(SQUARE_CASES))
+def test_the_reduction_refuses_a_nonzero_square_with_the_walks_witness(case):
+    """With no ``validate`` before it, the reduction's checks find delta^2 !=
+    0, and the walk they then run words the error."""
+    gens, delta, _ = SQUARE_CASES[case]
+    for call in (pages, canonical_form, collapse_page):
+        c = complex_of(P4_ALG, gens, delta)
+        with pytest.raises(InvalidComplexError) as info:
+            call(c)
+        assert str(info.value) == f"invalid complex: {SQUARE_WITNESS}"
+        assert info.value.report is validate(c)
+
+
+@pytest.mark.parametrize("case", sorted(SQUARE_CASES))
+def test_a_failed_check_that_the_walk_cannot_explain_is_an_engine_error(monkeypatch, case):
+    import fcx.model
+
+    gens, delta, message = SQUARE_CASES[case]
+    monkeypatch.setattr(fcx.model, "_square_errors", lambda c: ())
+    c = complex_of(P4_ALG, gens, delta)
+    with pytest.raises(EngineConsistencyError) as info:
+        pages(c)
+    assert message in str(info.value)
+
+
+def test_the_reduction_proves_a_zero_square_for_validate(monkeypatch, scrambled):
+    """A reduced complex is validated without the walk, to the same report;
+    one that fails the structural checks is refused before any reduction."""
+    import fcx.engine
+    import fcx.model
+
+    built = scrambled(250, 4, 9)
+    c = FloerComplexData(built.params, built.generators, built.delta)
+    twin = FloerComplexData(built.params, built.generators, built.delta)
+    walked = []
+    walk = fcx.model._square_errors
+    monkeypatch.setattr(fcx.model, "_square_errors", lambda c: walked.append(id(c)) or walk(c))
+    pages(c)
+    assert walked == [] and validate(c) == validate(twin) and walked == [id(twin)]
+    assert validate(c).ok and jump0_columns(c) == jump0_columns(twin)
+    assert walked == [id(twin)]
+
+    monkeypatch.setattr(fcx.engine, "echelon", None)  # any reduction fails
+    bad = complex_of(P4_ALG, [("x", 0), ("y", 2)], [("x", "y")])
+    with pytest.raises(InvalidComplexError) as info:
+        pages(bad)
+    assert info.value.report is validate(bad) and "degree jump 2" in str(info.value)
+    assert walked == [id(twin)]
 
 
 def test_subquotient_oracle_names_the_page_and_cell_of_an_escaped_denominator(monkeypatch):
