@@ -56,6 +56,7 @@ from .model import (
     FloerComplexData,
     MonotoneParams,
     SizeGuardError,
+    require_valid,
     validate,
 )
 from .synth import PRNG_NAME, random_complex
@@ -255,6 +256,7 @@ def _render_betti(
 
 
 def _render_cup(c: FloerComplexData) -> tuple[list[tuple], bool]:
+    require_valid(c)
     if not c.cup_classes:
         return [("", "no cup classes")], True
     rows: list[tuple] = []
@@ -537,3 +539,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -299,10 +299,10 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
     page reads them through its ``_PageLayout``.  Exact commutation with
     the page differential is checked defensively.
     """
+    form = canonical_form(c)  # proves delta^2 = 0, so validation does not walk delta
     acols = require_valid_cup(c, a)
     if k < 1:
         raise FcxError(f"pages are indexed from 1, got {k}")
-    form = canonical_form(c)
     table = pages(c)
     k_eff = min(k, table.collapse_page)
     period = c.params.maslov_period
@@ -602,9 +602,11 @@ def cuplength_report(c: FloerComplexData, ring: RingTable) -> CuplengthReport:
 
     The search walks the product table (pairs absent from the table multiply
     to zero); degree additivity makes the walk finite.  The generator-count
-    lower bound is reported as a fact.
+    lower bound is reported as a fact.  The table is checked first, then the
+    complex (``require_valid``), as ``module_check`` orders them.
     """
     classes = _ring_classes(c, ring)
+    require_valid(c)
     positive = sorted(name for name, cls in classes.items() if cls.degree > 0)
 
     memo: dict[str, tuple[int, tuple[str, ...]]] = {}

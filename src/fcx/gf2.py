@@ -186,10 +186,13 @@ class Gf2Matrix:
         if self.n_cols != other.n_rows:
             raise ValueError("dimension mismatch in matrix product")
         out_rows = []
+        rows = other.rows
         for r in self.rows:
             acc = 0
-            for j in bits(r):
-                acc ^= other.rows[j]
+            while r:
+                low = r & -r
+                acc ^= rows[low.bit_length() - 1]
+                r ^= low
             out_rows.append(acc)
         return Gf2Matrix(self.n_rows, other.n_cols, tuple(out_rows))
 
@@ -368,8 +371,10 @@ def invert_columns(cols: Sequence[int], order: Sequence[int]) -> list[int]:
         if not (cols[i] >> i) & 1 or rest & ~done:
             raise NotUnitriangularError(i)
         v = 1 << i
-        for q in bits(rest):
-            v ^= inv[q]
+        while rest:
+            low = rest & -rest
+            v ^= inv[low.bit_length() - 1]
+            rest ^= low
         inv[i] = v
         done |= 1 << i
     return inv

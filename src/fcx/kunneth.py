@@ -5,9 +5,12 @@ has one generator per ordered pair (degrees add, ids join with ``*``), the
 GF(2) Leibniz differential, and no actions (summed actions would inhabit a
 window of twice the width, and re-pinning them would silently relabel the
 integer lifts -- the product grading is the sum of the factors' lifts,
-verbatim).  Page dimensions of the product are then the degree-wise
-convolutions of the factors' page dimensions, and the page polynomials of an
-s-fold power are s-th powers; both statements are checked cell-exactly here.
+verbatim).  The product is built in one pass, in its canonical generator
+order by (degree, id), so ``FloerComplexData`` finds it sorted and moves no
+column; its provenance stays in factor order, pair (i, j) at i*|B| + j.
+Page dimensions of the product are then the degree-wise convolutions of the
+factors' page dimensions, and the page polynomials of an s-fold power are
+s-th powers; both statements are checked cell-exactly here.
 """
 
 from __future__ import annotations
@@ -99,7 +102,14 @@ def _require_matching(a: FloerComplexData, b: FloerComplexData) -> None:
 
 
 def tensor_product(a: FloerComplexData, b: FloerComplexData) -> TensorComplex:
-    """Ordered tensor product over GF(2) with the Leibniz differential."""
+    """Ordered tensor product over GF(2) with the Leibniz differential.
+
+    The generators and columns are built in the canonical order by (degree,
+    id), ties in factor order, each column straight from the factors'
+    target lists; ``factor_ids`` lists the pairs in factor order, (i, j)
+    for i over ``a`` and j over ``b``.  The product is validated, the walk
+    for delta^2 = 0 included.
+    """
     require_valid(a)
     require_valid(b)
     _require_matching(a, b)
@@ -116,13 +126,14 @@ def tensor_product(a: FloerComplexData, b: FloerComplexData) -> TensorComplex:
         allow_small_period=pa.allow_small_period or pb.allow_small_period,
     )
 
-    gens: list[LiftedGenerator] = []
-    provenance: list[tuple[str, str, str]] = []
-    for ga in a.generators:
-        for gb in b.generators:
-            uid = f"{ga.uid}*{gb.uid}"
-            gens.append(LiftedGenerator(uid, ga.degree + gb.degree, None))
-            provenance.append((uid, ga.uid, gb.uid))
+    # Pair (i, j) is ``f = i*nb + j`` in factor order, the order of the
+    # provenance.  ``order`` is the canonical order, as the stable sort of
+    # ``FloerComplexData`` would leave it, and ``pos[f]`` the canonical index
+    # of pair f.
+    nb = b.count
+    provenance = [(f"{x}*{y}", x, y) for x in a.uids for y in b.uids]
+    uids = [uid for uid, _, _ in provenance]
+    degrees = [ga.degree + gb.degree for ga in a.generators for gb in b.generators]
     # Ids may hold ``*``: ``p`` with ``q*r`` and ``p*q`` with ``r`` both give
     # ``p*q*r``.  Two ids can collide so only if each factor has an id with a ``*``.
     if any("*" in g.uid for g in a.generators) and any("*" in g.uid for g in b.generators):
@@ -134,18 +145,31 @@ def tensor_product(a: FloerComplexData, b: FloerComplexData) -> TensorComplex:
                     f"tensor product id '{uid}' joins two factor pairs: "
                     f"'{first[0]}' * '{first[1]}' and '{x}' * '{y}'"
                 )
+    order = sorted(range(len(uids)), key=list(zip(degrees, uids)).__getitem__)
+    gens = [LiftedGenerator(uids[f], degrees[f]) for f in order]
+    pos = [0] * len(order)
+    for k, f in enumerate(order):
+        pos[f] = k
 
-    # Generator (i, j) has index i*nb + j here, so d(a_i * b_j) = da_i * b_j
-    # + a_i * db_j is the column ``spread[i] << j | cols_b[j] << i*nb``:
-    # ``spread[i]`` moves each target t of a_i to bit t*nb.
-    nb = b.count
-    cols_b = b.delta_columns()
-    spread = [sum(1 << (t * nb) for t in bits(col)) for col in a.delta_columns()]
-    cols = [
-        (spread[i] << j) | (cols_b[j] << (i * nb))
-        for i in range(a.count)
-        for j in range(nb)
-    ]
+    # d(a_i * b_j) = da_i * b_j + a_i * db_j: the targets of pair (i, j) are
+    # the pairs (t, j) for t in da_i and (i, u) for u in db_j.  ``row[i]``
+    # holds the canonical indices of the pairs (i, *), ``column[j]`` those
+    # of the pairs (*, j).
+    targets_a = [list(bits(col)) for col in a.delta_columns()]
+    targets_b = [list(bits(col)) for col in b.delta_columns()]
+    row = [pos[i * nb : (i + 1) * nb] for i in range(a.count)]
+    column = [pos[j::nb] for j in range(nb)]
+    cols = [0] * len(pos)
+    for i, ta in enumerate(targets_a):
+        here = row[i]
+        for j, tb in enumerate(targets_b):
+            there = column[j]
+            v = 0
+            for t in ta:
+                v |= 1 << there[t]
+            for u in tb:
+                v |= 1 << here[u]
+            cols[here[j]] = v
     product = FloerComplexData.from_columns(params, gens, cols)
     report = validate(product)
     if not report.ok:

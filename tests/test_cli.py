@@ -220,6 +220,24 @@ def test_a_nonzero_delta_square_gives_the_walks_error_through_every_command(
     assert run(*(paths.get(arg, arg) for arg in argv)) == (1, out, err)
 
 
+@pytest.mark.parametrize("name", sorted(SQUARE_TEXTS))
+@pytest.mark.parametrize(
+    "command, classes", [("cup", False), ("cup", True), ("cuplength", True)]
+)
+def test_cup_and_cuplength_refuse_a_nonzero_delta_square(
+    run, write_doc, name, command, classes
+):
+    """``fcx cup`` with or without class lines, and ``fcx cuplength`` with a
+    unit class and its ring row, refuse delta^2 != 0 with the walk's witness
+    and print nothing."""
+    text = SQUARE_TEXTS[name]
+    if classes:
+        ids = [line.split()[1] for line in text.splitlines() if line.startswith("gen ")]
+        text += "cup 1 0\n" + "".join(f"c 1 {g} {g}\n" for g in ids) + "ring 1 1 1\n"
+    path = write_doc(text, "square.fcx")
+    assert run(command, path) == (1, "", f"fcx: invalid complex: {SQUARE_ERROR}\n")
+
+
 def test_the_engine_commands_never_walk_delta_for_a_zero_square(
     run, write_doc, scrambled, monkeypatch
 ):
@@ -689,6 +707,27 @@ def test_installed_entry_point_runs(tmp_path):
     bad.write_text(BAD_JUMP_TEXT, encoding="utf-8")
     proc = run_script("validate", str(bad))
     assert proc.returncode == 1, proc.stderr
+
+
+def test_the_cli_module_runs_as_a_script():
+    """``python -m fcx.cli`` runs the command line: the golden ``pages``
+    bytes for a document, exit code 2 for a path that cannot be read."""
+    golden = Path(__file__).parent / "golden"
+    src_dir = str(Path(fcx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src_dir}
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fcx.cli", *argv], capture_output=True, text=True, env=env
+        )
+
+    proc = run_module("pages", str(golden / "three_gen.fcx"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (golden / "three_gen.pages.human.txt").read_text(encoding="utf-8")
+
+    proc = run_module("pages", str(golden / "no_such_document.fcx"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("fcx: cannot read")
 
 
 def test_report_and_pages_never_build_cells_or_differentials(run, write_doc, monkeypatch):

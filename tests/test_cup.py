@@ -38,6 +38,7 @@ from fcx.model import (
     EngineConsistencyError,
     FcxError,
     FloerComplexData,
+    InvalidComplexError,
     LiftedGenerator,
     MonotoneParams,
     _class_columns,
@@ -494,6 +495,37 @@ def test_the_inverse_is_built_once_per_form(tmp_path, capsys, monkeypatch):
         for k in range(1, pages(c).max_page + 1):
             induced_on_pages(c, cls, k)
     assert built == [c.count]
+
+
+def test_the_induced_maps_reduce_before_they_validate(monkeypatch):
+    """On a fresh C tensor F document, the induced maps on every class and
+    page 1..collapse + 1 (in the benchmark's order) reduce first, so the
+    reduction proves delta^2 = 0 and no validation walks delta; a complex
+    with delta^2 != 0 is still refused with the walk's witness."""
+    import fcx.model
+
+    text = serialize(shifted_product_document())
+    n_pages = pages(parse(text)).collapse_page + 1
+    c = parse(text)
+    walked = []
+    walk = fcx.model._square_errors
+    monkeypatch.setattr(fcx.model, "_square_errors", lambda c: walked.append(c.count) or walk(c))
+    for cls in sorted(c.cup_classes, key=lambda cls: cls.name):
+        for k in range(1, n_pages + 1):
+            induced_on_pages(c, cls, k)
+    assert walked == []
+
+    bad = parse(
+        "fcx 1\nsigma 4\nlambda 0\ngen a 0\ngen b 1\ngen c 2\nd a b\nd b c\n"
+        "cup 1 0\nc 1 a a\nc 1 b b\nc 1 c c\n"
+    )
+    with pytest.raises(InvalidComplexError) as info:
+        induced_on_pages(bad, bad.cup_classes[0], 1)
+    assert str(info.value) == (
+        "invalid complex: differential does not square to zero: "
+        "starting at 'a' it reaches 'c' twice"
+    )
+    assert walked == [3]
 
 
 def test_shifted_product_outputs_are_pinned(tmp_path, capsys):

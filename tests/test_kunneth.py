@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -265,3 +267,66 @@ def test_a_power_whose_ids_collide_is_refused_as_an_input_error():
     assert str(info.value) == (
         "tensor product id 'x*x*x' joins two factor pairs: 'x' * 'x*x' and 'x*x' * 'x'"
     )
+
+
+def leibniz_product(a, b):
+    """The product of ``a`` and ``b`` built from its Leibniz entries by id:
+    (s*y, t*y) for each entry (s, t) of ``a`` and generator y of ``b``, and
+    (x*u, x*v) for each generator x of ``a`` and entry (u, v) of ``b``.  No
+    index arithmetic: the entries resolve by id."""
+    pa, pb = a.params, b.params
+    params = dataclasses.replace(pa, window_base=pa.window_base + pb.window_base)
+    gens = [
+        LiftedGenerator(f"{x.uid}*{y.uid}", x.degree + y.degree)
+        for x in a.generators
+        for y in b.generators
+    ]
+    entries = [(f"{s}*{y}", f"{t}*{y}") for s, t in a.delta for y in b.uids]
+    entries += [(f"{x}*{u}", f"{x}*{v}") for x in a.uids for u, v in b.delta]
+    return FloerComplexData(params, gens, entries)
+
+
+def _factor(rng, params):
+    """A small factor of 1 to 9 generators, sometimes without its
+    differential, sometimes with ``*`` in every id (both factors may have
+    one: no two pairs then join to one id)."""
+    max_gens = rng.choice([1, 2, 5, 9])
+    c, _ = random_complex(rng.getrandbits(32), params, max_gens=max_gens, max_jump=3)
+    if rng.random() < 0.2:
+        c = FloerComplexData(params, c.generators)  # an empty differential
+    if rng.random() < 0.3:
+        c = FloerComplexData(
+            params,
+            (LiftedGenerator(f"s*{g.uid}", g.degree) for g in c.generators),
+            ((f"s*{s}", f"s*{t}") for s, t in c.delta),
+        )
+    return c
+
+
+def test_tensor_product_equals_the_product_built_from_its_entries(monkeypatch):
+    """On 240 seeded factor pairs, the product built in canonical order is
+    the complex built from its Leibniz entries by id, its provenance comes in
+    factor order, and no column is moved after the build."""
+    import fcx.model
+
+    moved = []
+    move = fcx.model._moved
+    monkeypatch.setattr(fcx.model, "_moved", lambda *args: moved.append(args) or move(*args))
+    rng = random.Random(20261020)
+    seen = {"star": 0, "empty": 0, "single": 0, "tie": 0}
+    for _ in range(240):
+        params = MonotoneParams(rng.choice([3, 4, 6]), 0.0)
+        a, b = _factor(rng, params), _factor(rng, params)
+        moved.clear()
+        tensor = tensor_product(a, b)
+        assert moved == []
+        assert tensor.complex == leibniz_product(a, b)
+        assert tensor.factor_ids == tuple(
+            (f"{x}*{y}", x, y) for x in a.uids for y in b.uids
+        )
+        sums = [x.degree + y.degree for x in a.generators for y in b.generators]
+        seen["star"] += any("*" in uid for uid in a.uids) != any("*" in uid for uid in b.uids)
+        seen["empty"] += not a.delta or not b.delta
+        seen["single"] += a.count == 1 or b.count == 1
+        seen["tie"] += len(set(sums)) < len(sums)
+    assert min(seen.values()) >= 30, seen
