@@ -177,8 +177,10 @@ def _render_validate(c: FloerComplexData) -> tuple[list[tuple], bool]:
 
 
 def _render_cohomology(table: PageTable) -> tuple[list[tuple], bool]:
-    z, hf = table.barcode.cohomology_dims(table.params.maslov_period)
-    rows = [("cohomology", n, d) for n, d in sorted(z.items())]
+    hf: dict[int, int] = {}
+    for (_n, j), d in table.page(table.collapse_page).items():
+        hf[j] = hf.get(j, 0) + d
+    rows = [("cohomology", n, d) for (n, _j), d in sorted(table.page(1).items())]
     rows += [("hf", j, d) for j, d in sorted(hf.items())]
     return rows, True
 
@@ -374,6 +376,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     max_page = getattr(args, "max_page", None)
     if max_page is not None and max_page < 1:
         raise _UsageError(f"argument --max-page: must be at least 1, got {max_page}")
+    m = getattr(args, "m", None)
+    if m is not None and m < 0:
+        raise _UsageError(f"argument --m: must be at least 0, got {m}")
     docs = [
         _load(getattr(args, name), args.allow_small_sigma)
         for name in ("file", "file_a", "file_b")
@@ -416,7 +421,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     seed = args.seed
     if seed is None:  # read when the command runs: the parser is built once
         env_seed = os.environ.get("FCX_SEED")
-        seed = int(env_seed) if env_seed else 0
+        try:
+            seed = int(env_seed) if env_seed else 0
+        except ValueError:
+            raise _UsageError(
+                f"FCX_SEED must be an integer, got {env_seed!r}"
+            ) from None
     params = MonotoneParams(
         maslov_period=args.sigma,
         monotonicity=args.lam,

@@ -296,8 +296,8 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
     coefficients on the target cell's alive slots give the matrix.  Pages
     beyond the collapse page are served by the stable page.  The pushed
     representatives are shared by every page (``_graded_images``), and a
-    page reads them through its ``_PageLayout``.  Exact commutation with
-    the page differential is checked defensively.
+    page reads them through its run's ``_PageLayout``.  Exact commutation
+    with the page differential is checked defensively.
     """
     form = canonical_form(c)  # proves delta^2 = 0, so validation does not walk delta
     acols = require_valid_cup(c, a)
@@ -307,11 +307,11 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
     k_eff = min(k, table.collapse_page)
     period = c.params.maslov_period
     p = a.degree
-    layouts = table.cached("cup_page_layouts", _page_layouts)
+    layouts = table.cached("cup_page_layouts", _run_layouts)
     images = _derived(
         c, a, "slot_images", lambda c, a: _graded_images(c, a, acols, form, layouts[0], k_eff)
     )
-    cells, row, alive, dead_sources = layouts[k_eff - 1]
+    cells, row, alive, dead_sources = layouts[table.run(k)]
     gens = c.generators
 
     maps: list[tuple[tuple[int, int], Gf2Matrix]] = []
@@ -376,7 +376,7 @@ def _graded_images(
 
 
 class _PageLayout(NamedTuple):
-    """One page's cells as the induced maps read them.
+    """One run of equal pages' cells as the induced maps read them.
 
     ``cells`` maps each populated (level, residue), in ascending order, to
     its alive slots; ``row`` each alive slot to its position in its cell;
@@ -391,17 +391,13 @@ class _PageLayout(NamedTuple):
     dead_sources: int
 
 
-def _page_layouts(table: PageTable) -> list[_PageLayout]:
-    """The layout of each page 1..collapse page, the pages ``induced_on_pages``
-    reads (a later page is the stable page)."""
-    collapse = table.collapse_page
-    by_page: list[dict[tuple[int, int], tuple[int, ...]]] = [{} for _ in range(collapse)]
-    for (k, n, j), cell in sorted(table.cells.items()):
-        if k <= collapse:
-            by_page[k - 1][(n, j)] = cell.slots
+def _run_layouts(table: PageTable) -> list[_PageLayout]:
+    """The layout of each run of equal pages, from the table's slots; page k
+    reads that of ``table.run(k)``."""
     sources = sum(1 << s for s, _t in table.form.dipoles)
     layouts = []
-    for cells in by_page:
+    for run in table.slots:
+        cells = dict(sorted(run.items()))
         row = {s: r for slots in cells.values() for r, s in enumerate(slots)}
         alive = sum(1 << s for s in row)
         layouts.append(_PageLayout(cells, row, alive, sources & ~alive))
@@ -432,8 +428,9 @@ def _check_page_commutation(table: PageTable, induced: InducedPageMaps, k: int) 
                 (r, x ^ y) for r, (x, y) in enumerate(zip(lhs.rows, rhs.rows)) if x != y
             )
             gens = table.form.generators
-            src = table.cells[(k, n, j)].slots[(diff & -diff).bit_length() - 1]
-            hit = table.cells[(k, dn + p, (dj + p) % period)].slots[row]
+            slots = table.slots[table.run(k)]
+            src = slots[(n, j)][(diff & -diff).bit_length() - 1]
+            hit = slots[(dn + p, (dj + p) % period)][row]
             raise EngineConsistencyError(
                 f"induced maps of class '{induced.class_name}' do not commute "
                 f"with the page-{k} differential at (n={n}, j={j}): slot "

@@ -33,11 +33,11 @@ barcode lists each dipole as (source level, target level, jump index) and
 each free generator by its level: a free generator survives every page, a
 dipole of jump index ``k`` keeps both endpoints alive on pages ``1..k`` (the
 page-``k`` differential sends source slot to target slot) and dies entering
-page ``k+1``.  A page table holds the canonical form and, eagerly, each
-page's dimensions by level; page dimensions, polynomials and the collapse
-page read only those.  The cells (slots and representatives) and the
-differential matrices are built from the barcode the first time they are
-read.  The barcode also counts the dimensions of both cohomologies.
+page ``k+1``.  So a page table keeps one entry per run of equal pages, the
+runs starting at page 1 and at each jump index + 1: eagerly, its dimensions
+by level, which page dimensions, polynomials and the collapse page read; its
+alive slots, cells and differential matrices when first read.  Page 1 and
+the stable page are the dimensions of both cohomologies.
 
 Two independent cross-check routes are provided and kept deliberately
 separate from the reduction and its kernel, ``gf2.echelon``: a literal
@@ -47,6 +47,7 @@ image filtration on ordinary cohomology.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -105,19 +106,6 @@ class Barcode:
 
     dipoles: tuple[tuple[int, int, int], ...]
     free: tuple[int, ...]
-
-    @cached_property
-    def collapse_page(self) -> int:
-        """First page equal to the limit: 1 + the maximal jump index (1 if none)."""
-        return 1 + max((jump for _, _, jump in self.dipoles), default=0)
-
-    def cohomology_dims(self, period: int) -> tuple[dict[int, int], dict[int, int]]:
-        """Nonzero dims of the degree-graded cohomology by level (page 1: the
-        free levels and both ends of each dipole of jump index >= 1) and of
-        HF by residue mod ``period`` (the limit: the free levels)."""
-        z = Counter(self.free)
-        z.update(n for src, dst, jump in self.dipoles if jump for n in (src, dst))
-        return z, Counter(n % period for n in self.free)
 
 
 @dataclass(frozen=True)
@@ -179,26 +167,27 @@ class PageCell:
 
 @dataclass(frozen=True)
 class PageTable:
-    """Every spectral page of a complex, read from its barcode.
+    """Every spectral page of a complex, kept once per run of equal pages.
 
-    It keeps the canonical form alone; ``params``, ``barcode`` and
-    ``collapse_page`` (the first page equal to the limit) are the form's.
-    Every page k >= 1 exists: a page past the collapse page is the stable
-    page, and ``page`` serves it so.  Eager: per page through the collapse
-    page, the nonzero dimensions by level, counted from the barcode;
-    ``page`` and the page polynomials read only those.
+    It keeps the canonical form alone; ``params`` and ``barcode`` are the
+    form's.  Page k changes only at k = J + 1 for a jump index J, so runs
+    start at page 1 and at each J + 1 (``starts``, ascending); the last
+    starts at ``collapse_page``, the first page equal to the limit, and
+    ``run(k)`` is the one map from a page k >= 1 to its run.  Eager: the
+    nonzero dimensions by level of each run, which ``page`` reads.
 
-    Built from the barcode on first access, then kept, for pages
-    1..``max_page`` (the collapse page + 1): ``cells`` maps (page, level,
-    residue) to a nonzero cell; ``differentials`` maps a *source* cell key
-    (k, n, j) to the page-k differential matrix into the cell at
-    (k, n + k*period + 1, (j + 1) % period) -- rows indexed by the target
-    cell's slots, columns by the source cell's slots; only nonzero matrices
-    are stored.  Other derived data is memoized by ``cached``.  The table
-    keeps the form, not the complex, whose memo holds it.
+    Built from the barcode on first access, then kept: ``slots`` maps, per
+    run, each (level, residue) to its alive canonical slots; ``cells`` maps
+    (page, level, residue) to a nonzero cell, for pages 1..``max_page``;
+    ``differentials`` maps a source cell key (k, n, j), k a jump index, to
+    its nonzero page-k matrix, whose rows are the slots of the cell at
+    (k, n + k*period + 1, (j + 1) % period) and columns its own slots.
+    Other data is memoized by ``cached``.  The table keeps the form, not
+    the complex, whose memo holds it.
     """
 
     form: CanonicalForm
+    starts: tuple[int, ...] = field(init=False, compare=False)
     _dims: tuple[dict[tuple[int, int], int], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -207,7 +196,9 @@ class PageTable:
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_dims", _page_dims(self.barcode, self.params.residue))
+        starts, dims = zip(*_page_runs(self.barcode, self.params.residue))
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "_dims", dims)
 
     @property
     def params(self) -> MonotoneParams:
@@ -219,13 +210,17 @@ class PageTable:
 
     @property
     def collapse_page(self) -> int:
-        return self.form.barcode.collapse_page
+        return self.starts[-1]
 
     @property
     def max_page(self) -> int:
-        """The collapse page + 1: the last page ``cells`` and ``differentials``
-        hold, and the last one the pages commands print by default."""
+        """The collapse page + 1: the last page ``cells`` holds, and the last
+        one the pages commands print by default."""
         return self.collapse_page + 1
+
+    def run(self, k: int) -> int:
+        """Index of the run that page k >= 1 belongs to."""
+        return bisect_right(self.starts, k) - 1
 
     def cached(self, key: str, compute: Callable[["PageTable"], _T]) -> _T:
         """``compute(self)``, evaluated at most once per table under ``key``."""
@@ -241,64 +236,71 @@ class PageTable:
         past the collapse page is the stable page."""
         if k < 1:
             raise ValueError(f"pages are indexed from 1, got {k}")
-        return dict(self._dims[min(k, len(self._dims)) - 1])
+        return dict(self._dims[self.run(k)])
 
     @cached_property
-    def cells(self) -> Mapping[tuple[int, int, int], PageCell]:
-        """Cell (k, n, j): the canonical slots alive on page k at level n --
-        every free slot there and both endpoints of every dipole of jump
-        index >= k -- with their canonical basis vectors as representatives."""
-        form = self.form
-        residue = self.params.residue
-        basis = form.change_of_basis
-        cells: dict[tuple[int, int, int], PageCell] = {}
-        for k in range(1, self.max_page + 1):
+    def slots(self) -> tuple[dict[tuple[int, int], tuple[int, ...]], ...]:
+        """Per run, the canonical slots alive at each (level, residue),
+        ascending: every free slot there and both endpoints of every dipole
+        of jump index >= the run's first page."""
+        form, residue = self.form, self.params.residue
+        runs = []
+        for start in self.starts:
             slots_at: dict[int, list[int]] = {}
             for f, n in zip(form.free, self.barcode.free):
                 slots_at.setdefault(n, []).append(f)
             for (s, t), (ns, nt, jump) in zip(form.dipoles, self.barcode.dipoles):
-                if jump >= k:
+                if jump >= start:
                     slots_at.setdefault(ns, []).append(s)
                     slots_at.setdefault(nt, []).append(t)
-            for n, slots in slots_at.items():
-                slots.sort()
-                cells[(k, n, residue(n))] = PageCell(
-                    len(slots), tuple(slots), tuple(basis[i] for i in slots)
-                )
-        return cells
+            runs.append({(n, residue(n)): tuple(sorted(s)) for n, s in slots_at.items()})
+        return tuple(runs)
+
+    @cached_property
+    def cells(self) -> Mapping[tuple[int, int, int], PageCell]:
+        """Cell (k, n, j): the slots of page k's run at (n, j), with their
+        canonical basis vectors as representatives."""
+        basis = self.form.change_of_basis
+        runs = [
+            {key: PageCell(len(s), s, tuple(basis[i] for i in s)) for key, s in run.items()}
+            for run in self.slots
+        ]
+        return {
+            (k, n, j): cell
+            for k in range(1, self.max_page + 1)
+            for (n, j), cell in runs[self.run(k)].items()
+        }
 
     @cached_property
     def differentials(self) -> Mapping[tuple[int, int, int], Gf2Matrix]:
         """The page-k differential of each source cell: its dipoles of jump exactly k."""
         params = self.params
-        cells = self.cells
+        arrows: dict[int, dict[int, list[tuple[int, int]]]] = {}
+        for pair, (ns, _nt, jump) in zip(self.form.dipoles, self.barcode.dipoles):
+            if jump:
+                arrows.setdefault(jump, {}).setdefault(ns, []).append(pair)
         diffs: dict[tuple[int, int, int], Gf2Matrix] = {}
-        for k in range(1, self.max_page + 1):
-            arrows: dict[int, list[tuple[int, int]]] = {}
-            for pair, (ns, _nt, jump) in zip(self.form.dipoles, self.barcode.dipoles):
-                if jump == k:
-                    arrows.setdefault(ns, []).append(pair)
-            for n, pairs in arrows.items():
-                src_key = (k, n, params.residue(n))
-                dst_key = (k, n + k * params.maslov_period + 1, params.residue(n + 1))
-                src_pos = {i: p for p, i in enumerate(cells[src_key].slots)}
-                dst_pos = {i: p for p, i in enumerate(cells[dst_key].slots)}
+        for k in sorted(arrows):
+            cells = self.slots[self.run(k)]
+            for n, pairs in arrows[k].items():
+                key = (n, params.residue(n))
+                dst = cells[(n + k * params.maslov_period + 1, params.residue(n + 1))]
+                src_pos = {i: p for p, i in enumerate(cells[key])}
+                dst_pos = {i: p for p, i in enumerate(dst)}
                 entries = [(dst_pos[t], src_pos[s]) for s, t in pairs]
-                diffs[src_key] = Gf2Matrix.from_entries(
-                    cells[dst_key].dim, cells[src_key].dim, entries
-                )
+                diffs[(k, *key)] = Gf2Matrix.from_entries(len(dst), len(src_pos), entries)
         return diffs
 
 
-def _page_dims(
+def _page_runs(
     barcode: Barcode, residue: Callable[[int], int]
-) -> tuple[dict[tuple[int, int], int], ...]:
-    """Nonzero dimensions of pages 1..collapse page by (level, residue),
-    counted from the barcode.
+) -> list[tuple[int, dict[tuple[int, int], int]]]:
+    """(first page, nonzero dimensions by (level, residue)) of each run of
+    equal pages, ascending, counted from the barcode.
 
     A free generator lives on every page; a dipole of jump index J puts both
-    endpoints on pages 1..J.  Pages are counted from the last one down, each
-    adding the dipoles that die right after it.
+    endpoints on pages 1..J.  Runs are counted from the last one down: the
+    run below the one that starts at J + 1 adds the dipoles of jump index J.
     """
     dying_after: dict[int, list[tuple[int, int]]] = {}
     for src, dst, jump in barcode.dipoles:
@@ -306,12 +308,12 @@ def _page_dims(
             ((src, residue(src)), (dst, residue(dst)))
         )
     alive = Counter((n, residue(n)) for n in barcode.free)
-    dims: list[dict[tuple[int, int], int]] = []
-    for k in range(barcode.collapse_page, 0, -1):
-        alive.update(dying_after.get(k, ()))
-        dims.append(dict(alive))
-    dims.reverse()
-    return tuple(dims)
+    runs: list[tuple[int, dict[tuple[int, int], int]]] = []
+    for start in sorted({1} | {jump + 1 for jump in dying_after}, reverse=True):
+        runs.append((start, dict(alive)))
+        alive.update(dying_after.get(start - 1, ()))
+    runs.reverse()
+    return runs
 
 
 @dataclass(frozen=True)

@@ -158,19 +158,18 @@ class BettiReport:
 def poincare_laurent(table: PageTable, k: int) -> LaurentPoly:
     """Poincare-Laurent polynomial of page k: sum over levels of dim * t^level.
 
-    The polynomials of pages 1..collapse page are built once per table, from
-    its page dimensions; a later page is the stable page.
+    One polynomial per run of equal pages is built once per table, from its
+    page dimensions, and page k reads that of its run.
     """
     if k < 1:
         raise FcxError(f"pages are indexed from 1, got {k}")
-    polys = table.cached("poincare_laurent", _page_polynomials)
-    return polys[min(k, len(polys)) - 1]
+    return table.cached("poincare_laurent", _run_polynomials)[table.run(k)]
 
 
-def _page_polynomials(table: PageTable) -> tuple[LaurentPoly, ...]:
+def _run_polynomials(table: PageTable) -> tuple[LaurentPoly, ...]:
     return tuple(
         LaurentPoly.from_dict({n: d for (n, _j), d in table.page(k).items()})
-        for k in range(1, table.collapse_page + 1)
+        for k in table.starts
     )
 
 
@@ -198,8 +197,8 @@ def q_decomposition(c: FloerComplexData) -> DecompositionReport:
     source contributes the matching t^(target level - i*period - 1) term,
     which is exactly the (1 + t^(-i*period-1)) factor of the identity.  Both
     sides are read from the barcode, the page polynomials through the page
-    table's per-page dimensions; the identity is re-verified here on integer
-    level counts, and a failure raises an internal-consistency error.
+    table's runs; the identity is re-verified on integer level counts for
+    each page 1..k_max (one qbar per page), raising an internal error if not.
     """
     barcode = canonical_form(c).barcode
     table = pages(c)
@@ -344,13 +343,15 @@ def betti_compare(
 ) -> BettiReport:
     """Compare degree-graded cohomology with a Betti vector b_0..b_m.
 
-    The cohomology dimensions are page 1, counted from the barcode.
+    The cohomology dimensions are page 1 of the page table.
 
     The sharp regime predicts dim I_n = b_(n+m) for every n (zero outside
     -m..0); independently, the generator count is tested against the sum of
     the Betti numbers.
     """
-    form = canonical_form(c)
+    if m < 0:
+        raise FcxError(f"the half-dimension m must be at least 0, got {m}")
+    table = pages(c)
     if len(betti) != m + 1:
         raise FcxError(
             f"expected {m + 1} Betti numbers b_0..b_{m}, got {len(betti)}"
@@ -360,10 +361,9 @@ def betti_compare(
             f"half-dimension mismatch: complex declares {c.params.half_dim}, "
             f"comparison uses {m}"
         )
-    dims = form.barcode.cohomology_dims(c.params.maslov_period)[0]
+    dims = {n: d for (n, _j), d in table.page(1).items()}
     mismatches: list[str] = []
-    lows = [n for n in dims]
-    candidates = sorted(set(range(-m, 1)) | set(lows))
+    candidates = sorted(set(range(-m, 1)) | dims.keys())
     for n in candidates:
         got = dims.get(n, 0)
         want = betti[n + m] if -m <= n <= 0 else 0

@@ -40,8 +40,8 @@ The degree-graded cohomology eliminates each degree once with
 ``gf2.echelon``.  The rows it keeps are the next degree's image; the image
 rows and the representatives stay on the ``CohomologyTable`` as one
 pivot-keyed echelon, against which the cup actions decode any cocycle.  The
-dimensions of both cohomologies, degree-graded and periodic (HF), are counted
-from the barcode (``engine.Barcode.cohomology_dims``).
+dimensions of both cohomologies, degree-graded and periodic (HF), are read
+from the page table (``engine.PageTable``): page 1 and the stable page.
 """
 
 from __future__ import annotations
@@ -823,7 +823,7 @@ def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
     here and only act on later spectral pages.  Each degree's jump-0 columns
     are eliminated once (see ``_graded_cohomology``).  The table is computed
     once per instance, for its representatives and ``coordinates``; its
-    dimensions are page 1, which ``Barcode.cohomology_dims`` counts.
+    dimensions are page 1 of the page table (``engine.PageTable.page``).
     """
     return c.cached("z_graded_cohomology", _graded_cohomology)
 

@@ -5,15 +5,18 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import fcx
 from fcx.cli import main
-from fcx.invariants import rebase
+from fcx.engine import pages
+from fcx.invariants import LaurentPoly, betti_compare, poincare_laurent, rebase
 from fcx.io import FcxParseError, parse, serialize
 from fcx.model import GEN_MAX_GENERATORS, validate
 from fcx.synth import random_complex
@@ -21,6 +24,7 @@ from fcx.synth import random_complex
 DIPOLE_TEXT = "fcx 1\nsigma 4\nlambda 0.5\ngen x 0\ngen y 5\nd x y\n"
 THREE_TEXT = "fcx 1\nsigma 4\nlambda 0.5\ngen x 0\ngen x2 4\ngen y 5\nd x y\n"
 BAD_JUMP_TEXT = "fcx 1\nsigma 4\nlambda 0.5\ngen x 0\ngen y 2\nd x y\n"
+HUGE_JUMP_TEXT = "fcx 1\nsigma 4\nlambda 0\ngen a 0\ngen b 1000000000000000001\nd a b\n"
 ACT_TEXT = "fcx 1\nsigma 4\nlambda 0.5\nr 0.75\ngen x 0 1\ngen y 5 2.5\nd x y\n"
 RING_TEXT = (
     "fcx 1\nsigma 3\nlambda 0\ngen u 0\ngen v 2\n"
@@ -349,6 +353,13 @@ def test_betti_requires_half_dimension(run, write_doc):
     assert "--m" in err
 
 
+@pytest.mark.parametrize("m", [-1, -2])
+def test_betti_m_below_zero_is_a_usage_error(run, write_doc, m):
+    code, out, err = run("betti", write_doc(DIPOLE_TEXT), "--betti", "1", "--m", str(m))
+    assert (code, out) == (2, "")
+    assert err == f"fcx: argument --m: must be at least 0, got {m}\n"
+
+
 def test_rebase_emits_reparsable_canonical_document(run, write_doc, tmp_path):
     path = write_doc(ACT_TEXT)
     code, out, _ = run("rebase", path, "--delta-r", "2.0")
@@ -550,6 +561,15 @@ def test_gen_seed_from_environment(run, monkeypatch):
     assert from_env == explicit
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_a_malformed_fcx_seed_is_a_usage_error(run, monkeypatch, value):
+    monkeypatch.setenv("FCX_SEED", value)
+    code, out, err = run("gen")
+    assert (code, out) == (2, "")
+    assert err == f"fcx: FCX_SEED must be an integer, got '{value}'\n"
+    assert run("gen", "--seed", "3")[0] == 0  # an explicit seed never reads it
+
+
 def test_gen_reads_the_seed_when_the_command_runs(run, monkeypatch):
     monkeypatch.delenv("FCX_SEED", raising=False)
     _, default, _ = run("gen")  # the process's parser exists from here on
@@ -730,6 +750,51 @@ def test_the_cli_module_runs_as_a_script():
     assert proc.stderr.startswith("fcx: cannot read")
 
 
+def test_a_huge_jump_index_costs_one_run_of_pages_per_jump(tmp_path):
+    """The collapse page is a number read from the input, not the size of
+    the complex: one dipole of jump index 2.5 * 10**17 gives two runs of
+    equal pages, and every page, polynomial and command answers at once.
+    Each command runs in a child limited to 10 s and 1 GiB of address
+    space, so a page-by-page build fails here without filling the memory;
+    the calls in this process run only after the children passed."""
+    path = tmp_path / "huge.fcx"
+    path.write_text(HUGE_JUMP_TEXT, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(fcx.__file__).resolve().parents[1])}
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    top, collapse = 10**18 + 1, 250000000000000001
+    square = f"0:1 {top}:2 {2 * top}:1"
+    expected = {
+        ("cohomology",): ["cohomology\t0\t1", f"cohomology\t{top}\t1"],
+        ("collapse-bound",): [f"collapse\t{collapse}", f"bound-jumps\t{collapse}"],
+        ("power", "--s", "2"): [f"poly\t1\t{square}", f"expected\t1\t{square}", "power\tpass"],
+        ("pages", "--max-page", "3"): [
+            f"page\t{k}\t{n}\t{n % 4}\t1" for k in (1, 2, 3) for n in (0, top)
+        ] + [f"collapse\t{collapse}"],
+    }
+    for (command, *flags), lines in expected.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "fcx.cli", command, str(path), *flags, "--format", "tsv"],
+            capture_output=True, text=True, env=env, timeout=10, preexec_fn=limit_memory,
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (0, "", lines)
+
+    start = time.perf_counter()
+    c = parse(HUGE_JUMP_TEXT)
+    table = pages(c)
+    assert (table.collapse_page, table.starts) == (collapse, (1, collapse))
+    for k in (1, 2, collapse - 1):
+        assert table.page(k) == {(0, 0): 1, (top, 1): 1}
+        assert poincare_laurent(table, k) == LaurentPoly(((0, 1), (top, 1)))
+    for k in (collapse, collapse + 5, 10**18):
+        assert table.page(k) == {} and poincare_laurent(table, k).is_zero
+    report = betti_compare(c, (1,), 0)
+    assert report.mismatches == (f"degree {top}: cohomology dim 1, Betti prediction 0",)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_report_and_pages_never_build_cells_or_differentials(run, write_doc, monkeypatch):
     import fcx.cli
     import fcx.invariants
@@ -750,9 +815,12 @@ def test_report_and_pages_never_build_cells_or_differentials(run, write_doc, mon
     # q_decomposition reads, then the two pages runs
     assert len(tables) == 2 * 2 * (2 + 2)
     for table in tables:
-        assert "cells" not in vars(table) and "differentials" not in vars(table)
-    table.differentials  # builds both on first read, then keeps them
-    assert "cells" in vars(table) and "differentials" in vars(table)
+        assert not {"slots", "cells", "differentials"} & vars(table).keys()
+    table.differentials  # builds the slot table and itself on first read, then keeps them
+    assert {"slots", "differentials"} <= vars(table).keys()
+    assert "cells" not in vars(table)
+    table.cells
+    assert "cells" in vars(table)
 
 
 def test_pages_cohomology_and_report_build_no_differential_entries(

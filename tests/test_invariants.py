@@ -408,6 +408,8 @@ def test_betti_compare_input_errors():
     c = complex_of(P4_ALG, [("x", 0)])
     with pytest.raises(FcxError, match="expected 3 Betti numbers"):
         betti_compare(c, (1,), 2)
+    with pytest.raises(FcxError, match="half-dimension m must be at least 0, got -2"):
+        betti_compare(c, (1,), -2)
     declared = complex_of(
         MonotoneParams(4, 0.0, half_dim=3), [("x", 0)]
     )

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import index_map
-from fcx.engine import canonical_form, limit_and_filtration, pages
+from fcx.engine import limit_and_filtration, pages
 from fcx.io import FcxParseError, parse, serialize
 from fcx.model import (
     DifferentialEntry,
@@ -309,8 +309,13 @@ def test_z_graded_ignores_higher_jump_entries():
 
 
 def barcode_dims(c):
-    """(degree-graded dims by level, HF dims by residue) counted from the barcode."""
-    return canonical_form(c).barcode.cohomology_dims(c.params.maslov_period)
+    """(degree-graded dims by level, HF dims by residue) read from the page
+    table: page 1, and the stable page summed by residue."""
+    table = pages(c)
+    hf: dict[int, int] = {}
+    for (_n, j), d in table.page(table.collapse_page).items():
+        hf[j] = hf.get(j, 0) + d
+    return {n: d for (n, _j), d in table.page(1).items()}, hf
 
 
 def hf_dims(c):

@@ -208,7 +208,8 @@ def test_only_gf2_runs_an_elimination_loop():
 def test_only_the_engine_clamps_a_page_to_the_collapse_page():
     """Every page k >= 1 exists, and ``PageTable`` alone serves a page past
     the collapse page as the stable page: no function outside ``engine``
-    reads ``collapse_page`` inside a ``min(...)``.  ``cup.induced_on_pages``
+    reads ``collapse_page`` or takes a ``len(...)`` inside a ``min(...)``
+    (a clamp to the length of a per-page list).  ``cup.induced_on_pages``
     clamps only to report the page its maps are read on (``k_eff``), and the
     normal-form oracle ``OraclePages.page``, which judges the engine and so
     shares no code with it, keeps its own copy of the rule."""
@@ -218,12 +219,16 @@ def test_only_the_engine_clamps_a_page_to_the_collapse_page():
             isinstance(node, ast.Name) and node.id == "collapse_page"
         )
 
-    def clamps(node: ast.AST) -> bool:
+    def calls(node: ast.AST, name: str) -> bool:
         return (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
-            and node.func.id == "min"
-            and any(reads_collapse_page(inner) for inner in ast.walk(node))
+            and node.func.id == name
+        )
+
+    def clamps(node: ast.AST) -> bool:
+        return calls(node, "min") and any(
+            reads_collapse_page(inner) or calls(inner, "len") for inner in ast.walk(node)
         )
 
     clamping = {name for name in _functions_with(clamps) if not name.startswith("engine.")}
