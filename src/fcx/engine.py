@@ -16,10 +16,12 @@ The reduction needs only the structural checks of validation, not its
 delta^2 walk: its own checks prove delta^2 = 0.  They check that the roles
 partition the basis, that the change of basis B is unitriangular (hence
 invertible) and that delta B is B times the dipole map D, whose square is 0;
-so delta^2 = B D^2 B^-1 = 0.  The proof is recorded on the complex, and a
-later ``validate`` returns its report without the walk.  If a check fails,
-the walk runs and names the witness of delta^2 != 0; only if it finds none
-is the failure a bug in the engine.
+so delta^2 = B D^2 B^-1 = 0.  The self-check reads delta B from the
+substitution that inverts B, which forms it in the same walk of each column
+of B.  The proof is recorded on the complex, and a later ``validate`` returns
+its report without the walk.  If a check fails, the walk runs and names the
+witness of delta^2 != 0; only if it finds none is the failure a bug in the
+engine.
 
 The low is found without a scan.  Generators are stored sorted by
 (degree, id), so each degree is one contiguous block of indices: a column's
@@ -426,27 +428,28 @@ def _dipole_form(c: FloerComplexData) -> CanonicalForm:
     # Each slot is its generator plus earlier ones in ``order`` (a dipole
     # target is its own low), so the inverse is a substitution in that order.
     try:
-        inverse = invert_columns(basis, order)
+        inverse, delta_basis = invert_columns(basis, order, cols)
     except NotUnitriangularError as exc:
         raise EngineConsistencyError(
             "canonical change of basis is not unitriangular in the processing "
             f"order at the slot of '{gens[exc.column].uid}'; this indicates a bug"
         ) from exc
 
-    # Self-check: the conjugated differential is exactly the dipole arrows.
+    # Self-check on delta B, formed by the substitution: the conjugated
+    # differential is exactly the dipole arrows.
     for s, t in dipoles:
-        if apply_columns(cols, basis[s]) != basis[t]:
+        if delta_basis[s] != basis[t]:
             raise EngineConsistencyError(
                 "canonical form self-check failed on the dipole column of "
                 f"'{gens[s].uid}' (target '{gens[t].uid}')"
             )
-        if apply_columns(cols, basis[t]) != 0:
+        if delta_basis[t] != 0:
             raise EngineConsistencyError(
                 f"canonical form self-check failed: target slot '{gens[t].uid}' "
                 "is not closed"
             )
     for f in free:
-        if apply_columns(cols, basis[f]) != 0:
+        if delta_basis[f] != 0:
             raise EngineConsistencyError(
                 f"canonical form self-check failed: free slot '{gens[f].uid}' "
                 "is not closed"

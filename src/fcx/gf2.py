@@ -13,6 +13,12 @@ reduction) uses the pivot-keyed echelon of ``echelon``, a dict from each
 row's pivot (by default its lowest set bit, which ``clear_pivots`` needs)
 to a (vector, tag) row.
 
+A walk that XORs one column per set bit, in any order, takes the top bit:
+it builds one temporary per step and shortens the vector, where isolating
+the low bit builds two as wide as the vector.  ``bits`` and ``clear_pivots``
+stay ascending: witness names follow ``bits``, and a ``clear_pivots`` row
+adds bits above its pivot only.
+
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
 """
@@ -190,9 +196,9 @@ class Gf2Matrix:
         for r in self.rows:
             acc = 0
             while r:
-                low = r & -r
-                acc ^= rows[low.bit_length() - 1]
-                r ^= low
+                top = r.bit_length() - 1
+                acc ^= rows[top]
+                r ^= 1 << top
             out_rows.append(acc)
         return Gf2Matrix(self.n_rows, other.n_cols, tuple(out_rows))
 
@@ -288,9 +294,9 @@ def apply_columns(cols: Sequence[int], v: int) -> int:
     """Image of bitset vector ``v`` under the map with column bitsets ``cols``."""
     out = 0
     while v:
-        low = v & -v
-        out ^= cols[low.bit_length() - 1]
-        v ^= low
+        top = v.bit_length() - 1
+        out ^= cols[top]
+        v ^= 1 << top
     return out
 
 
@@ -318,16 +324,16 @@ def commutator_witnesses(
     for i, (di, acols) in enumerate(zip(d, zip(*maps))):
         rhs = 0  # a . d, column i, every map
         while di:
-            low = di & -di
-            rhs ^= stacked[low.bit_length() - 1]
-            di ^= low
+            top = di.bit_length() - 1
+            rhs ^= stacked[top]
+            di ^= 1 << top
         lhs = 0  # d . a, column i, every map
         for ai in reversed(acols):
             acc = 0
             while ai:
-                low = ai & -ai
-                acc ^= d[low.bit_length() - 1]
-                ai ^= low
+                top = ai.bit_length() - 1
+                acc ^= d[top]
+                ai ^= 1 << top
             lhs = (lhs << n) | acc
         if lhs != rhs:
             diff = lhs ^ rhs
@@ -350,13 +356,17 @@ class NotUnitriangularError(ValueError):
         self.column = column
 
 
-def invert_columns(cols: Sequence[int], order: Sequence[int]) -> list[int]:
-    """Columns of the inverse of a map that is unitriangular in ``order``.
+def invert_columns(
+    cols: Sequence[int], order: Sequence[int], through: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """``(inv, image)``: the columns of the inverse of a map that is
+    unitriangular in ``order``, and of ``through`` composed with the map.
 
     ``order`` is a permutation of the slots, and column ``i`` must be
     ``1 << i`` plus slots that come strictly earlier in ``order``.  Then
     ``inv[i] = e_i + sum(inv[q] for q in column i minus e_i)`` is a
-    substitution in that order, one XOR per off-diagonal entry.  Raises
+    substitution in that order, one XOR per off-diagonal entry, and the same
+    walk forms ``image[i] = apply_columns(through, cols[i])``.  Raises
     ``ValueError`` if ``order`` is not a permutation, and its subclass
     ``NotUnitriangularError``, naming the column, if a column's latest entry
     in ``order`` is not its own slot.
@@ -365,16 +375,18 @@ def invert_columns(cols: Sequence[int], order: Sequence[int]) -> list[int]:
     if sorted(order) != list(range(n)):
         raise ValueError("order is not a permutation of the slots")
     inv = [0] * n
+    image = [0] * n
     done = 0  # bitset of slots already inverted
     for i in order:
         rest = cols[i] ^ (1 << i)
         if not (cols[i] >> i) & 1 or rest & ~done:
             raise NotUnitriangularError(i)
-        v = 1 << i
+        v, w = 1 << i, through[i]
         while rest:
-            low = rest & -rest
-            v ^= inv[low.bit_length() - 1]
-            rest ^= low
-        inv[i] = v
+            top = rest.bit_length() - 1
+            v ^= inv[top]
+            w ^= through[top]
+            rest ^= 1 << top
+        inv[i], image[i] = v, w
         done |= 1 << i
-    return inv
+    return inv, image

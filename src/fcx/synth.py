@@ -283,20 +283,18 @@ def _scramble(rng: random.Random, c: FloerComplexData) -> FloerComplexData:
             mix_inv[i] = expand_local(local_inv[pos], block)
 
     # T = up . mix, so T^-1 = mix^-1 . up^-1; ``up`` is unitriangular in
-    # descending degree, which makes its inverse a substitution.
-    t_cols = [apply_columns(up_cols, col) for col in mix_cols]
+    # descending degree, which makes its inverse a substitution, and the same
+    # walk forms delta . up, so delta . T[i] = (delta . up) . mix[i].
     try:
-        up_inv = invert_columns(up_cols, sorted(range(n), key=lambda i: -degrees[i]))
+        up_inv, delta_up = invert_columns(
+            up_cols, sorted(range(n), key=lambda i: -degrees[i]), c.delta_columns()
+        )
     except ValueError as exc:  # construction guarantees triangularity
         raise EngineConsistencyError(str(exc)) from exc
     t_inv = [apply_columns(mix_inv, col) for col in up_inv]
 
-    old_cols = c.delta_columns()
-    sources = sum(1 << i for i, col in enumerate(old_cols) if col)
-    # column i of T^{-1} delta T; delta is applied to t's nonzero columns only
-    new_cols = [
-        apply_columns(t_inv, apply_columns(old_cols, t & sources)) for t in t_cols
-    ]
+    # column i of T^{-1} delta T
+    new_cols = [apply_columns(t_inv, apply_columns(delta_up, m)) for m in mix_cols]
     gens = [LiftedGenerator(g.uid, g.degree, None) for g in c.generators]
     out = FloerComplexData.from_columns(params, gens, new_cols)
     report = validate(out)

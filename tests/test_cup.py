@@ -479,7 +479,9 @@ def test_the_inverse_is_built_once_per_form(tmp_path, capsys, monkeypatch):
     built = []
     invert = fcx.engine.invert_columns
     monkeypatch.setattr(
-        fcx.engine, "invert_columns", lambda cols, order: built.append(len(cols)) or invert(cols, order)
+        fcx.engine,
+        "invert_columns",
+        lambda cols, order, through: built.append(len(cols)) or invert(cols, order, through),
     )
     text = serialize(shifted_product_document())
     path = tmp_path / "cup.fcx"

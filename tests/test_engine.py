@@ -145,21 +145,46 @@ def test_complex_is_freed_on_del_without_the_cycle_collector():
     ],
 )
 def test_canonical_form_self_check_names_its_witness(monkeypatch, failing_call, witness):
+    """The self-check reads delta B from the substitution that inverts B:
+    one wrong column of it, in the check's order x, y, z, names that slot."""
     import fcx.engine
 
     c = complex_of(P4_ALG, [("x", 0), ("y", 1), ("z", 3)], [("x", "y")])
     validate(c)
-    calls = []
+    slot = index_map(c)["xyz"[failing_call]]
 
-    def corrupted(cols, v):
-        calls.append(v)
-        out = apply_columns(cols, v)
-        return out ^ 1 if len(calls) - 1 == failing_call else out
+    def corrupted(cols, order, through):
+        inverse, image = fcx.gf2.invert_columns(cols, order, through)
+        image[slot] ^= 1
+        return inverse, image
 
-    monkeypatch.setattr(fcx.engine, "apply_columns", corrupted)
+    monkeypatch.setattr(fcx.engine, "invert_columns", corrupted)
     with pytest.raises(EngineConsistencyError) as info:
         canonical_form(c)
     assert witness in str(info.value)
+
+
+def test_the_inverse_and_the_self_check_share_one_walk(monkeypatch):
+    """The reduction inverts its change of basis once, through delta's
+    columns, and the self-check applies no map of its own."""
+    import fcx.engine
+
+    c, _ = random_complex(30, P4_ALG, max_gens=40, max_jump=2)
+    applied, inverted = [], []
+    invert = fcx.engine.invert_columns
+
+    def spy(cols, order, through):
+        inverted.append(list(through))
+        return invert(cols, order, through)
+
+    monkeypatch.setattr(fcx.engine, "invert_columns", spy)
+    monkeypatch.setattr(
+        fcx.engine, "apply_columns", lambda cols, v: applied.append(v) or apply_columns(cols, v)
+    )
+    form = canonical_form(c)
+    assert form.dipoles and form.free
+    assert applied == []
+    assert inverted == [c.delta_columns()]
 
 
 def test_role_exclusivity_check_names_a_generator_with_two_roles(monkeypatch):
@@ -179,10 +204,10 @@ def test_unitriangular_check_names_the_generator_of_its_slot(monkeypatch):
     c = complex_of(P4_ALG, [("x", 0), ("y", 1), ("z", 3)], [("x", "y")])
     y = index_map(c)["y"]
 
-    def corrupted(cols, order):
+    def corrupted(cols, order, through):
         cols = list(cols)
         cols[y] ^= 1 << y  # the slot of y loses its own generator
-        return fcx.gf2.invert_columns(cols, order)
+        return fcx.gf2.invert_columns(cols, order, through)
 
     monkeypatch.setattr(fcx.engine, "invert_columns", corrupted)
     with pytest.raises(EngineConsistencyError) as info:

@@ -1,5 +1,7 @@
 """Property and example tests for the GF(2) bitset linear algebra layer."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,12 +38,17 @@ def test_bits_enumerates_set_positions():
     assert list(bits(0)) == []
 
 
+def by_bits(cols, v):
+    """Reference for ``apply_columns``: the XOR of the columns at ``bits(v)``."""
+    out = 0
+    for b in bits(v):
+        out ^= cols[b]
+    return out
+
+
 @given(st.lists(vectors, min_size=DIM, max_size=DIM), vectors)
 def test_apply_columns_xors_the_columns_of_the_set_bits(cols, v):
-    expected = 0
-    for b in bits(v):
-        expected ^= cols[b]
-    assert apply_columns(cols, v) == expected
+    assert apply_columns(cols, v) == by_bits(cols, v)
 
 
 # ``echelon``'s keyword arguments: the default pivot, the lowest set bit, and
@@ -198,7 +205,7 @@ def test_invert_columns_roundtrip_or_singular(cols):
     """In the natural order a 4x4 map inverts iff it is upper unitriangular;
     every singular map is refused."""
     try:
-        inv = invert_columns(cols, range(4))
+        inv, _ = invert_columns(cols, range(4), [0] * 4)
     except ValueError:
         assert not is_unitriangular(cols, range(4))
         return
@@ -210,7 +217,7 @@ def test_invert_columns_roundtrip_or_singular(cols):
 
 def test_invert_columns_identity():
     ident = [1 << i for i in range(5)]
-    assert invert_columns(ident, [3, 1, 4, 0, 2]) == ident
+    assert invert_columns(ident, [3, 1, 4, 0, 2], ident) == (ident, ident)
 
 
 @st.composite
@@ -227,14 +234,18 @@ def unitriangular_maps(draw, max_n=10):
     return cols, order
 
 
-@given(unitriangular_maps())
-def test_invert_columns_inverts_unitriangular_maps_both_ways(map_and_order):
+@given(unitriangular_maps(), st.data())
+def test_invert_columns_inverts_unitriangular_maps_both_ways(map_and_order, data):
+    """... and its second output is ``through`` applied to each column."""
     cols, order = map_and_order
-    inv = invert_columns(cols, order)
+    n = len(cols)
+    through = data.draw(st.lists(vectors, min_size=n, max_size=n))
+    inv, image = invert_columns(cols, order, through)
     assert is_unitriangular(inv, order)
-    for i in range(len(cols)):
+    for i in range(n):
         assert apply_columns(cols, inv[i]) == 1 << i
         assert apply_columns(inv, cols[i]) == 1 << i
+        assert image[i] == apply_columns(through, cols[i])
 
 
 @given(unitriangular_maps(), st.data())
@@ -250,21 +261,21 @@ def test_invert_columns_refuses_a_later_entry_or_a_missing_diagonal(map_and_orde
         later = data.draw(st.sampled_from(order[pos + 1:]))
         broken[i] |= 1 << later  # an entry later in the order than the slot
     with pytest.raises(ValueError):
-        invert_columns(broken, order)
+        invert_columns(broken, order, cols)
 
 
 def test_invert_columns_refuses_an_order_that_is_not_a_permutation():
     ident = [1 << i for i in range(3)]
     with pytest.raises(ValueError):
-        invert_columns(ident, [0, 1, 1])
+        invert_columns(ident, [0, 1, 1], ident)
     with pytest.raises(ValueError):
-        invert_columns(ident, [0, 1])
+        invert_columns(ident, [0, 1], ident)
 
 
 def _first_witness(a, d):
     """The first column where ``a`` and ``d`` do not commute, one map at a time."""
     for i in range(len(d)):
-        diff = apply_columns(d, a[i]) ^ apply_columns(a, d[i])
+        diff = by_bits(d, a[i]) ^ by_bits(a, d[i])
         if diff:
             return i, diff
     return None
@@ -298,3 +309,70 @@ def test_commutator_witnesses_finds_each_maps_own_first_column():
     assert [_first_witness(a, d) for a in maps] == expected
     assert commutator_witnesses(maps, d) == expected
     assert commutator_witnesses([], d) == []
+
+
+# Wide vectors: CPython stores ints in 30-bit digits, so every width past 30
+# is a multi-digit int, and 1500 bits is the size of a large complex.
+WIDTHS = (1, 30, 31, 64, 700, 1500)
+
+
+def wide_vectors(rng, n, count):
+    """The zero vector, bit 0 alone, the top bit alone, all ones, then seeded
+    random n-bit vectors, ``count`` in all."""
+    edges = [0, 1, 1 << (n - 1), (1 << n) - 1]
+    return (edges + [rng.getrandbits(n) for _ in range(count)])[:count]
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_apply_columns_and_mat_mul_on_wide_vectors(n):
+    rng = random.Random(n)
+    cols = wide_vectors(rng, n, n)
+    vs = wide_vectors(rng, n, 12)
+    assert [apply_columns(cols, v) for v in vs] == [by_bits(cols, v) for v in vs]
+    left = Gf2Matrix(len(vs), n, tuple(vs))
+    right = Gf2Matrix(n, n, tuple(cols))
+    assert left.mat_mul(right).rows == tuple(by_bits(cols, v) for v in vs)
+
+
+@pytest.mark.parametrize("n", WIDTHS[1:])
+def test_commutator_witnesses_on_wide_vectors(n):
+    """The identity and ``d`` itself commute with ``d``; a copy of the
+    identity with one entry planted at (row, column) = (top, 0) does not:
+    column 0 of d . a gains column ``top`` of d, all ones, and column 0 of
+    a . d gains at most bit ``top``."""
+    rng = random.Random(n)
+    # sparse random columns, then the edge vectors, all ones in column n - 1
+    sparse = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+    d = (sparse + wide_vectors(rng, n, 4))[-n:]
+    ident = [1 << i for i in range(n)]
+    planted = [ident[0] | 1 << (n - 1)] + ident[1:]
+    maps = [ident, d, planted]
+    expected = [_first_witness(a, d) for a in maps]
+    assert expected[:2] == [None, None] and expected[2][0] == 0
+    assert commutator_witnesses(maps, d) == expected
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_invert_columns_both_outputs_on_wide_vectors(n):
+    """A seeded map unitriangular in a random order: the slot first in the
+    order is its own bit alone, the slot last in it all ones, and every other
+    slot its own bit plus random earlier slots.  ``through`` holds the zero
+    vector, bit 0 alone, the top bit alone and all ones, from about its
+    middle column on."""
+    rng = random.Random(n)
+    order = list(range(n))
+    rng.shuffle(order)
+    cols = [0] * n
+    earlier = 0
+    for i in order:
+        cols[i] = 1 << i | earlier & rng.getrandbits(n) & rng.getrandbits(n)
+        earlier |= 1 << i
+    cols[order[-1]] = (1 << n) - 1
+    through = wide_vectors(rng, n, n)
+    through = through[n // 2 :] + through[: n // 2]
+    inv, image = invert_columns(cols, order, through)
+    assert image == [by_bits(through, col) for col in cols]
+    sample = {0, n - 1, order[0], order[-1], *rng.sample(range(n), min(n, 16))}
+    for i in sample:
+        assert by_bits(cols, inv[i]) == 1 << i
+        assert by_bits(inv, cols[i]) == 1 << i

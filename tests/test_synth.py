@@ -228,9 +228,9 @@ def test_scramble_draws_once_per_candidate_pair_in_ascending_index(
     upward = []
     invert = fcx.synth.invert_columns
 
-    def spy(cols, order):
+    def spy(cols, order, through):
         upward.append(list(cols))
-        return invert(cols, order)
+        return invert(cols, order, through)
 
     monkeypatch.setattr(fcx.synth, "invert_columns", spy)
     rng = _CountingRandom(5)
