@@ -379,6 +379,14 @@ def _cmd_render(args: argparse.Namespace) -> int:
     m = getattr(args, "m", None)
     if m is not None and m < 0:
         raise _UsageError(f"argument --m: must be at least 0, got {m}")
+    s = getattr(args, "s", None)
+    if s is not None and s < 2:
+        raise _UsageError(f"argument --s: must be at least 2, got {s}")
+    energy = getattr(args, "energy", None)
+    if energy is not None and not 0 < energy < math.inf:
+        raise _UsageError(
+            f"argument --energy: must be a positive finite number, got {energy}"
+        )
     docs = [
         _load(getattr(args, name), args.allow_small_sigma)
         for name in ("file", "file_a", "file_b")
@@ -390,6 +398,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_rebase(args: argparse.Namespace) -> int:
+    flag, value = ("--delta-r", args.delta_r) if args.r_new is None else ("--r-new", args.r_new)
+    if not math.isfinite(value):
+        raise _UsageError(f"argument {flag}: must be a finite number, got {value}")
     c = _load(args.file, args.allow_small_sigma)
     r_new = (
         args.r_new if args.r_new is not None else c.params.window_base + args.delta_r

@@ -8,6 +8,8 @@ integer lifts -- the product grading is the sum of the factors' lifts,
 verbatim).  The product is built in one pass, in its canonical generator
 order by (degree, id), so ``FloerComplexData`` finds it sorted and moves no
 column; its provenance stays in factor order, pair (i, j) at i*|B| + j.
+The factors are validated; the product is not walked for delta^2 = 0, which
+its factors imply and its reduction (``engine.pages``) proves.
 Page dimensions of the product are then the degree-wise convolutions of the
 factors' page dimensions, and the page polynomials of an s-fold power are
 s-th powers; both statements are checked cell-exactly here.
@@ -27,8 +29,6 @@ from .model import (
     LiftedGenerator,
     SizeGuardError,
     require_valid,
-    validate,
-    EngineConsistencyError,
 )
 
 __all__ = [
@@ -107,8 +107,11 @@ def tensor_product(a: FloerComplexData, b: FloerComplexData) -> TensorComplex:
     The generators and columns are built in the canonical order by (degree,
     id), ties in factor order, each column straight from the factors'
     target lists; ``factor_ids`` lists the pairs in factor order, (i, j)
-    for i over ``a`` and j over ``b``.  The product is validated, the walk
-    for delta^2 = 0 included.
+    for i over ``a`` and j over ``b``.  Both factors are validated, and the
+    product is not: the Leibniz differential squares to zero whenever the
+    factors' do, and the reduction that reads the product's pages runs its
+    structural checks and proves delta^2 = 0 again.  A caller that needs the
+    product valid without reducing it calls ``require_valid``.
     """
     require_valid(a)
     require_valid(b)
@@ -171,11 +174,6 @@ def tensor_product(a: FloerComplexData, b: FloerComplexData) -> TensorComplex:
                 v |= 1 << here[u]
             cols[here[j]] = v
     product = FloerComplexData.from_columns(params, gens, cols)
-    report = validate(product)
-    if not report.ok:
-        raise EngineConsistencyError(
-            "tensor product failed validation: " + "; ".join(report.errors)
-        )
     return TensorComplex(product, tuple(provenance))
 
 

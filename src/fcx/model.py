@@ -34,7 +34,10 @@ with actions and a repeated generator id) is walked entry by entry, to word
 the errors in ``(src, dst)`` order.  These structural checks and the walk
 that checks delta^2 = 0 are kept apart: the canonical reduction
 (``fcx.engine``) needs the first alone and proves delta^2 = 0 itself, which
-spares the walk (``record_square_zero``).
+spares the walk (``record_square_zero``).  So a tensor product, whose builder
+(``fcx.kunneth``) validates only the factors, has its delta^2 = 0 proved by
+the reduction that reads its pages; it is walked only if validated before
+it is reduced.
 
 The degree-graded cohomology eliminates each degree once with
 ``gf2.echelon``.  The rows it keeps are the next degree's image; the image
@@ -152,9 +155,12 @@ class MonotoneParams:
         return n % self.maslov_period
 
 
-@dataclass(frozen=True)
-class LiftedGenerator:
-    """A generator with its integer lifted degree and optional window action."""
+class LiftedGenerator(NamedTuple):
+    """A generator with its integer lifted degree and optional window action.
+
+    A named ``(uid, degree, action)`` triple, like ``DifferentialEntry``: it
+    is immutable and hashable, and it compares as the plain tuple.
+    """
 
     uid: str
     degree: int

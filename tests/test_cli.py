@@ -265,6 +265,67 @@ def test_the_engine_commands_never_walk_delta_for_a_zero_square(
     assert walked == []
 
 
+def test_products_walk_only_their_factors_for_a_zero_square(
+    run, write_doc, scrambled, monkeypatch
+):
+    """``tensor_product`` validates its factors; the reduction that reads the
+    product's pages proves the product's delta^2 = 0, so it is never walked."""
+    import fcx.model
+
+    a = write_doc(serialize(scrambled(24, 4, 1)), "a.fcx")
+    b = write_doc(serialize(scrambled(18, 4, 2)), "b.fcx")
+    c = write_doc(serialize(scrambled(12, 4, 3)), "c.fcx")
+    walked = []
+    walk = fcx.model._square_errors
+    monkeypatch.setattr(
+        fcx.model, "_square_errors", lambda c: walked.append(c.count) or walk(c)
+    )
+    code, out, _ = run("kunneth", a, b)
+    assert code == 0 and "kunneth pass" in out
+    assert walked == [24, 18]
+    for s, factors in ((2, [12]), (3, [12, 12 * 12])):
+        walked.clear()
+        code, out, _ = run("power", c, "--s", str(s))
+        assert code == 0 and "power pass" in out
+        assert walked == factors, s
+
+
+def test_a_product_column_with_an_extra_bit_is_refused_with_the_square_witness(
+    run, write_doc, scrambled, monkeypatch
+):
+    """Built with one bit too many, a product fails delta^2 = 0; its reduction
+    finds that and ``fcx kunneth`` exits 1 naming the walk's witness."""
+    import fcx.kunneth
+    from fcx.model import FloerComplexData, InvalidComplexError
+
+    built = []
+
+    class Mutant:
+        @staticmethod
+        def from_columns(params, gens, cols):
+            # s gains a jump-0 target t whose own column is not zero, so that
+            # delta^2(s) = delta(t) != 0; the structural checks still pass.
+            cols = list(cols)
+            s, t = next(
+                (s, t)
+                for s, src in enumerate(gens)
+                for t, dst in enumerate(gens)
+                if dst.degree == src.degree + 1 and cols[t] and not cols[s] >> t & 1
+            )
+            cols[s] |= 1 << t
+            built.append((gens[s].uid, FloerComplexData.from_columns(params, gens, cols)))
+            return built[-1][1]
+
+    monkeypatch.setattr(fcx.kunneth, "FloerComplexData", Mutant)
+    a = write_doc(serialize(scrambled(24, 4, 1)), "a.fcx")
+    b = write_doc(serialize(scrambled(18, 4, 2)), "b.fcx")
+    code, out, err = run("kunneth", a, b)
+    [(source, product)] = built
+    assert (code, out) == (1, "")
+    assert err == f"fcx: {InvalidComplexError(validate(product))}\n"
+    assert f"differential does not square to zero: starting at '{source}'" in err
+
+
 def test_unknown_flag_and_subcommand_exit_two(run, write_doc, capsys):
     path = write_doc(DIPOLE_TEXT)
     assert run("pages", path, "--wat")[0] == 2
@@ -329,8 +390,36 @@ def test_collapse_bound_flags_infeasible_entries(run, write_doc):
 def test_non_finite_numbers_are_refused_without_a_traceback(run, write_doc, argv):
     command, *flags = argv
     code, out, err = run(command, write_doc(ACT_TEXT), *flags)
-    assert (code, out) == (1, "")
+    assert (code, out) == (2, "")
     assert err.startswith("fcx: ") and "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("power", "--s", "1"), "argument --s: must be at least 2, got 1"),
+        (("power", "--s", "-3"), "argument --s: must be at least 2, got -3"),
+        (
+            ("collapse-bound", "--energy", "0"),
+            "argument --energy: must be a positive finite number, got 0.0",
+        ),
+        (
+            ("collapse-bound", "--energy", "-1"),
+            "argument --energy: must be a positive finite number, got -1.0",
+        ),
+        (
+            ("collapse-bound", "--energy", "nan"),
+            "argument --energy: must be a positive finite number, got nan",
+        ),
+        (("rebase", "--delta-r", "nan"), "argument --delta-r: must be a finite number, got nan"),
+        (("rebase", "--r-new", "inf"), "argument --r-new: must be a finite number, got inf"),
+    ],
+)
+def test_argument_values_out_of_range_are_usage_errors(run, write_doc, argv, err):
+    """Each is refused with exit 2, naming the argument; the library
+    functions behind them raise a plain ``FcxError`` for the same values."""
+    command, *flags = argv
+    assert run(command, write_doc(ACT_TEXT), *flags) == (2, "", f"fcx: {err}\n")
 
 
 def test_betti_comparison_exit_codes(run, write_doc):
@@ -910,9 +999,14 @@ def test_every_traced_layer_binding_exists(monkeypatch):
     spans = importlib.import_module("spans")
     # The cohomology dimensions are counted from the barcode, so these three
     # are gone from the package; a later change to the benchmark alone drops
-    # them from perfbench/spans.py.  Any other missing binding still fails.
+    # them from perfbench/spans.py.  ``tensor_product`` no longer validates
+    # the product (its reduction proves delta^2 = 0), so ``fcx.kunneth``
+    # imports no ``validate``; the layer stays traced through
+    # ``fcx.model.validate``, which ``require_valid`` calls, and
+    # ``fcx.cli.validate``.  Any other missing binding still fails.
     assert set(spans.Layers(spans.Tracer()).missing) == {
         "fcx.cli.z_graded_cohomology",
         "fcx.cli.periodic_cohomology",
         "fcx.engine.periodic_cohomology",
+        "fcx.kunneth.validate",
     }

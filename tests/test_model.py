@@ -266,6 +266,22 @@ def test_differential_entry_is_a_named_pair():
     assert sorted(entries) == [("a", "b"), ("a", "c"), ("ab", "a"), ("b", "a")]
 
 
+def test_lifted_generator_is_a_frozen_record_with_a_pinned_repr_and_hash():
+    """The ``repr`` and the hash are those the generator had as a frozen
+    dataclass, so every digest over generators holds."""
+    g = LiftedGenerator("a*b", 3)
+    assert repr(g) == "LiftedGenerator(uid='a*b', degree=3, action=None)"
+    assert repr(LiftedGenerator("x", -2, 0.75)) == (
+        "LiftedGenerator(uid='x', degree=-2, action=0.75)"
+    )
+    assert hash(g) == hash((g.uid, g.degree, g.action))
+    assert g == LiftedGenerator("a*b", 3, None) and {g: 1}[LiftedGenerator("a*b", 3)] == 1
+    assert g != LiftedGenerator("a*b", 3, 0.5)
+    with pytest.raises(AttributeError):
+        g.degree = 4  # type: ignore[misc]
+    assert g.degree == 3
+
+
 def test_complex_sorts_unsorted_entries_into_the_same_complex():
     gens = [("a", 0), ("b", 1), ("c", 1), ("d", 2)]
     delta = [("b", "d"), ("a", "c"), ("c", "d"), ("a", "b")]
