@@ -274,7 +274,7 @@ def test_products_walk_only_their_factors_for_a_zero_square(
 
     a = write_doc(serialize(scrambled(24, 4, 1)), "a.fcx")
     b = write_doc(serialize(scrambled(18, 4, 2)), "b.fcx")
-    c = write_doc(serialize(scrambled(12, 4, 3)), "c.fcx")
+    factor = write_doc(serialize(scrambled(12, 4, 3)), "f.fcx")
     walked = []
     walk = fcx.model._square_errors
     monkeypatch.setattr(
@@ -285,7 +285,7 @@ def test_products_walk_only_their_factors_for_a_zero_square(
     assert walked == [24, 18]
     for s, factors in ((2, [12]), (3, [12, 12 * 12])):
         walked.clear()
-        code, out, _ = run("power", c, "--s", str(s))
+        code, out, _ = run("power", factor, "--s", str(s))
         assert code == 0 and "power pass" in out
         assert walked == factors, s
 
@@ -416,8 +416,7 @@ def test_non_finite_numbers_are_refused_without_a_traceback(run, write_doc, argv
     ],
 )
 def test_argument_values_out_of_range_are_usage_errors(run, write_doc, argv, err):
-    """Each is refused with exit 2, naming the argument; the library
-    functions behind them raise a plain ``FcxError`` for the same values."""
+    """Each is refused with exit 2, naming the argument."""
     command, *flags = argv
     assert run(command, write_doc(ACT_TEXT), *flags) == (2, "", f"fcx: {err}\n")
 
