@@ -26,7 +26,7 @@ from .engine import (
     Barcode,
     CanonicalForm,
     LimitReport,
-    PageCell,
+    PageLayout,
     PageTable,
     canonical_form,
     collapse_page,
@@ -111,7 +111,7 @@ __all__ = [
     # engine
     "Barcode",
     "CanonicalForm",
-    "PageCell",
+    "PageLayout",
     "PageTable",
     "LimitReport",
     "canonical_form",

@@ -379,6 +379,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     m = getattr(args, "m", None)
     if m is not None and m < 0:
         raise _UsageError(f"argument --m: must be at least 0, got {m}")
+    negative = next((b for b in getattr(args, "betti", ()) if b < 0), None)
+    if negative is not None:
+        raise _UsageError(f"argument --betti: must be at least 0, got {negative}")
     s = getattr(args, "s", None)
     if s is not None and s < 2:
         raise _UsageError(f"argument --s: must be at least 2, got {s}")

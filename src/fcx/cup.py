@@ -32,8 +32,9 @@ the first validation of a document class validates them all.  The graded
 images are the canonical coordinates of each page-1 slot's representative
 pushed through the class, cut to the slot's level plus the class degree and
 checked against the filtration as they are built; each page reads its maps
-off them through its alive slots and the sources of its dead dipoles
-(``PageTable.cached``).  Any other class is computed afresh on each call.
+off them through its run's ``PageTable.layouts`` entry: its alive slots and
+the sources of its dead dipoles.  Any other class is computed afresh on
+each call.
 The checks run on every call: an invalid class raises each time, so does a
 failed image build (it is not kept), and the page maps are checked against
 the page differential each time.
@@ -43,9 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
-from .engine import CanonicalForm, PageTable, canonical_form, pages
+from .engine import PageTable, canonical_form, pages
 from .gf2 import Gf2Matrix, apply_columns, bits, commutator_witnesses, echelon
 from .model import (
     CupClass,
@@ -296,10 +297,11 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
     coefficients on the target cell's alive slots give the matrix.  Pages
     beyond the collapse page are served by the stable page.  The pushed
     representatives are shared by every page (``_graded_images``), and a
-    page reads them through its run's ``_PageLayout``.  Exact commutation
-    with the page differential is checked defensively.
+    page reads them through its run's ``PageLayout``; an image's dead dipole
+    targets are boundaries and read as zero.  Exact commutation with the
+    page differential is checked defensively.
     """
-    form = canonical_form(c)  # proves delta^2 = 0, so validation does not walk delta
+    canonical_form(c)  # proves delta^2 = 0, so validation does not walk delta
     acols = require_valid_cup(c, a)
     if k < 1:
         raise FcxError(f"pages are indexed from 1, got {k}")
@@ -307,11 +309,10 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
     k_eff = min(k, table.collapse_page)
     period = c.params.maslov_period
     p = a.degree
-    layouts = table.cached("cup_page_layouts", _run_layouts)
     images = _derived(
-        c, a, "slot_images", lambda c, a: _graded_images(c, a, acols, form, layouts[0], k_eff)
+        c, a, "slot_images", lambda c, a: _graded_images(c, a, acols, table, k_eff)
     )
-    cells, row, alive, dead_sources = layouts[table.run(k)]
+    cells, row, alive, dead_sources = table.layouts[table.run(k)]
     gens = c.generators
 
     maps: list[tuple[tuple[int, int], Gf2Matrix]] = []
@@ -344,8 +345,7 @@ def _graded_images(
     c: FloerComplexData,
     a: CupClass,
     acols: tuple[int, ...],
-    form: CanonicalForm,
-    page1: _PageLayout,
+    table: PageTable,
     k: int,
 ) -> dict[int, int]:
     """Map each slot alive on page 1 (every later page's slots are among
@@ -357,8 +357,9 @@ def _graded_images(
     """
     gens = c.generators
     blocks = c.degree_blocks()
+    form = table.form
     images: dict[int, int] = {}
-    for (n, _j), slots in page1.cells.items():
+    for (n, _j), slots in table.layouts[table.run(1)].cells.items():
         tn = n + a.degree
         at = blocks.get(tn, (None, 0))[1]
         for s in slots:
@@ -373,35 +374,6 @@ def _graded_images(
                 )
             images[s] = coords & at
     return images
-
-
-class _PageLayout(NamedTuple):
-    """One run of equal pages' cells as the induced maps read them.
-
-    ``cells`` maps each populated (level, residue), in ascending order, to
-    its alive slots; ``row`` each alive slot to its position in its cell;
-    ``alive`` is the bitset of the alive slots and ``dead_sources`` that of
-    the sources of dipoles dead on the page.  An image's dead dipole targets
-    are boundaries and read as zero.
-    """
-
-    cells: dict[tuple[int, int], tuple[int, ...]]
-    row: dict[int, int]
-    alive: int
-    dead_sources: int
-
-
-def _run_layouts(table: PageTable) -> list[_PageLayout]:
-    """The layout of each run of equal pages, from the table's slots; page k
-    reads that of ``table.run(k)``."""
-    sources = sum(1 << s for s, _t in table.form.dipoles)
-    layouts = []
-    for run in table.slots:
-        cells = dict(sorted(run.items()))
-        row = {s: r for slots in cells.values() for r, s in enumerate(slots)}
-        alive = sum(1 << s for s in row)
-        layouts.append(_PageLayout(cells, row, alive, sources & ~alive))
-    return layouts
 
 
 def _check_page_commutation(table: PageTable, induced: InducedPageMaps, k: int) -> None:
@@ -428,9 +400,9 @@ def _check_page_commutation(table: PageTable, induced: InducedPageMaps, k: int) 
                 (r, x ^ y) for r, (x, y) in enumerate(zip(lhs.rows, rhs.rows)) if x != y
             )
             gens = table.form.generators
-            slots = table.slots[table.run(k)]
-            src = slots[(n, j)][(diff & -diff).bit_length() - 1]
-            hit = slots[(dn + p, (dj + p) % period)][row]
+            cells = table.layouts[table.run(k)].cells
+            src = cells[(n, j)][(diff & -diff).bit_length() - 1]
+            hit = cells[(dn + p, (dj + p) % period)][row]
             raise EngineConsistencyError(
                 f"induced maps of class '{induced.class_name}' do not commute "
                 f"with the page-{k} differential at (n={n}, j={j}): slot "

@@ -38,8 +38,9 @@ page-``k`` differential sends source slot to target slot) and dies entering
 page ``k+1``.  So a page table keeps one entry per run of equal pages, the
 runs starting at page 1 and at each jump index + 1: eagerly, its dimensions
 by level, which page dimensions, polynomials and the collapse page read; its
-alive slots, cells and differential matrices when first read.  Page 1 and
-the stable page are the dimensions of both cohomologies.
+layout (the alive slots of each cell, in order) and differential matrices
+when first read.  Page 1 and the stable page are the dimensions of both
+cohomologies.
 
 Two independent cross-check routes are provided and kept deliberately
 separate from the reduction and its kernel, ``gf2.echelon``: a literal
@@ -53,7 +54,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Mapping, NamedTuple, TypeVar
 
 from .gf2 import (
     Gf2Matrix,
@@ -84,7 +85,7 @@ _T = TypeVar("_T")
 __all__ = [
     "Barcode",
     "CanonicalForm",
-    "PageCell",
+    "PageLayout",
     "PageTable",
     "LimitReport",
     "canonical_form",
@@ -153,18 +154,20 @@ class CanonicalForm:
         )
 
 
-@dataclass(frozen=True)
-class PageCell:
-    """One nonzero spot of a spectral page.
+class PageLayout(NamedTuple):
+    """One run of equal pages' cells, as the differentials and the induced
+    maps read them.
 
-    ``dim`` is its dimension, ``slots`` the canonical slot indices alive
-    there, ``representatives`` one ambient cocycle-level vector per slot (the
-    canonical basis vectors, which represent a basis of the cell).
+    ``cells`` maps each populated (level, residue), in ascending order, to
+    its alive slots, ascending; ``row`` each alive slot to its position in
+    its cell; ``alive`` is the bitset of the alive slots and
+    ``dead_sources`` that of the sources of dipoles dead on the run's pages.
     """
 
-    dim: int
-    slots: tuple[int, ...]
-    representatives: tuple[int, ...]
+    cells: dict[tuple[int, int], tuple[int, ...]]
+    row: dict[int, int]
+    alive: int
+    dead_sources: int
 
 
 @dataclass(frozen=True)
@@ -178,12 +181,12 @@ class PageTable:
     ``run(k)`` is the one map from a page k >= 1 to its run.  Eager: the
     nonzero dimensions by level of each run, which ``page`` reads.
 
-    Built from the barcode on first access, then kept: ``slots`` maps, per
-    run, each (level, residue) to its alive canonical slots; ``cells`` maps
-    (page, level, residue) to a nonzero cell, for pages 1..``max_page``;
-    ``differentials`` maps a source cell key (k, n, j), k a jump index, to
-    its nonzero page-k matrix, whose rows are the slots of the cell at
-    (k, n + k*period + 1, (j + 1) % period) and columns its own slots.
+    Built from the barcode on first access, then kept: ``layouts`` holds
+    one ``PageLayout`` per run, which page k reads as
+    ``layouts[run(k)]``; ``differentials`` maps a source cell key
+    (k, n, j), k a jump index, to its nonzero page-k matrix, whose rows
+    are the slots of the cell at (k, n + k*period + 1, (j + 1) % period)
+    and columns its own slots.
     Other data is memoized by ``cached``.  The table keeps the form, not
     the complex, whose memo holds it.
     """
@@ -216,8 +219,8 @@ class PageTable:
 
     @property
     def max_page(self) -> int:
-        """The collapse page + 1: the last page ``cells`` holds, and the last
-        one the pages commands print by default."""
+        """The collapse page + 1: the last page the pages commands print by
+        default."""
         return self.collapse_page + 1
 
     def run(self, k: int) -> int:
@@ -241,11 +244,12 @@ class PageTable:
         return dict(self._dims[self.run(k)])
 
     @cached_property
-    def slots(self) -> tuple[dict[tuple[int, int], tuple[int, ...]], ...]:
-        """Per run, the canonical slots alive at each (level, residue),
-        ascending: every free slot there and both endpoints of every dipole
-        of jump index >= the run's first page."""
+    def layouts(self) -> tuple[PageLayout, ...]:
+        """Per run, the layout of its cells: at each (level, residue) every
+        free slot there and both endpoints of every dipole of jump index >=
+        the run's first page."""
         form, residue = self.form, self.params.residue
+        sources = sum(1 << s for s, _t in form.dipoles)
         runs = []
         for start in self.starts:
             slots_at: dict[int, list[int]] = {}
@@ -255,23 +259,11 @@ class PageTable:
                 if jump >= start:
                     slots_at.setdefault(ns, []).append(s)
                     slots_at.setdefault(nt, []).append(t)
-            runs.append({(n, residue(n)): tuple(sorted(s)) for n, s in slots_at.items()})
+            cells = {(n, residue(n)): tuple(sorted(slots_at[n])) for n in sorted(slots_at)}
+            row = {s: r for slots in cells.values() for r, s in enumerate(slots)}
+            alive = sum(1 << s for s in row)
+            runs.append(PageLayout(cells, row, alive, sources & ~alive))
         return tuple(runs)
-
-    @cached_property
-    def cells(self) -> Mapping[tuple[int, int, int], PageCell]:
-        """Cell (k, n, j): the slots of page k's run at (n, j), with their
-        canonical basis vectors as representatives."""
-        basis = self.form.change_of_basis
-        runs = [
-            {key: PageCell(len(s), s, tuple(basis[i] for i in s)) for key, s in run.items()}
-            for run in self.slots
-        ]
-        return {
-            (k, n, j): cell
-            for k in range(1, self.max_page + 1)
-            for (n, j), cell in runs[self.run(k)].items()
-        }
 
     @cached_property
     def differentials(self) -> Mapping[tuple[int, int, int], Gf2Matrix]:
@@ -283,14 +275,13 @@ class PageTable:
                 arrows.setdefault(jump, {}).setdefault(ns, []).append(pair)
         diffs: dict[tuple[int, int, int], Gf2Matrix] = {}
         for k in sorted(arrows):
-            cells = self.slots[self.run(k)]
+            layout = self.layouts[self.run(k)]
+            cells, row = layout.cells, layout.row
             for n, pairs in arrows[k].items():
                 key = (n, params.residue(n))
                 dst = cells[(n + k * params.maslov_period + 1, params.residue(n + 1))]
-                src_pos = {i: p for p, i in enumerate(cells[key])}
-                dst_pos = {i: p for p, i in enumerate(dst)}
-                entries = [(dst_pos[t], src_pos[s]) for s, t in pairs]
-                diffs[(k, *key)] = Gf2Matrix.from_entries(len(dst), len(src_pos), entries)
+                entries = [(row[t], row[s]) for s, t in pairs]
+                diffs[(k, *key)] = Gf2Matrix.from_entries(len(dst), len(cells[key]), entries)
         return diffs
 
 
@@ -466,11 +457,11 @@ def collapse_page(c: FloerComplexData) -> int:
 def pages(c: FloerComplexData) -> PageTable:
     """Every spectral page of ``c``, from the barcode.
 
-    Cell (k, n, j) collects the canonical slots alive on page k at lifted
-    degree n: every free slot there, plus both endpoints of every dipole of
-    jump index >= k.  The page-k differential is the 0/1 matrix of dipoles of
-    jump exactly k between the corresponding cells.  The table is computed
-    once per complex.
+    Cell (n, j) of page k collects the canonical slots alive on page k at
+    lifted degree n: every free slot there, plus both endpoints of every
+    dipole of jump index >= k (``PageTable.layouts``).  The page-k
+    differential is the 0/1 matrix of dipoles of jump exactly k between the
+    corresponding cells.  The table is computed once per complex.
     """
     return c.cached("pages", lambda c: PageTable(canonical_form(c)))
 

@@ -351,6 +351,11 @@ def betti_compare(
     """
     if m < 0:
         raise FcxError(f"the half-dimension m must be at least 0, got {m}")
+    negative = next((i for i, b in enumerate(betti) if b < 0), None)
+    if negative is not None:
+        raise FcxError(
+            f"Betti numbers must be at least 0, got b_{negative} = {betti[negative]}"
+        )
     table = pages(c)
     if len(betti) != m + 1:
         raise FcxError(

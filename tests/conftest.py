@@ -51,6 +51,24 @@ def _scrambled(n: int, period: int, seed: int) -> FloerComplexData:
     return c
 
 
+def page_cells(table) -> dict[tuple[int, int, int], tuple[int, ...]]:
+    """(page, level, residue) -> the alive slots of that cell, for pages
+    1..``table.max_page``, expanded from ``table.layouts``.  Ordered by page,
+    then by the barcode: free levels first, then the endpoints of each dipole
+    alive on the page, each level where it first appears."""
+    residue = table.params.residue
+    out = {}
+    for k in range(1, table.max_page + 1):
+        cells = table.layouts[table.run(k)].cells
+        levels = [*table.barcode.free]
+        for src, dst, jump in table.barcode.dipoles:
+            if jump >= k:
+                levels += (src, dst)
+        for n in dict.fromkeys(levels):
+            out[(k, n, residue(n))] = cells[(n, residue(n))]
+    return out
+
+
 @pytest.fixture(scope="session")
 def scrambled():
     """The builder ``scrambled(n, period, seed)`` of large scrambled complexes."""

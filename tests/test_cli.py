@@ -268,8 +268,9 @@ def test_the_engine_commands_never_walk_delta_for_a_zero_square(
 def test_products_walk_only_their_factors_for_a_zero_square(
     run, write_doc, scrambled, monkeypatch
 ):
-    """``tensor_product`` validates its factors; the reduction that reads the
-    product's pages proves the product's delta^2 = 0, so it is never walked."""
+    """``tensor_product`` validates its factors and ``fcx power`` its one
+    factor; the reduction that reads a product's pages proves the product's
+    delta^2 = 0, so no product or intermediate power is ever walked."""
     import fcx.model
 
     a = write_doc(serialize(scrambled(24, 4, 1)), "a.fcx")
@@ -283,7 +284,7 @@ def test_products_walk_only_their_factors_for_a_zero_square(
     code, out, _ = run("kunneth", a, b)
     assert code == 0 and "kunneth pass" in out
     assert walked == [24, 18]
-    for s, factors in ((2, [12]), (3, [12, 12 * 12])):
+    for s, factors in ((2, [12]), (3, [12])):
         walked.clear()
         code, out, _ = run("power", factor, "--s", str(s))
         assert code == 0 and "power pass" in out
@@ -446,6 +447,14 @@ def test_betti_m_below_zero_is_a_usage_error(run, write_doc, m):
     code, out, err = run("betti", write_doc(DIPOLE_TEXT), "--betti", "1", "--m", str(m))
     assert (code, out) == (2, "")
     assert err == f"fcx: argument --m: must be at least 0, got {m}\n"
+
+
+@pytest.mark.parametrize("betti, first", [("-1,2", -1), ("1,-3", -3), ("0,-2,-5", -2)])
+def test_betti_numbers_below_zero_are_a_usage_error(run, write_doc, betti, first):
+    m = betti.count(",")
+    code, out, err = run("betti", write_doc(DIPOLE_TEXT), f"--betti={betti}", "--m", str(m))
+    assert (code, out) == (2, "")
+    assert err == f"fcx: argument --betti: must be at least 0, got {first}\n"
 
 
 def test_rebase_emits_reparsable_canonical_document(run, write_doc, tmp_path):
@@ -883,7 +892,7 @@ def test_a_huge_jump_index_costs_one_run_of_pages_per_jump(tmp_path):
     assert time.perf_counter() - start < 0.5
 
 
-def test_report_and_pages_never_build_cells_or_differentials(run, write_doc, monkeypatch):
+def test_report_and_pages_never_build_layouts_or_differentials(run, write_doc, monkeypatch):
     import fcx.cli
     import fcx.invariants
 
@@ -903,12 +912,9 @@ def test_report_and_pages_never_build_cells_or_differentials(run, write_doc, mon
     # q_decomposition reads, then the two pages runs
     assert len(tables) == 2 * 2 * (2 + 2)
     for table in tables:
-        assert not {"slots", "cells", "differentials"} & vars(table).keys()
-    table.differentials  # builds the slot table and itself on first read, then keeps them
-    assert {"slots", "differentials"} <= vars(table).keys()
-    assert "cells" not in vars(table)
-    table.cells
-    assert "cells" in vars(table)
+        assert not {"layouts", "differentials"} & vars(table).keys()
+    table.differentials  # builds the layouts and itself on first read, then keeps them
+    assert {"layouts", "differentials"} <= vars(table).keys()
 
 
 def test_pages_cohomology_and_report_build_no_differential_entries(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import index_map
+from conftest import index_map, page_cells
 from fcx.cli import main
 from fcx.cup import (
     CupClass,
@@ -369,23 +369,24 @@ def graded_limit_action(c, cls):
         return out
 
     result = {}
-    for (k, n, j), cell in table.cells.items():
+    reps = table.form.change_of_basis
+    cells = page_cells(table)
+    for (k, n, j), slots in cells.items():
         if k != stable:
             continue
         tn, tj = n + cls.degree, (j + cls.degree) % period
-        target = table.cells.get((stable, tn, tj))
-        treps = list(target.representatives) if target else []
+        treps = [reps[s] for s in cells.get((stable, tn, tj), ())]
         basis = treps + boundaries + cycles_at(tn + period, tj)
         columns = []
-        for r in cell.representatives:
-            tags = solve_in_span(basis, apply_columns(a_cols, r))
+        for s in slots:
+            tags = solve_in_span(basis, apply_columns(a_cols, reps[s]))
             assert tags is not None, "image escaped the graded filtration piece"
             columns.append(tags & ((1 << len(treps)) - 1))
         rows = [0] * len(treps)
         for col_idx, col in enumerate(columns):
             for b in bits(col):
                 rows[b] |= 1 << col_idx
-        result[(n, j)] = Gf2Matrix(len(treps), cell.dim, tuple(rows))
+        result[(n, j)] = Gf2Matrix(len(treps), len(slots), tuple(rows))
     return result
 
 

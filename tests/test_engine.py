@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import index_map
+from conftest import index_map, page_cells
 from fcx.engine import (
     canonical_form,
     collapse_page,
@@ -594,20 +594,37 @@ def test_page_differentials_compose_to_zero(seed, period):
 @settings(max_examples=40, deadline=None)
 def test_cells_respect_residue_of_level(seed, period):
     c, _ = random_complex(seed, MonotoneParams(period, 0.5))
-    for (k, n, j), cell in pages(c).cells.items():
+    table = pages(c)
+    form = table.form
+    dims: dict[int, dict[tuple[int, int], int]] = {}
+    for (k, n, j), slots in page_cells(table).items():
         assert n % period == j
-        assert cell.dim == len(cell.slots) == len(cell.representatives) > 0
+        dims.setdefault(k, {})[(n, j)] = len(slots)
+    pages_1_to_max = range(1, table.max_page + 1)
+    assert [dims.get(k, {}) for k in pages_1_to_max] == [table.page(k) for k in pages_1_to_max]
+    assert len(table.layouts) == len(table.starts)
+    for start, (cells, row, alive, dead_sources) in zip(table.starts, table.layouts):
+        assert list(cells) == sorted(cells)
+        assert all(list(slots) == sorted(slots) for slots in cells.values())
+        assert row == {s: r for slots in cells.values() for r, s in enumerate(slots)}
+        assert alive == sum(1 << s for slots in cells.values() for s in slots)
+        assert dead_sources == sum(
+            1 << s for s, t in form.dipoles if form.jump_of((s, t)) < start
+        )
 
 
 def _table_digest(table, last_page=None) -> bytes:
-    """Every cell's (key, dim, slots, representatives) and every differential's
-    (key, n_rows, n_cols, rows), in the table's own order; only the keys of
-    pages 1..``last_page`` when it is given."""
+    """Every cell's (key, dim, slots, representatives), in the order of
+    ``page_cells``, and every differential's (key, n_rows, n_cols, rows), in
+    the table's own order; only the keys of pages 1..``last_page`` when it is
+    given."""
     last_page = last_page or table.max_page
+    basis = table.form.change_of_basis
     out = hashlib.sha256()
-    for key, cell in table.cells.items():
+    for key, slots in page_cells(table).items():
         if key[0] <= last_page:
-            out.update(repr((key, cell.dim, cell.slots, cell.representatives)).encode())
+            reps = tuple(basis[i] for i in slots)
+            out.update(repr((key, len(slots), slots, reps)).encode())
     for key, mat in table.differentials.items():
         if key[0] <= last_page:
             out.update(repr((key, mat.n_rows, mat.n_cols, mat.rows)).encode())

@@ -410,6 +410,10 @@ def test_betti_compare_input_errors():
         betti_compare(c, (1,), 2)
     with pytest.raises(FcxError, match="half-dimension m must be at least 0, got -2"):
         betti_compare(c, (1,), -2)
+    with pytest.raises(FcxError, match=r"Betti numbers must be at least 0, got b_1 = -1$"):
+        betti_compare(c, (1, -1, 0), 2)
+    with pytest.raises(FcxError, match=r"got b_0 = -2$"):
+        betti_compare(c, (-2, 3), 1)
     declared = complex_of(
         MonotoneParams(4, 0.0, half_dim=3), [("x", 0)]
     )

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fcx.synth
+from conftest import page_cells
 from fcx.engine import collapse_page, pages
 from fcx.model import MonotoneParams, validate
 from fcx.synth import (
@@ -30,7 +31,7 @@ periods = st.sampled_from([3, 4, 6])
 
 def page_dims(c):
     table = pages(c)
-    return {key: cell.dim for key, cell in table.cells.items()}, table.collapse_page
+    return {key: len(slots) for key, slots in page_cells(table).items()}, table.collapse_page
 
 
 def test_spec_is_order_insensitive():
