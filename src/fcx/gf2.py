@@ -15,9 +15,13 @@ to a (vector, tag) row.
 
 A walk that XORs one column per set bit, in any order, takes the top bit:
 it builds one temporary per step and shortens the vector, where isolating
-the low bit builds two as wide as the vector.  ``bits`` and ``clear_pivots``
-stay ascending: witness names follow ``bits``, and a ``clear_pivots`` row
-adds bits above its pivot only.
+the low bit builds two as wide as the vector.  So does an enumeration of
+set bits whose order is discarded (``bits_descending``; the serializer
+sorts the ids it collects), and an ``echelon`` whose pivots need no
+particular order keys its rows by ``int.bit_length``, the top bit plus one
+(``invert_square``).  ``bits`` and ``clear_pivots`` stay ascending: witness
+names follow ``bits``, and a ``clear_pivots`` row adds bits above its pivot
+only.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
@@ -37,8 +41,10 @@ __all__ = [
     "subspace_sum",
     "subspace_intersection",
     "bits",
+    "bits_descending",
     "rref_rows",
     "echelon",
+    "invert_square",
     "clear_pivots",
     "apply_columns",
     "commutator_witnesses",
@@ -53,6 +59,16 @@ def bits(v: int) -> Iterator[int]:
         low = v & -v
         yield low.bit_length() - 1
         v ^= low
+
+
+def bits_descending(v: int) -> list[int]:
+    """The set bit positions of ``v`` in descending order, by the top-bit walk."""
+    out = []
+    while v:
+        top = v.bit_length() - 1
+        out.append(top)
+        v ^= 1 << top
+    return out
 
 
 def rref_rows(rows: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -93,13 +109,15 @@ def echelon(
 
     Each input is a pair (vector, tag); adding two rows adds their tags.
     ``pivot(v)`` is the set bit of ``v`` that comes last in one fixed order
-    of the bit positions (by default the lowest set bit), so adding a row at
-    its pivot only sets earlier bits.  A vector is reduced at its pivot until
-    that is no earlier row's pivot, where the row is kept, or the vector
-    vanishes.  Returns ``(rows, dependents)``: the kept rows as pivot ->
-    (vector, tag), and the tags of the inputs whose vector vanished, in input
-    order.  With distinct one-bit tags, ``dependents`` is a basis of the
-    relations among the vectors and the kept vectors are a basis of their span.
+    of the bit positions (by default the lowest set bit), or a one-to-one
+    label of it (``int.bit_length`` labels the top bit as its position plus
+    one), so adding a row at its pivot only sets earlier bits.  A vector is
+    reduced at its pivot until that is no earlier row's pivot, where the row
+    is kept, or the vector vanishes.  Returns ``(rows, dependents)``: the
+    kept rows as pivot -> (vector, tag), and the tags of the inputs whose
+    vector vanished, in input order.  With distinct one-bit tags,
+    ``dependents`` is a basis of the relations among the vectors and the
+    kept vectors are a basis of their span.
     """
     rows: dict[int, tuple[int, int]] = {}
     dependents: list[int] = []
@@ -115,6 +133,33 @@ def echelon(
         else:
             dependents.append(tag)
     return rows, dependents
+
+
+def invert_square(cols: Sequence[int]) -> list[int] | None:
+    """The columns of the inverse of the square matrix M with columns
+    ``cols``, or None if M is singular.
+
+    One ``echelon`` of the columns, column j tagged ``1 << j`` and each row
+    keyed by ``int.bit_length`` (its top bit plus one), tests M: it is
+    invertible iff no column vanishes.  Only then is the inverse formed.  The
+    kept row with top bit p is ``(M . tag, tag)``, and ``M . tag`` is
+    ``e_p`` plus lower bits, so from the bottom pivot up
+    ``M^-1 e_p = tag + sum(M^-1 e_q for q below p in the row)``.
+    """
+    n = len(cols)
+    rows, dependents = echelon(((col, 1 << j) for j, col in enumerate(cols)), int.bit_length)
+    if dependents:
+        return None
+    inv = [0] * n
+    for p in range(n):
+        v, tag = rows[p + 1]
+        rest = v ^ (1 << p)
+        while rest:
+            top = rest.bit_length() - 1
+            tag ^= inv[top]
+            rest ^= 1 << top
+        inv[p] = tag
+    return inv
 
 
 def clear_pivots(rows: Mapping[int, tuple[int, int]], v: int) -> tuple[int, int]:

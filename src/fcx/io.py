@@ -40,7 +40,7 @@ the columns, the only stored form of either
 (``FloerComplexData.from_columns``, which puts the differential's in
 canonical order, and ``CupClass.from_columns``): no ``(src, dst)`` entry is
 built unless something reads ``delta`` or a class's ``entries``.  The
-serializer reads the stored form too (``_pairs``): it collects the target
+serializer reads the stored form too (``_targets``): it collects the target
 ids per source id and sorts both, which is the order of the sorted entries.
 
 The serializer is canonical: fixed header order, generators sorted by
@@ -391,12 +391,14 @@ def serialize(c: FloerComplexData) -> str:
         else:
             lines.append(f"gen {g.uid} {g.degree} {format_decimal(g.action)}")
     # canonical (src, dst) order, read off the stored form
-    for src, dst in c._pairs():
-        lines.append(f"d {src} {dst}")
+    for src, dsts in c._targets():
+        for dst in dsts:
+            lines.append(f"d {src} {dst}")
     for cls in sorted(c.cup_classes, key=lambda cls: cls.name):
         lines.append(f"cup {cls.name} {cls.degree}")
-        for src, dst in cls._pairs():
-            lines.append(f"c {cls.name} {src} {dst}")
+        for src, dsts in cls._targets():
+            for dst in dsts:
+                lines.append(f"c {cls.name} {src} {dst}")
     if c.ring is not None:
         for (a, b), result in c.ring.products:
             lines.append(f"ring {a} {b} {result if result is not None else '0'}")

@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import (
     Any,
     Callable,
@@ -65,7 +65,15 @@ from typing import (
     TypeVar,
 )
 
-from .gf2 import Gf2Matrix, apply_columns, bits, clear_pivots, echelon, rref_rows
+from .gf2 import (
+    Gf2Matrix,
+    apply_columns,
+    bits,
+    bits_descending,
+    clear_pivots,
+    echelon,
+    rref_rows,
+)
 
 _T = TypeVar("_T")
 
@@ -269,30 +277,36 @@ def _moved(cols: Sequence[int], pos: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _sorted_pairs(
+def _sorted_targets(
     uids: Sequence[str], cols: Sequence[int], raw: Iterable[tuple[str, str]] | None
-) -> Iterable[tuple[str, str]]:
-    """The sorted (src, dst) pairs of stored data: its kept entries, else the
-    pairs of its index columns over ``uids``, built without sorting the
-    pairs themselves.
+) -> Iterator[tuple[str, list[str]]]:
+    """Each source id of stored data, ascending, with its sorted target ids:
+    read off its kept entries, else off its index columns over ``uids``,
+    built without sorting the pairs themselves.
 
     The target ids are collected per source id, and the sources and each
     target list sorted as strings, so a repeated id merges its generators'
     targets exactly as the sorted entries interleave them.
     """
     if raw is not None:
-        return raw
+        return ((src, [dst for _, dst in group]) for src, group in groupby(raw, itemgetter(0)))
     targets: dict[str, list[str]] = {}
     for s, col in enumerate(cols):
         if col:
-            targets.setdefault(uids[s], []).extend([uids[t] for t in bits(col)])
-    return ((src, dst) for src in sorted(targets) for dst in sorted(targets[src]))
+            ids = targets.setdefault(uids[s], [])
+            if col & (col - 1):  # the order is discarded, so take the top bit
+                ids += [uids[t] for t in bits_descending(col)]
+            else:  # one target: the commonest column of a sparse map
+                ids.append(uids[col.bit_length() - 1])
+    return ((src, sorted(targets[src])) for src in sorted(targets))
 
 
-def _sorted_entries(pairs: Iterable[tuple[str, str]]) -> tuple[DifferentialEntry, ...]:
-    """The entries of sorted (src, dst) pairs: the one place that builds the
+def _sorted_entries(
+    targets: Iterable[tuple[str, list[str]]],
+) -> tuple[DifferentialEntry, ...]:
+    """The entries of ``_sorted_targets``: the one place that builds the
     ``delta`` of a complex and the ``entries`` of a cup class."""
-    return tuple(DifferentialEntry(src, dst) for src, dst in pairs)
+    return tuple(DifferentialEntry(src, dst) for src, dsts in targets for dst in dsts)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -340,17 +354,18 @@ class CupClass:
         if len(columns) != len(uids):
             raise ValueError(f"{len(columns)} columns for {len(uids)} generator ids")
         if len(set(uids)) < len(uids):  # the entries of a repeated id merge by id
-            return cls(name, degree, _sorted_pairs(uids, columns, None))
+            return cls(name, degree, _sorted_entries(_sorted_targets(uids, columns, None)))
         return cls(name, degree, _uids=uids, _columns=columns)
 
     @cached_property
     def entries(self) -> tuple[tuple[str, str], ...]:
         """The entries of the class, sorted by (src, dst)."""
-        return _sorted_entries(self._pairs())
+        return _sorted_entries(self._targets())
 
-    def _pairs(self) -> Iterable[tuple[str, str]]:
-        """The sorted (src, dst) pairs of the class, read off its stored form."""
-        return _sorted_pairs(self._uids, self._columns, self._raw)
+    def _targets(self) -> Iterator[tuple[str, list[str]]]:
+        """The sorted sources of the class with their sorted targets, read
+        off its stored form."""
+        return _sorted_targets(self._uids, self._columns, self._raw)
 
     @cached_property
     def _key(self) -> tuple[Any, ...]:
@@ -406,6 +421,9 @@ class RingTable:
         return None
 
 
+_canonical_key = attrgetter("degree", "uid")
+
+
 @dataclass(frozen=True, init=False)
 class FloerComplexData:
     """A complete monotone complex; immutable, with canonical internal ordering.
@@ -454,17 +472,23 @@ class FloerComplexData:
         """``_columns`` are over the generators in the order given; ``delta``,
         when given, takes their place."""
         gens = tuple(generators)
-        ordered = tuple(sorted(gens, key=attrgetter("degree", "uid")))
+        keys = list(map(_canonical_key, gens))
+        # On keys in canonical order, sorted() is one pass of adjacent
+        # comparisons (a single run); only another order is permuted.
+        if keys == sorted(keys):
+            perm, ordered = None, gens
+        else:
+            perm = sorted(range(len(gens)), key=keys.__getitem__)
+            ordered = tuple(gens[i] for i in perm)
         if delta is not None or _columns is None:
             _columns, _raw = _entry_columns([g.uid for g in ordered], delta or ())
         elif len(_columns) != len(gens):
             raise ValueError(f"{len(_columns)} columns for {len(gens)} generators")
-        elif ordered != gens:  # the stable sort moved some
-            keys = [(g.degree, g.uid) for g in gens]
-            pos = [0] * len(keys)  # old index -> new
-            for new, old in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        elif perm is not None:
+            pos = [0] * len(perm)  # old index -> new
+            for new, old in enumerate(perm):
                 pos[old] = new
-            _columns = _moved(_columns, pos, len(keys))
+            _columns = _moved(_columns, pos, len(perm))
         self.__dict__.update(
             params=params, generators=ordered, cup_classes=tuple(cup_classes), ring=ring,
             _columns=tuple(_columns), _raw=_raw, _memo={},
@@ -490,12 +514,12 @@ class FloerComplexData:
     @cached_property
     def delta(self) -> tuple[DifferentialEntry, ...]:
         """The differential entries, sorted by (src, dst)."""
-        return _sorted_entries(self._pairs())
+        return _sorted_entries(self._targets())
 
-    def _pairs(self) -> Iterable[tuple[str, str]]:
-        """The sorted (src, dst) pairs of the differential, read off its
-        stored form."""
-        return _sorted_pairs(self.uids, self._columns, self._raw)
+    def _targets(self) -> Iterator[tuple[str, list[str]]]:
+        """The sorted sources of the differential with their sorted targets,
+        read off its stored form."""
+        return _sorted_targets(self.uids, self._columns, self._raw)
 
     @cached_property
     def uids(self) -> tuple[str, ...]:

@@ -19,13 +19,12 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .gf2 import apply_columns, invert_columns, rref_rows
+from .gf2 import apply_columns, invert_columns, invert_square
 from .model import (
     EngineConsistencyError,
     FloerComplexData,
     LiftedGenerator,
     MonotoneParams,
-    expand_local,
     require_valid,
     validate,
 )
@@ -100,8 +99,11 @@ def build_from_normal_form(spec: NormalFormSpec) -> FloerComplexData:
     When the monotonicity constant is positive and every dipole jump index is
     0 or 1, consistent actions are synthesized on a dyadic grid (source chosen
     inside the window so the target action ``source - monotonicity +
-    jump*action_period`` is also inside); otherwise, or when a jump-0 source
-    has no room (period 1), actions are omitted for the run and logged.
+    jump*action_period`` is also inside); otherwise, when a jump-0 source
+    has no room (period 1), or when the grid cannot place every action
+    strictly more than ``action_tolerance`` inside the window (a window
+    barely wider than the tolerance), actions are omitted for the run and
+    logged.
     """
     p = spec.params
     period = p.maslov_period
@@ -144,6 +146,14 @@ def build_from_normal_form(spec: NormalFormSpec) -> FloerComplexData:
         gens.append(LiftedGenerator(f"x{i}", n_src, a_src))
         gens.append(LiftedGenerator(f"y{i}", n_dst, a_dst))
         cols += [1 << (len(cols) + 1), 0]  # x_i -> y_i, the next generator
+    if synth_actions:
+        lo, hi, tol = p.window_base, p.window_base + sigma, p.action_tolerance
+        if not all(g.action - lo > tol and hi - g.action > tol for g in gens):
+            _log.info(
+                "the action grid cannot place every action more than the action "
+                "tolerance inside the window; actions omitted for this run"
+            )
+            gens = [g._replace(action=None) for g in gens]
     c = FloerComplexData.from_columns(p, gens, cols)
     report = validate(c)
     if not report.ok:
@@ -239,17 +249,14 @@ def _random_invertible(rng: random.Random, n: int) -> tuple[list[int], list[int]
     """Columns of a uniformly drawn invertible n x n GF(2) matrix (rejection),
     and the columns of its inverse.
 
-    Rows ``col_j | e_(n+j)`` are [M^T | I].  M is invertible iff every pivot
-    of their reduced echelon form lies in the first block; that form is then
-    [I | (M^T)^-1], whose row r is column r of M^-1.
+    ``invert_square`` tests each draw with one echelon of its columns and
+    forms the inverse of the accepted draw alone.
     """
-    if n == 0:
-        return [], []
     while True:
         cols = [rng.getrandbits(n) for _ in range(n)]
-        reduced, pivots = rref_rows(col | 1 << (n + j) for j, col in enumerate(cols))
-        if pivots[n - 1] == n - 1:
-            return cols, [row >> n for row in reduced]
+        inv = invert_square(cols)
+        if inv is not None:
+            return cols, inv
 
 
 def _scramble(rng: random.Random, c: FloerComplexData) -> FloerComplexData:
@@ -259,28 +266,31 @@ def _scramble(rng: random.Random, c: FloerComplexData) -> FloerComplexData:
 
     # Upward part: identity plus random same-residue strictly-higher-degree
     # tails.  Generators ascend in degree, so the candidates of i are a
-    # suffix of its residue's indices; one draw each, in ascending index.
+    # suffix of its residue's indices; one draw each, in ascending index,
+    # with ``random`` bound once.
     by_residue: dict[int, list[int]] = {}
     for i, d in enumerate(degrees):
         by_residue.setdefault(params.residue(d), []).append(i)
+    draw = rng.random
     up_cols = []
     for i, d in enumerate(degrees):
         members = by_residue[params.residue(d)]
+        tail = members[bisect_right(members, d, key=degrees.__getitem__) :]
         col = 1 << i
-        for h in members[bisect_right(members, d, key=degrees.__getitem__) :]:
-            if rng.random() < 0.35:
-                col |= 1 << h
+        for h in [h for h in tail if draw() < 0.35]:
+            col |= 1 << h
         up_cols.append(col)
 
-    # Within-degree invertible mixing, block by block in ascending degree.
-    mix_cols = [1 << i for i in range(n)]
-    mix_inv = [1 << i for i in range(n)]
-    for deg in sorted(set(degrees)):
-        block = [i for i in range(n) if degrees[i] == deg]
-        local, local_inv = _random_invertible(rng, len(block))
-        for pos, i in enumerate(block):
-            mix_cols[i] = expand_local(local[pos], block)
-            mix_inv[i] = expand_local(local_inv[pos], block)
+    # Within-degree invertible mixing, block by block in ascending degree;
+    # a rejected draw is tested, never inverted (``_random_invertible``).
+    # Canonical order makes each block one contiguous range of indices, so
+    # a local column shifts into place and the blocks concatenate.
+    mix_cols: list[int] = []
+    mix_inv: list[int] = []
+    for members, _ in c.degree_blocks().values():
+        local, local_inv = _random_invertible(rng, len(members))
+        mix_cols += [col << members.start for col in local]
+        mix_inv += [col << members.start for col in local_inv]
 
     # T = up . mix, so T^-1 = mix^-1 . up^-1; ``up`` is unitriangular in
     # descending degree, which makes its inverse a substitution, and the same

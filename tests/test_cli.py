@@ -628,6 +628,18 @@ def test_gen_at_period_one_builds_a_valid_complex(run, seed):
     assert c.params.maslov_period == 1 and validate(c).ok
 
 
+@pytest.mark.parametrize("lam", ["1e-8", "1e308"])
+def test_gen_omits_actions_the_grid_cannot_place_inside_the_tolerance(run, tmp_path, lam):
+    """At lambda 1e-8 the window (0, 4e-8) is too narrow for the dyadic grid
+    to keep every action more than the tolerance 1e-9 inside it; at 1e308
+    the action period overflows to inf, and so does the tolerance."""
+    out_file = tmp_path / "gen.fcx"
+    argv = ("gen", "--gens", "12", "--lambda", lam, "--max-jump", "1")
+    assert run(*argv, "-o", str(out_file)) == (0, "", "")
+    code, out, _ = run("validate", str(out_file))
+    assert (code, out) == (0, "ok\n")
+
+
 def test_gen_is_deterministic_and_valid(run):
     code, out1, _ = run("gen", "--seed", "42", "--gens", "14", "--max-jump", "3")
     assert code == 0

@@ -10,11 +10,13 @@ from fcx.gf2 import (
     Gf2Subspace,
     apply_columns,
     bits,
+    bits_descending,
     clear_pivots,
     commutator_witnesses,
     echelon,
     image_basis,
     invert_columns,
+    invert_square,
     kernel_basis,
     rref_rows,
     subspace_intersection,
@@ -36,6 +38,11 @@ def space_members(s: Gf2Subspace) -> set[int]:
 def test_bits_enumerates_set_positions():
     assert list(bits(0b101001)) == [0, 3, 5]
     assert list(bits(0)) == []
+
+
+@given(st.integers(min_value=0, max_value=(1 << 200) - 1))
+def test_bits_descending_is_bits_reversed(v):
+    assert bits_descending(v) == list(bits(v))[::-1]
 
 
 def by_bits(cols, v):
@@ -211,6 +218,21 @@ def test_invert_columns_roundtrip_or_singular(cols):
         return
     assert len(rref_rows(cols)[0]) == 4
     for j in range(4):
+        assert apply_columns(cols, inv[j]) == 1 << j
+        assert apply_columns(inv, cols[j]) == 1 << j
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+))
+def test_invert_square_inverts_exactly_the_full_rank_maps(cols):
+    n = len(cols)
+    inv = invert_square(cols)
+    if len(rref_rows(cols)[0]) < n:
+        assert inv is None
+        return
+    assert inv is not None and len(inv) == n
+    for j in range(n):
         assert apply_columns(cols, inv[j]) == 1 << j
         assert apply_columns(inv, cols[j]) == 1 << j
 

@@ -304,6 +304,22 @@ def test_complex_from_columns_equals_the_complex_from_its_entries():
     with pytest.raises(ValueError):
         FloerComplexData.from_columns(P4_ALG, gens, cols[:3])
 
+def test_a_canonical_generator_order_is_kept_and_any_other_is_sorted():
+    gens = tuple(LiftedGenerator(u, n) for u, n in [("a", 0), ("b", 1), ("c", 1), ("d", 2)])
+    cols = [0b0110, 0b1000, 0b1000, 0]
+    c = FloerComplexData.from_columns(P4_ALG, gens, cols)
+    assert c.generators is gens and c.delta_columns() == cols
+    for seed in range(5):
+        perm = list(range(4))
+        random.Random(seed).shuffle(perm)
+        shuffled = [gens[i] for i in perm]
+        moved = [0] * 4  # column perm[j] of cols, re-indexed as positions in shuffled
+        for j, i in enumerate(perm):
+            moved[j] = sum(1 << perm.index(t) for t in range(4) if cols[i] >> t & 1)
+        d = FloerComplexData.from_columns(P4_ALG, shuffled, moved)
+        assert d.generators == gens and d.delta_columns() == cols and d == c
+
+
 def test_z_graded_single_free_generator():
     c = complex_of(P4_ALG, [("x", 2)])
     table = z_graded_cohomology(c)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import fcx.synth
 from conftest import page_cells
 from fcx.engine import collapse_page, pages
+from fcx.gf2 import apply_columns, rref_rows
 from fcx.model import MonotoneParams, validate
 from fcx.synth import (
     DEGREE_SPAN,
@@ -74,6 +75,16 @@ def test_build_omits_actions_for_large_jumps():
 def test_build_omits_actions_in_algebraic_mode():
     c = build_from_normal_form(NormalFormSpec(P4_ALG, free=(0, 1)))
     assert all(g.action is None for g in c.generators)
+
+
+def test_build_omits_actions_the_grid_cannot_place_inside_the_tolerance():
+    # window (0, 4e-8), tolerance 1e-9: x0 would sit at 1e-8 / 128
+    narrow = MonotoneParams(4, 1e-8)
+    c = build_from_normal_form(NormalFormSpec(narrow, free=(0,), dipoles=((0, 1),)))
+    assert validate(c).ok and all(g.action is None for g in c.generators)
+    roomy = MonotoneParams(4, 1e-6)
+    c = build_from_normal_form(NormalFormSpec(roomy, free=(0,), dipoles=((0, 1),)))
+    assert validate(c).ok and all(g.action is not None for g in c.generators)
 
 
 def test_oracle_single_free_generator():
@@ -242,3 +253,61 @@ def test_scramble_draws_once_per_candidate_pair_in_ascending_index(
         if value < 0.35:
             expected[i] |= 1 << h
     assert upward == [expected]
+
+
+def _rref_random_invertible(rng, n):
+    """The rejection ``_random_invertible`` replaced: each draw M is tested
+    and inverted at once by the reduced echelon form of ``[M^T | I]``."""
+    if n == 0:
+        return [], []
+    while True:
+        cols = [rng.getrandbits(n) for _ in range(n)]
+        reduced, pivots = rref_rows(col | 1 << (n + j) for j, col in enumerate(cols))
+        if pivots[n - 1] == n - 1:
+            return cols, [row >> n for row in reduced]
+
+
+def test_random_invertible_matches_the_rref_rejection():
+    """Same draws, same matrix, same inverse and the same generator state as
+    the rejection that inverted every draw; sizes 0..64."""
+    first_rejected = first_accepted = 0
+    for seed in range(390):
+        n = seed % 65
+        rng, ref = random.Random(seed), random.Random(seed)
+        cols, inv = fcx.synth._random_invertible(rng, n)
+        assert (cols, inv) == _rref_random_invertible(ref, n)
+        assert rng.getstate() == ref.getstate()
+        assert [apply_columns(cols, v) for v in inv] == [1 << j for j in range(n)]
+        first = random.Random(seed)
+        if [first.getrandbits(n) for _ in range(n)] == cols:
+            first_accepted += 1
+        else:
+            first_rejected += 1
+    assert first_rejected > 0 and first_accepted > 0
+
+
+def test_scramble_shifts_block_mixes_and_inverts_accepted_draws_only(
+    monkeypatch, scrambled_spec
+):
+    """Mixing lifts no column with ``expand_local`` and tests no draw with
+    ``rref_rows``; each degree block inverts exactly one draw, its last,
+    and the draws before it are rejected."""
+    c = build_from_normal_form(scrambled_spec(90, 4))
+    calls = []
+    for module in (fcx.gf2, fcx.model, fcx.synth):
+        for name in ("rref_rows", "expand_local"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+    results = []
+    invert = fcx.synth.invert_square
+
+    def spy(cols):
+        results.append(invert(cols))
+        return results[-1]
+
+    monkeypatch.setattr(fcx.synth, "invert_square", spy)
+    fcx.synth._scramble(random.Random(3), c)
+    assert calls == []
+    accepted = [i for i, inv in enumerate(results) if inv is not None]
+    assert len(accepted) == len(c.degree_blocks()) < len(results)
+    assert accepted[-1] == len(results) - 1
