@@ -68,6 +68,7 @@ from .model import (
     InvalidComplexError,
     LiftedGenerator,
     MonotoneParams,
+    PageIndexError,
     RingTable,
     SizeGuardError,
     ValidationReport,
@@ -94,6 +95,7 @@ __all__ = [
     "InvalidComplexError",
     "EngineConsistencyError",
     "SizeGuardError",
+    "PageIndexError",
     "FcxParseError",
     # model
     "MonotoneParams",

@@ -467,6 +467,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _betti_numbers(text: str) -> tuple[int, ...]:
+    """The ``--betti`` value: comma-separated integers."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}"
+        ) from None
+
+
 @functools.cache  # one parser per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     formats = argparse.ArgumentParser(add_help=False)
@@ -515,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--betti",
         required=True,
-        type=lambda s: tuple(int(x) for x in s.split(",")),
+        type=_betti_numbers,
         help="comma-separated Betti numbers b0,b1,...,bm",
     )
     p.add_argument("--m", type=int, default=None, help="half-dimension (defaults to the m header)")

@@ -303,16 +303,14 @@ def induced_on_pages(c: FloerComplexData, a: CupClass, k: int) -> InducedPageMap
     """
     canonical_form(c)  # proves delta^2 = 0, so validation does not walk delta
     acols = require_valid_cup(c, a)
-    if k < 1:
-        raise FcxError(f"pages are indexed from 1, got {k}")
     table = pages(c)
+    cells, row, alive, dead_sources = table.layouts[table.run(k)]
     k_eff = min(k, table.collapse_page)
     period = c.params.maslov_period
     p = a.degree
     images = _derived(
         c, a, "slot_images", lambda c, a: _graded_images(c, a, acols, table, k_eff)
     )
-    cells, row, alive, dead_sources = table.layouts[table.run(k)]
     gens = c.generators
 
     maps: list[tuple[tuple[int, int], Gf2Matrix]] = []
@@ -410,15 +408,10 @@ def _check_page_commutation(table: PageTable, induced: InducedPageMaps, k: int) 
             )
 
 
-def resolve_unit(c: FloerComplexData, ring: RingTable) -> str:
-    """Resolve the unit class: explicit, else named '1', else the unique
-    degree-0 identity-matrix class."""
-    classes = {cls.name: cls for cls in c.cup_classes}
-    if ring.unit is not None:
-        if ring.unit not in classes:
-            raise FcxError(f"declared unit '{ring.unit}' is not a known class")
-        return ring.unit
-    if "1" in classes:
+def resolve_unit(c: FloerComplexData) -> str:
+    """Resolve the unit class as a document does: the class named '1', else
+    the unique degree-0 identity-matrix class."""
+    if any(cls.name == "1" for cls in c.cup_classes):
         return "1"
     candidates = [
         cls.name for cls in c.cup_classes if cls.degree == 0 and _is_identity(c, cls)
@@ -426,7 +419,7 @@ def resolve_unit(c: FloerComplexData, ring: RingTable) -> str:
     if len(candidates) == 1:
         return candidates[0]
     raise FcxError(
-        "cannot resolve a unit class: declare one explicitly, name it '1', "
+        "cannot resolve a unit class: name it '1' "
         "or provide exactly one degree-0 identity class"
     )
 
@@ -492,7 +485,7 @@ def module_check(c: FloerComplexData, ring: RingTable) -> ModuleReport:
     identity.
     """
     classes = _ring_classes(c, ring)
-    unit = resolve_unit(c, ring)
+    unit = resolve_unit(c)
     actions = {name: induced_on_cohomology(c, cls) for name, cls in classes.items()}
 
     failures: list[str] = []
@@ -514,8 +507,6 @@ def module_check(c: FloerComplexData, ring: RingTable) -> ModuleReport:
         ax, ay = actions[x], actions[y]
         for n in sorted(dims):
             mid = ay.block(n)
-            if mid is None:
-                continue
             top = ax.block(n + ay.degree)
             out_dim = dims.get(n + ay.degree + ax.degree, 0)
             composite = (
@@ -524,12 +515,7 @@ def module_check(c: FloerComplexData, ring: RingTable) -> ModuleReport:
             if result is None:
                 want = Gf2Matrix.zero(composite.n_rows, composite.n_cols)
             else:
-                want_block = actions[result].block(n)
-                want = (
-                    want_block
-                    if want_block is not None
-                    else Gf2Matrix.zero(composite.n_rows, composite.n_cols)
-                )
+                want = actions[result].block(n)
             if composite.rows != want.rows:
                 failures.append(
                     f"product {x}*{y} -> {result or '0'} fails at degree {n}: "

@@ -73,6 +73,7 @@ from .model import (
     FloerComplexData,
     LiftedGenerator,
     MonotoneParams,
+    PageIndexError,
     _local_matrix,
     expand_local,
     record_square_zero,
@@ -178,8 +179,8 @@ class PageTable:
     form's.  Page k changes only at k = J + 1 for a jump index J, so runs
     start at page 1 and at each J + 1 (``starts``, ascending); the last
     starts at ``collapse_page``, the first page equal to the limit, and
-    ``run(k)`` is the one map from a page k >= 1 to its run.  Eager: the
-    nonzero dimensions by level of each run, which ``page`` reads.
+    ``run(k)`` is the one map from a page k to its run, refusing k < 1.
+    Eager: the nonzero dimensions by level of each run, which ``page`` reads.
 
     Built from the barcode on first access, then kept: ``layouts`` holds
     one ``PageLayout`` per run, which page k reads as
@@ -224,7 +225,9 @@ class PageTable:
         return self.collapse_page + 1
 
     def run(self, k: int) -> int:
-        """Index of the run that page k >= 1 belongs to."""
+        """Index of the run that page k belongs to; refuses k < 1."""
+        if k < 1:
+            raise PageIndexError(f"pages are indexed from 1, got {k}")
         return bisect_right(self.starts, k) - 1
 
     def cached(self, key: str, compute: Callable[["PageTable"], _T]) -> _T:
@@ -239,8 +242,6 @@ class PageTable:
     def page(self, k: int) -> dict[tuple[int, int], int]:
         """Nonzero dimensions of page k as {(level, residue): dim}; any page
         past the collapse page is the stable page."""
-        if k < 1:
-            raise ValueError(f"pages are indexed from 1, got {k}")
         return dict(self._dims[self.run(k)])
 
     @cached_property

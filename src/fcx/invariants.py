@@ -161,8 +161,6 @@ def poincare_laurent(table: PageTable, k: int) -> LaurentPoly:
     One polynomial per run of equal pages is built once per table, from its
     page dimensions, and page k reads that of its run.
     """
-    if k < 1:
-        raise FcxError(f"pages are indexed from 1, got {k}")
     return table.cached("poincare_laurent", _run_polynomials)[table.run(k)]
 
 
@@ -198,7 +196,7 @@ def q_decomposition(c: FloerComplexData) -> DecompositionReport:
     which is exactly the (1 + t^(-i*period-1)) factor of the identity.  Both
     sides are read from the barcode, the page polynomials through the page
     table's runs; the identity is re-verified on integer level counts for
-    each page 1..k_max (one qbar per page), raising an internal error if not.
+    each page through the collapse page, raising an internal error if not.
     """
     barcode = canonical_form(c).barcode
     table = pages(c)
@@ -219,7 +217,7 @@ def q_decomposition(c: FloerComplexData) -> DecompositionReport:
         level.update(qcounts[i - 1])
         level.update({n - i * period - 1: m for n, m in qcounts[i - 1].items()})
         tails.append(level)
-    for l in range(1, max(1, k_max) + 1):
+    for l in range(1, table.collapse_page + 1):
         got = poincare_laurent(table, l)
         expect = tails[k_max + 1 - l]
         if got.as_dict() != expect:

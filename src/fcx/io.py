@@ -47,9 +47,9 @@ The serializer is canonical: fixed header order, generators sorted by
 (degree, id), differential entries by (src, dst), cup data sorted by class
 name, actions printed with 12 significant digits.  ``parse(serialize(c))``
 reproduces ``c`` exactly whenever its decimals survive 12-digit printing
-(all generated corpora do).  A ring table's unit is not a document directive;
-by convention the unit class of a document is the class named ``1`` (or the
-unique degree-0 identity class).
+(all generated corpora do).  A unit class is not a document directive, and
+neither a ``RingTable`` nor the API names one: the unit is the class named
+``1``, else the unique degree-0 identity class (``cup.resolve_unit``).
 """
 
 from __future__ import annotations

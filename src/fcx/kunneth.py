@@ -191,7 +191,7 @@ def kunneth_check(
     For each page k (up to the largest collapse page of the three complexes
     involved, capped by ``upto``), the product's cell dimension at (n, j)
     must equal the convolution sum over split levels n1 + n2 = n of the
-    factors' cell dimensions.
+    factors' cell dimensions.  ``upto``, like any page, is refused below 1.
     """
     tensor = tensor_product(a, b)
     period = a.params.maslov_period
@@ -200,7 +200,8 @@ def kunneth_check(
 
     k_top = max(ta.collapse_page, tb.collapse_page, tp.collapse_page)
     if upto is not None:
-        k_top = max(1, min(k_top, upto))
+        tp.run(upto)  # refuses a cap below page 1
+        k_top = min(k_top, upto)
 
     cells: list[tuple[int, int, int, int, int]] = []
     failures: list[str] = []
@@ -238,15 +239,13 @@ def power_poincare_check(a: FloerComplexData, s: int, k: int) -> PowerReport:
             f"tensor power guard: need s <= {_MAX_POWER} and at most "
             f"{_MAX_POWER_BASE} generators, got s={s} with {a.count} generators"
         )
-    if k < 1:
-        raise FcxError(f"pages are indexed from 1, got {k}")
+    base = poincare_laurent(pages(a), k)  # refuses k < 1 before any product
 
     power = a
     for _ in range(s - 1):
         power = _tensor(power, a).complex
 
     lhs = poincare_laurent(pages(power), k)
-    base = poincare_laurent(pages(a), k)
     rhs = LaurentPoly.monomial(0)
     for _ in range(s):
         rhs = rhs.mul(base)

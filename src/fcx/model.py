@@ -26,9 +26,7 @@ over the sorted ids it names, so a parsed class equals its entry-built twin.
 Validation is exhaustive and returns a report rather than failing fast, so a
 single pass lists every violated invariant with the offending ids.  It checks
 the degree jumps column by column, against one mask per degree of the
-admissible targets, and reads the jump-0 columns off the same masks;
-everything downstream (cohomology, pages, the jump and energy bounds) reads
-those columns.  The action differences are checked per column too.  Only a
+admissible targets, and the action differences per column too.  Only a
 complex with kept entries, a bad degree jump or a bad action difference (or
 with actions and a repeated generator id) is walked entry by entry, to word
 the errors in ``(src, dst)`` order.  These structural checks and the walk
@@ -39,7 +37,8 @@ spares the walk (``record_square_zero``).  So a tensor product, whose builder
 the reduction that reads its pages; it is walked only if validated before
 it is reduced.
 
-The degree-graded cohomology eliminates each degree once with
+The degree-graded cohomology cuts each degree's columns to their jump-0
+part, the block of the next degree, and eliminates them once with
 ``gf2.echelon``.  The rows it keeps are the next degree's image; the image
 rows and the representatives stay on the ``CohomologyTable`` as one
 pivot-keyed echelon, against which the cup actions decode any cocycle.  The
@@ -82,6 +81,7 @@ __all__ = [
     "InvalidComplexError",
     "EngineConsistencyError",
     "SizeGuardError",
+    "PageIndexError",
     "GEN_MAX_GENERATORS",
     "MonotoneParams",
     "LiftedGenerator",
@@ -97,7 +97,6 @@ __all__ = [
     "record_square_zero",
     "z_graded_cohomology",
     "expand_local",
-    "jump0_columns",
 ]
 
 
@@ -119,6 +118,10 @@ class EngineConsistencyError(FcxError):
 
 class SizeGuardError(FcxError):
     """A size guard on a combinatorially explosive operation was exceeded."""
+
+
+class PageIndexError(FcxError, ValueError):
+    """A page index below 1, refused by ``engine.PageTable.run`` alone."""
 
 
 # The most generators ``fcx gen`` may be asked for.  Scrambling n generators
@@ -396,13 +399,12 @@ class RingTable:
 
     ``products`` maps unordered pairs (stored sorted) to the product class
     name, or None for a zero product.  Pairs absent from the table multiply
-    to zero.  ``unit`` optionally names the identity class; when absent it is
-    resolved as the class named "1", else the unique degree-0 class whose
-    matrix is the identity.
+    to zero.  The unit is not part of the table: as in a document, it is the
+    class named "1", else the unique degree-0 class whose matrix is the
+    identity (``cup.resolve_unit``).
     """
 
     products: tuple[tuple[tuple[str, str], str | None], ...] = ()
-    unit: str | None = None
 
     def __post_init__(self) -> None:
         normalized = tuple(
@@ -442,11 +444,10 @@ class FloerComplexData:
     keeps each column at its index.  ``delta`` is the sorted entries, built
     on first read and kept.
 
-    Derived data (degree blocks, validation report with the jump-0
-    columns, degree-graded cohomology, canonical form, page table, the cup
-    data of each document class) is memoized per instance by ``cached``; it
-    takes no part in equality or hashing and is freed together with the
-    complex.
+    Derived data (degree blocks, validation report, degree-graded
+    cohomology, canonical form, page table, the cup data of each document
+    class) is memoized per instance by ``cached``; it takes no part in
+    equality or hashing and is freed together with the complex.
     """
 
     params: MonotoneParams
@@ -598,20 +599,19 @@ def validate(c: FloerComplexData) -> ValidationReport:
 
 
 def _validate(c: FloerComplexData) -> ValidationReport:
-    report = _structure(c)[0]
+    report = _structure(c)
     if not report.ok:
         return report
     errors = c.cached("square", _square_errors)
     return ValidationReport(report.errors + errors, report.warnings) if errors else report
 
 
-def _structure(c: FloerComplexData) -> tuple[ValidationReport, tuple[int, ...]]:
-    """The report of every check but delta^2 = 0, and the jump-0 columns,
-    read off the degree masks in the same pass; once per instance."""
+def _structure(c: FloerComplexData) -> ValidationReport:
+    """The report of every check but delta^2 = 0; once per instance."""
     return c.cached("structure", _check_structure)
 
 
-def _check_structure(c: FloerComplexData) -> tuple[ValidationReport, tuple[int, ...]]:
+def _check_structure(c: FloerComplexData) -> ValidationReport:
     errors: list[str] = []
     warnings: list[str] = []
     p = c.params
@@ -659,16 +659,12 @@ def _check_structure(c: FloerComplexData) -> tuple[ValidationReport, tuple[int, 
 
     gens = c.generators
     cols = c._columns
-    if period >= 1:
-        cols0, bad = _jump_masks(c.degree_blocks(), cols, period)
-    else:
-        cols0, bad = (0,) * c.count, False
-    walk = c._raw is not None or bad
+    walk = c._raw is not None or (period >= 1 and _bad_jump(c.degree_blocks(), cols, period))
     if not walk and any_action and p.monotonicity > 0:
         walk = period < 1 or len(seen) < c.count or _action_mismatch(gens, cols, p)
     if walk:
         errors += _entry_errors(c)
-    return ValidationReport(tuple(errors), tuple(warnings)), cols0
+    return ValidationReport(tuple(errors), tuple(warnings))
 
 
 def _square_errors(c: FloerComplexData) -> tuple[str, ...]:
@@ -693,33 +689,29 @@ def record_square_zero(c: FloerComplexData) -> None:
     c.cached("square", lambda c: ())
 
 
-def _jump_masks(
+def _bad_jump(
     blocks: Mapping[int, tuple[range, int]], cols: Sequence[int], period: int
-) -> tuple[tuple[int, ...], bool]:
-    """The jump-0 columns, and whether some entry has a degree jump that is
-    not of the form k * period + 1 with k >= 0.
+) -> bool:
+    """Whether some entry has a degree jump that is not of the form
+    k * period + 1 with k >= 0.
 
     A generator of degree n may reach the degrees n + 1 + k * period; one
-    mask per degree holds those targets, and the block of degree n + 1 is
-    the jump-0 one.  ``blocks`` is ``degree_blocks``, in ascending degree.
+    mask per degree holds those targets.  ``blocks`` is ``degree_blocks``,
+    in ascending degree.
     """
     # Sweep the degrees downwards; ``above[r]`` holds the generators of
     # residue r above the current degree n, so ``above[(n + 1) % period]``
     # are the targets n may reach.
     above: dict[int, int] = {}
-    bad = 0
-    cols0 = [0] * len(cols)
     for n in reversed(blocks):
         members, mask = blocks[n]
-        disallowed = ~above.get((n + 1) % period, 0)
-        jump0 = blocks.get(n + 1, (None, 0))[1]
+        reach = 0
         for s in members:
-            col = cols[s]
-            if col:
-                bad |= col & disallowed
-                cols0[s] = col & jump0
+            reach |= cols[s]
+        if reach & ~above.get((n + 1) % period, 0):
+            return True
         above[n % period] = above.get(n % period, 0) | mask
-    return tuple(cols0), bad != 0
+    return False
 
 
 def _action_difference(p: MonotoneParams, k: int) -> float:
@@ -806,7 +798,7 @@ def require_structure(c: FloerComplexData) -> None:
     """Raise ``InvalidComplexError`` unless every check but delta^2 = 0
     passes.  A complex that fails one is refused with the report of
     ``validate``, which then holds these errors alone."""
-    report = _structure(c)[0]
+    report = _structure(c)
     if not report.ok:
         raise InvalidComplexError(report)
 
@@ -833,27 +825,16 @@ def expand_local(vec: int, indices: list[int]) -> int:
     return out
 
 
-def jump0_columns(c: FloerComplexData) -> Sequence[int]:
-    """delta restricted to its jump-0 entries, as columns (see ``delta_columns``).
-
-    Requires a valid complex: ``require_valid`` runs the delta^2 walk unless
-    a reduction of ``c`` has proved delta^2 = 0.  The columns come from the
-    structural pass of validation, once per instance, and are shared: do not
-    modify them.
-    """
-    require_valid(c)
-    return _structure(c)[1]
-
-
 def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
     """Cohomology of the degree-graded complex under the jump-0 part alone.
 
     The jump-0 component is the only part of the differential that preserves
     the integer grading shift by exactly 1; higher-jump entries are invisible
     here and only act on later spectral pages.  Each degree's jump-0 columns
-    are eliminated once (see ``_graded_cohomology``).  The table is computed
-    once per instance, for its representatives and ``coordinates``; its
-    dimensions are page 1 of the page table (``engine.PageTable.page``).
+    are eliminated once (see ``_graded_cohomology``).  Requires a valid
+    complex.  The table is computed once per instance, for its
+    representatives and ``coordinates``; its dimensions are page 1 of the
+    page table (``engine.PageTable.page``).
     """
     return c.cached("z_graded_cohomology", _graded_cohomology)
 
@@ -861,25 +842,27 @@ def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:
 def _graded_cohomology(c: FloerComplexData) -> CohomologyTable:
     """Cohomology of the jump-0 columns, one degree at a time, ascending.
 
-    A jump-0 column of a generator of degree n lies in degree n + 1, so the
-    columns need no restriction to a target degree, and one ``echelon`` of a
-    degree's columns, in ambient coordinates and each tagged with its
-    generator, gives both the degree's kernel (the tags of the columns that
-    vanish) and the image that degree n + 1 divides by (the kept rows, their
-    tags set to 0).  The kernel is put in reduced echelon form, which is
-    unique, so the representatives do not depend on the elimination order;
-    the image needs no such form, because every echelon of a span leaves the
-    same remainders (see ``clear_pivots``).  A kernel vector's remainder by
-    the image rows and the representatives so far, if nonzero, is the next
-    representative; it joins the rows tagged with its index, and the rows are
-    kept on the table.
+    The jump-0 part of the column of a generator of degree n is its cut to
+    the block of degree n + 1, and one ``echelon`` of a degree's cut columns,
+    in ambient coordinates and each tagged with its generator, gives both the
+    degree's kernel (the tags of the columns that vanish) and the image that
+    degree n + 1 divides by (the kept rows, their tags set to 0).  The kernel
+    is put in reduced echelon form, which is unique, so the representatives
+    do not depend on the elimination order; the image needs no such form,
+    because every echelon of a span leaves the same remainders (see
+    ``clear_pivots``).  A kernel vector's remainder by the image rows and the
+    representatives so far, if nonzero, is the next representative; it joins
+    the rows tagged with its index, and the rows are kept on the table.
     """
-    cols = jump0_columns(c)
+    require_valid(c)
+    cols = c._columns
+    blocks = c.degree_blocks()
     images: dict[int, dict[int, tuple[int, int]]] = {}
     dims: list[tuple[int, int]] = []
     reps_out: list[tuple[int, tuple[int, ...]]] = []
-    for degree, (members, _) in c.degree_blocks().items():
-        kept, dependents = echelon((cols[s], 1 << s) for s in members)
+    for degree, (members, _) in blocks.items():
+        jump0 = blocks.get(degree + 1, (None, 0))[1]
+        kept, dependents = echelon((cols[s] & jump0, 1 << s) for s in members)
         images[degree + 1] = {p: (v, 0) for p, (v, _) in kept.items()}
         rows = images.setdefault(degree, {})
         reps: list[int] = []

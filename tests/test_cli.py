@@ -457,6 +457,14 @@ def test_betti_numbers_below_zero_are_a_usage_error(run, write_doc, betti, first
     assert err == f"fcx: argument --betti: must be at least 0, got {first}\n"
 
 
+@pytest.mark.parametrize("betti", ["1,x", ",", "1,,2"])
+def test_betti_numbers_that_are_not_integers_are_a_usage_error(run, write_doc, betti):
+    code, out, err = run("betti", write_doc(DIPOLE_TEXT), f"--betti={betti}", "--m", "1")
+    assert (code, out) == (2, "")
+    assert f"argument --betti: must be comma-separated integers, got '{betti}'" in err
+    assert "<lambda>" not in err
+
+
 def test_rebase_emits_reparsable_canonical_document(run, write_doc, tmp_path):
     path = write_doc(ACT_TEXT)
     code, out, _ = run("rebase", path, "--delta-r", "2.0")

@@ -30,9 +30,9 @@ from fcx.cup import (
 )
 from fcx.engine import pages
 from fcx.gf2 import Gf2Matrix, apply_columns, bits, kernel_basis
-from fcx.invariants import rebase
+from fcx.invariants import poincare_laurent, rebase
 from fcx.io import FcxParseError, parse, serialize
-from fcx.kunneth import tensor_product
+from fcx.kunneth import power_poincare_check, tensor_product
 from fcx.model import (
     DifferentialEntry,
     EngineConsistencyError,
@@ -206,9 +206,46 @@ def test_module_check_passes_when_square_vanishes():
 def test_resolve_unit_falls_back_to_unique_identity_class():
     e_cls = CupClass("e", 0, tuple((g.uid, g.uid) for g in FREE3.generators))
     c = complex_of(P3, [("p", 0), ("q", 2), ("r", 4)], cups=(e_cls,))
-    assert resolve_unit(c, RingTable()) == "e"
-    with pytest.raises(FcxError):
-        resolve_unit(FREE3, RingTable(unit="zz"))
+    assert resolve_unit(c) == "e"
+
+
+def test_every_page_entry_point_refuses_page_zero():
+    """Each refusal comes from ``PageTable.run``: a domain error that is also
+    a ``ValueError``."""
+    c = complex_of(P3, [("p", 0), ("q", 2), ("r", 4)], cups=(ident_class(FREE3),))
+    refusals = {
+        "page": lambda: pages(c).page(0),
+        "poincare_laurent": lambda: poincare_laurent(pages(c), 0),
+        "induced_on_pages": lambda: induced_on_pages(c, c.cup_classes[0], 0),
+        "power_poincare_check": lambda: power_poincare_check(FREE3, 2, 0),
+    }
+    for name, call in refusals.items():
+        with pytest.raises(FcxError, match="pages are indexed from 1, got 0") as info:
+            call()
+        assert isinstance(info.value, ValueError), name
+
+
+def test_a_unit_named_by_the_identity_survives_a_round_trip(monkeypatch, tmp_path, capsys):
+    """The unit is the document convention alone: a complex whose unit is a
+    degree-0 identity class named 'e' equals its re-parsed document and
+    gives the same unit and ``fcx ring`` output."""
+    import fcx.cli
+
+    a = CupClass("a", 2, (("p", "q"),))
+    ring = RingTable(((("e", "e"), "e"), (("a", "e"), "a"), (("a", "a"), None)))
+    gens = [("p", 0), ("q", 2), ("r", 4)]
+    c = complex_of(P3, gens, cups=(a, ident_class(FREE3, "e")), ring=ring)  # in name order
+    twin = parse(serialize(c))
+    assert twin == c
+    assert module_check(c, c.ring).unit == module_check(twin, twin.ring).unit == "e"
+    path = tmp_path / "ring.fcx"
+    path.write_text(serialize(c), encoding="utf-8")
+    outputs = []
+    for load in (fcx.cli._load, lambda path, small: c):
+        monkeypatch.setattr(fcx.cli, "_load", load)
+        assert main(["ring", str(path), "--format", "tsv"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("unit\te\n")
 
 
 def test_injectivity_on_nonzero_cohomology():
@@ -876,13 +913,13 @@ def test_resolve_unit_reads_the_columns_of_an_unnamed_identity_class(no_class_en
     short = "cup s 0\nc s u u\nc s w w\n"  # one entry too few
     shifted = "cup t 2\nc t u v\nc t u w\n"
     c = parse(head + near + ident + short + shifted)
-    assert resolve_unit(c, RingTable()) == "e"
+    assert resolve_unit(c) == "e"
     for body in (near + short + shifted, near, short):
         with pytest.raises(FcxError, match="cannot resolve a unit class"):
-            resolve_unit(parse(head + body), RingTable())
+            resolve_unit(parse(head + body))
     assert no_class_entries == []
     twins = tuple(CupClass(a.name, a.degree, class_entries(a)) for a in c.cup_classes)
-    assert resolve_unit(dataclasses.replace(c, cup_classes=twins), RingTable()) == "e"
+    assert resolve_unit(dataclasses.replace(c, cup_classes=twins)) == "e"
 
 
 def test_document_class_data_is_memoized_on_the_complex_and_freed_with_it():

@@ -28,7 +28,7 @@ from fcx.model import (
     InvalidComplexError,
     LiftedGenerator,
     MonotoneParams,
-    jump0_columns,
+    PageIndexError,
     validate,
     z_graded_cohomology,
 )
@@ -97,6 +97,16 @@ def test_canonical_form_empty_delta():
     assert form.free == tuple(sorted(index_map(c)[u] for u in "abc"))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_run_refuses_pages_below_one(k):
+    """``PageTable.run`` owns the page-index rule: below page 1 there is no
+    run (an index of -1 would read the stable page's)."""
+    table = pages(complex_of(P4_ALG, [("x", 0), ("y", 5)], [("x", "y")]))
+    with pytest.raises(PageIndexError, match=f"pages are indexed from 1, got {k}"):
+        table.run(k)
+    assert [table.run(k) for k in (1, 2, 3)] == [0, 1, 1]
+
+
 def test_derived_data_is_memoized_on_the_instance_and_freed_with_it():
     c, _ = random_complex(11, P4_ALG, max_gens=10, max_jump=2)
     twin = FloerComplexData(c.params, c.generators, c.delta)
@@ -106,7 +116,6 @@ def test_derived_data_is_memoized_on_the_instance_and_freed_with_it():
 
     assert z_graded_cohomology(c) is z_graded_cohomology(c)
     assert pages(c) is pages(c)
-    assert jump0_columns(c) is jump0_columns(c)
 
     ref = weakref.ref(c)
     assert validate(c).ok
@@ -272,7 +281,7 @@ def test_the_reduction_proves_a_zero_square_for_validate(monkeypatch, scrambled)
     monkeypatch.setattr(fcx.model, "_square_errors", lambda c: walked.append(id(c)) or walk(c))
     pages(c)
     assert walked == [] and validate(c) == validate(twin) and walked == [id(twin)]
-    assert validate(c).ok and jump0_columns(c) == jump0_columns(twin)
+    assert validate(c).ok and z_graded_cohomology(c) == z_graded_cohomology(twin)
     assert walked == [id(twin)]
 
     monkeypatch.setattr(fcx.engine, "echelon", None)  # any reduction fails

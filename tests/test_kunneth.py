@@ -21,6 +21,7 @@ from fcx.model import (
     FloerComplexData,
     LiftedGenerator,
     MonotoneParams,
+    PageIndexError,
     SizeGuardError,
     validate,
 )
@@ -143,6 +144,14 @@ def test_kunneth_upto_caps_the_page_range():
     assert report.max_page_checked == 1
 
 
+@pytest.mark.parametrize("upto", [0, -3])
+def test_kunneth_upto_below_page_one_is_refused(upto):
+    """A cap is a page index, so it obeys the page table's rule instead of
+    being raised to page 1."""
+    with pytest.raises(PageIndexError, match=f"indexed from 1, got {upto}"):
+        kunneth_check(DIPOLE, DIPOLE, upto=upto)
+
+
 def test_power_of_free_generator():
     a = complex_of(P4_ALG, [("x", 2)])
     report = power_poincare_check(a, 3, 1)
@@ -157,6 +166,18 @@ def test_power_of_dipole_page_one_and_two():
     r2 = power_poincare_check(DIPOLE, 2, 2)
     assert r2.passed
     assert r2.product_poly.is_zero and r2.factor_poly_power.is_zero
+
+
+def test_power_refuses_page_zero_before_building_a_product(monkeypatch):
+    import fcx.kunneth
+
+    built = []
+    tensor = fcx.kunneth._tensor
+    monkeypatch.setattr(fcx.kunneth, "_tensor", lambda a, b: built.append(1) or tensor(a, b))
+    with pytest.raises(PageIndexError):
+        power_poincare_check(DIPOLE, 4, 0)
+    assert built == []
+    assert power_poincare_check(DIPOLE, 4, 1).passed and len(built) == 3
 
 
 def test_power_guards():

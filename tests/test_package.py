@@ -235,6 +235,35 @@ def test_only_the_engine_clamps_a_page_to_the_collapse_page():
     assert clamping == {"cup.induced_on_pages", "synth.OraclePages.page"}
 
 
+def test_each_page_and_unit_rule_has_one_owner():
+    """``PageTable.run`` alone refuses a page below 1 for the engine and
+    everything built on it; the two oracles that judge the engine,
+    ``OraclePages.page`` and ``subquotient_pages_oracle``, share no code with
+    it and keep their own copy.  The unit is the document convention, so
+    ``RingTable`` has no unit field and no module reads one: the only
+    ``.unit`` read is the ring renderer's, off a ``ModuleReport``."""
+    import dataclasses
+
+    def refuses(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "pages are indexed from 1" in node.value
+        )
+
+    assert _functions_with(refuses) == {
+        "engine.PageTable.run",
+        "engine.subquotient_pages_oracle",
+        "synth.OraclePages.page",
+    }
+    assert [f.name for f in dataclasses.fields(fcx.RingTable)] == ["products"]
+
+    def reads_unit(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "unit"
+
+    assert _functions_with(reads_unit) == {"cli._render_ring"}
+
+
 def _reference_graph() -> dict[str, set[str]]:
     """``module.name`` (or ``module.Class.name``) of each ``src/fcx`` function
     -> the package functions its body refers to.
