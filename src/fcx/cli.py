@@ -379,9 +379,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
     m = getattr(args, "m", None)
     if m is not None and m < 0:
         raise _UsageError(f"argument --m: must be at least 0, got {m}")
-    negative = next((b for b in getattr(args, "betti", ()) if b < 0), None)
-    if negative is not None:
-        raise _UsageError(f"argument --betti: must be at least 0, got {negative}")
     s = getattr(args, "s", None)
     if s is not None and s < 2:
         raise _UsageError(f"argument --s: must be at least 2, got {s}")
@@ -468,13 +465,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _betti_numbers(text: str) -> tuple[int, ...]:
-    """The ``--betti`` value: comma-separated integers."""
+    """The ``--betti`` value: comma-separated integers, none below 0.  A
+    refusal is a ``_UsageError``, which argparse does not catch, so it leaves
+    ``parse_args`` for ``main`` to print."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        numbers = tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be comma-separated integers, got {text!r}"
+        raise _UsageError(
+            f"argument --betti: must be comma-separated integers, got {text!r}"
         ) from None
+    negative = next((b for b in numbers if b < 0), None)
+    if negative is not None:
+        raise _UsageError(f"argument --betti: must be at least 0, got {negative}")
+    return numbers
 
 
 @functools.cache  # one parser per process; parsing leaves it unchanged
@@ -557,14 +560,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    handler = {"gen": _cmd_gen, "rebase": _cmd_rebase}.get(args.command, _cmd_render)
-    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse's own usage errors, and --help
+            code = exc.code
+            return code if isinstance(code, int) else 2
+        handler = {"gen": _cmd_gen, "rebase": _cmd_rebase}.get(args.command, _cmd_render)
         return handler(args)
     except FcxError as exc:
         print(f"fcx: {exc}", file=sys.stderr)

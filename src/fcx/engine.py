@@ -62,9 +62,8 @@ from .gf2 import (
     NotUnitriangularError,
     apply_columns,
     echelon,
-    image_basis,
     invert_columns,
-    kernel_basis,
+    rref_rows,
     subspace_intersection,
     subspace_sum,
 )
@@ -74,8 +73,6 @@ from .model import (
     LiftedGenerator,
     MonotoneParams,
     PageIndexError,
-    _local_matrix,
-    expand_local,
     record_square_zero,
     require_structure,
     require_valid,
@@ -467,17 +464,28 @@ def pages(c: FloerComplexData) -> PageTable:
     return c.cached("pages", lambda c: PageTable(canonical_form(c)))
 
 
+def _kernel(c: FloerComplexData, cols: list[int], src: list[int], dst_mask: int) -> Gf2Subspace:
+    """The vectors supported on ``src`` whose differential has no bit in
+    ``dst_mask`` (ambient coordinates).
+
+    One ``rref_rows`` of the cut columns, column s tagged with bit
+    ``count + s``: pivots ascend, so the cut parts are cleared first, and the
+    rows whose cut part vanished carry the kernel's reduced basis in their
+    tags (the Zassenhaus trick of ``gf2.subspace_intersection``).
+    """
+    n = c.count
+    reduced, _ = rref_rows((cols[s] & dst_mask) | 1 << (n + s) for s in src)
+    return Gf2Subspace(n, tuple(r >> n for r in reduced if not r & ((1 << n) - 1)))
+
+
 def _z_space(c: FloerComplexData, cols: list[int], n: int, j: int, k: int) -> Gf2Subspace:
     """The subspace of residue-j vectors at filtration level >= n whose
     differential lands at level >= n + k*period + 1 (ambient coordinates)."""
     residue = c.params.residue
     src = [i for i, g in enumerate(c.generators) if g.degree >= n and residue(g.degree) == j]
-    if not src:
-        return Gf2Subspace.zero(c.count)
     cutoff = n + k * c.params.maslov_period + 1
-    dst = [i for i, g in enumerate(c.generators) if g.degree < cutoff]
-    ker = kernel_basis(_local_matrix(cols, src, dst))
-    return Gf2Subspace.from_vectors(c.count, [expand_local(v, src) for v in ker.basis])
+    below = sum(1 << i for i, g in enumerate(c.generators) if g.degree < cutoff)
+    return _kernel(c, cols, src, below)
 
 
 def _delta_span(c: FloerComplexData, cols: list[int], space: Gf2Subspace) -> Gf2Subspace:
@@ -545,23 +553,16 @@ def limit_and_filtration(c: FloerComplexData) -> LimitReport:
     by_residue = [[i for i, n in enumerate(degrees) if n % period == j] for j in range(period)]
 
     # dim F_n HF^j = dim((ker delta cap F_n cap C_j) + im_j) - dim(im_j)
+    masks = [sum(1 << i for i in idx) for idx in by_residue]
     filt: dict[tuple[int, int], int] = {}
     for j in range(period):
-        here, prev = by_residue[j], by_residue[j - 1]
-        nxt = by_residue[(j + 1) % period]
-        img = Gf2Subspace.from_vectors(
-            c.count,
-            [expand_local(v, here) for v in image_basis(_local_matrix(cols, prev, here)).basis],
-        )
+        img = Gf2Subspace.from_vectors(c.count, [cols[s] & masks[j] for s in by_residue[j - 1]])
         for n in range(lo, hi + period + 1):
             if c.params.residue(n) != j:
                 continue
-            sub = [i for i in here if c.generators[i].degree >= n]
-            ker = kernel_basis(_local_matrix(cols, sub, nxt))
-            ker_amb = Gf2Subspace.from_vectors(
-                c.count, [expand_local(v, sub) for v in ker.basis]
-            )
-            d = subspace_sum(ker_amb, img).dim - img.dim
+            sub = [i for i in by_residue[j] if degrees[i] >= n]
+            ker = _kernel(c, cols, sub, masks[(j + 1) % period])
+            d = subspace_sum(ker, img).dim - img.dim
             if d:
                 filt[(n, j)] = d
 

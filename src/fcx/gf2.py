@@ -7,11 +7,13 @@ row operation is a single XOR on machine words.
 There are two echelon formats.  Where a canonical basis is the output, the
 reduced row-echelon form of ``rref_rows`` is used: it is unique, its pivot
 columns ascend, and subspaces are kept in it, so two subspaces are equal iff
-their stored bases are identical.  Everything else (rank, the relations
-among vectors, decoding a vector against a span, the engine's dipole
-reduction) uses the pivot-keyed echelon of ``echelon``, a dict from each
-row's pivot (by default its lowest set bit, which ``clear_pivots`` needs)
-to a (vector, tag) row.
+their stored bases are identical.  It serves the independent oracles of
+``fcx.engine``, which compute with ``Gf2Subspace`` in ambient coordinates,
+and the unique representatives of the degree-graded cohomology.  Everything
+else (rank, the relations among vectors, decoding a vector against a span,
+the engine's dipole reduction) uses the pivot-keyed echelon of ``echelon``,
+a dict from each row's pivot (by default its lowest set bit, which
+``clear_pivots`` needs) to a (vector, tag) row.
 
 A walk that XORs one column per set bit, in any order, takes the top bit:
 it builds one temporary per step and shortens the vector, where isolating
@@ -36,8 +38,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 __all__ = [
     "Gf2Matrix",
     "Gf2Subspace",
-    "kernel_basis",
-    "image_basis",
     "subspace_sum",
     "subspace_intersection",
     "bits",
@@ -223,16 +223,6 @@ class Gf2Matrix:
     def zero(n_rows: int, n_cols: int) -> "Gf2Matrix":
         return Gf2Matrix(n_rows, n_cols, (0,) * n_rows)
 
-    def column(self, j: int) -> int:
-        """Column ``j`` as a bitset over row indices."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= ((r >> j) & 1) << i
-        return out
-
-    def columns(self) -> list[int]:
-        return [self.column(j) for j in range(self.n_cols)]
-
     def mat_mul(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.n_cols != other.n_rows:
             raise ValueError("dimension mismatch in matrix product")
@@ -266,10 +256,6 @@ class Gf2Subspace:
         basis, _ = rref_rows(vectors)
         return Gf2Subspace(ambient_dim, basis)
 
-    @staticmethod
-    def zero(ambient_dim: int) -> "Gf2Subspace":
-        return Gf2Subspace(ambient_dim, ())
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -287,27 +273,6 @@ class Gf2Subspace:
 
     def contains_space(self, other: "Gf2Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)
-
-
-def kernel_basis(m: Gf2Matrix) -> Gf2Subspace:
-    """Null space {x : apply_columns(m.columns(), x) = 0}; dim = n_cols - rank."""
-    basis, pivots = rref_rows(m.rows)
-    pivot_set = set(pivots)
-    vectors = []
-    for free in range(m.n_cols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for piv, row in zip(pivots, basis):
-            if (row >> free) & 1:
-                v ^= 1 << piv
-        vectors.append(v)
-    return Gf2Subspace.from_vectors(m.n_cols, vectors)
-
-
-def image_basis(m: Gf2Matrix) -> Gf2Subspace:
-    """Column space of ``m`` as a subspace of GF(2)^n_rows."""
-    return Gf2Subspace.from_vectors(m.n_rows, m.columns())
 
 
 def subspace_sum(u: Gf2Subspace, v: Gf2Subspace) -> Gf2Subspace:

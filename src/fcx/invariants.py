@@ -51,11 +51,15 @@ class LaurentPoly:
     coeffs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        cleaned = tuple(sorted((e, c) for e, c in self.coeffs if c != 0))
-        for _, c in cleaned:
+        pairs = sorted(self.coeffs)
+        previous = None
+        for e, c in pairs:
             if c < 0:
                 raise ValueError("coefficients must be nonnegative integers")
-        object.__setattr__(self, "coeffs", cleaned)
+            if e == previous:
+                raise ValueError(f"exponent {e} is repeated")
+            previous = e
+        object.__setattr__(self, "coeffs", tuple((e, c) for e, c in pairs if c))
 
     @staticmethod
     def from_dict(d: dict[int, int]) -> "LaurentPoly":

@@ -65,7 +65,6 @@ from typing import (
 )
 
 from .gf2 import (
-    Gf2Matrix,
     apply_columns,
     bits,
     bits_descending,
@@ -96,7 +95,6 @@ __all__ = [
     "require_structure",
     "record_square_zero",
     "z_graded_cohomology",
-    "expand_local",
 ]
 
 
@@ -142,8 +140,10 @@ class MonotoneParams:
                           action drops to degree jumps; 0 means purely
                           algebraic mode (no actions allowed).
     ``window_base``    -- base of the preferred action window.
-    ``half_dim``       -- optional ambient half-dimension, used only for
-                          Betti comparison and report-text index shifts.
+    ``half_dim``       -- optional ambient half-dimension: read by the
+                          Betti comparison (its default m, and checked
+                          against any other), summed by ``tensor_product``
+                          and written as the ``m`` header.
     """
 
     maslov_period: int
@@ -268,6 +268,17 @@ def _entry_columns(
     return tuple(cols), None if clean else entries
 
 
+def _check_columns(columns: Sequence[int], n: int, ids: str) -> None:
+    """Refuse anything but ``n`` columns over ``n`` indices, naming the first
+    column that is negative or has a bit at ``n`` or beyond.  A good set of
+    columns costs a read of its smallest and largest column."""
+    if len(columns) != n:
+        raise ValueError(f"{len(columns)} columns for {n} {ids}")
+    if columns and (min(columns) < 0 or max(columns) >> n):
+        bad = next(i for i, col in enumerate(columns) if col < 0 or col >> n)
+        raise ValueError(f"column {bad} is negative or has a bit at {n} or beyond")
+
+
 def _moved(cols: Sequence[int], pos: Sequence[int], n: int) -> tuple[int, ...]:
     """The columns over n indices with each index i moved to ``pos[i]``."""
     out = [0] * n
@@ -354,8 +365,7 @@ class CupClass:
     ) -> CupClass:
         """The class with an entry (uids[s], uids[t]) for each bit t of
         ``columns[s]``; equal to the one built from those entries."""
-        if len(columns) != len(uids):
-            raise ValueError(f"{len(columns)} columns for {len(uids)} generator ids")
+        _check_columns(columns, len(uids), "generator ids")
         if len(set(uids)) < len(uids):  # the entries of a repeated id merge by id
             return cls(name, degree, _sorted_entries(_sorted_targets(uids, columns, None)))
         return cls(name, degree, _uids=uids, _columns=columns)
@@ -483,13 +493,13 @@ class FloerComplexData:
             ordered = tuple(gens[i] for i in perm)
         if delta is not None or _columns is None:
             _columns, _raw = _entry_columns([g.uid for g in ordered], delta or ())
-        elif len(_columns) != len(gens):
-            raise ValueError(f"{len(_columns)} columns for {len(gens)} generators")
-        elif perm is not None:
-            pos = [0] * len(perm)  # old index -> new
-            for new, old in enumerate(perm):
-                pos[old] = new
-            _columns = _moved(_columns, pos, len(perm))
+        else:
+            _check_columns(_columns, len(gens), "generators")
+            if perm is not None:
+                pos = [0] * len(perm)  # old index -> new
+                for new, old in enumerate(perm):
+                    pos[old] = new
+                _columns = _moved(_columns, pos, len(perm))
         self.__dict__.update(
             params=params, generators=ordered, cup_classes=tuple(cup_classes), ring=ring,
             _columns=tuple(_columns), _raw=_raw, _memo={},
@@ -801,28 +811,6 @@ def require_structure(c: FloerComplexData) -> None:
     report = _structure(c)
     if not report.ok:
         raise InvalidComplexError(report)
-
-
-def _local_matrix(
-    cols: list[int], src_indices: list[int], dst_indices: list[int]
-) -> Gf2Matrix:
-    """Submatrix of the column map restricted to given source/target indices."""
-    dst_pos = {g: r for r, g in enumerate(dst_indices)}
-    entries = []
-    for j, s in enumerate(src_indices):
-        for t in bits(cols[s]):
-            r = dst_pos.get(t)
-            if r is not None:
-                entries.append((r, j))
-    return Gf2Matrix.from_entries(len(dst_indices), len(src_indices), entries)
-
-
-def expand_local(vec: int, indices: list[int]) -> int:
-    """Lift a local bitset vector to ambient generator coordinates."""
-    out = 0
-    for b in bits(vec):
-        out |= 1 << indices[b]
-    return out
 
 
 def z_graded_cohomology(c: FloerComplexData) -> CohomologyTable:

@@ -29,7 +29,7 @@ from fcx.cup import (
     validate_cup,
 )
 from fcx.engine import pages
-from fcx.gf2 import Gf2Matrix, apply_columns, bits, kernel_basis
+from fcx.gf2 import Gf2Matrix, apply_columns, bits, rref_rows
 from fcx.invariants import poincare_laurent, rebase
 from fcx.io import FcxParseError, parse, serialize
 from fcx.kunneth import power_poincare_check, tensor_product
@@ -385,25 +385,16 @@ def graded_limit_action(c, cls):
     boundaries = [v for v in (apply_columns(cols, 1 << i) for i in range(c.count)) if v]
 
     def cycles_at(level, residue):
+        # One elimination of the columns tagged above the first n bits: the
+        # rows whose low n bits vanished carry the kernel in their tags.
+        n = c.count
         idx = [
             i
             for i, g in enumerate(c.generators)
             if g.degree >= level and c.params.residue(g.degree) == residue
         ]
-        if not idx:
-            return []
-        entries = []
-        for pos, i in enumerate(idx):
-            for t in bits(cols[i]):
-                entries.append((t, pos))
-        local = kernel_basis(Gf2Matrix.from_entries(c.count, len(idx), entries))
-        out = []
-        for v in local.basis:
-            amb = 0
-            for b in bits(v):
-                amb |= 1 << idx[b]
-            out.append(amb)
-        return out
+        reduced, _ = rref_rows(cols[i] | 1 << (n + i) for i in idx)
+        return [r >> n for r in reduced if not r & ((1 << n) - 1)]
 
     result = {}
     reps = table.form.change_of_basis

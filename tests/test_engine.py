@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import random
 import time
 import weakref
 
@@ -13,13 +14,14 @@ from hypothesis import strategies as st
 
 from conftest import index_map, page_cells
 from fcx.engine import (
+    _kernel,
     canonical_form,
     collapse_page,
     limit_and_filtration,
     pages,
     subquotient_pages_oracle,
 )
-from fcx.gf2 import apply_columns
+from fcx.gf2 import Gf2Subspace, apply_columns
 from fcx.kunneth import tensor_product
 from fcx.model import (
     DifferentialEntry,
@@ -658,3 +660,37 @@ def test_cells_and_differentials_are_pinned(scrambled):
     for n, period, seed in ((120, 3, 1), (250, 4, 2), (400, 6, 3)):
         digest.update(_table_digest(pages(scrambled(n, period, seed))))
     assert digest.hexdigest() == PAGE_TABLES_SHA256, digest.hexdigest()
+
+
+def test_kernel_is_the_reduced_null_space_of_the_cut_columns():
+    """``_kernel`` on seeded random columns, sources and masks: rank plus
+    nullity is the source count, every kernel vector lies on the sources and
+    its image misses the mask, the basis is in reduced echelon form, and for
+    at most 8 sources it spans exactly the brute-force kernel."""
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(0, 12)
+        c = FloerComplexData(P4_ALG, [LiftedGenerator(f"g{i}", 0) for i in range(n)])
+        cols = [rng.getrandbits(n) for _ in range(n)]
+        for i in range(n):  # repeat some columns, so that kernels are large
+            if rng.random() < 0.3:
+                cols[i] = cols[rng.randrange(n)]
+        src = sorted(rng.sample(range(n), rng.randint(0, n)))
+        mask = rng.getrandbits(n)
+        ker = _kernel(c, cols, src, mask)
+        rank = Gf2Subspace.from_vectors(n, [cols[s] & mask for s in src]).dim
+        assert rank + ker.dim == len(src)
+        assert ker == Gf2Subspace.from_vectors(n, ker.basis)
+        support = sum(1 << s for s in src)
+        for v in ker.basis:
+            assert v & ~support == 0 and apply_columns(cols, v) & mask == 0
+        if len(src) <= 8:
+            members = {0}
+            for b in ker.basis:
+                members |= {x ^ b for x in members}
+            brute = set()
+            for pick in range(1 << len(src)):
+                v = sum(1 << s for b, s in enumerate(src) if pick >> b & 1)
+                if apply_columns(cols, v) & mask == 0:
+                    brute.add(v)
+            assert members == brute

@@ -14,10 +14,8 @@ from fcx.gf2 import (
     clear_pivots,
     commutator_witnesses,
     echelon,
-    image_basis,
     invert_columns,
     invert_square,
-    kernel_basis,
     rref_rows,
     subspace_intersection,
     subspace_sum,
@@ -122,35 +120,6 @@ def test_rref_is_idempotent(rows):
     basis, _ = rref_rows(rows)
     again, _ = rref_rows(basis)
     assert again == basis
-
-
-def matrix_strategy(max_rows=5, max_cols=5):
-    return st.integers(1, max_rows).flatmap(
-        lambda r: st.integers(1, max_cols).flatmap(
-            lambda c: st.lists(
-                st.integers(0, (1 << c) - 1), min_size=r, max_size=r
-            ).map(lambda rows: Gf2Matrix(r, c, tuple(rows)))
-        )
-    )
-
-
-@given(matrix_strategy())
-def test_rank_nullity(m):
-    assert m.rank() + kernel_basis(m).dim == m.n_cols
-
-
-@given(matrix_strategy())
-def test_kernel_vectors_map_to_zero(m):
-    for v in space_members(kernel_basis(m)):
-        assert apply_columns(m.columns(), v) == 0
-
-
-@given(matrix_strategy())
-def test_image_is_spanned_by_columns(m):
-    img = image_basis(m)
-    assert img.dim == m.rank()
-    for j in range(m.n_cols):
-        assert img.contains(m.column(j))
 
 
 @pytest.mark.parametrize(

@@ -70,6 +70,19 @@ def test_laurent_poly_canonical_form_and_algebra():
     assert LaurentPoly().is_zero
 
 
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        (((1, 2), (1, 3)), "exponent 1 is repeated"),
+        (((0, 1), (1, 0), (1, 4)), "exponent 1 is repeated"),
+        (((0, 1), (1, -1)), "coefficients must be nonnegative integers"),
+    ],
+)
+def test_laurent_poly_refuses_a_repeated_exponent_or_a_negative_coefficient(coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        LaurentPoly(coeffs)
+
+
 def test_laurent_poly_serialization():
     p = LaurentPoly.from_dict({-5: 1, 0: 2, 4: 1})
     assert p.serialize() == "-5:1 0:2 4:1"

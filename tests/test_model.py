@@ -8,7 +8,11 @@ computed independently from the image filtration by ``limit_and_filtration``.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,7 @@ from conftest import index_map
 from fcx.engine import limit_and_filtration, pages
 from fcx.io import FcxParseError, parse, serialize
 from fcx.model import (
+    CupClass,
     DifferentialEntry,
     FloerComplexData,
     InvalidComplexError,
@@ -312,6 +317,47 @@ def test_complex_from_columns_equals_the_complex_from_its_entries():
     assert c == built and hash(c) == hash(built) and c.delta is c.delta
     with pytest.raises(ValueError):
         FloerComplexData.from_columns(P4_ALG, gens, cols[:3])
+
+
+@pytest.mark.parametrize("cols, bad", [((1 << 7, 0), 0), ((0, 0b100), 1), ((0b10, 0b1000), 1)])
+def test_a_column_out_of_range_is_refused_naming_it(cols, bad):
+    gens = [LiftedGenerator("a", 0), LiftedGenerator("b", 1)]
+    message = f"column {bad} is negative or has a bit at 2 or beyond"
+    with pytest.raises(ValueError, match=message):
+        FloerComplexData.from_columns(P4_ALG, gens, cols)
+    with pytest.raises(ValueError, match=message):
+        CupClass.from_columns("x", 0, ("a", "b"), cols)
+
+
+def test_a_negative_column_is_refused_in_bounded_time_and_memory():
+    """A negative column once made validation run without end, so the
+    builds and their validation run in a child limited to 10 s and 1 GiB of
+    address space."""
+    script = (
+        "from fcx.model import *\n"
+        "gens = [LiftedGenerator('a', 0), LiftedGenerator('b', 1)]\n"
+        "for cols in ([-2, 0], [0, -1]):\n"
+        "    try:\n"
+        "        validate(FloerComplexData.from_columns(MonotoneParams(4, 0.0), gens, cols))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "    try:\n"
+        "        CupClass.from_columns('x', 0, ('a', 'b'), cols).entries\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(validate.__code__.co_filename).parents[1])}
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=limit_memory,
+    )
+    refusals = [f"column {i} is negative or has a bit at 2 or beyond" for i in (0, 0, 1, 1)]
+    assert (proc.returncode, proc.stderr, proc.stdout.splitlines()) == (0, "", refusals)
+
 
 def test_a_canonical_generator_order_is_kept_and_any_other_is_sorted():
     gens = tuple(LiftedGenerator(u, n) for u, n in [("a", 0), ("b", 1), ("c", 1), ("d", 2)])

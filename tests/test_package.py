@@ -264,6 +264,27 @@ def test_each_page_and_unit_rule_has_one_owner():
     assert _functions_with(reads_unit) == {"cli._render_ring"}
 
 
+def test_only_the_oracles_use_the_subspace_algebra():
+    """Outside ``gf2``, only the two engine oracles and their helpers refer
+    to ``Gf2Subspace``, ``subspace_sum`` or ``subspace_intersection``: a
+    move of the oracles out of ``engine`` carries all of it, and the engine
+    does not compute with the linear algebra that judges it."""
+    names = {"Gf2Subspace", "subspace_sum", "subspace_intersection"}
+
+    def refers(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Name) and node.id in names) or (
+            isinstance(node, ast.Attribute) and node.attr in names
+        )
+
+    assert {name for name in _functions_with(refers) if not name.startswith("gf2.")} == {
+        "engine._kernel",
+        "engine._z_space",
+        "engine._delta_span",
+        "engine.subquotient_pages_oracle",
+        "engine.limit_and_filtration",
+    }
+
+
 def _reference_graph() -> dict[str, set[str]]:
     """``module.name`` (or ``module.Class.name``) of each ``src/fcx`` function
     -> the package functions its body refers to.
