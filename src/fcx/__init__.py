@@ -25,6 +25,7 @@ from .cup import (
 from .engine import (
     Barcode,
     CanonicalForm,
+    LaurentPoly,
     LimitReport,
     PageLayout,
     PageTable,
@@ -40,7 +41,6 @@ from .invariants import (
     DecompositionReport,
     EnergyBoundReport,
     EulerReport,
-    LaurentPoly,
     betti_compare,
     collapse_bound_from_energy,
     collapse_bound_from_jumps,

@@ -37,10 +37,11 @@ dipole of jump index ``k`` keeps both endpoints alive on pages ``1..k`` (the
 page-``k`` differential sends source slot to target slot) and dies entering
 page ``k+1``.  So a page table keeps one entry per run of equal pages, the
 runs starting at page 1 and at each jump index + 1: eagerly, its dimensions
-by level, which page dimensions, polynomials and the collapse page read; its
-layout (the alive slots of each cell, in order) and differential matrices
-when first read.  Page 1 and the stable page are the dimensions of both
-cohomologies.
+by level, which page dimensions and the collapse page read; when first read,
+its Poincare-Laurent polynomial (``LaurentPoly``), its layout (the alive
+slots of each cell, in order) and its differential matrices.  So the page
+polynomials are a per-run view of the page table, not a separate cache.
+Page 1 and the stable page are the dimensions of both cohomologies.
 
 Two independent cross-check routes are provided and kept deliberately
 separate from the reduction and its kernel, ``gf2.echelon``: a literal
@@ -54,7 +55,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Mapping, NamedTuple, TypeVar
+from typing import Callable, Mapping, NamedTuple
 
 from .gf2 import (
     Gf2Matrix,
@@ -78,9 +79,8 @@ from .model import (
     require_valid,
 )
 
-_T = TypeVar("_T")
-
 __all__ = [
+    "LaurentPoly",
     "Barcode",
     "CanonicalForm",
     "PageLayout",
@@ -92,6 +92,76 @@ __all__ = [
     "subquotient_pages_oracle",
     "limit_and_filtration",
 ]
+
+
+@dataclass(frozen=True)
+class LaurentPoly:
+    """Laurent polynomial with nonnegative integer coefficients.
+
+    Stored as sorted (exponent, coefficient) pairs with zero coefficients
+    absent, so equality is coefficient-map equality.
+    """
+
+    coeffs: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        pairs = sorted(self.coeffs)
+        previous = None
+        for e, c in pairs:
+            if c < 0:
+                raise ValueError("coefficients must be nonnegative integers")
+            if e == previous:
+                raise ValueError(f"exponent {e} is repeated")
+            previous = e
+        object.__setattr__(self, "coeffs", tuple((e, c) for e, c in pairs if c))
+
+    @staticmethod
+    def from_dict(d: dict[int, int]) -> "LaurentPoly":
+        return LaurentPoly(tuple(d.items()))
+
+    @staticmethod
+    def monomial(exponent: int, coefficient: int = 1) -> "LaurentPoly":
+        return LaurentPoly(((exponent, coefficient),))
+
+    def as_dict(self) -> dict[int, int]:
+        return dict(self.coeffs)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def add(self, other: "LaurentPoly") -> "LaurentPoly":
+        d = self.as_dict()
+        for e, c in other.coeffs:
+            d[e] = d.get(e, 0) + c
+        return LaurentPoly.from_dict(d)
+
+    def mul(self, other: "LaurentPoly") -> "LaurentPoly":
+        d: dict[int, int] = {}
+        for e1, c1 in self.coeffs:
+            for e2, c2 in other.coeffs:
+                d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
+        return LaurentPoly.from_dict(d)
+
+    def shift(self, exponent: int) -> "LaurentPoly":
+        """Multiply by t**exponent."""
+        return LaurentPoly(tuple((e + exponent, c) for e, c in self.coeffs))
+
+    def serialize(self) -> str:
+        """Space-separated ``exponent:coefficient`` pairs, ascending; '' if zero."""
+        return " ".join(f"{e}:{c}" for e, c in self.coeffs)
+
+    __str__ = serialize  # the TSV form
+
+    def display(self) -> str:
+        """Human form: '0' when zero, else e.g. 't^-2 + 2*t^0 + t^5'."""
+        if self.is_zero:
+            return "0"
+        parts = []
+        for e, c in self.coeffs:
+            head = "" if c == 1 else f"{c}*"
+            parts.append(f"{head}t^{e}")
+        return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -179,23 +249,20 @@ class PageTable:
     ``run(k)`` is the one map from a page k to its run, refusing k < 1.
     Eager: the nonzero dimensions by level of each run, which ``page`` reads.
 
-    Built from the barcode on first access, then kept: ``layouts`` holds
-    one ``PageLayout`` per run, which page k reads as
-    ``layouts[run(k)]``; ``differentials`` maps a source cell key
-    (k, n, j), k a jump index, to its nonzero page-k matrix, whose rows
-    are the slots of the cell at (k, n + k*period + 1, (j + 1) % period)
-    and columns its own slots.
-    Other data is memoized by ``cached``.  The table keeps the form, not
-    the complex, whose memo holds it.
+    Built on first access, then kept: ``polynomials`` holds the
+    Poincare-Laurent polynomial of each run, from its dimensions, which page
+    k reads as ``polynomials[run(k)]``; from the barcode, ``layouts`` holds
+    one ``PageLayout`` per run, read as ``layouts[run(k)]``, and
+    ``differentials`` maps a source cell key (k, n, j), k a jump index, to
+    its nonzero page-k matrix, whose rows are the slots of the cell at
+    (k, n + k*period + 1, (j + 1) % period) and columns its own slots.  The
+    table keeps the form, not the complex, whose memo holds it.
     """
 
     form: CanonicalForm
     starts: tuple[int, ...] = field(init=False, compare=False)
     _dims: tuple[dict[tuple[int, int], int], ...] = field(
         init=False, repr=False, compare=False
-    )
-    _memo: dict[str, Any] = field(
-        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -227,19 +294,18 @@ class PageTable:
             raise PageIndexError(f"pages are indexed from 1, got {k}")
         return bisect_right(self.starts, k) - 1
 
-    def cached(self, key: str, compute: Callable[["PageTable"], _T]) -> _T:
-        """``compute(self)``, evaluated at most once per table under ``key``."""
-        memo = self._memo
-        try:
-            return memo[key]
-        except KeyError:
-            value = memo[key] = compute(self)
-            return value
-
     def page(self, k: int) -> dict[tuple[int, int], int]:
         """Nonzero dimensions of page k as {(level, residue): dim}; any page
         past the collapse page is the stable page."""
         return dict(self._dims[self.run(k)])
+
+    @cached_property
+    def polynomials(self) -> tuple[LaurentPoly, ...]:
+        """Per run, the sum over levels of its dim * t^level."""
+        return tuple(
+            LaurentPoly.from_dict({n: d for (n, _j), d in dims.items()})
+            for dims in self._dims
+        )
 
     @cached_property
     def layouts(self) -> tuple[PageLayout, ...]:

@@ -5,6 +5,10 @@ decomposition of page polynomials into per-page rank contributions, window
 rebasing (how the preferred integer lifts depend on the action window base),
 collapse-page bounds from the jump spectrum or from an energy budget, and
 comparison against a closed-manifold Betti vector.
+
+A page's polynomial is a per-run view of the page table
+(``PageTable.polynomials``), which builds it; ``LaurentPoly`` is defined in
+``fcx.engine`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .engine import PageTable, canonical_form, pages
+from .engine import LaurentPoly, PageTable, canonical_form, pages
 from .gf2 import bits
 from .model import (
     EngineConsistencyError,
@@ -38,76 +42,6 @@ __all__ = [
     "collapse_bound_from_energy",
     "betti_compare",
 ]
-
-
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Laurent polynomial with nonnegative integer coefficients.
-
-    Stored as sorted (exponent, coefficient) pairs with zero coefficients
-    absent, so equality is coefficient-map equality.
-    """
-
-    coeffs: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        pairs = sorted(self.coeffs)
-        previous = None
-        for e, c in pairs:
-            if c < 0:
-                raise ValueError("coefficients must be nonnegative integers")
-            if e == previous:
-                raise ValueError(f"exponent {e} is repeated")
-            previous = e
-        object.__setattr__(self, "coeffs", tuple((e, c) for e, c in pairs if c))
-
-    @staticmethod
-    def from_dict(d: dict[int, int]) -> "LaurentPoly":
-        return LaurentPoly(tuple(d.items()))
-
-    @staticmethod
-    def monomial(exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return LaurentPoly(((exponent, coefficient),))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def add(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = self.as_dict()
-        for e, c in other.coeffs:
-            d[e] = d.get(e, 0) + c
-        return LaurentPoly.from_dict(d)
-
-    def mul(self, other: "LaurentPoly") -> "LaurentPoly":
-        d: dict[int, int] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly.from_dict(d)
-
-    def shift(self, exponent: int) -> "LaurentPoly":
-        """Multiply by t**exponent."""
-        return LaurentPoly(tuple((e + exponent, c) for e, c in self.coeffs))
-
-    def serialize(self) -> str:
-        """Space-separated ``exponent:coefficient`` pairs, ascending; '' if zero."""
-        return " ".join(f"{e}:{c}" for e, c in self.coeffs)
-
-    __str__ = serialize  # the TSV form
-
-    def display(self) -> str:
-        """Human form: '0' when zero, else e.g. 't^-2 + 2*t^0 + t^5'."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e, c in self.coeffs:
-            head = "" if c == 1 else f"{c}*"
-            parts.append(f"{head}t^{e}")
-        return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -162,17 +96,10 @@ class BettiReport:
 def poincare_laurent(table: PageTable, k: int) -> LaurentPoly:
     """Poincare-Laurent polynomial of page k: sum over levels of dim * t^level.
 
-    One polynomial per run of equal pages is built once per table, from its
-    page dimensions, and page k reads that of its run.
+    The polynomials are a per-run view of the page table, built once per
+    table from its page dimensions; page k reads that of its run.
     """
-    return table.cached("poincare_laurent", _run_polynomials)[table.run(k)]
-
-
-def _run_polynomials(table: PageTable) -> tuple[LaurentPoly, ...]:
-    return tuple(
-        LaurentPoly.from_dict({n: d for (n, _j), d in table.page(k).items()})
-        for k in table.starts
-    )
+    return table.polynomials[table.run(k)]
 
 
 def euler_number(table: PageTable, k: int) -> EulerReport:

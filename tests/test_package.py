@@ -102,8 +102,8 @@ def _functions_with(hit) -> set[str]:
 # ``LimitReport.hf`` by criteria 02 and 04, and ``LimitReport.einf`` by the
 # limit checks of ``tests/test_engine.py``.
 KEPT_WITHOUT_CALLER = {
-    "invariants.LaurentPoly.shift",
-    "invariants.LaurentPoly.add",
+    "engine.LaurentPoly.shift",
+    "engine.LaurentPoly.add",
     "engine.LimitReport.hf",
     "engine.LimitReport.einf",
 }
