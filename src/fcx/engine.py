@@ -96,7 +96,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LaurentPoly:
-    """Laurent polynomial with nonnegative integer coefficients.
+    """Laurent polynomial with integer exponents and nonnegative integer
+    coefficients; a ``bool`` is not an integer here.
 
     Stored as sorted (exponent, coefficient) pairs with zero coefficients
     absent, so equality is coefficient-map equality.
@@ -108,8 +109,10 @@ class LaurentPoly:
         pairs = sorted(self.coeffs)
         previous = None
         for e, c in pairs:
-            if c < 0:
-                raise ValueError("coefficients must be nonnegative integers")
+            if type(c) is not int or c < 0:
+                raise ValueError(f"coefficients must be nonnegative integers, got {c!r}")
+            if type(e) is not int:
+                raise ValueError(f"exponents must be integers, got {e!r}")
             if e == previous:
                 raise ValueError(f"exponent {e} is repeated")
             previous = e

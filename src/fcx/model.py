@@ -48,6 +48,7 @@ from the page table (``engine.PageTable``): page 1 and the stable page.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
@@ -628,7 +629,7 @@ def _check_structure(c: FloerComplexData) -> ValidationReport:
     period = p.maslov_period
     tol = p.action_tolerance
 
-    if period < 1:
+    if type(period) is not int or period < 1:
         errors.append(f"maslov period must be a positive integer, got {period}")
     elif period < 3:
         if p.allow_small_period:
@@ -642,15 +643,23 @@ def _check_structure(c: FloerComplexData) -> ValidationReport:
                 f"maslov period {period} is below 3 and the small-period "
                 "override flag is not set"
             )
-    if p.monotonicity < 0:
+    if not math.isfinite(p.monotonicity):
+        errors.append(f"monotonicity constant must be a finite number, got {p.monotonicity}")
+    elif p.monotonicity < 0:
         errors.append(f"monotonicity constant must be nonnegative, got {p.monotonicity}")
+    if not math.isfinite(p.window_base):
+        errors.append(f"window base must be a finite number, got {p.window_base}")
+    if p.half_dim is not None and (type(p.half_dim) is not int or p.half_dim < 0):
+        errors.append(f"half-dimension must be a nonnegative integer, got {p.half_dim}")
 
     seen: dict[str, int] = {}
-    for i, g in enumerate(c.generators):
-        if g.uid in seen:
-            errors.append(f"duplicate generator id '{g.uid}'")
+    for i, (uid, degree, _action) in enumerate(c.generators):
+        if uid in seen:
+            errors.append(f"duplicate generator id '{uid}'")
         else:
-            seen[g.uid] = i
+            seen[uid] = i
+        if type(degree) is not int:
+            errors.append(f"generator '{uid}' lifted degree must be an integer, got {degree}")
 
     any_action = any(g.action is not None for g in c.generators)
     if any_action and p.monotonicity <= 0:

@@ -514,6 +514,37 @@ def test_ring_command_requires_ring_lines(run, write_doc):
     assert "ring" in err
 
 
+@pytest.mark.parametrize(
+    "text, fails, tail",
+    [
+        (
+            "fcx 1\nsigma 3\nlambda 0\ngen u 0\ngen v 2\ncup 1 2\nc 1 u v\nring 1 1 0\n",
+            ["unit '1' has nonzero degree 2"],
+            ["injective\tyes"],
+        ),
+        (
+            "fcx 1\nsigma 3\nlambda 0\ngen u 0\ngen v 2\ncup 1 0\nring 1 1 1\n",
+            [f"unit '1' does not act as the identity at degree {n}" for n in (0, 2)],
+            ["injective\tno", "kernel\t1"],
+        ),
+    ],
+)
+def test_a_unit_that_is_not_the_identity_fails_the_ring_check(run, write_doc, text, fails, tail):
+    """The class ``1`` is the unit: of degree 2, or of degree 0 but the zero
+    map, it fails ``module_check`` and ``fcx ring`` exits 1."""
+    code, out, _ = run("ring", write_doc(text), "--format", "tsv")
+    assert code == 1
+    assert out.splitlines() == [
+        "unit\t1", "pairs\t1", *(f"fail\t{msg}" for msg in fails), "module\tfail", *tail
+    ]
+
+
+def test_cuplength_requires_ring_lines(run, write_doc):
+    code, out, err = run("cuplength", write_doc(DIPOLE_TEXT))
+    assert (code, out) == (1, "")
+    assert err == "fcx: document carries no ring table ('ring' lines)\n"
+
+
 def test_kunneth_command_on_dipole_squared(run, write_doc):
     path = write_doc(DIPOLE_TEXT)
     code, out, _ = run("kunneth", path, path, "--format", "tsv")
@@ -525,6 +556,30 @@ def test_kunneth_command_on_dipole_squared(run, write_doc):
     assert "collapse\t2" in lines
     assert "poly\t1\t0:1 5:2 10:1" in lines
     assert lines[-1] == "kunneth\tpass"
+
+
+def test_a_product_cell_off_by_one_fails_the_kunneth_check(run, write_doc, monkeypatch):
+    """Built with one free generator too many at level 0, the product of the
+    dipole with itself differs from the convolved factors at cell (0, 0) of
+    both pages, and ``fcx kunneth`` exits 1 naming each."""
+    import fcx.kunneth
+    from fcx.model import FloerComplexData, LiftedGenerator
+
+    class Mutant:
+        @staticmethod
+        def from_columns(params, gens, cols):
+            extra = (*gens, LiftedGenerator("w", 0))
+            return FloerComplexData.from_columns(params, extra, (*cols, 0))
+
+    monkeypatch.setattr(fcx.kunneth, "FloerComplexData", Mutant)
+    path = write_doc(DIPOLE_TEXT)
+    code, out, _ = run("kunneth", path, path, "--format", "tsv")
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        "kunneth\tfail",
+        "fail\tpage 1 cell (n=0, j=0): product dim 2 != convolved dim 1",
+        "fail\tpage 2 cell (n=0, j=0): product dim 1 != convolved dim 0",
+    ]
 
 
 def test_power_command(run, write_doc):

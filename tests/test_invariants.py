@@ -83,6 +83,21 @@ def test_laurent_poly_refuses_a_repeated_exponent_or_a_negative_coefficient(coef
         LaurentPoly(coeffs)
 
 
+def test_laurent_poly_refuses_exponents_and_coefficients_that_are_not_integers():
+    """A ``bool`` is not an integer, and neither is a float of any value."""
+    for coeffs, message in [
+        (((1, True),), "coefficients must be nonnegative integers, got True"),
+        (((1, 2.5),), "coefficients must be nonnegative integers, got 2.5"),
+        (((0.5, 1),), "exponents must be integers, got 0.5"),
+        (((True, 1),), "exponents must be integers, got True"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            LaurentPoly(coeffs)
+    p = LaurentPoly(((3, 2), (-1, 1), (0, 0)))
+    assert p.coeffs == ((-1, 1), (3, 2))
+    assert p.serialize() == "-1:1 3:2"
+
+
 def test_laurent_poly_serialization():
     p = LaurentPoly.from_dict({-5: 1, 0: 2, 4: 1})
     assert p.serialize() == "-5:1 0:2 4:1"

@@ -86,6 +86,19 @@ def test_parse_duplicate_header_and_delta_lines():
         parse("fcx 1\nsigma 4\nlambda 0.5\ngen x 0\ngen y 5\nd x y\nd x y\n")
 
 
+def test_parse_duplicate_version_and_cup_lines_cite_both_lines():
+    with pytest.raises(FcxParseError) as exc:
+        parse("fcx 1\nsigma 4\nfcx 1\nlambda 0.5\n")
+    assert (exc.value.line_no, str(exc.value)) == (
+        3, "line 3: duplicate 'fcx' line (first on line 1)"
+    )
+    with pytest.raises(FcxParseError) as exc:
+        parse("fcx 1\nsigma 3\nlambda 0\ngen u 0\ncup q 0\nc q u u\ncup q 2\n")
+    assert (exc.value.line_no, str(exc.value)) == (
+        7, "line 7: duplicate cup class 'q' (first declared on line 5)"
+    )
+
+
 def test_parse_unknown_directive_carries_line_number():
     with pytest.raises(FcxParseError) as exc:
         parse("fcx 1\nsigma 4\nlambda 0.5\nfrobnicate 1\n")

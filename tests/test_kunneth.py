@@ -87,6 +87,16 @@ def test_tensor_drops_actions():
     assert t.params.window_base == 0.0
 
 
+def test_a_product_has_the_sum_of_its_factors_half_dimensions():
+    """``m`` of a product is the sum of its factors' ``m``, and unset if
+    either factor leaves it unset."""
+    with_m = {m: complex_of(dataclasses.replace(P4_ALG, half_dim=m), [("z", 0)]) for m in (1, 2)}
+    assert tensor_product(with_m[1], with_m[2]).complex.params.half_dim == 3
+    assert tensor_product(with_m[2], with_m[2]).complex.params.half_dim == 4
+    assert tensor_product(with_m[2], FREE_Z).complex.params.half_dim is None
+    assert tensor_product(FREE_Z, with_m[1]).complex.params.half_dim is None
+
+
 def test_tensor_rejects_mismatched_parameters():
     other_period = complex_of(MonotoneParams(3, 0.0), [("z", 0)])
     with pytest.raises(FcxError, match="share the period"):

@@ -137,6 +137,41 @@ def test_validate_rejects_negative_monotonicity():
     assert any("nonnegative" in e for e in validate(c).errors)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "params, degree, message",
+    [
+        (MonotoneParams(4, NAN), 0, "monotonicity constant must be a finite number, got nan"),
+        (MonotoneParams(4, INF), 0, "monotonicity constant must be a finite number, got inf"),
+        (MonotoneParams(4, 0.0, NAN), 0, "window base must be a finite number, got nan"),
+        (MonotoneParams(4, 0.0, INF), 0, "window base must be a finite number, got inf"),
+        (MonotoneParams(4, 0.0, half_dim=-3), 0, "half-dimension must be a nonnegative integer, got -3"),
+        (MonotoneParams(4, 0.0, half_dim=2.5), 0, "half-dimension must be a nonnegative integer, got 2.5"),
+        (MonotoneParams(4.5, 0.0), 0, "maslov period must be a positive integer, got 4.5"),
+        (P4_ALG, 0.5, "generator 'a' lifted degree must be an integer, got 0.5"),
+        (P4_ALG, True, "generator 'a' lifted degree must be an integer, got True"),
+    ],
+)
+def test_validate_refuses_what_the_grammar_refuses(params, degree, message):
+    """Each complex serializes to a document the parser refuses, and
+    validation refuses it with that error alone."""
+    c = complex_of(params, [("a", degree), ("x", 0)])
+    assert validate(c).errors == (message,)
+    with pytest.raises(FcxParseError):
+        parse(serialize(c))
+
+
+def test_a_valid_complex_with_m_and_r_round_trips():
+    params = MonotoneParams(4, 0.5, window_base=0.75, half_dim=2)
+    c = complex_of(params, [("x", 0, 1.0), ("y", 5, 2.5), ("z", 4, 1.25)], [("x", "y")])
+    assert validate(c).ok
+    text = serialize(c)
+    assert "r 0.75\nm 2\n" in text
+    assert parse(text) == c
+
+
 def test_validate_rejects_duplicate_ids():
     c = complex_of(P4_ALG, [("x", 0), ("x", 1)])
     assert any("duplicate generator id 'x'" in e for e in validate(c).errors)

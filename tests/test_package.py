@@ -35,6 +35,28 @@ def test_the_cup_class_and_ring_table_are_defined_once():
     assert fcx.cup.RingTable is fcx.model.RingTable is fcx.RingTable
 
 
+def test_the_laurent_polynomial_is_defined_once():
+    """``fcx.engine`` owns it; ``fcx.invariants`` and the package re-export it."""
+    import fcx.engine
+    import fcx.invariants
+
+    assert fcx.invariants.LaurentPoly is fcx.engine.LaurentPoly is fcx.LaurentPoly
+
+
+def test_the_complex_memo_is_the_only_function_named_cached():
+    """``FloerComplexData.cached`` is the package's one keyed memo; the page
+    table's data are its own cached properties."""
+    import fcx.model
+
+    found = [
+        (module, node.lineno)
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "cached"
+    ]
+    assert found == [("model", fcx.model.FloerComplexData.cached.__code__.co_firstlineno)]
+
+
 def _unused_imports(source: str) -> list[tuple[int, str]]:
     """(line, name) of each imported binding that the module never reads.
 
