@@ -137,14 +137,14 @@ class MonotoneParams:
                           and the step of the filtration (minimal Maslov
                           number).  Values 1-2 are admitted only behind
                           ``allow_small_period`` and draw a warning.
-    ``monotonicity``   -- the nonnegative proportionality constant tying
-                          action drops to degree jumps; 0 means purely
+    ``monotonicity``   -- the finite nonnegative proportionality constant
+                          tying action drops to degree jumps; 0 means purely
                           algebraic mode (no actions allowed).
-    ``window_base``    -- base of the preferred action window.
-    ``half_dim``       -- optional ambient half-dimension: read by the
-                          Betti comparison (its default m, and checked
-                          against any other), summed by ``tensor_product``
-                          and written as the ``m`` header.
+    ``window_base``    -- finite base of the preferred action window.
+    ``half_dim``       -- optional nonnegative ambient half-dimension: read
+                          by the Betti comparison (its default m, and
+                          checked against any other), summed by
+                          ``tensor_product`` and written as the ``m`` header.
     """
 
     maslov_period: int
