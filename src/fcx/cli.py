@@ -16,9 +16,12 @@ is the tag and its fields joined by tabs, a human line comes from the
 One handler loads the documents, calls the command's renderer and prints.
 
 Exit codes: 0 success, 1 validation or check failure, 2 parse or usage
-error (including size-guard refusals and ``gen`` arguments out of range).
-The optional ``FCX_SEED`` environment variable sets the default seed of
-``gen``.
+error (including size-guard refusals).  Every refusal is one ``fcx:`` line;
+argparse's own usage errors go through ``_Parser.error``, with no usage
+block.  A numeric option is written as in a document (ASCII, no ``_``, no
+surrounding space), and its type (``_number``) also checks its range.  The
+optional ``FCX_SEED`` environment variable (the same rule; empty is unset)
+sets the default seed of ``gen``.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ import functools
 import math
 import os
 import sys
+from argparse import ArgumentTypeError
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .cup import (
     cuplength_report,
@@ -373,20 +377,6 @@ _RENDERERS: dict[str, Callable[..., tuple[list[tuple], bool]]] = {
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    max_page = getattr(args, "max_page", None)
-    if max_page is not None and max_page < 1:
-        raise _UsageError(f"argument --max-page: must be at least 1, got {max_page}")
-    m = getattr(args, "m", None)
-    if m is not None and m < 0:
-        raise _UsageError(f"argument --m: must be at least 0, got {m}")
-    s = getattr(args, "s", None)
-    if s is not None and s < 2:
-        raise _UsageError(f"argument --s: must be at least 2, got {s}")
-    energy = getattr(args, "energy", None)
-    if energy is not None and not 0 < energy < math.inf:
-        raise _UsageError(
-            f"argument --energy: must be a positive finite number, got {energy}"
-        )
     docs = [
         _load(getattr(args, name), args.allow_small_sigma)
         for name in ("file", "file_a", "file_b")
@@ -398,9 +388,6 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_rebase(args: argparse.Namespace) -> int:
-    flag, value = ("--delta-r", args.delta_r) if args.r_new is None else ("--r-new", args.r_new)
-    if not math.isfinite(value):
-        raise _UsageError(f"argument {flag}: must be a finite number, got {value}")
     c = _load(args.file, args.allow_small_sigma)
     r_new = (
         args.r_new if args.r_new is not None else c.params.window_base + args.delta_r
@@ -411,33 +398,22 @@ def _cmd_rebase(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.gens < 1:
-        raise _UsageError(f"argument --gens: must be at least 1, got {args.gens}")
     if args.gens > GEN_MAX_GENERATORS:
         raise SizeGuardError(
             f"gen size guard: --gens {args.gens} exceeds the bound of "
             f"{GEN_MAX_GENERATORS} generators"
         )
-    if args.max_jump < 0:
-        raise _UsageError(f"argument --max-jump: must be at least 0, got {args.max_jump}")
     if args.sigma < (1 if args.allow_small_sigma else 3):
         raise _UsageError(
             f"argument --sigma: must be at least 3 (1 with --allow-small-sigma), "
             f"got {args.sigma}"
         )
-    if not 0 <= args.lam < math.inf:
-        raise _UsageError(
-            f"argument --lambda: must be a finite number >= 0, got {args.lam}"
-        )
     seed = args.seed
     if seed is None:  # read when the command runs: the parser is built once
-        env_seed = os.environ.get("FCX_SEED")
         try:
-            seed = int(env_seed) if env_seed else 0
-        except ValueError:
-            raise _UsageError(
-                f"FCX_SEED must be an integer, got {env_seed!r}"
-            ) from None
+            seed = _INTEGER(os.environ.get("FCX_SEED") or "0")
+        except ArgumentTypeError as exc:
+            raise _UsageError(f"FCX_SEED {exc}") from None
     params = MonotoneParams(
         maslov_period=args.sigma,
         monotonicity=args.lam,
@@ -464,24 +440,59 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _read(kind: type, text: str) -> int | float:
+    """``text`` as a ``kind``, as a document writes it: ASCII, no ``_``, no padding."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(text)
+    return kind(text)
+
+
+def _number(kind: type, accept: Callable, rule: str) -> Callable[[str], int | float]:
+    """An option type: the value read as a ``kind`` that ``accept`` admits.
+    argparse prefixes a refusal's message with ``argument --flag:``."""
+
+    def read(text: str) -> int | float:
+        try:
+            value = _read(kind, text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ArgumentTypeError(f"must be {what}, got {text!r}") from None
+        if not accept(value):
+            raise ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    return read
+
+
+_INTEGER = _number(int, lambda n: True, "an integer")
+
+
+def _at_least(k: int) -> Callable[[str], int | float]:
+    return _number(int, lambda n: n >= k, f"at least {k}")
+
+
 def _betti_numbers(text: str) -> tuple[int, ...]:
-    """The ``--betti`` value: comma-separated integers, none below 0.  A
-    refusal is a ``_UsageError``, which argparse does not catch, so it leaves
-    ``parse_args`` for ``main`` to print."""
+    """The ``--betti`` value: comma-separated integers, none below 0."""
     try:
-        numbers = tuple(int(x) for x in text.split(","))
+        numbers = tuple(_read(int, x) for x in text.split(","))
     except ValueError:
-        raise _UsageError(
-            f"argument --betti: must be comma-separated integers, got {text!r}"
-        ) from None
+        raise ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
     negative = next((b for b in numbers if b < 0), None)
     if negative is not None:
-        raise _UsageError(f"argument --betti: must be at least 0, got {negative}")
+        raise ArgumentTypeError(f"must be at least 0, got {negative}")
     return numbers
+
+
+class _Parser(argparse.ArgumentParser):
+    """Every usage error, argparse's own included, is one ``fcx:`` line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(message)
 
 
 @functools.cache  # one parser per process; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
+    finite = _number(float, math.isfinite, "a finite number")
     formats = argparse.ArgumentParser(add_help=False)
     formats.add_argument(
         "--format", choices=("human", "tsv"), default="human", help="output format"
@@ -493,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="admit period 1 or 2 (drawing a validation warning)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fcx",
         description="Spectral pages and invariants of filtered GF(2) cochain complexes.",
     )
@@ -510,18 +521,19 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("pages", "poincare", "euler"):
         p = add(name)
         p.add_argument("file")
-        p.add_argument("--max-page", type=int, default=None, help="print pages 1..K")
+        p.add_argument("--max-page", type=_at_least(1), help="print pages 1..K")
 
     p = add("rebase", writes_fcx=True)
     p.add_argument("file")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--delta-r", type=float, help="shift the window base by this amount")
-    group.add_argument("--r-new", type=float, help="absolute new window base")
+    group.add_argument("--delta-r", type=finite, help="shift the window base by this amount")
+    group.add_argument("--r-new", type=finite, help="absolute new window base")
     p.add_argument("-o", "--output", default=None, help="write the rebased FCX here")
 
     p = add("collapse-bound")
     p.add_argument("file")
-    p.add_argument("--energy", type=float, default=None, help="energy budget for the second bound")
+    positive = _number(float, lambda e: 0 < e < math.inf, "a positive finite number")
+    p.add_argument("--energy", type=positive, help="energy budget for the second bound")
 
     p = add("betti")
     p.add_argument("file")
@@ -531,30 +543,31 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_betti_numbers,
         help="comma-separated Betti numbers b0,b1,...,bm",
     )
-    p.add_argument("--m", type=int, default=None, help="half-dimension (defaults to the m header)")
+    p.add_argument("--m", type=_at_least(0), help="half-dimension (defaults to the m header)")
 
     p = add("kunneth")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--max-page", type=int, default=None)
+    p.add_argument("--max-page", type=_at_least(1))
 
     p = add("power")
     p.add_argument("file")
-    p.add_argument("--s", required=True, type=int, help="tensor power exponent (2..4)")
-    p.add_argument("--max-page", type=int, default=None, help="page to check (default 1)")
+    p.add_argument("--s", required=True, type=_at_least(2), help="tensor power exponent (2..4)")
+    p.add_argument("--max-page", type=_at_least(1), help="page to check (default 1)")
 
     p = add("gen", writes_fcx=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--gens", type=int, default=12, help="maximum generator count")
-    p.add_argument("--max-jump", type=int, default=2)
-    p.add_argument("--sigma", type=int, default=4)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p.add_argument("--seed", type=_INTEGER)
+    p.add_argument("--gens", type=_at_least(1), default=12, help="maximum generator count")
+    p.add_argument("--max-jump", type=_at_least(0), default=2)
+    p.add_argument("--sigma", type=_INTEGER, default=4)  # its rule reads --allow-small-sigma
+    nonnegative = _number(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
+    p.add_argument("--lambda", dest="lam", type=nonnegative, default=0.5)
     p.add_argument("--spec", action="store_true", help="append the ground-truth normal form as comments")
     p.add_argument("-o", "--output", default=None)
 
     p = add("report")
     p.add_argument("file")
-    p.add_argument("--max-page", type=int, default=None)
+    p.add_argument("--max-page", type=_at_least(1))
 
     return parser
 
@@ -563,9 +576,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         try:
             args = _build_parser().parse_args(argv)
-        except SystemExit as exc:  # argparse's own usage errors, and --help
-            code = exc.code
-            return code if isinstance(code, int) else 2
+        except SystemExit:  # --help, once printed
+            return 0
         handler = {"gen": _cmd_gen, "rebase": _cmd_rebase}.get(args.command, _cmd_render)
         return handler(args)
     except FcxError as exc:

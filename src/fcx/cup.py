@@ -197,7 +197,9 @@ def _validate_cup(
     for a in classes:
         errors: list[str] = []
         acols, whole = _class_columns(c, a)
-        if not whole or a.degree < 0 or _off_degree(c, acols, a.degree):
+        if type(a.degree) is not int:  # bool included: the grammar reads neither
+            errors.append(f"class '{a.name}' degree must be an integer, got {a.degree}")
+        elif not whole or a.degree < 0 or _off_degree(c, acols, a.degree):
             if a.degree < 0:
                 errors.append(f"class '{a.name}' has negative degree {a.degree}")
             for (src, dst), s, t, repeat in _resolved(c.uids, a.entries):

@@ -23,7 +23,10 @@ sorts the ids it collects), and an ``echelon`` whose pivots need no
 particular order keys its rows by ``int.bit_length``, the top bit plus one
 (``invert_square``).  ``bits`` and ``clear_pivots`` stay ascending: witness
 names follow ``bits``, and a ``clear_pivots`` row adds bits above its pivot
-only.
+only.  ``apply_columns`` is the one column walk of ``mat_mul``,
+``invert_square`` and ``commutator_witnesses``; ``invert_columns`` keeps
+its own, which forms the inverse and the image through another map in one
+pass.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.
@@ -153,12 +156,7 @@ def invert_square(cols: Sequence[int]) -> list[int] | None:
     inv = [0] * n
     for p in range(n):
         v, tag = rows[p + 1]
-        rest = v ^ (1 << p)
-        while rest:
-            top = rest.bit_length() - 1
-            tag ^= inv[top]
-            rest ^= 1 << top
-        inv[p] = tag
+        inv[p] = tag ^ apply_columns(inv, v ^ (1 << p))
     return inv
 
 
@@ -226,16 +224,8 @@ class Gf2Matrix:
     def mat_mul(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.n_cols != other.n_rows:
             raise ValueError("dimension mismatch in matrix product")
-        out_rows = []
-        rows = other.rows
-        for r in self.rows:
-            acc = 0
-            while r:
-                top = r.bit_length() - 1
-                acc ^= rows[top]
-                r ^= 1 << top
-            out_rows.append(acc)
-        return Gf2Matrix(self.n_rows, other.n_cols, tuple(out_rows))
+        out = tuple(apply_columns(other.rows, r) for r in self.rows)
+        return Gf2Matrix(self.n_rows, other.n_cols, out)
 
     def rank(self) -> int:
         return len(echelon((r, 0) for r in self.rows)[0])
@@ -332,19 +322,10 @@ def commutator_witnesses(
         stacked = [(s << n) | col for s, col in zip(stacked, a)]
     pending = len(maps)
     for i, (di, acols) in enumerate(zip(d, zip(*maps))):
-        rhs = 0  # a . d, column i, every map
-        while di:
-            top = di.bit_length() - 1
-            rhs ^= stacked[top]
-            di ^= 1 << top
+        rhs = apply_columns(stacked, di)  # a . d, column i, every map
         lhs = 0  # d . a, column i, every map
         for ai in reversed(acols):
-            acc = 0
-            while ai:
-                top = ai.bit_length() - 1
-                acc ^= d[top]
-                ai ^= 1 << top
-            lhs = (lhs << n) | acc
+            lhs = (lhs << n) | apply_columns(d, ai)
         if lhs != rhs:
             diff = lhs ^ rhs
             mask = (1 << n) - 1

@@ -47,9 +47,12 @@ The serializer is canonical: fixed header order, generators sorted by
 (degree, id), differential entries by (src, dst), cup data sorted by class
 name, actions printed with 12 significant digits.  ``parse(serialize(c))``
 reproduces ``c`` exactly whenever its decimals survive 12-digit printing
-(all generated corpora do).  A unit class is not a document directive, and
-neither a ``RingTable`` nor the API names one: the unit is the class named
-``1``, else the unique degree-0 identity class (``cup.resolve_unit``).
+(all generated corpora do), except ``allow_small_period``: that flag is a
+reading option, not part of the document, so a complex of period 1 or 2
+comes back only from ``parse(text, allow_small_sigma=True)``.  A unit class
+is not a document directive, and neither a ``RingTable`` nor the API names
+one: the unit is the class named ``1``, else the unique degree-0 identity
+class (``cup.resolve_unit``).
 """
 
 from __future__ import annotations
@@ -378,7 +381,8 @@ def format_decimal(x: float) -> str:
 
 
 def serialize(c: FloerComplexData) -> str:
-    """Canonical FCX text for a complex; see the module docstring for the contract."""
+    """Canonical FCX text for a complex; see the module docstring for the
+    contract.  ``allow_small_period`` is a reading option and is not written."""
     lines = ["fcx 1"]
     lines.append(f"sigma {c.params.maslov_period}")
     lines.append(f"lambda {format_decimal(c.params.monotonicity)}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import fcx
-from fcx.cli import main
+from fcx.cli import _build_parser, main
 from fcx.engine import pages
 from fcx.invariants import LaurentPoly, betti_compare, poincare_laurent, rebase
 from fcx.io import FcxParseError, parse, serialize
@@ -680,6 +681,175 @@ def test_max_page_below_one_is_a_usage_error(run, write_doc, command, page):
     code, out, err = run(command, *files, *extra, "--max-page", str(page))
     assert (code, out) == (2, "")
     assert err == f"fcx: argument --max-page: must be at least 1, got {page}\n"
+
+
+HOSTILE_VALUES = (
+    "-1", "0", "2.5", "1e308", "1e-320", "nan", "inf", "-inf", "1_0", "\u0663", "",
+    "99999999999999999999",
+)
+# No document writes a number this way, so no option reads one.
+NOT_NUMBERS = ("1_0", "\u0663", "")
+# One generator, so that --betti 1 matches it at --m 0, with an action for rebase.
+SWEEP_TEXT = "fcx 1\nsigma 4\nlambda 0.5\nr 0.75\nm 0\ngen e 0 1.5\n"
+# A value for each required option, used while another option of its command
+# takes the hostile values.
+REQUIRED_VALUES = {"--betti": "1", "--s": "2", "--delta-r": "1"}
+# --max-page 99999999999999999999 asks these commands for that many pages
+# (ROADMAP item 4, no size guard yet), so they run in a child.
+UNBOUNDED_PAGES = ("pages", "poincare", "euler", "report", "kunneth")
+
+
+def _typed_options() -> list[tuple[str, list[str], str]]:
+    """(command, argv before the option, option) for every option of every
+    subcommand of ``_build_parser()`` that has a type.  The argv names the
+    document once per positional and gives each other required option, and
+    a required group that the option is not in, a valid value."""
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    cases = []
+    for name, p in sub.choices.items():
+        for action in p._actions:
+            if action.type is None:
+                continue
+            argv = [name] + ["{doc}" for a in p._actions if not a.option_strings]
+            needed = [a for a in p._actions if a.required and a.option_strings]
+            needed += [
+                g._group_actions[0]
+                for g in p._mutually_exclusive_groups
+                if g.required and action not in g._group_actions
+            ]
+            for a in needed:
+                if a is not action:
+                    argv += [a.option_strings[-1], REQUIRED_VALUES[a.option_strings[-1]]]
+            cases.append((name, argv, action.option_strings[-1]))
+    return cases
+
+
+def _ends_well(code: int, out: str, err: str) -> bool:
+    """Answered or refused: exit 0; exit 1 with one ``fcx:`` line, or with a
+    check's failing answer on stdout and nothing on stderr; or exit 2 with
+    one ``fcx:`` line.  Never a traceback or a usage block."""
+    lines = err.splitlines()
+    one_line = out == "" and len(lines) == 1 and lines[0].startswith("fcx: ")
+    if "usage:" in out + err or "Traceback" in err:
+        return False
+    if code == 1:
+        return one_line or (err == "" and out != "")
+    return (code == 0 and err == "") or (code == 2 and one_line)
+
+
+TYPED_OPTIONS = _typed_options()
+
+
+@pytest.mark.parametrize(
+    "command, argv, flag", TYPED_OPTIONS, ids=[c + f for c, _, f in TYPED_OPTIONS]
+)
+def test_every_typed_option_answers_or_refuses_hostile_values(
+    run, write_doc, command, argv, flag
+):
+    """Generated from the parser, so a new typed option is covered unedited."""
+    doc = write_doc(SWEEP_TEXT)
+    argv = [a.format(doc=doc) for a in argv]
+    bad = []
+    for value in HOSTILE_VALUES:
+        if flag == "--max-page" and command in UNBOUNDED_PAGES and value == HOSTILE_VALUES[-1]:
+            continue  # test_a_huge_max_page_ends
+        code, out, err = run(*argv, f"{flag}={value}")
+        if not _ends_well(code, out, err) or (value in NOT_NUMBERS and code != 2):
+            bad.append((value, code, err))
+    assert bad == []
+
+
+def test_every_hostile_fcx_seed_is_answered_or_refused(run, monkeypatch):
+    """An empty FCX_SEED counts as unset: seed 0."""
+    bad = []
+    for value in HOSTILE_VALUES:
+        monkeypatch.setenv("FCX_SEED", value)
+        code, out, err = run("gen")
+        if not _ends_well(code, out, err) or (value in NOT_NUMBERS and code != 2 and value):
+            bad.append((value, code, err))
+    assert bad == []
+    monkeypatch.setenv("FCX_SEED", "")
+    assert run("gen") == run("gen", "--seed", "0")
+
+
+def test_the_typed_options_are_swept():
+    swept = {(command, flag) for command, _, flag in TYPED_OPTIONS}
+    pages = {(command, "--max-page") for command in ("power", *UNBOUNDED_PAGES)}
+    assert pages | {
+        ("rebase", "--delta-r"), ("rebase", "--r-new"), ("collapse-bound", "--energy"),
+        ("betti", "--betti"), ("betti", "--m"), ("power", "--s"), ("gen", "--seed"),
+        ("gen", "--gens"), ("gen", "--max-jump"), ("gen", "--sigma"), ("gen", "--lambda"),
+    } <= swept
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: --max-page has no size guard")
+@pytest.mark.parametrize("command", UNBOUNDED_PAGES)
+def test_a_huge_max_page_ends(tmp_path, command):
+    path = tmp_path / "doc.fcx"
+    path.write_text(SWEEP_TEXT, encoding="utf-8")
+    files = [str(path)] * (2 if command == "kunneth" else 1)
+    env = {**os.environ, "PYTHONPATH": str(Path(fcx.__file__).resolve().parents[1])}
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+    argv = [sys.executable, "-m", "fcx.cli", command, *files, "--max-page", HOSTILE_VALUES[-1]]
+    try:
+        proc = subprocess.run(
+            argv, capture_output=True, text=True, env=env, timeout=2, preexec_fn=limit_memory
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{command} --max-page {HOSTILE_VALUES[-1]} ran past 2 s")
+    assert _ends_well(proc.returncode, proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ("pages", "{doc}", "--format", "bogus"),
+            "argument --format: invalid choice: 'bogus' (choose from 'human', 'tsv')",
+        ),
+        (("pages",), "the following arguments are required: file"),
+        (("pages", "{doc}", "--bogus"), "unrecognized arguments: --bogus"),
+    ],
+)
+def test_argparse_refusals_are_one_line(run, write_doc, argv, err):
+    """argparse's own usage errors print one fcx: line, not a usage block."""
+    doc = write_doc(DIPOLE_TEXT)
+    assert run(*[a.format(doc=doc) for a in argv]) == (2, "", f"fcx: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed, err",
+    [
+        *(
+            (
+                ("pages", "{doc}", "--max-page", value),
+                None,
+                f"argument --max-page: must be an integer, got {value!r}",
+            )
+            for value in ("\u0663", "1_0", " 3")
+        ),
+        (
+            ("betti", "{doc}", "--betti", "1_0", "--m", "0"),
+            None,
+            "argument --betti: must be comma-separated integers, got '1_0'",
+        ),
+        (("gen", "--gens", "\u0663"), None, "argument --gens: must be an integer, got '\u0663'"),
+        (("gen", "--lambda", "1_0.5"), None, "argument --lambda: must be a number, got '1_0.5'"),
+        (("gen",), "\u0663", "FCX_SEED must be an integer, got '\u0663'"),
+        (("gen",), " 3", "FCX_SEED must be an integer, got ' 3'"),
+    ],
+)
+def test_numbers_are_read_as_in_a_document(run, write_doc, monkeypatch, argv, env_seed, err):
+    """int() and float() also take 1_0, non-ASCII digits and padding; the
+    options, like the document grammar, refuse them."""
+    if env_seed is not None:
+        monkeypatch.setenv("FCX_SEED", env_seed)
+    doc = write_doc(DIPOLE_TEXT)
+    assert run(*[a.format(doc=doc) for a in argv]) == (2, "", f"fcx: {err}\n")
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -140,6 +140,19 @@ def test_validate_cup_reports_every_entry_error_in_entry_order():
     )
 
 
+@pytest.mark.parametrize("degree", [0.5, True])
+def test_validate_cup_refuses_a_degree_that_is_not_an_int(degree):
+    """``serialize`` would write the degree, and ``parse`` refuses it."""
+    one = complex_of(P3, [("u", 0)])
+    cls = CupClass("q", degree, ())
+    message = f"class 'q' degree must be an integer, got {degree}"
+    assert validate_cup(one, cls).errors == (message,)
+    with pytest.raises(FcxError, match=message):
+        require_valid_cup(one, cls)
+    with pytest.raises(FcxParseError, match="class degree must be an integer"):
+        parse(serialize(dataclasses.replace(one, cup_classes=(cls,))))
+
+
 def test_identity_class_induces_identity_on_every_cell():
     three = complex_of(P4, [("x", 0), ("x2", 4), ("y", 5)], [("x", "y")])
     table = pages(three)

@@ -207,6 +207,16 @@ def test_parse_allow_small_sigma_passthrough():
     assert report.ok and report.warnings
 
 
+def test_the_small_period_flag_is_a_reading_option_not_part_of_the_document():
+    params = MonotoneParams(2, 0.0, allow_small_period=True)
+    c = FloerComplexData(params, (LiftedGenerator("x", 0),), ())
+    assert validate(c).ok
+    text = serialize(c)
+    assert parse(text, allow_small_sigma=True) == c
+    again = parse(text)
+    assert not again.params.allow_small_period and again != c and not validate(again).ok
+
+
 def test_serialize_dipole_produces_the_canonical_document():
     c = parse(DIPOLE_TEXT)
     assert serialize(c) == "fcx 1\nsigma 4\nlambda 0.5\nr 0\ngen x 0\ngen y 5\nd x y\n"
