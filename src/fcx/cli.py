@@ -19,7 +19,8 @@ Exit codes: 0 success, 1 validation or check failure, 2 parse or usage
 error (including size-guard refusals).  Every refusal is one ``fcx:`` line;
 argparse's own usage errors go through ``_Parser.error``, with no usage
 block.  A numeric option is written as in a document (ASCII, no ``_``, no
-surrounding space), and its type (``_number``) also checks its range.  The
+surrounding space), and its type (``_number``) also checks its range; a
+negative value may follow its flag as a separate word.  The
 optional ``FCX_SEED`` environment variable (the same rule; empty is unset)
 sets the default seed of ``gen``.
 """
@@ -30,6 +31,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 from argparse import ArgumentTypeError
 from dataclasses import dataclass
@@ -483,8 +485,22 @@ def _betti_numbers(text: str) -> tuple[int, ...]:
     return numbers
 
 
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Every usage error, argparse's own included, is one ``fcx:`` line."""
+    """Every usage error, argparse's own included, is one ``fcx:`` line.
+
+    A word that starts with ``-`` and then a digit, a ``.``, ``inf`` or
+    ``nan`` (any case, as ``float`` reads them) is a value, so that the
+    option's type reads or refuses ``--delta-r -1e5`` as it does
+    ``--delta-r=-1e5``; argparse alone takes only ``-5`` and ``-.5`` for
+    values and ``-1e5`` or ``-inf`` for an option with no argument.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
 
     def error(self, message: str) -> NoReturn:
         raise _UsageError(message)

@@ -24,7 +24,10 @@ or class declared further down (a ``c`` line may precede its class's
 ordering.
 
 Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``; no other character ends a
-line, so line numbers are the ones an editor shows.
+line, so line numbers are the ones an editor shows.  The parser reads the
+text in blocks of about 64 KiB, each cut at a ``\\n``, and splits one block
+into lines at a time (``_blocks``), so a document's lines are never all held
+at once; the lines read, and their numbers, are those of the whole text.
 
 A ``d`` line is an entry of the differential and a ``c`` line an entry of
 its class, and both take one path: the parser resolves the entry's ids to
@@ -41,7 +44,8 @@ the columns, the only stored form of either
 canonical order, and ``CupClass.from_columns``): no ``(src, dst)`` entry is
 built unless something reads ``delta`` or a class's ``entries``.  The
 serializer reads the stored form too (``_targets``): it collects the target
-ids per source id and sorts both, which is the order of the sorted entries.
+ids per source id and sorts both, which is the order of the sorted entries,
+and writes the entry lines of one source as one string.
 
 The serializer is canonical: fixed header order, generators sorted by
 (degree, id), differential entries by (src, dst), cup data sorted by class
@@ -59,6 +63,8 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain
+from typing import Iterator
 
 from .model import (
     CupClass,
@@ -74,6 +80,9 @@ __all__ = ["FcxParseError", "parse", "serialize", "format_decimal"]
 _ID_RE = re.compile(r"^[A-Za-z0-9_*]+$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _DECIMAL_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
+# Characters of text that ``parse`` splits into lines at once: the lines of a
+# block cost several times its text, so it reads a large document in blocks.
+_BLOCK = 1 << 16
 
 
 class FcxParseError(FcxError):
@@ -153,10 +162,9 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     # boundary of ``str.splitlines`` ('\f', '\x85', ...) is whitespace.
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
     other = 0  # lines read that are not 'd' or 'c' entry lines
     try:
-        for line_no, raw in enumerate(lines, start=1):
+        for line_no, raw in enumerate(chain.from_iterable(_blocks(text)), start=1):
             # Fast path for the bulk of a document: a 'd' line, or a 'c' line
             # of a class already seen, whose ids are both declared.  Its
             # entry is one bit of a column of its owner.  An id never holds
@@ -302,7 +310,7 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     bits = sum(sum(map(int.bit_count, owner_cols)) for owner_cols in columns.values())
     if bits + waiting != line_no - other:
         # the faulty line repeats no entry: its twin would have faulted first
-        raise _first_repeat(lines[:line_no])
+        raise _first_repeat(text.split("\n", line_no)[:line_no])
     if fault is not None:
         raise fault
 
@@ -352,6 +360,21 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     return FloerComplexData.from_columns(params, gens, cols, cup_classes, ring)
 
 
+def _blocks(text: str) -> Iterator[list[str]]:
+    """The lines of ``text.split("\\n")``, split one block at a time: each
+    block but the last ends at the first ``\\n`` at least ``_BLOCK``
+    characters past its start, so no line is cut and only one block's lines
+    are held at once."""
+    pos = 0
+    while True:
+        cut = text.find("\n", pos + _BLOCK)
+        if cut < 0:
+            yield text[pos:].split("\n")
+            return
+        yield text[pos:cut].split("\n")
+        pos = cut + 1
+
+
 def _first_repeat(lines: list[str]) -> FcxParseError:
     """The error for the first entry line of ``lines`` that repeats an
     earlier one (there is one)."""
@@ -394,16 +417,18 @@ def serialize(c: FloerComplexData) -> str:
             lines.append(f"gen {g.uid} {g.degree}")
         else:
             lines.append(f"gen {g.uid} {g.degree} {format_decimal(g.action)}")
-    # canonical (src, dst) order, read off the stored form
+    # canonical (src, dst) order, read off the stored form; one string per
+    # source, as a string per entry costs several times the text
     for src, dsts in c._targets():
-        for dst in dsts:
-            lines.append(f"d {src} {dst}")
+        head = f"d {src} "
+        lines.append(head + ("\n" + head).join(dsts))
     for cls in sorted(c.cup_classes, key=lambda cls: cls.name):
         lines.append(f"cup {cls.name} {cls.degree}")
         for src, dsts in cls._targets():
-            for dst in dsts:
-                lines.append(f"c {cls.name} {src} {dst}")
+            head = f"c {cls.name} {src} "
+            lines.append(head + ("\n" + head).join(dsts))
     if c.ring is not None:
         for (a, b), result in c.ring.products:
             lines.append(f"ring {a} {b} {result if result is not None else '0'}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)

@@ -687,6 +687,8 @@ HOSTILE_VALUES = (
     "-1", "0", "2.5", "1e308", "1e-320", "nan", "inf", "-inf", "1_0", "\u0663", "",
     "99999999999999999999",
 )
+# Negative values that argparse alone would take for an option after a flag.
+NEGATIVE_WORDS = ("-1e5", "-.5e1", "-nan", "-INF", "-\u0663", "-1_0")
 # No document writes a number this way, so no option reads one.
 NOT_NUMBERS = ("1_0", "\u0663", "")
 # One generator, so that --betti 1 matches it at --m 0, with an action for rebase.
@@ -747,16 +749,21 @@ TYPED_OPTIONS = _typed_options()
 def test_every_typed_option_answers_or_refuses_hostile_values(
     run, write_doc, command, argv, flag
 ):
-    """Generated from the parser, so a new typed option is covered unedited."""
+    """Generated from the parser, so a new typed option is covered unedited.
+    A value written as a separate word (``-inf`` and ``-1e5`` included) is
+    read or refused as it is after ``=``."""
     doc = write_doc(SWEEP_TEXT)
     argv = [a.format(doc=doc) for a in argv]
     bad = []
-    for value in HOSTILE_VALUES:
+    for value in HOSTILE_VALUES + NEGATIVE_WORDS:
         if flag == "--max-page" and command in UNBOUNDED_PAGES and value == HOSTILE_VALUES[-1]:
             continue  # test_a_huge_max_page_ends
         code, out, err = run(*argv, f"{flag}={value}")
         if not _ends_well(code, out, err) or (value in NOT_NUMBERS and code != 2):
             bad.append((value, code, err))
+        as_word = run(*argv, flag, value)
+        if as_word != (code, out, err):
+            bad.append((value, "as a separate word", as_word))
     assert bad == []
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -664,17 +666,21 @@ FAULT_LINES = {
 }
 
 
+def _with_class_copy(c: FloerComplexData) -> list[str]:
+    """The lines of ``c``'s document, its entries again as the class 'e'."""
+    lines = serialize(c).splitlines()
+    return lines + ["cup e 0"] + ["c e" + line[1:] for line in lines if line.startswith("d ")]
+
+
 def test_a_copied_entry_and_a_fault_are_diagnosed_in_line_order():
     """One entry line copied and one fault line inserted at random places
     after the version line: the error cites whichever comes first."""
     rnd = random.Random(24)
-    documents = []
-    for seed in range(8):
-        c, _ = random_complex(seed, MonotoneParams(4, 0.5), max_gens=20)
-        lines = serialize(c).splitlines()
-        # the entries again as the class 'e', so that 'c' lines are copied too
-        lines += ["cup e 0"] + ["c e" + line[1:] for line in lines if line.startswith("d ")]
-        documents.append(lines)
+    # the entries again as the class 'e', so that 'c' lines are copied too
+    documents = [
+        _with_class_copy(random_complex(seed, MonotoneParams(4, 0.5), max_gens=20)[0])
+        for seed in range(8)
+    ]
     cases = 0
     for lines in documents * 80:
         entries = [i for i, line in enumerate(lines) if line[:2] in ("d ", "c ")]
@@ -879,3 +885,202 @@ def test_serialize_from_columns_merges_the_targets_of_a_repeated_id():
         "d s y",
     ]
     assert text == serialize(_entry_twin(c))
+
+
+# ---------------------------------------------------------------------------
+# Block-wise reading and one string per source
+# ---------------------------------------------------------------------------
+
+
+def _block_starts(text: str, block: int) -> list[int]:
+    """The 0-based indices of the lines that begin a block of ``parse``
+    after the first: each block ends at the first '\\n' at least ``block``
+    characters past its start."""
+    starts, pos, line = [], 0, 0
+    while (cut := text.find("\n", pos + block)) >= 0:
+        line += text.count("\n", pos, cut + 1)
+        pos = cut + 1
+        starts.append(line)
+    return starts
+
+
+def _outcome(text: str):
+    """The parsed complex, or the error's text and line number."""
+    try:
+        return parse(text, allow_small_sigma=True)
+    except FcxParseError as error:
+        return str(error), error.line_no
+
+
+def _mutations(lines: list[str], block: int, rnd: random.Random):
+    """(kind, lines, line number of the fault or None, (a, b)) for a
+    document's lines, where a block begins at a 0-based line in (a, b]: a
+    repeated entry whose copy begins a block, a fault that begins a block,
+    and an entry naming a generator declared in a later block."""
+    starts = [k for k in _block_starts("\n".join(lines), block) if k > 1]
+    if not starts:
+        return
+    k = rnd.choice(starts)
+    earlier = [i for i in range(k) if lines[i][:2] in ("d ", "c ")]
+    if earlier:
+        # a line inserted at a block's first line begins that block
+        yield "repeat", lines[:k] + [lines[rnd.choice(earlier)]] + lines[k:], k + 1, (k - 1, k)
+    yield "fault", lines[:k] + [rnd.choice(sorted(FAULT_LINES))] + lines[k:], k + 1, (k - 1, k)
+    before = max([s for s in starts if s < k] + [1])
+    src = rnd.choice([line.split()[1] for line in lines if line.startswith("gen ")])
+    entry = rnd.choice([f"d {src} zfwd", f"c e {src} zfwd"])
+    forward = lines[:k] + ["gen zfwd 9"] + lines[k:]
+    yield "forward", forward[:before] + [entry] + forward[before:], None, (before, k + 1)
+
+
+def _dressed(lines: list[str], rnd: random.Random) -> str:
+    """The lines with comment lines and comments added, an optional final
+    newline or trailing blank lines, and '\\r\\n' or a lone '\\r' for '\\n'."""
+    out = [lines[0]]
+    for line in lines[1:]:
+        if rnd.random() < 0.1:
+            out.append(rnd.choice(["# note", "  # d a b", ""]))
+        out.append(line + (" # x" if rnd.random() < 0.1 else ""))
+    text = "\n".join(out) + rnd.choice(["", "\n", "\n\n  \n\n"])
+    return text.replace("\n", rnd.choice(["\n", "\n", "\r\n", "\r"]))
+
+
+def test_blocks_are_the_lines_of_the_text(monkeypatch):
+    import fcx.io
+
+    rnd = random.Random(5)
+    texts = ["", "\n", "\n\n", "a", "a\n", "ab\ncd", "\nab\n\ncd\n\n"]
+    texts += ["".join(rnd.choice("ab\n") for _ in range(rnd.randrange(200))) for _ in range(200)]
+    for block in (1, 2, 7, 64, fcx.io._BLOCK):
+        monkeypatch.setattr(fcx.io, "_BLOCK", block)
+        for text in texts:
+            assert list(chain.from_iterable(fcx.io._blocks(text))) == text.split("\n"), text
+
+
+def test_any_block_size_parses_like_a_single_block(monkeypatch, scrambled):
+    """Golden fixtures and seeded mutated documents parse to the same
+    complex, or fail with the same error on the same line, whether read in
+    blocks of 1, 7 or 64 characters, of the default size, or in one block."""
+    import fcx.io
+
+    default = fcx.io._BLOCK
+    rnd = random.Random(37)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.fcx"))]
+    small = [
+        _with_class_copy(random_complex(seed, MonotoneParams(4, 0.5), max_gens=40)[0])
+        for seed in range(6)
+    ]
+    large = [_with_class_copy(scrambled(400, 4, seed)) for seed in (1, 2)]
+    kinds = []
+    for block in (1, 7, 64, default):
+        monkeypatch.setattr(fcx.io, "_BLOCK", block)
+        for lines in small if block < default else large:
+            for kind, mutated, fault_line, (a, b) in _mutations(lines, block, rnd):
+                text = "\n".join(mutated) + "\n"
+                assert any(a < s <= b for s in _block_starts(text, block)), kind
+                outcome = _outcome(text)
+                if fault_line is None:
+                    assert "zfwd" in outcome.uids, kind
+                else:
+                    assert outcome[1] == fault_line, kind
+                texts += [text, _dressed(mutated, rnd)]
+                kinds.append((kind, block))
+            texts.append(_dressed(lines, rnd))
+    assert set(kinds) == {
+        (kind, block) for kind in ("repeat", "fault", "forward") for block in (1, 7, 64, default)
+    }
+    for block in (1, 7, 64, default):
+        for text in texts:
+            monkeypatch.setattr(fcx.io, "_BLOCK", 1 << 40)
+            expected = _outcome(text)
+            monkeypatch.setattr(fcx.io, "_BLOCK", block)
+            assert _outcome(text) == expected, (block, text)
+
+
+def test_parse_and_serialize_hold_memory_in_proportion_to_the_text(scrambled):
+    """Neither holds one string per line of a large document: the traced
+    peak of ``parse`` stays within 1.5 times the text, and that of
+    ``serialize`` within 3 times (about 1.0 and 2.1 on CPython 3.10-3.13)."""
+    c = scrambled(1000, 4, 1)
+    text = serialize(c)  # also fills the complex's lazy caches
+    tracemalloc.start()
+    try:
+        parse(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        again = serialize(c)
+        serialize_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert again == text
+    assert parse_peak <= 1.5 * len(text)
+    assert serialize_peak <= 3 * len(text)
+
+
+def _reference_serialize(c: FloerComplexData) -> str:
+    """The FCX text of ``c`` from the ``fcx.io`` contract alone, one line
+    per entry: fixed header order, generators by (degree, id), differential
+    entries by (src, dst), cup data by class name, 12-digit decimals."""
+    p = c.params
+    lines = ["fcx 1", f"sigma {p.maslov_period}"]
+    lines += [f"lambda {format_decimal(p.monotonicity)}", f"r {format_decimal(p.window_base)}"]
+    if p.half_dim is not None:
+        lines.append(f"m {p.half_dim}")
+    for g in sorted(c.generators, key=lambda g: (g.degree, g.uid)):
+        action = "" if g.action is None else f" {format_decimal(g.action)}"
+        lines.append(f"gen {g.uid} {g.degree}{action}")
+    lines += [f"d {src} {dst}" for src, dst in sorted(c.delta)]
+    for cls in sorted(c.cup_classes, key=lambda cls: cls.name):
+        lines.append(f"cup {cls.name} {cls.degree}")
+        lines += [f"c {cls.name} {src} {dst}" for src, dst in sorted(cls.entries)]
+    if c.ring is not None:
+        lines += [f"ring {a} {b} {result or 0}" for (a, b), result in sorted(c.ring.products)]
+    return "".join(line + "\n" for line in lines)
+
+
+def _prefix_complex(seed: int) -> FloerComplexData:
+    """Ids that share prefixes (f1, f10, f1_, f1*f10, ...), random entries,
+    cup classes and ring rows."""
+    rnd = random.Random(seed)
+    pool = [f"f{i}" for i in range(12)] + [f"f{i}_" for i in range(3)]
+    pool += [f"f{i}*f{j}" for i in (1, 10) for j in (0, 1, 10)]
+    uids = rnd.sample(pool, rnd.randrange(6, len(pool)))
+    gens = [
+        LiftedGenerator(uid, rnd.randrange(-3, 4), rnd.choice([None, 0.5, -1.25, 3.0]))
+        for uid in uids
+    ]
+    pairs = [(a, b) for a in uids for b in uids]
+    names = sorted(rnd.sample(["1", "a1", "a10", "a1_", "a1*a10", "q"], rnd.randrange(0, 4)))
+    classes = [
+        CupClass(name, rnd.randrange(3), rnd.sample(pairs, rnd.randrange(len(pairs) // 3)))
+        for name in names
+    ]
+    rows = {
+        tuple(sorted(rnd.sample(names, 2))): rnd.choice([None, *names])
+        for _ in range(len(names))
+        if len(names) >= 2
+    }
+    return FloerComplexData(
+        MonotoneParams(rnd.choice([3, 4, 6]), 0.5, half_dim=rnd.choice([None, 2])),
+        gens,
+        rnd.sample(pairs, rnd.randrange(len(pairs) // 2)),
+        classes,
+        RingTable(products=tuple(rows.items())) if rows else None,
+    )
+
+
+def test_serialize_writes_the_bytes_of_an_entry_by_entry_reference():
+    complexes = [_prefix_complex(seed) for seed in range(30)]
+    complexes += [random_complex(seed, MonotoneParams(4, 0.5), max_gens=30)[0] for seed in range(5)]
+    a, _ = random_complex(11, MonotoneParams(4, 0.5), max_gens=12)
+    complexes.append(tensor_product(a, random_complex(12, MonotoneParams(4, 0.5))[0]).complex)
+    complexes += [parse(path.read_text(), allow_small_sigma=True) for path in GOLDEN.glob("*.fcx")]
+    ids = {uid for c in complexes for uid in c.uids}
+    assert {"f1", "f10", "f1_", "f10*f1"} <= ids and any("*" in uid for uid in ids)
+    assert sum(bool(c.cup_classes) for c in complexes) >= 10
+    assert sum(c.ring is not None for c in complexes) >= 5
+    for c in complexes:
+        text = serialize(c)
+        assert text == _reference_serialize(c)
+        assert parse(text, allow_small_sigma=c.params.allow_small_period) == c
