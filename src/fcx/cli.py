@@ -85,7 +85,7 @@ def _load(path: str, allow_small_sigma: bool) -> FloerComplexData:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+    if out_path is None or out_path == "-":
         sys.stdout.write(text)
         return
     try:
@@ -544,7 +544,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--delta-r", type=finite, help="shift the window base by this amount")
     group.add_argument("--r-new", type=finite, help="absolute new window base")
-    p.add_argument("-o", "--output", default=None, help="write the rebased FCX here")
+    p.add_argument(
+        "-o", "--output", default=None, help="write the rebased FCX here ('-' is stdout)"
+    )
 
     p = add("collapse-bound")
     p.add_argument("file")
@@ -579,7 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
     nonnegative = _number(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
     p.add_argument("--lambda", dest="lam", type=nonnegative, default=0.5)
     p.add_argument("--spec", action="store_true", help="append the ground-truth normal form as comments")
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("-o", "--output", default=None, help="write the FCX here ('-' is stdout)")
 
     p = add("report")
     p.add_argument("file")

@@ -25,9 +25,20 @@ ordering.
 
 Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``; no other character ends a
 line, so line numbers are the ones an editor shows.  The parser reads the
-text in blocks of about 64 KiB, each cut at a ``\\n``, and splits one block
-into lines at a time (``_blocks``), so a document's lines are never all held
-at once; the lines read, and their numbers, are those of the whole text.
+text in blocks of about 16 KiB, each cut at a ``\\n`` (``_blocks``), so a
+document's lines or tokens are never all held at once; the lines read, and
+their numbers, are those of the whole text.
+
+A block whose every line is ``d <id> <id>`` with single spaces (the last
+line may be empty), and whose ids are all declared, is read in bulk: one
+``split`` of the block, one id lookup per target and per run of one
+source's lines, and one bit per line, the bits that reading it line by line
+sets; ``serialize`` writes the differential as such blocks.  Every other
+block is read line by line: the header, ``gen``, ``cup``, ``c`` and
+``ring`` lines, comments, other spacing, and ids declared later or never.
+The guard is one ``fullmatch`` of the block's lines, because a count of its
+tokens cannot see where lines end: ``d a b d`` followed by ``x y`` splits
+into the tokens of the two lines ``d a b`` and ``d x y``.
 
 A ``d`` line is an entry of the differential and a ``c`` line an entry of
 its class, and both take one path: the parser resolves the entry's ids to
@@ -63,7 +74,7 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import chain
+from itertools import groupby, islice
 from typing import Iterator
 
 from .model import (
@@ -80,9 +91,13 @@ __all__ = ["FcxParseError", "parse", "serialize", "format_decimal"]
 _ID_RE = re.compile(r"^[A-Za-z0-9_*]+$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _DECIMAL_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
-# Characters of text that ``parse`` splits into lines at once: the lines of a
-# block cost several times its text, so it reads a large document in blocks.
-_BLOCK = 1 << 16
+# A block of canonical 'd' lines ('d', a space, an id, a space and an id),
+# or of such lines and an empty last line.  A fullmatch of the lines, not a
+# count of the tokens: 'd a b d' and 'x y' split into the tokens of two lines.
+_D_LINES = re.compile(r"(?:d {0} {0}\n)*(?:d {0} {0})?".format("[A-Za-z0-9_*]+"))
+# Characters of text that ``parse`` reads as one block: the tokens or lines of
+# a block cost several times its text, so it reads a large document in blocks.
+_BLOCK = 1 << 14
 
 
 class FcxParseError(FcxError):
@@ -163,134 +178,172 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     other = 0  # lines read that are not 'd' or 'c' entry lines
+    line_no = 0
     try:
-        for line_no, raw in enumerate(chain.from_iterable(_blocks(text)), start=1):
-            # Fast path for the bulk of a document: a 'd' line, or a 'c' line
-            # of a class already seen, whose ids are both declared.  Its
-            # entry is one bit of a column of its owner.  An id never holds
-            # '#', so the line has no comment; and no id is declared before
-            # the version line.  Repeats are found once, after the loop.
-            tokens = raw.split()
-            try:
-                if len(tokens) == 3:
-                    if tokens[0] == "d":
-                        cols[index[tokens[1]]] |= 1 << index[tokens[2]]
-                        continue
-                elif len(tokens) == 4 and tokens[0] == "c":
-                    columns[tokens[1]][index[tokens[2]]] |= 1 << index[tokens[3]]
+        for block in _blocks(text):
+            # Bulk path for the bulk of a serialized document: a block of
+            # canonical 'd' lines whose ids are all declared sets the bits
+            # the fast path below would set, one per line, a source's run of
+            # lines at a time.  A KeyError part-way leaves bits that the
+            # per-line loop sets again.  A block that ends in another line
+            # is not tried: the guard would fail only after every 'd' line.
+            last = block[block.rfind("\n") + 1 :]
+            if (not last or last.startswith("d ")) and _D_LINES.fullmatch(block):
+                tokens = block.split()
+                try:
+                    dsts = map(index.__getitem__, tokens[2::3])
+                    for src, run in groupby(tokens[1::3]):
+                        s = index[src]
+                        col = cols[s]
+                        for t in islice(dsts, len(list(run))):
+                            col |= 1 << t
+                        cols[s] = col
+                except KeyError:
+                    pass
+                else:
+                    lines = block.count("\n") + 1
+                    other += lines - len(tokens) // 3  # an empty last line
+                    line_no += lines
                     continue
-            except KeyError:
-                pass
+            for line_no, raw in enumerate(block.split("\n"), start=line_no + 1):
+                # Fast path for the entry lines of other blocks: a 'd' line, or
+                # a 'c' line of a class already seen, whose ids are both
+                # declared.  Its entry is one bit of a column of its owner.  An
+                # id never holds '#', so the line has no comment; and no id is
+                # declared before the version line.  Repeats are found once,
+                # after the loop.
+                tokens = raw.split()
+                try:
+                    if len(tokens) == 3:
+                        if tokens[0] == "d":
+                            cols[index[tokens[1]]] |= 1 << index[tokens[2]]
+                            continue
+                    elif len(tokens) == 4 and tokens[0] == "c":
+                        columns[tokens[1]][index[tokens[2]]] |= 1 << index[tokens[3]]
+                        continue
+                except KeyError:
+                    pass
 
-            other += 1
-            if "#" in raw:
-                tokens = raw.split("#", 1)[0].split()
-            if not tokens:
-                continue
-            directive = tokens[0]
-            if version_line is None and directive != "fcx":
-                raise FcxParseError(line_no, "first directive must be 'fcx 1'")
+                other += 1
+                if "#" in raw:
+                    tokens = raw.split("#", 1)[0].split()
+                if not tokens:
+                    continue
+                directive = tokens[0]
+                if version_line is None and directive != "fcx":
+                    raise FcxParseError(line_no, "first directive must be 'fcx 1'")
 
-            if directive == "fcx":
-                _require_arity(line_no, tokens, (1,))
-                if version_line is not None:
-                    raise FcxParseError(
-                        line_no, f"duplicate 'fcx' line (first on line {version_line})"
+                if directive == "fcx":
+                    _require_arity(line_no, tokens, (1,))
+                    if version_line is not None:
+                        raise FcxParseError(
+                            line_no, f"duplicate 'fcx' line (first on line {version_line})"
+                        )
+                    if tokens[1] != "1":
+                        raise FcxParseError(
+                            line_no, f"unsupported format version '{tokens[1]}' (expected 1)"
+                        )
+                    version_line = line_no
+                elif directive in ("sigma", "lambda", "r", "m"):
+                    _require_arity(line_no, tokens, (1,))
+                    if directive in header:
+                        raise FcxParseError(
+                            line_no,
+                            f"duplicate '{directive}' line (first on line {header[directive][0]})",
+                        )
+                    if directive == "sigma":
+                        value: object = _parse_int(line_no, tokens[1], "sigma", minimum=1)
+                    elif directive == "m":
+                        value = _parse_int(line_no, tokens[1], "m", minimum=0)
+                    else:
+                        value = _parse_decimal(line_no, tokens[1], directive)
+                    header[directive] = (line_no, value)
+                elif directive == "gen":
+                    # Checked inline; the helpers run only to word a fault.
+                    if (
+                        3 <= len(tokens) <= 4
+                        and _ID_RE.match(tokens[1])
+                        and tokens[1] not in index
+                        and _INT_RE.fullmatch(tokens[2])
+                    ):
+                        uid = tokens[1]
+                        degree = int(tokens[2])
+                    else:
+                        _require_arity(line_no, tokens, (2, 3))
+                        uid = _parse_id(line_no, tokens[1], "generator id")
+                        if uid in index:
+                            raise FcxParseError(
+                                line_no,
+                                f"duplicate generator '{uid}' (first declared on line "
+                                f"{gen_lines[index[uid]]})",
+                            )
+                        degree = _parse_int(line_no, tokens[2], "lifted degree")
+                    action = (
+                        _parse_decimal(line_no, tokens[3], "action") if len(tokens) == 4 else None
                     )
-                if tokens[1] != "1":
-                    raise FcxParseError(
-                        line_no, f"unsupported format version '{tokens[1]}' (expected 1)"
-                    )
-                version_line = line_no
-            elif directive in ("sigma", "lambda", "r", "m"):
-                _require_arity(line_no, tokens, (1,))
-                if directive in header:
-                    raise FcxParseError(
-                        line_no,
-                        f"duplicate '{directive}' line (first on line {header[directive][0]})",
-                    )
-                if directive == "sigma":
-                    value: object = _parse_int(line_no, tokens[1], "sigma", minimum=1)
-                elif directive == "m":
-                    value = _parse_int(line_no, tokens[1], "m", minimum=0)
-                else:
-                    value = _parse_decimal(line_no, tokens[1], directive)
-                header[directive] = (line_no, value)
-            elif directive == "gen":
-                _require_arity(line_no, tokens, (2, 3))
-                uid = _parse_id(line_no, tokens[1], "generator id")
-                if uid in index:
-                    raise FcxParseError(
-                        line_no,
-                        f"duplicate generator '{uid}' (first declared on line "
-                        f"{gen_lines[index[uid]]})",
-                    )
-                degree = _parse_int(line_no, tokens[2], "lifted degree")
-                action = (
-                    _parse_decimal(line_no, tokens[3], "action") if len(tokens) == 4 else None
-                )
-                index[uid] = len(gens)
-                gens.append(LiftedGenerator(uid, degree, action))
-                gen_lines.append(line_no)
-                for owner_cols in columns.values():
-                    owner_cols.append(0)
-            elif directive == "d" or directive == "c":
-                # The entry lines off the fast path: a comment, a class's
-                # first 'c' line, an id not declared yet, or a fault.
-                if directive == "d":
+                    index[uid] = len(gens)
+                    gens.append(LiftedGenerator(uid, degree, action))
+                    gen_lines.append(line_no)
+                    for owner_cols in columns.values():
+                        owner_cols.append(0)
+                elif directive == "d" or directive == "c":
+                    # The entry lines off the fast path: a comment, a class's
+                    # first 'c' line, an id not declared yet, or a fault.
+                    if directive == "d":
+                        _require_arity(line_no, tokens, (2,))
+                        _, src, dst = tokens
+                        owner = None
+                    else:
+                        _require_arity(line_no, tokens, (3,))
+                        _, owner, src, dst = tokens
+                        if owner not in columns:
+                            _parse_id(line_no, owner, "class name")
+                            columns[owner] = [0] * len(gens)
+                            pending_refs.append((line_no, owner))
+                    s = index.get(src)
+                    t = index.get(dst)
+                    if s is None or t is None:
+                        # A declared id matched the id pattern on its 'gen' line.
+                        if s is None:
+                            _parse_id(line_no, src, "source id")
+                        if t is None:
+                            _parse_id(line_no, dst, "target id")
+                        # an entry naming a generator not declared yet waits
+                        pending.setdefault((owner, src, dst), line_no)
+                    else:
+                        columns[owner][s] |= 1 << t
+                    other -= 1
+                elif directive == "cup":
                     _require_arity(line_no, tokens, (2,))
-                    _, src, dst = tokens
-                    owner = None
-                else:
+                    name = _parse_id(line_no, tokens[1], "class name")
+                    if name in cups:
+                        raise FcxParseError(
+                            line_no,
+                            f"duplicate cup class '{name}' "
+                            f"(first declared on line {cups[name][0]})",
+                        )
+                    degree = _parse_int(line_no, tokens[2], "class degree", minimum=0)
+                    cups[name] = (line_no, degree)
+                elif directive == "ring":
                     _require_arity(line_no, tokens, (3,))
-                    _, owner, src, dst = tokens
-                    if owner not in columns:
-                        _parse_id(line_no, owner, "class name")
-                        columns[owner] = [0] * len(gens)
-                        pending_refs.append((line_no, owner))
-                s = index.get(src)
-                t = index.get(dst)
-                if s is None or t is None:
-                    # A declared id matched the id pattern on its 'gen' line.
-                    if s is None:
-                        _parse_id(line_no, src, "source id")
-                    if t is None:
-                        _parse_id(line_no, dst, "target id")
-                    # an entry naming a generator not declared yet waits
-                    pending.setdefault((owner, src, dst), line_no)
+                    a = _parse_id(line_no, tokens[1], "class name")
+                    b = _parse_id(line_no, tokens[2], "class name")
+                    result = tokens[3]
+                    if result != "0":
+                        result = _parse_id(line_no, tokens[3], "product class name")
+                        pending_refs.append((line_no, result))
+                    key = (min(a, b), max(a, b))
+                    if key in ring_rows:
+                        raise FcxParseError(
+                            line_no,
+                            f"duplicate ring row for ({key[0]}, {key[1]}) "
+                            f"(first on line {ring_rows[key][0]})",
+                        )
+                    ring_rows[key] = (line_no, None if result == "0" else result)
+                    pending_refs.append((line_no, a))
+                    pending_refs.append((line_no, b))
                 else:
-                    columns[owner][s] |= 1 << t
-                other -= 1
-            elif directive == "cup":
-                _require_arity(line_no, tokens, (2,))
-                name = _parse_id(line_no, tokens[1], "class name")
-                if name in cups:
-                    raise FcxParseError(
-                        line_no,
-                        f"duplicate cup class '{name}' (first declared on line {cups[name][0]})",
-                    )
-                degree = _parse_int(line_no, tokens[2], "class degree", minimum=0)
-                cups[name] = (line_no, degree)
-            elif directive == "ring":
-                _require_arity(line_no, tokens, (3,))
-                a = _parse_id(line_no, tokens[1], "class name")
-                b = _parse_id(line_no, tokens[2], "class name")
-                result = tokens[3]
-                if result != "0":
-                    result = _parse_id(line_no, tokens[3], "product class name")
-                    pending_refs.append((line_no, result))
-                key = (min(a, b), max(a, b))
-                if key in ring_rows:
-                    raise FcxParseError(
-                        line_no,
-                        f"duplicate ring row for ({key[0]}, {key[1]}) "
-                        f"(first on line {ring_rows[key][0]})",
-                    )
-                ring_rows[key] = (line_no, None if result == "0" else result)
-                pending_refs.append((line_no, a))
-                pending_refs.append((line_no, b))
-            else:
-                raise FcxParseError(line_no, f"unknown directive '{directive}'")
+                    raise FcxParseError(line_no, f"unknown directive '{directive}'")
     except FcxParseError as error:
         fault = error  # raised after any repeat on the lines before it
     else:
@@ -360,18 +413,17 @@ def parse(text: str, allow_small_sigma: bool = False) -> FloerComplexData:
     return FloerComplexData.from_columns(params, gens, cols, cup_classes, ring)
 
 
-def _blocks(text: str) -> Iterator[list[str]]:
-    """The lines of ``text.split("\\n")``, split one block at a time: each
-    block but the last ends at the first ``\\n`` at least ``_BLOCK``
-    characters past its start, so no line is cut and only one block's lines
-    are held at once."""
+def _blocks(text: str) -> Iterator[str]:
+    """``text`` in blocks that ``"\\n".join`` gives back: each block but the
+    last ends before the first ``\\n`` at least ``_BLOCK`` characters past
+    its start, so no line is cut."""
     pos = 0
     while True:
         cut = text.find("\n", pos + _BLOCK)
         if cut < 0:
-            yield text[pos:].split("\n")
+            yield text[pos:]
             return
-        yield text[pos:cut].split("\n")
+        yield text[pos:cut]
         pos = cut + 1
 
 

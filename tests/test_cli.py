@@ -172,6 +172,22 @@ def test_an_output_path_that_cannot_be_written_exits_two(run, write_doc, tmp_pat
     assert err.startswith(f"fcx: cannot write '{out_path}': ")
 
 
+@pytest.mark.parametrize("output", ["-o", "--output"])
+def test_an_output_of_dash_writes_the_document_to_stdout(
+    run, write_doc, tmp_path, monkeypatch, output
+):
+    """``-o -`` is standard output, as with no ``-o``: no file named '-'."""
+    path = write_doc(ACT_TEXT)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for argv in [("gen", "--gens", "4"), ("rebase", path, "--delta-r", "-.5")]:
+        expected = run(*argv)
+        assert expected[0] == 0 and expected[1].startswith("fcx 1\n")
+        assert run(*argv, output, "-") == expected
+    assert list(work.iterdir()) == []
+
+
 def test_invalid_complex_exits_one_for_computation_commands(run, write_doc):
     code, _, err = run("pages", write_doc(BAD_JUMP_TEXT))
     assert code == 1

@@ -6,7 +6,7 @@ import dataclasses
 import hashlib
 import random
 import tracemalloc
-from itertools import chain
+from collections.abc import Sequence
 from pathlib import Path
 
 import pytest
@@ -946,6 +946,9 @@ def _dressed(lines: list[str], rnd: random.Random) -> str:
 
 
 def test_blocks_are_the_lines_of_the_text(monkeypatch):
+    """The blocks joined by '\\n' are the text, and each block but the
+    last ends before the first '\\n' at least ``_BLOCK`` characters past
+    its start."""
     import fcx.io
 
     rnd = random.Random(5)
@@ -954,7 +957,14 @@ def test_blocks_are_the_lines_of_the_text(monkeypatch):
     for block in (1, 2, 7, 64, fcx.io._BLOCK):
         monkeypatch.setattr(fcx.io, "_BLOCK", block)
         for text in texts:
-            assert list(chain.from_iterable(fcx.io._blocks(text))) == text.split("\n"), text
+            blocks = list(fcx.io._blocks(text))
+            assert "\n".join(blocks) == text, text
+            pos = 0
+            for b in blocks[:-1]:
+                pos += len(b)
+                assert text[pos] == "\n" and "\n" not in b[block:], (block, text)
+                pos += 1
+            assert "\n" not in blocks[-1][block:], (block, text)
 
 
 def test_any_block_size_parses_like_a_single_block(monkeypatch, scrambled):
@@ -997,10 +1007,156 @@ def test_any_block_size_parses_like_a_single_block(monkeypatch, scrambled):
             assert _outcome(text) == expected, (block, text)
 
 
+# A document whose 'd' lines fill several blocks of the default size: 100
+# generators and a generator named 'd', and every entry g_i -> g_j, i < j.
+BULK_HEAD = ["fcx 1", "sigma 4", "lambda 0.5", "gen d 1"] + [f"gen g{i} 0" for i in range(100)]
+BULK_ENTRIES = [f"d g{i} g{j}" for i in range(100) for j in range(i + 1, 100)]
+MID = len(BULK_ENTRIES) // 2  # the trap goes before or in place of this entry line
+TRAP_LINE = len(BULK_HEAD) + MID + 1  # the line number of the (first) trap line
+CLASS_LINES = ["cup e 0"] + ["c e" + line[1:] for line in BULK_ENTRIES[:3000]]
+CLASS_END = len(BULK_HEAD) + len(BULK_ENTRIES) + len(CLASS_LINES)  # its last line
+
+
+def _bulk_text(at_mid: list[str], replace: bool = False, tail: Sequence[str] = ()) -> str:
+    """The document with ``at_mid`` inserted before (or put in place of)
+    its middle entry line, and ``tail`` appended."""
+    entries = BULK_ENTRIES[:MID] + at_mid + BULK_ENTRIES[MID + replace :]
+    return "\n".join(BULK_HEAD + entries + list(tail)) + "\n"
+
+
+PLAIN, PARSES = "the plain document", "a complex"
+# case -> (text, its outcome: PLAIN, PARSES, or an error and its line)
+BULK_TRAPS = {
+    "a generator named d": (_bulk_text(["d d g1", "d g2 d", "d d d"]), PARSES),
+    # the tokens of the two canonical lines 'd g97 g3' and 'd g98 g4'
+    "a line split after a 'd'": (
+        _bulk_text(["d g97 g3 d", "g98 g4"]),
+        (f"line {TRAP_LINE}: directive 'd' takes 2 argument(s), got 3", TRAP_LINE),
+    ),
+    "a tab": (_bulk_text([BULK_ENTRIES[MID].replace(" ", "\t", 1)], True), PLAIN),
+    "a double space": (_bulk_text([BULK_ENTRIES[MID].replace(" ", "  ")], True), PLAIN),
+    "a trailing space": (_bulk_text([BULK_ENTRIES[MID] + " "], True), PLAIN),
+    "an undeclared id": (
+        _bulk_text(["d g5 zz"]),
+        (f"line {TRAP_LINE}: unknown generator 'zz'", TRAP_LINE),
+    ),
+    "an id declared later": (_bulk_text(["d g5 late"], tail=["gen late 2"]), PARSES),
+    "a repeated entry": (
+        _bulk_text([BULK_ENTRIES[MID - 3]]),  # 'd g29 g37'
+        (
+            f"line {TRAP_LINE}: duplicate differential entry (g29 -> g37) "
+            f"(first on line {TRAP_LINE - 3})",
+            TRAP_LINE,
+        ),
+    ),
+    "blocks of c lines": (_bulk_text([], tail=CLASS_LINES), PARSES),
+    "a repeated c line": (
+        _bulk_text([], tail=CLASS_LINES + [CLASS_LINES[2000]]),  # 'c e g22 g75'
+        (
+            f"line {CLASS_END + 1}: duplicate entry (g22 -> g75) for class 'e' "
+            f"(first on line {CLASS_END - len(CLASS_LINES) + 2001})",
+            CLASS_END + 1,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BULK_TRAPS))
+def test_lines_near_the_bulk_form_parse_like_a_single_block(monkeypatch, case):
+    """A line in a block of canonical 'd' lines that is not one of them, or
+    names an id not declared yet, or repeats an entry: read in blocks of 1,
+    7 or 64 characters or of the default size, the document parses as in
+    one block (line by line), to the expected complex or error."""
+    import fcx.io
+
+    default = fcx.io._BLOCK
+    text, expected = BULK_TRAPS[case]
+    monkeypatch.setattr(fcx.io, "_BLOCK", 1 << 40)
+    single = _outcome(text)
+    if expected == PLAIN:
+        assert single == _outcome(_bulk_text([])), case
+    elif expected == PARSES:
+        assert isinstance(single, FloerComplexData), single
+    else:
+        assert single == expected, case
+    for block in (1, 7, 64, default):
+        monkeypatch.setattr(fcx.io, "_BLOCK", block)
+        assert _outcome(text) == single, (case, block)
+
+
+def _block_of(text: str, pos: int) -> int:
+    """The index of the block of ``parse`` that holds ``text[pos]``."""
+    import fcx.io
+
+    end = 0
+    for i, block in enumerate(fcx.io._blocks(text)):
+        end += len(block) + 1
+        if pos < end:
+            return i
+    raise IndexError(pos)
+
+
+def _per_line_blocks(monkeypatch, text: str) -> tuple[list[int], int]:
+    """The indices of the blocks of ``text`` that ``parse`` reads line by
+    line (it splits them at '\\n'), and the number of blocks."""
+    import fcx.io
+
+    blocks = fcx.io._blocks
+    per_line: list[int] = []
+    count = 0
+
+    class Block(str):
+        def split(self, sep=None, maxsplit=-1):
+            if sep == "\n":
+                per_line.append(self.index)
+            return str.split(self, sep, maxsplit)
+
+    def spy(text):
+        nonlocal count
+        for count, block in enumerate(blocks(text), start=1):
+            spied = Block(block)
+            spied.index = count - 1
+            yield spied
+
+    monkeypatch.setattr(fcx.io, "_blocks", spy)
+    _outcome(text)
+    monkeypatch.setattr(fcx.io, "_blocks", blocks)
+    return per_line, count
+
+
+def test_only_the_leading_blocks_of_a_serialized_document_are_read_line_by_line(
+    monkeypatch, scrambled
+):
+    """Of the seed-1 1000-generator scrambled document, the blocks that hold
+    the header and the 'gen' lines are read line by line and every later
+    block in bulk.  With a trap line, so is the block that holds it, unless
+    the line is of the bulk form (a generator named 'd', a repeat)."""
+    text = serialize(scrambled(1000, 4, 1))
+    per_line, count = _per_line_blocks(monkeypatch, text)
+    leading = _block_of(text, text.rindex("\ngen ") + 1) + 1
+    assert count > 40 and per_line == list(range(leading)), (per_line, count)
+
+    assert _per_line_blocks(monkeypatch, _bulk_text([])) == ([0], 4)
+    plain = _bulk_text([])
+    trap_block = _block_of(plain, plain.index(f"\n{BULK_ENTRIES[MID]}\n") + 1)
+    assert trap_block >= 1
+    for case, (text, _) in BULK_TRAPS.items():
+        per_line, _ = _per_line_blocks(monkeypatch, text)
+        if case in ("a generator named d", "a repeated entry"):
+            assert per_line == [0], case
+        elif "c line" in case:
+            assert per_line[:1] == [0] and len(per_line) >= 3, case
+        else:
+            assert per_line[:2] == [0, trap_block], case
+
+
 def test_parse_and_serialize_hold_memory_in_proportion_to_the_text(scrambled):
     """Neither holds one string per line of a large document: the traced
     peak of ``parse`` stays within 1.5 times the text, and that of
-    ``serialize`` within 3 times (about 1.0 and 2.1 on CPython 3.10-3.13)."""
+    ``serialize`` within 3 times (1.1-1.3 and 2.1 on CPython 3.10-3.13).
+    The tokens of a block read in bulk, and the regular-expression engine's
+    stack for its guard, grow with the block: at 64 KiB blocks ``parse``
+    read 3.1-3.5 times the text."""
     c = scrambled(1000, 4, 1)
     text = serialize(c)  # also fills the complex's lazy caches
     tracemalloc.start()
