@@ -24,17 +24,17 @@ classes whose pattern holds are then checked for commutation together:
 ``gf2.commutator_witnesses`` stacks their columns and walks the
 differential once for all of them.
 
-Memo: for a class of ``c.cup_classes`` (found by identity first, then by
-``==``), the validation report with the class columns, the induced
-cohomology action and the graded images are kept in the complex's memo
-(``FloerComplexData.cached``) under the class's index, and freed with it;
-the first validation of a document class validates them all.  The graded
-images are the canonical coordinates of each page-1 slot's representative
-pushed through the class, cut to the slot's level plus the class degree and
-checked against the filtration as they are built; each page reads its maps
-off them through its run's ``PageTable.layouts`` entry: its alive slots and
-the sources of its dead dipoles.  Any other class is computed afresh on
-each call.
+Memo: for a class of ``c.cup_classes``, found by identity, the validation
+report with the class columns, the induced cohomology action and the graded
+images are kept in the complex's memo (``FloerComplexData.cached``) under
+the class's index, and freed with it; the first validation of a document
+class validates them all.  The graded images are the canonical coordinates
+of each page-1 slot's representative pushed through the class, cut to the
+slot's level plus the class degree and checked against the filtration as
+they are built; each page reads its maps off them through its run's
+``PageTable.layouts`` entry: its alive slots and the sources of its dead
+dipoles.  Any other class, an equal copy of a document class included, is
+computed afresh on each call, with the same result.
 The checks run on every call: an invalid class raises each time, so does a
 failed image build (it is not kept), and the page maps are checked against
 the page differential each time.
@@ -150,12 +150,9 @@ _T = TypeVar("_T")
 
 
 def _document_index(c: FloerComplexData, a: CupClass) -> int | None:
-    """The index of ``a`` among the document classes of ``c``, or None."""
-    classes = c.cup_classes
-    # by identity first: ``index`` compares by ``==``, which computes the
-    # canonical form of each class it compares
-    i = next((i for i, b in enumerate(classes) if b is a), None)
-    return classes.index(a) if i is None and a in classes else i
+    """The index of ``a`` among the document classes of ``c``, found by
+    identity, or None."""
+    return next((i for i, b in enumerate(c.cup_classes) if b is a), None)
 
 
 def _derived(

@@ -133,22 +133,12 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def add(self, other: "LaurentPoly") -> "LaurentPoly":
-        d = self.as_dict()
-        for e, c in other.coeffs:
-            d[e] = d.get(e, 0) + c
-        return LaurentPoly.from_dict(d)
-
     def mul(self, other: "LaurentPoly") -> "LaurentPoly":
         d: dict[int, int] = {}
         for e1, c1 in self.coeffs:
             for e2, c2 in other.coeffs:
                 d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly.from_dict(d)
-
-    def shift(self, exponent: int) -> "LaurentPoly":
-        """Multiply by t**exponent."""
-        return LaurentPoly(tuple((e + exponent, c) for e, c in self.coeffs))
 
     def serialize(self) -> str:
         """Space-separated ``exponent:coefficient`` pairs, ascending; '' if zero."""

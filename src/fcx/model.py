@@ -26,16 +26,16 @@ over the sorted ids it names, so a parsed class equals its entry-built twin.
 Validation is exhaustive and returns a report rather than failing fast, so a
 single pass lists every violated invariant with the offending ids.  It checks
 the degree jumps column by column, against one mask per degree of the
-admissible targets, and the action differences per column too.  Only a
-complex with kept entries, a bad degree jump or a bad action difference (or
-with actions and a repeated generator id) is walked entry by entry, to word
-the errors in ``(src, dst)`` order.  These structural checks and the walk
-that checks delta^2 = 0 are kept apart: the canonical reduction
-(``fcx.engine``) needs the first alone and proves delta^2 = 0 itself, which
-spares the walk (``record_square_zero``).  So a tensor product, whose builder
-(``fcx.kunneth``) validates only the factors, has its delta^2 = 0 proved by
-the reduction that reads its pages; it is walked only if validated before
-it is reduced.
+admissible targets.  A complex with kept entries, a bad degree jump, or
+actions under a positive monotonicity constant is walked entry by entry, in
+``(src, dst)`` order, off its stored form (``_targets``): that walk words
+the errors and is the one check of the action differences.  These
+structural checks and the walk that checks delta^2 = 0 are kept apart: the
+canonical reduction (``fcx.engine``) needs the first alone and proves
+delta^2 = 0 itself, which spares the walk (``record_square_zero``).  So a
+tensor product (``fcx.kunneth`` validates only its factors) has its
+delta^2 = 0 proved by the reduction that reads its pages; it is walked only
+if validated before it is reduced.
 
 The degree-graded cohomology cuts each degree's columns to their jump-0
 part, the block of the next degree, and eliminates them once with
@@ -652,12 +652,11 @@ def _check_structure(c: FloerComplexData) -> ValidationReport:
     if p.half_dim is not None and (type(p.half_dim) is not int or p.half_dim < 0):
         errors.append(f"half-dimension must be a nonnegative integer, got {p.half_dim}")
 
-    seen: dict[str, int] = {}
-    for i, (uid, degree, _action) in enumerate(c.generators):
+    seen: set[str] = set()
+    for uid, degree, _action in c.generators:
         if uid in seen:
             errors.append(f"duplicate generator id '{uid}'")
-        else:
-            seen[uid] = i
+        seen.add(uid)
         if type(degree) is not int:
             errors.append(f"generator '{uid}' lifted degree must be an integer, got {degree}")
 
@@ -676,12 +675,11 @@ def _check_structure(c: FloerComplexData) -> ValidationReport:
                     f"window ({lo}, {hi})"
                 )
 
-    gens = c.generators
-    cols = c._columns
-    walk = c._raw is not None or (period >= 1 and _bad_jump(c.degree_blocks(), cols, period))
-    if not walk and any_action and p.monotonicity > 0:
-        walk = period < 1 or len(seen) < c.count or _action_mismatch(gens, cols, p)
-    if walk:
+    if (
+        c._raw is not None
+        or (any_action and p.monotonicity > 0)
+        or (period >= 1 and _bad_jump(c.degree_blocks(), c._columns, period))
+    ):
         errors += _entry_errors(c)
     return ValidationReport(tuple(errors), tuple(warnings))
 
@@ -743,37 +741,17 @@ def _action_difference(p: MonotoneParams, k: int) -> float:
     return -p.monotonicity if k % 2 == 0 else p.action_period - p.monotonicity
 
 
-def _action_mismatch(
-    gens: Sequence[LiftedGenerator], cols: Sequence[int], p: MonotoneParams
-) -> bool:
-    """Whether some entry's action difference disagrees with its jump index,
-    checked column by column as ``_entry_errors`` checks it entry by entry.
-    Every degree jump is of the form k * period + 1 with k >= 0."""
-    period = p.maslov_period
-    tol = p.action_tolerance
-    for s, col in enumerate(cols):
-        a_src = gens[s].action
-        if not col or a_src is None:
-            continue
-        n = gens[s].degree
-        for t in bits(col):
-            a_dst = gens[t].action
-            if a_dst is not None:
-                k = (gens[t].degree - n - 1) // period
-                if abs(a_dst - a_src - _action_difference(p, k)) > tol:
-                    return True
-    return False
-
-
 def _entry_errors(c: FloerComplexData) -> list[str]:
-    """The errors of the entries one by one, in (src, dst) order: unknown
-    ids, repeats, degree jumps and action differences."""
+    """The errors of the entries one by one, in (src, dst) order, read off
+    the stored form: unknown ids, repeats, degree jumps and action
+    differences."""
     errors: list[str] = []
     p = c.params
     period = p.maslov_period
     tol = p.action_tolerance
     gens = c.generators
-    for (src, dst), s, t, repeat in _resolved(c.uids, c.delta):
+    pairs = [(src, dst) for src, dsts in c._targets() for dst in dsts]
+    for (src, dst), s, t, repeat in _resolved(c.uids, pairs):
         if s is None:
             errors.append(f"differential entry references unknown source '{src}'")
             continue

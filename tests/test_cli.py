@@ -350,6 +350,16 @@ def test_unknown_flag_and_subcommand_exit_two(run, write_doc, capsys):
     assert run("frobnicate", path)[0] == 2
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: fcx [-h]"),
+    (["pages", "--help"], "usage: fcx pages [-h]"),
+])
+def test_help_prints_usage_to_stdout_and_exits_zero(run, argv, usage):
+    code, out, err = run(*argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(usage)
+
+
 def test_cohomology_lists_both_theories(run, write_doc):
     code, out, _ = run("cohomology", write_doc(THREE_TEXT), "--format", "tsv")
     assert code == 0

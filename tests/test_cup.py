@@ -216,6 +216,21 @@ def test_module_check_passes_when_square_vanishes():
     assert module_check(c, RING_A).passed
 
 
+@pytest.mark.parametrize("check", [module_check, injectivity_check, cuplength_report])
+def test_ring_checks_refuse_a_repeated_class_name_and_an_unknown_class(check):
+    """Two classes of one name, or a product row naming a class the document
+    lacks, is refused before any class is computed."""
+    a = CupClass("a", 2, (("p", "q"),))
+    gens = [("p", 0), ("q", 2), ("r", 4)]
+    twice = complex_of(P3, gens, cups=(ident_class(FREE3), a, CupClass("a", 2, ())))
+    with pytest.raises(FcxError, match="^duplicate cup class names$"):
+        check(twice, RING_A)
+    c = complex_of(P3, gens, cups=(ident_class(FREE3), a))
+    for ring in (RingTable(((("a", "b"), None),)), RingTable(((("1", "a"), "b"),))):
+        with pytest.raises(FcxError, match="^product table references unknown class 'b'$"):
+            check(c, ring)
+
+
 def test_resolve_unit_falls_back_to_unique_identity_class():
     e_cls = CupClass("e", 0, tuple((g.uid, g.uid) for g in FREE3.generators))
     c = complex_of(P3, [("p", 0), ("q", 2), ("r", 4)], cups=(e_cls,))

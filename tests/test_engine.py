@@ -397,6 +397,18 @@ def test_subquotient_oracle_examples():
         assert subquotient_pages_oracle(free, k) == {(2, 2): 1}
 
 
+def test_subquotient_oracle_refuses_page_zero():
+    with pytest.raises(ValueError, match="^pages are indexed from 1$"):
+        subquotient_pages_oracle(THREE_GEN, 0)
+
+
+def test_both_oracles_read_nothing_off_an_empty_complex():
+    empty = complex_of(P4_ALG, [])
+    assert subquotient_pages_oracle(empty, 1) == {}
+    report = limit_and_filtration(empty)
+    assert report.hf() == {} and report.einf() == {} and report.filtration_dims == ()
+
+
 def test_collapse_page_examples():
     assert collapse_page(complex_of(P4_ALG, [("a", 0), ("b", 2)])) == 1
     assert collapse_page(complex_of(P4_ALG, [("x", 0), ("y", 5)], [("x", "y")])) == 2

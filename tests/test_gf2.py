@@ -166,6 +166,14 @@ def test_intersection_matches_brute_force(us, vs):
     assert space_members(subspace_intersection(u, v)) == expected
 
 
+@pytest.mark.parametrize("op", [subspace_sum, subspace_intersection])
+def test_subspace_operations_refuse_mismatched_ambient_dimensions(op):
+    u = Gf2Subspace.from_vectors(3, [0b001])
+    v = Gf2Subspace.from_vectors(4, [0b001])
+    with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+        op(u, v)
+
+
 def is_unitriangular(cols, order):
     """Column i is e_i plus slots strictly earlier in ``order``."""
     earlier = 0

@@ -63,10 +63,7 @@ THREE_GEN = complex_of(P4_ALG, [("x", 0), ("xp", 4), ("y", 5)], [("x", "y")])
 def test_laurent_poly_canonical_form_and_algebra():
     p = LaurentPoly.from_dict({2: 1, 5: 0, -1: 3})
     assert p.as_dict() == {2: 1, -1: 3}
-    q = LaurentPoly.monomial(-1, 1)
-    assert p.add(q).as_dict() == {2: 1, -1: 4}
     assert LaurentPoly.monomial(1).mul(LaurentPoly.monomial(2, 3)).as_dict() == {3: 3}
-    assert p.shift(2).as_dict() == {4: 1, 1: 3}
     assert LaurentPoly().is_zero
 
 
@@ -205,7 +202,7 @@ def test_q_decomposition_checks_the_identity_on_every_page(
 
     def corrupted(table, k):
         poly = poincare_laurent(table, k)
-        return poly.add(LaurentPoly.monomial(99)) if k == bad_page else poly
+        return LaurentPoly(poly.coeffs + ((99, 1),)) if k == bad_page else poly
 
     monkeypatch.setattr(fcx.invariants, "poincare_laurent", corrupted)
     with pytest.raises(EngineConsistencyError) as info:
@@ -259,7 +256,7 @@ def test_rebase_by_full_period_shifts_degrees():
     # polynomial shift law: P_new(t) * t^period = P_old(t)
     p_old = poincare_laurent(pages(c), 1)
     p_new = poincare_laurent(pages(out), 1)
-    assert p_new.shift(4) == p_old
+    assert p_new.mul(LaurentPoly.monomial(4)) == p_old
 
 
 def test_rebase_without_crossing_changes_nothing_but_the_base():
